@@ -9,18 +9,21 @@ propagation term per gate per layer, idle wires included).
 Gate matrices index their wires most-significant-first: for CNOT on wires
 (c, t), wire c is the control. Wire 0 is the least significant bit of every
 state vector, as in linalg.
+
+The helpers every downstream construction shares live here: ``require_valid``
+(raise on any ``validate`` diagnostic), ``resolve_witness`` and
+``input_state`` (the witness and the input column |0^a> (x) |xi>), and
+``nontrivial_gates`` (the serialized non-identity gates).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .linalg import apply_matrix, is_unitary
-from .pauli import PAULI_TAGS, pauli_matrix
+from .linalg import DENSE_QUBIT_CAP, apply_matrix, basis_state, is_unitary
+from .pauli import word_decompose, word_matrix
 
 __all__ = [
     "Gate",
@@ -33,15 +36,17 @@ __all__ = [
     "circuit_unitary",
     "degree_reduce",
     "gate",
+    "input_state",
     "layer_unitary",
     "layered",
+    "nontrivial_gates",
     "pad_identities",
     "parallel_repeat",
     "parallel_wire",
+    "require_valid",
+    "resolve_witness",
     "validate",
 ]
-
-_DENSE_WIRE_CAP = 12
 
 NAMED_GATES: dict[str, np.ndarray] = {
     "I": np.eye(2),
@@ -125,25 +130,13 @@ def _clifford_check(g: Gate) -> bool:
     # It suffices to conjugate the single-site X and Z generators.
     k = g.arity
     u = g.unitary
-    words = [
-        reduce(np.kron, [pauli_matrix(t) for t in tags])
-        for tags in itertools.product(PAULI_TAGS, repeat=k)
-    ]
     for pos in range(k):
         for gen in ("X", "Z"):
-            factors = [np.eye(2)] * k
-            factors[pos] = pauli_matrix(gen)
-            conj = u @ reduce(np.kron, factors) @ u.conj().T
-            if not any(_proportional_unit(conj, w) for w in words):
+            generator = tuple(gen if i == pos else "I" for i in range(k))
+            conj = u @ word_matrix(generator) @ u.conj().T
+            if word_decompose(conj, k) is None:
                 return False
     return True
-
-
-def _proportional_unit(m: np.ndarray, w: np.ndarray) -> bool:
-    alpha = np.trace(w.conj().T @ m) / w.shape[0]
-    if abs(abs(alpha) - 1.0) > 1e-9:
-        return False
-    return bool(np.allclose(m, alpha * w, atol=1e-9))
 
 
 @dataclass(frozen=True)
@@ -241,11 +234,39 @@ def validate(c: LayeredCircuit) -> list[Violation]:
     return problems
 
 
-def _require_valid(c: LayeredCircuit) -> None:
+def require_valid(c: LayeredCircuit) -> None:
+    """Raise ValueError listing every ``validate`` diagnostic, if any."""
     problems = validate(c)
     if problems:
         listing = "; ".join(str(p) for p in problems)
         raise ValueError(f"invalid circuit: {listing}")
+
+
+def resolve_witness(c: LayeredCircuit, xi=None) -> np.ndarray:
+    """The witness on wires a..n-1 (bit 0 of its index is wire a).
+
+    ``None`` means the all-zeros state; anything else must have dimension
+    2^(n-a) and unit norm within 1e-12.
+    """
+    free = c.n - c.a
+    if xi is None:
+        return basis_state(0, free)
+    out = np.asarray(xi, dtype=np.complex128)
+    if out.shape != (2**free,):
+        raise ValueError(
+            f"witness must have dimension 2^{free} = {2**free}, got {out.shape}"
+        )
+    if abs(np.linalg.norm(out) - 1.0) > 1e-12:
+        raise ValueError("witness state must be unit norm")
+    return out
+
+
+def input_state(c: LayeredCircuit, xi=None) -> np.ndarray:
+    """|0^a> (x) |xi> over the n wires, bit j of the index = wire j."""
+    xi = resolve_witness(c, xi)
+    vec = np.zeros(2**c.n, dtype=np.complex128)
+    vec[np.arange(xi.size) << c.a] = xi
+    return vec
 
 
 class LayerOperator:
@@ -264,7 +285,7 @@ class LayerOperator:
         return out
 
     def dense(self) -> np.ndarray:
-        if self.num_wires > _DENSE_WIRE_CAP:
+        if self.num_wires > DENSE_QUBIT_CAP:
             raise ValueError(
                 f"dense layer matrix on {self.num_wires} wires refused"
             )
@@ -287,12 +308,12 @@ def apply_circuit(c: LayeredCircuit, state: np.ndarray) -> np.ndarray:
 
 
 def circuit_unitary(c: LayeredCircuit) -> np.ndarray:
-    if c.n > _DENSE_WIRE_CAP:
+    if c.n > DENSE_QUBIT_CAP:
         raise ValueError(f"dense circuit matrix on {c.n} wires refused")
     return apply_circuit(c, np.eye(2**c.n, dtype=np.complex128))
 
 
-def _nontrivial_gates(c: LayeredCircuit) -> list[Gate]:
+def nontrivial_gates(c: LayeredCircuit) -> list[Gate]:
     """The circuit's non-identity gates, serialized layer by layer.
 
     Within one layer, gates are ordered by their smallest wire, which makes
@@ -334,8 +355,8 @@ def degree_reduce(c: LayeredCircuit) -> LayeredCircuit:
     last block. Circuits with at most one nontrivial gate already satisfy
     the degree bound and are returned unchanged.
     """
-    _require_valid(c)
-    gates = _nontrivial_gates(c)
+    require_valid(c)
+    gates = nontrivial_gates(c)
     num_blocks = len(gates)
     if num_blocks <= 1:
         return c
@@ -376,7 +397,7 @@ def parallel_wire(copy: int, wire: int, n: int, a: int, copies: int) -> int:
 
 def parallel_repeat(c: LayeredCircuit, k: int) -> LayeredCircuit:
     """k disjoint side-by-side copies of the circuit, no inter-copy gates."""
-    _require_valid(c)
+    require_valid(c)
     if k < 1:
         raise ValueError(f"need at least one copy, got k={k}")
     if k == 1:

@@ -22,6 +22,7 @@ from .circuit import (
     LayeredCircuit,
     apply_circuit,
     degree_reduce,
+    input_state,
     layered,
     pad_identities,
 )
@@ -41,7 +42,7 @@ from .fk import (
     invalid_clock_state,
     swap_test_witness,
 )
-from .linalg import trace_distance
+from .linalg import DENSE_QUBIT_CAP, SPARSE_QUBIT_CAP, trace_distance
 from .pauli import phi0
 from .peps import (
     GridLayout,
@@ -65,9 +66,8 @@ from .rotation import (
 )
 from .soundness import (
     SUITE_NAMES,
-    FaultPattern,
-    _gate_error_basis,
     build_combinatorial_state,
+    canonical_payloads,
     extract_decomposition,
     fault_locations,
     high_weight_mass,
@@ -81,7 +81,6 @@ from .spectral import dense_spectrum, gap_vs_bound, low_spectrum
 # below this can fail without indicting the construction itself.
 _ACCURACY_FLOOR = 1e-9
 
-_SCAN_QUBIT_CAP = 12
 _SCAN_POINT_CAP = 512
 _VERIFIER_QUBIT_CAP = 22
 
@@ -321,6 +320,15 @@ def _solver_choice(cfg: RunConfig, num_qubits: int) -> str:
     return "dense" if num_qubits <= 10 else "iterative"
 
 
+def _require_sparse_export(num_qubits: int) -> None:
+    """Refuse --mtx up front, before any artifact is written."""
+    if num_qubits > SPARSE_QUBIT_CAP:
+        raise InputError(
+            f"--mtx would export a sparse matrix on {num_qubits} qubits, "
+            f"beyond the cap of {SPARSE_QUBIT_CAP}; drop --mtx"
+        )
+
+
 # --------------------------------------------------------------------------
 # build
 
@@ -328,6 +336,8 @@ def _solver_choice(cfg: RunConfig, num_qubits: int) -> str:
 def cmd_build(cfg: RunConfig) -> int:
     c = _load_circuit(cfg)
     schedule = _schedule(cfg, c.depth)
+    if cfg.mtx:
+        _require_sparse_export(GridLayout(c.n, c.depth).num_qubits)
     state = build_peps(c, schedule)
     spec = parent_spec(c, schedule)
     _echo_config(cfg)
@@ -399,6 +409,15 @@ def _status(deviation: float, tol: float) -> str:
     return "fail"
 
 
+def _zero_check(
+    name: str, circuit: str, delta: float, deviation: float, tol: float
+) -> Check:
+    """A row whose measured value is its own deviation from zero."""
+    return Check(
+        name, circuit, delta, deviation, 0.0, deviation, _status(deviation, tol)
+    )
+
+
 def _named_fixtures() -> list[tuple[str, LayeredCircuit]]:
     return [
         ("identity1", layered(1, 1, [[("I", (0,))]])),
@@ -417,9 +436,6 @@ def _named_fixtures() -> list[tuple[str, LayeredCircuit]]:
             layered(2, 2, [[("T", (0,)), ("I", (1,))], [("CZ", (0, 1))]]),
         ),
     ]
-
-
-_NORMALIZER_GATES = {"I", "X", "Z", "H", "S", "CNOT", "CZ", "SWAP"}
 
 
 def _right_pair_state(term, layout, delta_next: float):
@@ -480,31 +496,21 @@ def _rotated_checks(
             closed = last_layer_form(k, schedule[depth - 1])
             deviation = float(np.linalg.norm(rotated.block - closed, 2))
             checks.append(
-                Check(
+                _zero_check(
                     f"last_layer[{_wire_tag(gate, term)}]",
-                    name,
-                    schedule[depth - 1],
-                    deviation,
-                    0.0,
-                    deviation,
-                    _status(deviation, tol),
+                    name, schedule[depth - 1], deviation, tol,
                 )
             )
             continue
         dl, dr = schedule[term.layer - 1], schedule[term.layer]
-        if gate.name in _NORMALIZER_GATES:
+        if gate.is_clifford:
             rotated = rotate_term(term, c)
             closed = clifford_form(gate, dl, dr)
             deviation = float(np.linalg.norm(rotated.block - closed, 2))
             checks.append(
-                Check(
+                _zero_check(
                     f"clifford_bulk[{_wire_tag(gate, term)}]",
-                    name,
-                    dl,
-                    deviation,
-                    0.0,
-                    deviation,
-                    _status(deviation, tol),
+                    name, dl, deviation, tol,
                 )
             )
             qubits, ground = _right_pair_state(rotated, spec.layout, dr)
@@ -514,14 +520,9 @@ def _rotated_checks(
             closed_p = projected_bulk_form(k, dl, dr)
             deviation = float(np.linalg.norm(reduced - closed_p, 2))
             checks.append(
-                Check(
+                _zero_check(
                     f"projected_bulk[{_wire_tag(gate, term)}]",
-                    name,
-                    dl,
-                    deviation,
-                    0.0,
-                    deviation,
-                    _status(deviation, tol),
+                    name, dl, deviation, tol,
                 )
             )
         else:
@@ -570,10 +571,7 @@ def verify_checks(
             report = energy(spec, state, tol=max(tol, 1e-15))
             worst = max(report.per_term)
             checks.append(
-                Check(
-                    "frustration_freeness", name, delta, worst, 0.0, worst,
-                    _status(worst, tol),
-                )
+                _zero_check("frustration_freeness", name, delta, worst, tol)
             )
             if c.a == c.n:
                 dense = dense_spectrum(assemble(spec), vectors=1)
@@ -605,9 +603,8 @@ def verify_checks(
                 reference = depolarizing_reference_marginal(c, xi, schedule)
                 deviation = float(trace_distance(marginal, reference))
                 checks.append(
-                    Check(
-                        "depolarizing_marginal", name, delta, deviation, 0.0,
-                        deviation, _status(deviation, tol),
+                    _zero_check(
+                        "depolarizing_marginal", name, delta, deviation, tol
                     )
                 )
             checks.extend(_rotated_checks(name, c, spec, schedule, tol))
@@ -672,12 +669,12 @@ def cmd_scan(cfg: RunConfig) -> int:
             f"grid of {len(grid)} points exceeds the cap of "
             f"{_SCAN_POINT_CAP}; split the sweep"
         )
-    if num_qubits > _SCAN_QUBIT_CAP:
+    if num_qubits > DENSE_QUBIT_CAP:
         estimate = 16.0 * 4.0**num_qubits / 2**30
         raise InputError(
             f"scan would diagonalize {len(grid)} operators on "
             f"{num_qubits} qubits (~{estimate:.1f} GiB dense each); "
-            f"the cap is {_SCAN_QUBIT_CAP} qubits"
+            f"the cap is {DENSE_QUBIT_CAP} qubits"
         )
     rows = []
     for delta in grid:
@@ -706,24 +703,6 @@ def cmd_scan(cfg: RunConfig) -> int:
 # soundness
 
 
-def _fault_payloads(c: LayeredCircuit, fault: FaultPattern):
-    """Canonical violating payloads: |1> at inputs, all-X shifts at gates."""
-    layout = GridLayout(c.n, c.depth)
-    inputs = {w: np.array([0.0, 1.0]) for w in fault.inputs}
-    gates = {}
-    for layer_idx, layer in enumerate(c.layers, start=1):
-        if layer_idx > len(fault.layers):
-            break
-        wanted = fault.layers[layer_idx - 1]
-        for g in layer:
-            if set(g.wires) & set(wanted):
-                for word, vec, _ in _gate_error_basis(g, layer_idx, layout):
-                    if all(tag == "X" for tag in word):
-                        gates[(layer_idx, g.wires)] = vec
-                        break
-    return inputs, gates
-
-
 def _fault_experiment(cfg: RunConfig) -> dict:
     if cfg.circuit is not None:
         c = _load_circuit(cfg)
@@ -732,8 +711,8 @@ def _fault_experiment(cfg: RunConfig) -> dict:
     c = pad_identities(c)
     schedule = _schedule(cfg, c.depth)
     fault = cio.read_fault_json(cfg.fault_file)
-    inputs, gates = _fault_payloads(c, fault)
     try:
+        inputs, gates = canonical_payloads(c, fault)
         state = build_combinatorial_state(
             c, schedule, fault, input_payloads=inputs, gate_payloads=gates
         )
@@ -832,6 +811,8 @@ def cmd_fk(cfg: RunConfig) -> int:
     c = _load_circuit(cfg)
     reduced = degree_reduce(c)
     ham = build_modified_fk(reduced)
+    if cfg.mtx:
+        _require_sparse_export(ham.num_qubits)
     _echo_config(cfg)
     cio.write_term_manifest(
         os.path.join(cfg.out, "clock_terms.json"), ham.terms
@@ -917,7 +898,7 @@ def cmd_swapqma(cfg: RunConfig) -> int:
     )
     witness = swap_test_witness(c)
     honest = accept_probability(verifier, plan, witness)
-    direct = apply_circuit(c, _direct_input(c))
+    direct = apply_circuit(c, input_state(c))
     probs = np.abs(direct) ** 2
     idx = np.arange(probs.size)
     original = float(probs[((idx >> 0) & 1) == 1].sum())
@@ -935,12 +916,6 @@ def cmd_swapqma(cfg: RunConfig) -> int:
         f"{honest:.12f} vs original {original:.12f}"
     )
     return 0
-
-
-def _direct_input(c: LayeredCircuit) -> np.ndarray:
-    vec = np.zeros(2**c.n, dtype=np.complex128)
-    vec[0] = 1.0
-    return vec
 
 
 _COMMANDS = {

@@ -19,12 +19,13 @@ from .circuit import (
     Gate,
     LayeredCircuit,
     NAMED_GATES,
-    _nontrivial_gates,
     apply_circuit,
+    input_state,
+    nontrivial_gates,
     pad_identities,
-    validate,
+    require_valid,
 )
-from .hamiltonian import SparseOperator, term_energy
+from .hamiltonian import LocalTerm, SparseOperator, term_energy
 from .linalg import (
     apply_matrix,
     density_fidelity,
@@ -39,42 +40,20 @@ _WIRE_GATE_CAP = 3
 
 
 @dataclass(frozen=True)
-class ClockTerm:
+class ClockTerm(LocalTerm):
     """One local block of a clock Hamiltonian.
 
     ``support`` lists the qubits ascending (data wires first by index,
-    clock qubits above them) and the dense ``block`` indexes bit i as
-    support[i], like the grid terms. ``step`` is the 1-based time step the
-    term belongs to.
+    clock qubits above them), like the grid terms. ``step`` is the 1-based
+    time step the term belongs to.
     """
 
-    kind: str
-    support: tuple[int, ...]
-    block: np.ndarray
     step: int
 
     def __post_init__(self) -> None:
         if self.kind not in ("input", "propagation", "clock", "output"):
             raise ValueError(f"unknown clock term kind {self.kind!r}")
-        support = tuple(int(q) for q in self.support)
-        if list(support) != sorted(set(support)):
-            raise ValueError(f"support must be strictly ascending, got {support}")
-        block = np.asarray(self.block, dtype=np.complex128)
-        dim = 2 ** len(support)
-        if block.shape != (dim, dim):
-            raise ValueError(
-                f"block shape {block.shape} does not match {len(support)} qubits"
-            )
-        if np.abs(block - block.conj().T).max() > 1e-10:
-            raise ValueError("term block must be Hermitian")
-        block = 0.5 * (block + block.conj().T)
-        block.flags.writeable = False
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "block", block)
-
-    @property
-    def locality(self) -> int:
-        return len(self.support)
+        super().__post_init__()
 
     def __str__(self) -> str:
         return f"{self.kind}[step {self.step}, qubits {self.support}]"
@@ -163,13 +142,6 @@ class ClockHamiltonian:
         )
 
 
-def _require_valid(c: LayeredCircuit) -> None:
-    problems = validate(c)
-    if problems:
-        listing = "; ".join(str(p) for p in problems)
-        raise ValueError(f"invalid circuit: {listing}")
-
-
 def _first_touch_steps(
     steps: tuple[Gate, ...], wires: int
 ) -> dict[int, int]:
@@ -209,8 +181,8 @@ def build_modified_fk(
     a qubit past the intended term budget.
     """
     c = pad_identities(c)
-    _require_valid(c)
-    steps = tuple(_nontrivial_gates(c))
+    require_valid(c)
+    steps = tuple(nontrivial_gates(c))
     meets: dict[int, int] = {}
     for g in steps:
         if g.arity > 2:
@@ -271,49 +243,25 @@ def build_modified_fk(
     for t, g in enumerate(steps, start=1):
         u = g.unitary
         ud = u.conj().T
-        if num_steps == 1:
-            support = tuple(sorted((*g.wires, cq(1))))
-            hop = [
-                [(_ketbra("1", "0"), (cq(1),)), (u, g.wires)],
-                [(_ketbra("0", "1"), (cq(1),)), (ud, g.wires)],
-            ]
-            block = _assemble_block(hop, support)
-            block = 0.5 * (np.eye(block.shape[0]) - block)
-        else:
-            if t == 1:
-                clocks = (cq(1), cq(2))
-                stay = [
-                    [(_ketbra("00", "00"), clocks)],
-                    [(_ketbra("10", "10"), clocks)],
-                ]
-                hop = [
-                    [(_ketbra("10", "00"), clocks), (u, g.wires)],
-                    [(_ketbra("00", "10"), clocks), (ud, g.wires)],
-                ]
-            elif t == num_steps:
-                clocks = (cq(t - 1), cq(t))
-                stay = [
-                    [(_ketbra("10", "10"), clocks)],
-                    [(_ketbra("11", "11"), clocks)],
-                ]
-                hop = [
-                    [(_ketbra("11", "10"), clocks), (u, g.wires)],
-                    [(_ketbra("10", "11"), clocks), (ud, g.wires)],
-                ]
-            else:
-                clocks = (cq(t - 1), cq(t), cq(t + 1))
-                stay = [
-                    [(_ketbra("100", "100"), clocks)],
-                    [(_ketbra("110", "110"), clocks)],
-                ]
-                hop = [
-                    [(_ketbra("110", "100"), clocks), (u, g.wires)],
-                    [(_ketbra("100", "110"), clocks), (ud, g.wires)],
-                ]
-            support = tuple(sorted((*g.wires, *clocks)))
-            block = 0.5 * _assemble_block(stay, support) - 0.5 * _assemble_block(
-                hop, support
-            )
+        # The step watches clock qubits t-1, t, t+1 where they exist and
+        # moves their pattern from 100 to 110 (edge bits dropped).
+        lead = "1" if t > 1 else ""
+        trail = "0" if t < num_steps else ""
+        before, after = lead + "0" + trail, lead + "1" + trail
+        window = range(max(t - 1, 1), min(t + 1, num_steps) + 1)
+        clocks = tuple(cq(s) for s in window)
+        stay = [
+            [(_ketbra(before, before), clocks)],
+            [(_ketbra(after, after), clocks)],
+        ]
+        hop = [
+            [(_ketbra(after, before), clocks), (u, g.wires)],
+            [(_ketbra(before, after), clocks), (ud, g.wires)],
+        ]
+        support = tuple(sorted((*g.wires, *clocks)))
+        block = 0.5 * _assemble_block(stay, support) - 0.5 * _assemble_block(
+            hop, support
+        )
         terms.append(ClockTerm("propagation", support, block, t))
 
     for t in range(2, num_steps + 1):
@@ -343,27 +291,6 @@ def build_modified_fk(
     )
 
 
-def _input_vector(n: int, a: int, xi) -> np.ndarray:
-    """|0^a> (x) witness over n wires, bit j of the index = wire j."""
-    free = n - a
-    if xi is None:
-        inner = np.zeros(2**free, dtype=np.complex128)
-        inner[0] = 1.0
-    else:
-        inner = np.asarray(xi, dtype=np.complex128)
-        if inner.shape != (2**free,):
-            raise ValueError(
-                f"witness must have dimension 2^{free}, got {inner.shape}"
-            )
-        norm = np.linalg.norm(inner)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("witness state must be unit norm")
-    vec = np.zeros(2**n, dtype=np.complex128)
-    for x in range(inner.shape[0]):
-        vec[x << a] = inner[x]
-    return vec
-
-
 def history_state(ham: ClockHamiltonian, xi=None) -> np.ndarray:
     """The uniform superposition of clock times with their partial runs.
 
@@ -373,7 +300,7 @@ def history_state(ham: ClockHamiltonian, xi=None) -> np.ndarray:
     input term of ``ham``; only output terms can see it.
     """
     n, big_t = ham.num_data, ham.num_steps
-    data = _input_vector(n, ham.circuit.a, xi)
+    data = input_state(ham.circuit, xi)
     out = np.zeros(2 ** (n + big_t), dtype=np.complex128)
     clock = np.zeros(2**big_t, dtype=np.complex128)
     clock[0] = 1.0
@@ -424,8 +351,7 @@ def accept_probability(
     c: LayeredCircuit, plan: MeasurementPlan, xi=None
 ) -> float:
     """Probability that running ``c`` on |0^a>|xi> satisfies the plan."""
-    vec = _input_vector(c.n, c.a, xi)
-    vec = apply_circuit(c, vec)
+    vec = apply_circuit(c, input_state(c, xi))
     probs = np.abs(vec) ** 2
     idx = np.arange(probs.size)
     keep = np.ones(probs.size, dtype=bool)
@@ -560,8 +486,8 @@ def build_swap_test_verifier(
     is parallel, so the depth grows with the register width, not with T.
     """
     c = pad_identities(c)
-    _require_valid(c)
-    steps = tuple(_nontrivial_gates(c)) or (_IDENTITY_STEP,)
+    require_valid(c)
+    steps = tuple(nontrivial_gates(c)) or (_IDENTITY_STEP,)
     big_t = len(steps)
     w = c.n
     ancillas = 2 * big_t - 1
@@ -631,10 +557,10 @@ def swap_test_witness(c: LayeredCircuit, xi=None) -> np.ndarray:
     the state after step t, and the last register holds the final state.
     """
     c = pad_identities(c)
-    steps = tuple(_nontrivial_gates(c)) or (_IDENTITY_STEP,)
+    steps = tuple(nontrivial_gates(c)) or (_IDENTITY_STEP,)
     big_t = len(steps)
     w = c.n
-    states = [_input_vector(w, c.a, xi)]
+    states = [input_state(c, xi)]
     for g in steps:
         states.append(apply_matrix(states[-1], g.unitary, g.wires, w))
     registers = [states[0]]

@@ -32,7 +32,6 @@ Kinds of term:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -40,11 +39,20 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .circuit import Gate, LayeredCircuit
-from .linalg import apply_matrix, bit_placement, embed_operator, is_projector
-from .pauli import PAULI_TAGS, PauliWord, lambda_matrix, pauli_matrix
+from .linalg import (
+    DENSE_QUBIT_CAP,
+    SPARSE_QUBIT_CAP,
+    apply_matrix,
+    bit_placement,
+    embed_operator,
+    is_hermitian,
+    is_projector,
+)
+from .pauli import PAULI_TAGS, PauliWord, lambda_matrix, word_matrix
 from .peps import GridLayout, PepsState, choi_factor, resolve_deltas
 
 __all__ = [
+    "LocalTerm",
     "HamiltonianTerm",
     "HamiltonianSpec",
     "SparseOperator",
@@ -60,30 +68,23 @@ __all__ = [
     "energy",
 ]
 
-_DENSE_QUBIT_CAP = 12
-_SPARSE_QUBIT_CAP = 14
-
 _KINDS = ("propagation", "input", "stabilizer", "output")
 
 
 @dataclass(frozen=True)
-class HamiltonianTerm:
-    """One dressed projector, stored dense over its support.
+class LocalTerm:
+    """A Hermitian block stored dense over a strictly ascending support.
 
-    ``layer`` is the 1-based grid layer the term belongs to (1 for input and
-    stabilizer terms, the last layer for output terms) and ``wires`` the
-    circuit wires it touches; both are bookkeeping only.
+    Bit ``i`` of the block's row/column index is qubit ``support[i]``. The
+    block is checked Hermitian within 1e-10, symmetrized, and frozen.
+    Subclasses check ``kind`` and add their own bookkeeping fields.
     """
 
     kind: str
     support: tuple[int, ...]
     block: np.ndarray
-    layer: int
-    wires: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown term kind {self.kind!r}")
         support = tuple(int(q) for q in self.support)
         if list(support) != sorted(set(support)):
             raise ValueError(f"support must be strictly ascending, got {support}")
@@ -94,17 +95,35 @@ class HamiltonianTerm:
                 f"block shape {block.shape} does not match support of "
                 f"{len(support)} qubits"
             )
-        if not np.allclose(block, block.conj().T, atol=1e-10):
+        if not is_hermitian(block, tol=1e-10):
             raise ValueError("term block must be Hermitian")
         block = 0.5 * (block + block.conj().T)
         block.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "block", block)
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
 
     @property
     def locality(self) -> int:
         return len(self.support)
+
+
+@dataclass(frozen=True)
+class HamiltonianTerm(LocalTerm):
+    """One dressed projector of the grid Hamiltonian.
+
+    ``layer`` is the 1-based grid layer the term belongs to (1 for input and
+    stabilizer terms, the last layer for output terms) and ``wires`` the
+    circuit wires it touches; both are bookkeeping only.
+    """
+
+    layer: int
+    wires: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown term kind {self.kind!r}")
+        super().__post_init__()
+        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
 
     def __str__(self) -> str:
         return f"{self.kind}[layer {self.layer}, wires {self.wires}]"
@@ -224,7 +243,7 @@ def stabilizer_terms(checks, delta: float, layout: GridLayout) -> list[Hamiltoni
         wires = tuple(w for w, tag in enumerate(tags) if tag != "I")
         if not wires:
             raise ValueError("identity check constrains nothing")
-        word = sign * reduce(np.kron, [pauli_matrix(tags[w]) for w in wires])
+        word = sign * word_matrix(tuple(tags[w] for w in wires))
         if not np.allclose(word, word.conj().T, atol=1e-12):
             raise ValueError(
                 f"check {'.'.join(tags)} is not Hermitian (odd XZ count?)"
@@ -354,10 +373,10 @@ class SparseOperator:
         )
 
     def to_sparse(self) -> scipy.sparse.csr_matrix:
-        if self.num_qubits > _SPARSE_QUBIT_CAP:
+        if self.num_qubits > SPARSE_QUBIT_CAP:
             raise ValueError(
                 f"refusing to materialize a {self.dim}-dimensional sparse "
-                f"matrix (cap is 2^{_SPARSE_QUBIT_CAP}); use apply()"
+                f"matrix (cap is 2^{SPARSE_QUBIT_CAP}); use apply()"
             )
         rows, cols, vals = [], [], []
         for t, s in zip(self.terms, self.scales):
@@ -380,10 +399,10 @@ class SparseOperator:
         return mat.tocsr()
 
     def dense(self) -> np.ndarray:
-        if self.num_qubits > _DENSE_QUBIT_CAP:
+        if self.num_qubits > DENSE_QUBIT_CAP:
             raise ValueError(
                 f"refusing to materialize a {self.dim}-dimensional dense "
-                f"matrix (cap is 2^{_DENSE_QUBIT_CAP})"
+                f"matrix (cap is 2^{DENSE_QUBIT_CAP})"
             )
         return self.to_sparse().toarray()
 

@@ -413,23 +413,12 @@ def write_matrix_market(path, op) -> None:
         matrix = op.to_sparse()
     else:
         matrix = scipy.sparse.coo_matrix(np.asarray(op, dtype=np.complex128))
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".partial-", suffix=".mtx")
-    os.close(fd)
-    try:
-        scipy.io.mmwrite(
-            tmp, matrix.tocoo(), field="complex", symmetry="hermitian",
-            precision=17,
-        )
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    buffer = io.BytesIO()
+    scipy.io.mmwrite(
+        buffer, matrix.tocoo(), field="complex", symmetry="hermitian",
+        precision=17,
+    )
+    atomic_write_bytes(path, buffer.getvalue())
 
 
 def read_matrix_market(path) -> scipy.sparse.csr_matrix:

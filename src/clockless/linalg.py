@@ -16,6 +16,8 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 __all__ = [
+    "DENSE_QUBIT_CAP",
+    "SPARSE_QUBIT_CAP",
     "apply_matrix",
     "basis_state",
     "bit_placement",
@@ -38,6 +40,15 @@ __all__ = [
 
 # Dense embeddings above this many qubits would allocate gigabytes; refuse.
 _EMBED_QUBIT_CAP = 13
+
+# Dense matrices (layer and circuit unitaries, assembled Hamiltonians,
+# extracted rotated blocks, eigendecompositions) are refused above this
+# many qubits: the eigenvector matrix alone would outgrow desk memory.
+DENSE_QUBIT_CAP = 12
+
+# Sparse Hamiltonian matrices (and their Matrix Market exports) are
+# refused above this many qubits; use the term-wise matvec instead.
+SPARSE_QUBIT_CAP = 14
 
 
 def basis_state(index: int, num_qubits: int) -> np.ndarray:

@@ -21,12 +21,19 @@ Bell states are stored unit-normalized. The perturbation maps are
 
 so Q @ Lambda = delta * identity and Lambda is the inverse of Q up to the
 scalar delta.
+
+Multi-site Pauli words are tag tuples, the first tag on the most significant
+factor: ``tag_words(k)`` lists all 4^k of them, ``word_matrix`` builds the
+Kronecker product, and ``word_decompose`` recognizes a matrix that is a
+phase times a word. The rotated closed forms, the Clifford check, the
+stabilizer terms and the gate error basis all build their words here.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -44,6 +51,9 @@ __all__ = [
     "phi0",
     "q_matrix",
     "site_map_matrix",
+    "tag_words",
+    "word_decompose",
+    "word_matrix",
 ]
 
 PAULI_TAGS = ("I", "X", "XZ", "Z")
@@ -98,6 +108,37 @@ class PauliWord:
 
     def __str__(self) -> str:
         return ".".join(self.entries)
+
+
+@lru_cache(maxsize=None)
+def tag_words(k: int) -> tuple[tuple[str, ...], ...]:
+    """All 4^k Pauli words on k sites, in PAULI_TAGS lexicographic order."""
+    return tuple(itertools.product(PAULI_TAGS, repeat=k))
+
+
+def word_matrix(word: tuple[str, ...]) -> np.ndarray:
+    """Kronecker product of the tags' matrices, first tag most significant."""
+    return reduce(np.kron, [pauli_matrix(tag) for tag in word])
+
+
+def word_decompose(
+    mat: np.ndarray, k: int, tol: float = 1e-9
+) -> tuple[complex, tuple[str, ...]] | None:
+    """Write a matrix as phase times a Pauli word, if it is one."""
+    dim = 2**k
+    best = None
+    best_mag = 0.0
+    for word in tag_words(k):
+        alpha = np.trace(word_matrix(word).conj().T @ mat) / dim
+        if abs(alpha) > best_mag:
+            best_mag = abs(alpha)
+            best = (complex(alpha), word)
+    if best is None or abs(best_mag - 1.0) > tol:
+        return None
+    alpha, word = best
+    if not np.allclose(mat, alpha * word_matrix(word), atol=tol):
+        return None
+    return alpha, word
 
 
 @lru_cache(maxsize=None)

@@ -18,6 +18,11 @@ on the output register before each layer. Two norms are recorded: the
 physical l2 norm of the unnormalized state, and the Bell-frame coefficient
 sum  sum_P prod delta^(2|P|)  which is 4^(n D) times the squared physical
 norm (each Bell contraction contributes a factor 1/2 per site).
+
+Two helpers carry the grid's ingredients for every module that rebuilds a
+grid state: ``choi_vector`` is the Choi state of one gate matrix, and
+``apply_pair_maps`` sweeps one 4x4 map per layer over all shifted pairs (Q to
+deform, Lambda to undo it, the Bell basis change to read tags off).
 """
 
 from __future__ import annotations
@@ -28,7 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import LayeredCircuit, apply_circuit, layer_unitary, validate
+from .circuit import (
+    LayeredCircuit,
+    input_state,
+    layer_unitary,
+    require_valid,
+    resolve_witness,
+)
 from .linalg import apply_matrix, embed_operator, is_hermitian, partial_trace, product_state
 from .pauli import PAULI_TAGS, PauliWord, bell_state, pauli_matrix, q_matrix
 
@@ -37,9 +48,11 @@ __all__ = [
     "GridLayout",
     "PepsState",
     "apply_injective_maps",
+    "apply_pair_maps",
     "base_state",
     "build_peps",
     "choi_factor",
+    "choi_vector",
     "contract_observable",
     "depolarizing_reference_marginal",
     "expansion",
@@ -161,36 +174,14 @@ def resolve_deltas(deltas, depth: int) -> tuple[float, ...]:
     return schedule
 
 
-def _require_valid(c: LayeredCircuit) -> None:
-    problems = validate(c)
-    if problems:
-        listing = "; ".join(str(p) for p in problems)
-        raise ValueError(f"invalid circuit: {listing}")
+def choi_vector(u: np.ndarray) -> np.ndarray:
+    """Choi state (I (x) U)|B_I>^(x k) of a 2^k x 2^k matrix, unit norm.
 
-
-def _resolve_xi(c: LayeredCircuit, xi) -> np.ndarray:
-    free = c.n - c.a
-    if xi is None:
-        out = np.zeros(2**free, dtype=np.complex128)
-        out[0] = 1.0
-        return out
-    out = np.asarray(xi, dtype=np.complex128)
-    if out.shape != (2**free,):
-        raise ValueError(
-            f"witness must have dimension 2^{free} = {2**free}, got {out.shape}"
-        )
-    norm = np.linalg.norm(out)
-    if abs(norm - 1.0) > 1e-12:
-        raise ValueError("witness state must be unit norm")
-    return out
-
-
-def _input_column_vector(c: LayeredCircuit, xi: np.ndarray) -> np.ndarray:
-    """|0^a> (x) |xi> over the n input wires, bit j of the index = wire j."""
-    vec = np.zeros(2**c.n, dtype=np.complex128)
-    for x in range(xi.shape[0]):
-        vec[x << c.a] = xi[x]
-    return vec
+    The output-side bits are the most significant: entry (y, x) of ``u``
+    is amplitude y * 2^k + x.
+    """
+    u = np.asarray(u, dtype=np.complex128)
+    return u.reshape(-1) / np.sqrt(float(u.shape[0]))
 
 
 def choi_factor(g, layer: int, layout: GridLayout) -> tuple[np.ndarray, list[int]]:
@@ -200,12 +191,7 @@ def choi_factor(g, layer: int, layout: GridLayout) -> tuple[np.ndarray, list[int
     (most significant, ordered like the gate's wires) then the k input-side
     bits in the same wire order.
     """
-    k = g.arity
-    u = g.unitary
-    vec = np.zeros((2**k, 2**k), dtype=np.complex128)
-    for x in range(2**k):
-        vec[:, x] = u[:, x]
-    vec = vec.reshape(-1) / np.sqrt(2.0**k)
+    vec = choi_vector(g.unitary)
     qubits = [layout.choi_qubits(layer, w)[1] for w in g.wires] + [
         layout.choi_qubits(layer, w)[0] for w in g.wires
     ]
@@ -219,12 +205,12 @@ def base_state(c: LayeredCircuit, xi=None, deltas=None) -> PepsState:
     defaults to the all-zeros state. ``deltas`` may be attached now or later
     at apply_injective_maps time.
     """
-    _require_valid(c)
-    xi = _resolve_xi(c, xi)
+    require_valid(c)
+    xi = resolve_witness(c, xi)
     layout = GridLayout(c.n, c.depth)
     factors = [
         (
-            _input_column_vector(c, xi),
+            input_state(c, xi),
             [layout.input_qubit(row) for row in reversed(range(c.n))],
         )
     ]
@@ -234,6 +220,20 @@ def base_state(c: LayeredCircuit, xi=None, deltas=None) -> PepsState:
     amps = product_state(factors, layout.num_qubits)
     schedule = None if deltas is None else resolve_deltas(deltas, c.depth)
     return PepsState(layout, amps, c, xi, delta_per_layer=schedule)
+
+
+def apply_pair_maps(amps: np.ndarray, layout: GridLayout, per_layer) -> np.ndarray:
+    """Apply ``per_layer[l - 1]`` to every shifted pair of layer l.
+
+    Pairs are swept in flat site order, each 4x4 map acting in the Bell
+    pair convention of ``pauli`` (the higher qubit most significant).
+    """
+    for layer, row in layout.sites():
+        lo, hi = layout.site_qubits(layer, row)
+        amps = apply_matrix(
+            amps, per_layer[layer - 1], (hi, lo), layout.num_qubits
+        )
+    return amps
 
 
 def apply_injective_maps(s: PepsState, deltas=None) -> PepsState:
@@ -246,12 +246,9 @@ def apply_injective_maps(s: PepsState, deltas=None) -> PepsState:
         schedule = s.delta_per_layer
     else:
         schedule = resolve_deltas(deltas, s.layout.depth)
-    amps = s.amplitudes
-    for layer, row in s.layout.sites():
-        lo, hi = s.layout.site_qubits(layer, row)
-        amps = apply_matrix(
-            amps, q_matrix(schedule[layer - 1]), (hi, lo), s.layout.num_qubits
-        )
+    amps = apply_pair_maps(
+        s.amplitudes, s.layout, [q_matrix(d) for d in schedule]
+    )
     norm = float(np.linalg.norm(amps))
     return PepsState(
         s.layout,
@@ -313,8 +310,8 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
     the dropped coefficient mass is bounded by a binomial tail; otherwise the
     full 4^(nD) enumeration runs, guarded by a fixed budget.
     """
-    _require_valid(c)
-    xi = _resolve_xi(c, xi)
+    require_valid(c)
+    input_vec = input_state(c, xi)
     schedule = resolve_deltas(deltas, c.depth)
     layout = GridLayout(c.n, c.depth)
     num_sites = layout.num_sites
@@ -334,7 +331,6 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
             for w in range(max_weight + 1, num_sites + 1)
         )
 
-    input_vec = _input_column_vector(c, xi)
     terms: dict[PauliWord, tuple[float, np.ndarray]] = {}
     for entries in words:
         word = PauliWord(tuple(entries))
@@ -449,12 +445,11 @@ def depolarizing_reference_marginal(c: LayeredCircuit, xi, deltas) -> np.ndarray
     each, p = delta_l^2/(1+3 delta_l^2). Only meaningful when every gate is
     the identity, so that is enforced.
     """
-    _require_valid(c)
+    require_valid(c)
     if any(not g.is_trivial for g in c.gates()):
         raise ValueError("the depolarizing reference applies to identity circuits only")
-    xi = _resolve_xi(c, xi)
+    vec = input_state(c, xi)
     schedule = resolve_deltas(deltas, c.depth)
-    vec = _input_column_vector(c, xi)
     rho = np.outer(vec, vec.conj())
     for delta in schedule:
         p = delta**2 / (1.0 + 3.0 * delta**2)

@@ -23,15 +23,14 @@ low, right high) from the least significant end.
 
 from __future__ import annotations
 
-import itertools
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .circuit import Gate, LayeredCircuit, layered
 from .hamiltonian import HamiltonianTerm, input_term
-from .linalg import apply_matrix, bit_placement, embed_operator
+from .linalg import DENSE_QUBIT_CAP, apply_matrix, bit_placement, embed_operator
 from .pauli import (
     PAULI_TAGS,
     bell_projector,
@@ -41,6 +40,9 @@ from .pauli import (
     pauli_matrix,
     phi0,
     q_matrix,
+    tag_words,
+    word_decompose,
+    word_matrix,
 )
 from .peps import GridLayout
 
@@ -53,12 +55,11 @@ __all__ = [
     "last_layer_form",
     "teleport_coefficient",
     "projected_bulk_form",
+    "projected_gap_check",
     "clifford_partners",
     "clifford_form",
     "teleported_input_term",
 ]
-
-_EXTRACT_QUBIT_CAP = 12
 
 
 def _site_correction() -> np.ndarray:
@@ -132,27 +133,28 @@ def _conjugated_block(
     """
     n = rot.num_qubits
     m = len(support)
-    if m > _EXTRACT_QUBIT_CAP:
+    if m > DENSE_QUBIT_CAP:
         raise ValueError(f"extraction support of {m} qubits is too large")
     place = bit_placement(support)
     dim = 2**m
     block = np.zeros((dim, dim), dtype=np.complex128)
     term_wires = tuple(reversed(term.support))
+
+    def rotated_term(vec: np.ndarray) -> np.ndarray:
+        w = rot.apply(vec)
+        w = apply_matrix(w, term.block, term_wires, n)
+        return rot.apply(w, adjoint=True)
+
     for i in range(dim):
         vec = np.zeros(2**n, dtype=np.complex128)
         vec[place[i]] = 1.0
-        w = rot.apply(vec)
-        w = apply_matrix(w, term.block, term_wires, n)
-        w = rot.apply(w, adjoint=True)
-        block[:, i] = w[place]
+        block[:, i] = rotated_term(vec)[place]
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         r = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
         r /= np.linalg.norm(r)
-        lhs = rot.apply(r)
-        lhs = apply_matrix(lhs, term.block, term_wires, n)
-        lhs = rot.apply(lhs, adjoint=True)
+        lhs = rotated_term(r)
         rhs = apply_matrix(r, block, tuple(reversed(support)), n)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return block, worst
@@ -319,35 +321,6 @@ def projected_gap_check(k: int, delta: float) -> tuple[float, float, bool]:
     return gap, floor, bool(gap >= floor)
 
 
-@lru_cache(maxsize=None)
-def _tag_words(k: int) -> tuple[tuple[str, ...], ...]:
-    return tuple(itertools.product(PAULI_TAGS, repeat=k))
-
-
-def _word_matrix(word: tuple[str, ...]) -> np.ndarray:
-    return reduce(np.kron, [pauli_matrix(tag) for tag in word])
-
-
-def _word_decompose(
-    mat: np.ndarray, k: int, tol: float = 1e-9
-) -> tuple[complex, tuple[str, ...]] | None:
-    """Write a matrix as phase times a Pauli word, if it is one."""
-    dim = 2**k
-    best = None
-    best_mag = 0.0
-    for word in _tag_words(k):
-        alpha = np.trace(_word_matrix(word).conj().T @ mat) / dim
-        if abs(alpha) > best_mag:
-            best_mag = abs(alpha)
-            best = (complex(alpha), word)
-    if best is None or abs(best_mag - 1.0) > tol:
-        return None
-    alpha, word = best
-    if not np.allclose(mat, alpha * _word_matrix(word), atol=tol):
-        return None
-    return alpha, word
-
-
 def clifford_partners(
     g: Gate,
 ) -> list[tuple[tuple[tuple[str, ...], tuple[str, ...]], tuple[tuple[str, ...], tuple[str, ...]], complex]]:
@@ -361,17 +334,17 @@ def clifford_partners(
     k = g.arity
     u = g.unitary
     out = []
-    for s_row in _tag_words(k):
-        for s_col in _tag_words(k):
-            conj = u.conj().T @ _word_matrix(s_row) @ _word_matrix(s_col) @ u
-            dec = _word_decompose(conj, k)
+    for s_row in tag_words(k):
+        for s_col in tag_words(k):
+            conj = u.conj().T @ word_matrix(s_row) @ word_matrix(s_col) @ u
+            dec = word_decompose(conj, k)
             if dec is None:
                 raise ValueError(
                     f"gate {g.name or 'unnamed'} does not normalize the "
                     "Pauli group"
                 )
-            for t_row in _tag_words(k):
-                dec2 = _word_decompose(conj.T @ _word_matrix(t_row), k)
+            for t_row in tag_words(k):
+                dec2 = word_decompose(conj.T @ word_matrix(t_row), k)
                 if dec2 is None:
                     raise ValueError("pairing search failed unexpectedly")
                 mu, t_col = dec2
@@ -443,7 +416,9 @@ def teleported_input_term(
     )
     if check_support != tuple(2 * b for b in range(k)):
         raise ValueError("input term block is not a dressed check on its wires")
-    check = _bit_reverse(check_emb, k)
+    # The check's bits run the other way round in wire order.
+    rev = bit_placement(range(k - 1, -1, -1))
+    check = check_emb[np.ix_(rev, rev)]
     grid = layered(k, k, [[("I", (w,)) for w in range(k)]])
     layout = GridLayout(k, 1)
     minimal = input_term(tuple(range(k)), delta, layout, check=check)
@@ -462,14 +437,3 @@ def teleported_input_term(
             f"deviation {np.linalg.norm(reduced - expected):.3e}"
         )
     return HamiltonianTerm("input", rest, reduced, 1, wires)
-
-
-def _bit_reverse(mat: np.ndarray, k: int) -> np.ndarray:
-    """Reverse the bit order of a 2^k-dimensional operator."""
-    perm = np.zeros(2**k, dtype=np.int64)
-    for i in range(2**k):
-        rev = 0
-        for b in range(k):
-            rev |= ((i >> b) & 1) << (k - 1 - b)
-        perm[i] = rev
-    return mat[np.ix_(perm, perm)]

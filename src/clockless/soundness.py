@@ -18,10 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Gate, LayeredCircuit, layered, pad_identities, validate
+from .circuit import (
+    Gate,
+    LayeredCircuit,
+    layered,
+    pad_identities,
+    require_valid,
+    resolve_witness,
+)
 from .hamiltonian import energy, parent_spec, propagation_term
 from .linalg import (
-    apply_matrix,
+    basis_state,
     partial_trace,
     product_state,
     random_projector,
@@ -36,8 +43,17 @@ from .pauli import (
     pauli_matrix,
     phi0,
     q_matrix,
+    tag_words,
+    word_matrix,
 )
-from .peps import GridLayout, build_peps, choi_factor, resolve_deltas
+from .peps import (
+    GridLayout,
+    apply_pair_maps,
+    build_peps,
+    choi_factor,
+    choi_vector,
+    resolve_deltas,
+)
 from .rotation import RotationUnitary
 from .spectral import (
     detectability_check,
@@ -79,13 +95,6 @@ class FaultPattern:
         return len(self.inputs) + sum(len(s) for s in self.layers)
 
 
-def _require_valid(c: LayeredCircuit) -> None:
-    problems = validate(c)
-    if problems:
-        listing = "; ".join(str(p) for p in problems)
-        raise ValueError(f"invalid circuit: {listing}")
-
-
 def _faulted_gates(
     c: LayeredCircuit, fault: FaultPattern
 ) -> list[tuple[int, Gate]]:
@@ -123,6 +132,22 @@ def _faulted_gates(
                 "that no gate touches"
             )
     return chosen
+
+
+def canonical_payloads(c: LayeredCircuit, fault: FaultPattern):
+    """Violating payloads for every location of a fault pattern.
+
+    Returns (input payloads, gate payloads) in the form
+    ``build_combinatorial_state`` takes: |1> at each faulted input and, at
+    each faulted gate, its Choi state shifted by X on every output leg.
+    Raises ValueError when the pattern does not fit the circuit.
+    """
+    inputs = {w: np.array([0.0, 1.0]) for w in fault.inputs}
+    gates = {
+        (layer, g.wires): choi_vector(word_matrix(("X",) * g.arity) @ g.unitary)
+        for layer, g in _faulted_gates(c, fault)
+    }
+    return inputs, gates
 
 
 def fault_locations(
@@ -164,21 +189,6 @@ def _unit(vec, dim: int, what: str) -> np.ndarray:
     return out / norm
 
 
-def _basis1q(bit: int) -> np.ndarray:
-    out = np.zeros(2, dtype=np.complex128)
-    out[bit] = 1.0
-    return out
-
-
-def _resolve_witness(c: LayeredCircuit, xi) -> np.ndarray:
-    free = c.n - c.a
-    if xi is None:
-        out = np.zeros(2**free, dtype=np.complex128)
-        out[0] = 1.0
-        return out
-    return _unit(xi, 2**free, "witness state")
-
-
 def build_combinatorial_state(
     c: LayeredCircuit,
     deltas,
@@ -196,10 +206,11 @@ def build_combinatorial_state(
     vectors keyed by wire; gate payloads are 4^k-dimensional vectors keyed
     by (layer, wires), in the index convention of ``choi_factor`` (output
     side bits most significant). Payloads are normalized here, so only
-    their direction matters.
+    their direction matters; the witness ``xi`` must already be a unit
+    vector, as for ``build_peps``.
     """
     c = pad_identities(c)
-    _require_valid(c)
+    require_valid(c)
     schedule = resolve_deltas(deltas, c.depth)
     layout = GridLayout(c.n, c.depth)
     faulted = _faulted_gates(c, fault)
@@ -224,7 +235,7 @@ def build_combinatorial_state(
             f"gate payloads given for unfaulted locations {stray_gates}"
         )
 
-    xi = _resolve_witness(c, xi)
+    xi = resolve_witness(c, xi)
     factors: list[tuple[np.ndarray, list[int]]] = []
     if c.a < c.n:
         factors.append(
@@ -234,7 +245,7 @@ def build_combinatorial_state(
         if wire in fault.inputs:
             vec = _unit(input_payloads[wire], 2, f"input payload for wire {wire}")
         else:
-            vec = _basis1q(0)
+            vec = basis_state(0, 1)
         factors.append((vec, [layout.input_qubit(wire)]))
     for layer_idx, layer in enumerate(c.layers, start=1):
         for g in layer:
@@ -250,11 +261,7 @@ def build_combinatorial_state(
                 factors.append((ref, qubits))
 
     amps = product_state(factors, layout.num_qubits)
-    for layer, row in layout.sites():
-        lo, hi = layout.site_qubits(layer, row)
-        amps = apply_matrix(
-            amps, q_matrix(schedule[layer - 1]), (hi, lo), layout.num_qubits
-        )
+    amps = apply_pair_maps(amps, layout, [q_matrix(d) for d in schedule])
     amps = amps / np.linalg.norm(amps)
     return CombinatorialState(layout, amps, c, fault, schedule, xi)
 
@@ -310,19 +317,44 @@ def _gate_error_basis(
     gate, which shifts the Choi state without disturbing its input side.
     """
     _, qubits = choi_factor(g, layer, layout)
-    k = g.arity
-    out = []
-    for word in itertools.product(PAULI_TAGS, repeat=k):
-        shift = pauli_matrix(word[0])
-        for tag in word[1:]:
-            shift = np.kron(shift, pauli_matrix(tag))
-        mat = shift @ g.unitary
-        vec = np.zeros((2**k, 2**k), dtype=np.complex128)
-        for x in range(2**k):
-            vec[:, x] = mat[:, x]
-        vec = vec.reshape(-1) / np.sqrt(2.0**k)
-        out.append((word, vec, qubits))
-    return out
+    return [
+        (word, choi_vector(word_matrix(word) @ g.unitary), qubits)
+        for word in tag_words(g.arity)
+    ]
+
+
+def _fault_frame(c: LayeredCircuit, fault: FaultPattern, layout: GridLayout):
+    """Satisfied factors and per-fault error bases of a fault pattern.
+
+    Returns (frame, slots, groups). The frame holds |0> at every unfaulted
+    ancilla input and the Choi state at every unfaulted gate; ``groups``
+    holds one orthonormal error basis of (word, vector, qubits) entries per
+    fault: {|0>, |1>} tagged I, X at inputs, the Pauli-shifted Choi states
+    at gates. ``slots`` names the error positions those words cover.
+    """
+    faulted = _faulted_gates(c, fault)
+    faulted_keys = {(layer, g.wires) for layer, g in faulted}
+    frame: list[tuple[np.ndarray, list[int]]] = []
+    for wire in range(c.a):
+        if wire not in fault.inputs:
+            frame.append((basis_state(0, 1), [layout.input_qubit(wire)]))
+    for layer_idx, layer in enumerate(c.layers, start=1):
+        for g in layer:
+            if (layer_idx, g.wires) not in faulted_keys:
+                frame.append(choi_factor(g, layer_idx, layout))
+
+    slots: list[tuple] = []
+    groups: list[list[tuple[tuple[str, ...], np.ndarray, list[int]]]] = []
+    for wire in sorted(fault.inputs):
+        slots.append(("input", wire))
+        q = layout.input_qubit(wire)
+        groups.append(
+            [(("I",), basis_state(0, 1), [q]), (("X",), basis_state(1, 1), [q])]
+        )
+    for layer_idx, g in faulted:
+        slots.extend(("gate", layer_idx, w) for w in g.wires)
+        groups.append(_gate_error_basis(g, layer_idx, layout))
+    return frame, slots, groups
 
 
 @dataclass(frozen=True)
@@ -367,39 +399,11 @@ def extract_decomposition(
     """
     c, layout, fault = state.circuit, state.layout, state.fault
     schedule = state.delta_per_layer
-    amps = state.amplitudes
-    for layer, row in layout.sites():
-        lo, hi = layout.site_qubits(layer, row)
-        amps = apply_matrix(
-            amps,
-            lambda_matrix(schedule[layer - 1]),
-            (hi, lo),
-            layout.num_qubits,
-        )
+    amps = apply_pair_maps(
+        state.amplitudes, layout, [lambda_matrix(d) for d in schedule]
+    )
     amps = amps / np.linalg.norm(amps)
-
-    faulted = _faulted_gates(c, fault)
-    faulted_keys = {(layer, g.wires) for layer, g in faulted}
-    frame: list[tuple[np.ndarray, list[int]]] = []
-    for wire in range(c.a):
-        if wire not in fault.inputs:
-            frame.append((_basis1q(0), [layout.input_qubit(wire)]))
-    for layer_idx, layer in enumerate(c.layers, start=1):
-        for g in layer:
-            if (layer_idx, g.wires) not in faulted_keys:
-                frame.append(choi_factor(g, layer_idx, layout))
-
-    slots: list[tuple] = []
-    groups: list[list[tuple[tuple[str, ...], np.ndarray, list[int]]]] = []
-    for wire in sorted(fault.inputs):
-        slots.append(("input", wire))
-        q = layout.input_qubit(wire)
-        groups.append(
-            [(("I",), _basis1q(0), [q]), (("X",), _basis1q(1), [q])]
-        )
-    for layer_idx, g in faulted:
-        slots.extend(("gate", layer_idx, w) for w in g.wires)
-        groups.append(_gate_error_basis(g, layer_idx, layout))
+    frame, slots, groups = _fault_frame(c, fault, layout)
 
     count = 1
     for group in groups:
@@ -433,34 +437,10 @@ def extract_decomposition(
 def reassemble_decomposition(decomp: AdversarialDecomposition) -> np.ndarray:
     """Rebuild the normalized fault-pattern state from its decomposition."""
     c = decomp.circuit
-    fault = decomp.fault
     layout = GridLayout(c.n, c.depth)
-    faulted = _faulted_gates(c, fault)
-    faulted_keys = {(layer, g.wires) for layer, g in faulted}
-    frame: list[tuple[np.ndarray, list[int]]] = []
-    for wire in range(c.a):
-        if wire not in fault.inputs:
-            frame.append((_basis1q(0), [layout.input_qubit(wire)]))
-    for layer_idx, layer in enumerate(c.layers, start=1):
-        for g in layer:
-            if (layer_idx, g.wires) not in faulted_keys:
-                frame.append(choi_factor(g, layer_idx, layout))
-
-    groups: list[dict[tuple[str, ...], tuple[np.ndarray, list[int]]]] = []
-    widths: list[int] = []
-    for wire in sorted(fault.inputs):
-        q = layout.input_qubit(wire)
-        groups.append(
-            {("I",): (_basis1q(0), [q]), ("X",): (_basis1q(1), [q])}
-        )
-        widths.append(1)
-    for layer_idx, g in faulted:
-        table = {
-            word: (vec, qubits)
-            for word, vec, qubits in _gate_error_basis(g, layer_idx, layout)
-        }
-        groups.append(table)
-        widths.append(g.arity)
+    frame, _, bases = _fault_frame(c, decomp.fault, layout)
+    groups = [{word: (vec, qubits) for word, vec, qubits in b} for b in bases]
+    widths = [len(b[0][0]) for b in bases]
 
     witness_qubits = [
         layout.input_qubit(row) for row in reversed(range(c.a, c.n))
@@ -480,26 +460,10 @@ def reassemble_decomposition(decomp: AdversarialDecomposition) -> np.ndarray:
             scale = coeff * complex(xi[0])
         amps = amps + scale * product_state(factors, layout.num_qubits)
 
-    schedule = decomp.delta_per_layer
-    for layer, row in layout.sites():
-        lo, hi = layout.site_qubits(layer, row)
-        amps = apply_matrix(
-            amps, q_matrix(schedule[layer - 1]), (hi, lo), layout.num_qubits
-        )
+    amps = apply_pair_maps(
+        amps, layout, [q_matrix(d) for d in decomp.delta_per_layer]
+    )
     return amps / np.linalg.norm(amps)
-
-
-def _bell_frame(
-    amps: np.ndarray, layout: GridLayout, adjoint: bool = False
-) -> np.ndarray:
-    """Rotate every site pair into (or out of) the Bell index basis."""
-    b = bell_basis_matrix()
-    mat = b if adjoint else b.conj().T
-    out = amps
-    for layer, row in layout.sites():
-        lo, hi = layout.site_qubits(layer, row)
-        out = apply_matrix(out, mat, (hi, lo), layout.num_qubits)
-    return out
 
 
 def _grid_state_parts(state) -> tuple[GridLayout, np.ndarray, tuple]:
@@ -522,6 +486,24 @@ def _resolve_region(layout: GridLayout, region) -> list[tuple[int, int]]:
         if site not in known:
             raise ValueError(f"site {site} is outside the grid")
     return chosen
+
+
+def _bell_tag_weights(
+    layout: GridLayout, amps: np.ndarray, sites
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes in the Bell index basis and each index's tag weight.
+
+    Every pair is rotated into the Bell basis; the weight of an index
+    counts the listed sites whose Bell tag is not I.
+    """
+    b_dag = bell_basis_matrix().conj().T
+    rotated = apply_pair_maps(amps, layout, [b_dag] * layout.depth)
+    idx = np.arange(rotated.size)
+    weights = np.zeros(rotated.size, dtype=np.int64)
+    for layer, row in sites:
+        lo, _ = layout.site_qubits(layer, row)
+        weights += (((idx >> lo) & 3) != 0).astype(np.int64)
+    return rotated, weights
 
 
 def binomial_tail(rates, threshold: int) -> float:
@@ -562,13 +544,8 @@ def high_weight_mass(
     """
     layout, amps, schedule = _grid_state_parts(state)
     sites = _resolve_region(layout, region)
-    rotated = _bell_frame(amps, layout)
+    rotated, weights = _bell_tag_weights(layout, amps, sites)
     probs = np.abs(rotated) ** 2
-    idx = np.arange(probs.size)
-    weights = np.zeros(probs.size, dtype=np.int64)
-    for layer, row in sites:
-        lo, _ = layout.site_qubits(layer, row)
-        weights += (((idx >> lo) & 3) != 0).astype(np.int64)
     mass = float(probs[weights >= threshold].sum())
     reference = binomial_tail(
         [site_rate(schedule[layer - 1]) for layer, _ in sites], threshold
@@ -595,18 +572,13 @@ def truncate_high_weight(
     """
     layout, amps, _ = _grid_state_parts(state)
     sites = _resolve_region(layout, region)
-    rotated = _bell_frame(amps, layout)
-    idx = np.arange(rotated.size)
-    weights = np.zeros(rotated.size, dtype=np.int64)
-    for layer, row in sites:
-        lo, _ = layout.site_qubits(layer, row)
-        weights += (((idx >> lo) & 3) != 0).astype(np.int64)
+    rotated, weights = _bell_tag_weights(layout, amps, sites)
     kept = rotated.copy()
     kept[weights >= threshold] = 0.0
     kept_mass = float(np.linalg.norm(kept) ** 2)
     if kept_mass < 1e-30:
         raise ValueError("truncation removed the whole state")
-    back = _bell_frame(kept, layout, adjoint=True)
+    back = apply_pair_maps(kept, layout, [bell_basis_matrix()] * layout.depth)
     return TruncationResult(back / np.sqrt(kept_mass), 1.0 - kept_mass)
 
 
@@ -791,7 +763,7 @@ def low_energy_probe(
     Rows or gates outside a lemma's stated shape are skipped, not forced.
     """
     c = pad_identities(c)
-    _require_valid(c)
+    require_valid(c)
     schedule = resolve_deltas(deltas, c.depth)
     layout = GridLayout(c.n, c.depth)
     vec = state.amplitudes if hasattr(state, "amplitudes") else state

@@ -38,6 +38,7 @@ from .hamiltonian import (
     parent_spec,
     with_output,
 )
+from .linalg import DENSE_QUBIT_CAP
 from .peps import resolve_deltas
 
 __all__ = [
@@ -64,10 +65,6 @@ _log = logging.getLogger(__name__)
 # by roundoff (1e-13 and below at desk scale), while the smallest gaps we
 # probe are several orders larger, so one fixed cutoff separates them.
 GROUND_CUTOFF = 1e-9
-
-# Dense decompositions are capped at twelve qubits; beyond that the
-# eigenvector matrix alone outgrows desk memory.
-_DENSE_DIM_CAP = 2**12
 
 # The Krylov basis never grows past this many columns before a restart.
 _SUBSPACE_CAP = 250
@@ -147,22 +144,23 @@ def _as_matvec(op) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
     raise TypeError(f"cannot interpret {type(op).__name__} as a linear operator")
 
 
+def _require_dense_dim(dim: int) -> None:
+    if dim > 2**DENSE_QUBIT_CAP:
+        raise ValueError(
+            f"dimension {dim} exceeds the dense cap {2**DENSE_QUBIT_CAP}"
+        )
+
+
 def _as_dense(op) -> np.ndarray:
     if isinstance(op, SparseOperator):
         return op.dense()
     if scipy.sparse.issparse(op):
-        if op.shape[0] > _DENSE_DIM_CAP:
-            raise ValueError(
-                f"dimension {op.shape[0]} exceeds the dense cap {_DENSE_DIM_CAP}"
-            )
+        _require_dense_dim(op.shape[0])
         return op.toarray()
     if isinstance(op, np.ndarray):
         if op.ndim != 2 or op.shape[0] != op.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {op.shape}")
-        if op.shape[0] > _DENSE_DIM_CAP:
-            raise ValueError(
-                f"dimension {op.shape[0]} exceeds the dense cap {_DENSE_DIM_CAP}"
-            )
+        _require_dense_dim(op.shape[0])
         return op
     raise TypeError(f"cannot materialize {type(op).__name__} as a dense matrix")
 
@@ -336,7 +334,7 @@ def low_spectrum(
 def _solver_report(operator: SparseOperator, ground_hint: int, seed: int) -> SpectralReport:
     """Dense below the cap, iterative above, asking for room past the hint."""
     dim = 2**operator.num_qubits
-    if dim <= _DENSE_DIM_CAP:
+    if dim <= 2**DENSE_QUBIT_CAP:
         return dense_spectrum(operator)
     k = min(ground_hint + 4, dim, _SUBSPACE_CAP - 2)
     return low_spectrum(operator, k=k, seed=seed)
@@ -543,10 +541,7 @@ def jordan_angles(p1: np.ndarray, p2: np.ndarray) -> JordanDecomposition:
     second = _require_projector(np.asarray(p2, dtype=np.complex128), tol=1e-10)
     if first.shape != second.shape:
         raise ValueError("projectors must act on the same space")
-    if first.shape[0] > _DENSE_DIM_CAP:
-        raise ValueError(
-            f"dimension {first.shape[0]} exceeds the dense cap {_DENSE_DIM_CAP}"
-        )
+    _require_dense_dim(first.shape[0])
     x = _range_basis(first)
     y = _range_basis(second)
     r1, r2 = x.shape[1], y.shape[1]
@@ -650,10 +645,7 @@ def geometric_bound(a: np.ndarray, b: np.ndarray) -> GeometricBound:
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("A and B must be square matrices of the same shape")
-    if a.shape[0] > _DENSE_DIM_CAP:
-        raise ValueError(
-            f"dimension {a.shape[0]} exceeds the dense cap {_DENSE_DIM_CAP}"
-        )
+    _require_dense_dim(a.shape[0])
     for m in (a, b):
         if np.abs(m - m.conj().T).max() > 1e-10 * max(1.0, float(np.abs(m).max())):
             raise ValueError("operator is not Hermitian")

@@ -7,20 +7,22 @@ from clockless.circuit import (
     Gate,
     LayeredCircuit,
     NAMED_GATES,
-    _nontrivial_gates,
+    nontrivial_gates,
     apply_circuit,
     block_wire,
     circuit_unitary,
     degree_reduce,
     gate,
+    input_state,
     layer_unitary,
     layered,
     pad_identities,
     parallel_repeat,
     parallel_wire,
+    resolve_witness,
     validate,
 )
-from clockless.linalg import basis_state, product_state
+from clockless.linalg import basis_state, product_state, random_state
 
 
 def test_named_gate_set():
@@ -82,7 +84,7 @@ def test_layer_unitary_composes(hcnot):
 
 def test_nontrivial_gate_order():
     c = layered(2, 0, [[("H", (1,)), ("X", (0,))], [("CNOT", (0, 1))]])
-    names = [g.name for g in _nontrivial_gates(c)]
+    names = [g.name for g in nontrivial_gates(c)]
     # within a layer, smallest wire first
     assert names == ["X", "H", "CNOT"]
 
@@ -90,7 +92,7 @@ def test_nontrivial_gate_order():
 def test_degree_reduce_fixture(hcnot):
     r = degree_reduce(hcnot)
     assert (r.n, r.a) == (4, 3)
-    steps = [(g.name, g.wires) for g in _nontrivial_gates(r)]
+    steps = [(g.name, g.wires) for g in nontrivial_gates(r)]
     assert steps == [
         ("H", (0,)),
         ("SWAP", (0, 1)),
@@ -99,7 +101,7 @@ def test_degree_reduce_fixture(hcnot):
     ]
     # the whole point: no wire meets more than 3 nontrivial gates
     per_wire = {w: 0 for w in range(r.n)}
-    for g in _nontrivial_gates(r):
+    for g in nontrivial_gates(r):
         for w in g.wires:
             per_wire[w] += 1
     assert max(per_wire.values()) <= 3
@@ -152,3 +154,17 @@ def test_pad_identities_idempotent(bell_circuit):
     assert [len(layer) for layer in once.layers] == [
         len(layer) for layer in twice.layers
     ]
+
+
+def test_input_state_matches_loop_reference(rng):
+    c = layered(3, 1, [[("I", (w,)) for w in range(3)]])
+    xi = random_state(2, rng)
+    ref = np.zeros(8, dtype=np.complex128)
+    for x in range(4):
+        ref[x << c.a] = xi[x]
+    assert np.array_equal(input_state(c, xi), ref)
+    assert np.array_equal(input_state(c), basis_state(0, 3))
+    with pytest.raises(ValueError, match="unit norm"):
+        resolve_witness(c, 2 * xi)
+    with pytest.raises(ValueError, match="dimension"):
+        resolve_witness(c, basis_state(0, 3))

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from clockless.circuit import NAMED_GATES, layered
 from clockless.cli import (
     InputError,
     RunConfig,
@@ -163,6 +164,27 @@ def test_build_mtx_flag(tmp_path, identity_json):
     assert os.path.exists(os.path.join(out, "hamiltonian.mtx"))
 
 
+@pytest.mark.parametrize("command", ["build", "fk"])
+def test_mtx_beyond_sparse_cap_exits_2_without_outputs(tmp_path, capsys, command):
+    # four non-identity gates on two wires: an 18-qubit grid for build and,
+    # after degree reduction, 8 data plus 10 clock qubits for fk
+    circuit = tmp_path / "deep.json"
+    circuit.write_text(json_text({
+        "version": 1, "n": 2, "a": 1,
+        "layers": [
+            [{"gate": "H", "wires": [0]}],
+            [{"gate": "H", "wires": [1]}],
+            [{"gate": "CNOT", "wires": [0, 1]}],
+            [{"gate": "H", "wires": [0]}],
+        ],
+    }))
+    out = tmp_path / "out"
+    code = main([command, "--circuit", str(circuit), "--out", str(out), "--mtx"])
+    assert code == 2
+    assert "18 qubits" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_build_schema_error_exits_2_without_outputs(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{\n"version": 1, "n": 1, "a": 0, "layers": [[{"wires": [0]}]]}\n')
@@ -277,6 +299,19 @@ def test_verify_tolerance_class_is_not_a_correctness_failure():
     assert "tolerance" in statuses
 
 
+def test_verify_picks_clifford_form_by_action_not_name():
+    # CNOT handed over as a bare matrix is still a Pauli normalizer
+    cnot = np.array(NAMED_GATES["CNOT"])
+    c = layered(2, 2, [[(cnot, (1, 0))], [("I", (0,)), ("I", (1,))]])
+    checks = verify_checks(
+        RunConfig(command="verify"), fixtures=[("cnot_matrix", c)], deltas=(0.5,)
+    )
+    names = {ch.name for ch in checks}
+    assert "clifford_bulk[u@1-0]" in names
+    assert not any(n.startswith("nonlocality_diagnostic") for n in names)
+    assert [ch.name for ch in checks if ch.status != "pass"] == []
+
+
 def test_soundness_single_suite(tmp_path, capsys):
     out = str(tmp_path / "out")
     code = main([
@@ -311,6 +346,19 @@ def test_soundness_fault_experiment(tmp_path, capsys):
     assert report["roundtrip_fidelity"] >= 1 - 1e-12
     assert report["tail_match"] is True
     assert len(report["declared_locations"]) == 2
+
+
+def test_soundness_partial_fault_is_an_input_error(tmp_path, capsys):
+    # layer 2 of the default circuit is a CNOT on wires (1, 0); naming
+    # only wire 0 covers that gate partially
+    fault = tmp_path / "fault.json"
+    fault.write_text(json_text({"inputs": [], "layers": [[], [0]]}))
+    code = main([
+        "soundness", "--out", str(tmp_path / "out"), "--suites",
+        "union_bound", "--instances", "1", "--fault-file", str(fault),
+    ])
+    assert code == 2
+    assert "fault pattern does not fit the circuit" in capsys.readouterr().err
 
 
 def test_fk_command(tmp_path, hcnot_json, capsys):

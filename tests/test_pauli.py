@@ -16,6 +16,9 @@ from clockless.pauli import (
     phi0,
     q_matrix,
     site_map_matrix,
+    tag_words,
+    word_decompose,
+    word_matrix,
 )
 
 
@@ -122,3 +125,13 @@ def test_pauli_word():
     assert list(w) == ["I", "X", "Z", "I"]
     with pytest.raises(ValueError):
         PauliWord(("I", "Y"))
+
+
+def test_word_helpers():
+    assert len(tag_words(2)) == 16 and tag_words(2)[1] == ("I", "X")
+    xz = word_matrix(("X", "Z"))
+    assert np.array_equal(xz, np.kron(pauli_matrix("X"), pauli_matrix("Z")))
+    alpha, word = word_decompose(-1j * xz, 2)
+    assert word == ("X", "Z") and abs(alpha + 1j) < 1e-15
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    assert word_decompose(hadamard, 1) is None

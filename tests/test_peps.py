@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clockless.circuit import layered
-from clockless.linalg import basis_state, trace_distance
+from clockless.linalg import basis_state, random_unitary, trace_distance
 from clockless.pauli import PauliWord
 from clockless.peps import (
     GridLayout,
@@ -12,6 +12,7 @@ from clockless.peps import (
     apply_injective_maps,
     base_state,
     build_peps,
+    choi_vector,
     contract_observable,
     depolarizing_reference_marginal,
     expansion,
@@ -165,3 +166,11 @@ def test_sample_pauli_pattern_rates(identity1):
     rate = sum(w.weight for w in words) / len(words)
     # non-identity tag rate 3 delta^2/(1+3 delta^2) = 3/7 per site
     assert abs(rate - 3.0 / 7.0) < 0.05
+
+
+def test_choi_vector_matches_column_copy(rng):
+    u = random_unitary(4, rng)
+    ref = np.zeros((4, 4), dtype=np.complex128)
+    for x in range(4):
+        ref[:, x] = u[:, x]
+    assert np.array_equal(choi_vector(u), ref.reshape(-1) / np.sqrt(2.0**2))

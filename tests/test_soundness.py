@@ -69,6 +69,12 @@ def test_payload_bookkeeping_is_strict(bell_circuit):
         )
 
 
+def test_non_unit_witness_is_rejected(hcnot):
+    # the witness must already be a unit vector, as for build_peps
+    with pytest.raises(ValueError, match="unit norm"):
+        build_combinatorial_state(hcnot, 0.5, NO_FAULT, xi=2 * basis_state(0, 1))
+
+
 def test_violations_sit_exactly_at_faults(bell_circuit):
     state, fault = faulted_bell(bell_circuit)
     declared = fault_locations(bell_circuit, fault)

@@ -1,0 +1,50 @@
+"""Package structure: modules import only each other's public names."""
+
+import ast
+from pathlib import Path
+
+import clockless
+
+PACKAGE = Path(clockless.__file__).resolve().parent
+
+
+def _declared_all(module: Path):
+    """The literal ``__all__`` of a module file, or None when it has none."""
+    for node in ast.parse(module.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return None
+
+
+def _relative_imports():
+    """(importing file, target module file, imported name) per relative import."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                target = PACKAGE / f"{node.module or '__init__'}.py"
+                for alias in node.names:
+                    yield path.name, target, alias.name
+
+
+def test_relative_imports_found():
+    assert any(name == "apply_matrix" for _, _, name in _relative_imports())
+
+
+def test_no_private_cross_module_imports():
+    private = [
+        f"{src} imports {name} from {target.stem}"
+        for src, target, name in _relative_imports()
+        if name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_relative_imports_are_exported():
+    missing = []
+    for src, target, name in _relative_imports():
+        exported = _declared_all(target)
+        if exported is not None and name not in exported:
+            missing.append(f"{src} imports {name}, absent from {target.stem}.__all__")
+    assert missing == []
