@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DENSE_QUBIT_CAP, apply_matrix, basis_state, is_unitary
-from .pauli import word_decompose, word_matrix
+from .pauli import word_decompose, word_stack
 
 __all__ = [
     "Gate",
@@ -127,16 +127,12 @@ def gate(name_or_matrix, wires) -> Gate:
 
 
 def _clifford_check(g: Gate) -> bool:
-    # It suffices to conjugate the single-site X and Z generators.
+    # It suffices to conjugate the single-site X and Z generators, which
+    # sit at index tag * 4^(k-1-pos) of the word stack (X = 1, Z = 3).
     k = g.arity
-    u = g.unitary
-    for pos in range(k):
-        for gen in ("X", "Z"):
-            generator = tuple(gen if i == pos else "I" for i in range(k))
-            conj = u @ word_matrix(generator) @ u.conj().T
-            if word_decompose(conj, k) is None:
-                return False
-    return True
+    picks = [t * 4 ** (k - 1 - pos) for pos in range(k) for t in (1, 3)]
+    conj = g.unitary @ word_stack(k)[picks] @ g.unitary.conj().T
+    return bool(np.all(word_decompose(conj, k)[1] >= 0))
 
 
 @dataclass(frozen=True)

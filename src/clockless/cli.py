@@ -62,7 +62,7 @@ from .rotation import (
     projected_gap_check,
     rotate_term,
     teleport_coefficient,
-    teleported_input_term,
+    teleport_input,
 )
 from .soundness import (
     SUITE_NAMES,
@@ -452,6 +452,29 @@ def _wire_tag(gate, term) -> str:
     return label + "@" + "-".join(str(w) for w in term.wires)
 
 
+def _fidelity_check(check: str, name: str, delta: float, vec, state, tol) -> Check:
+    """A row scoring the overlap |<vec|state>|^2 of two unit vectors."""
+    fid = float(abs(np.vdot(vec, state.amplitudes)) ** 2)
+    deviation = 1.0 - fid
+    return Check(
+        check, name, delta, fid, 1.0, deviation,
+        _status(deviation, max(tol, 1e-12)),
+    )
+
+
+def _ground_fidelity_check(
+    name: str, delta: float, spec: HamiltonianSpec, state, tol: float
+) -> Check:
+    """Grid-state overlap with the parent's ground state; NaN if not unique."""
+    dense = dense_spectrum(assemble(spec), vectors=1, lowest=2)
+    if not dense.ground_resolved:
+        nan = float("nan")
+        return Check("ground_fidelity", name, delta, nan, 1.0, nan, "fail")
+    return _fidelity_check(
+        "ground_fidelity", name, delta, dense.eigenvectors[:, 0], state, tol
+    )
+
+
 def _rotated_checks(
     name: str, c: LayeredCircuit, spec: HamiltonianSpec, schedule, tol: float
 ) -> list[Check]:
@@ -465,79 +488,53 @@ def _rotated_checks(
     for term in spec.terms:
         if term.kind == "input":
             try:
-                teleported_input_term(term, schedule[0], tol=_ACCURACY_FLOOR)
-                deviation = 0.0
-            except ValueError:
-                deviation = float("nan")
-            status = "pass" if deviation == 0.0 else "fail"
-            if status == "pass" and tol < _ACCURACY_FLOOR:
-                try:
-                    teleported_input_term(term, schedule[0], tol=tol)
-                except ValueError:
-                    status = "tolerance"
-            checks.append(
-                Check(
-                    f"teleported_input[w{term.wires[0]}]",
-                    name,
-                    schedule[0],
-                    teleport_coefficient(schedule[0]),
-                    4 * schedule[0] ** 2 / (1 + 3 * schedule[0] ** 2),
-                    deviation,
-                    status,
+                _, value, deviation = teleport_input(
+                    term, schedule[0], tol=_ACCURACY_FLOOR
                 )
-            )
+            except ValueError:
+                value = deviation = float("nan")
+            reference = teleport_coefficient(schedule[0]) ** len(term.wires)
+            checks.append(Check(
+                f"teleported_input[w{term.wires[0]}]", name, schedule[0],
+                value, reference, deviation, _status(deviation, tol),
+            ))
             continue
         if term.kind != "propagation":
             continue
         gate = gates[(term.layer, term.wires)]
         k = gate.arity
+        tag = _wire_tag(gate, term)
         if term.layer == depth:
             rotated = rotate_term(term, c)
             closed = last_layer_form(k, schedule[depth - 1])
-            deviation = float(np.linalg.norm(rotated.block - closed, 2))
-            checks.append(
-                _zero_check(
-                    f"last_layer[{_wire_tag(gate, term)}]",
-                    name, schedule[depth - 1], deviation, tol,
-                )
-            )
+            checks.append(_zero_check(
+                f"last_layer[{tag}]", name, schedule[depth - 1],
+                float(np.linalg.norm(rotated.block - closed, 2)), tol,
+            ))
             continue
         dl, dr = schedule[term.layer - 1], schedule[term.layer]
         if gate.is_clifford:
             rotated = rotate_term(term, c)
             closed = clifford_form(gate, dl, dr)
-            deviation = float(np.linalg.norm(rotated.block - closed, 2))
-            checks.append(
-                _zero_check(
-                    f"clifford_bulk[{_wire_tag(gate, term)}]",
-                    name, dl, deviation, tol,
-                )
-            )
+            checks.append(_zero_check(
+                f"clifford_bulk[{tag}]", name, dl,
+                float(np.linalg.norm(rotated.block - closed, 2)), tol,
+            ))
             qubits, ground = _right_pair_state(rotated, spec.layout, dr)
             reduced, _ = project_qubits(
                 rotated.block, rotated.support, qubits, ground
             )
-            closed_p = projected_bulk_form(k, dl, dr)
-            deviation = float(np.linalg.norm(reduced - closed_p, 2))
-            checks.append(
-                _zero_check(
-                    f"projected_bulk[{_wire_tag(gate, term)}]",
-                    name, dl, deviation, tol,
-                )
-            )
+            closed = projected_bulk_form(k, dl, dr)
+            checks.append(_zero_check(
+                f"projected_bulk[{tag}]", name, dl,
+                float(np.linalg.norm(reduced - closed, 2)), tol,
+            ))
         else:
             residual = float(locality_residual(term, c))
-            checks.append(
-                Check(
-                    f"nonlocality_diagnostic[{_wire_tag(gate, term)}]",
-                    name,
-                    dl,
-                    residual,
-                    1e-3,
-                    residual,
-                    "pass" if residual > 1e-3 else "fail",
-                )
-            )
+            checks.append(Check(
+                f"nonlocality_diagnostic[{tag}]", name, dl,
+                residual, 1e-3, residual, "pass" if residual > 1e-3 else "fail",
+            ))
     return checks
 
 
@@ -574,39 +571,21 @@ def verify_checks(
                 _zero_check("frustration_freeness", name, delta, worst, tol)
             )
             if c.a == c.n:
-                dense = dense_spectrum(assemble(spec), vectors=1)
-                ground = dense.eigenvectors[:, 0]
-                fid = float(abs(np.vdot(ground, state.amplitudes)) ** 2)
-                deviation = 1.0 - fid
                 checks.append(
-                    Check(
-                        "ground_fidelity", name, delta, fid, 1.0, deviation,
-                        _status(deviation, max(tol, 1e-12)),
-                    )
+                    _ground_fidelity_check(name, delta, spec, state, tol)
                 )
-            xi = None
-            result = expansion(c, xi, schedule)
-            rebuilt = reassemble_expansion(c, result)
-            rebuilt = rebuilt / np.linalg.norm(rebuilt)
-            fid = float(abs(np.vdot(rebuilt, state.amplitudes)) ** 2)
-            deviation = 1.0 - fid
-            checks.append(
-                Check(
-                    "expansion_reassembly", name, delta, fid, 1.0, deviation,
-                    _status(deviation, max(tol, 1e-12)),
-                )
-            )
-            if all(
-                g.is_trivial for layer in c.layers for g in layer
-            ):
+            rebuilt = reassemble_expansion(c, expansion(c, None, schedule))
+            checks.append(_fidelity_check(
+                "expansion_reassembly", name, delta,
+                rebuilt / np.linalg.norm(rebuilt), state, tol,
+            ))
+            if all(g.is_trivial for layer in c.layers for g in layer):
                 marginal = output_marginal(state)
-                reference = depolarizing_reference_marginal(c, xi, schedule)
+                reference = depolarizing_reference_marginal(c, None, schedule)
                 deviation = float(trace_distance(marginal, reference))
-                checks.append(
-                    _zero_check(
-                        "depolarizing_marginal", name, delta, deviation, tol
-                    )
-                )
+                checks.append(_zero_check(
+                    "depolarizing_marginal", name, delta, deviation, tol
+                ))
             checks.extend(_rotated_checks(name, c, spec, schedule, tol))
     return checks
 

@@ -64,7 +64,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 # --------------------------------------------------------------------------
-# state vectors and density matrices: raw little-endian f64, re/im interleaved
+# state vectors: raw little-endian f64, re/im interleaved
 
 
 def write_state_bin(path, vec: np.ndarray) -> None:
@@ -83,24 +83,6 @@ def read_state_bin(path) -> np.ndarray:
             f"binary state file holds {raw.size} floats, expected an even count"
         )
     return raw[0::2] + 1j * raw[1::2]
-
-
-def write_density_bin(path, rho: np.ndarray) -> None:
-    """Square matrix in the vector format, rows concatenated."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    write_state_bin(path, rho.reshape(-1))
-
-
-def read_density_bin(path) -> np.ndarray:
-    flat = read_state_bin(path)
-    d = math.isqrt(flat.size)
-    if d * d != flat.size:
-        raise SchemaError(
-            f"binary matrix file holds {flat.size} entries, not a square count"
-        )
-    return flat.reshape(d, d)
 
 
 # --------------------------------------------------------------------------

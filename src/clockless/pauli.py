@@ -24,8 +24,9 @@ scalar delta.
 
 Multi-site Pauli words are tag tuples, the first tag on the most significant
 factor: ``tag_words(k)`` lists all 4^k of them, ``word_matrix`` builds the
-Kronecker product, and ``word_decompose`` recognizes a matrix that is a
-phase times a word. The rotated closed forms, the Clifford check, the
+Kronecker product, ``word_stack`` caches all 4^k products as one array, and
+``word_decompose`` recognizes a matrix (or each of a stack of matrices) that
+is a phase times a word. The rotated closed forms, the Clifford check, the
 stabilizer terms and the gate error basis all build their words here.
 """
 
@@ -54,6 +55,7 @@ __all__ = [
     "tag_words",
     "word_decompose",
     "word_matrix",
+    "word_stack",
 ]
 
 PAULI_TAGS = ("I", "X", "XZ", "Z")
@@ -121,24 +123,40 @@ def word_matrix(word: tuple[str, ...]) -> np.ndarray:
     return reduce(np.kron, [pauli_matrix(tag) for tag in word])
 
 
-def word_decompose(
-    mat: np.ndarray, k: int, tol: float = 1e-9
-) -> tuple[complex, tuple[str, ...]] | None:
-    """Write a matrix as phase times a Pauli word, if it is one."""
+@lru_cache(maxsize=None)
+def word_stack(k: int) -> np.ndarray:
+    """Read-only (4^k, 2^k, 2^k) stack of ``word_matrix`` in ``tag_words`` order."""
+    stack = np.stack([word_matrix(word) for word in tag_words(k)])
+    stack.flags.writeable = False
+    return stack
+
+
+def word_decompose(mat: np.ndarray, k: int, tol: float = 1e-9):
+    """Write a matrix, or each of a stack of them, as phase times a Pauli word.
+
+    One (2^k, 2^k) matrix gives ``(phase, word)``, or None if it is no
+    word. A (..., 2^k, 2^k) stack gives arrays ``(phases, indices)`` over
+    its leading shape, indices into ``tag_words(k)`` and -1 for no word.
+    """
+    mat = np.asarray(mat)
     dim = 2**k
-    best = None
-    best_mag = 0.0
-    for word in tag_words(k):
-        alpha = np.trace(word_matrix(word).conj().T @ mat) / dim
-        if abs(alpha) > best_mag:
-            best_mag = abs(alpha)
-            best = (complex(alpha), word)
-    if best is None or abs(best_mag - 1.0) > tol:
-        return None
-    alpha, word = best
-    if not np.allclose(mat, alpha * word_matrix(word), atol=tol):
-        return None
-    return alpha, word
+    stack = word_stack(k)
+    flat = mat.reshape(-1, dim * dim)
+    # The words are real, so tr(W^dagger M) / dim is a dot of the entries;
+    # the largest overlap (first on ties) must have modulus 1 and match.
+    overlaps = flat @ stack.reshape(len(stack), -1).T / dim
+    best = np.argmax(np.abs(overlaps), axis=1)
+    phases = overlaps[np.arange(len(flat)), best]
+    close = np.isclose(
+        flat, phases[:, None] * stack[best].reshape(len(flat), -1), atol=tol
+    ).all(axis=1)
+    ok = (np.abs(np.abs(phases) - 1.0) <= tol) & close
+    indices = np.where(ok, best, -1)
+    if mat.ndim == 2:
+        if indices[0] < 0:
+            return None
+        return complex(phases[0]), tag_words(k)[indices[0]]
+    return phases.reshape(mat.shape[:-2]), indices.reshape(mat.shape[:-2])
 
 
 @lru_cache(maxsize=None)

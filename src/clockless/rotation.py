@@ -15,6 +15,11 @@ term whose gate normalizes the Pauli group keeps its original support and
 becomes ``clifford_form``. Gates outside that class leak onto the output
 column, which ``locality_residual`` measures directly.
 
+Extraction pushes all basis columns of the extraction support, then all
+random check states, through the rotated term as (2^N, batch) arrays in
+chunks of at most ``_BATCH_BYTES``. The Clifford hole is ``B S B^dagger``:
+B holds the Bell product basis, S counts the Bell-label pairings.
+
 Support bookkeeping follows the term convention: block bit ``i`` is qubit
 ``support[i]``, so a pair occupies two adjacent bits (low column first) and
 a bulk term's four-bit groups per wire read (left low, left high, right
@@ -33,8 +38,8 @@ from .hamiltonian import HamiltonianTerm, input_term
 from .linalg import DENSE_QUBIT_CAP, apply_matrix, bit_placement, embed_operator
 from .pauli import (
     PAULI_TAGS,
+    bell_basis_matrix,
     bell_projector,
-    bell_state,
     bell_uniform,
     lambda_matrix,
     pauli_matrix,
@@ -42,13 +47,12 @@ from .pauli import (
     q_matrix,
     tag_words,
     word_decompose,
-    word_matrix,
+    word_stack,
 )
 from .peps import GridLayout
 
 __all__ = [
     "RotationUnitary",
-    "apply_rotation",
     "rotate_term",
     "locality_residual",
     "project_qubits",
@@ -58,8 +62,13 @@ __all__ = [
     "projected_gap_check",
     "clifford_partners",
     "clifford_form",
+    "teleport_input",
     "teleported_input_term",
 ]
+
+# Amplitude bytes per extraction chunk (2^8 columns at 10 qubits). A full
+# 2^10-column chunk raised the default verify's peak RSS 128 -> 175 MB.
+_BATCH_BYTES = 2**22
 
 
 def _site_correction() -> np.ndarray:
@@ -110,13 +119,6 @@ class RotationUnitary:
         return out
 
 
-def apply_rotation(
-    vec: np.ndarray, circuit: LayeredCircuit, adjoint: bool = False
-) -> np.ndarray:
-    """One-shot form of ``RotationUnitary(circuit).apply``."""
-    return RotationUnitary(circuit).apply(vec, adjoint=adjoint)
-
-
 def _conjugated_block(
     term: HamiltonianTerm,
     rot: RotationUnitary,
@@ -139,24 +141,28 @@ def _conjugated_block(
     dim = 2**m
     block = np.zeros((dim, dim), dtype=np.complex128)
     term_wires = tuple(reversed(term.support))
+    width = max(1, _BATCH_BYTES // (16 * 2**n))
 
-    def rotated_term(vec: np.ndarray) -> np.ndarray:
-        w = rot.apply(vec)
+    def rotated_term(vecs: np.ndarray) -> np.ndarray:
+        w = rot.apply(vecs)
         w = apply_matrix(w, term.block, term_wires, n)
         return rot.apply(w, adjoint=True)
 
-    for i in range(dim):
-        vec = np.zeros(2**n, dtype=np.complex128)
-        vec[place[i]] = 1.0
-        block[:, i] = rotated_term(vec)[place]
+    for start in range(0, dim, width):
+        cols = np.arange(start, min(start + width, dim))
+        basis = np.zeros((2**n, cols.size), dtype=np.complex128)
+        basis[place[cols], np.arange(cols.size)] = 1.0
+        block[:, cols] = rotated_term(basis)[place]
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        r = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        r /= np.linalg.norm(r)
-        lhs = rotated_term(r)
-        rhs = apply_matrix(r, block, tuple(reversed(support)), n)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    for start in range(0, samples, width):
+        batch = np.empty((2**n, min(width, samples - start)), np.complex128)
+        for j in range(batch.shape[1]):
+            r = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            batch[:, j] = r / np.linalg.norm(r)
+        lhs = rotated_term(batch)
+        rhs = apply_matrix(batch, block, tuple(reversed(support)), n)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
     return block, worst
 
 
@@ -329,43 +335,45 @@ def clifford_partners(
     Entries are ((left row word, right row word), (left column word, right
     column word), phase), where the words label Bell states on the k left
     and k right pairs and the phase is the proportionality constant in the
-    defining relation. Every row label has exactly 4^k partners.
+    defining relation ``(u^dagger W[s_row] W[s_col] u)^T W[t_row] = phase
+    W[t_col]``. Every row label has exactly 4^k partners. The list runs
+    over s_row, then s_col, then t_row, each in ``tag_words`` order; both
+    stacks of products are decomposed in one call each.
     """
     k = g.arity
     u = g.unitary
-    out = []
-    for s_row in tag_words(k):
-        for s_col in tag_words(k):
-            conj = u.conj().T @ word_matrix(s_row) @ word_matrix(s_col) @ u
-            dec = word_decompose(conj, k)
-            if dec is None:
-                raise ValueError(
-                    f"gate {g.name or 'unnamed'} does not normalize the "
-                    "Pauli group"
-                )
-            for t_row in tag_words(k):
-                dec2 = word_decompose(conj.T @ word_matrix(t_row), k)
-                if dec2 is None:
-                    raise ValueError("pairing search failed unexpectedly")
-                mu, t_col = dec2
-                out.append(((t_row, s_row), (t_col, s_col), complex(mu)))
-    return out
-
-
-def _bulk_bell_vector(
-    left: tuple[str, ...], right: tuple[str, ...], wires: tuple[int, ...]
-) -> np.ndarray:
-    """Bell product vector in bulk bit order: per wire (Ll, Lh, Rl, Rh).
-
-    Word position p labels the pairs of ``wires[p]``; the wire with the
-    largest index lands on the highest bits, matching a rotated block
-    whose support lists the pair qubits ascending.
-    """
-    order = sorted(range(len(wires)), key=lambda p: wires[p])
-    factors = [
-        np.kron(bell_state(right[p]), bell_state(left[p])) for p in order
+    words = tag_words(k)
+    stack = word_stack(k)
+    conj = u.conj().T @ (stack[:, None] @ stack[None, :]) @ u
+    if np.any(word_decompose(conj, k)[1] < 0):
+        raise ValueError(
+            f"gate {g.name or 'unnamed'} does not normalize the Pauli group"
+        )
+    mu, t_col = word_decompose(np.swapaxes(conj, -1, -2)[:, :, None] @ stack, k)
+    if np.any(t_col < 0):
+        raise ValueError("pairing search failed unexpectedly")
+    return [
+        ((words[t], words[r]), (words[t_col[r, c, t]], words[c]),
+         complex(mu[r, c, t]))
+        for r, c, t in np.ndindex(mu.shape)
     ]
-    return reduce(np.kron, list(reversed(factors)))
+
+
+def _bulk_bell_basis(wires: tuple[int, ...]) -> np.ndarray:
+    """Bell product vectors in bulk bit order; column ``left * 4^k + right``.
+
+    ``left``/``right`` index ``tag_words(k)``; word position p labels the
+    pairs of ``wires[p]``. Per wire the bits read (Ll, Lh, Rl, Rh) from the
+    least significant end; the largest wire takes the highest bits.
+    """
+    k = len(wires)
+    order = sorted(range(k), key=lambda p: wires[p], reverse=True)
+    per_wire = np.kron(bell_basis_matrix(), bell_basis_matrix())
+    full = reduce(np.kron, [per_wire] * k).reshape((16**k,) + (4, 4) * k)
+    # Column axes come as (right tag, left tag) per wire, highest wire first.
+    left = [2 + 2 * order.index(p) for p in range(k)]
+    right = [1 + 2 * order.index(p) for p in range(k)]
+    return full.transpose([0] + left + right).reshape(16**k, 16**k)
 
 
 def clifford_form(g: Gate, delta_left: float, delta_right: float) -> np.ndarray:
@@ -373,43 +381,45 @@ def clifford_form(g: Gate, delta_left: float, delta_right: float) -> np.ndarray:
 
     Acts on 4k qubits (k left pairs then k right pairs, interleaved per
     wire). The unrotated gate enters only through the pairing of Bell
-    labels; every matched pair of labels contributes with weight 4^-k.
+    labels; every matched pair of labels contributes with weight 4^-k, so
+    the hole is ``B S B^dagger`` for the Bell product basis B and the
+    integer matrix S that counts the pairings.
     """
     k = g.arity
-    dim = 16**k
-    hole = np.zeros((dim, dim), dtype=np.complex128)
-    for row, col, _ in clifford_partners(g):
-        vr = _bulk_bell_vector(*row, g.wires)
-        vc = _bulk_bell_vector(*col, g.wires)
-        hole += np.outer(vr, vc.conj())
-    form = np.eye(dim) - hole / 4**k
+    n = 4**k
+    index = {word: i for i, word in enumerate(tag_words(k))}
+    pairing = np.zeros((n * n, n * n))
+    for (left, right), (c_left, c_right), _ in clifford_partners(g):
+        pairing[index[left] * n + index[right],
+                index[c_left] * n + index[c_right]] += 1
+    basis = _bulk_bell_basis(g.wires)
+    form = np.eye(n * n) - basis @ pairing @ basis.conj().T / n
     per_wire = np.kron(lambda_matrix(delta_right), lambda_matrix(delta_left))
     dress = reduce(np.kron, [per_wire] * k)
     return dress @ form @ dress
 
 
-def teleported_input_term(
+def teleport_input(
     term: HamiltonianTerm, delta: float, tol: float = 1e-9
-) -> HamiltonianTerm:
+) -> tuple[HamiltonianTerm, float, float]:
     """Funnel an input term through a minimal grid onto the output column.
 
     Rebuilds the term's check on a one-layer identity grid over its wires,
-    rotates it, and projects every pair onto its single-pair ground state.
-    The result is the original check on the output qubits, attenuated by
-    ``teleport_coefficient(delta)`` per wire; a mismatch beyond ``tol``
-    raises. The returned term keeps kind "input" but lives on the output
-    column.
+    rotates it (``tol`` bounds the leakage) and projects every pair onto its
+    single-pair ground state, which should leave the check attenuated by
+    ``c = teleport_coefficient(delta)`` per wire. Returns that term (kind
+    "input", on the output column), the least-squares attenuation against
+    the check and the deviation ``||reduced - c^k check||``.
     """
     if term.kind != "input":
         raise ValueError(f"expected an input term, got {term.kind!r}")
     wires = term.wires
     k = len(wires)
     # Undo the dressing with the inverse pair maps to recover the bare check.
-    undress = np.eye(4**k, dtype=np.complex128)
-    for b in range(k):
-        undress = undress @ embed_operator(
-            q_matrix(delta), (2 * b + 1, 2 * b), 2 * k
-        )
+    undress = reduce(np.matmul, [
+        embed_operator(q_matrix(delta), (2 * b + 1, 2 * b), 2 * k)
+        for b in range(k)
+    ])
     bare = undress @ term.block @ undress / delta ** (2 * k)
     check_emb, check_support = _trim_trivial_qubits(
         bare, tuple(range(2 * k)), tol=1e-8
@@ -423,17 +433,25 @@ def teleported_input_term(
     layout = GridLayout(k, 1)
     minimal = input_term(tuple(range(k)), delta, layout, check=check)
     rotated = rotate_term(minimal, grid, tol=tol)
-    pair_qubits = tuple(
-        q for w in range(k) for q in layout.site_qubits(1, w)
-    )
+    pair_qubits = tuple(q for w in range(k) for q in layout.site_qubits(1, w))
     ground = reduce(np.kron, [phi0(delta)] * k)
     reduced, rest = project_qubits(
         rotated.block, rotated.support, pair_qubits, ground
     )
+    fit = np.vdot(check_emb, reduced).real / np.vdot(check_emb, check_emb).real
     expected = teleport_coefficient(delta) ** k * check_emb
-    if np.linalg.norm(reduced - expected) > max(tol, 1e-9):
+    deviation = float(np.linalg.norm(reduced - expected))
+    return HamiltonianTerm("input", rest, reduced, 1, wires), float(fit), deviation
+
+
+def teleported_input_term(
+    term: HamiltonianTerm, delta: float, tol: float = 1e-9
+) -> HamiltonianTerm:
+    """The term of ``teleport_input``; raises if it misses by more than tol."""
+    funneled, _, deviation = teleport_input(term, delta, tol=tol)
+    if deviation > max(tol, 1e-9):
         raise ValueError(
             "teleported check does not match its closed form: "
-            f"deviation {np.linalg.norm(reduced - expected):.3e}"
+            f"deviation {deviation:.3e}"
         )
-    return HamiltonianTerm("input", rest, reduced, 1, wires)
+    return funneled

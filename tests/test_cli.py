@@ -11,6 +11,7 @@ from clockless.circuit import NAMED_GATES, layered
 from clockless.cli import (
     InputError,
     RunConfig,
+    _ground_fidelity_check,
     _parse_assignments,
     _parse_grid,
     _schedule,
@@ -20,7 +21,10 @@ from clockless.cli import (
     parse_args,
     verify_checks,
 )
+from clockless.hamiltonian import parent_spec
 from clockless.io import SchemaError, json_text, read_json, read_state_bin
+from clockless.peps import build_peps
+from clockless.rotation import teleport_coefficient, teleport_input
 
 
 @pytest.fixture
@@ -297,6 +301,33 @@ def test_verify_tolerance_class_is_not_a_correctness_failure():
     # the tolerance class, but none may actually fail
     assert "fail" not in statuses
     assert "tolerance" in statuses
+
+
+def test_verify_teleported_rows_report_measured_deviation(identity1):
+    checks = verify_checks(
+        RunConfig(command="verify"), fixtures=[("id1", identity1)],
+        deltas=(0.5,),
+    )
+    (row,) = [ch for ch in checks if ch.name.startswith("teleported_input")]
+    spec = parent_spec(identity1, 0.5)
+    (term,) = [t for t in spec.terms if t.kind == "input"]
+    _, attenuation, deviation = teleport_input(term, 0.5, tol=1e-9)
+    assert row.value == attenuation and row.deviation == deviation
+    assert row.reference == teleport_coefficient(0.5)
+    assert abs(row.value - row.reference) < 1e-13 and row.status == "pass"
+
+
+def test_ground_fidelity_fails_on_degenerate_ground(hcnot, identity1):
+    # hcnot has a data wire, so its ground space is two-dimensional
+    spec = parent_spec(hcnot, 0.5)
+    state = build_peps(hcnot, (0.5, 0.5))
+    row = _ground_fidelity_check("hcnot", 0.5, spec, state, 1e-10)
+    assert row.status == "fail"
+    assert np.isnan(row.value) and np.isnan(row.deviation)
+    spec = parent_spec(identity1, 0.5)
+    state = build_peps(identity1, (0.5,))
+    row = _ground_fidelity_check("id1", 0.5, spec, state, 1e-10)
+    assert row.status == "pass" and abs(row.value - 1.0) < 1e-12
 
 
 def test_verify_picks_clifford_form_by_action_not_name():

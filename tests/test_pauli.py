@@ -19,6 +19,7 @@ from clockless.pauli import (
     tag_words,
     word_decompose,
     word_matrix,
+    word_stack,
 )
 
 
@@ -135,3 +136,31 @@ def test_word_helpers():
     assert word == ("X", "Z") and abs(alpha + 1j) < 1e-15
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     assert word_decompose(hadamard, 1) is None
+
+
+def test_word_decompose_stack_matches_single_calls():
+    words = tag_words(2)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    mats = np.stack([
+        1j * word_matrix(("Z", "X")),
+        -word_matrix(("I", "I")),
+        np.kron(hadamard, np.eye(2)),
+        np.zeros((4, 4)),
+    ]).reshape(2, 2, 4, 4)
+    phases, indices = word_decompose(mats, 2)
+    assert phases.shape == indices.shape == (2, 2)
+    assert words[indices[0, 0]] == ("Z", "X") and phases[0, 0] == 1j
+    assert words[indices[0, 1]] == ("I", "I") and phases[0, 1] == -1
+    assert indices[1, 0] == -1 and indices[1, 1] == -1
+    flat = zip(mats.reshape(-1, 4, 4), phases.ravel(), indices.ravel())
+    for mat, phase, index in flat:
+        single = word_decompose(mat, 2)
+        assert single is None if index < 0 else single == (phase, words[index])
+
+
+def test_word_stack_is_cached_and_read_only():
+    stack = word_stack(2)
+    assert stack is word_stack(2)
+    assert not stack.flags.writeable
+    for word, mat in zip(tag_words(2), stack):
+        assert np.array_equal(mat, word_matrix(word))

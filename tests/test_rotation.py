@@ -1,14 +1,25 @@
 """Rotated-frame closed forms for the grid Hamiltonian terms."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
+from clockless import rotation
 from clockless.circuit import gate, layered
 from clockless.hamiltonian import input_term, parent_spec, propagation_term
-from clockless.linalg import embed_operator
-from clockless.pauli import phi0, q_matrix
+from clockless.linalg import apply_matrix, bit_placement, embed_operator
+from clockless.pauli import (
+    bell_state,
+    lambda_matrix,
+    phi0,
+    q_matrix,
+    tag_words,
+    word_matrix,
+)
 from clockless.peps import GridLayout
 from clockless.rotation import (
+    RotationUnitary,
     clifford_form,
     clifford_partners,
     last_layer_form,
@@ -18,6 +29,7 @@ from clockless.rotation import (
     projected_gap_check,
     rotate_term,
     teleport_coefficient,
+    teleport_input,
     teleported_input_term,
 )
 
@@ -90,8 +102,170 @@ def test_clifford_partners_cover_normalizer():
     assert len(rows) == 4**4
     assert all(len(v) == 4**2 for v in rows.values())
     h = gate("T", (0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not normalize the Pauli group"):
         clifford_partners(h)
+
+
+def partners_loop_reference(g):
+    """clifford_partners written as the plain scalar search over words."""
+    k = g.arity
+    u = g.unitary
+    out = []
+    for s_row in tag_words(k):
+        for s_col in tag_words(k):
+            conj = u.conj().T @ word_matrix(s_row) @ word_matrix(s_col) @ u
+            for t_row in tag_words(k):
+                mat = conj.T @ word_matrix(t_row)
+                for t_col in tag_words(k):
+                    mu = np.trace(word_matrix(t_col).T @ mat) / 2**k
+                    if abs(abs(mu) - 1.0) < 1e-9:
+                        break
+                assert np.allclose(mat, mu * word_matrix(t_col))
+                out.append(((t_row, s_row), (t_col, s_col), complex(mu)))
+    return out
+
+
+Y_MATRIX = np.array([[0.0, -1j], [1j, 0.0]])
+
+
+@pytest.mark.parametrize("name,wires", [
+    ("I", (0,)),
+    ("X", (0,)),
+    (Y_MATRIX, (0,)),
+    ("Z", (0,)),
+    ("H", (0,)),
+    ("S", (0,)),
+    ("CNOT", (0, 1)),
+    ("CNOT", (1, 0)),
+    ("CZ", (0, 1)),
+    ("SWAP", (0, 1)),
+])
+def test_clifford_partners_match_loop_reference(name, wires):
+    g = gate(name, wires)
+    got = clifford_partners(g)
+    want = partners_loop_reference(g)
+    assert [(row, col) for row, col, _ in got] == [
+        (row, col) for row, col, _ in want
+    ]
+    phases = np.array([mu for *_, mu in got])
+    expected = np.array([mu for *_, mu in want])
+    assert np.max(np.abs(phases - expected)) < 1e-12
+
+
+def bulk_bell_vector_reference(left, right, wires):
+    """One Bell product vector in bulk bit order, kron by kron."""
+    order = sorted(range(len(wires)), key=lambda p: wires[p])
+    factors = [
+        np.kron(bell_state(right[p]), bell_state(left[p])) for p in order
+    ]
+    return reduce(np.kron, list(reversed(factors)))
+
+
+@pytest.mark.parametrize("name,wires", [
+    ("H", (0,)), ("S", (0,)), ("CNOT", (0, 1)), ("CNOT", (1, 0)),
+])
+def test_clifford_form_matches_outer_product_reference(name, wires):
+    g = gate(name, wires)
+    k = g.arity
+    dl, dr = 0.3, 0.7
+    hole = np.zeros((16**k, 16**k), dtype=np.complex128)
+    for row, col, _ in clifford_partners(g):
+        hole += np.outer(
+            bulk_bell_vector_reference(*row, g.wires),
+            bulk_bell_vector_reference(*col, g.wires).conj(),
+        )
+    per_wire = np.kron(lambda_matrix(dr), lambda_matrix(dl))
+    dress = reduce(np.kron, [per_wire] * k)
+    want = dress @ (np.eye(16**k) - hole / 4**k) @ dress
+    assert np.max(np.abs(clifford_form(g, dl, dr) - want)) < 1e-13
+
+
+def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):
+    """The rotated block and leakage residual, one column at a time."""
+    rot = RotationUnitary(circuit)
+    n = rot.num_qubits
+    place = bit_placement(support)
+    term_wires = tuple(reversed(term.support))
+
+    def rotated(vec):
+        w = apply_matrix(rot.apply(vec), term.block, term_wires, n)
+        return rot.apply(w, adjoint=True)
+
+    block = np.zeros((place.size, place.size), dtype=np.complex128)
+    for i in range(place.size):
+        vec = np.zeros(2**n, dtype=np.complex128)
+        vec[place[i]] = 1.0
+        block[:, i] = rotated(vec)[place]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        r = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+        r /= np.linalg.norm(r)
+        rhs = apply_matrix(r, block, tuple(reversed(support)), n)
+        worst = max(worst, float(np.linalg.norm(rotated(r) - rhs)))
+    return block, worst
+
+
+def widened(block, support, full):
+    """A block on ``support`` as the operator it is on the superset ``full``."""
+    pos = [full.index(q) for q in support]
+    return embed_operator(block, tuple(reversed(pos)), len(full))
+
+
+BATCH_FIXTURES = {
+    "cnot_bulk": layered(2, 2, [[("CNOT", (1, 0))], [("I", (0,)), ("I", (1,))]]),
+    "t_bulk": layered(2, 2, [[("T", (0,)), ("I", (1,))], [("CZ", (0, 1))]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_FIXTURES))
+def test_batched_extraction_matches_column_loop(name):
+    c = BATCH_FIXTURES[name]
+    spec = parent_spec(c, (0.3, 0.6))
+    layout = spec.layout
+    for term in spec.terms:
+        if term.kind != "propagation" or term.layer != 1:
+            continue
+        rows = {q // layout.columns for q in term.support}
+        full = tuple(sorted(
+            set(term.support) | {layout.output_qubit(r) for r in rows}
+        ))
+        block, residual = conjugated_block_loop_reference(term, c, full)
+        assert residual < 1e-12
+        rotated = rotate_term(term, c)
+        assert set(rotated.support) <= set(full)
+        got = widened(rotated.block, rotated.support, full)
+        assert np.max(np.abs(got - block)) < 1e-13
+        _, own = conjugated_block_loop_reference(term, c, term.support)
+        assert abs(locality_residual(term, c) - own) < 1e-13
+
+
+def test_chunked_extraction_matches_unchunked(monkeypatch):
+    c = BATCH_FIXTURES["t_bulk"]
+    term = propagation_term(gate("T", (0,)), 1, 0.5, GridLayout(2, 2))
+    whole = rotate_term(term, c)
+    whole_residual = locality_residual(term, c)
+    calls = []
+    apply = RotationUnitary.apply
+
+    def counting(self, vec, adjoint=False):
+        calls.append(vec.shape[1])
+        return apply(self, vec, adjoint=adjoint)
+
+    # 20 columns of the 10-qubit grid per chunk: 52 chunks for the 2^10
+    # extraction columns and 3 for the 50 random states
+    monkeypatch.setattr(rotation, "_BATCH_BYTES", 20 * 16 * 2**10)
+    monkeypatch.setattr(RotationUnitary, "apply", counting)
+    chunked = rotate_term(term, c)
+    assert len(calls) >= 6 and max(calls) == 20
+    calls.clear()
+    chunked_residual = locality_residual(term, c)
+    # one chunk for the 2^4 columns of the term's own support, three for
+    # the random states, each a forward and an adjoint rotation
+    assert len(calls) == 2 * (1 + 3)
+    assert chunked.support == whole.support
+    assert np.max(np.abs(chunked.block - whole.block)) < 1e-13
+    assert abs(chunked_residual - whole_residual) < 1e-13
 
 
 def test_projected_bulk_form(identity1):
@@ -152,6 +326,17 @@ def test_teleported_input_term(identity1):
         )
     with pytest.raises(ValueError):
         teleported_input_term(term, 0.9)  # wrong delta must not verify
+
+
+def test_teleport_input_measures_attenuation():
+    layout = GridLayout(1, 1)
+    for delta in (0.2, 0.5, 0.8):
+        term = input_term(0, delta, layout)
+        funneled, attenuation, deviation = teleport_input(term, delta)
+        assert abs(attenuation - teleport_coefficient(delta)) < 1e-13
+        assert deviation < 1e-13
+        same = teleported_input_term(term, delta)
+        assert np.array_equal(funneled.block, same.block)
 
 
 def test_t_gate_rotation_spreads():

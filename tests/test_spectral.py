@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from clockless.circuit import layered
 from clockless.hamiltonian import assemble, parent_spec
 from clockless.linalg import embed_operator, random_projector, random_state
 from clockless.spectral import (
@@ -143,3 +144,39 @@ def test_geometric_bound_nested_kernels():
     assert out.theta == 0.0
     assert out.bound == 0.0
     assert out.holds
+
+
+@pytest.mark.parametrize("name,layers", [
+    ("cnot_bulk", [[("CNOT", (1, 0))], [("I", (0,)), ("I", (1,))]]),
+    ("t_bulk", [[("T", (0,)), ("I", (1,))], [("CZ", (0, 1))]]),
+])
+def test_dense_spectrum_lowest_matches_full(name, layers):
+    c = layered(2, 2, layers)
+    for delta in (0.2, 0.5):
+        op = assemble(parent_spec(c, delta))
+        full = dense_spectrum(op)
+        part = dense_spectrum(op, vectors=1, lowest=2)
+        assert part.lowest_eigenvalues.shape == (2,)
+        assert np.allclose(
+            part.lowest_eigenvalues, full.lowest_eigenvalues[:2], atol=1e-12
+        )
+        assert part.ground_dim == full.ground_dim == 1
+        assert abs(part.gap - full.gap) < 1e-12
+        assert part.ground_resolved and full.ground_resolved
+        overlap = np.vdot(part.eigenvectors[:, 0], full.eigenvectors[:, 0])
+        assert abs(abs(overlap) - 1.0) < 1e-10
+
+
+def test_dense_spectrum_lowest_flags_degenerate_ground(hcnot):
+    # one data wire (a < n): the ground space holds one state per witness
+    op = assemble(parent_spec(hcnot, 0.5))
+    full = dense_spectrum(op)
+    assert full.ground_dim == 2 and full.ground_resolved
+    part = dense_spectrum(op, lowest=2)
+    assert not part.ground_resolved
+    assert part.ground_dim == 2 and np.isnan(part.gap)
+    wider = dense_spectrum(op, lowest=3)
+    assert wider.ground_resolved and wider.ground_dim == 2
+    assert abs(wider.gap - full.gap) < 1e-12
+    with pytest.raises(ValueError):
+        dense_spectrum(op, lowest=0)
