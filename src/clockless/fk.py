@@ -28,6 +28,7 @@ from .circuit import (
 from .hamiltonian import LocalTerm, SparseOperator, term_energy
 from .linalg import (
     apply_matrix,
+    basis_state,
     density_fidelity,
     embed_operator,
     product_state,
@@ -301,16 +302,17 @@ def history_state(ham: ClockHamiltonian, xi=None) -> np.ndarray:
     """
     n, big_t = ham.num_data, ham.num_steps
     data = input_state(ham.circuit, xi)
+    norm = math.sqrt(big_t + 1.0)
     out = np.zeros(2 ** (n + big_t), dtype=np.complex128)
-    clock = np.zeros(2**big_t, dtype=np.complex128)
-    clock[0] = 1.0
-    out += np.kron(clock, data)
+    # Row c of this view is the data register under clock pattern c. Only
+    # the T+1 unary rows are ever written, each already normalized, so the
+    # rest of the vector stays untouched zero pages.
+    rows = out.reshape(2**big_t, 2**n)
+    rows[0] += data / norm
     for t, g in enumerate(ham.steps, start=1):
         data = apply_matrix(data, g.unitary, g.wires, n)
-        clock = np.zeros(2**big_t, dtype=np.complex128)
-        clock[2**t - 1] = 1.0
-        out += np.kron(clock, data)
-    return out / math.sqrt(big_t + 1.0)
+        rows[2**t - 1] += data / norm
+    return out
 
 
 def invalid_clock_state(ham: ClockHamiltonian) -> np.ndarray:
@@ -321,11 +323,8 @@ def invalid_clock_state(ham: ClockHamiltonian) -> np.ndarray:
     """
     if ham.num_steps < 2:
         raise ValueError("the broken pattern needs at least two clock qubits")
-    clock = np.zeros(2**ham.num_steps, dtype=np.complex128)
-    clock[2] = 1.0  # bit 1 set: clock qubit of step 2
-    data = np.zeros(2**ham.num_data, dtype=np.complex128)
-    data[0] = 1.0
-    return np.kron(clock, data)
+    # Clock bit 1 (the clock qubit of step 2) set, every data bit clear.
+    return basis_state(2 ** (ham.num_data + 1), ham.num_qubits)
 
 
 @dataclass(frozen=True)

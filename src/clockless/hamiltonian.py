@@ -45,6 +45,7 @@ from .linalg import (
     apply_matrix,
     bit_placement,
     embed_operator,
+    expectation,
     is_hermitian,
     is_projector,
 )
@@ -429,10 +430,7 @@ class EnergyReport:
 
 def term_energy(term: HamiltonianTerm, vec: np.ndarray, num_qubits: int) -> float:
     """Quadratic form <v|h|v> of one term; no normalization is applied."""
-    applied = apply_matrix(
-        vec, term.block, tuple(reversed(term.support)), num_qubits
-    )
-    val = complex(np.vdot(vec, applied))
+    val = expectation(vec, term.block, tuple(reversed(term.support)), num_qubits)
     if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
         raise ValueError(f"term energy came out non-real: {val}")
     return val.real

@@ -6,11 +6,22 @@ amplitude index. Operator matrices list their wires most-significant-first,
 so ``apply_matrix(psi, CNOT, (0, 1), 2)`` has wire 0 as the control. Nothing
 in this module knows about grids, circuits, or Hamiltonians.
 
+``apply_matrix`` and ``expectation`` share one streamed contraction core. It
+views the (2,)*N + (batch,) tensor with the operator's wires as the leading
+axes, fixes just enough of the most significant free axes that each piece
+holds at most ``_PIECE_AMPS`` amplitudes, copies each piece contiguously and
+contracts it with the operator. ``apply_matrix`` writes every piece into one
+output buffer; ``expectation`` only sums <piece|op|piece> and reads just the
+local indices the operator touches. Neither allocates anything of size 2**N
+beyond the output. A state that fits in one piece takes one reshape and one
+matmul, exactly as a plain moveaxis/reshape contraction does.
+
 All functions are pure; inputs are never mutated.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +34,7 @@ __all__ = [
     "bit_placement",
     "density_fidelity",
     "embed_operator",
+    "expectation",
     "is_hermitian",
     "is_projector",
     "is_psd",
@@ -49,6 +61,12 @@ DENSE_QUBIT_CAP = 12
 # Sparse Hamiltonian matrices (and their Matrix Market exports) are
 # refused above this many qubits; use the term-wise matvec instead.
 SPARSE_QUBIT_CAP = 14
+
+# Amplitudes per piece of the streamed contraction (1 MiB of complex128).
+# Large enough that the fixed cost of one matmul call and the Python around
+# it stays small next to the piece's copy; every dense embedding up to 8
+# qubits (2^16 amplitudes) stays a single piece.
+_PIECE_AMPS = 2**16
 
 
 def basis_state(index: int, num_qubits: int) -> np.ndarray:
@@ -82,6 +100,51 @@ def _check_wires(wires: Sequence[int], num_qubits: int) -> None:
             raise ValueError(f"wire {w} out of range for {num_qubits} qubits")
 
 
+def _check_operator(
+    state: np.ndarray, op: np.ndarray, wires: Sequence[int], num_qubits: int
+) -> np.ndarray:
+    op = np.asarray(op, dtype=np.complex128)
+    k = len(wires)
+    if op.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {op.shape} does not match {k} wires")
+    _check_wires(wires, num_qubits)
+    if state.shape[0] != 2**num_qubits:
+        raise ValueError(
+            f"state length {state.shape[0]} does not match {num_qubits} qubits"
+        )
+    return op
+
+
+def _support_order(wires: Sequence[int], num_qubits: int) -> list[int]:
+    """Axis order of a (2,)*N + (batch,) tensor that puts the wires first.
+
+    Axis j of the tensor is qubit N-1-j. The wires' axes come first in wire
+    order, then the free axes, most significant qubit first, then the batch
+    axis.
+    """
+    axes = [num_qubits - 1 - w for w in wires]
+    taken = set(axes)
+    return axes + [j for j in range(num_qubits + 1) if j not in taken]
+
+
+def _support_first(work: np.ndarray, order: Sequence[int]) -> np.ndarray:
+    """View of a (2**N, batch) array as a tensor in ``_support_order``."""
+    return work.reshape((2,) * (len(order) - 1) + (work.shape[1],)).transpose(order)
+
+
+def _piece_tails(view: np.ndarray, k: int) -> list[tuple[int, ...]]:
+    """Values of the leading free axes that split a support-first view.
+
+    As few leading free axes are fixed as bring a piece down to
+    ``_PIECE_AMPS`` amplitudes, or all of them when even that is not
+    enough; one empty tail means the view is a single piece.
+    """
+    fixed = 0
+    while fixed < view.ndim - 1 - k and view.size >> fixed > _PIECE_AMPS:
+        fixed += 1
+    return list(itertools.product((0, 1), repeat=fixed))
+
+
 def apply_matrix(
     state: np.ndarray,
     op: np.ndarray,
@@ -95,29 +158,63 @@ def apply_matrix(
     dense embeddings are produced in one shot). ``wires`` are listed
     most-significant-first with respect to the operator's index convention.
     """
-    op = np.asarray(op, dtype=np.complex128)
-    k = len(wires)
-    if op.shape != (2**k, 2**k):
-        raise ValueError(f"operator shape {op.shape} does not match {k} wires")
-    _check_wires(wires, num_qubits)
-    if state.shape[0] != 2**num_qubits:
-        raise ValueError(
-            f"state length {state.shape[0]} does not match {num_qubits} qubits"
-        )
+    op = _check_operator(state, op, wires, num_qubits)
     batched = state.ndim == 2
-    work = state if batched else state[:, None]
-    batch = work.shape[1]
-    tensor = np.asarray(work, dtype=np.complex128).reshape(
-        (2,) * num_qubits + (batch,)
-    )
-    # Axis j of the reshaped tensor corresponds to qubit num_qubits-1-j.
-    axes = [num_qubits - 1 - w for w in wires]
-    tensor = np.moveaxis(tensor, axes, range(k))
-    tail = tensor.shape[k:]
-    tensor = (op @ tensor.reshape(2**k, -1)).reshape((2,) * k + tail)
-    tensor = np.moveaxis(tensor, range(k), axes)
-    out = tensor.reshape(work.shape)
+    work = np.asarray(state if batched else state[:, None], dtype=np.complex128)
+    k = len(wires)
+    order = _support_order(wires, num_qubits)
+    view = _support_first(work, order)
+    tails = _piece_tails(view, k)
+    if len(tails) == 1:
+        applied = (op @ view.reshape(2**k, -1)).reshape(view.shape)
+        inverse = sorted(range(len(order)), key=order.__getitem__)
+        out = applied.transpose(inverse).reshape(work.shape)
+    else:
+        out = np.empty(work.shape, dtype=np.complex128)
+        target = _support_first(out, order)
+        head = (slice(None),) * k
+        for tail in tails:
+            # Copied even when the piece is a strided view already: BLAS
+            # runs far slower on rows that sit a power of two apart.
+            piece = np.ascontiguousarray(view[head + tail]).reshape(2**k, -1)
+            dest = target[head + tail]
+            dest[...] = (op @ piece).reshape(dest.shape)
     return out if batched else out[:, 0]
+
+
+def expectation(
+    vec: np.ndarray, op: np.ndarray, wires: Sequence[int], num_qubits: int
+) -> complex:
+    """Quadratic form <v|op|v> of a k-qubit operator on selected wires.
+
+    Same wire convention as ``apply_matrix``; no normalization is applied.
+    A vector of one piece is the plain ``vdot(v, apply_matrix(v))``. Past
+    that, op|v> is never formed: each piece is contracted and summed on its
+    own, and only the local indices where ``op`` has a nonzero row or
+    column are read.
+    """
+    vec = np.asarray(vec, dtype=np.complex128)
+    if vec.shape != (2**num_qubits,):
+        raise ValueError(
+            f"vector shape {vec.shape} does not match {num_qubits} qubits"
+        )
+    op = _check_operator(vec, op, wires, num_qubits)
+    if vec.size <= _PIECE_AMPS:
+        return complex(np.vdot(vec, apply_matrix(vec, op, wires, num_qubits)))
+    k = len(wires)
+    nonzero = op != 0
+    rows = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+    block = op[np.ix_(rows, rows)]
+    # View axis a is wire a, which is bit k-1-a of a local index.
+    head = tuple((rows >> (k - 1 - a)) & 1 for a in range(k))
+    view = _support_first(vec[:, None], _support_order(wires, num_qubits))
+    tails = _piece_tails(view, k)
+    width = vec.size >> (k + len(tails[0]))
+    total = 0j
+    for tail in tails:
+        piece = view[head + tail].reshape(rows.size, width)
+        total += np.vdot(piece, block @ piece)
+    return complex(total)
 
 
 def embed_operator(

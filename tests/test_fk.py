@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clockless.circuit import apply_circuit, degree_reduce, layered
+from clockless.circuit import apply_circuit, degree_reduce, input_state, layered
 from clockless.fk import (
     ClockTerm,
     MeasurementPlan,
@@ -18,7 +18,7 @@ from clockless.fk import (
     swap_test_state_pair,
     swap_test_witness,
 )
-from clockless.linalg import basis_state, product_state, random_state
+from clockless.linalg import apply_matrix, basis_state, product_state, random_state
 
 
 @pytest.fixture
@@ -75,6 +75,25 @@ def test_history_state_annihilates_everything_but_output(clock):
         e for t, e in zip(clock.terms, energies) if t.kind != "output"
     ]
     assert max(non_output) < 1e-10
+
+
+def _kron_history(ham, xi=None):
+    """Reference: the history state as a sum of clock-pattern kron products."""
+    n, big_t = ham.num_data, ham.num_steps
+    data = input_state(ham.circuit, xi)
+    out = np.kron(basis_state(0, big_t), data)
+    for t, g in enumerate(ham.steps, start=1):
+        data = apply_matrix(data, g.unitary, g.wires, n)
+        out = out + np.kron(basis_state(2**t - 1, big_t), data)
+    return out / np.sqrt(big_t + 1.0)
+
+
+def test_history_state_equals_kron_sum(clock, reduced, rng):
+    assert np.array_equal(history_state(clock), _kron_history(clock))
+    xi = random_state(reduced.n - reduced.a, rng)
+    assert np.array_equal(history_state(clock, xi), _kron_history(clock, xi))
+    broken = np.kron(basis_state(2, clock.num_steps), basis_state(0, clock.num_data))
+    assert np.array_equal(invalid_clock_state(clock), broken)
 
 
 def test_invalid_clock_pattern_violates_exactly_two_terms(clock):

@@ -1,5 +1,7 @@
 """Parent Hamiltonian terms: frustration, spectra, and assembly."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from clockless.hamiltonian import (
     term_energy,
     with_output,
 )
-from clockless.linalg import is_psd
+from clockless.linalg import basis_state, is_psd
 from clockless.peps import GridLayout, build_peps
 from clockless.spectral import dense_spectrum
 
@@ -144,6 +146,20 @@ def test_term_energy_matches_expectation(identity1, rng):
     total = sum(term_energy(t, v, 3) for t in spec.terms)
     dense = assemble(spec).dense()
     assert np.isclose(total, np.vdot(v, dense @ v).real, atol=1e-10)
+
+
+def test_term_energy_rejects_bad_vectors_and_wires():
+    term = HamiltonianTerm("output", (1,), np.diag([1.0, 0.0]), 1, (0,))
+    with pytest.raises(ValueError, match="vector shape"):
+        term_energy(term, np.ones(3), 2)
+    stray = HamiltonianTerm("output", (5,), np.diag([1.0, 0.0]), 1, (0,))
+    with pytest.raises(ValueError, match="out of range"):
+        term_energy(stray, basis_state(0, 3), 3)
+    # Terms cannot be built with a repeated support; a bare duck-typed one
+    # still reaches the wire check.
+    repeated = SimpleNamespace(support=(1, 1), block=np.eye(4))
+    with pytest.raises(ValueError, match="distinct"):
+        term_energy(repeated, basis_state(0, 3), 3)
 
 
 def test_spec_rejects_oversized_terms():

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from clockless import linalg
 from clockless.linalg import (
     apply_matrix,
     basis_state,
     bit_placement,
     density_fidelity,
     embed_operator,
+    expectation,
     is_hermitian,
     is_projector,
     is_psd,
@@ -137,3 +139,98 @@ def test_matrix_predicates(rng):
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     s = psd_sqrt(h)
     assert np.allclose(s @ s, h)
+
+
+def _reshape_apply(state, op, wires, n):
+    """Reference: one moveaxis, one reshape and one matmul over the whole state."""
+    batched = state.ndim == 2
+    work = state if batched else state[:, None]
+    k = len(wires)
+    tensor = np.asarray(work, dtype=np.complex128).reshape(
+        (2,) * n + (work.shape[1],)
+    )
+    axes = [n - 1 - w for w in wires]
+    tensor = np.moveaxis(tensor, axes, range(k))
+    tail = tensor.shape[k:]
+    tensor = (op @ tensor.reshape(2**k, -1)).reshape((2,) * k + tail)
+    out = np.moveaxis(tensor, range(k), axes).reshape(work.shape)
+    return out if batched else out[:, 0]
+
+
+def _complex_normal(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _sparse_hermitian(k, rng):
+    """A Hermitian k-qubit operator whose only nonzero rows are 1 and 2**k - 1."""
+    live = [1, 2**k - 1] if k > 1 else [1]
+    op = np.zeros((2**k, 2**k), dtype=np.complex128)
+    sub = _complex_normal(rng, len(live), len(live))
+    op[np.ix_(live, live)] = sub + sub.conj().T
+    return op
+
+
+# Seven qubits: single, unsorted MSB-first lists, and k = N (no free axes).
+ORACLE_N = 7
+ORACLE_WIRES = [(0,), (3,), (6,), (5, 1, 3), (2, 6, 0, 4), (4, 0, 6, 2, 5, 1, 3)]
+
+
+@pytest.fixture
+def tiny_pieces(monkeypatch):
+    """Shrink the piece size so every 7-qubit case streams many pieces."""
+    monkeypatch.setattr(linalg, "_PIECE_AMPS", 4)
+
+
+@pytest.mark.parametrize("wires", ORACLE_WIRES)
+def test_streamed_apply_matches_single_reshape(tiny_pieces, wires, rng):
+    n, k = ORACLE_N, len(wires)
+    op = _complex_normal(rng, 2**k, 2**k)
+    vec = _complex_normal(rng, 2**n)
+    batch = _complex_normal(rng, 2**n, 3)
+    view = linalg._support_first(vec[:, None], linalg._support_order(wires, n))
+    assert len(linalg._piece_tails(view, k)) == 2 ** min(n - k, 5)
+    for state in (vec, batch, vec.real):
+        got = apply_matrix(state, op, wires, n)
+        assert got.shape == state.shape
+        assert np.max(np.abs(got - _reshape_apply(state, op, wires, n))) <= 1e-13
+
+
+@pytest.mark.parametrize("wires", ORACLE_WIRES)
+def test_streamed_expectation_matches_vdot(tiny_pieces, wires, rng):
+    n, k = ORACLE_N, len(wires)
+    vec = _complex_normal(rng, 2**n)
+    dense = _complex_normal(rng, 2**k, 2**k)
+    for op in (dense + dense.conj().T, dense, _sparse_hermitian(k, rng)):
+        want = np.vdot(vec, _reshape_apply(vec, op, wires, n))
+        assert abs(expectation(vec, op, wires, n) - want) <= 1e-13
+
+
+def test_single_piece_is_the_plain_contraction(monkeypatch, rng):
+    # A state that just fits in one piece goes through one reshape and one
+    # matmul, so it is bit-identical to the plain contraction.
+    n = 6
+    vec = _complex_normal(rng, 2**n)
+    batch = _complex_normal(rng, 2**n, 5)
+    for wires in [(4,), (5, 0, 2), tuple(range(n))]:
+        op = _complex_normal(rng, 2 ** len(wires), 2 ** len(wires))
+        for state in (batch, vec):
+            monkeypatch.setattr(linalg, "_PIECE_AMPS", state.size)
+            assert np.array_equal(
+                apply_matrix(state, op, wires, n), _reshape_apply(state, op, wires, n)
+            )
+        want = np.vdot(vec, _reshape_apply(vec, op, wires, n))
+        assert expectation(vec, op, wires, n) == want
+
+
+def test_expectation_rejects_bad_input():
+    vec = basis_state(0, 3)
+    with pytest.raises(ValueError, match="vector shape"):
+        expectation(vec[:7], X, (0,), 3)
+    with pytest.raises(ValueError, match="vector shape"):
+        expectation(np.stack([vec, vec], axis=1), X, (0,), 3)
+    with pytest.raises(ValueError, match="distinct"):
+        expectation(vec, np.eye(4), (1, 1), 3)
+    with pytest.raises(ValueError, match="out of range"):
+        expectation(vec, X, (3,), 3)
+    with pytest.raises(ValueError, match="operator shape"):
+        expectation(vec, np.eye(4), (0,), 3)
