@@ -823,13 +823,14 @@ def cmd_fk(cfg: RunConfig) -> int:
         "history_energy_total": float(sum(energies)),
     }
     if ham.num_steps >= 2:
-        bad = ham.energies(invalid_clock_state(ham))
-        tol = max(cfg.tolerance, 1e-12)
-        violations = [i for i, e in enumerate(bad) if e > tol]
+        bad_energies = ham.energies(invalid_clock_state(ham))
+        violations = ham.violations(
+            tol=max(cfg.tolerance, 1e-12), energies=bad_energies
+        )
         report["invalid_pattern"] = {
-            "violated_terms": violations,
+            "violated_terms": list(violations),
             "kinds": [ham.terms[i].kind for i in violations],
-            "energies": [float(bad[i]) for i in violations],
+            "energies": [float(bad_energies[i]) for i in violations],
         }
     if ham.num_qubits <= 10:
         grouping = _greedy_groups(ham.terms)

@@ -11,6 +11,7 @@ tests a chain of claimed intermediate states.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,12 +136,20 @@ class ClockHamiltonian:
         )
 
     def violations(
-        self, vec: np.ndarray, tol: float = 1e-9
+        self,
+        vec: np.ndarray | None = None,
+        tol: float = 1e-9,
+        *,
+        energies: Sequence[float] | None = None,
     ) -> tuple[int, ...]:
-        """Indices of terms with energy above ``tol`` on a unit vector."""
-        return tuple(
-            i for i, e in enumerate(self.energies(vec)) if e > tol
-        )
+        """Indices of terms with energy above ``tol`` on a unit vector.
+
+        Pass ``energies``, the result of ``energies(vec)``, in place of
+        ``vec`` to threshold a pass already made.
+        """
+        if energies is None:
+            energies = self.energies(vec)
+        return tuple(i for i, e in enumerate(energies) if e > tol)
 
 
 def _first_touch_steps(

@@ -13,8 +13,9 @@ holds at most ``_PIECE_AMPS`` amplitudes, copies each piece contiguously and
 contracts it with the operator. ``apply_matrix`` writes every piece into one
 output buffer; ``expectation`` only sums <piece|op|piece> and reads just the
 local indices the operator touches. Neither allocates anything of size 2**N
-beyond the output. A state that fits in one piece takes one reshape and one
-matmul, exactly as a plain moveaxis/reshape contraction does.
+beyond the output. A state that fits in one piece is copied once and
+contracted with one matmul, exactly as a plain moveaxis/reshape contraction
+does.
 
 All functions are pure; inputs are never mutated.
 """
@@ -164,21 +165,19 @@ def apply_matrix(
     k = len(wires)
     order = _support_order(wires, num_qubits)
     view = _support_first(work, order)
-    tails = _piece_tails(view, k)
-    if len(tails) == 1:
-        applied = (op @ view.reshape(2**k, -1)).reshape(view.shape)
-        inverse = sorted(range(len(order)), key=order.__getitem__)
-        out = applied.transpose(inverse).reshape(work.shape)
-    else:
-        out = np.empty(work.shape, dtype=np.complex128)
-        target = _support_first(out, order)
-        head = (slice(None),) * k
-        for tail in tails:
-            # Copied even when the piece is a strided view already: BLAS
-            # runs far slower on rows that sit a power of two apart.
-            piece = np.ascontiguousarray(view[head + tail]).reshape(2**k, -1)
-            dest = target[head + tail]
-            dest[...] = (op @ piece).reshape(dest.shape)
+    head = (slice(None),) * k
+    out = None
+    for tail in _piece_tails(view, k):
+        # Copied even when the piece is a strided view already: BLAS
+        # runs far slower on rows that sit a power of two apart.
+        applied = op @ np.ascontiguousarray(view[head + tail]).reshape(2**k, -1)
+        if out is None:
+            # Allocated once the first piece's copy is freed, so a state of
+            # one piece holds input, product and output, no fourth buffer.
+            out = np.empty(work.shape, dtype=np.complex128)
+            target = _support_first(out, order)
+        dest = target[head + tail]
+        dest[...] = applied.reshape(dest.shape)
     return out if batched else out[:, 0]
 
 

@@ -103,6 +103,7 @@ def test_invalid_clock_pattern_violates_exactly_two_terms(clock):
     kinds = sorted(clock.terms[i].kind for i in bad)
     assert kinds == ["clock", "propagation"]
     energies = clock.energies(vec)
+    assert clock.violations(energies=energies) == bad
     hit = sorted(energies[i] for i in bad)
     assert np.allclose(hit, [0.5, 1.0], atol=1e-12)
 

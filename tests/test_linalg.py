@@ -206,8 +206,8 @@ def test_streamed_expectation_matches_vdot(tiny_pieces, wires, rng):
 
 
 def test_single_piece_is_the_plain_contraction(monkeypatch, rng):
-    # A state that just fits in one piece goes through one reshape and one
-    # matmul, so it is bit-identical to the plain contraction.
+    # A state that just fits in one piece goes through one contiguous copy
+    # and one matmul, so it is bit-identical to the plain contraction.
     n = 6
     vec = _complex_normal(rng, 2**n)
     batch = _complex_normal(rng, 2**n, 5)
