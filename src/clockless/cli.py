@@ -75,7 +75,7 @@ from .soundness import (
     run_suite,
     violated_locations,
 )
-from .spectral import dense_spectrum, gap_vs_bound, low_spectrum
+from .spectral import dense_spectrum, gap_vs_bound, low_spectrum, solver_for
 
 # Residual the closed-form suite is accurate to; a requested tolerance
 # below this can fail without indicting the construction itself.
@@ -315,9 +315,7 @@ def _schedule(cfg: RunConfig, depth: int) -> tuple[float, ...]:
 
 
 def _solver_choice(cfg: RunConfig, num_qubits: int) -> str:
-    if cfg.solver != "auto":
-        return cfg.solver
-    return "dense" if num_qubits <= 10 else "iterative"
+    return solver_for(num_qubits) if cfg.solver == "auto" else cfg.solver
 
 
 def _require_sparse_export(num_qubits: int) -> None:

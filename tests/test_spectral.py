@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
 
 from clockless.circuit import layered
 from clockless.hamiltonian import assemble, parent_spec
 from clockless.linalg import embed_operator, random_projector, random_state
 from clockless.spectral import (
+    ConvergenceError,
     assemble_total_with_gap,
     dense_spectrum,
     detectability_check,
@@ -55,6 +57,72 @@ def test_low_spectrum_deterministic(identity1):
     a = low_spectrum(op, k=3, seed=9)
     b = low_spectrum(op, k=3, seed=9)
     assert np.array_equal(a.lowest_eigenvalues, b.lowest_eigenvalues)
+
+
+def test_low_spectrum_input_forms_agree():
+    # 6 qubits, a doubly degenerate zero-energy ground space
+    op = assemble(parent_spec(layered(2, 1, [[("CNOT", (0, 1))]]), 0.4))
+    dense = dense_spectrum(op).lowest_eigenvalues[:4]
+    for form in (op, op.to_sparse(), op.dense()):
+        report = low_spectrum(form, k=4, seed=2)
+        assert np.allclose(report.lowest_eigenvalues, dense, atol=1e-10)
+        assert report.ground_dim == 2
+
+
+def test_low_spectrum_finds_exact_zero():
+    # scipy's ARPACK drops a Ritz value of exactly 0.0 unless it is shifted
+    report = low_spectrum(np.diag(np.arange(64.0)), k=4)
+    assert np.allclose(report.lowest_eigenvalues, [0.0, 1.0, 2.0, 3.0], atol=1e-10)
+    assert report.ground_dim == 1 and report.ground_resolved
+
+
+def test_low_spectrum_flags_unresolved_ground():
+    report = low_spectrum(np.diag(np.r_[0.0, 0.0, np.arange(1.0, 63.0)]), k=2)
+    assert report.ground_dim == 2
+    assert not report.ground_resolved and np.isnan(report.gap)
+
+
+def test_low_spectrum_rejects_k_before_solving():
+    def refuse(v):
+        raise AssertionError("the operator was applied")
+
+    op = LinearOperator((8, 8), matvec=refuse, dtype=complex)
+    for k in (0, 7, 8):
+        with pytest.raises(ValueError):
+            low_spectrum(op, k=k)
+
+
+def test_low_spectrum_budget_exhausted(hcnot):
+    op = assemble(parent_spec(hcnot, 0.5))
+    with pytest.raises(ConvergenceError) as err:
+        low_spectrum(op, k=4, max_iter=1)
+    assert err.value.iterations >= 1
+
+
+# Lowest six eigenvalues of the parent of the circuit below at delta 0.5
+# (14 grid qubits): a doubly degenerate ground space under two doubly
+# degenerate excited levels.
+C14_LOWEST = [
+    -1.1416597369608145e-14,
+    -1.9409872310173644e-15,
+    0.04204917382750499,
+    0.04204917382751365,
+    0.0464300458332436,
+    0.04643004583325062,
+]
+
+
+def test_low_spectrum_keeps_degenerate_copies():
+    c = layered(2, 1, [
+        [("H", (0,)), ("T", (1,))],
+        [("CNOT", (0, 1))],
+        [("S", (0,)), ("H", (1,))],
+    ])
+    # The start vector of seed 10 once lost the second copy of both
+    # excited levels and reported 0.0601 and 0.0615 in their place.
+    report = low_spectrum(assemble(parent_spec(c, 0.5)), k=6, tol=1e-9, seed=10)
+    assert report.ground_dim == 2
+    assert np.allclose(report.lowest_eigenvalues, C14_LOWEST, atol=1e-8)
 
 
 def test_gap_vs_bound_identity(identity1):
