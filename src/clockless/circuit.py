@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DENSE_QUBIT_CAP, apply_matrix, basis_state, is_unitary
+from .limits import dense_bytes, require
+from .linalg import apply_matrix, basis_state, is_unitary
 from .pauli import word_decompose, word_stack
 
 __all__ = [
@@ -281,10 +282,7 @@ class LayerOperator:
         return out
 
     def dense(self) -> np.ndarray:
-        if self.num_wires > DENSE_QUBIT_CAP:
-            raise ValueError(
-                f"dense layer matrix on {self.num_wires} wires refused"
-            )
+        require("a dense layer unitary", self.num_wires, dense_bytes(self.num_wires))
         return self.apply(np.eye(self.dim, dtype=np.complex128))
 
 
@@ -304,8 +302,7 @@ def apply_circuit(c: LayeredCircuit, state: np.ndarray) -> np.ndarray:
 
 
 def circuit_unitary(c: LayeredCircuit) -> np.ndarray:
-    if c.n > DENSE_QUBIT_CAP:
-        raise ValueError(f"dense circuit matrix on {c.n} wires refused")
+    require("a dense circuit unitary", c.n, dense_bytes(c.n))
     return apply_circuit(c, np.eye(2**c.n, dtype=np.complex128))
 
 

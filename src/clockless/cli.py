@@ -4,7 +4,7 @@ Every run is driven by one RunConfig assembled from defaults, an optional
 config file, and command-line flags, in rising precedence. The effective
 config is echoed to the output directory next to the artifacts, so a run
 is reproducible from that file alone. Exit codes: 0 success, 1 a check
-failed, 2 bad input.
+failed, 2 bad input or a run refused by the memory budget.
 """
 
 from __future__ import annotations
@@ -40,12 +40,13 @@ from .fk import (
     dl_product,
     history_state,
     invalid_clock_state,
+    require_simulable,
     swap_test_witness,
 )
-from .linalg import DENSE_QUBIT_CAP, SPARSE_QUBIT_CAP, trace_distance
+from .limits import SCAN_POINT_CAP, ResourceError
+from .linalg import trace_distance
 from .pauli import phi0
 from .peps import (
-    GridLayout,
     build_peps,
     depolarizing_reference_marginal,
     expansion,
@@ -80,9 +81,6 @@ from .spectral import dense_spectrum, gap_vs_bound, low_spectrum, solver_for
 # Residual the closed-form suite is accurate to; a requested tolerance
 # below this can fail without indicting the construction itself.
 _ACCURACY_FLOOR = 1e-9
-
-_SCAN_POINT_CAP = 512
-_VERIFIER_QUBIT_CAP = 22
 
 
 class InputError(Exception):
@@ -265,14 +263,13 @@ def parse_args(argv) -> RunConfig:
         cfg = RunConfig.from_dict(data, cfg)
 
     updates = {}
-    for name in ("circuit", "delta", "seed", "out", "tolerance", "alpha"):
-        value = getattr(args, name)
+    for name in (
+        "circuit", "delta", "seed", "out", "tolerance", "alpha", "solver",
+        "fault_file", "instances",
+    ):
+        value = getattr(args, name, None)
         if value is not None:
             updates[name] = value
-    if args.solver is not None:
-        updates["solver"] = args.solver
-    if args.fault_file is not None:
-        updates["fault_file"] = args.fault_file
     if args.delta_layer:
         updates["delta_layers"] = _parse_assignments(
             args.delta_layer, "--delta-layer"
@@ -288,8 +285,6 @@ def parse_args(argv) -> RunConfig:
     if getattr(args, "suites", None) is not None:
         names = tuple(s for s in args.suites.split(",") if s)
         updates["suites"] = names
-    if getattr(args, "instances", None) is not None:
-        updates["instances"] = args.instances
     return replace(cfg, **updates)
 
 
@@ -318,15 +313,6 @@ def _solver_choice(cfg: RunConfig, num_qubits: int) -> str:
     return solver_for(num_qubits) if cfg.solver == "auto" else cfg.solver
 
 
-def _require_sparse_export(num_qubits: int) -> None:
-    """Refuse --mtx up front, before any artifact is written."""
-    if num_qubits > SPARSE_QUBIT_CAP:
-        raise InputError(
-            f"--mtx would export a sparse matrix on {num_qubits} qubits, "
-            f"beyond the cap of {SPARSE_QUBIT_CAP}; drop --mtx"
-        )
-
-
 # --------------------------------------------------------------------------
 # build
 
@@ -334,19 +320,22 @@ def _require_sparse_export(num_qubits: int) -> None:
 def cmd_build(cfg: RunConfig) -> int:
     c = _load_circuit(cfg)
     schedule = _schedule(cfg, c.depth)
-    if cfg.mtx:
-        _require_sparse_export(GridLayout(c.n, c.depth).num_qubits)
-    state = build_peps(c, schedule)
     spec = parent_spec(c, schedule)
+    operator = assemble(spec)
+    method = _solver_choice(cfg, spec.layout.num_qubits)
+    # Refuse an oversized export or diagonalization before writing anything.
+    if cfg.mtx:
+        operator.require_sparse()
+    if method == "dense":
+        operator.require_dense()
+    state = build_peps(c, schedule)
     _echo_config(cfg)
     cio.write_state_bin(os.path.join(cfg.out, "state.bin"), state.amplitudes)
     cio.write_term_manifest(os.path.join(cfg.out, "terms.json"), spec.terms)
-    operator = assemble(spec)
     if cfg.mtx:
         cio.write_matrix_market(
             os.path.join(cfg.out, "hamiltonian.mtx"), operator
         )
-    method = _solver_choice(cfg, spec.layout.num_qubits)
     if method == "dense":
         spectral = dense_spectrum(operator, vectors=cfg.eigenvalues)
     else:
@@ -635,23 +624,12 @@ SCAN_HEADER = (
 
 
 def cmd_scan(cfg: RunConfig) -> int:
-    if cfg.circuit is not None:
-        c = _load_circuit(cfg)
-    else:
-        c = layered(1, 1, [[("I", (0,))]])
+    c = _load_circuit(cfg) if cfg.circuit is not None else layered(1, 1, [[("I", (0,))]])
     grid = cfg.delta_grid if cfg.delta_grid is not None else (cfg.delta,)
-    num_qubits = c.n * (2 * c.depth + 1)
-    if len(grid) > _SCAN_POINT_CAP:
+    if len(grid) > SCAN_POINT_CAP:
         raise InputError(
             f"grid of {len(grid)} points exceeds the cap of "
-            f"{_SCAN_POINT_CAP}; split the sweep"
-        )
-    if num_qubits > DENSE_QUBIT_CAP:
-        estimate = 16.0 * 4.0**num_qubits / 2**30
-        raise InputError(
-            f"scan would diagonalize {len(grid)} operators on "
-            f"{num_qubits} qubits (~{estimate:.1f} GiB dense each); "
-            f"the cap is {DENSE_QUBIT_CAP} qubits"
+            f"{SCAN_POINT_CAP}; split the sweep"
         )
     rows = []
     for delta in grid:
@@ -789,7 +767,7 @@ def cmd_fk(cfg: RunConfig) -> int:
     reduced = degree_reduce(c)
     ham = build_modified_fk(reduced)
     if cfg.mtx:
-        _require_sparse_export(ham.num_qubits)
+        ham.operator().require_sparse()
     _echo_config(cfg)
     cio.write_term_manifest(
         os.path.join(cfg.out, "clock_terms.json"), ham.terms
@@ -806,11 +784,7 @@ def cmd_fk(cfg: RunConfig) -> int:
         )
     hist = history_state(ham)
     energies = ham.energies(hist)
-    offenders = max(
-        e
-        for t, e in zip(ham.terms, energies)
-        if t.kind in ("propagation", "clock", "input")
-    )
+    offenders = max(e for t, e in zip(ham.terms, energies) if t.kind != "output")
     report = {
         "num_data": ham.num_data,
         "num_steps": ham.num_steps,
@@ -858,11 +832,7 @@ def cmd_fk(cfg: RunConfig) -> int:
 def cmd_swapqma(cfg: RunConfig) -> int:
     c = _load_circuit(cfg)
     verifier, plan = build_swap_test_verifier(c)
-    if verifier.n > _VERIFIER_QUBIT_CAP:
-        raise InputError(
-            f"the verifier needs {verifier.n} qubits, beyond the "
-            f"simulable cap of {_VERIFIER_QUBIT_CAP}"
-        )
+    require_simulable(verifier)
     _echo_config(cfg)
     cio.write_circuit_json(
         os.path.join(cfg.out, "verifier_circuit.json"), verifier
@@ -911,10 +881,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_args(argv)
         return _COMMANDS[cfg.command](cfg)
-    except (InputError, cio.SchemaError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (InputError, ResourceError, cio.SchemaError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

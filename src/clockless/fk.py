@@ -27,6 +27,7 @@ from .circuit import (
     require_valid,
 )
 from .hamiltonian import LocalTerm, SparseOperator, term_energy
+from .limits import require, vector_bytes
 from .linalg import (
     apply_matrix,
     basis_state,
@@ -38,7 +39,7 @@ from .linalg import (
 _IDENTITY_STEP = Gate(wires=(0,), unitary=np.eye(2), name="I")
 
 # Wires a single wire may meet before the clock-qubit degree budget breaks.
-_WIRE_GATE_CAP = 3
+_MAX_WIRE_GATES = 3
 
 
 @dataclass(frozen=True)
@@ -202,12 +203,12 @@ def build_modified_fk(
             )
         for w in g.wires:
             meets[w] = meets.get(w, 0) + 1
-    crowded = {w: k for w, k in meets.items() if k > _WIRE_GATE_CAP}
+    crowded = {w: k for w, k in meets.items() if k > _MAX_WIRE_GATES}
     if crowded:
         worst = max(crowded, key=crowded.get)
         raise ValueError(
             f"wire {worst} meets {crowded[worst]} non-identity gates, more "
-            f"than the degree-reduced cap of {_WIRE_GATE_CAP}; run "
+            f"than the degree-reduced cap of {_MAX_WIRE_GATES}; run "
             "degree_reduce first"
         )
     if not steps:
@@ -353,6 +354,11 @@ class MeasurementPlan:
             raise ValueError("one accept bit per measured wire")
         if any(b not in (0, 1) for b in self.accept_bits):
             raise ValueError("accept bits must be 0 or 1")
+
+
+def require_simulable(c: LayeredCircuit) -> None:
+    """Refuse ``c`` if the ~3 vectors ``accept_probability`` holds overrun memory."""
+    require("simulating a circuit", c.n, vector_bytes(c.n, 3))
 
 
 def accept_probability(

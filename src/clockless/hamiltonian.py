@@ -39,9 +39,8 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .circuit import Gate, LayeredCircuit
+from .limits import coo_bytes, dense_bytes, require
 from .linalg import (
-    DENSE_QUBIT_CAP,
-    SPARSE_QUBIT_CAP,
     apply_matrix,
     bit_placement,
     embed_operator,
@@ -341,8 +340,8 @@ class SparseOperator:
     """Sum of embedded term blocks, applied term by term without assembly.
 
     ``apply`` is the primary interface and works at any size; ``to_sparse``
-    and ``dense`` materialize the operator and are capped at 2^14 and 2^12
-    dimensions respectively.
+    and ``dense`` materialize the operator once ``require_sparse`` and
+    ``require_dense`` find it within the memory budget.
     """
 
     num_qubits: int
@@ -373,12 +372,18 @@ class SparseOperator:
             (self.dim, self.dim), matvec=self.apply, dtype=np.complex128
         )
 
+    def require_sparse(self) -> None:
+        nonzeros = sum(
+            np.count_nonzero(t.block) << (self.num_qubits - len(t.support))
+            for t in self.terms
+        )
+        require("a sparse matrix", self.num_qubits, coo_bytes(nonzeros))
+
+    def require_dense(self) -> None:
+        require("a dense matrix", self.num_qubits, dense_bytes(self.num_qubits))
+
     def to_sparse(self) -> scipy.sparse.csr_matrix:
-        if self.num_qubits > SPARSE_QUBIT_CAP:
-            raise ValueError(
-                f"refusing to materialize a {self.dim}-dimensional sparse "
-                f"matrix (cap is 2^{SPARSE_QUBIT_CAP}); use apply()"
-            )
+        self.require_sparse()
         rows, cols, vals = [], [], []
         for t, s in zip(self.terms, self.scales):
             loc = set(t.support)
@@ -400,11 +405,7 @@ class SparseOperator:
         return mat.tocsr()
 
     def dense(self) -> np.ndarray:
-        if self.num_qubits > DENSE_QUBIT_CAP:
-            raise ValueError(
-                f"refusing to materialize a {self.dim}-dimensional dense "
-                f"matrix (cap is 2^{DENSE_QUBIT_CAP})"
-            )
+        self.require_dense()
         return self.to_sparse().toarray()
 
 

@@ -390,14 +390,11 @@ def write_term_manifest(path, terms) -> None:
 
 
 def write_matrix_market(path, op) -> None:
-    """Coordinate-format complex Hermitian export, 1-based indices."""
-    if hasattr(op, "to_sparse"):
-        matrix = op.to_sparse()
-    else:
-        matrix = scipy.sparse.coo_matrix(np.asarray(op, dtype=np.complex128))
+    """Coordinate-format complex Hermitian export of a ``SparseOperator``,
+    1-based indices."""
     buffer = io.BytesIO()
     scipy.io.mmwrite(
-        buffer, matrix.tocoo(), field="complex", symmetry="hermitian",
+        buffer, op.to_sparse().tocoo(), field="complex", symmetry="hermitian",
         precision=17,
     )
     atomic_write_bytes(path, buffer.getvalue())

@@ -1,0 +1,63 @@
+"""One memory budget for every operation that grows with the grid.
+
+An n-wire, depth-D circuit lives on n x (2D+1) qubits, so dense matrices,
+sparse exports, Krylov bases and enumerations are exponential in the grid.
+Each such operation estimates its largest arrays with the helpers below and
+calls ``require`` before allocating them; an estimate past ``MEMORY_BUDGET``
+raises ``ResourceError``, which the CLI reports as exit 2.
+
+``MEMORY_BUDGET`` is 2^28 bytes (256 MiB), one dense complex matrix on 12
+qubits: the largest the exact-diagonalization oracles need, and small enough
+that the copies a dense solve makes still fit on a desk machine.
+"""
+
+from __future__ import annotations
+
+__all__ = [
+    "MEMORY_BUDGET", "SCAN_POINT_CAP", "ResourceError", "coo_bytes",
+    "dense_bytes", "enumeration_bytes", "require", "vector_bytes",
+]
+
+MEMORY_BUDGET = 2**28
+
+# Grid points one scan may request: a count, not bytes.
+SCAN_POINT_CAP = 512
+
+# Python bookkeeping of one enumerated entry beside its vector (about 520 B
+# measured with tracemalloc on exhaustive expansions).
+_ENTRY_OVERHEAD = 512
+
+
+class ResourceError(ValueError):
+    """An operation whose memory estimate exceeds ``MEMORY_BUDGET``."""
+
+
+def require(what: str, num_qubits: int, nbytes: int) -> None:
+    """Refuse ``what`` on ``num_qubits`` qubits if ``nbytes`` is over budget."""
+    if nbytes > MEMORY_BUDGET:
+        raise ResourceError(
+            f"{what} on {num_qubits} qubits would take about "
+            f"{nbytes / 2**30:.3g} GiB, beyond the memory budget of "
+            f"{MEMORY_BUDGET / 2**30:g} GiB"
+        )
+
+
+def dense_bytes(num_qubits: int) -> int:
+    """One dense complex 2^N x 2^N matrix."""
+    return 16 << (2 * num_qubits)
+
+
+def vector_bytes(num_qubits: int, count: int = 1) -> int:
+    """``count`` complex vectors of length 2^N."""
+    return (16 * count) << num_qubits
+
+
+def coo_bytes(nonzeros: int) -> int:
+    """A sparse build holding up to three 32 B copies (two int64 indices, a
+    complex value) of each entry: per-term pieces, joined, compressed."""
+    return 96 * nonzeros
+
+
+def enumeration_bytes(count: int, num_qubits: int) -> int:
+    """``count`` enumerated entries, each holding a vector on ``num_qubits``."""
+    return count * (_ENTRY_OVERHEAD + vector_bytes(num_qubits))

@@ -27,9 +27,9 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
+from .limits import dense_bytes, require
+
 __all__ = [
-    "DENSE_QUBIT_CAP",
-    "SPARSE_QUBIT_CAP",
     "apply_matrix",
     "basis_state",
     "bit_placement",
@@ -50,18 +50,6 @@ __all__ = [
     "trace_distance",
     "trace_norm",
 ]
-
-# Dense embeddings above this many qubits would allocate gigabytes; refuse.
-_EMBED_QUBIT_CAP = 13
-
-# Dense matrices (layer and circuit unitaries, assembled Hamiltonians,
-# extracted rotated blocks, eigendecompositions) are refused above this
-# many qubits: the eigenvector matrix alone would outgrow desk memory.
-DENSE_QUBIT_CAP = 12
-
-# Sparse Hamiltonian matrices (and their Matrix Market exports) are
-# refused above this many qubits; use the term-wise matvec instead.
-SPARSE_QUBIT_CAP = 14
 
 # Amplitudes per piece of the streamed contraction (1 MiB of complex128).
 # Large enough that the fixed cost of one matmul call and the Python around
@@ -220,11 +208,7 @@ def embed_operator(
     op: np.ndarray, wires: Sequence[int], num_qubits: int
 ) -> np.ndarray:
     """Dense 2**N x 2**N embedding of ``op`` on ``wires``, identity elsewhere."""
-    if num_qubits > _EMBED_QUBIT_CAP:
-        raise ValueError(
-            f"refusing dense embedding on {num_qubits} qubits "
-            f"(cap {_EMBED_QUBIT_CAP})"
-        )
+    require("a dense embedding", num_qubits, dense_bytes(num_qubits))
     eye = np.eye(2**num_qubits, dtype=np.complex128)
     return apply_matrix(eye, op, wires, num_qubits)
 

@@ -40,6 +40,7 @@ from .circuit import (
     require_valid,
     resolve_witness,
 )
+from .limits import enumeration_bytes, require
 from .linalg import apply_matrix, embed_operator, is_hermitian, partial_trace, product_state
 from .pauli import PAULI_TAGS, PauliWord, bell_state, pauli_matrix, q_matrix
 
@@ -62,8 +63,6 @@ __all__ = [
     "resolve_deltas",
     "sample_pauli_patterns",
 ]
-
-_ENUMERATION_BUDGET = 4**10
 
 
 @dataclass(frozen=True)
@@ -308,7 +307,7 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
 
     With ``max_weight`` set, only words up to that weight are produced and
     the dropped coefficient mass is bounded by a binomial tail; otherwise the
-    full 4^(nD) enumeration runs, guarded by a fixed budget.
+    full 4^(nD) enumeration runs, guarded by the memory budget.
     """
     require_valid(c)
     input_vec = input_state(c, xi)
@@ -316,11 +315,8 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
     layout = GridLayout(c.n, c.depth)
     num_sites = layout.num_sites
     if max_weight is None:
-        if 4**num_sites > _ENUMERATION_BUDGET:
-            raise ValueError(
-                f"4^{num_sites} words exceed the enumeration budget; "
-                "pass max_weight to truncate"
-            )
+        nbytes = enumeration_bytes(4**num_sites, c.n)
+        require("a Pauli expansion without max_weight", layout.num_qubits, nbytes)
         words = itertools.product(PAULI_TAGS, repeat=num_sites)
         truncation = 0.0
     else:

@@ -35,7 +35,8 @@ import numpy as np
 
 from .circuit import Gate, LayeredCircuit, layered
 from .hamiltonian import HamiltonianTerm, input_term
-from .linalg import DENSE_QUBIT_CAP, apply_matrix, bit_placement, embed_operator
+from .limits import dense_bytes, require
+from .linalg import apply_matrix, bit_placement, embed_operator
 from .pauli import (
     PAULI_TAGS,
     bell_basis_matrix,
@@ -137,8 +138,7 @@ def _conjugated_block(
     """
     n = rot.num_qubits
     m = len(support)
-    if m > DENSE_QUBIT_CAP:
-        raise ValueError(f"extraction support of {m} qubits is too large")
+    require("rotated-block extraction", m, dense_bytes(m))
     place = bit_placement(support)
     dim = 2**m
     block = np.zeros((dim, dim), dtype=np.complex128)

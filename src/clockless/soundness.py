@@ -11,7 +11,9 @@ suites.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,6 +29,7 @@ from .circuit import (
     resolve_witness,
 )
 from .hamiltonian import energy, parent_spec, propagation_term
+from .limits import enumeration_bytes, require
 from .linalg import (
     basis_state,
     partial_trace,
@@ -61,9 +64,6 @@ from .spectral import (
     jordan_angles,
     union_bound_check,
 )
-
-# Cap on the number of error words one extraction may enumerate.
-_EXTRACTION_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -394,7 +394,7 @@ def extract_decomposition(
     {|0>, |1>} at inputs, the Pauli-shifted Choi states at gates. What
     survives each contraction is the residual witness state, whose norm is
     the coefficient. Words with coefficient at or below ``tol`` are
-    dropped. Raises when the enumeration would exceed the module budget or
+    dropped. Raises when the entries would exceed the memory budget or
     when the state does not factor over the declared pattern.
     """
     c, layout, fault = state.circuit, state.layout, state.fault
@@ -405,14 +405,11 @@ def extract_decomposition(
     amps = amps / np.linalg.norm(amps)
     frame, slots, groups = _fault_frame(c, fault, layout)
 
-    count = 1
-    for group in groups:
-        count *= len(group)
-    if count > _EXTRACTION_BUDGET:
-        raise ValueError(
-            f"error-basis enumeration needs {count} words, budget is "
-            f"{_EXTRACTION_BUDGET}"
-        )
+    # Each entry keeps a residual on the qubits that no bra contracts.
+    bras = frame + [g[0][1:] for g in groups]
+    kept = layout.num_qubits - sum(len(q) for _, q in bras)
+    nbytes = enumeration_bytes(math.prod(len(g) for g in groups), kept)
+    require("an error-basis enumeration", layout.num_qubits, nbytes)
 
     entries = []
     total = 0.0
@@ -1133,17 +1130,9 @@ def run_suite(
     index order regardless of how many workers ran them. Worker count
     falls back to the CLOCKLESS_THREADS environment variable.
     """
-    try:
-        salt, fn = _SUITES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown suite {name!r}; known: {sorted(_SUITES)}"
-        ) from None
-
-    def one(index: int) -> InstanceRecord:
-        rng = np.random.default_rng((seed, salt, index))
-        return fn(name, index, rng)
-
+    if name not in _SUITES:
+        raise ValueError(f"unknown suite {name!r}; known: {sorted(_SUITES)}")
+    one = functools.partial(replay_instance, name, seed)
     workers = _worker_count(max_workers)
     if workers == 1 or instances <= 1:
         records = [one(i) for i in range(instances)]

@@ -45,7 +45,7 @@ from .hamiltonian import (
     parent_spec,
     with_output,
 )
-from .linalg import DENSE_QUBIT_CAP
+from .limits import dense_bytes, require, vector_bytes
 from .peps import resolve_deltas
 
 __all__ = [
@@ -135,25 +135,16 @@ def _gap(eigs: np.ndarray, ground: int) -> float:
     return float(eigs[ground] - eigs[0])
 
 
-def _require_dense_dim(dim: int) -> None:
-    if dim > 2**DENSE_QUBIT_CAP:
-        raise ValueError(
-            f"dimension {dim} exceeds the dense cap {2**DENSE_QUBIT_CAP}"
-        )
-
-
 def _as_dense(op) -> np.ndarray:
     if isinstance(op, SparseOperator):
         return op.dense()
-    if scipy.sparse.issparse(op):
-        _require_dense_dim(op.shape[0])
-        return op.toarray()
-    if isinstance(op, np.ndarray):
-        if op.ndim != 2 or op.shape[0] != op.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {op.shape}")
-        _require_dense_dim(op.shape[0])
-        return op
-    raise TypeError(f"cannot materialize {type(op).__name__} as a dense matrix")
+    if not (scipy.sparse.issparse(op) or isinstance(op, np.ndarray)):
+        raise TypeError(f"cannot materialize {type(op).__name__} as a dense matrix")
+    if op.ndim != 2 or op.shape[0] != op.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {op.shape}")
+    qubits = (op.shape[0] - 1).bit_length()
+    require("a dense eigendecomposition", qubits, dense_bytes(qubits))
+    return op.toarray() if scipy.sparse.issparse(op) else op
 
 
 def dense_spectrum(
@@ -301,11 +292,19 @@ def solver_for(num_qubits: int) -> str:
     return "dense" if num_qubits <= 10 else "iterative"
 
 
-def _solver_report(operator: SparseOperator, ground_hint: int, seed: int) -> SpectralReport:
-    """The chosen solver, asking the iterative one for room past the hint."""
-    if solver_for(operator.num_qubits) == "dense":
+def _solver_report(
+    c: LayeredCircuit, spec: HamiltonianSpec, include_input: bool, seed: int
+) -> SpectralReport:
+    """The chosen solver, asking the iterative one for room past the ground
+    space, of dimension 2^(n-a) with the input terms and 2^n without."""
+    operator = assemble(spec)
+    n = operator.num_qubits
+    if solver_for(n) == "dense":
         return dense_spectrum(operator)
-    k = min(ground_hint + 4, operator.dim - 2)
+    ground = 2 ** (c.n - c.a) if include_input else 2**c.n
+    k = min(ground + 4, operator.dim - 2)
+    # Refused before ARPACK allocates its basis of max(2k+1, 20) vectors.
+    require("an ARPACK basis", n, vector_bytes(n, max(2 * k + 1, 20)))
     return low_spectrum(operator, k=k, seed=seed)
 
 
@@ -336,8 +335,7 @@ def gap_vs_bound(
             f"got {len(localities)} locality entries for depth {c.depth}"
         )
     spec = parent_spec(c, schedule, include_input=include_input)
-    ground_hint = 2 ** (c.n - c.a) if include_input else 2**c.n
-    report = _solver_report(assemble(spec), ground_hint, seed)
+    report = _solver_report(c, spec, include_input, seed)
     gap = report.gap
     if not gap > 0.0:
         raise ArithmeticError(f"parent Hamiltonian gap {gap!r} is not positive")
@@ -368,8 +366,7 @@ def assemble_total_with_gap(
     parent = parent_spec(
         c, deltas, stabilizer_checks=stabilizer_checks, include_input=include_input
     )
-    ground_hint = 2 ** (c.n - c.a) if include_input else 2**c.n
-    report = _solver_report(assemble(parent), ground_hint, seed)
+    report = _solver_report(c, parent, include_input, seed)
     if not report.gap > 0.0:
         raise ArithmeticError(
             f"parent Hamiltonian gap {report.gap!r} is not positive; "
@@ -506,11 +503,10 @@ def jordan_angles(p1: np.ndarray, p2: np.ndarray) -> JordanDecomposition:
     one-dimensional blocks, and range directions invisible to the other
     projector (including any rank surplus on either side) give the rest.
     """
-    first = _require_projector(np.asarray(p1, dtype=np.complex128), tol=1e-10)
-    second = _require_projector(np.asarray(p2, dtype=np.complex128), tol=1e-10)
+    first = _require_projector(_as_dense(np.asarray(p1, dtype=np.complex128)), 1e-10)
+    second = _require_projector(_as_dense(np.asarray(p2, dtype=np.complex128)), 1e-10)
     if first.shape != second.shape:
         raise ValueError("projectors must act on the same space")
-    _require_dense_dim(first.shape[0])
     x = _range_basis(first)
     y = _range_basis(second)
     r1, r2 = x.shape[1], y.shape[1]
@@ -610,11 +606,10 @@ def geometric_bound(a: np.ndarray, b: np.ndarray) -> GeometricBound:
     inside the other, nothing remains after the split; θ is then zero
     and the bound degenerates to the trivial statement λ_min ≥ 0.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _as_dense(np.asarray(a, dtype=np.complex128))
+    b = _as_dense(np.asarray(b, dtype=np.complex128))
+    if a.shape != b.shape:
         raise ValueError("A and B must be square matrices of the same shape")
-    _require_dense_dim(a.shape[0])
     for m in (a, b):
         if np.abs(m - m.conj().T).max() > 1e-10 * max(1.0, float(np.abs(m).max())):
             raise ValueError("operator is not Hermitian")

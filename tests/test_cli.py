@@ -430,3 +430,73 @@ def test_config_echo_written(tmp_path, identity_json):
     echoed = read_json(os.path.join(out, "config.json"))
     assert echoed["delta"] == 0.8
     assert echoed["command"] == "build"
+
+
+# The pinned 14-qubit circuit of perfbench/inputs/c14.json.
+C14 = {
+    "version": 1, "n": 2, "a": 1,
+    "layers": [
+        [{"gate": "H", "wires": [0]}, {"gate": "T", "wires": [1]}],
+        [{"gate": "CNOT", "wires": [0, 1]}],
+        [{"gate": "S", "wires": [0]}, {"gate": "H", "wires": [1]}],
+    ],
+}
+
+
+def test_dense_build_beyond_budget_exits_2_without_outputs(tmp_path, capsys):
+    circuit = tmp_path / "c14.json"
+    circuit.write_text(json_text(C14))
+    out = tmp_path / "out"
+    code = main(["build", "--dense", "--circuit", str(circuit), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "14 qubits" in err and "GiB" in err and "memory budget" in err
+    assert not out.exists()
+
+
+def test_verify_beyond_budget_exits_2_without_outputs(tmp_path, capsys):
+    # a = n asks for the dense ground-state check, here on 14 qubits
+    circuit = tmp_path / "wide.json"
+    circuit.write_text(json_text({
+        "version": 1, "n": 2, "a": 2,
+        "layers": [
+            [{"gate": "H", "wires": [0]}, {"gate": "I", "wires": [1]}],
+            [{"gate": "CNOT", "wires": [0, 1]}],
+            [{"gate": "I", "wires": [0]}, {"gate": "I", "wires": [1]}],
+        ],
+    }))
+    out = tmp_path / "out"
+    code = main(["verify", "--circuit", str(circuit), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "14 qubits" in err and "GiB" in err
+    assert not out.exists()
+
+
+def test_scan_past_dense_size_matches_build_gap(tmp_path):
+    circuit = tmp_path / "c14.json"
+    circuit.write_text(json_text(C14))
+    scanned, built = tmp_path / "scan", tmp_path / "build"
+    assert main([
+        "scan", "--circuit", str(circuit), "--delta-grid", "0.5",
+        "--out", str(scanned),
+    ]) == 0
+    assert main(["build", "--circuit", str(circuit), "--out", str(built)]) == 0
+    rows = read_csv(scanned / "scan.csv")
+    gap = float(dict(zip(rows[0], rows[1]))["gap"])
+    report = read_json(built / "build_report.json")
+    assert report["solver"] == "iterative"
+    assert abs(gap - report["gap"]) < 1e-9
+
+
+def test_swapqma_beyond_budget_exits_2_without_outputs(tmp_path, capsys):
+    # six steps on one wire: 11 test ancillas and 12 registers, 23 qubits
+    circuit = tmp_path / "long.json"
+    circuit.write_text(json_text({
+        "version": 1, "n": 1, "a": 1,
+        "layers": [[{"gate": "H", "wires": [0]}]] * 6,
+    }))
+    out = tmp_path / "out"
+    assert main(["swapqma", "--circuit", str(circuit), "--out", str(out)]) == 2
+    assert "23 qubits" in capsys.readouterr().err
+    assert not out.exists()

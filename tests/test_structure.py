@@ -48,3 +48,25 @@ def test_relative_imports_are_exported():
         if exported is not None and name not in exported:
             missing.append(f"{src} imports {name}, absent from {target.stem}.__all__")
     assert missing == []
+
+
+def _module_level_names(path: Path):
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_size_limits_live_only_in_limits():
+    strays = [
+        f"{path.name} defines {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "limits.py"
+        for name in _module_level_names(path)
+        if name.endswith(("_CAP", "_BUDGET"))
+    ]
+    assert strays == []
