@@ -15,8 +15,9 @@ Modules:
     rotation     the grid rotation unitary and rotated closed forms
     soundness    adversarial-fault experiments and inequality suites
     fk           unary-clock Hamiltonian and the two shallow verifiers
+    verify       the closed-form identity suite and the scan rows
     cli          batch command-line front end
-    linalg, io   shared plumbing
+    linalg, io, limits  shared plumbing and the memory budget
 """
 
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ from .linalg import (
     embed_operator,
     product_state,
 )
+from .spectral import DENSE_QUBITS
 
 _IDENTITY_STEP = Gate(wires=(0,), unitary=np.eye(2), name="I")
 
@@ -381,6 +382,23 @@ def _require_projector(block: np.ndarray, what: str) -> np.ndarray:
     return block
 
 
+def greedy_groups(terms) -> list[tuple[int, ...]]:
+    """First-fit partition of term indices into groups of disjoint supports."""
+    groups: list[list[int]] = []
+    occupied: list[set[int]] = []
+    for i, term in enumerate(terms):
+        support = set(term.support)
+        for g, used in zip(groups, occupied):
+            if not (support & used):
+                g.append(i)
+                used |= support
+                break
+        else:
+            groups.append([i])
+            occupied.append(set(support))
+    return [tuple(g) for g in groups]
+
+
 def build_dl_verifier(
     terms, grouping
 ) -> tuple[LayeredCircuit, MeasurementPlan]:
@@ -468,6 +486,51 @@ def dl_product(terms, grouping, num_qubits: int) -> np.ndarray:
             stage = (np.eye(2**num_qubits) - h) @ stage
         out = stage @ out
     return out
+
+
+def clock_report(ham: ClockHamiltonian, tol: float = 1e-12) -> dict:
+    """The ``fk_report.json`` body of one clock Hamiltonian.
+
+    Term energies of the history state (every non-output term must be
+    zero); past one clock qubit, the terms a broken unary pattern violates.
+    Up to ``DENSE_QUBITS`` qubits, the constant-depth verifier's accept
+    probability on the history state against its dense group product.
+    """
+    hist = history_state(ham)
+    energies = ham.energies(hist)
+    report = {
+        "num_data": ham.num_data,
+        "num_steps": ham.num_steps,
+        "num_qubits": ham.num_qubits,
+        "terms": len(ham.terms),
+        "max_degree": max(ham.degree_table().values()),
+        "history_energy_max_nonoutput": max(
+            e for t, e in zip(ham.terms, energies) if t.kind != "output"
+        ),
+        "history_energy_total": float(sum(energies)),
+    }
+    if ham.num_steps >= 2:
+        bad_energies = ham.energies(invalid_clock_state(ham))
+        violations = ham.violations(tol=max(tol, 1e-12), energies=bad_energies)
+        report["invalid_pattern"] = {
+            "violated_terms": list(violations),
+            "kinds": [ham.terms[i].kind for i in violations],
+            "energies": [float(bad_energies[i]) for i in violations],
+        }
+    if ham.num_qubits <= DENSE_QUBITS:
+        grouping = greedy_groups(ham.terms)
+        verifier, plan = build_dl_verifier(ham.terms, grouping)
+        accept = accept_probability(verifier, plan, hist)
+        product = dl_product(ham.terms, grouping, ham.num_qubits)
+        predicted = float(np.linalg.norm(product @ hist) ** 2)
+        report["dl_verifier"] = {
+            "groups": len(grouping),
+            "ancillas": verifier.a,
+            "accept_on_history": accept,
+            "product_norm_sq": predicted,
+            "identity_deviation": abs(accept - predicted),
+        }
+    return report
 
 
 def _swap_matrix(dim: int) -> np.ndarray:
@@ -586,6 +649,28 @@ def swap_test_witness(c: LayeredCircuit, xi=None) -> np.ndarray:
         for r, vec in enumerate(registers)
     ]
     return product_state(factors, 2 * big_t * w)
+
+
+def swap_test_report(
+    c: LayeredCircuit, verifier: LayeredCircuit, plan: MeasurementPlan
+) -> dict:
+    """Completeness of a swap-test verifier for ``c``.
+
+    Its accept probability on the honest witness against the probability
+    that ``c`` itself reads 1 on wire 0.
+    """
+    honest = accept_probability(verifier, plan, swap_test_witness(c))
+    original = accept_probability(
+        c, MeasurementPlan((0,), (1,), "accept when wire 0 reads 1")
+    )
+    return {
+        "verifier_qubits": verifier.n,
+        "test_ancillas": verifier.a,
+        "layers": len(verifier.layers),
+        "honest_accept": honest,
+        "original_accept": original,
+        "completeness_deviation": abs(honest - original),
+    }
 
 
 def swap_test_accept_probability(rho_joint: np.ndarray) -> float:

@@ -14,10 +14,9 @@ built state is proportional to
     sum over Pauli words P of  prod_l delta_l^{|P_l|} |B_P> (x) W_D P_D ... W_1 P_1 |0^a, xi>
 
 with |B_P> the Bell pattern on the shifted pairs and the error factors acting
-on the output register before each layer. Two norms are recorded: the
-physical l2 norm of the unnormalized state, and the Bell-frame coefficient
-sum  sum_P prod delta^(2|P|)  which is 4^(n D) times the squared physical
-norm (each Bell contraction contributes a factor 1/2 per site).
+on the output register before each layer. The Bell-frame coefficient sum
+sum_P prod delta^(2|P|) is 4^(n D) times the squared l2 norm of the
+unnormalized state (each Bell contraction contributes a factor 1/2 per site).
 
 Two helpers carry the grid's ingredients for every module that rebuilds a
 grid state: ``choi_vector`` is the Choi state of one gate matrix, and
@@ -48,9 +47,7 @@ __all__ = [
     "ExpansionResult",
     "GridLayout",
     "PepsState",
-    "apply_injective_maps",
     "apply_pair_maps",
-    "base_state",
     "build_peps",
     "choi_factor",
     "choi_vector",
@@ -125,24 +122,14 @@ class GridLayout:
 
 @dataclass(frozen=True)
 class PepsState:
-    """A state vector on the grid plus the metadata needed to reason about it.
-
-    ``delta_per_layer`` is None for bare base states that have not been run
-    through the injective maps yet. ``norm_before_normalization`` is the
-    physical l2 norm of Q^(x nD) applied to the base state;
-    ``bell_frame_norm_sq`` is the Bell-frame coefficient sum (see module
-    docstring), which equals 4^(nD) times the squared physical norm.
-    """
+    """A unit state vector on the grid plus the metadata needed to reason
+    about it; ``build_peps`` makes one."""
 
     layout: GridLayout
     amplitudes: np.ndarray
     circuit: LayeredCircuit
     xi: np.ndarray
-    delta_per_layer: tuple[float, ...] | None = None
-    normalized: bool = True
-    is_base: bool = True
-    norm_before_normalization: float | None = None
-    bell_frame_norm_sq: float | None = None
+    delta_per_layer: tuple[float, ...]
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -151,8 +138,8 @@ class PepsState:
                 f"amplitude vector length {amps.shape} does not match "
                 f"{self.layout.num_qubits} qubits"
             )
-        if self.normalized and abs(np.linalg.norm(amps) - 1.0) > 1e-12:
-            raise ValueError("state flagged normalized but norm is off by > 1e-12")
+        if abs(np.linalg.norm(amps) - 1.0) > 1e-12:
+            raise ValueError("grid state norm is off by > 1e-12")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -197,30 +184,6 @@ def choi_factor(g, layer: int, layout: GridLayout) -> tuple[np.ndarray, list[int
     return vec, qubits
 
 
-def base_state(c: LayeredCircuit, xi=None, deltas=None) -> PepsState:
-    """Product of the input column with one Choi state per gate.
-
-    ``xi`` is the witness on wires a..n-1 (bit 0 of its index is wire a);
-    defaults to the all-zeros state. ``deltas`` may be attached now or later
-    at apply_injective_maps time.
-    """
-    require_valid(c)
-    xi = resolve_witness(c, xi)
-    layout = GridLayout(c.n, c.depth)
-    factors = [
-        (
-            input_state(c, xi),
-            [layout.input_qubit(row) for row in reversed(range(c.n))],
-        )
-    ]
-    for layer_idx, layer in enumerate(c.layers, start=1):
-        for g in layer:
-            factors.append(choi_factor(g, layer_idx, layout))
-    amps = product_state(factors, layout.num_qubits)
-    schedule = None if deltas is None else resolve_deltas(deltas, c.depth)
-    return PepsState(layout, amps, c, xi, delta_per_layer=schedule)
-
-
 def apply_pair_maps(amps: np.ndarray, layout: GridLayout, per_layer) -> np.ndarray:
     """Apply ``per_layer[l - 1]`` to every shifted pair of layer l.
 
@@ -235,36 +198,31 @@ def apply_pair_maps(amps: np.ndarray, layout: GridLayout, per_layer) -> np.ndarr
     return amps
 
 
-def apply_injective_maps(s: PepsState, deltas=None) -> PepsState:
-    """Apply Q(delta_l) at every shifted pair, renormalize, record both norms."""
-    if not s.is_base:
-        raise ValueError("injective maps were already applied to this state")
-    if deltas is None:
-        if s.delta_per_layer is None:
-            raise ValueError("no delta schedule attached and none supplied")
-        schedule = s.delta_per_layer
-    else:
-        schedule = resolve_deltas(deltas, s.layout.depth)
-    amps = apply_pair_maps(
-        s.amplitudes, s.layout, [q_matrix(d) for d in schedule]
-    )
-    norm = float(np.linalg.norm(amps))
-    return PepsState(
-        s.layout,
-        amps / norm,
-        s.circuit,
-        s.xi,
-        delta_per_layer=schedule,
-        normalized=True,
-        is_base=False,
-        norm_before_normalization=norm,
-        bell_frame_norm_sq=norm**2 * 4.0**s.layout.num_sites,
-    )
-
-
 def build_peps(c: LayeredCircuit, deltas, xi=None) -> PepsState:
-    """base_state followed by apply_injective_maps, in one call."""
-    return apply_injective_maps(base_state(c, xi=xi, deltas=deltas))
+    """The normalized grid state of ``c`` at the schedule ``deltas``.
+
+    The input column times one Choi state per gate, with Q(delta_l)
+    applied at every shifted pair of layer l. ``xi`` is the witness on
+    wires a..n-1 (bit 0 of its index is wire a); it defaults to the
+    all-zeros state.
+    """
+    require_valid(c)
+    xi = resolve_witness(c, xi)
+    schedule = resolve_deltas(deltas, c.depth)
+    layout = GridLayout(c.n, c.depth)
+    factors = [
+        (
+            input_state(c, xi),
+            [layout.input_qubit(row) for row in reversed(range(c.n))],
+        )
+    ]
+    for layer_idx, layer in enumerate(c.layers, start=1):
+        for g in layer:
+            factors.append(choi_factor(g, layer_idx, layout))
+    amps = product_state(factors, layout.num_qubits)
+    amps = apply_pair_maps(amps, layout, [q_matrix(d) for d in schedule])
+    amps = amps / float(np.linalg.norm(amps))
+    return PepsState(layout, amps, c, xi, schedule)
 
 
 @dataclass(frozen=True)
@@ -408,8 +366,6 @@ def sample_pauli_patterns(s: PepsState, count: int, seed: int) -> list[PauliWord
     (seed, sample index) through a counter-based generator, so any slice of
     the sequence is reproducible in isolation.
     """
-    if s.delta_per_layer is None:
-        raise ValueError("state carries no delta schedule; build it first")
     if count < 0:
         raise ValueError(f"sample count must be nonnegative, got {count}")
     layout = s.layout

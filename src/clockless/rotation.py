@@ -63,6 +63,7 @@ __all__ = [
     "projected_gap_check",
     "clifford_partners",
     "clifford_form",
+    "pair_ground",
     "teleport_input",
     "teleported_input_term",
 ]
@@ -401,6 +402,19 @@ def clifford_form(g: Gate, delta_left: float, delta_right: float) -> np.ndarray:
     return dress @ form @ dress
 
 
+def pair_ground(
+    layout: GridLayout, layer: int, wires, delta: float
+) -> tuple[tuple[int, ...], np.ndarray]:
+    """The pairs of layer ``layer`` on ``wires``, in ``project_qubits`` form.
+
+    Returns their qubits and the product of their single-pair ground
+    states ``phi0(delta)``.
+    """
+    wires = tuple(wires)
+    qubits = tuple(q for w in wires for q in layout.site_qubits(layer, w))
+    return qubits, reduce(np.kron, [phi0(delta)] * len(wires))
+
+
 def teleport_input(
     term: HamiltonianTerm, delta: float, tol: float = 1e-9
 ) -> tuple[HamiltonianTerm, float, float]:
@@ -435,8 +449,7 @@ def teleport_input(
     layout = GridLayout(k, 1)
     minimal = input_term(tuple(range(k)), delta, layout, check=check)
     rotated = rotate_term(minimal, grid, tol=tol)
-    pair_qubits = tuple(q for w in range(k) for q in layout.site_qubits(1, w))
-    ground = reduce(np.kron, [phi0(delta)] * k)
+    pair_qubits, ground = pair_ground(layout, 1, range(k), delta)
     reduced, rest = project_qubits(
         rotated.block, rotated.support, pair_qubits, ground
     )

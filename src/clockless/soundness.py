@@ -32,6 +32,7 @@ from .hamiltonian import energy, parent_spec, propagation_term
 from .limits import enumeration_bytes, require
 from .linalg import (
     basis_state,
+    overlap,
     partial_trace,
     product_state,
     random_projector,
@@ -95,18 +96,22 @@ class FaultPattern:
         return len(self.inputs) + sum(len(s) for s in self.layers)
 
 
+class FaultMismatch(ValueError):
+    """A fault pattern that does not fit its circuit."""
+
+
 def _faulted_gates(
     c: LayeredCircuit, fault: FaultPattern
 ) -> list[tuple[int, Gate]]:
     """Resolve per-layer fault wire sets into whole gates, or complain."""
     if len(fault.layers) != c.depth:
-        raise ValueError(
+        raise FaultMismatch(
             f"fault pattern has {len(fault.layers)} layers, circuit has "
             f"{c.depth}"
         )
     for w in fault.inputs:
         if not 0 <= w < c.a:
-            raise ValueError(
+            raise FaultMismatch(
                 f"faulted input wire {w} is not an ancilla wire (a = {c.a})"
             )
     chosen: list[tuple[int, Gate]] = []
@@ -119,7 +124,7 @@ def _faulted_gates(
             if not hit:
                 continue
             if set(g.wires) - wires:
-                raise ValueError(
+                raise FaultMismatch(
                     f"layer {layer_idx} fault set {sorted(wires)} covers "
                     f"gate wires {g.wires} only partially"
                 )
@@ -127,7 +132,7 @@ def _faulted_gates(
             covered |= set(g.wires)
         stray = wires - covered
         if stray:
-            raise ValueError(
+            raise FaultMismatch(
                 f"layer {layer_idx} fault set names wires {sorted(stray)} "
                 "that no gate touches"
             )
@@ -140,7 +145,7 @@ def canonical_payloads(c: LayeredCircuit, fault: FaultPattern):
     Returns (input payloads, gate payloads) in the form
     ``build_combinatorial_state`` takes: |1> at each faulted input and, at
     each faulted gate, its Choi state shifted by X on every output leg.
-    Raises ValueError when the pattern does not fit the circuit.
+    Raises FaultMismatch when the pattern does not fit the circuit.
     """
     inputs = {w: np.array([0.0, 1.0]) for w in fault.inputs}
     gates = {
@@ -463,16 +468,6 @@ def reassemble_decomposition(decomp: AdversarialDecomposition) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _grid_state_parts(state) -> tuple[GridLayout, np.ndarray, tuple]:
-    layout = state.layout
-    schedule = state.delta_per_layer
-    if schedule is None or getattr(state, "is_base", False):
-        raise ValueError(
-            "expected a normalized grid state with its pair maps applied"
-        )
-    return layout, state.amplitudes, schedule
-
-
 def _resolve_region(layout: GridLayout, region) -> list[tuple[int, int]]:
     all_sites = list(layout.sites())
     if region is None:
@@ -533,21 +528,59 @@ def high_weight_mass(
     """Bell-frame mass at tag weight >= ``threshold`` over ``region`` sites.
 
     Accepts any normalized grid state carrying its schedule (a PepsState
-    after the pair maps, or a CombinatorialState). Also returns the exact
+    or a CombinatorialState). Also returns the exact
     independent-site reference tail: fault-free states match it to float
     precision because their per-site tag marginals are independent with
     non-identity rate ``site_rate(delta)``, whatever the circuit and the
     witness.
     """
-    layout, amps, schedule = _grid_state_parts(state)
+    layout, schedule = state.layout, state.delta_per_layer
     sites = _resolve_region(layout, region)
-    rotated, weights = _bell_tag_weights(layout, amps, sites)
+    rotated, weights = _bell_tag_weights(layout, state.amplitudes, sites)
     probs = np.abs(rotated) ** 2
     mass = float(probs[weights >= threshold].sum())
     reference = binomial_tail(
         [site_rate(schedule[layer - 1]) for layer, _ in sites], threshold
     )
     return mass, reference
+
+
+def fault_experiment(
+    c: LayeredCircuit, deltas, fault: FaultPattern, tol: float = 1e-9,
+    epsilon: float = 0.25,
+) -> dict:
+    """The fault report of ``soundness --fault-file``.
+
+    Builds the state of ``c`` faulted exactly at ``fault`` with canonical
+    payloads, and compares the terms it violates with the declared
+    locations. Round-trips it through its error decomposition. Compares
+    the fault-free state's Bell-frame mass at tag weight >= ``epsilon``
+    times the number of sites with the independent-site tail. Raises
+    FaultMismatch when the pattern does not fit the circuit.
+    """
+    c = pad_identities(c)
+    inputs, gates = canonical_payloads(c, fault)
+    state = build_combinatorial_state(
+        c, deltas, fault, input_payloads=inputs, gate_payloads=gates
+    )
+    declared = fault_locations(c, fault)
+    violated = violated_locations(state, tol=max(tol, 1e-15))
+    decomposition = extract_decomposition(state)
+    rebuilt = reassemble_decomposition(decomposition)
+    threshold = max(1, round(epsilon * c.n * c.depth))
+    mass, reference = high_weight_mass(build_peps(c, deltas), threshold)
+    return {
+        "declared_locations": sorted(str(loc) for loc in declared),
+        "violated_locations": sorted(str(loc) for loc in violated),
+        "locations_match": violated == declared,
+        "coefficients": len(decomposition),
+        "coefficient_norm_sq": decomposition.coefficient_norm_sq,
+        "roundtrip_fidelity": overlap(rebuilt, state.amplitudes) ** 2,
+        "high_weight_threshold": threshold,
+        "high_weight_mass": mass,
+        "binomial_tail": reference,
+        "tail_match": bool(abs(mass - reference) < 1e-10),
+    }
 
 
 @dataclass(frozen=True)
@@ -567,9 +600,9 @@ def truncate_high_weight(
     states the fidelity with the original is exactly 1 minus the removed
     mass, so trace distances of reduced states stay below its square root.
     """
-    layout, amps, _ = _grid_state_parts(state)
+    layout = state.layout
     sites = _resolve_region(layout, region)
-    rotated, weights = _bell_tag_weights(layout, amps, sites)
+    rotated, weights = _bell_tag_weights(layout, state.amplitudes, sites)
     kept = rotated.copy()
     kept[weights >= threshold] = 0.0
     kept_mass = float(np.linalg.norm(kept) ** 2)
@@ -633,6 +666,13 @@ class IndistinguishabilityResult:
     characterization_residual: float
 
 
+def overlap_ceiling(delta: float) -> float:
+    """1 - delta^6/2: the claimed largest overlap of two single-wire bulk
+    ground spaces whose checks differ by a single-qubit phase flip,
+    meaningful for delta below one quarter."""
+    return 1.0 - delta**6 / 2.0
+
+
 def local_indistinguishability_experiment(
     u1, u2, delta: float
 ) -> IndistinguishabilityResult:
@@ -640,9 +680,8 @@ def local_indistinguishability_experiment(
 
     Both kernels are computed twice, numerically from the dense terms and
     in closed form from ``ground_space_characterization``; the worst
-    subspace disagreement is reported as the residual. The ceiling
-    1 - delta^6/2 is the claimed separation for checks that differ by a
-    single-qubit phase flip, meaningful for delta below one quarter.
+    subspace disagreement is reported as the residual. The ceiling is
+    ``overlap_ceiling(delta)``.
     """
     layout = GridLayout(1, 2)
     bases = []
@@ -668,7 +707,7 @@ def local_indistinguishability_experiment(
         bases.append(kernel)
     sing = np.linalg.svd(bases[0].conj().T @ bases[1], compute_uv=False)
     overlap = float(sing[0])
-    bound = 1.0 - delta**6 / 2.0
+    bound = overlap_ceiling(delta)
     return IndistinguishabilityResult(
         overlap=overlap,
         bound=bound,

@@ -49,6 +49,7 @@ from .limits import dense_bytes, require, vector_bytes
 from .peps import resolve_deltas
 
 __all__ = [
+    "DENSE_QUBITS",
     "GROUND_CUTOFF",
     "ConvergenceError",
     "SpectralReport",
@@ -280,16 +281,20 @@ def low_spectrum(
     )
 
 
+# Largest operator, in qubits, that the dense oracles handle. From eleven
+# qubits on the iterative solver finds the same lowest eigenvalues many
+# times faster: on two vCPUs, 0.1-0.3 s against 4.3-4.9 s for a full
+# diagonalization at eleven qubits.
+DENSE_QUBITS = 10
+
+
 def solver_for(num_qubits: int) -> str:
     """The eigensolver for an operator on ``num_qubits`` qubits.
 
-    "dense" (``dense_spectrum``) up to ten qubits, "iterative"
-    (``low_spectrum``) past that.  From eleven qubits on the iterative
-    solver finds the same lowest eigenvalues many times faster: on two
-    vCPUs, 0.1-0.3 s against 4.3-4.9 s for a full diagonalization at
-    eleven qubits.
+    "dense" (``dense_spectrum``) up to ``DENSE_QUBITS``, "iterative"
+    (``low_spectrum``) past that.
     """
-    return "dense" if num_qubits <= 10 else "iterative"
+    return "dense" if num_qubits <= DENSE_QUBITS else "iterative"
 
 
 def _solver_report(

@@ -1,0 +1,300 @@
+"""The closed-form identity suite behind ``verify``, and one ``scan`` row.
+
+``verify_checks`` builds each fixture's grid state and parent Hamiltonian
+per delta and measures one ``Check`` row per identity, each against an
+independent oracle:
+
+* ``frustration_freeness``: the largest term energy of the grid state,
+  against 0.
+* ``ground_fidelity`` (only when every wire is an ancilla): overlap of the
+  grid state with the parent's ground state from ``dense_spectrum``,
+  against 1. A ground space that is not one-dimensional fails with NaN.
+* ``expansion_reassembly``: overlap of the grid state with its Pauli-word
+  expansion summed back onto the grid, against 1.
+* ``depolarizing_marginal`` (identity circuits only): trace distance of the
+  output marginal from the depolarizing-channel composition, against 0.
+* ``teleported_input[w]``: attenuation of an input check funneled through
+  its pairs (``teleport_input``), against ``teleport_coefficient^k``.
+* ``last_layer[g]``: the rotated last-layer block, against
+  ``last_layer_form``.
+* ``clifford_bulk[g]``: the rotated bulk block of a Pauli-normalizing gate,
+  against ``clifford_form``.
+* ``projected_bulk[g]``: that block with its right pairs projected onto
+  their ground state, against ``projected_bulk_form``.
+* ``nonlocality_diagnostic[g]``: for any other bulk gate, the leakage
+  ``locality_residual`` onto the output column, which must exceed 1e-3.
+
+A deviation within the tolerance passes; one within ``_ACCURACY_FLOOR``,
+the accuracy the closed forms are computed to, lands in the "tolerance"
+class; anything larger fails.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .circuit import LayeredCircuit, layered
+from .hamiltonian import HamiltonianSpec, assemble, energy, parent_spec
+from .io import fmt_float
+from .linalg import overlap, trace_distance
+from .peps import (
+    build_peps,
+    depolarizing_reference_marginal,
+    expansion,
+    output_marginal,
+    reassemble_expansion,
+    resolve_deltas,
+)
+from .rotation import (
+    clifford_form,
+    last_layer_form,
+    locality_residual,
+    pair_ground,
+    project_qubits,
+    projected_bulk_form,
+    projected_gap_check,
+    rotate_term,
+    teleport_coefficient,
+    teleport_input,
+)
+from .soundness import overlap_ceiling
+from .spectral import dense_spectrum, gap_vs_bound
+
+__all__ = [
+    "Check",
+    "SCAN_HEADER",
+    "check_status",
+    "ground_fidelity_check",
+    "named_fixtures",
+    "scan_row",
+    "verify_checks",
+]
+
+# Residual the closed-form suite is accurate to; a requested tolerance
+# below this can fail without indicting the construction itself.
+_ACCURACY_FLOOR = 1e-9
+
+SCAN_HEADER = (
+    "delta_schedule",
+    "gap",
+    "weight_product",
+    "teleport_coefficient",
+    "pair_overlap_bound",
+    "projected_gap",
+    "projected_floor",
+    "projected_floor_holds",
+)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verify row: a measured deviation against its tolerance."""
+
+    name: str
+    circuit: str
+    delta: float
+    value: float
+    reference: float
+    deviation: float
+    status: str
+
+
+def check_status(deviation: float, tol: float) -> str:
+    """The class of a deviation: "pass", "tolerance" or "fail"."""
+    if deviation <= tol:
+        return "pass"
+    if deviation <= _ACCURACY_FLOOR:
+        return "tolerance"
+    return "fail"
+
+
+def _zero_check(
+    name: str, circuit: str, delta: float, deviation: float, tol: float
+) -> Check:
+    """A row whose measured value is its own deviation from zero."""
+    return Check(
+        name, circuit, delta, deviation, 0.0, deviation,
+        check_status(deviation, tol),
+    )
+
+
+def named_fixtures() -> list[tuple[str, LayeredCircuit]]:
+    """The built-in verify circuits, by name."""
+    return [
+        ("identity1", layered(1, 1, [[("I", (0,))]])),
+        ("hadamard", layered(1, 1, [[("H", (0,))]])),
+        ("identity2", layered(2, 2, [[("I", (0,)), ("I", (1,))]] * 2)),
+        (
+            "bell",
+            layered(2, 2, [[("H", (1,)), ("I", (0,))], [("CNOT", (1, 0))]]),
+        ),
+        (
+            "cnot_bulk",
+            layered(2, 2, [[("CNOT", (1, 0))], [("I", (0,)), ("I", (1,))]]),
+        ),
+        (
+            "t_bulk",
+            layered(2, 2, [[("T", (0,)), ("I", (1,))], [("CZ", (0, 1))]]),
+        ),
+    ]
+
+
+def _wire_tag(gate, term) -> str:
+    label = gate.name or "u"
+    return label + "@" + "-".join(str(w) for w in term.wires)
+
+
+def _fidelity_check(check: str, name: str, delta: float, vec, state, tol) -> Check:
+    """A row scoring the overlap |<vec|state>|^2 of two unit vectors."""
+    fid = overlap(vec, state.amplitudes) ** 2
+    deviation = 1.0 - fid
+    return Check(
+        check, name, delta, fid, 1.0, deviation,
+        check_status(deviation, max(tol, 1e-12)),
+    )
+
+
+def ground_fidelity_check(
+    name: str, delta: float, spec: HamiltonianSpec, state, tol: float
+) -> Check:
+    """Grid-state overlap with the parent's ground state; NaN if not unique."""
+    dense = dense_spectrum(assemble(spec), vectors=1, lowest=2)
+    if not dense.ground_resolved:
+        nan = float("nan")
+        return Check("ground_fidelity", name, delta, nan, 1.0, nan, "fail")
+    return _fidelity_check(
+        "ground_fidelity", name, delta, dense.eigenvectors[:, 0], state, tol
+    )
+
+
+def _rotated_checks(
+    name: str, c: LayeredCircuit, spec: HamiltonianSpec, schedule, tol: float
+) -> list[Check]:
+    checks: list[Check] = []
+    depth = c.depth
+    gates = {
+        (g_layer, tuple(g.wires)): g
+        for g_layer, layer in enumerate(c.layers, start=1)
+        for g in layer
+    }
+    for term in spec.terms:
+        if term.kind == "input":
+            try:
+                _, value, deviation = teleport_input(
+                    term, schedule[0], tol=_ACCURACY_FLOOR
+                )
+            except ValueError:
+                value = deviation = float("nan")
+            reference = teleport_coefficient(schedule[0]) ** len(term.wires)
+            checks.append(Check(
+                f"teleported_input[w{term.wires[0]}]", name, schedule[0],
+                value, reference, deviation, check_status(deviation, tol),
+            ))
+            continue
+        if term.kind != "propagation":
+            continue
+        gate = gates[(term.layer, term.wires)]
+        k = gate.arity
+        tag = _wire_tag(gate, term)
+        if term.layer == depth:
+            rotated = rotate_term(term, c)
+            closed = last_layer_form(k, schedule[depth - 1])
+            checks.append(_zero_check(
+                f"last_layer[{tag}]", name, schedule[depth - 1],
+                float(np.linalg.norm(rotated.block - closed, 2)), tol,
+            ))
+            continue
+        dl, dr = schedule[term.layer - 1], schedule[term.layer]
+        if gate.is_clifford:
+            rotated = rotate_term(term, c)
+            closed = clifford_form(gate, dl, dr)
+            checks.append(_zero_check(
+                f"clifford_bulk[{tag}]", name, dl,
+                float(np.linalg.norm(rotated.block - closed, 2)), tol,
+            ))
+            qubits, ground = pair_ground(
+                spec.layout, term.layer + 1, sorted(term.wires), dr
+            )
+            reduced, _ = project_qubits(
+                rotated.block, rotated.support, qubits, ground
+            )
+            closed = projected_bulk_form(k, dl, dr)
+            checks.append(_zero_check(
+                f"projected_bulk[{tag}]", name, dl,
+                float(np.linalg.norm(reduced - closed, 2)), tol,
+            ))
+        else:
+            residual = float(locality_residual(term, c))
+            checks.append(Check(
+                f"nonlocality_diagnostic[{tag}]", name, dl,
+                residual, 1e-3, residual, "pass" if residual > 1e-3 else "fail",
+            ))
+    return checks
+
+
+def verify_checks(
+    fixtures: list[tuple[str, LayeredCircuit]],
+    deltas,
+    tol: float,
+    schedules=None,
+) -> list[Check]:
+    """All verify rows for each named circuit at each uniform delta.
+
+    ``schedules(circuit, delta)`` returns the per-layer schedule of the
+    grid state and the one of its checked Hamiltonian, which a negative
+    control may doctor; by default both are the uniform delta.
+    """
+    checks: list[Check] = []
+    for name, c in fixtures:
+        for delta in deltas:
+            if schedules is None:
+                schedule = spec_schedule = resolve_deltas(delta, c.depth)
+            else:
+                schedule, spec_schedule = schedules(c, delta)
+            state = build_peps(c, schedule)
+            spec = parent_spec(c, spec_schedule)
+            report = energy(spec, state, tol=max(tol, 1e-15))
+            worst = max(report.per_term)
+            checks.append(
+                _zero_check("frustration_freeness", name, delta, worst, tol)
+            )
+            if c.a == c.n:
+                checks.append(
+                    ground_fidelity_check(name, delta, spec, state, tol)
+                )
+            rebuilt = reassemble_expansion(c, expansion(c, None, schedule))
+            checks.append(_fidelity_check(
+                "expansion_reassembly", name, delta,
+                rebuilt / np.linalg.norm(rebuilt), state, tol,
+            ))
+            if all(g.is_trivial for layer in c.layers for g in layer):
+                marginal = output_marginal(state)
+                reference = depolarizing_reference_marginal(c, None, schedule)
+                deviation = float(trace_distance(marginal, reference))
+                checks.append(_zero_check(
+                    "depolarizing_marginal", name, delta, deviation, tol
+                ))
+            checks.extend(_rotated_checks(name, c, spec, schedule, tol))
+    return checks
+
+
+def scan_row(c: LayeredCircuit, schedule, delta: float, seed: int = 0) -> tuple:
+    """One ``scan.csv`` row (see ``SCAN_HEADER``) at a per-layer schedule.
+
+    The measured parent gap next to the theory's weight product, then the
+    single-wire closed forms at the uniform ``delta``.
+    """
+    gap, product = gap_vs_bound(c, schedule, seed=seed)
+    pgap, floor, holds = projected_gap_check(1, delta)
+    return (
+        ";".join(fmt_float(v) for v in schedule),
+        gap,
+        product,
+        teleport_coefficient(delta),
+        overlap_ceiling(delta),
+        pgap,
+        floor,
+        holds,
+    )

@@ -7,24 +7,17 @@ import os
 import numpy as np
 import pytest
 
-from clockless.circuit import NAMED_GATES, layered
 from clockless.cli import (
     InputError,
     RunConfig,
-    _ground_fidelity_check,
     _parse_assignments,
     _parse_grid,
     _schedule,
     _solver_choice,
-    _status,
     main,
     parse_args,
-    verify_checks,
 )
-from clockless.hamiltonian import parent_spec
 from clockless.io import SchemaError, json_text, read_json, read_state_bin
-from clockless.peps import build_peps
-from clockless.rotation import teleport_coefficient, teleport_input
 
 
 @pytest.fixture
@@ -120,12 +113,6 @@ def test_solver_choice():
     assert _solver_choice(auto, 11) == "iterative"
     forced = parse_args(["build", "--iterative"])
     assert _solver_choice(forced, 3) == "iterative"
-
-
-def test_status_classes():
-    assert _status(1e-12, 1e-10) == "pass"
-    assert _status(5e-10, 1e-10) == "tolerance"
-    assert _status(1e-3, 1e-10) == "fail"
 
 
 def test_build_identity_artifacts(tmp_path, identity_json, capsys):
@@ -293,56 +280,6 @@ def test_verify_injected_delta_fails_frustration(tmp_path, capsys):
     assert all(r[0] == "frustration_freeness" for r in failing[:1])
 
 
-def test_verify_tolerance_class_is_not_a_correctness_failure():
-    cfg = RunConfig(command="verify", tolerance=1e-15)
-    checks = verify_checks(cfg, deltas=(0.5,))
-    statuses = {c.status for c in checks}
-    # with the tolerance cranked below float accuracy some checks land in
-    # the tolerance class, but none may actually fail
-    assert "fail" not in statuses
-    assert "tolerance" in statuses
-
-
-def test_verify_teleported_rows_report_measured_deviation(identity1):
-    checks = verify_checks(
-        RunConfig(command="verify"), fixtures=[("id1", identity1)],
-        deltas=(0.5,),
-    )
-    (row,) = [ch for ch in checks if ch.name.startswith("teleported_input")]
-    spec = parent_spec(identity1, 0.5)
-    (term,) = [t for t in spec.terms if t.kind == "input"]
-    _, attenuation, deviation = teleport_input(term, 0.5, tol=1e-9)
-    assert row.value == attenuation and row.deviation == deviation
-    assert row.reference == teleport_coefficient(0.5)
-    assert abs(row.value - row.reference) < 1e-13 and row.status == "pass"
-
-
-def test_ground_fidelity_fails_on_degenerate_ground(hcnot, identity1):
-    # hcnot has a data wire, so its ground space is two-dimensional
-    spec = parent_spec(hcnot, 0.5)
-    state = build_peps(hcnot, (0.5, 0.5))
-    row = _ground_fidelity_check("hcnot", 0.5, spec, state, 1e-10)
-    assert row.status == "fail"
-    assert np.isnan(row.value) and np.isnan(row.deviation)
-    spec = parent_spec(identity1, 0.5)
-    state = build_peps(identity1, (0.5,))
-    row = _ground_fidelity_check("id1", 0.5, spec, state, 1e-10)
-    assert row.status == "pass" and abs(row.value - 1.0) < 1e-12
-
-
-def test_verify_picks_clifford_form_by_action_not_name():
-    # CNOT handed over as a bare matrix is still a Pauli normalizer
-    cnot = np.array(NAMED_GATES["CNOT"])
-    c = layered(2, 2, [[(cnot, (1, 0))], [("I", (0,)), ("I", (1,))]])
-    checks = verify_checks(
-        RunConfig(command="verify"), fixtures=[("cnot_matrix", c)], deltas=(0.5,)
-    )
-    names = {ch.name for ch in checks}
-    assert "clifford_bulk[u@1-0]" in names
-    assert not any(n.startswith("nonlocality_diagnostic") for n in names)
-    assert [ch.name for ch in checks if ch.status != "pass"] == []
-
-
 def test_soundness_single_suite(tmp_path, capsys):
     out = str(tmp_path / "out")
     code = main([
@@ -384,12 +321,51 @@ def test_soundness_partial_fault_is_an_input_error(tmp_path, capsys):
     # only wire 0 covers that gate partially
     fault = tmp_path / "fault.json"
     fault.write_text(json_text({"inputs": [], "layers": [[], [0]]}))
+    out = tmp_path / "out"
     code = main([
-        "soundness", "--out", str(tmp_path / "out"), "--suites",
+        "soundness", "--out", str(out), "--suites",
         "union_bound", "--instances", "1", "--fault-file", str(fault),
     ])
     assert code == 2
     assert "fault pattern does not fit the circuit" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_soundness_missing_fault_file_exits_2_without_outputs(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "soundness", "--out", str(out), "--suites", "union_bound",
+        "--instances", "1", "--fault-file", str(tmp_path / "absent.json"),
+    ])
+    assert code == 2
+    assert "absent.json" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["build", "--delta", "1.5"],
+        ["scan", "--delta-grid", "0.5,0"],
+        ["verify", "--delta", "1.5"],
+        [
+            "soundness", "--delta", "2", "--fault-file", "FAULT",
+            "--suites", "union_bound", "--instances", "1",
+        ],
+    ],
+    ids=["build", "scan", "verify", "soundness"],
+)
+def test_delta_out_of_range_exits_2_without_outputs(
+    tmp_path, capsys, identity_json, args
+):
+    fault = tmp_path / "fault.json"
+    fault.write_text(json_text({"inputs": [], "layers": [[]]}))
+    args = [str(fault) if a == "FAULT" else a for a in args]
+    out = tmp_path / "out"
+    code = main(args + ["--circuit", identity_json, "--out", str(out)])
+    assert code == 2
+    assert "delta must lie in (0, 1]" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_fk_command(tmp_path, hcnot_json, capsys):

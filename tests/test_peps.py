@@ -9,8 +9,6 @@ from clockless.pauli import PauliWord
 from clockless.peps import (
     GridLayout,
     PepsState,
-    apply_injective_maps,
-    base_state,
     build_peps,
     choi_vector,
     contract_observable,
@@ -57,25 +55,15 @@ def test_resolve_deltas():
 def test_peps_state_validation(identity1):
     layout = GridLayout(1, 1)
     with pytest.raises(ValueError):
-        PepsState(layout, np.zeros(4), identity1, basis_state(0, 1))
+        PepsState(layout, np.zeros(4), identity1, basis_state(0, 1), (0.5,))
     with pytest.raises(ValueError):
         PepsState(
             layout,
             np.full(8, 0.7, dtype=complex),
             identity1,
             basis_state(0, 1),
+            (0.5,),
         )
-
-
-def test_base_state_then_maps_matches_build(bell_circuit):
-    base = base_state(bell_circuit)
-    assert base.is_base and base.delta_per_layer is None
-    mapped = apply_injective_maps(base, (0.5, 0.5))
-    built = build_peps(bell_circuit, (0.5, 0.5))
-    assert np.allclose(mapped.amplitudes, built.amplitudes)
-    # Bell-frame coefficient mass is 4^(sites) times the physical norm
-    ratio = mapped.bell_frame_norm_sq / mapped.norm_before_normalization**2
-    assert np.isclose(ratio, 4.0**4, rtol=1e-12)
 
 
 @pytest.mark.parametrize("delta", [0.2, 0.5])

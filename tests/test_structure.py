@@ -70,3 +70,14 @@ def test_size_limits_live_only_in_limits():
         if name.endswith(("_CAP", "_BUDGET"))
     ]
     assert strays == []
+
+
+def test_cli_leaves_the_numerics_to_the_library():
+    # cli parses, echoes and writes; rotated forms, Pauli algebra and state
+    # contractions are reached only through library calls
+    numeric = [
+        f"cli imports {name} from {target.stem}"
+        for src, target, name in _relative_imports()
+        if src == "cli.py" and target.stem in ("rotation", "pauli", "linalg")
+    ]
+    assert numeric == []

@@ -1,0 +1,67 @@
+"""Verify rows: status classes, oracles, and the checked closed forms."""
+
+import numpy as np
+
+from clockless.circuit import NAMED_GATES, layered
+from clockless.hamiltonian import parent_spec
+from clockless.peps import build_peps
+from clockless.rotation import teleport_coefficient, teleport_input
+from clockless.verify import (
+    check_status,
+    ground_fidelity_check,
+    named_fixtures,
+    verify_checks,
+)
+
+# The verify command's default tolerance.
+TOL = 1e-10
+
+
+def test_status_classes():
+    assert check_status(1e-12, 1e-10) == "pass"
+    assert check_status(5e-10, 1e-10) == "tolerance"
+    assert check_status(1e-3, 1e-10) == "fail"
+
+
+def test_verify_tolerance_class_is_not_a_correctness_failure():
+    checks = verify_checks(named_fixtures(), (0.5,), 1e-15)
+    statuses = {c.status for c in checks}
+    # with the tolerance cranked below float accuracy some checks land in
+    # the tolerance class, but none may actually fail
+    assert "fail" not in statuses
+    assert "tolerance" in statuses
+
+
+def test_verify_teleported_rows_report_measured_deviation(identity1):
+    checks = verify_checks([("id1", identity1)], (0.5,), TOL)
+    (row,) = [ch for ch in checks if ch.name.startswith("teleported_input")]
+    spec = parent_spec(identity1, 0.5)
+    (term,) = [t for t in spec.terms if t.kind == "input"]
+    _, attenuation, deviation = teleport_input(term, 0.5, tol=1e-9)
+    assert row.value == attenuation and row.deviation == deviation
+    assert row.reference == teleport_coefficient(0.5)
+    assert abs(row.value - row.reference) < 1e-13 and row.status == "pass"
+
+
+def test_ground_fidelity_fails_on_degenerate_ground(hcnot, identity1):
+    # hcnot has a data wire, so its ground space is two-dimensional
+    spec = parent_spec(hcnot, 0.5)
+    state = build_peps(hcnot, (0.5, 0.5))
+    row = ground_fidelity_check("hcnot", 0.5, spec, state, 1e-10)
+    assert row.status == "fail"
+    assert np.isnan(row.value) and np.isnan(row.deviation)
+    spec = parent_spec(identity1, 0.5)
+    state = build_peps(identity1, (0.5,))
+    row = ground_fidelity_check("id1", 0.5, spec, state, 1e-10)
+    assert row.status == "pass" and abs(row.value - 1.0) < 1e-12
+
+
+def test_verify_picks_clifford_form_by_action_not_name():
+    # CNOT handed over as a bare matrix is still a Pauli normalizer
+    cnot = np.array(NAMED_GATES["CNOT"])
+    c = layered(2, 2, [[(cnot, (1, 0))], [("I", (0,)), ("I", (1,))]])
+    checks = verify_checks([("cnot_matrix", c)], (0.5,), TOL)
+    names = {ch.name for ch in checks}
+    assert "clifford_bulk[u@1-0]" in names
+    assert not any(n.startswith("nonlocality_diagnostic") for n in names)
+    assert [ch.name for ch in checks if ch.status != "pass"] == []
