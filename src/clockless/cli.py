@@ -28,7 +28,7 @@ from .fk import (
     swap_test_report,
 )
 from .hamiltonian import assemble, energy, parent_spec
-from .limits import SCAN_POINT_CAP, ResourceError
+from .limits import SCAN_POINT_CAP, ResourceError, set_blas_threads
 from .peps import build_peps, resolve_deltas
 from .soundness import SUITE_NAMES, FaultMismatch, fault_experiment, run_suite
 from .spectral import dense_spectrum, low_spectrum, solver_for
@@ -231,18 +231,21 @@ def _load_circuit(cfg: RunConfig, default: str | None = None) -> LayeredCircuit:
     return dict(named_fixtures())[default]
 
 
-def _schedule(cfg: RunConfig, depth: int) -> tuple[float, ...]:
-    values = [cfg.delta] * depth
-    for layer, value in sorted(cfg.delta_layers.items()):
+def _override(values, overrides: dict[int, float], flag: str) -> tuple[float, ...]:
+    """A schedule with per-layer overrides, layers and values checked."""
+    values, depth = list(values), len(values)
+    for layer, value in sorted(overrides.items()):
         if not 1 <= layer <= depth:
-            raise InputError(
-                f"--delta-layer {layer} outside this circuit's 1..{depth}"
-            )
+            raise InputError(f"{flag} {layer} outside this circuit's 1..{depth}")
         values[layer - 1] = value
     try:
         return resolve_deltas(values, depth)
     except ValueError as e:
         raise InputError(str(e)) from None
+
+
+def _schedule(cfg: RunConfig, depth: int) -> tuple[float, ...]:
+    return _override([cfg.delta] * depth, cfg.delta_layers, "--delta-layer")
 
 
 def _solver_choice(cfg: RunConfig, num_qubits: int) -> str:
@@ -300,12 +303,7 @@ def _verify_schedules(cfg: RunConfig, c: LayeredCircuit, delta: float):
     """State and Hamiltonian schedules of one verify case; --inject-delta
     doctors the second."""
     schedule = _schedule(replace(cfg, delta=delta), c.depth)
-    doctored = list(schedule)
-    for layer, value in sorted(cfg.inject_delta.items()):
-        if not 1 <= layer <= c.depth:
-            raise InputError(f"--inject-delta {layer} outside 1..{c.depth}")
-        doctored[layer - 1] = value
-    return schedule, tuple(doctored)
+    return schedule, _override(schedule, cfg.inject_delta, "--inject-delta")
 
 
 def cmd_verify(cfg: RunConfig) -> int:
@@ -463,6 +461,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    set_blas_threads()
     try:
         cfg = parse_args(argv)
         return _COMMANDS[cfg.command](cfg)

@@ -29,6 +29,7 @@ from .circuit import (
 from .hamiltonian import LocalTerm, SparseOperator, term_energy
 from .limits import require, vector_bytes
 from .linalg import (
+    apply_maps,
     apply_matrix,
     basis_state,
     density_fidelity,
@@ -63,25 +64,11 @@ class ClockTerm(LocalTerm):
         return f"{self.kind}[step {self.step}, qubits {self.support}]"
 
 
-def _assemble_block(
-    components, support: tuple[int, ...]
-) -> np.ndarray:
-    """Sum of products of small operators, embedded over ``support``.
-
-    Each component is a list of (matrix, qubit tuple MSB first) factors on
-    disjoint qubits, all drawn from ``support``; factors multiply into one
-    embedded product, components add.
-    """
+def _embedded_product(factors, support: tuple[int, ...]) -> np.ndarray:
+    """Product of small (matrix, qubits MSB first) factors over ``support``."""
     index = {q: i for i, q in enumerate(support)}
-    m = len(support)
-    total = np.zeros((2**m, 2**m), dtype=np.complex128)
-    for factors in components:
-        part = np.eye(2**m, dtype=np.complex128)
-        for mat, qubits in factors:
-            local = tuple(index[q] for q in qubits)
-            part = part @ embed_operator(np.asarray(mat), local, m)
-        total += part
-    return total
+    local = [(mat, tuple(index[q] for q in qubits)) for mat, qubits in factors]
+    return apply_maps(np.eye(2 ** len(support)), local, len(support), both_sides=False)
 
 
 def _ketbra(bits_row: str, bits_col: str) -> np.ndarray:
@@ -235,21 +222,11 @@ def build_modified_fk(
         nonzero = np.eye(2 ** len(wires))
         nonzero[0, 0] = 0.0
         if t == 1:
-            support = (*wires, cq(1))
-            block = _assemble_block(
-                [[(zero, (cq(1),)), (nonzero, wires)]], support
-            )
+            clock = (zero, (cq(1),))
         else:
-            support = (*wires, cq(t - 1), cq(t))
-            block = _assemble_block(
-                [
-                    [
-                        (_ketbra("10", "10"), (cq(t - 1), cq(t))),
-                        (nonzero, wires),
-                    ]
-                ],
-                support,
-            )
+            clock = (_ketbra("10", "10"), (cq(t - 1), cq(t)))
+        support = (*wires, *clock[1])
+        block = _embedded_product([clock, (nonzero, wires)], support)
         terms.append(ClockTerm("input", support, block, t))
 
     for t, g in enumerate(steps, start=1):
@@ -262,25 +239,18 @@ def build_modified_fk(
         before, after = lead + "0" + trail, lead + "1" + trail
         window = range(max(t - 1, 1), min(t + 1, num_steps) + 1)
         clocks = tuple(cq(s) for s in window)
-        stay = [
-            [(_ketbra(before, before), clocks)],
-            [(_ketbra(after, after), clocks)],
-        ]
-        hop = [
-            [(_ketbra(after, before), clocks), (u, g.wires)],
-            [(_ketbra(before, after), clocks), (ud, g.wires)],
-        ]
         support = tuple(sorted((*g.wires, *clocks)))
-        block = 0.5 * _assemble_block(stay, support) - 0.5 * _assemble_block(
-            hop, support
+        stay = _ketbra(before, before) + _ketbra(after, after)
+        hop = sum(
+            _embedded_product([(_ketbra(a, b), clocks), (m, g.wires)], support)
+            for a, b, m in ((after, before, u), (before, after, ud))
         )
+        block = 0.5 * _embedded_product([(stay, clocks)], support) - 0.5 * hop
         terms.append(ClockTerm("propagation", support, block, t))
 
     for t in range(2, num_steps + 1):
         support = (cq(t - 1), cq(t))
-        block = _assemble_block(
-            [[(_ketbra("01", "01"), support)]], support
-        )
+        block = _embedded_product([(_ketbra("01", "01"), support)], support)
         terms.append(ClockTerm("clock", support, block, t))
 
     if not 0 <= output_wire < num_data:
@@ -288,8 +258,8 @@ def build_modified_fk(
             f"output wire {output_wire} outside 0..{num_data - 1}"
         )
     support = (output_wire, cq(num_steps))
-    block = _assemble_block(
-        [[(one, (cq(num_steps),)), (zero, (output_wire,))]], support
+    block = _embedded_product(
+        [(one, (cq(num_steps),)), (zero, (output_wire,))], support
     )
     terms.append(ClockTerm("output", support, block, num_steps))
 

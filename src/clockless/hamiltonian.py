@@ -9,6 +9,9 @@ exactly when the undeformed state is annihilated by ``P``, so the common
 kernel of all terms is the image of the deformation applied to the common
 kernel of the bare projectors.
 
+Dressing is local: ``linalg.apply_maps`` puts each 4x4 pair map on the rows
+and columns of ``P``'s block, so no dense 2^k x 2^k ``L`` is ever formed.
+
 Term blocks are stored dense over their support only. The support is kept as
 a strictly ascending tuple of grid qubit indices and bit ``i`` of a block's
 row/column index is the qubit ``support[i]``. To act on the full register a
@@ -41,6 +44,7 @@ import scipy.sparse.linalg
 from .circuit import Gate, LayeredCircuit
 from .limits import coo_bytes, dense_bytes, require
 from .linalg import (
+    apply_maps,
     apply_matrix,
     bit_placement,
     embed_operator,
@@ -129,23 +133,15 @@ class HamiltonianTerm(LocalTerm):
         return f"{self.kind}[layer {self.layer}, wires {self.wires}]"
 
 
-def _embed_on_support(
-    op: np.ndarray, qubits_msb_first: Sequence[int], support: Sequence[int]
-) -> np.ndarray:
-    """Embed an operator on named grid qubits into support-local coordinates."""
-    pos = {q: i for i, q in enumerate(support)}
-    wires = tuple(pos[q] for q in qubits_msb_first)
-    return embed_operator(op, wires, len(support))
+def _local(qubits: Sequence[int], support: tuple[int, ...]) -> tuple[int, ...]:
+    """Support-local wires of grid qubits, in the order given."""
+    return tuple(support.index(q) for q in qubits)
 
 
-def _pair_dressing(
-    pairs: Sequence[tuple[tuple[int, int], float]], support: Sequence[int]
-) -> np.ndarray:
-    """Product of lambda maps, one per (pair, delta), in support coordinates."""
-    dress = np.eye(2 ** len(support), dtype=np.complex128)
-    for (lo, hi), delta in pairs:
-        dress = dress @ _embed_on_support(lambda_matrix(delta), (hi, lo), support)
-    return dress
+def _dress(proj: np.ndarray, pairs, support: tuple[int, ...]) -> np.ndarray:
+    """``L proj L`` for L the lambda maps of a (pair, delta) list."""
+    maps = [(lambda_matrix(d), _local((hi, lo), support)) for (lo, hi), d in pairs]
+    return apply_maps(proj, maps, len(support))
 
 
 def propagation_term(
@@ -166,13 +162,12 @@ def propagation_term(
     support = tuple(
         sorted({q for pair, _ in left + right for q in pair} | set(vec_qubits))
     )
-    dim = 2 ** len(support)
-    proj = np.eye(dim) - _embed_on_support(
-        np.outer(vec, vec.conj()), vec_qubits, support
+    k = len(support)
+    proj = np.eye(2**k) - embed_operator(
+        np.outer(vec, vec.conj()), _local(vec_qubits, support), k
     )
-    dress = _pair_dressing(left + right, support)
     return HamiltonianTerm(
-        "propagation", support, dress @ proj @ dress, layer, g.wires
+        "propagation", support, _dress(proj, left + right, support), layer, g.wires
     )
 
 
@@ -202,11 +197,9 @@ def input_term(
         raise ValueError("input check must be an orthogonal projector")
     pairs = [(layout.site_qubits(1, w), float(delta)) for w in wires]
     support = tuple(sorted(q for pair, _ in pairs for q in pair))
-    proj = _embed_on_support(
-        check, [layout.input_qubit(w) for w in wires], support
-    )
-    dress = _pair_dressing(pairs, support)
-    return HamiltonianTerm("input", support, dress @ proj @ dress, 1, wires)
+    inputs = _local([layout.input_qubit(w) for w in wires], support)
+    proj = embed_operator(check, inputs, len(support))
+    return HamiltonianTerm("input", support, _dress(proj, pairs, support), 1, wires)
 
 
 def _parse_check(check, n: int) -> tuple[float, tuple[str, ...]]:
@@ -252,14 +245,11 @@ def stabilizer_terms(checks, delta: float, layout: GridLayout) -> list[Hamiltoni
             raise ValueError(f"check {'.'.join(tags)} does not square to one")
         pairs = [(layout.site_qubits(1, w), float(delta)) for w in wires]
         support = tuple(sorted(q for pair, _ in pairs for q in pair))
-        proj = 0.5 * (
-            np.eye(2 ** len(support))
-            - _embed_on_support(word, [layout.input_qubit(w) for w in wires], support)
-        )
-        dress = _pair_dressing(pairs, support)
-        terms.append(
-            HamiltonianTerm("stabilizer", support, dress @ proj @ dress, 1, wires)
-        )
+        inputs = _local([layout.input_qubit(w) for w in wires], support)
+        k = len(support)
+        proj = 0.5 * (np.eye(2**k) - embed_operator(word, inputs, k))
+        block = _dress(proj, pairs, support)
+        terms.append(HamiltonianTerm("stabilizer", support, block, 1, wires))
     return terms
 
 
@@ -362,9 +352,13 @@ class SparseOperator:
             raise ValueError(f"vector shape {vec.shape} does not match {self.dim}")
         out = np.zeros(self.dim, dtype=np.complex128)
         for t, s in zip(self.terms, self.scales):
-            out += s * apply_matrix(
+            part = apply_matrix(
                 vec, t.block, tuple(reversed(t.support)), self.num_qubits
             )
+            if s != 1.0:
+                part *= s
+            out += part
+            del part  # freed before the next term's result is allocated
         return out
 
     def as_linear_operator(self) -> scipy.sparse.linalg.LinearOperator:

@@ -30,6 +30,7 @@ import numpy as np
 from .limits import dense_bytes, require
 
 __all__ = [
+    "apply_maps",
     "apply_matrix",
     "basis_state",
     "bit_placement",
@@ -202,6 +203,31 @@ def expectation(
         piece = view[head + tail].reshape(rows.size, width)
         total += np.vdot(piece, block @ piece)
     return complex(total)
+
+
+def apply_maps(
+    block: np.ndarray,
+    maps: Iterable[tuple[np.ndarray, Sequence[int]]],
+    num_qubits: int,
+    both_sides: bool = True,
+) -> np.ndarray:
+    """``L @ block @ L.T`` for L the product of small ``(matrix, wires)`` maps.
+
+    Wires follow ``apply_matrix``; the first map acts first. Each map acts on
+    the rows of the 2**N x 2**N block, then through the transpose on its
+    columns, so L is never formed: a k-qubit map costs about 2**(k+1) * 4**N
+    multiply-adds where one dense product costs 8**N. ``both_sides=False``
+    returns ``L @ block``. For real symmetric maps ``L.T`` is ``L``.
+    """
+    maps = list(maps)
+
+    def on_rows(mat_in: np.ndarray) -> np.ndarray:
+        for mat, wires in maps:
+            mat_in = apply_matrix(mat_in, mat, wires, num_qubits)
+        return mat_in
+
+    out = on_rows(np.asarray(block, dtype=np.complex128))
+    return on_rows(out.T).T if both_sides else out
 
 
 def embed_operator(

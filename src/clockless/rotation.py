@@ -36,7 +36,7 @@ import numpy as np
 from .circuit import Gate, LayeredCircuit, layered
 from .hamiltonian import HamiltonianTerm, input_term
 from .limits import dense_bytes, require
-from .linalg import apply_matrix, bit_placement, embed_operator
+from .linalg import apply_maps, apply_matrix, bit_placement
 from .pauli import (
     PAULI_TAGS,
     bell_basis_matrix,
@@ -432,11 +432,8 @@ def teleport_input(
     wires = term.wires
     k = len(wires)
     # Undo the dressing with the inverse pair maps to recover the bare check.
-    undress = reduce(np.matmul, [
-        embed_operator(q_matrix(delta), (2 * b + 1, 2 * b), 2 * k)
-        for b in range(k)
-    ])
-    bare = undress @ term.block @ undress / delta ** (2 * k)
+    undress = [(q_matrix(delta), (2 * b + 1, 2 * b)) for b in range(k)]
+    bare = apply_maps(term.block, undress, 2 * k) / delta ** (2 * k)
     check_emb, check_support = _trim_trivial_qubits(
         bare, tuple(range(2 * k)), tol=1e-8
     )

@@ -8,6 +8,10 @@ import numpy as np
 import pytest
 
 from clockless.circuit import layered
+from clockless.limits import set_blas_threads
+
+# The tests run under the same BLAS thread policy as the command line.
+set_blas_threads()
 
 
 @pytest.fixture

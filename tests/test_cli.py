@@ -348,12 +348,13 @@ def test_soundness_missing_fault_file_exits_2_without_outputs(tmp_path, capsys):
         ["build", "--delta", "1.5"],
         ["scan", "--delta-grid", "0.5,0"],
         ["verify", "--delta", "1.5"],
+        ["verify", "--inject-delta", "1=1.5"],
         [
             "soundness", "--delta", "2", "--fault-file", "FAULT",
             "--suites", "union_bound", "--instances", "1",
         ],
     ],
-    ids=["build", "scan", "verify", "soundness"],
+    ids=["build", "scan", "verify", "verify-inject", "soundness"],
 )
 def test_delta_out_of_range_exits_2_without_outputs(
     tmp_path, capsys, identity_json, args

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from clockless.circuit import gate, layered
+from clockless.circuit import Gate, gate, layered
 from clockless.hamiltonian import (
     HamiltonianSpec,
     HamiltonianTerm,
@@ -19,8 +19,17 @@ from clockless.hamiltonian import (
     term_energy,
     with_output,
 )
-from clockless.linalg import basis_state, is_psd
-from clockless.peps import GridLayout, build_peps
+from clockless.linalg import (
+    apply_matrix,
+    basis_state,
+    embed_operator,
+    is_psd,
+    random_projector,
+    random_state,
+    random_unitary,
+)
+from clockless.pauli import lambda_matrix, word_matrix
+from clockless.peps import GridLayout, build_peps, choi_factor
 from clockless.spectral import dense_spectrum
 
 
@@ -167,3 +176,69 @@ def test_spec_rejects_oversized_terms():
     stray = HamiltonianTerm("output", (5,), np.diag([1.0, 0.0]), 1, (0,))
     with pytest.raises(ValueError):
         HamiltonianSpec(layout, (stray,))
+
+
+def _embed(op, qubits, support):
+    return embed_operator(op, [support.index(q) for q in qubits], len(support))
+
+
+def _dense_dressing(proj, pairs, support):
+    """The former dressing: one dense embedding per pair, two dense products."""
+    dress = np.eye(2 ** len(support), dtype=np.complex128)
+    for (lo, hi), delta in pairs:
+        dress = dress @ _embed(lambda_matrix(delta), (hi, lo), support)
+    block = dress @ proj @ dress
+    return 0.5 * (block + block.conj().T)
+
+
+DRESSING_DELTAS = [0.1, 0.5, 1.0, (0.3, 0.8)]
+
+
+@pytest.mark.parametrize("deltas", DRESSING_DELTAS, ids=str)
+def test_propagation_dressing_matches_dense_products(deltas):
+    layout = GridLayout(2, 2)
+    schedule = (deltas,) * 2 if np.isscalar(deltas) else deltas
+    haar = Gate((1, 0), random_unitary(4, np.random.default_rng(3)), "haar")
+    for g in (gate("H", (1,)), gate("CNOT", (0, 1)), haar):
+        for layer in (1, 2):
+            term = propagation_term(g, layer, schedule, layout)
+            pairs = [
+                (layout.site_qubits(l, w), schedule[l - 1])
+                for l in range(layer, min(layer + 1, layout.depth) + 1)
+                for w in g.wires
+            ]
+            vec, vec_qubits = choi_factor(g, layer, layout)
+            proj = np.eye(2**term.locality) - _embed(
+                np.outer(vec, vec.conj()), vec_qubits, term.support
+            )
+            oracle = _dense_dressing(proj, pairs, term.support)
+            assert np.max(np.abs(term.block - oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5, 1.0, 0.3], ids=str)
+def test_input_and_stabilizer_dressing_match_dense_products(delta):
+    layout = GridLayout(2, 1)
+    pairs = [(layout.site_qubits(1, w), delta) for w in (0, 1)]
+    support = tuple(sorted(q for pair, _ in pairs for q in pair))
+    inputs = [layout.input_qubit(w) for w in (0, 1)]
+    check = random_projector(4, 2, np.random.default_rng(5))
+    term = input_term((0, 1), delta, layout, check=check)
+    oracle = _dense_dressing(_embed(check, inputs, support), pairs, support)
+    assert np.max(np.abs(term.block - oracle)) <= 1e-14
+    (stab,) = stabilizer_terms(["-X.Z"], delta, layout)
+    word = -word_matrix(("X", "Z"))
+    proj = 0.5 * (np.eye(2 ** len(support)) - _embed(word, inputs, support))
+    oracle = _dense_dressing(proj, pairs, support)
+    assert np.max(np.abs(stab.block - oracle)) <= 1e-14
+
+
+@pytest.mark.parametrize("out_scale", [1.0, 2.5])
+def test_sparse_apply_is_bitwise_the_scaled_copy_loop(bell_circuit, out_scale):
+    op = assemble(with_output(parent_spec(bell_circuit, 0.4), [0, 1], out_scale))
+    vec = random_state(op.num_qubits, np.random.default_rng(11))
+    old = np.zeros(op.dim, dtype=np.complex128)
+    for t, s in zip(op.terms, op.scales):
+        old += s * apply_matrix(
+            vec, t.block, tuple(reversed(t.support)), op.num_qubits
+        )
+    assert op.apply(vec).tobytes() == old.tobytes()

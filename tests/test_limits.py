@@ -1,16 +1,19 @@
 """The one memory budget: estimates, refusals and their messages."""
 
+import logging
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from clockless import limits
 from clockless.hamiltonian import SparseOperator
 from clockless.limits import (
     MEMORY_BUDGET,
     ResourceError,
     dense_bytes,
     require,
+    set_blas_threads,
     vector_bytes,
 )
 from clockless.linalg import embed_operator
@@ -57,3 +60,31 @@ def test_empty_thirteen_qubit_operator_refuses_dense_without_allocating():
 def test_library_refusal_is_a_resource_error():
     with pytest.raises(ResourceError, match="dense embedding on 13 qubits"):
         embed_operator(np.eye(2), (0,), 13)
+
+
+def _no_search():
+    pytest.fail("the BLAS library was searched for")
+
+
+def test_blas_threads_honour_openblas_num_threads(monkeypatch, caplog):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.setattr(limits, "_numpy_openblas", _no_search)
+    with caplog.at_level(logging.INFO, logger="clockless.limits"):
+        assert set_blas_threads() == {}
+    assert "OPENBLAS_NUM_THREADS is set" in caplog.text
+
+
+def test_blas_threads_without_the_library_do_nothing(monkeypatch, caplog):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setattr(limits, "_numpy_openblas", lambda: None)
+    with caplog.at_level(logging.INFO, logger="clockless.limits"):
+        assert set_blas_threads() == {}
+    assert "not found" in caplog.text
+
+
+def test_blas_threads_second_call_is_harmless(monkeypatch):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    if limits._numpy_openblas() is None:
+        pytest.skip("numpy is not linked against its own OpenBLAS here")
+    assert set_blas_threads() == {"numpy": 1}
+    assert set_blas_threads() == {"numpy": 1}

@@ -5,6 +5,7 @@ import pytest
 
 from clockless import linalg
 from clockless.linalg import (
+    apply_maps,
     apply_matrix,
     basis_state,
     bit_placement,
@@ -72,6 +73,21 @@ def test_embed_operator_matches_kron():
     assert np.allclose(embed_operator(X, (1,), 2), np.kron(X, np.eye(2)))
     with pytest.raises(ValueError):
         embed_operator(X, (0,), 14)
+
+
+def test_apply_maps_matches_dense_products(rng):
+    # Two maps on disjoint wires of 5 qubits, one of them non-symmetric.
+    a, b = random_unitary(4, rng), random_unitary(2, rng)
+    block = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    maps = [(a, (4, 1)), (b, (2,))]
+    dense = embed_operator(a, (4, 1), 5) @ embed_operator(b, (2,), 5)
+    assert np.allclose(apply_maps(block, maps, 5, both_sides=False), dense @ block)
+    assert np.allclose(apply_maps(block, maps, 5), dense @ block @ dense.T)
+    assert np.allclose(apply_maps(np.eye(32), [], 5), np.eye(32))
+    # Overlapping maps multiply in order, the first one acting first.
+    later = embed_operator(b, (1,), 5) @ embed_operator(a, (4, 1), 5)
+    maps = [(a, (4, 1)), (b, (1,))]
+    assert np.allclose(apply_maps(block, maps, 5), later @ block @ later.T)
 
 
 def test_embed_operator_rejects_bad_wires():
