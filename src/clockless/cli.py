@@ -30,8 +30,10 @@ from .fk import (
 from .hamiltonian import assemble, energy, parent_spec
 from .limits import SCAN_POINT_CAP, ResourceError, set_blas_threads
 from .peps import build_peps, resolve_deltas
-from .soundness import SUITE_NAMES, FaultMismatch, fault_experiment, run_suite
-from .spectral import dense_spectrum, low_spectrum, solver_for
+from .soundness import (
+    SUITE_NAMES, FaultMismatch, fault_experiment, run_suite, worker_count,
+)
+from .spectral import dense_spectrum, low_spectrum, require_arpack_basis, solver_for
 from .verify import SCAN_HEADER, named_fixtures, scan_row, verify_checks
 
 
@@ -263,6 +265,8 @@ def cmd_build(cfg: RunConfig) -> int:
         operator.require_sparse()
     if method == "dense":
         operator.require_dense()
+    else:
+        require_arpack_basis(spec.layout.num_qubits, cfg.eigenvalues)
     state = build_peps(c, schedule)
     _echo_config(cfg)
     cio.write_state_bin(os.path.join(cfg.out, "state.bin"), state.amplitudes)
@@ -374,11 +378,15 @@ def cmd_soundness(cfg: RunConfig) -> int:
             )
     # A bad fault file is refused before any suite runs or file is written.
     report = None if cfg.fault_file is None else _fault_report(cfg)
+    try:
+        workers = worker_count()
+    except ValueError as e:
+        raise InputError(str(e)) from None
     _echo_config(cfg)
     results = []
     failures = 0
     for name in names:
-        result = run_suite(name, instances=cfg.instances, seed=cfg.seed)
+        result = run_suite(name, cfg.instances, cfg.seed, workers)
         results.append(result)
         failures += len(result.failures)
         cio.write_suite_csv(os.path.join(cfg.out, f"suite_{name}.csv"), result)

@@ -9,8 +9,16 @@ exactly when the undeformed state is annihilated by ``P``, so the common
 kernel of all terms is the image of the deformation applied to the common
 kernel of the bare projectors.
 
-Dressing is local: ``linalg.apply_maps`` puts each 4x4 pair map on the rows
-and columns of ``P``'s block, so no dense 2^k x 2^k ``L`` is ever formed.
+Each ``P`` is ``I - K K† ⊗ I`` for an orthonormal ``K`` on a few inner
+qubits, and a ``DressedTerm`` keeps only these factors: the (pair, delta)
+list, the inner qubits and ``K``. Its energy needs no 2^k x 2^k block:
+``<v|L P L|v> = ‖Lv‖² - ‖(K† ⊗ I) Lv‖²``, one ``apply_matrix`` per pair and
+one contraction of ``K†`` onto the inner qubits. Its block, for the matvec,
+the sparse export and the rotated frame, is built on first use in closed
+form, ``L² - W W†`` with ``W = L (K ⊗ I)``: ``L²`` is a Kronecker product of
+the pairs' ``Λ(δ)²`` and ``W`` one ``apply_maps`` on a 2^k x r·2^(k-kv)
+matrix. A ``HamiltonianTerm`` keeps a dense block instead, as the rotated
+terms of ``rotation`` do.
 
 Term blocks are stored dense over their support only. The support is kept as
 a strictly ascending tuple of grid qubit indices and bit ``i`` of a block's
@@ -18,23 +26,25 @@ row/column index is the qubit ``support[i]``. To act on the full register a
 block is therefore applied with wire list ``reversed(support)`` (wire lists
 are most-significant-first everywhere in this package).
 
-Kinds of term:
+Kinds of term, with their ``K``:
 
-* ``propagation``: forces one gate's step. Bulk terms (layer < depth) act on
-  the 2k shifted pairs straddling a k-wire gate, 4k qubits. Last-layer terms
-  have no right pairs and act on the k left pairs plus the k bare output
-  qubits, 3k qubits.
+* ``propagation``: forces one gate's step; ``K`` is its Choi vector. Bulk
+  terms (layer < depth) act on the 2k shifted pairs straddling a k-wire gate,
+  4k qubits. Last-layer terms have no right pairs and act on the k left pairs
+  plus the k bare output qubits, 3k qubits.
 * ``input``: penalizes input wires outside a reference projector (by default,
-  ancillas away from zero), dressed on the first-column pairs.
+  ancillas away from zero, ``K`` = |0…0>), dressed on the first-column pairs.
 * ``stabilizer``: penalizes the -1 eigenspace of a Hermitian involution built
-  from Pauli tags on input wires, dressed the same way.
-* ``output``: a bare single-qubit penalty on an output-column qubit; the only
-  undressed kind, and the only kind the assembly scale multiplies.
+  from Pauli tags on input wires (``K`` spans the +1 eigenspace), dressed the
+  same way.
+* ``output``: a bare single-qubit |0><0| on an output-column qubit (``K`` =
+  |1>, no pairs); the only kind the assembly scale multiplies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +57,6 @@ from .linalg import (
     apply_maps,
     apply_matrix,
     bit_placement,
-    embed_operator,
     expectation,
     is_hermitian,
     is_projector,
@@ -58,6 +67,7 @@ from .peps import GridLayout, PepsState, choi_factor, resolve_deltas
 __all__ = [
     "LocalTerm",
     "HamiltonianTerm",
+    "DressedTerm",
     "HamiltonianSpec",
     "SparseOperator",
     "EnergyReport",
@@ -110,10 +120,17 @@ class LocalTerm:
     def locality(self) -> int:
         return len(self.support)
 
+    def energy(self, vec: np.ndarray, num_qubits: int) -> float:
+        """Quadratic form <v|h|v> of the block; no normalization is applied."""
+        val = expectation(vec, self.block, tuple(reversed(self.support)), num_qubits)
+        if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
+            raise ValueError(f"term energy came out non-real: {val}")
+        return val.real
+
 
 @dataclass(frozen=True)
 class HamiltonianTerm(LocalTerm):
-    """One dressed projector of the grid Hamiltonian.
+    """One term of the grid Hamiltonian, stored as a dense block.
 
     ``layer`` is the 1-based grid layer the term belongs to (1 for input and
     stabilizer terms, the last layer for output terms) and ``wires`` the
@@ -133,20 +150,99 @@ class HamiltonianTerm(LocalTerm):
         return f"{self.kind}[layer {self.layer}, wires {self.wires}]"
 
 
-def _local(qubits: Sequence[int], support: tuple[int, ...]) -> tuple[int, ...]:
-    """Support-local wires of grid qubits, in the order given."""
-    return tuple(support.index(q) for q in qubits)
+@dataclass(frozen=True, eq=False)
+class DressedTerm:
+    """One dressed projector ``L (I - K K† ⊗ I) L`` kept as its factors.
+
+    ``pairs`` lists disjoint ``((q, q + 1), delta)`` pairs that ``L``
+    dresses, ``inner`` the qubits ``K`` acts on (most significant first) and
+    ``basis`` is ``K``, orthonormal within 1e-10, which makes ``L P L``
+    Hermitian. ``kind``, ``layer`` and ``wires`` are as in
+    ``HamiltonianTerm``; the support is the pair and inner qubits.
+    """
+
+    kind: str
+    layer: int
+    wires: tuple[int, ...]
+    pairs: tuple[tuple[tuple[int, int], float], ...]
+    inner: tuple[int, ...]
+    basis: np.ndarray
+    support: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        pairs = tuple(((int(lo), int(hi)), float(d)) for (lo, hi), d in self.pairs)
+        paired = [q for pair, _ in pairs for q in pair]
+        inner = tuple(int(q) for q in self.inner)
+        basis = np.array(self.basis, dtype=np.complex128)
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown term kind {self.kind!r}")
+        if any(hi != lo + 1 for (lo, hi), _ in pairs) or len(set(paired)) < len(paired):
+            raise ValueError(f"pairs must be disjoint (q, q + 1) pairs, got {pairs}")
+        if len(set(inner)) < len(inner):
+            raise ValueError(f"repeated inner qubits: {inner}")
+        if basis.ndim != 2 or basis.shape[0] != 2 ** len(inner):
+            raise ValueError(f"basis shape {basis.shape} does not match inner {inner}")
+        gram = basis.conj().T @ basis - np.eye(basis.shape[1])
+        if np.abs(gram).max(initial=0.0) > 1e-10:
+            raise ValueError("basis columns must be orthonormal")
+        basis.flags.writeable = False
+        values = (tuple(int(w) for w in self.wires), pairs, inner, basis)
+        for name, value in zip(("wires", "pairs", "inner", "basis"), values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "support", tuple(sorted(set(paired) | set(inner))))
+
+    @property
+    def locality(self) -> int:
+        return len(self.support)
+
+    def __str__(self) -> str:
+        return f"{self.kind}[layer {self.layer}, wires {self.wires}]"
+
+    @cached_property
+    def _maps(self) -> list[tuple[np.ndarray, tuple[int, int]]]:
+        """Each pair's ``Λ(δ)`` on its grid qubits, the higher one first."""
+        return [(lambda_matrix(d), (hi, lo)) for (lo, hi), d in self.pairs]
+
+    def energy(self, vec: np.ndarray, num_qubits: int) -> float:
+        """``‖Lv‖² - ‖(K† ⊗ I) Lv‖²``; no normalization, no block."""
+        lv = np.asarray(vec, dtype=np.complex128)
+        if lv.shape != (2**num_qubits,) or max(self.support, default=0) >= num_qubits:
+            raise ValueError(f"{self} does not fit a vector of shape {lv.shape}")
+        for lam, wires in self._maps:
+            lv = apply_matrix(lv, lam, wires, num_qubits)
+        axes = [num_qubits - 1 - q for q in self.inner]
+        inner_first = np.moveaxis(lv.reshape((2,) * num_qubits), axes, range(len(axes)))
+        kept = self.basis.conj().T @ inner_first.reshape(len(self.basis), -1)
+        return float(np.vdot(lv, lv).real - np.vdot(kept, kept).real)
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """``L² - W W†`` over the support, ``W = L (K ⊗ I)``; built once."""
+        k = self.locality
+        bits = {q: i for i, q in enumerate(self.support)}
+        squares = {bits[hi]: lam @ lam for lam, (hi, _) in self._maps}
+        factors, bit = [], k - 1
+        while bit >= 0:  # np.kron's first factor takes the top bits
+            factors.append(squares.get(bit, np.eye(2)))
+            bit -= 2 if bit in squares else 1
+        inner = [bits[q] for q in self.inner]
+        rest = [b for b in range(k) if b not in inner]
+        rows = bit_placement(inner[::-1])[:, None] + bit_placement(rest)
+        lifted = np.zeros((2**k, rows.shape[1], self.basis.shape[1]), np.complex128)
+        lifted[rows, np.arange(rows.shape[1])] = self.basis[:, None, :]
+        maps = [(lam, (bits[hi], bits[lo])) for lam, (hi, lo) in self._maps]
+        w = apply_maps(lifted.reshape(2**k, -1), maps, k, both_sides=False)
+        closed = reduce(np.kron, factors) - w @ w.conj().T
+        return LocalTerm(self.kind, self.support, closed).block
 
 
-def _dress(proj: np.ndarray, pairs, support: tuple[int, ...]) -> np.ndarray:
-    """``L proj L`` for L the lambda maps of a (pair, delta) list."""
-    maps = [(lambda_matrix(d), _local((hi, lo), support)) for (lo, hi), d in pairs]
-    return apply_maps(proj, maps, len(support))
+def _range(proj: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of a projector's range."""
+    vals, vecs = np.linalg.eigh(proj)
+    return vecs[:, vals > 0.5]
 
 
-def propagation_term(
-    g: Gate, layer: int, deltas, layout: GridLayout
-) -> HamiltonianTerm:
+def propagation_term(g: Gate, layer: int, deltas, layout: GridLayout) -> DressedTerm:
     """Dressed projector forcing one gate's step of the grid state."""
     schedule = resolve_deltas(deltas, layout.depth)
     if not 1 <= layer <= layout.depth:
@@ -158,22 +254,14 @@ def propagation_term(
         if last
         else [(layout.site_qubits(layer + 1, w), schedule[layer]) for w in g.wires]
     )
-    vec, vec_qubits = choi_factor(g, layer, layout)
-    support = tuple(
-        sorted({q for pair, _ in left + right for q in pair} | set(vec_qubits))
-    )
-    k = len(support)
-    proj = np.eye(2**k) - embed_operator(
-        np.outer(vec, vec.conj()), _local(vec_qubits, support), k
-    )
-    return HamiltonianTerm(
-        "propagation", support, _dress(proj, left + right, support), layer, g.wires
-    )
+    vec, qubits = choi_factor(g, layer, layout)
+    pairs = left + right
+    return DressedTerm("propagation", layer, g.wires, pairs, qubits, vec[:, None])
 
 
 def input_term(
     wire, delta: float, layout: GridLayout, check: np.ndarray | None = None
-) -> HamiltonianTerm:
+) -> DressedTerm:
     """Dressed penalty for input wires leaving a reference projector's image.
 
     ``wire`` is a single circuit wire or a tuple of them; ``check`` is a
@@ -196,10 +284,8 @@ def input_term(
     if not is_projector(check):
         raise ValueError("input check must be an orthogonal projector")
     pairs = [(layout.site_qubits(1, w), float(delta)) for w in wires]
-    support = tuple(sorted(q for pair, _ in pairs for q in pair))
-    inputs = _local([layout.input_qubit(w) for w in wires], support)
-    proj = embed_operator(check, inputs, len(support))
-    return HamiltonianTerm("input", support, _dress(proj, pairs, support), 1, wires)
+    inputs = [layout.input_qubit(w) for w in wires]
+    return DressedTerm("input", 1, wires, pairs, inputs, _range(np.eye(2**k) - check))
 
 
 def _parse_check(check, n: int) -> tuple[float, tuple[str, ...]]:
@@ -222,7 +308,7 @@ def _parse_check(check, n: int) -> tuple[float, tuple[str, ...]]:
     return sign, tags
 
 
-def stabilizer_terms(checks, delta: float, layout: GridLayout) -> list[HamiltonianTerm]:
+def stabilizer_terms(checks, delta: float, layout: GridLayout) -> list[DressedTerm]:
     """Dressed penalties for the -1 eigenspaces of Pauli-word involutions.
 
     Each check is a dot-separated tag string ("X.Z.Z.X.I"), optionally with
@@ -244,20 +330,16 @@ def stabilizer_terms(checks, delta: float, layout: GridLayout) -> list[Hamiltoni
         if not np.allclose(word @ word, np.eye(word.shape[0]), atol=1e-12):
             raise ValueError(f"check {'.'.join(tags)} does not square to one")
         pairs = [(layout.site_qubits(1, w), float(delta)) for w in wires]
-        support = tuple(sorted(q for pair, _ in pairs for q in pair))
-        inputs = _local([layout.input_qubit(w) for w in wires], support)
-        k = len(support)
-        proj = 0.5 * (np.eye(2**k) - embed_operator(word, inputs, k))
-        block = _dress(proj, pairs, support)
-        terms.append(HamiltonianTerm("stabilizer", support, block, 1, wires))
+        inputs = [layout.input_qubit(w) for w in wires]
+        allowed = _range(0.5 * (np.eye(word.shape[0]) + word))
+        terms.append(DressedTerm("stabilizer", 1, wires, pairs, inputs, allowed))
     return terms
 
 
-def output_term(row: int, layout: GridLayout) -> HamiltonianTerm:
+def output_term(row: int, layout: GridLayout) -> DressedTerm:
     """Bare single-qubit |0><0| penalty on an output-column qubit."""
-    support = (layout.output_qubit(row),)
-    block = np.diag([1.0, 0.0])
-    return HamiltonianTerm("output", support, block, layout.depth, (row,))
+    qubit = layout.output_qubit(row)
+    return DressedTerm("output", layout.depth, (row,), (), (qubit,), [[0.0], [1.0]])
 
 
 @dataclass(frozen=True)
@@ -269,7 +351,7 @@ class HamiltonianSpec:
     """
 
     layout: GridLayout
-    terms: tuple[HamiltonianTerm, ...]
+    terms: tuple[HamiltonianTerm | DressedTerm, ...]
     out_scale: float | None = None
 
     def __post_init__(self) -> None:
@@ -306,7 +388,7 @@ def parent_spec(
         raise ValueError("grid needs at least one layer")
     layout = GridLayout(c.n, c.depth)
     schedule = resolve_deltas(deltas, c.depth)
-    terms: list[HamiltonianTerm] = []
+    terms: list[DressedTerm] = []
     if include_input:
         for w in range(c.a):
             terms.append(input_term(w, schedule[0], layout))
@@ -335,7 +417,7 @@ class SparseOperator:
     """
 
     num_qubits: int
-    terms: tuple[HamiltonianTerm, ...]
+    terms: tuple[HamiltonianTerm | DressedTerm, ...]
     scales: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -423,12 +505,12 @@ class EnergyReport:
     tolerance: float
 
 
-def term_energy(term: HamiltonianTerm, vec: np.ndarray, num_qubits: int) -> float:
-    """Quadratic form <v|h|v> of one term; no normalization is applied."""
-    val = expectation(vec, term.block, tuple(reversed(term.support)), num_qubits)
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
-        raise ValueError(f"term energy came out non-real: {val}")
-    return val.real
+def term_energy(
+    term: HamiltonianTerm | DressedTerm, vec: np.ndarray, num_qubits: int
+) -> float:
+    """<v|h|v> of one term by its own ``energy``, unnormalized; anything
+    else with ``block`` and ``support`` is read as a block term."""
+    return getattr(type(term), "energy", LocalTerm.energy)(term, vec, num_qubits)
 
 
 def energy(spec: HamiltonianSpec, state, tol: float = 1e-9) -> EnergyReport:

@@ -87,9 +87,11 @@ def set_blas_threads() -> dict[str, int]:
 
     The two pools contend for the cores: on 2 cores ``soundness`` took
     5.9-6.1 s with both at their default, 4.2-4.3 s with numpy's at one
-    thread. scipy's keeps its threads for the dense ``eigh``. An explicit
-    ``OPENBLAS_NUM_THREADS`` wins. Returns the counts set, by library, or
-    {} (and a log line) when nothing was set. Safe to call again.
+    thread. scipy's keeps its threads for the dense ``eigh``; the small
+    eigensolves of ``spectral`` and ``run_suite``, one worker by default,
+    run on numpy's one thread. An explicit ``OPENBLAS_NUM_THREADS`` wins.
+    Returns the counts set, by library, or {} (and a log line) when
+    nothing was set. Safe to call again.
     """
     if "OPENBLAS_NUM_THREADS" in os.environ:
         _log.info("OPENBLAS_NUM_THREADS is set; BLAS threads left as they are")

@@ -55,6 +55,7 @@ __all__ = [
     "SpectralReport",
     "dense_spectrum",
     "low_spectrum",
+    "require_arpack_basis",
     "solver_for",
     "gap_vs_bound",
     "assemble_total_with_gap",
@@ -297,6 +298,12 @@ def solver_for(num_qubits: int) -> str:
     return "dense" if num_qubits <= DENSE_QUBITS else "iterative"
 
 
+def require_arpack_basis(num_qubits: int, k: int) -> None:
+    """Refuse ``low_spectrum`` for ``k`` pairs if its ARPACK basis of
+    max(2k+1, 20) vectors is over budget."""
+    require("an ARPACK basis", num_qubits, vector_bytes(num_qubits, max(2 * k + 1, 20)))
+
+
 def _solver_report(
     c: LayeredCircuit, spec: HamiltonianSpec, include_input: bool, seed: int
 ) -> SpectralReport:
@@ -308,8 +315,7 @@ def _solver_report(
         return dense_spectrum(operator)
     ground = 2 ** (c.n - c.a) if include_input else 2**c.n
     k = min(ground + 4, operator.dim - 2)
-    # Refused before ARPACK allocates its basis of max(2k+1, 20) vectors.
-    require("an ARPACK basis", n, vector_bytes(n, max(2 * k + 1, 20)))
+    require_arpack_basis(n, k)
     return low_spectrum(operator, k=k, seed=seed)
 
 
@@ -489,8 +495,11 @@ class JordanDecomposition:
         return total
 
 
+# The small (at most 32 x 32) eigensolves below use numpy's one-thread LAPACK,
+# not scipy's pool: on 2 vCPUs, 200 jordan instances took 0.17 s against
+# 0.21 s, 200 geometric ones 0.046 s against 0.071 s.
 def _range_basis(p: np.ndarray) -> np.ndarray:
-    eigs, vecs = scipy.linalg.eigh(p)
+    eigs, vecs = np.linalg.eigh(p)
     return np.ascontiguousarray(vecs[:, eigs > 0.5])
 
 
@@ -579,7 +588,7 @@ class GeometricBound(NamedTuple):
 
 def _kernel_basis(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Null-space basis and smallest nonzero eigenvalue of a PSD matrix."""
-    eigs, vecs = scipy.linalg.eigh(mat)
+    eigs, vecs = np.linalg.eigh(mat)
     if eigs[0] < -1e-8 * max(1.0, abs(eigs[-1])):
         raise ValueError(f"operator is not positive semidefinite (λmin={eigs[0]:.3e})")
     null = vecs[:, eigs < GROUND_CUTOFF]
@@ -642,7 +651,7 @@ def geometric_bound(a: np.ndarray, b: np.ndarray) -> GeometricBound:
             # One null space exhausted by the intersection: no angle left.
             cos_theta = 1.0
 
-    eigs = scipy.linalg.eigvalsh(a + b)
+    eigs = np.linalg.eigvalsh(a + b)
     min_eig = float(eigs[shared_dim]) if shared_dim < eigs.size else 0.0
     bound = gamma * (1.0 - cos_theta)
     theta = float(np.arccos(np.clip(cos_theta, 0.0, 1.0)))

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from clockless import limits
 from clockless.cli import (
     InputError,
     RunConfig,
@@ -294,6 +295,20 @@ def test_soundness_single_suite(tmp_path, capsys):
     assert manifest["suites"][0]["failures"] == []
 
 
+def test_bad_clockless_threads_exits_2_without_outputs(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setenv("CLOCKLESS_THREADS", "abc")
+    out = tmp_path / "out"
+    code = main([
+        "soundness", "--out", str(out), "--suites", "union_bound",
+        "--instances", "2",
+    ])
+    assert code == 2
+    assert "CLOCKLESS_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_soundness_unknown_suite(tmp_path, capsys):
     code = main(["soundness", "--suites", "nonsense", "--out", str(tmp_path)])
     assert code == 2
@@ -429,6 +444,21 @@ def test_dense_build_beyond_budget_exits_2_without_outputs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "14 qubits" in err and "GiB" in err and "memory budget" in err
     assert not out.exists()
+
+
+def test_iterative_build_beyond_budget_exits_2_without_outputs(
+    tmp_path, capsys, monkeypatch
+):
+    # 20 ARPACK vectors on 14 qubits are 5 MiB; the grid state is 1 MiB.
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", 2 * 2**20)
+    circuit = tmp_path / "c14.json"
+    circuit.write_text(json_text(C14))
+    out = tmp_path / "out"
+    code = main(["build", "--circuit", str(circuit), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "ARPACK basis on 14 qubits" in err and "memory budget" in err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_verify_beyond_budget_exits_2_without_outputs(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Parent Hamiltonian terms: frustration, spectra, and assembly."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from clockless.circuit import Gate, gate, layered
 from clockless.hamiltonian import (
+    DressedTerm,
     HamiltonianSpec,
     HamiltonianTerm,
     assemble,
@@ -23,6 +25,7 @@ from clockless.linalg import (
     apply_matrix,
     basis_state,
     embed_operator,
+    expectation,
     is_psd,
     random_projector,
     random_state,
@@ -242,3 +245,78 @@ def test_sparse_apply_is_bitwise_the_scaled_copy_loop(bell_circuit, out_scale):
             vec, t.block, tuple(reversed(t.support)), op.num_qubits
         )
     assert op.apply(vec).tobytes() == old.tobytes()
+
+
+def _every_kind(layout, schedule, rng):
+    """Terms of every kind and shape on a 2-wire grid at a delta schedule."""
+    haar = Gate((1, 0), random_unitary(4, rng), "haar")
+    terms = [
+        propagation_term(g, layer, schedule, layout)
+        for g in (gate("H", (1,)), gate("CNOT", (0, 1)), haar)
+        for layer in range(1, layout.depth + 1)
+    ]
+    terms.append(input_term(0, schedule[0], layout))
+    check = random_projector(4, 2, rng)
+    terms.append(input_term((0, 1), schedule[0], layout, check=check))
+    terms.extend(stabilizer_terms(["-X.Z", "XZ.XZ"], schedule[0], layout))
+    terms.append(output_term(1, layout))
+    return terms
+
+
+@pytest.mark.parametrize("deltas", DRESSING_DELTAS, ids=str)
+def test_factored_energy_matches_block_expectation(deltas):
+    layout = GridLayout(2, 2)
+    schedule = (deltas,) * 2 if np.isscalar(deltas) else deltas
+    rng = np.random.default_rng(23)
+    n = layout.num_qubits
+    terms = _every_kind(layout, schedule, rng)
+    assert {t.kind for t in terms} == {"propagation", "input", "stabilizer", "output"}
+    assert {t.locality for t in terms} == {1, 2, 3, 4, 6, 8}
+    for term in terms:
+        wires = tuple(reversed(term.support))
+        for _ in range(3):
+            v = random_state(n, rng)
+            reference = expectation(v, term.block, wires, n).real
+            assert abs(term_energy(term, v, n) - reference) <= 1e-13
+
+
+def test_output_block_is_exact_and_blocks_are_cached():
+    layout = GridLayout(2, 1)
+    out = output_term(0, layout)
+    assert out.block.tolist() == [[1.0, 0.0], [0.0, 0.0]]
+    term = propagation_term(gate("CNOT", (0, 1)), 1, 0.5, layout)
+    assert term.block is term.block
+    assert not term.block.flags.writeable
+
+
+def test_dressed_term_rejects_bad_factors():
+    one = np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="unknown term kind"):
+        DressedTerm("mystery", 1, (0,), (), (3,), one)
+    with pytest.raises(ValueError, match="orthonormal"):
+        DressedTerm("output", 1, (0,), (), (3,), 2 * one)
+    with pytest.raises(ValueError, match="does not match"):
+        DressedTerm("output", 1, (0,), (), (3, 4), one)
+    with pytest.raises(ValueError, match="pairs"):
+        DressedTerm("input", 1, (0,), [((0, 2), 0.5)], (0,), one)
+    with pytest.raises(ValueError, match="pairs"):
+        DressedTerm("input", 1, (0,), [((0, 1), 0.5), ((1, 2), 0.5)], (0,), one)
+    term = DressedTerm("input", 1, (0,), [((4, 5), 0.5)], (4,), one)
+    assert term.support == (4, 5)
+
+
+def test_parent_energy_forms_no_term_block():
+    # A bulk CNOT term covers 8 qubits: its block alone would be 1 MiB.
+    c = layered(2, 1, [[("CNOT", (0, 1))], [("H", (0,)), ("T", (1,))]])
+    state = build_peps(c, 0.5)
+    energy(parent_spec(c, 0.5), state.amplitudes)
+    tracemalloc.start()
+    try:
+        spec = parent_spec(c, 0.5)
+        report = energy(spec, state.amplitudes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(t.locality for t in spec.terms) == 8
+    assert report.total < 1e-12
+    assert peak < 256 * 1024

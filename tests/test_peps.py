@@ -1,8 +1,11 @@
 """Grid states: construction, expansion identity, and output marginals."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from clockless import limits
 from clockless.circuit import layered
 from clockless.linalg import basis_state, random_unitary, trace_distance
 from clockless.pauli import PauliWord
@@ -162,3 +165,20 @@ def test_choi_vector_matches_column_copy(rng):
     for x in range(4):
         ref[:, x] = u[:, x]
     assert np.array_equal(choi_vector(u), ref.reshape(-1) / np.sqrt(2.0**2))
+
+
+def test_build_peps_requires_the_vectors_it_holds(monkeypatch):
+    c = layered(2, 1, [[("H", (0,)), ("T", (1,))], [("CNOT", (0, 1))],
+                       [("S", (0,)), ("H", (1,))]])
+    estimate = limits.vector_bytes(14, 4)
+    build_peps(c, 0.5)
+    tracemalloc.start()
+    try:
+        build_peps(c, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0.9 * estimate <= peak <= 1.02 * estimate
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", estimate - 1)
+    with pytest.raises(limits.ResourceError, match="grid state on 14 qubits"):
+        build_peps(c, 0.5)
