@@ -33,7 +33,13 @@ from .peps import build_peps, resolve_deltas
 from .soundness import (
     SUITE_NAMES, FaultMismatch, fault_experiment, run_suite, worker_count,
 )
-from .spectral import dense_spectrum, low_spectrum, require_arpack_basis, solver_for
+from .spectral import (
+    dense_spectrum,
+    low_spectrum,
+    require_arpack_basis,
+    require_dense_spectrum,
+    solver_for,
+)
 from .verify import SCAN_HEADER, named_fixtures, scan_row, verify_checks
 
 
@@ -264,7 +270,7 @@ def cmd_build(cfg: RunConfig) -> int:
     if cfg.mtx:
         operator.require_sparse()
     if method == "dense":
-        operator.require_dense()
+        require_dense_spectrum(spec.layout.num_qubits)
     else:
         require_arpack_basis(spec.layout.num_qubits, cfg.eigenvalues)
     state = build_peps(c, schedule)

@@ -7,8 +7,9 @@ calls ``require`` before allocating them; an estimate past ``MEMORY_BUDGET``
 raises ``ResourceError``, which the CLI reports as exit 2.
 
 ``MEMORY_BUDGET`` is 2^28 bytes (256 MiB), one dense complex matrix on 12
-qubits: the largest the exact-diagonalization oracles need, and small enough
-that the copies a dense solve makes still fit on a desk machine.
+qubits.  The exact-diagonalization oracles count the copies they hold
+(``spectral``), so they stop at 11 qubits, and a dense solve still fits on
+a desk machine.
 """
 
 from __future__ import annotations

@@ -209,6 +209,12 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
 
 
+# The four Bell projectors in PAULI_TAGS order, built once: every site map
+# is a weighted sum of them.
+_BELL_PROJECTORS = np.stack([bell_projector(tag) for tag in PAULI_TAGS])
+_BELL_PROJECTORS.flags.writeable = False
+
+
 def site_map_matrix(m: SiteMap) -> np.ndarray:
     """Dense 4x4 matrix of a site map, in the computational pair basis."""
     weights = {
@@ -216,8 +222,8 @@ def site_map_matrix(m: SiteMap) -> np.ndarray:
         "Lambda": [m.delta, 1.0, 1.0, 1.0],
     }[m.kind]
     out = np.zeros((4, 4), dtype=np.complex128)
-    for w, tag in zip(weights, PAULI_TAGS):
-        out += w * bell_projector(tag)
+    for w, proj in zip(weights, _BELL_PROJECTORS):
+        out += w * proj
     return out
 
 

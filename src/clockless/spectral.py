@@ -1,13 +1,18 @@
 """Eigensolvers and subspace-angle diagnostics for grid Hamiltonians.
 
-Two solver entry points share one result type.  ``dense_spectrum`` is the
-oracle: a full Hermitian eigendecomposition, feasible up to twelve qubits,
-against which everything else in the package is checked.  ``low_spectrum``
-wraps ARPACK's implicitly restarted iteration (``scipy.sparse.linalg.eigsh``)
-over matrix-free operator applications, and reaches the sizes the dense
-path cannot.  Both report eigenvalues in ascending order, the dimension of
-the zero-energy ground space, and the gap above it.  ``solver_for`` is the
-one rule that picks between them by qubit count.
+There are three solver entry points.  ``dense_spectrum`` is the oracle: a
+full Hermitian eigendecomposition, against which everything else in the
+package is checked.  ``low_spectrum`` wraps ARPACK's implicitly restarted
+iteration (``scipy.sparse.linalg.eigsh``) over matrix-free operator
+applications, and reaches the sizes the dense path cannot.  Both report
+eigenvalues in ascending order, the dimension of the zero-energy ground
+space, and the gap above it.  ``solver_for`` is the one rule that picks
+between them by qubit count.  ``ground_state`` is the inertia oracle for
+a ground-state check.  It takes the same input as ``dense_spectrum``, and
+one Bunch–Kaufman LDLᵀ factorization of ``H - GROUND_CUTOFF·I`` counts the
+eigenvalues below the cutoff exactly (Sylvester's law of inertia).  When
+that count is one, inverse iteration on the same factor gives the ground
+vector.
 
 The rest of the module measures how the ground spaces of term families sit
 relative to each other.  ``detectability_check`` and ``union_bound_check``
@@ -52,10 +57,13 @@ __all__ = [
     "DENSE_QUBITS",
     "GROUND_CUTOFF",
     "ConvergenceError",
+    "GroundState",
     "SpectralReport",
     "dense_spectrum",
+    "ground_state",
     "low_spectrum",
     "require_arpack_basis",
+    "require_dense_spectrum",
     "solver_for",
     "gap_vs_bound",
     "assemble_total_with_gap",
@@ -137,42 +145,72 @@ def _gap(eigs: np.ndarray, ground: int) -> float:
     return float(eigs[ground] - eigs[0])
 
 
-def _as_dense(op) -> np.ndarray:
+# Dense matrices of the operator's size, counted as complex 2^N x 2^N, that
+# each dense path holds at its peak, rounded up.  Measured around the whole
+# call on 10-qubit parent operators (tracemalloc / growth of peak RSS):
+# dense_spectrum holds the matrix, eigh's copy of it and the eigenvectors,
+# 3.0-3.1 / 3.3-3.5; ground_state holds the shifted matrix and the factor,
+# 2.1 / 2.2 for a complex matrix and 1.6 / 1.8 for a real one.  Either way
+# 11 qubits fit the budget and 12 do not.
+_SPECTRUM_COPIES = 4
+_GROUND_COPIES = 3
+
+# Rows per slab of the Hermitian check, which then needs no full-size
+# temporaries beside the matrix.
+_CHECK_ROWS = 64
+
+
+def _as_dense(
+    op, what: str = "a dense eigendecomposition", copies: int = 1
+) -> np.ndarray:
+    """``op`` as a dense square matrix, refused before it is materialized when
+    ``copies`` dense matrices of its size are over budget."""
     if isinstance(op, SparseOperator):
+        require(what, op.num_qubits, copies * dense_bytes(op.num_qubits))
         return op.dense()
     if not (scipy.sparse.issparse(op) or isinstance(op, np.ndarray)):
         raise TypeError(f"cannot materialize {type(op).__name__} as a dense matrix")
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {op.shape}")
     qubits = (op.shape[0] - 1).bit_length()
-    require("a dense eigendecomposition", qubits, dense_bytes(qubits))
+    require(what, qubits, copies * dense_bytes(qubits))
     return op.toarray() if scipy.sparse.issparse(op) else op
 
 
-def dense_spectrum(
-    op, vectors: int | None = None, lowest: int | None = None
-) -> SpectralReport:
+def _hermitian(op, what: str, copies: int) -> tuple[np.ndarray, float]:
+    """The dense matrix of ``op`` and its largest entry (at least 1), checked
+    Hermitian within 1e-10 of that scale, one slab of rows at a time."""
+    mat = np.asarray(_as_dense(op, what, copies))
+    scale = skew = 0.0
+    for lo in range(0, mat.shape[0], _CHECK_ROWS):
+        rows = mat[lo : lo + _CHECK_ROWS]
+        scale = max(scale, float(np.abs(rows).max()))
+        cols = mat[:, lo : lo + _CHECK_ROWS].conj().T
+        skew = max(skew, float(np.abs(rows - cols).max()))
+    scale = max(1.0, scale)
+    if skew > 1e-10 * scale:
+        raise ValueError("operator is not Hermitian")
+    return mat, scale
+
+
+def require_dense_spectrum(num_qubits: int) -> None:
+    """Refuse ``dense_spectrum`` on ``num_qubits`` qubits if the dense
+    matrices it holds are over budget."""
+    require(
+        "a dense eigendecomposition", num_qubits,
+        _SPECTRUM_COPIES * dense_bytes(num_qubits),
+    )
+
+
+def dense_spectrum(op, vectors: int | None = None) -> SpectralReport:
     """Hermitian eigendecomposition; the oracle for everything else.
 
-    All eigenvalues are reported, or the ``lowest`` smallest ones only.
-    Eigenvector columns are retained for the lowest few pairs only: enough
-    to span the ground space plus one, or eight, whichever is larger; pass
-    ``vectors`` to override.  If all ``lowest`` values are ground states,
-    ``ground_resolved`` is False and the gap NaN.
+    All eigenvalues are reported.  Eigenvector columns are retained for the
+    lowest few pairs only: enough to span the ground space plus one, or
+    eight, whichever is larger; pass ``vectors`` to override.
     """
-    mat = np.asarray(_as_dense(op))
-    dim = mat.shape[0]
-    scale = max(1.0, float(np.abs(mat).max()))
-    if np.abs(mat - mat.conj().T).max() > 1e-10 * scale:
-        raise ValueError("operator is not Hermitian")
-    if lowest is None:
-        eigs, basis = scipy.linalg.eigh(mat)
-    else:
-        # A real matrix stored as complex diagonalizes ~4x faster as real.
-        if np.iscomplexobj(mat) and not mat.imag.any():
-            mat = mat.real
-        top = min(lowest, dim) - 1
-        eigs, basis = scipy.linalg.eigh(mat, subset_by_index=[0, top])
+    mat, _ = _hermitian(op, "a dense eigendecomposition", _SPECTRUM_COPIES)
+    eigs, basis = scipy.linalg.eigh(mat)
     ground = _ground_dim(eigs)
     keep = min(eigs.size, max(ground + 1, 8) if vectors is None else max(vectors, 1))
     kept = np.ascontiguousarray(basis[:, :keep])
@@ -184,7 +222,121 @@ def dense_spectrum(
         residuals=residuals,
         method="dense",
         eigenvectors=kept,
-        ground_resolved=ground < eigs.size or eigs.size == dim,
+    )
+
+
+class GroundState(NamedTuple):
+    """Inertia count below ``GROUND_CUTOFF`` and the ground vector it implies.
+
+    ``ground_dim`` is the number of eigenvalues below the cutoff, exact.
+    When it is 1, ``vector`` is the unit ground vector, ``energy`` its
+    Rayleigh quotient, ``residual`` ``‖Hx - (x†Hx)x‖`` and ``solves`` the
+    inverse-iteration steps spent; otherwise ``vector`` is None, the two
+    floats NaN and ``solves`` 0.
+    """
+
+    ground_dim: int
+    vector: np.ndarray | None
+    energy: float
+    residual: float
+    solves: int
+
+
+def _negative_pivots(factor: np.ndarray, pivots: np.ndarray) -> int:
+    """Negative eigenvalues of the block-diagonal D of a lower Bunch–Kaufman
+    factor (LAPACK ``?sytrf``/``?hetrf`` storage): a 2x2 block, marked by two
+    equal negative pivot entries, holds one negative eigenvalue when its
+    determinant is negative and two when it is positive with a negative
+    diagonal."""
+    diag = factor.diagonal().real.tolist()
+    sub = factor.diagonal(-1).tolist()
+    piv = pivots.tolist()
+    count = k = 0
+    while k < len(diag):
+        if piv[k] > 0:
+            count += diag[k] < 0
+            k += 1
+            continue
+        a, c = diag[k], diag[k + 1]
+        det = a * c - abs(sub[k]) ** 2
+        if det < 0:
+            count += 1
+        elif det > 0:
+            count += 2 * (a < 0)
+        else:
+            count += a + c < 0
+        k += 2
+    return count
+
+
+# Inverse iteration in ground_state: residual tolerance relative to the
+# largest entry, step budget and start-vector seed.  On verify's parents the
+# residual reaches 3e-16 to 6e-15 after 2 steps.
+_GROUND_TOL = 1e-12
+_GROUND_SOLVES = 10
+_GROUND_SEED = 0
+
+
+def ground_state(op) -> GroundState:
+    """Ground-space dimension by Sylvester inertia, and the unique ground vector.
+
+    ``op`` is materialized and checked Hermitian as in ``dense_spectrum``;
+    a complex matrix with no imaginary part is factored as real.  LAPACK's
+    Bunch–Kaufman ``?sytrf`` (real) or ``?hetrf`` (complex) factors
+    ``H - GROUND_CUTOFF·I = L D L†``, and by Sylvester's law of inertia the
+    negative eigenvalues of D, counted by ``_negative_pivots``, are exactly
+    the eigenvalues of H below the cutoff (Golub & Van Loan, *Matrix
+    Computations*, §4.4).  When there is one, inverse iteration on the same
+    factor, from a seeded random start, runs until ``‖Hx - (x†Hx)x‖`` is
+    at most 1e-12 times the largest entry of H (at least 1) and ``x†Hx``
+    lies below the cutoff.  Raises ``ConvergenceError`` when ten steps do
+    not get there (as when an eigenvalue above the cutoff lies nearer to it
+    than the ground one), and ``numpy.linalg.LinAlgError`` when the factor
+    is singular.
+    """
+    mat, scale = _hermitian(op, "a ground-state factorization", _GROUND_COPIES)
+    real = not np.iscomplexobj(mat) or not mat.imag.any()
+    # The shifted matrix stays for the residuals; the factor gets its own
+    # copy, in the column order LAPACK overwrites in place.
+    if real:
+        shifted = np.array(mat.real, dtype=np.float64)
+        names = ("sytrf", "sytrf_lwork", "sytrs")
+    else:
+        shifted = np.array(mat, dtype=np.complex128)
+        names = ("hetrf", "hetrf_lwork", "hetrs")
+    del mat
+    dim = shifted.shape[0]
+    shifted.flat[:: dim + 1] -= GROUND_CUTOFF
+    trf, trf_lwork, trs = scipy.linalg.get_lapack_funcs(names, (shifted,))
+    work, _ = trf_lwork(dim, lower=1)
+    factor, pivots, info = trf(
+        np.asfortranarray(shifted), lower=1, lwork=int(work.real), overwrite_a=1
+    )
+    count = _negative_pivots(factor, pivots)
+    if count != 1:
+        nan = float("nan")
+        return GroundState(count, None, nan, nan, 0)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"H - {GROUND_CUTOFF:g}·I is singular")
+    rng = np.random.default_rng(_GROUND_SEED)
+    x = rng.standard_normal(dim)
+    if not real:
+        x = x + 1j * rng.standard_normal(dim)
+    tol = _GROUND_TOL * scale
+    for solves in range(1, _GROUND_SOLVES + 1):
+        x, _ = trs(factor, pivots, x, lower=1, overwrite_b=1)
+        x /= np.linalg.norm(x)
+        hx = shifted @ x
+        rayleigh = float(np.vdot(x, hx).real)
+        residual = float(np.linalg.norm(hx - rayleigh * x))
+        # An eigenvalue just above the cutoff can sit nearer the shift than
+        # the ground one; its vector has a positive shifted Rayleigh quotient.
+        if residual <= tol and rayleigh < 0:
+            return GroundState(1, x, rayleigh + GROUND_CUTOFF, residual, solves)
+    raise ConvergenceError(
+        f"inverse iteration did not reach residual {tol:g} below the cutoff "
+        f"within {_GROUND_SOLVES} solves",
+        _GROUND_SOLVES,
     )
 
 
@@ -199,6 +351,20 @@ def _as_linear_operator(op) -> LinearOperator:
     if len(op.shape) != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square operator, got shape {op.shape}")
     return aslinearoperator(op)
+
+
+def _orthonormalize_ground(vectors: np.ndarray, ground: int) -> None:
+    """Modified Gram–Schmidt, in place, on the first ``ground`` columns.
+
+    ARPACK's Ritz vectors inside one degenerate level need not be
+    orthogonal (off by 0.03 on the 14-qubit C14 parent).  Column 0 keeps
+    its bytes; each later column loses its projection on the ones before.
+    """
+    for j in range(1, ground):
+        col = vectors[:, j]
+        for i in range(j):
+            col -= np.vdot(vectors[:, i], col) * vectors[:, i]
+        col /= np.linalg.norm(col)
 
 
 def low_spectrum(
@@ -218,7 +384,9 @@ def low_spectrum(
     1e-12)``.  ``max_iter`` is ARPACK's budget of implicit restarts.  ``k``
     must lie in 1..dim-2, ARPACK's limit.  Raises ``ConvergenceError``,
     with the number of operator applications spent, when the budget runs
-    out or the residual check fails.  Like any single-vector Krylov
+    out or the residual check fails.  The columns below ``GROUND_CUTOFF``
+    are orthonormalized against column 0, which is returned as ARPACK gave
+    it, before the residuals are taken.  Like any single-vector Krylov
     method it finds further copies of a degenerate level only through
     rounding; ``dense_spectrum`` is the oracle to check it against.
     """
@@ -263,6 +431,8 @@ def low_spectrum(
     order = np.argsort(eigs)
     eigs = eigs[order] + shift
     vectors = np.ascontiguousarray(vectors[:, order])
+    ground = _ground_dim(eigs)
+    _orthonormalize_ground(vectors, ground)
     residuals = np.array(
         [np.linalg.norm(matvec(v) - e * v) for e, v in zip(eigs, vectors.T)]
     )
@@ -270,7 +440,6 @@ def low_spectrum(
         raise ConvergenceError(
             f"residual check failed at {residuals.max():.3e} > {tol:g}", spent
         )
-    ground = _ground_dim(eigs)
     return SpectralReport(
         lowest_eigenvalues=eigs,
         ground_dim=ground,

@@ -7,8 +7,11 @@ independent oracle:
 * ``frustration_freeness``: the largest term energy of the grid state,
   against 0.
 * ``ground_fidelity`` (only when every wire is an ancilla): overlap of the
-  grid state with the parent's ground state from ``dense_spectrum``,
-  against 1. A ground space that is not one-dimensional fails with NaN.
+  grid state with the parent's ground state from ``ground_state``, against
+  1.  ``ground_state`` counts the eigenvalues below the ground cutoff
+  exactly, by the inertia of one LDLᵀ factorization, and finds the ground
+  vector by inverse iteration from a seeded random start, not from the
+  grid state.  A count other than one fails with NaN.
 * ``expansion_reassembly``: overlap of the grid state with its Pauli-word
   expansion summed back onto the grid, against 1.
 * ``depolarizing_marginal`` (identity circuits only): trace distance of the
@@ -60,7 +63,7 @@ from .rotation import (
     teleport_input,
 )
 from .soundness import overlap_ceiling
-from .spectral import dense_spectrum, gap_vs_bound
+from .spectral import gap_vs_bound, ground_state
 
 __all__ = [
     "Check",
@@ -160,12 +163,12 @@ def ground_fidelity_check(
     name: str, delta: float, spec: HamiltonianSpec, state, tol: float
 ) -> Check:
     """Grid-state overlap with the parent's ground state; NaN if not unique."""
-    dense = dense_spectrum(assemble(spec), vectors=1, lowest=2)
-    if not dense.ground_resolved:
+    ground = ground_state(assemble(spec))
+    if ground.ground_dim != 1:
         nan = float("nan")
         return Check("ground_fidelity", name, delta, nan, 1.0, nan, "fail")
     return _fidelity_check(
-        "ground_fidelity", name, delta, dense.eigenvectors[:, 0], state, tol
+        "ground_fidelity", name, delta, ground.vector, state, tol
     )
 
 

@@ -446,6 +446,23 @@ def test_dense_build_beyond_budget_exits_2_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dense_build_counts_the_copies_it_holds(tmp_path, capsys):
+    # 12 grid qubits: one dense matrix fits the budget, the four that the
+    # eigendecomposition holds do not
+    circuit = tmp_path / "c12.json"
+    circuit.write_text(json_text({
+        "version": 1, "n": 4, "a": 4,
+        "layers": [[{"gate": "H", "wires": [0]}]
+                   + [{"gate": "I", "wires": [w]} for w in (1, 2, 3)]],
+    }))
+    out = tmp_path / "out"
+    code = main(["build", "--dense", "--circuit", str(circuit), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "dense eigendecomposition on 12 qubits" in err and "1 GiB" in err
+    assert not out.exists()
+
+
 def test_iterative_build_beyond_budget_exits_2_without_outputs(
     tmp_path, capsys, monkeypatch
 ):

@@ -17,6 +17,7 @@ from clockless.limits import (
     vector_bytes,
 )
 from clockless.linalg import embed_operator
+from clockless.spectral import dense_spectrum, ground_state
 
 
 def test_require_accepts_at_budget_and_refuses_one_byte_over():
@@ -51,6 +52,21 @@ def test_empty_thirteen_qubit_operator_refuses_dense_without_allocating():
     try:
         with pytest.raises(ResourceError, match="13 qubits"):
             op.dense()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_dense_oracles_refuse_twelve_qubits_without_allocating():
+    # one 12-qubit matrix is the whole budget; each oracle holds several
+    op = SparseOperator(12, (), ())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match="eigendecomposition on 12"):
+            dense_spectrum(op)
+        with pytest.raises(ResourceError, match="factorization on 12"):
+            ground_state(op)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

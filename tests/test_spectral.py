@@ -8,12 +8,14 @@ from clockless.circuit import layered
 from clockless.hamiltonian import assemble, parent_spec
 from clockless.linalg import embed_operator, random_projector, random_state
 from clockless.spectral import (
+    GROUND_CUTOFF,
     ConvergenceError,
     assemble_total_with_gap,
     dense_spectrum,
     detectability_check,
     gap_vs_bound,
     geometric_bound,
+    ground_state,
     jordan_angles,
     low_spectrum,
     union_bound_check,
@@ -217,21 +219,23 @@ def test_geometric_bound_nested_kernels():
 @pytest.mark.parametrize("name,layers", [
     ("cnot_bulk", [[("CNOT", (1, 0))], [("I", (0,)), ("I", (1,))]]),
     ("t_bulk", [[("T", (0,)), ("I", (1,))], [("CZ", (0, 1))]]),
+    ("identity2", [[("I", (0,)), ("I", (1,))]] * 2),
 ])
 def test_dense_spectrum_lowest_matches_full(name, layers):
+    # ground_state (inertia count, inverse iteration) against the full
+    # dense spectrum; t_bulk is complex, the other two are factored as real
     c = layered(2, 2, layers)
     for delta in (0.2, 0.5):
         op = assemble(parent_spec(c, delta))
         full = dense_spectrum(op)
-        part = dense_spectrum(op, vectors=1, lowest=2)
-        assert part.lowest_eigenvalues.shape == (2,)
-        assert np.allclose(
-            part.lowest_eigenvalues, full.lowest_eigenvalues[:2], atol=1e-12
-        )
+        part = ground_state(op)
+        assert part.vector.shape == (op.dim,)
+        assert np.iscomplexobj(part.vector) == (name == "t_bulk")
+        assert abs(part.energy - full.lowest_eigenvalues[0]) < 1e-12
         assert part.ground_dim == full.ground_dim == 1
-        assert abs(part.gap - full.gap) < 1e-12
-        assert part.ground_resolved and full.ground_resolved
-        overlap = np.vdot(part.eigenvectors[:, 0], full.eigenvectors[:, 0])
+        assert part.residual <= 1e-12 and part.solves <= 3
+        assert full.ground_resolved
+        overlap = np.vdot(part.vector, full.eigenvectors[:, 0])
         assert abs(abs(overlap) - 1.0) < 1e-10
 
 
@@ -240,11 +244,83 @@ def test_dense_spectrum_lowest_flags_degenerate_ground(hcnot):
     op = assemble(parent_spec(hcnot, 0.5))
     full = dense_spectrum(op)
     assert full.ground_dim == 2 and full.ground_resolved
-    part = dense_spectrum(op, lowest=2)
-    assert not part.ground_resolved
-    assert part.ground_dim == 2 and np.isnan(part.gap)
-    wider = dense_spectrum(op, lowest=3)
-    assert wider.ground_resolved and wider.ground_dim == 2
-    assert abs(wider.gap - full.gap) < 1e-12
+    part = ground_state(op)
+    assert part.ground_dim == 2 and part.vector is None
+    assert np.isnan(part.energy) and np.isnan(part.residual) and part.solves == 0
+    lifted = ground_state(op.dense() + np.eye(op.dim))
+    assert lifted.ground_dim == 0 and lifted.vector is None
     with pytest.raises(ValueError):
-        dense_spectrum(op, lowest=0)
+        ground_state(op.dense()[:, 1:])
+
+
+def _hermitian_with(eigs, rng, complex_):
+    dim = len(eigs)
+    z = rng.standard_normal((dim, dim))
+    if complex_:
+        z = z + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    mat = (q * eigs) @ q.conj().T
+    return (mat + mat.conj().T) / 2, q
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_ground_state_counts_random_spectra_exactly(rng, complex_):
+    # eigenvalues on both sides of the cutoff, two within 1e-10 of it; a
+    # single level below it (k = 1) is the vector test's case
+    below = [-2.0, -1e-3, 0.0, 1e-12, GROUND_CUTOFF - 1e-10]
+    above = [GROUND_CUTOFF + 1e-10, 1e-6, 0.3, 1.0, 4.0]
+    for k in (0, 2, 3, 4, 5):
+        eigs = np.r_[below[:k], above, np.linspace(1.5, 3.0, 20)]
+        mat, _ = _hermitian_with(eigs, rng, complex_)
+        found = ground_state(mat)
+        assert found.ground_dim == k and found.vector is None
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_ground_state_vector_of_a_random_spectrum(rng, complex_):
+    # a frustration-free-like spectrum: one near-zero level under a gap
+    eigs = np.r_[1e-13, np.linspace(1e-3, 2.0, 31)]
+    mat, q = _hermitian_with(eigs, rng, complex_)
+    found = ground_state(mat)
+    assert found.ground_dim == 1 and found.residual <= 1e-12
+    assert abs(found.energy - 1e-13) < 1e-12
+    assert abs(abs(np.vdot(found.vector, q[:, 0])) - 1.0) < 1e-10
+
+
+def test_ground_state_counts_two_by_two_pivots():
+    # a zero diagonal forces Bunch-Kaufman into 2x2 pivots: each block
+    # [[0, s], [s*, 0]] holds one eigenvalue -|s| below the cutoff
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    assert ground_state(np.kron(np.eye(2), swap)).ground_dim == 2
+    blocks = np.kron(np.diag([1.0, 2.0, 3.0]), [[0.0, 1j], [-1j, 0.0]])
+    perm = np.random.default_rng(5).permutation(6)
+    assert ground_state(blocks[np.ix_(perm, perm)]).ground_dim == 3
+    lifted = np.kron(np.eye(4), swap) + 2.0 * np.eye(8)
+    assert ground_state(lifted).ground_dim == 0
+
+
+def test_ground_state_refuses_a_level_just_above_the_cutoff(rng):
+    # 1.01e-9 sits 100 times nearer the shift than the ground level 0, so
+    # inverse iteration settles on its vector, which lies above the cutoff
+    eigs = np.r_[0.0, GROUND_CUTOFF + 1e-11, np.linspace(1.0, 2.0, 14)]
+    mat, _ = _hermitian_with(eigs, rng, False)
+    with pytest.raises(ConvergenceError):
+        ground_state(mat)
+
+
+def test_ground_state_rejects_non_hermitian():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_low_spectrum_ground_columns_are_orthonormal():
+    # one data wire: a doubly degenerate ground space on 6 qubits, whose
+    # Ritz vectors came back with a Gram matrix off the identity by 0.01-0.94
+    op = assemble(parent_spec(layered(2, 1, [[("CNOT", (0, 1))]]), 0.5))
+    for seed in range(4):
+        report = low_spectrum(op, k=4, seed=seed)
+        assert report.ground_dim == 2
+        basis = report.eigenvectors[:, :2]
+        gram = basis.conj().T @ basis
+        assert np.abs(gram - np.eye(2)).max() < 1e-12
+        assert report.residuals.max() < 1e-12
