@@ -6,8 +6,10 @@ loads its inputs, refuses bad or oversized runs before writing anything,
 echoes the effective config to the output directory (so a run is
 reproducible from that file alone), hands the work to one library call,
 then writes the artifacts and prints a summary. The checks themselves
-live in ``verify``, ``soundness`` and ``fk``. Exit codes: 0 success, 1 a
-check failed, 2 bad input or a run refused by the memory budget.
+live in ``verify``, ``soundness`` and ``fk``, and ``spectral.spectrum``
+picks the eigensolver. Exit codes: 0 success, 1 a check failed, 2 bad
+input, a run refused by the memory budget or a size cap, or an eigensolver
+that ran out of budget (``ConvergenceError``).
 """
 
 from __future__ import annotations
@@ -33,13 +35,7 @@ from .peps import build_peps, resolve_deltas
 from .soundness import (
     SUITE_NAMES, FaultMismatch, fault_experiment, run_suite, worker_count,
 )
-from .spectral import (
-    dense_spectrum,
-    low_spectrum,
-    require_arpack_basis,
-    require_dense_spectrum,
-    solver_for,
-)
+from .spectral import ConvergenceError, spectrum
 from .verify import SCAN_HEADER, named_fixtures, scan_row, verify_checks
 
 
@@ -145,18 +141,8 @@ def parse_args(argv) -> RunConfig:
     common.add_argument("--seed", type=int, help="boxed randomness seed")
     common.add_argument("--out", help="output directory")
     common.add_argument("--tolerance", type=float, help="check tolerance")
-    solver = common.add_mutually_exclusive_group()
-    solver.add_argument(
-        "--dense", action="store_const", const="dense", dest="solver",
-        help="force dense diagonalization",
-    )
-    solver.add_argument(
-        "--iterative", action="store_const", const="iterative", dest="solver",
-        help="force the iterative eigensolver",
-    )
     common.add_argument("--alpha", type=float, help="per-term energy budget")
     common.add_argument("--fault-file", help="fault pattern JSON file")
-    common.set_defaults(solver=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -167,6 +153,15 @@ def parse_args(argv) -> RunConfig:
     build.add_argument(
         "--mtx", action="store_true", default=None,
         help="also export the Hamiltonian in Matrix Market form",
+    )
+    solver = build.add_mutually_exclusive_group()
+    solver.add_argument(
+        "--dense", action="store_const", const="dense", dest="solver",
+        help="force dense diagonalization",
+    )
+    solver.add_argument(
+        "--iterative", action="store_const", const="iterative", dest="solver",
+        help="force the iterative eigensolver",
     )
     verify = command("verify", "closed-form identity suite")
     verify.add_argument(
@@ -256,36 +251,24 @@ def _schedule(cfg: RunConfig, depth: int) -> tuple[float, ...]:
     return _override([cfg.delta] * depth, cfg.delta_layers, "--delta-layer")
 
 
-def _solver_choice(cfg: RunConfig, num_qubits: int) -> str:
-    return solver_for(num_qubits) if cfg.solver == "auto" else cfg.solver
-
-
 def cmd_build(cfg: RunConfig) -> int:
     c = _load_circuit(cfg)
     schedule = _schedule(cfg, c.depth)
     spec = parent_spec(c, schedule)
     operator = assemble(spec)
-    method = _solver_choice(cfg, spec.layout.num_qubits)
-    # Refuse an oversized export or diagonalization before writing anything.
+    # An oversized export or solve is refused before anything is written.
     if cfg.mtx:
         operator.require_sparse()
-    if method == "dense":
-        require_dense_spectrum(spec.layout.num_qubits)
-    else:
-        require_arpack_basis(spec.layout.num_qubits, cfg.eigenvalues)
+    spectral = spectrum(
+        operator, k=cfg.eigenvalues, solver=cfg.solver, tol=cfg.solver_tol,
+        max_iter=cfg.max_iter, seed=cfg.seed,
+    )
     state = build_peps(c, schedule)
     _echo_config(cfg)
     cio.write_state_bin(os.path.join(cfg.out, "state.bin"), state.amplitudes)
     cio.write_term_manifest(os.path.join(cfg.out, "terms.json"), spec.terms)
     if cfg.mtx:
         cio.write_matrix_market(os.path.join(cfg.out, "hamiltonian.mtx"), operator)
-    if method == "dense":
-        spectral = dense_spectrum(operator, vectors=cfg.eigenvalues)
-    else:
-        spectral = low_spectrum(
-            operator, k=cfg.eigenvalues, tol=cfg.solver_tol,
-            max_iter=cfg.max_iter, seed=cfg.seed,
-        )
     cio.write_spectral_report(os.path.join(cfg.out, "spectral.json"), spectral)
     cio.write_state_bin(
         os.path.join(cfg.out, "ground.bin"), spectral.eigenvectors[:, 0]
@@ -479,7 +462,10 @@ def main(argv=None) -> int:
     try:
         cfg = parse_args(argv)
         return _COMMANDS[cfg.command](cfg)
-    except (InputError, ResourceError, cio.SchemaError, FileNotFoundError) as e:
+    except (
+        InputError, ResourceError, ConvergenceError, cio.SchemaError,
+        FileNotFoundError,
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,9 @@
 
 The first half turns a serialized circuit into a local Hamiltonian over a
 unary clock register plus the data wires, keeping every qubit inside a
-small constant number of terms. The second half builds measurement-based
+small constant number of terms. Its terms are dense ``LocalTerm``s of
+kind input, propagation, clock or output; each keeps its 1-based time step
+in ``layer`` and has no wires. The second half builds measurement-based
 verifiers for such term families: a constant-depth circuit that flips one
 ancilla per violated term, and a log-depth consistency checker that swap
 tests a chain of claimed intermediate states.
@@ -44,26 +46,6 @@ _IDENTITY_STEP = Gate(wires=(0,), unitary=np.eye(2), name="I")
 _MAX_WIRE_GATES = 3
 
 
-@dataclass(frozen=True)
-class ClockTerm(LocalTerm):
-    """One local block of a clock Hamiltonian.
-
-    ``support`` lists the qubits ascending (data wires first by index,
-    clock qubits above them), like the grid terms. ``step`` is the 1-based
-    time step the term belongs to.
-    """
-
-    step: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("input", "propagation", "clock", "output"):
-            raise ValueError(f"unknown clock term kind {self.kind!r}")
-        super().__post_init__()
-
-    def __str__(self) -> str:
-        return f"{self.kind}[step {self.step}, qubits {self.support}]"
-
-
 def _embedded_product(factors, support: tuple[int, ...]) -> np.ndarray:
     """Product of small (matrix, qubits MSB first) factors over ``support``."""
     index = {q: i for i, q in enumerate(support)}
@@ -93,7 +75,7 @@ class ClockHamiltonian:
     output_wire: int
     num_data: int
     num_steps: int
-    terms: tuple[ClockTerm, ...]
+    terms: tuple[LocalTerm, ...]
 
     @property
     def num_qubits(self) -> int:
@@ -208,7 +190,7 @@ def build_modified_fk(
 
     one = np.array([[0.0, 0.0], [0.0, 1.0]])
     zero = np.array([[1.0, 0.0], [0.0, 0.0]])
-    terms: list[ClockTerm] = []
+    terms: list[LocalTerm] = []
 
     first_touch = _first_touch_steps(steps, num_data)
     by_step: dict[int, list[int]] = {}
@@ -227,7 +209,7 @@ def build_modified_fk(
             clock = (_ketbra("10", "10"), (cq(t - 1), cq(t)))
         support = (*wires, *clock[1])
         block = _embedded_product([clock, (nonzero, wires)], support)
-        terms.append(ClockTerm("input", support, block, t))
+        terms.append(LocalTerm("input", support, block, t))
 
     for t, g in enumerate(steps, start=1):
         u = g.unitary
@@ -246,12 +228,12 @@ def build_modified_fk(
             for a, b, m in ((after, before, u), (before, after, ud))
         )
         block = 0.5 * _embedded_product([(stay, clocks)], support) - 0.5 * hop
-        terms.append(ClockTerm("propagation", support, block, t))
+        terms.append(LocalTerm("propagation", support, block, t))
 
     for t in range(2, num_steps + 1):
         support = (cq(t - 1), cq(t))
         block = _embedded_product([(_ketbra("01", "01"), support)], support)
-        terms.append(ClockTerm("clock", support, block, t))
+        terms.append(LocalTerm("clock", support, block, t))
 
     if not 0 <= output_wire < num_data:
         raise ValueError(
@@ -261,7 +243,7 @@ def build_modified_fk(
     block = _embedded_product(
         [(one, (cq(num_steps),)), (zero, (output_wire,))], support
     )
-    terms.append(ClockTerm("output", support, block, num_steps))
+    terms.append(LocalTerm("output", support, block, num_steps))
 
     return ClockHamiltonian(
         circuit=c,

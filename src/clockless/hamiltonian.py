@@ -17,8 +17,12 @@ one contraction of ``K†`` onto the inner qubits. Its block, for the matvec,
 the sparse export and the rotated frame, is built on first use in closed
 form, ``L² - W W†`` with ``W = L (K ⊗ I)``: ``L²`` is a Kronecker product of
 the pairs' ``Λ(δ)²`` and ``W`` one ``apply_maps`` on a 2^k x r·2^(k-kv)
-matrix. A ``HamiltonianTerm`` keeps a dense block instead, as the rotated
-terms of ``rotation`` do.
+matrix.
+
+Every term offers one protocol: ``kind``, ``support``, ``locality``,
+``block``, ``energy(vec, num_qubits)``, ``layer`` and ``wires``. It has two
+implementations: the factored ``DressedTerm`` and the dense ``LocalTerm``,
+which the rotated terms of ``rotation`` and the clock terms of ``fk`` use.
 
 Term blocks are stored dense over their support only. The support is kept as
 a strictly ascending tuple of grid qubit indices and bit ``i`` of a block's
@@ -66,7 +70,6 @@ from .peps import GridLayout, PepsState, choi_factor, resolve_deltas
 
 __all__ = [
     "LocalTerm",
-    "HamiltonianTerm",
     "DressedTerm",
     "HamiltonianSpec",
     "SparseOperator",
@@ -82,7 +85,8 @@ __all__ = [
     "energy",
 ]
 
-_KINDS = ("propagation", "input", "stabilizer", "output")
+# Grid kinds, then the unary-clock kind of ``fk``.
+_KINDS = ("propagation", "input", "stabilizer", "output", "clock")
 
 
 @dataclass(frozen=True)
@@ -91,14 +95,21 @@ class LocalTerm:
 
     Bit ``i`` of the block's row/column index is qubit ``support[i]``. The
     block is checked Hermitian within 1e-10, symmetrized, and frozen.
-    Subclasses check ``kind`` and add their own bookkeeping fields.
+    ``layer`` is the 1-based grid layer the term belongs to (1 for input and
+    stabilizer terms, the last layer for output terms) and ``wires`` the
+    circuit wires it touches; a clock term keeps its time step in ``layer``
+    and has no wires. Both are bookkeeping only.
     """
 
     kind: str
     support: tuple[int, ...]
     block: np.ndarray
+    layer: int
+    wires: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown term kind {self.kind!r}")
         support = tuple(int(q) for q in self.support)
         if list(support) != sorted(set(support)):
             raise ValueError(f"support must be strictly ascending, got {support}")
@@ -115,10 +126,14 @@ class LocalTerm:
         block.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "block", block)
+        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
 
     @property
     def locality(self) -> int:
         return len(self.support)
+
+    def __str__(self) -> str:
+        return f"{self.kind}[layer {self.layer}, wires {self.wires}]"
 
     def energy(self, vec: np.ndarray, num_qubits: int) -> float:
         """Quadratic form <v|h|v> of the block; no normalization is applied."""
@@ -128,28 +143,6 @@ class LocalTerm:
         return val.real
 
 
-@dataclass(frozen=True)
-class HamiltonianTerm(LocalTerm):
-    """One term of the grid Hamiltonian, stored as a dense block.
-
-    ``layer`` is the 1-based grid layer the term belongs to (1 for input and
-    stabilizer terms, the last layer for output terms) and ``wires`` the
-    circuit wires it touches; both are bookkeeping only.
-    """
-
-    layer: int
-    wires: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown term kind {self.kind!r}")
-        super().__post_init__()
-        object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
-
-    def __str__(self) -> str:
-        return f"{self.kind}[layer {self.layer}, wires {self.wires}]"
-
-
 @dataclass(frozen=True, eq=False)
 class DressedTerm:
     """One dressed projector ``L (I - K K† ⊗ I) L`` kept as its factors.
@@ -157,8 +150,8 @@ class DressedTerm:
     ``pairs`` lists disjoint ``((q, q + 1), delta)`` pairs that ``L``
     dresses, ``inner`` the qubits ``K`` acts on (most significant first) and
     ``basis`` is ``K``, orthonormal within 1e-10, which makes ``L P L``
-    Hermitian. ``kind``, ``layer`` and ``wires`` are as in
-    ``HamiltonianTerm``; the support is the pair and inner qubits.
+    Hermitian. ``kind``, ``layer`` and ``wires`` are as in ``LocalTerm``;
+    the support is the pair and inner qubits.
     """
 
     kind: str
@@ -191,12 +184,8 @@ class DressedTerm:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "support", tuple(sorted(set(paired) | set(inner))))
 
-    @property
-    def locality(self) -> int:
-        return len(self.support)
-
-    def __str__(self) -> str:
-        return f"{self.kind}[layer {self.layer}, wires {self.wires}]"
+    locality = LocalTerm.locality
+    __str__ = LocalTerm.__str__
 
     @cached_property
     def _maps(self) -> list[tuple[np.ndarray, tuple[int, int]]]:
@@ -233,7 +222,7 @@ class DressedTerm:
         maps = [(lam, (bits[hi], bits[lo])) for lam, (hi, lo) in self._maps]
         w = apply_maps(lifted.reshape(2**k, -1), maps, k, both_sides=False)
         closed = reduce(np.kron, factors) - w @ w.conj().T
-        return LocalTerm(self.kind, self.support, closed).block
+        return LocalTerm(self.kind, self.support, closed, self.layer).block
 
 
 def _range(proj: np.ndarray) -> np.ndarray:
@@ -351,7 +340,7 @@ class HamiltonianSpec:
     """
 
     layout: GridLayout
-    terms: tuple[HamiltonianTerm | DressedTerm, ...]
+    terms: tuple[LocalTerm | DressedTerm, ...]
     out_scale: float | None = None
 
     def __post_init__(self) -> None:
@@ -417,7 +406,7 @@ class SparseOperator:
     """
 
     num_qubits: int
-    terms: tuple[HamiltonianTerm | DressedTerm, ...]
+    terms: tuple[LocalTerm | DressedTerm, ...]
     scales: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -506,11 +495,10 @@ class EnergyReport:
 
 
 def term_energy(
-    term: HamiltonianTerm | DressedTerm, vec: np.ndarray, num_qubits: int
+    term: LocalTerm | DressedTerm, vec: np.ndarray, num_qubits: int
 ) -> float:
-    """<v|h|v> of one term by its own ``energy``, unnormalized; anything
-    else with ``block`` and ``support`` is read as a block term."""
-    return getattr(type(term), "energy", LocalTerm.energy)(term, vec, num_qubits)
+    """<v|h|v> of one term by its own ``energy``, unnormalized."""
+    return term.energy(vec, num_qubits)
 
 
 def energy(spec: HamiltonianSpec, state, tol: float = 1e-9) -> EnergyReport:

@@ -367,13 +367,17 @@ def read_fault_json(path) -> FaultPattern:
 
 
 def term_manifest(terms) -> list[dict]:
-    """One entry per term: kind, support, grid location, spectral norm."""
+    """One entry per term: kind, support, grid location, spectral norm.
+
+    A grid term names its wires; a clock term has none, and its location is
+    the time step it keeps in ``layer``.
+    """
     out = []
     for term in terms:
-        if hasattr(term, "layer"):
+        if term.wires:
             location = {"layer": term.layer, "wires": list(term.wires)}
         else:
-            location = {"step": term.step}
+            location = {"step": term.layer}
         out.append(
             {
                 "kind": term.kind,

@@ -21,9 +21,9 @@ import os
 import numpy  # noqa: F401  (loads the OpenBLAS that set_blas_threads finds)
 
 __all__ = [
-    "MEMORY_BUDGET", "SCAN_POINT_CAP", "ResourceError", "coo_bytes",
-    "dense_bytes", "enumeration_bytes", "require", "set_blas_threads",
-    "vector_bytes",
+    "EXPANSION_WORD_CAP", "MEMORY_BUDGET", "SCAN_POINT_CAP", "ResourceError",
+    "coo_bytes", "dense_bytes", "enumeration_bytes", "require",
+    "set_blas_threads", "vector_bytes",
 ]
 
 _log = logging.getLogger(__name__)
@@ -33,13 +33,22 @@ MEMORY_BUDGET = 2**28
 # Grid points one scan may request: a count, not bytes.
 SCAN_POINT_CAP = 512
 
+# Words one exhaustive Pauli expansion may enumerate: a count, not bytes.
+# Each word costs 0.6-1.1 ms and 530-650 B on 2 vCPUs (4,096 words on 6 sites
+# took 3.1-3.6 s, 65,536 on 8 sites 73 s), so time runs out long before the
+# byte budget: a 9-site grid fits that budget at 168 MB but would run for
+# minutes. Within the cap a grid has at most 6 wires, so the words hold
+# under 7 MB.
+EXPANSION_WORD_CAP = 4**6
+
 # Python bookkeeping of one enumerated entry beside its vector (about 520 B
 # measured with tracemalloc on exhaustive expansions).
 _ENTRY_OVERHEAD = 512
 
 
 class ResourceError(ValueError):
-    """An operation whose memory estimate exceeds ``MEMORY_BUDGET``."""
+    """An operation whose memory estimate exceeds ``MEMORY_BUDGET``, or
+    whose size exceeds one of the count caps above."""
 
 
 def require(what: str, num_qubits: int, nbytes: int) -> None:

@@ -39,7 +39,7 @@ from .circuit import (
     require_valid,
     resolve_witness,
 )
-from .limits import enumeration_bytes, require, vector_bytes
+from .limits import EXPANSION_WORD_CAP, ResourceError, require, vector_bytes
 from .linalg import apply_matrix, embed_operator, is_hermitian, partial_trace, product_state
 from .pauli import PAULI_TAGS, PauliWord, bell_state, pauli_matrix, q_matrix
 
@@ -57,6 +57,7 @@ __all__ = [
     "output_marginal",
     "reassemble_expansion",
     "reduced_density",
+    "require_expansion",
     "resolve_deltas",
     "sample_pauli_patterns",
 ]
@@ -264,12 +265,25 @@ def _words_up_to_weight(num_sites: int, max_weight: int):
                 yield tuple(entries)
 
 
+def require_expansion(c: LayeredCircuit) -> None:
+    """Refuse the full expansion of ``c`` past ``EXPANSION_WORD_CAP`` words;
+    within the cap it holds a few MB at most, far below the memory budget."""
+    layout = GridLayout(c.n, c.depth)
+    words = 4**layout.num_sites
+    if words > EXPANSION_WORD_CAP:
+        raise ResourceError(
+            f"a Pauli expansion without max_weight on {layout.num_qubits} "
+            f"qubits would enumerate {words} words, beyond the cap of "
+            f"{EXPANSION_WORD_CAP}"
+        )
+
+
 def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> ExpansionResult:
     """Enumerate the Pauli-word expansion of the grid state.
 
     With ``max_weight`` set, only words up to that weight are produced and
     the dropped coefficient mass is bounded by a binomial tail; otherwise the
-    full 4^(nD) enumeration runs, guarded by the memory budget.
+    full 4^(nD) enumeration runs, guarded by ``require_expansion``.
     """
     require_valid(c)
     input_vec = input_state(c, xi)
@@ -277,8 +291,7 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
     layout = GridLayout(c.n, c.depth)
     num_sites = layout.num_sites
     if max_weight is None:
-        nbytes = enumeration_bytes(4**num_sites, c.n)
-        require("a Pauli expansion without max_weight", layout.num_qubits, nbytes)
+        require_expansion(c)
         words = itertools.product(PAULI_TAGS, repeat=num_sites)
         truncation = 0.0
     else:

@@ -17,8 +17,10 @@ column, which ``locality_residual`` measures directly.
 
 Extraction pushes all basis columns of the extraction support, then all
 random check states, through the rotated term as (2^N, batch) arrays in
-chunks of at most ``_BATCH_BYTES``. The Clifford hole is ``B S B^dagger``:
-B holds the Bell product basis, S counts the Bell-label pairings.
+chunks of at most ``_BATCH_BYTES``; the result is a dense ``LocalTerm``
+with the kind, layer and wires of the term it came from. The Clifford hole
+is ``B S B^dagger``: B holds the Bell product basis, S counts the
+Bell-label pairings.
 
 Support bookkeeping follows the term convention: block bit ``i`` is qubit
 ``support[i]``, so a pair occupies two adjacent bits (low column first) and
@@ -34,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Gate, LayeredCircuit, layered
-from .hamiltonian import HamiltonianTerm, input_term
+from .hamiltonian import DressedTerm, LocalTerm, input_term
 from .limits import dense_bytes, require
 from .linalg import apply_maps, apply_matrix, bit_placement
 from .pauli import (
@@ -124,7 +126,7 @@ class RotationUnitary:
 
 
 def _conjugated_block(
-    term: HamiltonianTerm,
+    term: LocalTerm | DressedTerm,
     rot: RotationUnitary,
     support: tuple[int, ...],
     samples: int,
@@ -170,7 +172,7 @@ def _conjugated_block(
 
 
 def _default_extraction_support(
-    term: HamiltonianTerm, layout: GridLayout
+    term: LocalTerm | DressedTerm, layout: GridLayout
 ) -> tuple[int, ...]:
     rows = {q // layout.columns for q in term.support}
     extra = {layout.output_qubit(row) for row in rows}
@@ -203,13 +205,13 @@ def _trim_trivial_qubits(
 
 
 def rotate_term(
-    term: HamiltonianTerm,
+    term: LocalTerm | DressedTerm,
     circuit: LayeredCircuit,
     samples: int = 50,
     seed: int = 0,
     tol: float = 1e-9,
     extraction_support: Sequence[int] | None = None,
-) -> HamiltonianTerm:
+) -> LocalTerm:
     """Conjugate one term by the circuit's rotation and re-localize it.
 
     The rotated operator is extracted on the term's support widened by the
@@ -233,11 +235,11 @@ def rotate_term(
             f"leakage {residual:.3e} exceeds {tol:.1e}"
         )
     block, support = _trim_trivial_qubits(block, support)
-    return HamiltonianTerm(term.kind, support, block, term.layer, term.wires)
+    return LocalTerm(term.kind, support, block, term.layer, term.wires)
 
 
 def locality_residual(
-    term: HamiltonianTerm,
+    term: LocalTerm | DressedTerm,
     circuit: LayeredCircuit,
     support: Sequence[int] | None = None,
     samples: int = 50,
@@ -416,8 +418,8 @@ def pair_ground(
 
 
 def teleport_input(
-    term: HamiltonianTerm, delta: float, tol: float = 1e-9
-) -> tuple[HamiltonianTerm, float, float]:
+    term: LocalTerm | DressedTerm, delta: float, tol: float = 1e-9
+) -> tuple[LocalTerm, float, float]:
     """Funnel an input term through a minimal grid onto the output column.
 
     Rebuilds the term's check on a one-layer identity grid over its wires,
@@ -453,12 +455,12 @@ def teleport_input(
     fit = np.vdot(check_emb, reduced).real / np.vdot(check_emb, check_emb).real
     expected = teleport_coefficient(delta) ** k * check_emb
     deviation = float(np.linalg.norm(reduced - expected))
-    return HamiltonianTerm("input", rest, reduced, 1, wires), float(fit), deviation
+    return LocalTerm("input", rest, reduced, 1, wires), float(fit), deviation
 
 
 def teleported_input_term(
-    term: HamiltonianTerm, delta: float, tol: float = 1e-9
-) -> HamiltonianTerm:
+    term: LocalTerm | DressedTerm, delta: float, tol: float = 1e-9
+) -> LocalTerm:
     """The term of ``teleport_input``; raises if it misses by more than tol."""
     funneled, _, deviation = teleport_input(term, delta, tol=tol)
     if deviation > max(tol, 1e-9):

@@ -1,18 +1,20 @@
 """Eigensolvers and subspace-angle diagnostics for grid Hamiltonians.
 
-There are three solver entry points.  ``dense_spectrum`` is the oracle: a
-full Hermitian eigendecomposition, against which everything else in the
-package is checked.  ``low_spectrum`` wraps ARPACK's implicitly restarted
-iteration (``scipy.sparse.linalg.eigsh``) over matrix-free operator
-applications, and reaches the sizes the dense path cannot.  Both report
-eigenvalues in ascending order, the dimension of the zero-energy ground
-space, and the gap above it.  ``solver_for`` is the one rule that picks
-between them by qubit count.  ``ground_state`` is the inertia oracle for
-a ground-state check.  It takes the same input as ``dense_spectrum``, and
-one Bunch–Kaufman LDLᵀ factorization of ``H - GROUND_CUTOFF·I`` counts the
-eigenvalues below the cutoff exactly (Sylvester's law of inertia).  When
-that count is one, inverse iteration on the same factor gives the ground
-vector.
+There are two eigensolvers.  ``dense_spectrum`` is the oracle: a full
+Hermitian eigendecomposition, against which everything else in the package
+is checked.  ``low_spectrum`` wraps ARPACK's implicitly restarted iteration
+(``scipy.sparse.linalg.eigsh``) over matrix-free operator applications, and
+reaches the sizes the dense path cannot.  Both report eigenvalues in
+ascending order, the dimension of the zero-energy ground space, and the gap
+above it, and both refuse a run over the memory budget before they
+allocate.  ``spectrum`` is the one entry point that picks between them:
+dense up to ``DENSE_QUBITS`` qubits, iterative past that.  ``build``,
+``scan`` and the gap helpers all go through it.  ``ground_state`` is the
+inertia oracle for a ground-state check.  It takes the same input as
+``dense_spectrum``, and one Bunch–Kaufman LDLᵀ factorization of
+``H - GROUND_CUTOFF·I`` counts the eigenvalues below the cutoff exactly
+(Sylvester's law of inertia).  When that count is one, inverse iteration on
+the same factor gives the ground vector.
 
 The rest of the module measures how the ground spaces of term families sit
 relative to each other.  ``detectability_check`` and ``union_bound_check``
@@ -62,9 +64,7 @@ __all__ = [
     "dense_spectrum",
     "ground_state",
     "low_spectrum",
-    "require_arpack_basis",
-    "require_dense_spectrum",
-    "solver_for",
+    "spectrum",
     "gap_vs_bound",
     "assemble_total_with_gap",
     "detectability_check",
@@ -191,15 +191,6 @@ def _hermitian(op, what: str, copies: int) -> tuple[np.ndarray, float]:
     if skew > 1e-10 * scale:
         raise ValueError("operator is not Hermitian")
     return mat, scale
-
-
-def require_dense_spectrum(num_qubits: int) -> None:
-    """Refuse ``dense_spectrum`` on ``num_qubits`` qubits if the dense
-    matrices it holds are over budget."""
-    require(
-        "a dense eigendecomposition", num_qubits,
-        _SPECTRUM_COPIES * dense_bytes(num_qubits),
-    )
 
 
 def dense_spectrum(op, vectors: int | None = None) -> SpectralReport:
@@ -382,7 +373,8 @@ def low_spectrum(
     exactly.  ``tol`` is ARPACK's relative Ritz-residual tolerance, and
     every returned pair is then checked to have ``‖Hv - λv‖ ≤ max(tol,
     1e-12)``.  ``max_iter`` is ARPACK's budget of implicit restarts.  ``k``
-    must lie in 1..dim-2, ARPACK's limit.  Raises ``ConvergenceError``,
+    must lie in 1..dim-2, ARPACK's limit, and a basis over the memory
+    budget is refused before it is allocated.  Raises ``ConvergenceError``,
     with the number of operator applications spent, when the budget runs
     out or the residual check fails.  The columns below ``GROUND_CUTOFF``
     are orthonormalized against column 0, which is returned as ARPACK gave
@@ -396,6 +388,8 @@ def low_spectrum(
         raise ValueError(f"k={k} must lie in 1..{dim - 2} for dimension {dim}")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    qubits = (dim - 1).bit_length()
+    require("an ARPACK basis", qubits, vector_bytes(qubits, max(2 * k + 1, 20)))
 
     spent = 0
 
@@ -458,34 +452,36 @@ def low_spectrum(
 DENSE_QUBITS = 10
 
 
-def solver_for(num_qubits: int) -> str:
-    """The eigensolver for an operator on ``num_qubits`` qubits.
-
-    "dense" (``dense_spectrum``) up to ``DENSE_QUBITS``, "iterative"
-    (``low_spectrum``) past that.
-    """
-    return "dense" if num_qubits <= DENSE_QUBITS else "iterative"
-
-
-def require_arpack_basis(num_qubits: int, k: int) -> None:
-    """Refuse ``low_spectrum`` for ``k`` pairs if its ARPACK basis of
-    max(2k+1, 20) vectors is over budget."""
-    require("an ARPACK basis", num_qubits, vector_bytes(num_qubits, max(2 * k + 1, 20)))
-
-
-def _solver_report(
-    c: LayeredCircuit, spec: HamiltonianSpec, include_input: bool, seed: int
+def spectrum(
+    op,
+    k: int = 6,
+    solver: str = "auto",
+    tol: float = 1e-10,
+    max_iter: int = 5000,
+    seed: int = 0,
 ) -> SpectralReport:
-    """The chosen solver, asking the iterative one for room past the ground
-    space, of dimension 2^(n-a) with the input terms and 2^n without."""
-    operator = assemble(spec)
-    n = operator.num_qubits
-    if solver_for(n) == "dense":
-        return dense_spectrum(operator)
+    """The lowest ``k`` eigenpairs of ``op`` by the solver its size calls for.
+
+    ``solver`` "auto" takes ``dense_spectrum`` up to ``DENSE_QUBITS`` qubits
+    and ``low_spectrum`` past that; "dense" forces the first and anything
+    else the second.  The dense report keeps every eigenvalue and ``k``
+    eigenvector columns; ``tol``, ``max_iter`` and ``seed`` go to the
+    iterative solver.  Either solver refuses a run over the memory budget
+    before it allocates.
+    """
+    if solver == "auto":
+        qubits = (_as_linear_operator(op).shape[0] - 1).bit_length()
+        solver = "dense" if qubits <= DENSE_QUBITS else "iterative"
+    if solver == "dense":
+        return dense_spectrum(op, vectors=k)
+    return low_spectrum(op, k=k, tol=tol, max_iter=max_iter, seed=seed)
+
+
+def _parent_k(c: LayeredCircuit, spec: HamiltonianSpec, include_input: bool) -> int:
+    """Eigenpairs to ask of a parent Hamiltonian: four past its ground space,
+    of dimension 2^(n-a) with the input terms and 2^n without."""
     ground = 2 ** (c.n - c.a) if include_input else 2**c.n
-    k = min(ground + 4, operator.dim - 2)
-    require_arpack_basis(n, k)
-    return low_spectrum(operator, k=k, seed=seed)
+    return min(ground + 4, 2**spec.layout.num_qubits - 2)
 
 
 def _layer_localities(c: LayeredCircuit) -> tuple[int, ...]:
@@ -515,7 +511,7 @@ def gap_vs_bound(
             f"got {len(localities)} locality entries for depth {c.depth}"
         )
     spec = parent_spec(c, schedule, include_input=include_input)
-    report = _solver_report(c, spec, include_input, seed)
+    report = spectrum(assemble(spec), _parent_k(c, spec, include_input), seed=seed)
     gap = report.gap
     if not gap > 0.0:
         raise ArithmeticError(f"parent Hamiltonian gap {gap!r} is not positive")
@@ -546,7 +542,7 @@ def assemble_total_with_gap(
     parent = parent_spec(
         c, deltas, stabilizer_checks=stabilizer_checks, include_input=include_input
     )
-    report = _solver_report(c, parent, include_input, seed)
+    report = spectrum(assemble(parent), _parent_k(c, parent, include_input), seed=seed)
     if not report.gap > 0.0:
         raise ArithmeticError(
             f"parent Hamiltonian gap {report.gap!r} is not positive; "

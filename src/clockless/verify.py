@@ -11,7 +11,8 @@ independent oracle:
   1.  ``ground_state`` counts the eigenvalues below the ground cutoff
   exactly, by the inertia of one LDLᵀ factorization, and finds the ground
   vector by inverse iteration from a seeded random start, not from the
-  grid state.  A count other than one fails with NaN.
+  grid state.  A count other than one, or an inverse iteration that runs
+  out of solves, fails with NaN.
 * ``expansion_reassembly``: overlap of the grid state with its Pauli-word
   expansion summed back onto the grid, against 1.
 * ``depolarizing_marginal`` (identity circuits only): trace distance of the
@@ -48,6 +49,7 @@ from .peps import (
     expansion,
     output_marginal,
     reassemble_expansion,
+    require_expansion,
     resolve_deltas,
 )
 from .rotation import (
@@ -63,7 +65,7 @@ from .rotation import (
     teleport_input,
 )
 from .soundness import overlap_ceiling
-from .spectral import gap_vs_bound, ground_state
+from .spectral import ConvergenceError, gap_vs_bound, ground_state
 
 __all__ = [
     "Check",
@@ -162,9 +164,13 @@ def _fidelity_check(check: str, name: str, delta: float, vec, state, tol) -> Che
 def ground_fidelity_check(
     name: str, delta: float, spec: HamiltonianSpec, state, tol: float
 ) -> Check:
-    """Grid-state overlap with the parent's ground state; NaN if not unique."""
-    ground = ground_state(assemble(spec))
-    if ground.ground_dim != 1:
+    """Grid-state overlap with the parent's ground state; NaN if it is not
+    unique or inverse iteration does not resolve it."""
+    try:
+        ground = ground_state(assemble(spec))
+    except ConvergenceError:
+        ground = None
+    if ground is None or ground.ground_dim != 1:
         nan = float("nan")
         return Check("ground_fidelity", name, delta, nan, 1.0, nan, "fail")
     return _fidelity_check(
@@ -247,8 +253,11 @@ def verify_checks(
 
     ``schedules(circuit, delta)`` returns the per-layer schedule of the
     grid state and the one of its checked Hamiltonian, which a negative
-    control may doctor; by default both are the uniform delta.
+    control may doctor; by default both are the uniform delta.  Every
+    fixture's expansion is checked against its caps before the first row.
     """
+    for _, c in fixtures:
+        require_expansion(c)
     checks: list[Check] = []
     for name, c in fixtures:
         for delta in deltas:

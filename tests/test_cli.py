@@ -7,14 +7,13 @@ import os
 import numpy as np
 import pytest
 
-from clockless import limits
+from clockless import limits, spectral
 from clockless.cli import (
     InputError,
     RunConfig,
     _parse_assignments,
     _parse_grid,
     _schedule,
-    _solver_choice,
     main,
     parse_args,
 )
@@ -108,12 +107,27 @@ def test_schedule_overrides():
         _schedule(cfg, 1)  # layer 2 does not exist
 
 
-def test_solver_choice():
-    auto = parse_args(["build"])
-    assert _solver_choice(auto, 10) == "dense"
-    assert _solver_choice(auto, 11) == "iterative"
-    forced = parse_args(["build", "--iterative"])
-    assert _solver_choice(forced, 3) == "iterative"
+def test_solver_choice(tmp_path, identity_json, monkeypatch):
+    # auto is dense up to DENSE_QUBITS and iterative past it; a flag wins
+    def solver(name, *flags):
+        out = str(tmp_path / name)
+        assert main(["build", "--circuit", identity_json, "--out", out, *flags]) == 0
+        return read_json(os.path.join(out, "build_report.json"))["solver"]
+
+    assert solver("auto") == "dense"
+    assert solver("forced", "--iterative") == "iterative"
+    monkeypatch.setattr(spectral, "DENSE_QUBITS", 2)
+    assert solver("auto_small") == "iterative"
+    assert solver("forced_small", "--dense") == "dense"
+
+
+@pytest.mark.parametrize("flag", ["--iterative", "--dense"])
+def test_solver_flags_belong_to_build_only(tmp_path, flag):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["scan", flag, "--delta-grid", "0.3", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert not out.exists()
 
 
 def test_build_identity_artifacts(tmp_path, identity_json, capsys):
@@ -478,6 +492,21 @@ def test_iterative_build_beyond_budget_exits_2_without_outputs(
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_build_out_of_solver_budget_exits_2_without_outputs(
+    tmp_path, hcnot_json, capsys
+):
+    config = tmp_path / "run.json"
+    config.write_text(json_text({"max_iter": 1}))
+    out = tmp_path / "out"
+    code = main([
+        "build", "--iterative", "--config", str(config), "--circuit", hcnot_json,
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "did not reach tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_beyond_budget_exits_2_without_outputs(tmp_path, capsys):
     # a = n asks for the dense ground-state check, here on 14 qubits
     circuit = tmp_path / "wide.json"
@@ -494,6 +523,52 @@ def test_verify_beyond_budget_exits_2_without_outputs(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "14 qubits" in err and "GiB" in err
+    assert not out.exists()
+
+
+CNOT_BULK = {
+    "version": 1, "n": 2, "a": 2,
+    "layers": [
+        [{"gate": "CNOT", "wires": [1, 0]}],
+        [{"gate": "I", "wires": [0]}, {"gate": "I", "wires": [1]}],
+    ],
+}
+
+
+def test_verify_unresolved_ground_state_is_a_failed_row(tmp_path, capsys):
+    # At delta 0.05 the first excited level, 2.31e-9, sits 1.3e-9 above the
+    # ground cutoff: inverse iteration runs out of solves, and the row says
+    # so instead of ending the run in a traceback.
+    circuit = tmp_path / "cnot_bulk.json"
+    circuit.write_text(json_text(CNOT_BULK))
+    out = tmp_path / "out"
+    code = main([
+        "verify", "--circuit", str(circuit), "--delta", "0.05", "--out", str(out),
+    ])
+    assert code == 1
+    assert "first failing check: ground_fidelity" in capsys.readouterr().err
+    rows = read_csv(out / "verify.csv")[1:]
+    assert len(rows) == 9
+    bad = [row for row in rows if row[-1] != "pass"]
+    assert bad == [
+        ["ground_fidelity", "cnot_bulk.json", "0.050000000000000003", "nan",
+         "1", "nan", "fail"],
+    ]
+
+
+def test_verify_refuses_a_long_expansion_before_any_row(tmp_path, capsys):
+    # 3 wires x 3 layers: 9 sites, 4^9 words on a 21-qubit grid, within the
+    # memory budget but far past the word cap
+    layer = [{"gate": "I", "wires": [w]} for w in range(3)]
+    circuit = tmp_path / "wide.json"
+    circuit.write_text(json_text({
+        "version": 1, "n": 3, "a": 1, "layers": [layer] * 3,
+    }))
+    out = tmp_path / "out"
+    code = main(["verify", "--circuit", str(circuit), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "21 qubits" in err and "262144 words" in err
     assert not out.exists()
 
 

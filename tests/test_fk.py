@@ -5,7 +5,6 @@ import pytest
 
 from clockless.circuit import apply_circuit, degree_reduce, input_state, layered
 from clockless.fk import (
-    ClockTerm,
     MeasurementPlan,
     accept_probability,
     build_dl_verifier,
@@ -18,6 +17,7 @@ from clockless.fk import (
     swap_test_state_pair,
     swap_test_witness,
 )
+from clockless.hamiltonian import LocalTerm
 from clockless.linalg import apply_matrix, basis_state, product_state, random_state
 
 
@@ -33,10 +33,10 @@ def clock(reduced):
 
 def test_clock_term_validation():
     with pytest.raises(ValueError):
-        ClockTerm("mystery", (0,), np.eye(2), 1)
+        LocalTerm("mystery", (0,), np.eye(2), 1)
     with pytest.raises(ValueError):
-        ClockTerm("clock", (1, 0), np.eye(4), 1)
-    t = ClockTerm("clock", (0, 1), np.eye(4), 2)
+        LocalTerm("clock", (1, 0), np.eye(4), 1)
+    t = LocalTerm("clock", (0, 1), np.eye(4), 2)
     assert t.locality == 2
 
 
@@ -145,7 +145,7 @@ def test_accept_probability_bit_convention(hadamard1):
 
 
 def test_dl_verifier_single_projector():
-    term = ClockTerm("output", (0,), np.diag([0.0, 1.0]), 1)
+    term = LocalTerm("output", (0,), np.diag([0.0, 1.0]), 1)
     verifier, plan = build_dl_verifier([term], [(0,)])
     # accept = ||(1 - |1><1|) xi||^2
     assert np.isclose(accept_probability(verifier, plan, basis_state(0, 1)), 1.0)

@@ -1,16 +1,16 @@
 """Parent Hamiltonian terms: frustration, spectra, and assembly."""
 
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from clockless.circuit import Gate, gate, layered
+from clockless.circuit import Gate, degree_reduce, gate, layered
+from clockless.fk import build_modified_fk
 from clockless.hamiltonian import (
     DressedTerm,
     HamiltonianSpec,
-    HamiltonianTerm,
+    LocalTerm,
     assemble,
     energy,
     input_term,
@@ -33,16 +33,17 @@ from clockless.linalg import (
 )
 from clockless.pauli import lambda_matrix, word_matrix
 from clockless.peps import GridLayout, build_peps, choi_factor
+from clockless.rotation import rotate_term, teleported_input_term
 from clockless.spectral import dense_spectrum
 
 
 def test_term_validation():
     with pytest.raises(ValueError):
-        HamiltonianTerm("mystery", (0,), np.eye(2), 1, (0,))
+        LocalTerm("mystery", (0,), np.eye(2), 1, (0,))
     with pytest.raises(ValueError):
-        HamiltonianTerm("output", (1, 0), np.eye(4), 1, (0,))
+        LocalTerm("output", (1, 0), np.eye(4), 1, (0,))
     with pytest.raises(ValueError):
-        HamiltonianTerm("output", (0,), np.array([[0.0, 1.0], [0.0, 0.0]]), 1, (0,))
+        LocalTerm("output", (0,), np.array([[0.0, 1.0], [0.0, 0.0]]), 1, (0,))
     t = output_term(0, GridLayout(1, 1))
     assert t.locality == 1
     assert "output" in str(t)
@@ -161,22 +162,21 @@ def test_term_energy_matches_expectation(identity1, rng):
 
 
 def test_term_energy_rejects_bad_vectors_and_wires():
-    term = HamiltonianTerm("output", (1,), np.diag([1.0, 0.0]), 1, (0,))
+    term = LocalTerm("output", (1,), np.diag([1.0, 0.0]), 1, (0,))
     with pytest.raises(ValueError, match="vector shape"):
         term_energy(term, np.ones(3), 2)
-    stray = HamiltonianTerm("output", (5,), np.diag([1.0, 0.0]), 1, (0,))
+    stray = LocalTerm("output", (5,), np.diag([1.0, 0.0]), 1, (0,))
     with pytest.raises(ValueError, match="out of range"):
         term_energy(stray, basis_state(0, 3), 3)
-    # Terms cannot be built with a repeated support; a bare duck-typed one
-    # still reaches the wire check.
-    repeated = SimpleNamespace(support=(1, 1), block=np.eye(4))
+    # Terms cannot be built with a repeated support; the expectation under
+    # every dense term still refuses repeated wires.
     with pytest.raises(ValueError, match="distinct"):
-        term_energy(repeated, basis_state(0, 3), 3)
+        expectation(basis_state(0, 3), np.eye(4), (1, 1), 3)
 
 
 def test_spec_rejects_oversized_terms():
     layout = GridLayout(1, 1)
-    stray = HamiltonianTerm("output", (5,), np.diag([1.0, 0.0]), 1, (0,))
+    stray = LocalTerm("output", (5,), np.diag([1.0, 0.0]), 1, (0,))
     with pytest.raises(ValueError):
         HamiltonianSpec(layout, (stray,))
 
@@ -320,3 +320,59 @@ def test_parent_energy_forms_no_term_block():
     assert max(t.locality for t in spec.terms) == 8
     assert report.total < 1e-12
     assert peak < 256 * 1024
+
+
+def _grid_terms(c):
+    parent = parent_spec(c, 0.4, stabilizer_checks=["X.Z"])
+    spec = with_output(parent, [0, 1], 2.0)
+    return spec.terms, spec.layout.num_qubits
+
+
+def _rotated_terms(c):
+    terms, n = _grid_terms(c)
+    return [rotate_term(t, c) for t in terms if t.kind == "propagation"], n
+
+
+def _teleported_terms(c):
+    terms, _ = _grid_terms(c)
+    funneled = teleported_input_term(terms[0], 0.4)
+    return [funneled], GridLayout(len(funneled.wires), 1).num_qubits
+
+
+def _clock_terms(c):
+    ham = build_modified_fk(degree_reduce(c))
+    return ham.terms, ham.num_qubits
+
+
+# Every producer of terms, with the kinds it makes and whether they name
+# circuit wires (clock terms do not).
+TERM_PRODUCERS = {
+    "parent_spec": (
+        _grid_terms, {"input", "stabilizer", "propagation", "output"}, True
+    ),
+    "rotate_term": (_rotated_terms, {"propagation"}, True),
+    "teleported_input_term": (_teleported_terms, {"input"}, True),
+    "build_modified_fk": (
+        _clock_terms, {"input", "propagation", "clock", "output"}, False
+    ),
+}
+
+
+@pytest.mark.parametrize("producer", sorted(TERM_PRODUCERS))
+def test_every_term_offers_the_protocol(producer, hcnot):
+    build, kinds, named = TERM_PRODUCERS[producer]
+    terms, n = build(hcnot)
+    rng = np.random.default_rng(31)
+    assert {t.kind for t in terms} == kinds
+    for term in terms:
+        assert isinstance(term.layer, int) and term.layer >= 1
+        assert isinstance(term.wires, tuple) and bool(term.wires) == named
+        assert term.support == tuple(sorted(set(term.support)))
+        assert term.locality == len(term.support) and term.support[-1] < n
+        assert term.block.shape == (2**term.locality,) * 2
+        assert not term.block.flags.writeable
+        wires = tuple(reversed(term.support))
+        for _ in range(3):
+            v = random_state(n, rng)
+            reference = expectation(v, term.block, wires, n).real
+            assert abs(term_energy(term, v, n) - reference) <= 1e-13

@@ -105,6 +105,13 @@ def test_expansion_truncation_bound(bell_circuit):
     assert dropped <= cut.truncation_bound + 1e-12
 
 
+def test_expansion_refuses_nine_sites_before_enumerating():
+    # 4^9 words fit the memory budget but would take minutes to enumerate
+    c = layered(3, 1, [[("I", (w,)) for w in range(3)]] * 3)
+    with pytest.raises(limits.ResourceError, match="262144 words"):
+        expansion(c, None, 0.5)
+
+
 def test_depolarizing_marginal_single_wire(identity1):
     state = build_peps(identity1, 0.5)
     rho = output_marginal(state)

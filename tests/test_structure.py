@@ -73,11 +73,32 @@ def test_size_limits_live_only_in_limits():
 
 
 def test_cli_leaves_the_numerics_to_the_library():
-    # cli parses, echoes and writes; rotated forms, Pauli algebra and state
-    # contractions are reached only through library calls
+    # cli parses, echoes and writes; rotated forms, Pauli algebra, state
+    # contractions and the choice of eigensolver are reached only through
+    # library calls
+    solvers = ("dense_spectrum", "low_spectrum", "ground_state", "solver_for")
     numeric = [
         f"cli imports {name} from {target.stem}"
         for src, target, name in _relative_imports()
-        if src == "cli.py" and target.stem in ("rotation", "pauli", "linalg")
+        if src == "cli.py"
+        and (
+            target.stem in ("rotation", "pauli", "linalg")
+            or target.stem == "spectral"
+            and (name in solvers or name.startswith("require_"))
+        )
     ]
     assert numeric == []
+
+
+def test_terms_have_two_implementations_and_no_subclasses():
+    # LocalTerm (a dense block) and DressedTerm (its factors) carry the one
+    # term protocol; nothing derives from either
+    terms = {"LocalTerm", "DressedTerm"}
+    derived = [
+        f"{path.name} defines {node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ClassDef)
+        and terms & {ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases}
+    ]
+    assert derived == []
