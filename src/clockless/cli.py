@@ -35,7 +35,7 @@ from .peps import build_peps, resolve_deltas
 from .soundness import (
     SUITE_NAMES, FaultMismatch, fault_experiment, run_suite, worker_count,
 )
-from .spectral import ConvergenceError, spectrum
+from .spectral import SOLVERS, ConvergenceError, spectrum
 from .verify import SCAN_HEADER, named_fixtures, scan_row, verify_checks
 
 
@@ -80,6 +80,9 @@ class RunConfig:
                 sorted(unknown)[0],
             )
         updates = dict(data)
+        if updates.get("solver", "auto") not in SOLVERS:
+            solvers = ", ".join(SOLVERS)
+            raise cio.SchemaError(f"solver must be one of {solvers}", "solver")
         for key in ("delta_layers", "inject_delta"):
             if key in updates:
                 try:

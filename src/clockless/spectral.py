@@ -58,6 +58,7 @@ from .peps import resolve_deltas
 __all__ = [
     "DENSE_QUBITS",
     "GROUND_CUTOFF",
+    "SOLVERS",
     "ConvergenceError",
     "GroundState",
     "SpectralReport",
@@ -450,6 +451,7 @@ def low_spectrum(
 # times faster: on two vCPUs, 0.1-0.3 s against 4.3-4.9 s for a full
 # diagonalization at eleven qubits.
 DENSE_QUBITS = 10
+SOLVERS = ("auto", "dense", "iterative")
 
 
 def spectrum(
@@ -463,12 +465,14 @@ def spectrum(
     """The lowest ``k`` eigenpairs of ``op`` by the solver its size calls for.
 
     ``solver`` "auto" takes ``dense_spectrum`` up to ``DENSE_QUBITS`` qubits
-    and ``low_spectrum`` past that; "dense" forces the first and anything
-    else the second.  The dense report keeps every eigenvalue and ``k``
-    eigenvector columns; ``tol``, ``max_iter`` and ``seed`` go to the
-    iterative solver.  Either solver refuses a run over the memory budget
-    before it allocates.
+    and ``low_spectrum`` past that; "dense" or "iterative" forces one, and
+    any other name is a ``ValueError``.  The dense report keeps every
+    eigenvalue and ``k`` eigenvector columns; ``tol``, ``max_iter`` and
+    ``seed`` go to the iterative solver.  Either solver refuses a run over
+    the memory budget before it allocates.
     """
+    if solver not in SOLVERS:
+        raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
     if solver == "auto":
         qubits = (_as_linear_operator(op).shape[0] - 1).bit_length()
         solver = "dense" if qubits <= DENSE_QUBITS else "iterative"

@@ -114,11 +114,27 @@ def test_solver_choice(tmp_path, identity_json, monkeypatch):
         assert main(["build", "--circuit", identity_json, "--out", out, *flags]) == 0
         return read_json(os.path.join(out, "build_report.json"))["solver"]
 
+    monkeypatch.setattr(spectral, "DENSE_QUBITS", 3)  # identity1 has 3 qubits
     assert solver("auto") == "dense"
     assert solver("forced", "--iterative") == "iterative"
     monkeypatch.setattr(spectral, "DENSE_QUBITS", 2)
     assert solver("auto_small") == "iterative"
     assert solver("forced_small", "--dense") == "dense"
+
+
+def test_unknown_solver_in_config_exits_2(tmp_path, identity_json, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json_text({"solver": "bogus"}))
+    out = tmp_path / "out"
+    code = main([
+        "build", "--config", str(config), "--circuit", identity_json,
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "solver must be one of" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ValueError, match="unknown solver"):
+        spectral.spectrum(np.eye(8), k=2, solver="bogus")
 
 
 @pytest.mark.parametrize("flag", ["--iterative", "--dense"])
