@@ -19,6 +19,7 @@ The helpers every downstream construction shares live here: ``require_valid``
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -98,12 +99,12 @@ class Gate:
     def arity(self) -> int:
         return len(self.wires)
 
-    @property
+    @cached_property
     def is_trivial(self) -> bool:
         """True when the matrix is the identity (explicit padding gates)."""
         return bool(np.allclose(self.unitary, np.eye(2**self.arity), atol=1e-12))
 
-    @property
+    @cached_property
     def is_clifford(self) -> bool:
         """Whether conjugation maps every Pauli word to a Pauli word up to phase."""
         return _clifford_check(self)

@@ -28,7 +28,7 @@ from .circuit import (
     pad_identities,
     require_valid,
 )
-from .hamiltonian import LocalTerm, SparseOperator, term_energy
+from .hamiltonian import LocalTerm, SparseOperator
 from .limits import require, vector_bytes
 from .linalg import (
     apply_maps,
@@ -102,9 +102,20 @@ class ClockHamiltonian:
         )
 
     def energies(self, vec: np.ndarray) -> tuple[float, ...]:
-        return tuple(
-            term_energy(term, vec, self.num_qubits) for term in self.terms
-        )
+        """Unnormalized energy of every term, in term order.
+
+        The clock states this sees (history, broken pattern) have a few
+        nonzero amplitudes in 2^N, so these are found once and every term
+        is evaluated on them alone: one O(2^N) scan, then
+        O(nnz * (log nnz + 2^k)) per k-local term.
+        """
+        n = self.num_qubits
+        vec = np.asarray(vec, dtype=np.complex128)
+        if vec.shape != (2**n,):
+            raise ValueError(f"vector shape {vec.shape} does not match {n} qubits")
+        indices = np.flatnonzero(vec)
+        amps = vec[indices]
+        return tuple(term.sparse_energy(indices, amps, n) for term in self.terms)
 
     def violations(
         self,
@@ -268,8 +279,9 @@ def history_state(ham: ClockHamiltonian, xi=None) -> np.ndarray:
     norm = math.sqrt(big_t + 1.0)
     out = np.zeros(2 ** (n + big_t), dtype=np.complex128)
     # Row c of this view is the data register under clock pattern c. Only
-    # the T+1 unary rows are ever written, each already normalized, so the
-    # rest of the vector stays untouched zero pages.
+    # the T+1 unary rows are ever written, each already normalized. The
+    # rest is read once, by the nonzero scan of ``ClockHamiltonian.energies``:
+    # those pages map the shared zero page and never become resident.
     rows = out.reshape(2**big_t, 2**n)
     rows[0] += data / norm
     for t, g in enumerate(ham.steps, start=1):

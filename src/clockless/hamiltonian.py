@@ -64,6 +64,7 @@ from .linalg import (
     expectation,
     is_hermitian,
     is_projector,
+    sparse_expectation,
 )
 from .pauli import PAULI_TAGS, PauliWord, lambda_matrix, word_matrix
 from .peps import GridLayout, PepsState, choi_factor, resolve_deltas
@@ -87,6 +88,12 @@ __all__ = [
 
 # Grid kinds, then the unary-clock kind of ``fk``.
 _KINDS = ("propagation", "input", "stabilizer", "output", "clock")
+
+
+def _real_energy(val: complex) -> float:
+    if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
+        raise ValueError(f"term energy came out non-real: {val}")
+    return val.real
 
 
 @dataclass(frozen=True)
@@ -137,10 +144,23 @@ class LocalTerm:
 
     def energy(self, vec: np.ndarray, num_qubits: int) -> float:
         """Quadratic form <v|h|v> of the block; no normalization is applied."""
-        val = expectation(vec, self.block, tuple(reversed(self.support)), num_qubits)
-        if abs(val.imag) > 1e-9 * max(1.0, abs(val)):
-            raise ValueError(f"term energy came out non-real: {val}")
-        return val.real
+        return _real_energy(
+            expectation(vec, self.block, tuple(reversed(self.support)), num_qubits)
+        )
+
+    def sparse_energy(
+        self, indices: np.ndarray, amps: np.ndarray, num_qubits: int
+    ) -> float:
+        """``energy`` of the vector whose only nonzero entries are ``amps``.
+
+        ``indices`` are their distinct positions; see ``sparse_expectation``
+        for the cost, which does not grow with ``num_qubits``.
+        """
+        return _real_energy(
+            sparse_expectation(
+                indices, amps, self.block, tuple(reversed(self.support)), num_qubits
+            )
+        )
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,7 +15,8 @@ output buffer; ``expectation`` only sums <piece|op|piece> and reads just the
 local indices the operator touches. Neither allocates anything of size 2**N
 beyond the output. A state that fits in one piece is copied once and
 contracted with one matmul, exactly as a plain moveaxis/reshape contraction
-does.
+does. ``sparse_expectation`` is the same quadratic form for a vector given
+only by its nonzero entries; it never touches the other 2**N amplitudes.
 
 All functions are pure; inputs are never mutated.
 """
@@ -48,6 +49,7 @@ __all__ = [
     "random_projector",
     "random_state",
     "random_unitary",
+    "sparse_expectation",
     "trace_distance",
     "trace_norm",
 ]
@@ -203,6 +205,40 @@ def expectation(
         piece = view[head + tail].reshape(rows.size, width)
         total += np.vdot(piece, block @ piece)
     return complex(total)
+
+
+def sparse_expectation(
+    indices: np.ndarray,
+    amps: np.ndarray,
+    op: np.ndarray,
+    wires: Sequence[int],
+    num_qubits: int,
+) -> complex:
+    """``expectation`` of the vector whose only nonzero entries are ``amps``.
+
+    ``indices`` are the distinct positions of ``amps`` in the 2**N vector,
+    as ``np.flatnonzero`` returns them; wires follow ``expectation``. Each
+    index splits into its bits off the wires (the group key) and its local
+    index on them. The amplitudes of a group fill one row of a
+    (groups x 2**k) matrix M, and the form is ``vdot(M, M @ op.T)``. Cost:
+    O(nnz * (log nnz + 2**k)) for nnz nonzeros, independent of N.
+    """
+    op = np.asarray(op, dtype=np.complex128)
+    k = len(wires)
+    if op.shape != (2**k, 2**k):
+        raise ValueError(f"operator shape {op.shape} does not match {k} wires")
+    _check_wires(wires, num_qubits)
+    indices = np.asarray(indices, dtype=np.int64)
+    local = np.zeros_like(indices)
+    mask = 0
+    # Wire a is bit k-1-a of a local index, as in ``apply_matrix``.
+    for a, w in enumerate(wires):
+        local |= ((indices >> w) & 1) << (k - 1 - a)
+        mask |= 1 << w
+    keys, group = np.unique(indices & ~mask, return_inverse=True)
+    rows = np.zeros((keys.size, 2**k), dtype=np.complex128)
+    rows[group, local] = amps
+    return complex(np.vdot(rows, rows @ op.T))
 
 
 def apply_maps(

@@ -82,7 +82,12 @@ def _site_correction() -> np.ndarray:
     out = np.zeros((8, 8), dtype=np.complex128)
     for tag in PAULI_TAGS:
         out += np.kron(bell_projector(tag), pauli_matrix(tag))
+    out.flags.writeable = False
     return out
+
+
+# Built once: every rotation places one copy per pair.
+_SITE_CORRECTION = _site_correction()
 
 
 class RotationUnitary:
@@ -90,7 +95,8 @@ class RotationUnitary:
 
     The dense matrix is never formed; ``apply`` streams the factor list
     (corrections then gates, layer by layer from the input side) over the
-    state, in reverse daggered order for the adjoint.
+    state, in reverse order for the adjoint with each factor's adjoint,
+    built once here.
     """
 
     def __init__(self, circuit: LayeredCircuit):
@@ -98,7 +104,7 @@ class RotationUnitary:
             raise ValueError("rotation needs at least one layer")
         self.circuit = circuit
         self.layout = GridLayout(circuit.n, circuit.depth)
-        corr = _site_correction()
+        corr = _SITE_CORRECTION
         ops: list[tuple[np.ndarray, tuple[int, ...]]] = []
         for layer_idx, layer in enumerate(circuit.layers, start=1):
             for row in range(circuit.n):
@@ -110,6 +116,9 @@ class RotationUnitary:
                 wires = tuple(self.layout.output_qubit(w) for w in g.wires)
                 ops.append((g.unitary, wires))
         self._ops = tuple(ops)
+        self._adjoint_ops = tuple(
+            (mat.conj().T, wires) for mat, wires in reversed(ops)
+        )
 
     @property
     def num_qubits(self) -> int:
@@ -117,10 +126,7 @@ class RotationUnitary:
 
     def apply(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         out = np.asarray(vec, dtype=np.complex128)
-        seq = reversed(self._ops) if adjoint else self._ops
-        for mat, wires in seq:
-            if adjoint:
-                mat = mat.conj().T
+        for mat, wires in self._adjoint_ops if adjoint else self._ops:
             out = apply_matrix(out, mat, wires, self.num_qubits)
         return out
 

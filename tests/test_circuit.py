@@ -44,6 +44,10 @@ def test_gate_validation():
     assert not gate("H", (0,)).is_trivial
     # identity matrix under a different name is still trivial
     assert Gate((2,), np.eye(2), name=None).is_trivial
+    # both checks are computed once per gate and cached
+    h = gate("H", (0,))
+    assert h.is_clifford and not h.is_trivial
+    assert {"is_trivial", "is_clifford"} <= vars(h).keys()
 
 
 def test_layered_pads_identities():

@@ -17,7 +17,8 @@ from clockless.fk import (
     swap_test_state_pair,
     swap_test_witness,
 )
-from clockless.hamiltonian import LocalTerm
+from clockless import linalg
+from clockless.hamiltonian import LocalTerm, term_energy
 from clockless.linalg import apply_matrix, basis_state, product_state, random_state
 
 
@@ -136,6 +137,52 @@ def test_operator_matches_energies(clock, rng):
     vec = random_state(clock.num_qubits, rng)
     total = float(np.real(np.vdot(vec, op.apply(vec))))
     assert np.isclose(total, sum(clock.energies(vec)), atol=1e-10)
+
+
+def _assert_energies_match_streamed(ham, vec):
+    # Each term streamed through ``expectation`` over the whole vector.
+    want = [term_energy(t, vec, ham.num_qubits) for t in ham.terms]
+    got = ham.energies(vec)
+    assert len(got) == len(want)
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13
+
+
+def test_energies_match_streamed_on_clock_states(clock, reduced, rng):
+    for vec in (
+        history_state(clock),
+        history_state(clock, random_state(reduced.n - reduced.a, rng)),
+        invalid_clock_state(clock),
+    ):
+        _assert_energies_match_streamed(clock, vec)
+
+
+def test_energies_match_streamed_past_one_piece():
+    layers = [[("H", (0,))], [("CNOT", (0, 1))], [("T", (1,))], [("CNOT", (1, 0))]]
+    c = layered(2, 1, layers)
+    ham = build_modified_fk(degree_reduce(c))
+    assert 2**ham.num_qubits > linalg._PIECE_AMPS
+    assert {t.locality for t in ham.terms} >= {2, 5}
+    _assert_energies_match_streamed(ham, history_state(ham))
+    _assert_energies_match_streamed(ham, invalid_clock_state(ham))
+
+
+def test_energies_match_streamed_on_random_vectors(clock, rng):
+    n = clock.num_qubits
+    for _ in range(3):
+        _assert_energies_match_streamed(clock, random_state(n, rng))
+    for nnz in (1, 2, 3, 4, 5):
+        vec = np.zeros(2**n, dtype=np.complex128)
+        at = rng.choice(2**n, size=nnz, replace=False)
+        vec[at] = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+        _assert_energies_match_streamed(clock, vec / np.linalg.norm(vec))
+
+
+def test_energies_reject_bad_shapes(clock):
+    vec = history_state(clock)
+    with pytest.raises(ValueError, match="vector shape .* does not match 8 qubits"):
+        clock.energies(vec[:-1])
+    with pytest.raises(ValueError, match="vector shape .* does not match 8 qubits"):
+        clock.energies(np.stack([vec, vec], axis=1))
 
 
 def test_accept_probability_bit_convention(hadamard1):

@@ -23,6 +23,7 @@ from clockless.linalg import (
     random_projector,
     random_state,
     random_unitary,
+    sparse_expectation,
     trace_distance,
     trace_norm,
 )
@@ -250,3 +251,36 @@ def test_expectation_rejects_bad_input():
         expectation(vec, X, (3,), 3)
     with pytest.raises(ValueError, match="operator shape"):
         expectation(vec, np.eye(4), (0,), 3)
+
+
+# One, two and five wires, and a non-contiguous unsorted three-wire list.
+SPARSE_WIRES = [(0,), (6,), (2, 3), (5, 1, 3), (4, 0, 6, 2, 5)]
+
+
+@pytest.mark.parametrize("wires", SPARSE_WIRES)
+def test_sparse_expectation_matches_streamed(wires, rng):
+    n, k = ORACLE_N, len(wires)
+    dense = _complex_normal(rng, 2**k, 2**k)
+    for nnz in (1, 2, 3, 4, 5, 2**n):
+        vec = np.zeros(2**n, dtype=np.complex128)
+        vec[rng.choice(2**n, size=nnz, replace=False)] = _complex_normal(rng, nnz)
+        vec /= np.linalg.norm(vec)
+        idx = np.flatnonzero(vec)
+        for op in (dense + dense.conj().T, dense, _sparse_hermitian(k, rng)):
+            got = sparse_expectation(idx, vec[idx], op, wires, n)
+            assert abs(got - expectation(vec, op, wires, n)) <= 1e-13
+
+
+def test_sparse_expectation_of_no_amplitudes_is_zero():
+    empty = np.zeros(0, dtype=np.int64)
+    assert sparse_expectation(empty, empty.astype(complex), X, (0,), 3) == 0
+
+
+def test_sparse_expectation_rejects_bad_input():
+    idx, amps = np.array([0, 5]), np.array([0.6, 0.8])
+    with pytest.raises(ValueError, match="distinct"):
+        sparse_expectation(idx, amps, np.eye(4), (1, 1), 3)
+    with pytest.raises(ValueError, match="out of range"):
+        sparse_expectation(idx, amps, X, (3,), 3)
+    with pytest.raises(ValueError, match="operator shape"):
+        sparse_expectation(idx, amps, np.eye(4), (0,), 3)

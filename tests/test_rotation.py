@@ -39,6 +39,22 @@ def bulk_fixture(name, wires):
     return layered(2, 2, [[(name, wires)], [("I", (0,)), ("I", (1,))]])
 
 
+def test_rotation_adjoint_undoes_apply(rng):
+    # T and a random matrix gate are not symmetric, so a missing conjugate
+    # or transpose in the precomputed adjoint factors shows here.
+    u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+    c = layered(2, 1, [[("T", (1,))], [(u, (0, 1))]])
+    rot = RotationUnitary(c)
+    n = rot.num_qubits
+    vec = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    assert np.allclose(rot.apply(rot.apply(vec), adjoint=True), vec, atol=1e-12)
+    assert np.allclose(rot.apply(rot.apply(vec, adjoint=True)), vec, atol=1e-12)
+    # every rotation shares the one read-only site correction
+    corrections = [mat for mat, _ in rot._ops if mat.shape == (8, 8)]
+    assert corrections and all(m is rotation._SITE_CORRECTION for m in corrections)
+    assert not rotation._SITE_CORRECTION.flags.writeable
+
+
 def test_last_layer_form_matches_rotation(identity1):
     for delta in (0.2, 0.5):
         spec = parent_spec(identity1, delta)
