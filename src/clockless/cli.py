@@ -353,12 +353,9 @@ def _fault_report(cfg: RunConfig) -> dict:
     c = _load_circuit(cfg, default="bell")
     schedule = _schedule(cfg, c.depth)
     fault = cio.read_fault_json(cfg.fault_file)
-    try:
-        return fault_experiment(
-            c, schedule, fault, tol=cfg.tolerance, epsilon=cfg.epsilon
-        )
-    except FaultMismatch as e:
-        raise InputError(f"fault pattern does not fit the circuit: {e}") from e
+    return fault_experiment(
+        c, schedule, fault, tol=cfg.tolerance, epsilon=cfg.epsilon
+    )
 
 
 def cmd_soundness(cfg: RunConfig) -> int:
@@ -466,8 +463,8 @@ def main(argv=None) -> int:
         cfg = parse_args(argv)
         return _COMMANDS[cfg.command](cfg)
     except (
-        InputError, ResourceError, ConvergenceError, cio.SchemaError,
-        FileNotFoundError,
+        InputError, ResourceError, ConvergenceError, FaultMismatch,
+        cio.SchemaError, FileNotFoundError,
     ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -37,6 +37,7 @@ from .linalg import (
     density_fidelity,
     embed_operator,
     product_state,
+    require_projector,
 )
 from .spectral import DENSE_QUBITS
 
@@ -339,13 +340,6 @@ def accept_probability(
     return float(probs[keep].sum())
 
 
-def _require_projector(block: np.ndarray, what: str) -> np.ndarray:
-    block = np.asarray(block, dtype=np.complex128)
-    if np.abs(block @ block - block).max() > 1e-10:
-        raise ValueError(f"{what} is not a projector")
-    return block
-
-
 def greedy_groups(terms) -> list[tuple[int, ...]]:
     """First-fit partition of term indices into groups of disjoint supports."""
     groups: list[list[int]] = []
@@ -413,7 +407,7 @@ def build_dl_verifier(
     for group in groups:
         gates = []
         for i in group:
-            h = _require_projector(terms[i].block, f"term {i}")
+            h = require_projector(terms[i].block, 1e-10, f"term {i}")
             dim = h.shape[0]
             flip = np.kron(np.eye(dim) - h, np.eye(2)) + np.kron(
                 h, NAMED_GATES["X"]

@@ -49,6 +49,7 @@ __all__ = [
     "random_projector",
     "random_state",
     "random_unitary",
+    "require_projector",
     "sparse_expectation",
     "trace_distance",
     "trace_norm",
@@ -362,6 +363,15 @@ def is_unitary(m: np.ndarray, tol: float = 1e-12) -> bool:
 
 def is_projector(m: np.ndarray, tol: float = 1e-12) -> bool:
     return is_hermitian(m, tol) and bool(np.max(np.abs(m @ m - m)) <= tol)
+
+
+def require_projector(m, tol: float = 1e-12, what: str = "matrix") -> np.ndarray:
+    """``m`` as an array; ValueError unless it is a square matrix that
+    ``is_projector`` accepts within ``tol``."""
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not is_projector(m, tol):
+        raise ValueError(f"{what} of shape {m.shape} is not a projector within {tol:g}")
+    return m
 
 
 def is_psd(m: np.ndarray, tol: float = 1e-12) -> bool:

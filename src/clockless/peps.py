@@ -18,8 +18,11 @@ on the output register before each layer. The Bell-frame coefficient sum
 sum_P prod delta^(2|P|) is 4^(n D) times the squared l2 norm of the
 unnormalized state (each Bell contraction contributes a factor 1/2 per site).
 
-Two helpers carry the grid's ingredients for every module that rebuilds a
-grid state: ``choi_vector`` is the Choi state of one gate matrix, and
+Every grid state, honest or faulted, is built by ``build_peps`` from the
+located factors of ``grid_factors``; a faulted ("combinatorial") state swaps
+the factors at a ``FaultPattern``'s locations for payloads. Two helpers
+carry the grid's ingredients for every module that reads a grid state:
+``choi_vector`` is the Choi state of one gate matrix, and
 ``apply_pair_maps`` sweeps one 4x4 map per layer over all shifted pairs (Q to
 deform, Lambda to undo it, the Bell basis change to read tags off).
 """
@@ -40,11 +43,15 @@ from .circuit import (
     resolve_witness,
 )
 from .limits import EXPANSION_WORD_CAP, ResourceError, require, vector_bytes
-from .linalg import apply_matrix, embed_operator, is_hermitian, partial_trace, product_state
+from .linalg import (
+    apply_matrix, basis_state, embed_operator, is_hermitian, partial_trace,
+    product_state,
+)
 from .pauli import PAULI_TAGS, PauliWord, bell_state, pauli_matrix, q_matrix
 
 __all__ = [
     "ExpansionResult",
+    "FaultPattern",
     "GridLayout",
     "PepsState",
     "apply_pair_maps",
@@ -54,6 +61,7 @@ __all__ = [
     "contract_observable",
     "depolarizing_reference_marginal",
     "expansion",
+    "grid_factors",
     "output_marginal",
     "reassemble_expansion",
     "reduced_density",
@@ -122,15 +130,46 @@ class GridLayout:
 
 
 @dataclass(frozen=True)
+class FaultPattern:
+    """Which locations of a circuit the adversary corrupts.
+
+    ``inputs`` lists wires whose initialization is faulted; only ancilla
+    wires qualify, since witness wires carry no initialization check.
+    ``layers`` holds one wire set per circuit layer; a gate is faulted when
+    its wires appear there, and each layer set must cover whole gates.
+    """
+
+    inputs: frozenset[int]
+    layers: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "inputs", frozenset(int(w) for w in self.inputs)
+        )
+        object.__setattr__(
+            self,
+            "layers",
+            tuple(frozenset(int(w) for w in s) for s in self.layers),
+        )
+
+    @property
+    def budget(self) -> int:
+        """Total count of faulted wires, inputs plus every layer."""
+        return len(self.inputs) + sum(len(s) for s in self.layers)
+
+
+@dataclass(frozen=True)
 class PepsState:
     """A unit state vector on the grid plus the metadata needed to reason
-    about it; ``build_peps`` makes one."""
+    about it; ``build_peps`` makes one. ``fault`` is None for the honest
+    state and the pattern of the replaced factors for a faulted one."""
 
     layout: GridLayout
     amplitudes: np.ndarray
     circuit: LayeredCircuit
     xi: np.ndarray
     delta_per_layer: tuple[float, ...]
+    fault: FaultPattern | None = None
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -199,13 +238,48 @@ def apply_pair_maps(amps: np.ndarray, layout: GridLayout, per_layer) -> np.ndarr
     return amps
 
 
-def build_peps(c: LayeredCircuit, deltas, xi=None) -> PepsState:
+def grid_factors(c: LayeredCircuit, layout: GridLayout, xi=None, payloads=None):
+    """The factors of the grid state of ``c``, as (location, vector, qubits).
+
+    In order: the witness ``xi`` on wires a..n-1 (location None, absent
+    when every wire is an ancilla), |0> at each ancilla input w
+    (``("input", w)``), then the Choi state of each gate in layer order
+    (``("gate", layer, wires)``, laid out as ``choi_factor``). ``payloads``
+    maps a location to the vector that replaces its factor; a location the
+    circuit does not have raises ValueError.
+    """
+    payloads = payloads or {}
+    factors = []
+    if c.a < c.n:
+        witness = [layout.input_qubit(row) for row in reversed(range(c.a, c.n))]
+        factors.append((None, resolve_witness(c, xi), witness))
+    for wire in range(c.a):
+        loc = ("input", wire)
+        factors.append(
+            (loc, payloads.get(loc, basis_state(0, 1)), [layout.input_qubit(wire)])
+        )
+    for layer_idx, layer in enumerate(c.layers, start=1):
+        for g in layer:
+            loc = ("gate", layer_idx, g.wires)
+            vec, qubits = choi_factor(g, layer_idx, layout)
+            factors.append((loc, payloads.get(loc, vec), qubits))
+    stray = payloads.keys() - {loc for loc, _, _ in factors}
+    if stray:
+        raise ValueError(
+            f"payloads for locations the circuit lacks: {sorted(stray, key=str)}"
+        )
+    return factors
+
+
+def build_peps(c: LayeredCircuit, deltas, xi=None, payloads=None) -> PepsState:
     """The normalized grid state of ``c`` at the schedule ``deltas``.
 
-    The input column times one Choi state per gate, with Q(delta_l)
-    applied at every shifted pair of layer l. ``xi`` is the witness on
-    wires a..n-1 (bit 0 of its index is wire a); it defaults to the
-    all-zeros state.
+    The factors of ``grid_factors`` (input column and one Choi state per
+    gate), with Q(delta_l) applied at every shifted pair of layer l.
+    ``xi`` is the witness on wires a..n-1 (bit 0 of its index is wire a);
+    it defaults to the all-zeros state. With ``payloads`` (location ->
+    vector, possibly empty) the state is faulted at exactly those
+    locations and records them as its ``fault``.
     """
     require_valid(c)
     xi = resolve_witness(c, xi)
@@ -215,19 +289,21 @@ def build_peps(c: LayeredCircuit, deltas, xi=None) -> PepsState:
     # at 18, 3.1 at 21): a pair map's input, its contiguous copy, the
     # product and the output.
     require("the grid state", layout.num_qubits, vector_bytes(layout.num_qubits, 4))
-    factors = [
-        (
-            input_state(c, xi),
-            [layout.input_qubit(row) for row in reversed(range(c.n))],
-        )
-    ]
-    for layer_idx, layer in enumerate(c.layers, start=1):
-        for g in layer:
-            factors.append(choi_factor(g, layer_idx, layout))
-    amps = product_state(factors, layout.num_qubits)
+    factors = grid_factors(c, layout, xi, payloads)
+    amps = product_state(
+        [(vec, qubits) for _, vec, qubits in factors], layout.num_qubits
+    )
     amps = apply_pair_maps(amps, layout, [q_matrix(d) for d in schedule])
     amps = amps / float(np.linalg.norm(amps))
-    return PepsState(layout, amps, c, xi, schedule)
+    fault = None
+    if payloads is not None:
+        inputs = [loc[1] for loc in payloads if loc[0] == "input"]
+        layers = [set() for _ in c.layers]
+        for loc in payloads:
+            if loc[0] == "gate":
+                layers[loc[1] - 1].update(loc[2])
+        fault = FaultPattern(frozenset(inputs), tuple(layers))
+    return PepsState(layout, amps, c, xi, schedule, fault)
 
 
 @dataclass(frozen=True)
@@ -407,20 +483,18 @@ def sample_pauli_patterns(s: PepsState, count: int, seed: int) -> list[PauliWord
 
 
 def depolarizing_reference_marginal(c: LayeredCircuit, xi, deltas) -> np.ndarray:
-    """Channel-composition oracle for the output marginal of identity circuits.
+    """Channel-composition oracle for the output marginal of any circuit.
 
-    Applies, per layer and per wire, the channel that leaves the state alone
-    with probability 1-3p and applies one of X, XZ, Z with probability p
-    each, p = delta_l^2/(1+3 delta_l^2). Only meaningful when every gate is
-    the identity, so that is enforced.
+    Per layer, first applies on each wire the channel that leaves the state
+    alone with probability 1-3p and applies one of X, XZ, Z with
+    probability p each, p = delta_l^2/(1+3 delta_l^2), then the layer's
+    unitary.
     """
     require_valid(c)
-    if any(not g.is_trivial for g in c.gates()):
-        raise ValueError("the depolarizing reference applies to identity circuits only")
     vec = input_state(c, xi)
     schedule = resolve_deltas(deltas, c.depth)
     rho = np.outer(vec, vec.conj())
-    for delta in schedule:
+    for index, delta in enumerate(schedule):
         p = delta**2 / (1.0 + 3.0 * delta**2)
         for wire in range(c.n):
             kicked = np.zeros_like(rho)
@@ -428,4 +502,6 @@ def depolarizing_reference_marginal(c: LayeredCircuit, xi, deltas) -> np.ndarray
                 e = embed_operator(pauli_matrix(tag), (wire,), c.n)
                 kicked += e @ rho @ e.conj().T
             rho = (1.0 - 3.0 * p) * rho + p * kicked
+        layer = layer_unitary(c, index)
+        rho = layer.apply(layer.apply(rho).conj().T).conj().T
     return rho

@@ -1,12 +1,13 @@
 """Fault-pattern states, error extraction, and randomized inequality suites.
 
 Low-energy grid states factor into a frame of satisfied local checks plus
-arbitrary payloads at a small set of faulted locations. This module builds
-such states directly from a declared fault pattern, recovers the error
-decomposition hiding inside them, measures the weight distribution of the
-Bell frame, compares neighboring gate ground spaces, and packages the
-inequality lemmas behind the soundness analysis into replayable randomized
-suites.
+arbitrary payloads at a small set of faulted locations. This module checks
+a declared fault pattern against its circuit and hands the payloads to
+``peps.build_peps``, which builds such a state as a ``PepsState`` with its
+``fault`` set. It recovers the error decomposition hiding inside them,
+measures the weight distribution of the Bell frame, compares neighboring
+gate ground spaces, and packages the inequality lemmas behind the soundness
+analysis into replayable randomized suites.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .circuit import (
     layered,
     pad_identities,
     require_valid,
-    resolve_witness,
 )
 from .hamiltonian import energy, parent_spec, propagation_term
 from .limits import enumeration_bytes, require
@@ -51,11 +51,14 @@ from .pauli import (
     word_matrix,
 )
 from .peps import (
+    FaultPattern,  # defined with the grid states; importable from here too
     GridLayout,
+    PepsState,
     apply_pair_maps,
     build_peps,
     choi_factor,
     choi_vector,
+    grid_factors,
     resolve_deltas,
 )
 from .rotation import RotationUnitary
@@ -67,37 +70,11 @@ from .spectral import (
 )
 
 
-@dataclass(frozen=True)
-class FaultPattern:
-    """Which locations of a circuit the adversary corrupts.
-
-    ``inputs`` lists wires whose initialization is faulted; only ancilla
-    wires qualify, since witness wires carry no initialization check.
-    ``layers`` holds one wire set per circuit layer; a gate is faulted when
-    its wires appear there, and each layer set must cover whole gates.
-    """
-
-    inputs: frozenset[int]
-    layers: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "inputs", frozenset(int(w) for w in self.inputs)
-        )
-        object.__setattr__(
-            self,
-            "layers",
-            tuple(frozenset(int(w) for w in s) for s in self.layers),
-        )
-
-    @property
-    def budget(self) -> int:
-        """Total count of faulted wires, inputs plus every layer."""
-        return len(self.inputs) + sum(len(s) for s in self.layers)
-
-
 class FaultMismatch(ValueError):
     """A fault pattern that does not fit its circuit."""
+
+    def __str__(self) -> str:
+        return f"fault pattern does not fit the circuit: {super().__str__()}"
 
 
 def _faulted_gates(
@@ -166,22 +143,6 @@ def fault_locations(
     return keys
 
 
-@dataclass(frozen=True)
-class CombinatorialState:
-    """A normalized grid state deviating only at declared fault locations."""
-
-    layout: GridLayout
-    amplitudes: np.ndarray
-    circuit: LayeredCircuit
-    fault: FaultPattern
-    delta_per_layer: tuple[float, ...]
-    xi: np.ndarray
-
-    @property
-    def num_qubits(self) -> int:
-        return self.layout.num_qubits
-
-
 def _unit(vec, dim: int, what: str) -> np.ndarray:
     out = np.asarray(vec, dtype=np.complex128)
     if out.shape != (dim,):
@@ -202,8 +163,8 @@ def build_combinatorial_state(
     xi=None,
     input_payloads=None,
     gate_payloads=None,
-) -> CombinatorialState:
-    """Assemble the grid state of a computation faulted exactly at ``fault``.
+) -> PepsState:
+    """The grid state of a computation faulted exactly at ``fault``.
 
     Satisfied locations carry their usual factors: |0> at ancilla inputs
     and the gate's Choi state on its leg qubits. Every faulted location
@@ -212,68 +173,30 @@ def build_combinatorial_state(
     by (layer, wires), in the index convention of ``choi_factor`` (output
     side bits most significant). Payloads are normalized here, so only
     their direction matters; the witness ``xi`` must already be a unit
-    vector, as for ``build_peps``.
+    vector. The state is built by ``build_peps`` on the padded circuit.
     """
     c = pad_identities(c)
-    require_valid(c)
-    schedule = resolve_deltas(deltas, c.depth)
-    layout = GridLayout(c.n, c.depth)
-    faulted = _faulted_gates(c, fault)
-    faulted_keys = {(layer, g.wires) for layer, g in faulted}
-
-    input_payloads = dict(input_payloads or {})
-    gate_payloads = dict(gate_payloads or {})
-    missing_in = sorted(fault.inputs - input_payloads.keys())
-    if missing_in:
-        raise ValueError(f"missing input payloads for wires {missing_in}")
-    stray_in = sorted(input_payloads.keys() - fault.inputs)
-    if stray_in:
+    declared = fault_locations(c, fault)
+    payloads = {("input", w): v for w, v in (input_payloads or {}).items()}
+    payloads.update(
+        (("gate", layer, wires), v)
+        for (layer, wires), v in (gate_payloads or {}).items()
+    )
+    missing = declared - payloads.keys()
+    if missing:
+        raise ValueError(f"missing payloads for {sorted(missing, key=str)}")
+    stray = payloads.keys() - declared
+    if stray:
         raise ValueError(
-            f"input payloads given for unfaulted wires {stray_in}"
+            f"payloads given for unfaulted locations {sorted(stray, key=str)}"
         )
-    missing_gates = sorted(faulted_keys - gate_payloads.keys())
-    if missing_gates:
-        raise ValueError(f"missing gate payloads for {missing_gates}")
-    stray_gates = sorted(gate_payloads.keys() - faulted_keys)
-    if stray_gates:
-        raise ValueError(
-            f"gate payloads given for unfaulted locations {stray_gates}"
-        )
-
-    xi = resolve_witness(c, xi)
-    factors: list[tuple[np.ndarray, list[int]]] = []
-    if c.a < c.n:
-        factors.append(
-            (xi, [layout.input_qubit(row) for row in reversed(range(c.a, c.n))])
-        )
-    for wire in range(c.a):
-        if wire in fault.inputs:
-            vec = _unit(input_payloads[wire], 2, f"input payload for wire {wire}")
-        else:
-            vec = basis_state(0, 1)
-        factors.append((vec, [layout.input_qubit(wire)]))
-    for layer_idx, layer in enumerate(c.layers, start=1):
-        for g in layer:
-            ref, qubits = choi_factor(g, layer_idx, layout)
-            if (layer_idx, g.wires) in faulted_keys:
-                vec = _unit(
-                    gate_payloads[(layer_idx, g.wires)],
-                    ref.shape[0],
-                    f"gate payload at layer {layer_idx} wires {g.wires}",
-                )
-                factors.append((vec, qubits))
-            else:
-                factors.append((ref, qubits))
-
-    amps = product_state(factors, layout.num_qubits)
-    amps = apply_pair_maps(amps, layout, [q_matrix(d) for d in schedule])
-    amps = amps / np.linalg.norm(amps)
-    return CombinatorialState(layout, amps, c, fault, schedule, xi)
+    for loc, vec in payloads.items():
+        dim = 2 if loc[0] == "input" else 4 ** len(loc[2])
+        payloads[loc] = _unit(vec, dim, f"payload at {loc}")
+    return build_peps(c, deltas, xi, payloads)
 
 
-def violated_locations(
-    state: CombinatorialState, tol: float = 1e-9
-) -> set[tuple]:
+def violated_locations(state: PepsState, tol: float = 1e-9) -> set[tuple]:
     """Locations whose Hamiltonian terms the state actually violates."""
     spec = parent_spec(state.circuit, state.delta_per_layer)
     report = energy(spec, state.amplitudes, tol)
@@ -329,24 +252,23 @@ def _gate_error_basis(
 
 
 def _fault_frame(c: LayeredCircuit, fault: FaultPattern, layout: GridLayout):
-    """Satisfied factors and per-fault error bases of a fault pattern.
+    """Satisfied factors, witness qubits and per-fault error bases.
 
-    Returns (frame, slots, groups). The frame holds |0> at every unfaulted
-    ancilla input and the Choi state at every unfaulted gate; ``groups``
-    holds one orthonormal error basis of (word, vector, qubits) entries per
-    fault: {|0>, |1>} tagged I, X at inputs, the Pauli-shifted Choi states
-    at gates. ``slots`` names the error positions those words cover.
+    Returns (frame, witness, slots, groups). The frame holds the unfaulted,
+    non-witness entries of ``grid_factors``: |0> at every unfaulted ancilla
+    input and the Choi state at every unfaulted gate. ``witness`` lists the
+    witness qubits. ``groups`` holds one orthonormal error basis of (word,
+    vector, qubits) entries per fault: {|0>, |1>} tagged I, X at inputs, the
+    Pauli-shifted Choi states at gates. ``slots`` names the error positions
+    those words cover.
     """
-    faulted = _faulted_gates(c, fault)
-    faulted_keys = {(layer, g.wires) for layer, g in faulted}
-    frame: list[tuple[np.ndarray, list[int]]] = []
-    for wire in range(c.a):
-        if wire not in fault.inputs:
-            frame.append((basis_state(0, 1), [layout.input_qubit(wire)]))
-    for layer_idx, layer in enumerate(c.layers, start=1):
-        for g in layer:
-            if (layer_idx, g.wires) not in faulted_keys:
-                frame.append(choi_factor(g, layer_idx, layout))
+    declared = fault_locations(c, fault)
+    frame, witness = [], []
+    for loc, vec, qubits in grid_factors(c, layout):
+        if loc is None:
+            witness = qubits
+        elif loc not in declared:
+            frame.append((vec, qubits))
 
     slots: list[tuple] = []
     groups: list[list[tuple[tuple[str, ...], np.ndarray, list[int]]]] = []
@@ -356,10 +278,10 @@ def _fault_frame(c: LayeredCircuit, fault: FaultPattern, layout: GridLayout):
         groups.append(
             [(("I",), basis_state(0, 1), [q]), (("X",), basis_state(1, 1), [q])]
         )
-    for layer_idx, g in faulted:
+    for layer_idx, g in _faulted_gates(c, fault):
         slots.extend(("gate", layer_idx, w) for w in g.wires)
         groups.append(_gate_error_basis(g, layer_idx, layout))
-    return frame, slots, groups
+    return frame, witness, slots, groups
 
 
 @dataclass(frozen=True)
@@ -389,7 +311,7 @@ class AdversarialDecomposition:
 
 
 def extract_decomposition(
-    state: CombinatorialState, tol: float = 1e-12
+    state: PepsState, tol: float = 1e-12
 ) -> AdversarialDecomposition:
     """Read off the error words a fault-pattern state hides at its faults.
 
@@ -399,16 +321,23 @@ def extract_decomposition(
     {|0>, |1>} at inputs, the Pauli-shifted Choi states at gates. What
     survives each contraction is the residual witness state, whose norm is
     the coefficient. Words with coefficient at or below ``tol`` are
-    dropped. Raises when the entries would exceed the memory budget or
-    when the state does not factor over the declared pattern.
+    dropped. Raises ValueError on a state without a fault pattern (an
+    honest ``build_peps`` state), and when the state does not factor over
+    its pattern; ResourceError when the entries would exceed the memory
+    budget.
     """
     c, layout, fault = state.circuit, state.layout, state.fault
+    if fault is None:
+        raise ValueError(
+            "the state has no fault pattern; build it with "
+            "build_combinatorial_state"
+        )
     schedule = state.delta_per_layer
     amps = apply_pair_maps(
         state.amplitudes, layout, [lambda_matrix(d) for d in schedule]
     )
     amps = amps / np.linalg.norm(amps)
-    frame, slots, groups = _fault_frame(c, fault, layout)
+    frame, _, slots, groups = _fault_frame(c, fault, layout)
 
     # Each entry keeps a residual on the qubits that no bra contracts.
     bras = frame + [g[0][1:] for g in groups]
@@ -440,13 +369,10 @@ def reassemble_decomposition(decomp: AdversarialDecomposition) -> np.ndarray:
     """Rebuild the normalized fault-pattern state from its decomposition."""
     c = decomp.circuit
     layout = GridLayout(c.n, c.depth)
-    frame, _, bases = _fault_frame(c, decomp.fault, layout)
+    frame, witness_qubits, _, bases = _fault_frame(c, decomp.fault, layout)
     groups = [{word: (vec, qubits) for word, vec, qubits in b} for b in bases]
     widths = [len(b[0][0]) for b in bases]
 
-    witness_qubits = [
-        layout.input_qubit(row) for row in reversed(range(c.a, c.n))
-    ]
     amps = np.zeros(2**layout.num_qubits, dtype=np.complex128)
     for word, coeff, xi in decomp.entries:
         tags = tuple(word)
@@ -527,8 +453,8 @@ def high_weight_mass(
 ) -> tuple[float, float]:
     """Bell-frame mass at tag weight >= ``threshold`` over ``region`` sites.
 
-    Accepts any normalized grid state carrying its schedule (a PepsState
-    or a CombinatorialState). Also returns the exact
+    Accepts any normalized grid state carrying its schedule (a PepsState,
+    faulted or not). Also returns the exact
     independent-site reference tail: fault-free states match it to float
     precision because their per-site tag marginals are independent with
     non-identity rate ``site_rate(delta)``, whatever the circuit and the

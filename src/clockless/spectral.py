@@ -53,6 +53,7 @@ from .hamiltonian import (
     with_output,
 )
 from .limits import dense_bytes, require, vector_bytes
+from .linalg import require_projector
 from .peps import resolve_deltas
 
 __all__ = [
@@ -555,17 +556,6 @@ def assemble_total_with_gap(
     return with_output(parent, rows, out_scale=report.gap), report
 
 
-def _require_projector(p: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    p = np.asarray(p)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError(f"projector must be square, got shape {p.shape}")
-    if np.abs(p - p.conj().T).max() > tol:
-        raise ValueError("projector must be Hermitian")
-    if np.abs(p @ p - p).max() > tol:
-        raise ValueError(f"matrix is not idempotent within {tol:g}")
-    return p
-
-
 def _sweep(projectors, state: np.ndarray) -> np.ndarray:
     """Apply (1 - Q) for each projector, in the order given."""
     phi = np.asarray(state, dtype=np.complex128).copy()
@@ -587,7 +577,7 @@ def detectability_check(
     where ``g`` bounds how many other family members each projector fails
     to commute with.  Returns (lhs, rhs, holds).
     """
-    checked = [_require_projector(q) for q in projectors]
+    checked = [require_projector(q) for q in projectors]
     if g <= 0:
         raise ValueError(f"overlap degree g must be positive, got {g}")
     phi = _sweep(checked, state)
@@ -609,7 +599,7 @@ def union_bound_check(projectors, state: np.ndarray) -> tuple[float, float, bool
 
     Returns (lhs, rhs, holds).
     """
-    checked = [_require_projector(q) for q in projectors]
+    checked = [require_projector(q) for q in projectors]
     psi = np.asarray(state, dtype=np.complex128)
     phi = _sweep(checked, psi)
     lhs = float(np.linalg.norm(phi) ** 2)
@@ -686,8 +676,8 @@ def jordan_angles(p1: np.ndarray, p2: np.ndarray) -> JordanDecomposition:
     one-dimensional blocks, and range directions invisible to the other
     projector (including any rank surplus on either side) give the rest.
     """
-    first = _require_projector(_as_dense(np.asarray(p1, dtype=np.complex128)), 1e-10)
-    second = _require_projector(_as_dense(np.asarray(p2, dtype=np.complex128)), 1e-10)
+    first = require_projector(_as_dense(np.asarray(p1, dtype=np.complex128)), 1e-10)
+    second = require_projector(_as_dense(np.asarray(p2, dtype=np.complex128)), 1e-10)
     if first.shape != second.shape:
         raise ValueError("projectors must act on the same space")
     x = _range_basis(first)

@@ -15,8 +15,8 @@ independent oracle:
   out of solves, fails with NaN.
 * ``expansion_reassembly``: overlap of the grid state with its Pauli-word
   expansion summed back onto the grid, against 1.
-* ``depolarizing_marginal`` (identity circuits only): trace distance of the
-  output marginal from the depolarizing-channel composition, against 0.
+* ``depolarizing_marginal``: trace distance of the output marginal from
+  the depolarizing-channel composition, against 0.
 * ``teleported_input[w]``: attenuation of an input check funneled through
   its pairs (``teleport_input``), against ``teleport_coefficient^k``.
 * ``last_layer[g]``: the rotated last-layer block, against
@@ -281,13 +281,12 @@ def verify_checks(
                 "expansion_reassembly", name, delta,
                 rebuilt / np.linalg.norm(rebuilt), state, tol,
             ))
-            if all(g.is_trivial for layer in c.layers for g in layer):
-                marginal = output_marginal(state)
-                reference = depolarizing_reference_marginal(c, None, schedule)
-                deviation = float(trace_distance(marginal, reference))
-                checks.append(_zero_check(
-                    "depolarizing_marginal", name, delta, deviation, tol
-                ))
+            marginal = output_marginal(state)
+            reference = depolarizing_reference_marginal(c, None, schedule)
+            deviation = float(trace_distance(marginal, reference))
+            checks.append(_zero_check(
+                "depolarizing_marginal", name, delta, deviation, tol
+            ))
             checks.extend(_rotated_checks(name, c, spec, schedule, tol))
     return checks
 

@@ -293,10 +293,10 @@ def test_verify_full_suite_passes(tmp_path, capsys):
         "check", "circuit", "delta", "value", "reference", "deviation",
         "status",
     ]
-    assert len(rows) == 154  # header + 153 checks
+    assert len(rows) == 166  # header + 165 checks
     statuses = {r[6] for r in rows[1:]}
     assert statuses == {"pass"}
-    assert "153/153 checks passed" in capsys.readouterr().out
+    assert "165/165 checks passed" in capsys.readouterr().out
 
 
 def test_verify_injected_delta_fails_frustration(tmp_path, capsys):
@@ -508,6 +508,25 @@ def test_iterative_build_beyond_budget_exits_2_without_outputs(
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_soundness_fault_file_beyond_budget_exits_2_without_outputs(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", 1000)
+    circuit = tmp_path / "c14.json"
+    circuit.write_text(json_text(C14))
+    fault = tmp_path / "fault.json"
+    fault.write_text(json_text({"inputs": [0], "layers": [[], [0, 1], []]}))
+    out = tmp_path / "out"
+    code = main([
+        "soundness", "--circuit", str(circuit), "--fault-file", str(fault),
+        "--suites", "union_bound", "--instances", "1", "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "grid state on 14 qubits" in err and "memory budget" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_build_out_of_solver_budget_exits_2_without_outputs(
     tmp_path, hcnot_json, capsys
 ):
@@ -564,7 +583,8 @@ def test_verify_unresolved_ground_state_is_a_failed_row(tmp_path, capsys):
     assert code == 1
     assert "first failing check: ground_fidelity" in capsys.readouterr().err
     rows = read_csv(out / "verify.csv")[1:]
-    assert len(rows) == 9
+    assert len(rows) == 10
+    assert rows[3][0] == "depolarizing_marginal"
     bad = [row for row in rows if row[-1] != "pass"]
     assert bad == [
         ["ground_fidelity", "cnot_bulk.json", "0.050000000000000003", "nan",

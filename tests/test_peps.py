@@ -129,6 +129,21 @@ def test_depolarizing_marginal_two_rounds():
         assert trace_distance(rho, reference) < 1e-10
 
 
+def test_depolarizing_marginal_any_circuit(rng):
+    # every named gate is a symmetric matrix, so only a matrix gate catches a
+    # transposed unitary; the witness and a non-uniform schedule ride along
+    u = random_unitary(4, rng)
+    assert not np.allclose(u, u.T)
+    c = layered(3, 1, [[(u, (0, 2)), ("H", (1,))], [("T", (1,))],
+                       [("CNOT", (1, 0)), (random_unitary(2, rng), (2,))]])
+    xi = np.array([0.6, 0.48j, -0.64, 0.0])
+    for schedule in ((0.2, 0.2, 0.2), (0.5, 0.5, 0.5), (0.8, 0.8, 0.8),
+                     (0.3, 0.6, 0.45)):
+        rho = output_marginal(build_peps(c, schedule, xi=xi))
+        reference = depolarizing_reference_marginal(c, xi, schedule)
+        assert trace_distance(rho, reference) < 1e-12
+
+
 def test_contract_observable_consistency(identity1):
     state = build_peps(identity1, 0.5)
     out = state.layout.output_qubit(0)

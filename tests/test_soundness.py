@@ -1,8 +1,11 @@
 """Fault patterns, error extraction, weight tails, and inequality suites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from clockless import limits
 from clockless.circuit import layered
 from clockless.linalg import basis_state
 from clockless.peps import build_peps
@@ -11,6 +14,7 @@ from clockless.soundness import (
     FaultPattern,
     binomial_tail,
     build_combinatorial_state,
+    canonical_payloads,
     extract_decomposition,
     fault_locations,
     ground_space_characterization,
@@ -52,8 +56,32 @@ def test_fault_pattern_budget():
 def test_fault_free_state_matches_build(bell_circuit):
     state = build_combinatorial_state(bell_circuit, 0.5, NO_FAULT)
     built = build_peps(bell_circuit, 0.5)
-    assert abs(abs(np.vdot(state.amplitudes, built.amplitudes)) - 1.0) < 1e-12
+    assert np.array_equal(state.amplitudes, built.amplitudes)
+    assert state.fault == NO_FAULT and built.fault is None
     assert violated_locations(state) == set()
+
+
+def test_extraction_needs_a_fault_pattern(bell_circuit):
+    with pytest.raises(ValueError, match="no fault pattern"):
+        extract_decomposition(build_peps(bell_circuit, 0.5))
+
+
+def test_combinatorial_state_is_refused_before_allocation(monkeypatch):
+    c = layered(2, 1, [[("H", (0,)), ("T", (1,))], [("CNOT", (0, 1))],
+                       [("S", (0,)), ("H", (1,))]])
+    fault = FaultPattern({0}, ((), (0, 1), ()))
+    inputs, gates = canonical_payloads(c, fault)
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(limits.ResourceError, match="grid state on 14 qubits"):
+            build_combinatorial_state(
+                c, 0.5, fault, input_payloads=inputs, gate_payloads=gates
+            )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limits.vector_bytes(14)
 
 
 def test_payload_bookkeeping_is_strict(bell_circuit):
@@ -67,6 +95,12 @@ def test_payload_bookkeeping_is_strict(bell_circuit):
             NO_FAULT,
             input_payloads={0: np.array([0.0, 1.0])},
         )
+    with pytest.raises(ValueError, match="dimension 2"):
+        build_combinatorial_state(
+            bell_circuit, 0.5, fault, input_payloads={0: np.ones(4)}
+        )
+    with pytest.raises(ValueError, match="lacks"):
+        build_peps(bell_circuit, 0.5, payloads={("gate", 3, (0,)): np.ones(4)})
 
 
 def test_non_unit_witness_is_rejected(hcnot):
@@ -77,6 +111,7 @@ def test_non_unit_witness_is_rejected(hcnot):
 
 def test_violations_sit_exactly_at_faults(bell_circuit):
     state, fault = faulted_bell(bell_circuit)
+    assert state.fault == fault
     declared = fault_locations(bell_circuit, fault)
     violated = violated_locations(state)
     assert violated == declared

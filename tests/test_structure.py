@@ -102,3 +102,26 @@ def test_terms_have_two_implementations_and_no_subclasses():
         and terms & {ast.unparse(base).rsplit(".", 1)[-1] for base in node.bases}
     ]
     assert derived == []
+
+
+def test_grid_states_are_built_only_in_peps():
+    # PepsState is the one grid-state type (a faulted state is one with its
+    # fault set), and only peps constructs it
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func).rsplit(".", 1)[-1] == "PepsState"
+                and path.name != "peps.py"
+            ):
+                strays.append(f"{path.name} constructs PepsState")
+            if isinstance(node, ast.ClassDef) and node.name != "PepsState":
+                fields = {
+                    ast.unparse(item.target)
+                    for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                }
+                if {"amplitudes", "layout"} <= fields:
+                    strays.append(f"{path.name} defines grid state {node.name}")
+    assert strays == []
