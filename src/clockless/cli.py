@@ -26,6 +26,7 @@ from .fk import (
     build_modified_fk,
     build_swap_test_verifier,
     clock_report,
+    require_clock_states,
     require_simulable,
     swap_test_report,
 )
@@ -408,6 +409,7 @@ def cmd_soundness(cfg: RunConfig) -> int:
 
 def cmd_fk(cfg: RunConfig) -> int:
     ham = build_modified_fk(degree_reduce(_load_circuit(cfg)))
+    require_clock_states(ham)
     if cfg.mtx:
         ham.operator().require_sparse()
     _echo_config(cfg)

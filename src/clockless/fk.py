@@ -4,10 +4,14 @@ The first half turns a serialized circuit into a local Hamiltonian over a
 unary clock register plus the data wires, keeping every qubit inside a
 small constant number of terms. Its terms are dense ``LocalTerm``s of
 kind input, propagation, clock or output; each keeps its 1-based time step
-in ``layer`` and has no wires. The second half builds measurement-based
-verifiers for such term families: a constant-depth circuit that flips one
-ancilla per violated term, and a log-depth consistency checker that swap
-tests a chain of claimed intermediate states.
+in ``layer`` and has no wires. The history and broken-pattern states are
+``ClockState``s: their nonzero entries, at most (T+1) * 2^n_data of them,
+never a 2^N vector. Term energies are read off those entries; only the
+dense verifier check, up to ``DENSE_QUBITS`` qubits, expands a state. The
+second half builds measurement-based verifiers for such term families: a
+constant-depth circuit that flips one ancilla per violated term, and a
+log-depth consistency checker that swap tests a chain of claimed
+intermediate states.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,11 +34,10 @@ from .circuit import (
     require_valid,
 )
 from .hamiltonian import LocalTerm, SparseOperator
-from .limits import require, vector_bytes
+from .limits import ResourceError, require, vector_bytes
 from .linalg import (
     apply_maps,
     apply_matrix,
-    basis_state,
     density_fidelity,
     embed_operator,
     product_state,
@@ -45,6 +49,37 @@ _IDENTITY_STEP = Gate(wires=(0,), unitary=np.eye(2), name="I")
 
 # Wires a single wire may meet before the clock-qubit degree budget breaks.
 _MAX_WIRE_GATES = 3
+
+# Clock-state indices are int64, and 2^N itself must fit as a range bound.
+_INDEX_QUBITS = 62
+
+# Data-register vectors ``history_state`` holds at once (the current run, a
+# scaled copy and ``apply_matrix``'s copies: 4.0 measured with tracemalloc
+# on 15 data qubits), and bytes per history entry: its 24 B index and
+# amplitude plus the integer work of ``sparse_expectation``, 72-77 B an
+# entry measured on 10^5 and 10^6 entries of a 23-qubit encoding.
+_DATA_VECTORS = 4
+_ENTRY_BYTES = 128
+
+
+class ClockState(NamedTuple):
+    """A state on the clock and data registers, kept as its nonzero entries.
+
+    ``indices`` are the ascending, distinct int64 positions of
+    ``amplitudes`` in the 2^N vector, as ``np.flatnonzero`` returns them;
+    every other amplitude is zero.
+    """
+
+    indices: np.ndarray
+    amplitudes: np.ndarray
+    num_qubits: int
+
+    def dense(self) -> np.ndarray:
+        """The full 2^N vector, refused past the memory budget."""
+        require("a dense clock state", self.num_qubits, vector_bytes(self.num_qubits))
+        out = np.zeros(2**self.num_qubits, dtype=np.complex128)
+        out[self.indices] = self.amplitudes
+        return out
 
 
 def _embedded_product(factors, support: tuple[int, ...]) -> np.ndarray:
@@ -102,36 +137,36 @@ class ClockHamiltonian:
             self.num_qubits, self.terms, (1.0,) * len(self.terms)
         )
 
-    def energies(self, vec: np.ndarray) -> tuple[float, ...]:
+    def energies(self, state: ClockState) -> tuple[float, ...]:
         """Unnormalized energy of every term, in term order.
 
-        The clock states this sees (history, broken pattern) have a few
-        nonzero amplitudes in 2^N, so these are found once and every term
-        is evaluated on them alone: one O(2^N) scan, then
-        O(nnz * (log nnz + 2^k)) per k-local term.
+        Every term is evaluated on the state's nonzero entries alone, in
+        O(nnz * (log nnz + 2^k)) per k-local term, with nothing of size 2^N.
         """
         n = self.num_qubits
-        vec = np.asarray(vec, dtype=np.complex128)
-        if vec.shape != (2**n,):
-            raise ValueError(f"vector shape {vec.shape} does not match {n} qubits")
-        indices = np.flatnonzero(vec)
-        amps = vec[indices]
-        return tuple(term.sparse_energy(indices, amps, n) for term in self.terms)
+        if state.num_qubits != n:
+            raise ValueError(
+                f"state on {state.num_qubits} qubits does not match {n} qubits"
+            )
+        return tuple(
+            term.sparse_energy(state.indices, state.amplitudes, n)
+            for term in self.terms
+        )
 
     def violations(
         self,
-        vec: np.ndarray | None = None,
+        state: ClockState | None = None,
         tol: float = 1e-9,
         *,
         energies: Sequence[float] | None = None,
     ) -> tuple[int, ...]:
-        """Indices of terms with energy above ``tol`` on a unit vector.
+        """Indices of terms with energy above ``tol`` on a unit state.
 
-        Pass ``energies``, the result of ``energies(vec)``, in place of
-        ``vec`` to threshold a pass already made.
+        Pass ``energies``, the result of ``energies(state)``, in place of
+        ``state`` to threshold a pass already made.
         """
         if energies is None:
-            energies = self.energies(vec)
+            energies = self.energies(state)
         return tuple(i for i, e in enumerate(energies) if e > tol)
 
 
@@ -267,31 +302,53 @@ def build_modified_fk(
     )
 
 
-def history_state(ham: ClockHamiltonian, xi=None) -> np.ndarray:
+def require_clock_states(ham: ClockHamiltonian) -> None:
+    """Refuse ``ham`` if its clock states overrun memory or int64 indices.
+
+    The estimate counts the data-register vectors ``history_state`` runs
+    the circuit on and the most entries the history state can have, one
+    data vector per clock time: (T+1) * 2^n_data.
+    """
+    n, entries = ham.num_data, (ham.num_steps + 1) << ham.num_data
+    require(
+        "the history state",
+        ham.num_qubits,
+        vector_bytes(n, _DATA_VECTORS) + entries * _ENTRY_BYTES,
+    )
+    if ham.num_qubits > _INDEX_QUBITS:
+        raise ResourceError(
+            f"clock states on {ham.num_qubits} qubits need indices past int64; "
+            f"at most {_INDEX_QUBITS} qubits"
+        )
+
+
+def history_state(ham: ClockHamiltonian, xi=None) -> ClockState:
     """The uniform superposition of clock times with their partial runs.
 
     Entry t of the sum pairs the unary pattern 1^t 0^(T-t) on the clock
     register with the input state pushed through the first t steps. The
     result is normalized and annihilates every propagation, clock, and
-    input term of ``ham``; only output terms can see it.
+    input term of ``ham``; only output terms can see it. It is built row by
+    row: clock pattern 2^t - 1 holds the data vector after t steps divided
+    by sqrt(T+1), of which only the nonzero entries are kept.
     """
-    n, big_t = ham.num_data, ham.num_steps
+    require_clock_states(ham)
+    n = ham.num_data
+    norm = math.sqrt(ham.num_steps + 1.0)
     data = input_state(ham.circuit, xi)
-    norm = math.sqrt(big_t + 1.0)
-    out = np.zeros(2 ** (n + big_t), dtype=np.complex128)
-    # Row c of this view is the data register under clock pattern c. Only
-    # the T+1 unary rows are ever written, each already normalized. The
-    # rest is read once, by the nonzero scan of ``ClockHamiltonian.energies``:
-    # those pages map the shared zero page and never become resident.
-    rows = out.reshape(2**big_t, 2**n)
-    rows[0] += data / norm
-    for t, g in enumerate(ham.steps, start=1):
-        data = apply_matrix(data, g.unitary, g.wires, n)
-        rows[2**t - 1] += data / norm
-    return out
+    indices, amps = [], []
+    for t in range(ham.num_steps + 1):
+        if t:
+            g = ham.steps[t - 1]
+            data = apply_matrix(data, g.unitary, g.wires, n)
+        row = data / norm
+        at = np.flatnonzero(row)
+        indices.append(at + ((2**t - 1) << n))
+        amps.append(row[at])
+    return ClockState(np.concatenate(indices), np.concatenate(amps), ham.num_qubits)
 
 
-def invalid_clock_state(ham: ClockHamiltonian) -> np.ndarray:
+def invalid_clock_state(ham: ClockHamiltonian) -> ClockState:
     """|0100...> on the clock register with all-zero data.
 
     The second clock qubit is set, the first is not: a pattern no unary
@@ -300,7 +357,11 @@ def invalid_clock_state(ham: ClockHamiltonian) -> np.ndarray:
     if ham.num_steps < 2:
         raise ValueError("the broken pattern needs at least two clock qubits")
     # Clock bit 1 (the clock qubit of step 2) set, every data bit clear.
-    return basis_state(2 ** (ham.num_data + 1), ham.num_qubits)
+    return ClockState(
+        np.array([1 << (ham.num_data + 1)], dtype=np.int64),
+        np.ones(1, dtype=np.complex128),
+        ham.num_qubits,
+    )
 
 
 @dataclass(frozen=True)
@@ -478,9 +539,10 @@ def clock_report(ham: ClockHamiltonian, tol: float = 1e-12) -> dict:
     if ham.num_qubits <= DENSE_QUBITS:
         grouping = greedy_groups(ham.terms)
         verifier, plan = build_dl_verifier(ham.terms, grouping)
-        accept = accept_probability(verifier, plan, hist)
+        vec = hist.dense()
+        accept = accept_probability(verifier, plan, vec)
         product = dl_product(ham.terms, grouping, ham.num_qubits)
-        predicted = float(np.linalg.norm(product @ hist) ** 2)
+        predicted = float(np.linalg.norm(product @ vec) ** 2)
         report["dl_verifier"] = {
             "groups": len(grouping),
             "ancillas": verifier.a,

@@ -221,8 +221,10 @@ def sparse_expectation(
     as ``np.flatnonzero`` returns them; wires follow ``expectation``. Each
     index splits into its bits off the wires (the group key) and its local
     index on them. The amplitudes of a group fill one row of a
-    (groups x 2**k) matrix M, and the form is ``vdot(M, M @ op.T)``. Cost:
-    O(nnz * (log nnz + 2**k)) for nnz nonzeros, independent of N.
+    (groups x 2**k) matrix M, and the form is ``vdot(M, M @ op.T)``. M is
+    filled ``_PIECE_AMPS`` amplitudes' worth of groups at a time, so the
+    workspace is O(nnz) whatever k. Cost: O(nnz * (log nnz + 2**k)) for nnz
+    nonzeros, independent of N.
     """
     op = np.asarray(op, dtype=np.complex128)
     k = len(wires)
@@ -230,6 +232,21 @@ def sparse_expectation(
         raise ValueError(f"operator shape {op.shape} does not match {k} wires")
     _check_wires(wires, num_qubits)
     indices = np.asarray(indices, dtype=np.int64)
+    amps = np.asarray(amps, dtype=np.complex128)
+    if indices.ndim != 1 or amps.ndim != 1:
+        raise ValueError(
+            f"indices and amplitudes must be 1-D, got shapes {indices.shape} "
+            f"and {amps.shape}"
+        )
+    if indices.size != amps.size:
+        raise ValueError(
+            f"{indices.size} indices do not match {amps.size} amplitudes"
+        )
+    ordered = np.sort(indices)
+    if ordered.size and (ordered[0] < 0 or int(ordered[-1]) >> num_qubits):
+        raise ValueError(f"an index is out of range for {num_qubits} qubits")
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError("indices must be distinct")
     local = np.zeros_like(indices)
     mask = 0
     # Wire a is bit k-1-a of a local index, as in ``apply_matrix``.
@@ -237,9 +254,21 @@ def sparse_expectation(
         local |= ((indices >> w) & 1) << (k - 1 - a)
         mask |= 1 << w
     keys, group = np.unique(indices & ~mask, return_inverse=True)
-    rows = np.zeros((keys.size, 2**k), dtype=np.complex128)
-    rows[group, local] = amps
-    return complex(np.vdot(rows, rows @ op.T))
+    # Groups per chunk of M; past one chunk the entries are sorted by group
+    # and cut where a chunk ends. One chunk keeps its form bit for bit.
+    per = max(1, _PIECE_AMPS >> k)
+    cuts = [0, indices.size]
+    if keys.size > per:
+        order = np.argsort(group, kind="stable")
+        group, local, amps = group[order], local[order], amps[order]
+        cuts[1:1] = np.searchsorted(group, range(per, keys.size, per)).tolist()
+    total = None
+    for start, lo, hi in zip(range(0, keys.size + 1, per), cuts, cuts[1:]):
+        rows = np.zeros((min(per, keys.size - start), 2**k), dtype=np.complex128)
+        rows[group[lo:hi] - start, local[lo:hi]] = amps[lo:hi]
+        part = np.vdot(rows, rows @ op.T)
+        total = part if total is None else total + part
+    return complex(total)
 
 
 def apply_maps(

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -432,6 +433,65 @@ def test_fk_command(tmp_path, hcnot_json, capsys):
     assert table[0] == ["qubit", "terms"]
     degrees = {int(r[0]): int(r[1]) for r in table[1:]}
     assert degrees == {0: 4, 1: 3, 2: 3, 3: 1, 4: 5, 5: 7, 6: 6, 7: 4}
+
+
+# Three wires, one gate each past the first two layers: 3 layers give a
+# 32-qubit clock encoding (15 data qubits), 7 give 60 (27), 9 give 74 (33).
+WIDE_LAYERS = [
+    [("H", [0]), ("CNOT", [1, 2])], [("CNOT", [0, 1]), ("T", [2])], [("H", [2])],
+    [("CNOT", [2, 0])], [("S", [1])], [("H", [0])], [("CNOT", [1, 2])],
+    [("T", [0])], [("H", [1])],
+]
+
+
+def wide_json(tmp_path, depth):
+    path = tmp_path / f"wide{depth}.json"
+    path.write_text(json_text({
+        "version": 1, "n": 3, "a": 1,
+        "layers": [
+            [{"gate": g, "wires": w} for g, w in layer]
+            for layer in WIDE_LAYERS[:depth]
+        ],
+    }))
+    return str(path)
+
+
+def test_fk_on_32_qubits(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["fk", "--circuit", wide_json(tmp_path, 3), "--out", out]) == 0
+    assert "32 qubits, 47 terms" in capsys.readouterr().out
+    report = read_json(os.path.join(out, "fk_report.json"))
+    assert report["history_energy_max_nonoutput"] <= 1e-10
+    assert sorted(report["invalid_pattern"]["kinds"]) == ["clock", "propagation"]
+
+
+@pytest.mark.parametrize("depth, qubits", [(7, 60), (9, 74)])
+def test_fk_beyond_budget_exits_2_without_outputs(tmp_path, capsys, depth, qubits):
+    out = tmp_path / "out"
+    code = main(["fk", "--circuit", wide_json(tmp_path, depth), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"history state on {qubits} qubits" in err
+    assert "GiB" in err and "memory budget" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("name", ["c14", "hcnot"])
+def test_fk_report_bytes_are_pinned(tmp_path, hcnot_json, name):
+    # fk_report.json as the dense-vector clock states wrote it: energies
+    # must not drift by a bit
+    if name == "c14":
+        circuit = tmp_path / "c14.json"
+        circuit.write_text(json_text(C14))
+    else:
+        circuit = hcnot_json
+    out = tmp_path / "out"
+    assert main(["fk", "--circuit", str(circuit), "--out", str(out)]) == 0
+    pinned = (DATA / f"fk_report_{name}.json").read_bytes()
+    assert (out / "fk_report.json").read_bytes() == pinned
 
 
 def test_swapqma_command(tmp_path, hcnot_json, capsys):

@@ -1,23 +1,28 @@
 """Unary-clock encoding and the two shallow verifier circuits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from clockless.circuit import apply_circuit, degree_reduce, input_state, layered
 from clockless.fk import (
+    ClockState,
     MeasurementPlan,
     accept_probability,
     build_dl_verifier,
     build_modified_fk,
     build_swap_test_verifier,
+    clock_report,
     dl_product,
     history_state,
     invalid_clock_state,
+    require_clock_states,
     swap_test_accept_probability,
     swap_test_state_pair,
     swap_test_witness,
 )
-from clockless import linalg
+from clockless import limits, linalg
 from clockless.hamiltonian import LocalTerm, term_energy
 from clockless.linalg import apply_matrix, basis_state, product_state, random_state
 
@@ -68,9 +73,15 @@ def test_degree_table_maximum_is_seven(clock):
     assert max(table.values()) == 7
 
 
+def _entries(vec, num_qubits):
+    """A dense test vector as the ``ClockState`` of its nonzero entries."""
+    at = np.flatnonzero(vec)
+    return ClockState(at, vec[at], num_qubits)
+
+
 def test_history_state_annihilates_everything_but_output(clock):
     psi = history_state(clock)
-    assert np.isclose(np.linalg.norm(psi), 1.0, atol=1e-12)
+    assert np.isclose(np.linalg.norm(psi.amplitudes), 1.0, atol=1e-12)
     energies = clock.energies(psi)
     non_output = [
         e for t, e in zip(clock.terms, energies) if t.kind != "output"
@@ -89,12 +100,37 @@ def _kron_history(ham, xi=None):
     return out / np.sqrt(big_t + 1.0)
 
 
+def _assert_entries_of(state, vec):
+    # exactly the nonzero entries of ``vec``, in ``np.flatnonzero`` order
+    at = np.flatnonzero(vec)
+    assert state.indices.dtype == np.int64
+    assert np.array_equal(state.indices, at)
+    assert np.array_equal(state.amplitudes, vec[at])
+    assert np.array_equal(state.dense(), vec)
+
+
 def test_history_state_equals_kron_sum(clock, reduced, rng):
-    assert np.array_equal(history_state(clock), _kron_history(clock))
+    _assert_entries_of(history_state(clock), _kron_history(clock))
     xi = random_state(reduced.n - reduced.a, rng)
-    assert np.array_equal(history_state(clock, xi), _kron_history(clock, xi))
+    _assert_entries_of(history_state(clock, xi), _kron_history(clock, xi))
     broken = np.kron(basis_state(2, clock.num_steps), basis_state(0, clock.num_data))
-    assert np.array_equal(invalid_clock_state(clock), broken)
+    _assert_entries_of(invalid_clock_state(clock), broken)
+
+
+def test_history_state_keeps_only_exact_nonzeros():
+    # H then H again returns wire 0 to |0>: the rows after two steps hold
+    # exact zeros that must not become entries
+    ham = build_modified_fk(layered(1, 0, [[("H", (0,))], [("H", (0,))]]))
+    state = history_state(ham, xi=basis_state(0, 1))
+    _assert_entries_of(state, _kron_history(ham, basis_state(0, 1)))
+    assert state.indices.size == 4
+    assert np.all(np.diff(state.indices) > 0)
+
+
+def test_dense_clock_state_is_refused_past_the_budget():
+    state = ClockState(np.array([3]), np.ones(1, dtype=complex), 40)
+    with pytest.raises(limits.ResourceError, match="40 qubits"):
+        state.dense()
 
 
 def test_invalid_clock_pattern_violates_exactly_two_terms(clock):
@@ -136,13 +172,15 @@ def test_operator_matches_energies(clock, rng):
     op = clock.operator()
     vec = random_state(clock.num_qubits, rng)
     total = float(np.real(np.vdot(vec, op.apply(vec))))
-    assert np.isclose(total, sum(clock.energies(vec)), atol=1e-10)
+    energies = clock.energies(_entries(vec, clock.num_qubits))
+    assert np.isclose(total, sum(energies), atol=1e-10)
 
 
-def _assert_energies_match_streamed(ham, vec):
+def _assert_energies_match_streamed(ham, state):
     # Each term streamed through ``expectation`` over the whole vector.
+    vec = state.dense()
     want = [term_energy(t, vec, ham.num_qubits) for t in ham.terms]
-    got = ham.energies(vec)
+    got = ham.energies(state)
     assert len(got) == len(want)
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13
 
@@ -169,20 +207,71 @@ def test_energies_match_streamed_past_one_piece():
 def test_energies_match_streamed_on_random_vectors(clock, rng):
     n = clock.num_qubits
     for _ in range(3):
-        _assert_energies_match_streamed(clock, random_state(n, rng))
+        _assert_energies_match_streamed(clock, _entries(random_state(n, rng), n))
     for nnz in (1, 2, 3, 4, 5):
         vec = np.zeros(2**n, dtype=np.complex128)
         at = rng.choice(2**n, size=nnz, replace=False)
         vec[at] = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
-        _assert_energies_match_streamed(clock, vec / np.linalg.norm(vec))
+        _assert_energies_match_streamed(clock, _entries(vec / np.linalg.norm(vec), n))
 
 
 def test_energies_reject_bad_shapes(clock):
-    vec = history_state(clock)
-    with pytest.raises(ValueError, match="vector shape .* does not match 8 qubits"):
-        clock.energies(vec[:-1])
-    with pytest.raises(ValueError, match="vector shape .* does not match 8 qubits"):
-        clock.energies(np.stack([vec, vec], axis=1))
+    idx, amps, n = history_state(clock)
+    bad = {
+        "must be 1-D": (np.stack([idx, idx]), np.stack([amps, amps])),
+        "do not match": (idx[:-1], amps),
+        "distinct": (np.r_[idx[:1], idx], np.r_[amps[:1], amps]),
+        "out of range for 8 qubits": (np.r_[idx, 2**n], np.r_[amps, 0.5]),
+    }
+    for message, (i, a) in bad.items():
+        with pytest.raises(ValueError, match=message):
+            clock.energies(ClockState(i, a, n))
+    with pytest.raises(ValueError, match="state on 9 qubits does not match 8"):
+        clock.energies(ClockState(idx, amps, n + 1))
+
+
+# 3 wires, 3 layers, 5 gates: 15 data and 17 clock qubits once degree-reduced.
+WIDE = layered(3, 1, [
+    [("H", (0,)), ("CNOT", (1, 2))], [("CNOT", (0, 1)), ("T", (2,))], [("H", (2,))],
+])
+
+
+def test_clock_report_on_32_qubits_holds_no_full_vector():
+    ham = build_modified_fk(degree_reduce(WIDE))
+    assert ham.num_qubits == 32
+    tracemalloc.start()
+    try:
+        report = clock_report(ham)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert report["history_energy_max_nonoutput"] <= 1e-10
+    assert sorted(report["invalid_pattern"]["kinds"]) == ["clock", "propagation"]
+    assert "dl_verifier" not in report
+
+
+def test_clock_state_estimate_counts_every_history_entry(monkeypatch):
+    # 18 clock times of 2^15 data amplitudes: the entries, not the 2 MiB of
+    # data-register vectors, are what an 8 MiB budget cannot hold
+    ham = build_modified_fk(degree_reduce(WIDE))
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", 2**23)
+    with pytest.raises(limits.ResourceError, match="history state on 32 qubits"):
+        require_clock_states(ham)
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", 2**27)
+    require_clock_states(ham)
+
+
+def test_clock_states_past_int64_indices_are_refused(monkeypatch):
+    # 16 wires, three gates each and no degree reduction: 16 data and 48
+    # clock qubits, whose entries would fit a larger budget
+    ham = build_modified_fk(layered(16, 0, [[("H", (w,)) for w in range(16)]] * 3))
+    assert ham.num_qubits == 64
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", 2**40)
+    with pytest.raises(limits.ResourceError, match="int64; at most 62 qubits"):
+        require_clock_states(ham)
+    with pytest.raises(limits.ResourceError, match="int64"):
+        history_state(ham)
 
 
 def test_accept_probability_bit_convention(hadamard1):
@@ -214,7 +303,7 @@ def test_dl_verifier_matches_projector_product(clock):
             groups.append([i])
     grouping = [tuple(g) for g in groups]
     verifier, plan = build_dl_verifier(clock.terms, grouping)
-    xi = history_state(clock)
+    xi = history_state(clock).dense()
     accept = accept_probability(verifier, plan, xi)
     product = dl_product(clock.terms, grouping, clock.num_qubits)
     direct = float(np.linalg.norm(product @ xi) ** 2)

@@ -271,6 +271,21 @@ def test_sparse_expectation_matches_streamed(wires, rng):
             assert abs(got - expectation(vec, op, wires, n)) <= 1e-13
 
 
+@pytest.mark.parametrize("wires", SPARSE_WIRES)
+def test_sparse_expectation_in_chunks_matches_streamed(wires, rng, monkeypatch):
+    # 2**k * 2 amplitudes a chunk: two groups at a time, the last one short
+    n, k = ORACLE_N, len(wires)
+    monkeypatch.setattr(linalg, "_PIECE_AMPS", 2 ** (k + 1))
+    op = _sparse_hermitian(k, rng)
+    for nnz in (3, 5, 2**n):
+        vec = np.zeros(2**n, dtype=np.complex128)
+        vec[rng.choice(2**n, size=nnz, replace=False)] = _complex_normal(rng, nnz)
+        idx = np.flatnonzero(vec)
+        for order in (idx, idx[::-1]):
+            got = sparse_expectation(order, vec[order], op, wires, n)
+            assert abs(got - expectation(vec, op, wires, n)) <= 1e-13
+
+
 def test_sparse_expectation_of_no_amplitudes_is_zero():
     empty = np.zeros(0, dtype=np.int64)
     assert sparse_expectation(empty, empty.astype(complex), X, (0,), 3) == 0
@@ -284,3 +299,20 @@ def test_sparse_expectation_rejects_bad_input():
         sparse_expectation(idx, amps, X, (3,), 3)
     with pytest.raises(ValueError, match="operator shape"):
         sparse_expectation(idx, amps, np.eye(4), (0,), 3)
+
+
+def test_sparse_expectation_rejects_malformed_entries():
+    # diag(0, 1) on wire 0 of 3 qubits: each case once returned a number
+    one = np.diag([0.0, 1.0])
+    with pytest.raises(ValueError, match="distinct"):
+        sparse_expectation(np.array([1, 1]), np.array([1, 1j]), one, (0,), 3)
+    for index in (8, 9, -1):
+        with pytest.raises(ValueError, match="out of range for 3 qubits"):
+            sparse_expectation(np.array([index]), np.ones(1), one, (0,), 3)
+    with pytest.raises(ValueError, match="2 indices do not match 1 amplitudes"):
+        sparse_expectation(np.array([1, 3]), np.ones(1), one, (0,), 3)
+    with pytest.raises(ValueError, match="must be 1-D"):
+        sparse_expectation(np.array([[1, 3]]), np.ones((1, 2)), one, (0,), 3)
+    with pytest.raises(ValueError, match="must be 1-D"):
+        sparse_expectation(np.array(1), np.ones(()), one, (0,), 3)
+    assert sparse_expectation(np.array([1, 3]), np.array([1, 1j]), one, (0,), 3) == 2
