@@ -16,8 +16,9 @@ list, the inner qubits and ``K``. Its energy needs no 2^k x 2^k block:
 one contraction of ``K†`` onto the inner qubits. Its block, for the matvec,
 the sparse export and the rotated frame, is built on first use in closed
 form, ``L² - W W†`` with ``W = L (K ⊗ I)``: ``L²`` is a Kronecker product of
-the pairs' ``Λ(δ)²`` and ``W`` one ``apply_maps`` on a 2^k x r·2^(k-kv)
-matrix.
+the pairs' ``Λ(δ)²`` (``squared_dressing``) and ``W`` (``kernel_factor``)
+one ``apply_maps`` on a 2^k x r·2^(k-kv) matrix. The rotated frame reuses
+both factors.
 
 Every term offers one protocol: ``kind``, ``support``, ``locality``,
 ``block``, ``energy(vec, num_qubits)``, ``layer`` and ``wires``. It has two
@@ -224,16 +225,30 @@ class DressedTerm:
         kept = self.basis.conj().T @ inner_first.reshape(len(self.basis), -1)
         return float(np.vdot(lv, lv).real - np.vdot(kept, kept).real)
 
-    @cached_property
-    def block(self) -> np.ndarray:
-        """``L² - W W†`` over the support, ``W = L (K ⊗ I)``; built once."""
-        k = self.locality
-        bits = {q: i for i, q in enumerate(self.support)}
+    def squared_dressing(self, support: Sequence[int] | None = None) -> np.ndarray:
+        """``L²`` on ``support``, a sorted superset of the term's support
+        (by default the support itself): a Kronecker product of each pair's
+        ``Λ(δ)²`` on its two adjacent bits and the identity elsewhere."""
+        support = self.support if support is None else tuple(support)
+        bits = {q: i for i, q in enumerate(support)}
         squares = {bits[hi]: lam @ lam for lam, (hi, _) in self._maps}
-        factors, bit = [], k - 1
+        factors, bit = [], len(support) - 1
         while bit >= 0:  # np.kron's first factor takes the top bits
             factors.append(squares.get(bit, np.eye(2)))
             bit -= 2 if bit in squares else 1
+        return reduce(np.kron, factors)
+
+    @cached_property
+    def kernel_factor(self) -> np.ndarray:
+        """``W = L (K ⊗ I)`` over the support, 2^k x r·2^(k-kv), built once.
+
+        Row bit ``i`` is qubit ``support[i]``; column ``j·r + c`` holds
+        ``K``'s column c with the other bits at index j. Its
+        columns span ``L`` applied to the kernel of ``P``, so the block is
+        ``L² - W W†``.
+        """
+        k = self.locality
+        bits = {q: i for i, q in enumerate(self.support)}
         inner = [bits[q] for q in self.inner]
         rest = [b for b in range(k) if b not in inner]
         rows = bit_placement(inner[::-1])[:, None] + bit_placement(rest)
@@ -241,7 +256,14 @@ class DressedTerm:
         lifted[rows, np.arange(rows.shape[1])] = self.basis[:, None, :]
         maps = [(lam, (bits[hi], bits[lo])) for lam, (hi, lo) in self._maps]
         w = apply_maps(lifted.reshape(2**k, -1), maps, k, both_sides=False)
-        closed = reduce(np.kron, factors) - w @ w.conj().T
+        w.flags.writeable = False
+        return w
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """``L² - W W†`` over the support (see ``kernel_factor``); built once."""
+        w = self.kernel_factor
+        closed = self.squared_dressing() - w @ w.conj().T
         return LocalTerm(self.kind, self.support, closed, self.layer).block
 
 

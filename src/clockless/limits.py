@@ -34,11 +34,12 @@ MEMORY_BUDGET = 2**28
 SCAN_POINT_CAP = 512
 
 # Words one exhaustive Pauli expansion may enumerate: a count, not bytes.
-# Each word costs 0.6-1.1 ms and 530-650 B on 2 vCPUs (4,096 words on 6 sites
-# took 3.1-3.6 s, 65,536 on 8 sites 73 s), so time runs out long before the
-# byte budget: a 9-site grid fits that budget at 168 MB but would run for
-# minutes. Within the cap a grid has at most 6 wires, so the words hold
-# under 7 MB.
+# The batched expansion costs 6-23 us and 450-650 B per word on 2 vCPUs
+# (4,096 words on 6 sites took 0.03-0.1 s, 65,536 on 8 sites 0.6-0.7 s), but
+# each further site multiplies the words by four: 262,144 words on 9 sites
+# took 4.2 s and grew the peak RSS by 209 MB, most of it Python bookkeeping
+# that no byte estimate here counts. Within the cap a grid has at most 6
+# wires, so the words hold under 3 MB.
 EXPANSION_WORD_CAP = 4**6
 
 # Python bookkeeping of one enumerated entry beside its vector (about 520 B

@@ -47,7 +47,7 @@ from .linalg import (
     apply_matrix, basis_state, embed_operator, is_hermitian, partial_trace,
     product_state,
 )
-from .pauli import PAULI_TAGS, PauliWord, bell_state, pauli_matrix, q_matrix
+from .pauli import PAULI_TAGS, PauliWord, bell_basis_matrix, pauli_matrix, q_matrix
 
 __all__ = [
     "ExpansionResult",
@@ -360,6 +360,11 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
     With ``max_weight`` set, only words up to that weight are produced and
     the dropped coefficient mass is bounded by a binomial tail; otherwise the
     full 4^(nD) enumeration runs, guarded by ``require_expansion``.
+
+    All words travel through the circuit together as the columns of one
+    (2^n, words) array: at each (layer, wire) one ``apply_matrix`` call per
+    non-identity tag acts on the columns whose word carries that tag there,
+    then one ``LayerOperator.apply`` moves the whole batch through the layer.
     """
     require_valid(c)
     input_vec = input_state(c, xi)
@@ -368,52 +373,68 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
     num_sites = layout.num_sites
     if max_weight is None:
         require_expansion(c)
-        words = itertools.product(PAULI_TAGS, repeat=num_sites)
+        words = list(itertools.product(PAULI_TAGS, repeat=num_sites))
         truncation = 0.0
     else:
-        words = _words_up_to_weight(num_sites, max_weight)
+        words = list(_words_up_to_weight(num_sites, max_weight))
         dmax = max(schedule) ** 2
         truncation = sum(
             math.comb(num_sites, w) * (3.0 * dmax) ** w
             for w in range(max_weight + 1, num_sites + 1)
         )
-
-    terms: dict[PauliWord, tuple[float, np.ndarray]] = {}
-    for entries in words:
-        word = PauliWord(tuple(entries))
-        coeff = 1.0
-        for layer in range(1, c.depth + 1):
-            layer_weight = sum(
-                1
-                for row in range(c.n)
-                if entries[layout.site_index(layer, row)] != "I"
-            )
-            coeff *= schedule[layer - 1] ** layer_weight
-        state = input_vec
-        for layer in range(1, c.depth + 1):
-            for row in range(c.n):
-                tag = entries[layout.site_index(layer, row)]
-                if tag != "I":
-                    state = apply_matrix(state, pauli_matrix(tag), (row,), c.n)
-            state = layer_unitary(c, layer - 1).apply(state)
-        terms[word] = (coeff, state)
+    # tags[word, site] indexes PAULI_TAGS; sites run layer by layer.
+    tags = np.array(
+        [[PAULI_TAGS.index(t) for t in entries] for entries in words], dtype=np.int64
+    ).reshape(len(words), c.depth, c.n)
+    coeffs = np.ones(len(words))
+    for layer, delta in enumerate(schedule):
+        powers = np.array([delta**w for w in range(c.n + 1)])
+        coeffs = coeffs * powers[np.count_nonzero(tags[:, layer], axis=1)]
+    states = np.repeat(input_vec[:, None], len(words), axis=1)
+    for layer in range(c.depth):
+        for row in range(c.n):
+            for index, tag in enumerate(PAULI_TAGS[1:], start=1):
+                cols = np.flatnonzero(tags[:, layer, row] == index)
+                if cols.size:
+                    states[:, cols] = apply_matrix(
+                        states[:, cols], pauli_matrix(tag), (row,), c.n
+                    )
+        states = layer_unitary(c, layer).apply(states)
+    outputs = np.ascontiguousarray(states.T)
+    terms = {
+        PauliWord(entries): (float(coeff), out)
+        for entries, coeff, out in zip(words, coeffs, outputs)
+    }
     return ExpansionResult(terms, truncation, schedule)
 
 
 def reassemble_expansion(c: LayeredCircuit, result: ExpansionResult) -> np.ndarray:
-    """Rebuild sum coeff * |B_P> (x) |output> on the grid (unnormalized)."""
+    """Rebuild sum coeff * |B_P> (x) |output> on the grid (unnormalized).
+
+    The coefficient-weighted outputs fill a (4,)*sites + (2^n,) tensor,
+    indexed by each site's tag (words absent from ``result`` stay zero).
+    Contracting every site axis with ``bell_basis_matrix`` turns tags into
+    pair amplitudes, and one transpose scatters the axes onto the grid.
+    """
     layout = GridLayout(c.n, c.depth)
-    total = np.zeros(2**layout.num_qubits, dtype=np.complex128)
+    num_sites = layout.num_sites
+    tensor = np.zeros((4,) * num_sites + (2**c.n,), dtype=np.complex128)
     for word, (coeff, out_state) in result.terms.items():
-        factors = []
-        for flat, (layer, row) in enumerate(layout.sites()):
-            lo, hi = layout.site_qubits(layer, row)
-            factors.append((bell_state(word.entries[flat]), (hi, lo)))
-        factors.append(
-            (out_state, [layout.output_qubit(row) for row in reversed(range(c.n))])
-        )
-        total += coeff * product_state(factors, layout.num_qubits)
-    return total
+        tensor[tuple(PAULI_TAGS.index(t) for t in word.entries)] = coeff * out_state
+    bell = bell_basis_matrix()
+    for _ in range(num_sites):
+        # Each pass contracts the leading tag axis and appends its pair
+        # axis, so one pass per site leaves the output axis first.
+        tensor = np.tensordot(tensor, bell, axes=([0], [1]))
+    tensor = np.moveaxis(tensor, 0, -1)
+    # Bits per axis: each site's pair (high qubit first), then the output
+    # qubits of rows n-1..0.
+    qubits = [q for site in layout.sites() for q in layout.site_qubits(*site)[::-1]]
+    qubits += [layout.output_qubit(row) for row in reversed(range(c.n))]
+    pos = {q: i for i, q in enumerate(qubits)}
+    num_qubits = layout.num_qubits
+    perm = [pos[num_qubits - 1 - j] for j in range(num_qubits)]
+    return tensor.reshape((2,) * num_qubits).transpose(perm).reshape(-1)
 
 
 def reduced_density(s: PepsState, sites) -> np.ndarray:

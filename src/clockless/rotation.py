@@ -15,12 +15,15 @@ term whose gate normalizes the Pauli group keeps its original support and
 becomes ``clifford_form``. Gates outside that class leak onto the output
 column, which ``locality_residual`` measures directly.
 
-Extraction pushes all basis columns of the extraction support, then all
-random check states, through the rotated term as (2^N, batch) arrays in
-chunks of at most ``_BATCH_BYTES``; the result is a dense ``LocalTerm``
-with the kind, layer and wires of the term it came from. The Clifford hole
-is ``B S B^dagger``: B holds the Bell product basis, S counts the
-Bell-label pairings.
+Extraction reads the rotated term between basis states of the extraction
+support. A dressed term there is taken from its factors: ``U† L² U = L²``,
+so only ``W = L (K ⊗ I)`` goes through the rotation, from whichever side
+pushes fewer columns (``_factored_hole``). Any other term, and the random
+leakage-check states of every term, go through ``U† T U`` as (2^N, batch)
+arrays in chunks of at most ``_BATCH_BYTES``. The result is a dense
+``LocalTerm`` with the kind, layer and wires of the term it came from. The
+Clifford hole is ``B S B^dagger``: B holds the Bell product basis, S counts
+the Bell-label pairings.
 
 Support bookkeeping follows the term convention: block bit ``i`` is qubit
 ``support[i]``, so a pair occupies two adjacent bits (low column first) and
@@ -30,7 +33,7 @@ low, right high) from the least significant end.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -70,10 +73,12 @@ __all__ = [
     "teleported_input_term",
 ]
 
-# Amplitude bytes per extraction chunk (2^8 columns at 10 qubits). A full
-# 2^10-column (16 MiB) chunk runs the default verify no faster and raises
-# its peak RSS from 128 to 159 MB: the basis batch and its images through
-# the rotation, each one apply_matrix output buffer, are live together.
+# Amplitude bytes per chunk of columns pushed through the rotation (2^8
+# columns at 10 qubits), and per slab of rows when the factored hole is
+# subtracted from a block. A full 2^10-column (16 MiB) chunk of basis
+# states ran the default verify no faster and raised its peak RSS from 128
+# to 159 MB: the batch and its images through the rotation, each one
+# apply_matrix output buffer, are live together.
 _BATCH_BYTES = 2**22
 
 
@@ -131,6 +136,70 @@ class RotationUnitary:
         return out
 
 
+@lru_cache(maxsize=2)
+def _check_states(num_qubits: int, samples: int, seed: int) -> np.ndarray:
+    """The leakage-check states: ``samples`` seeded unit Gaussian columns.
+
+    Drawn once per (qubits, samples, seed) and read-only; one ``verify``
+    row alternates between its grid and the small teleport grid, hence
+    two cached sets.
+    """
+    rng = np.random.default_rng(seed)
+    states = np.empty((2**num_qubits, samples), np.complex128)
+    for j in range(samples):
+        r = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+        states[:, j] = r / np.linalg.norm(r)
+    states.flags.writeable = False
+    return states
+
+
+def _basis_chunks(place: np.ndarray, n: int, width: int):
+    """The basis columns ``place`` selects on n qubits, ``width`` at a time,
+    as (column indices, (2^N, chunk) array) pairs."""
+    for start in range(0, place.size, width):
+        cols = np.arange(start, min(start + width, place.size))
+        basis = np.zeros((2**n, cols.size), dtype=np.complex128)
+        basis[place[cols], np.arange(cols.size)] = 1.0
+        yield cols, basis
+
+
+def _factored_hole(
+    term: DressedTerm, rot: RotationUnitary, support: tuple[int, ...], width: int
+) -> np.ndarray:
+    """``Z = E_S† U† (W ⊗ I)`` for a term whose support lies inside ``S``.
+
+    ``W`` is the term's ``kernel_factor`` and ``E_S`` embeds the basis
+    states of ``S`` with every other qubit at 0, so the rotated block on
+    ``S`` is ``L²|_S - Z Z†``. ``Z`` is computed from the side that pushes
+    fewer columns through the rotation: the r·2^(N-kv) columns of
+    ``W ⊗ I`` backward through ``U†``, or the 2^m basis columns forward
+    through ``U`` and then contracted with ``W†`` on the term's qubits.
+    Either way the columns of ``Z`` come in the same order.
+    """
+    n = rot.num_qubits
+    w = term.kernel_factor
+    on_term = bit_placement(term.support)
+    rest = bit_placement(sorted(set(range(n)) - set(term.support)))
+    place = bit_placement(support)
+    hole = np.empty((place.size, w.shape[1] * rest.size), np.complex128)
+    if hole.shape[1] <= place.size:
+        # Column (c, j): W's column c on the term's qubits, the rest at j.
+        for start in range(0, hole.shape[1], width):
+            cols = np.arange(start, min(start + width, hole.shape[1]))
+            factor, j = np.divmod(cols, rest.size)
+            lifted = np.zeros((2**n, cols.size), np.complex128)
+            lifted[on_term[:, None] + rest[j], np.arange(cols.size)] = w[:, factor]
+            hole[:, cols] = rot.apply(lifted, adjoint=True)[place]
+    else:
+        gather = on_term[:, None] + rest
+        for cols, basis in _basis_chunks(place, n, width):
+            pushed = rot.apply(basis)[gather]  # (2^k, 2^(N-k), chunk)
+            # Z[s, (c, j)] = sum_i W[i, c] conj(pushed[i, j, s])
+            rows = np.tensordot(w, pushed.conj(), axes=([0], [0]))
+            hole[cols] = rows.transpose(2, 0, 1).reshape(cols.size, -1)
+    return hole
+
+
 def _conjugated_block(
     term: LocalTerm | DressedTerm,
     rot: RotationUnitary,
@@ -140,17 +209,21 @@ def _conjugated_block(
 ) -> tuple[np.ndarray, float]:
     """Extract the rotated term on ``support`` plus the leakage residual.
 
-    The candidate block is read off from basis states that are zero outside
-    the support; the residual is the worst mismatch between the rotated
-    term and that block on random full states, which is zero exactly when
-    the rotated term acts as the identity outside the support.
+    The candidate block is the rotated term between basis states that are
+    zero outside the support. A ``DressedTerm`` inside the support gives it
+    from its factors: every ``Λ(δ)`` is Bell-diagonal and every rotation
+    factor is a Bell-controlled Pauli or a gate on the output column, so
+    ``U† L² U = L²`` and the block is ``L²|_S - Z Z†`` (``_factored_hole``).
+    Any other term is pushed through the rotation column by column. The
+    residual is the worst mismatch between the rotated term, applied as
+    ``U† T U`` with the term's dense block, and that block on random full
+    states; it is zero exactly when the rotated term acts as the identity
+    outside the support.
     """
     n = rot.num_qubits
     m = len(support)
     require("rotated-block extraction", m, dense_bytes(m))
-    place = bit_placement(support)
     dim = 2**m
-    block = np.zeros((dim, dim), dtype=np.complex128)
     term_wires = tuple(reversed(term.support))
     width = max(1, _BATCH_BYTES // (16 * 2**n))
 
@@ -159,18 +232,26 @@ def _conjugated_block(
         w = apply_matrix(w, term.block, term_wires, n)
         return rot.apply(w, adjoint=True)
 
-    for start in range(0, dim, width):
-        cols = np.arange(start, min(start + width, dim))
-        basis = np.zeros((2**n, cols.size), dtype=np.complex128)
-        basis[place[cols], np.arange(cols.size)] = 1.0
-        block[:, cols] = rotated_term(basis)[place]
-    rng = np.random.default_rng(seed)
+    shifted = {rot.layout.site_qubits(*site) for site in rot.layout.sites()}
+    if (
+        isinstance(term, DressedTerm)
+        and set(term.support) <= set(support)
+        and all(pair in shifted for pair, _ in term.pairs)
+    ):
+        hole = _factored_hole(term, rot, support, width)
+        block = term.squared_dressing(support)
+        rows = max(1, _BATCH_BYTES // (16 * dim))
+        for start in range(0, dim, rows):
+            block[start : start + rows] -= hole[start : start + rows] @ hole.conj().T
+    else:
+        place = bit_placement(support)
+        block = np.zeros((dim, dim), dtype=np.complex128)
+        for cols, basis in _basis_chunks(place, n, width):
+            block[:, cols] = rotated_term(basis)[place]
+    states = _check_states(n, samples, seed)
     worst = 0.0
     for start in range(0, samples, width):
-        batch = np.empty((2**n, min(width, samples - start)), np.complex128)
-        for j in range(batch.shape[1]):
-            r = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            batch[:, j] = r / np.linalg.norm(r)
+        batch = states[:, start : start + width]
         lhs = rotated_term(batch)
         rhs = apply_matrix(batch, block, tuple(reversed(support)), n)
         worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
@@ -196,7 +277,8 @@ def _trim_trivial_qubits(
         shaped = block.reshape((2,) * (2 * m))
         for b in range(m):
             axes = (m - 1 - b, 2 * m - 1 - b)
-            split = np.moveaxis(shaped, axes, (0, 1)).reshape(2, 2, -1)
+            # A view: a copy per bit would hold two beside the block.
+            split = np.moveaxis(shaped, axes, (0, 1))
             if (
                 np.linalg.norm(split[0, 1]) <= tol
                 and np.linalg.norm(split[1, 0]) <= tol

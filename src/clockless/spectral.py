@@ -157,8 +157,7 @@ def _gap(eigs: np.ndarray, ground: int) -> float:
 _SPECTRUM_COPIES = 4
 _GROUND_COPIES = 3
 
-# Rows per slab of the Hermitian check, which then needs no full-size
-# temporaries beside the matrix.
+# Rows per slab of the Hermitian check of a dense matrix.
 _CHECK_ROWS = 64
 
 
@@ -167,9 +166,6 @@ def _as_dense(
 ) -> np.ndarray:
     """``op`` as a dense square matrix, refused before it is materialized when
     ``copies`` dense matrices of its size are over budget."""
-    if isinstance(op, SparseOperator):
-        require(what, op.num_qubits, copies * dense_bytes(op.num_qubits))
-        return op.dense()
     if not (scipy.sparse.issparse(op) or isinstance(op, np.ndarray)):
         raise TypeError(f"cannot materialize {type(op).__name__} as a dense matrix")
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
@@ -181,14 +177,23 @@ def _as_dense(
 
 def _hermitian(op, what: str, copies: int) -> tuple[np.ndarray, float]:
     """The dense matrix of ``op`` and its largest entry (at least 1), checked
-    Hermitian within 1e-10 of that scale, one slab of rows at a time."""
-    mat = np.asarray(_as_dense(op, what, copies))
-    scale = skew = 0.0
-    for lo in range(0, mat.shape[0], _CHECK_ROWS):
-        rows = mat[lo : lo + _CHECK_ROWS]
-        scale = max(scale, float(np.abs(rows).max()))
-        cols = mat[:, lo : lo + _CHECK_ROWS].conj().T
-        skew = max(skew, float(np.abs(rows - cols).max()))
+    Hermitian within 1e-10 of that scale.  A ``SparseOperator`` is checked
+    on its CSR matrix, which is then densified; any other input one slab of
+    rows at a time, with no full-size temporaries beside the matrix."""
+    if isinstance(op, SparseOperator):
+        require(what, op.num_qubits, copies * dense_bytes(op.num_qubits))
+        sparse = op.to_sparse()
+        scale = float(abs(sparse).max())
+        skew = float(abs(sparse - sparse.conj().T).max())
+        mat = sparse.toarray()
+    else:
+        mat = np.asarray(_as_dense(op, what, copies))
+        scale = skew = 0.0
+        for lo in range(0, mat.shape[0], _CHECK_ROWS):
+            rows = mat[lo : lo + _CHECK_ROWS]
+            scale = max(scale, float(np.abs(rows).max()))
+            cols = mat[:, lo : lo + _CHECK_ROWS].conj().T
+            skew = max(skew, float(np.abs(rows - cols).max()))
     scale = max(1.0, scale)
     if skew > 1e-10 * scale:
         raise ValueError("operator is not Hermitian")

@@ -494,6 +494,22 @@ def test_fk_report_bytes_are_pinned(tmp_path, hcnot_json, name):
     assert (out / "fk_report.json").read_bytes() == pinned
 
 
+def test_verify_rows_are_pinned(tmp_path):
+    # verify.csv as the per-word expansion and the column-by-column
+    # rotated-block extraction wrote it: every row keeps its check, circuit,
+    # delta, reference and status, and its value and deviation stay within
+    # 1e-13
+    out = tmp_path / "out"
+    assert main(["verify", "--out", str(out)]) == 0
+    rows = read_csv(out / "verify.csv")
+    pinned = read_csv(DATA / "verify_default.csv")
+    assert rows[0] == pinned[0] and len(rows) == len(pinned)
+    for row, want in zip(rows[1:], pinned[1:]):
+        assert row[:3] == want[:3] and row[4] == want[4] and row[6] == want[6]
+        for col in (3, 5):
+            assert abs(float(row[col]) - float(want[col])) <= 1e-13, (row, want)
+
+
 def test_swapqma_command(tmp_path, hcnot_json, capsys):
     out = str(tmp_path / "out")
     code = main(["swapqma", "--circuit", hcnot_json, "--out", out])

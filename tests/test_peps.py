@@ -1,14 +1,17 @@
 """Grid states: construction, expansion identity, and output marginals."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from clockless import limits
-from clockless.circuit import layered
-from clockless.linalg import basis_state, random_unitary, trace_distance
-from clockless.pauli import PauliWord
+from clockless.circuit import input_state, layer_unitary, layered
+from clockless.linalg import (
+    apply_matrix, basis_state, product_state, random_unitary, trace_distance,
+)
+from clockless.pauli import PAULI_TAGS, PauliWord, bell_state, pauli_matrix
 from clockless.peps import (
     GridLayout,
     PepsState,
@@ -81,6 +84,92 @@ def test_expansion_reassembles_built_state(bell_circuit, delta):
     assert fidelity >= 1.0 - 1e-12
 
 
+def expansion_loop_reference(c, xi, schedule, words):
+    """The expansion word by word: coefficient and output state of each."""
+    layout = GridLayout(c.n, c.depth)
+    out = {}
+    for entries in words:
+        coeff = 1.0
+        for layer in range(1, c.depth + 1):
+            layer_weight = sum(
+                1 for row in range(c.n)
+                if entries[layout.site_index(layer, row)] != "I"
+            )
+            coeff *= schedule[layer - 1] ** layer_weight
+        state = input_state(c, xi)
+        for layer in range(1, c.depth + 1):
+            for row in range(c.n):
+                tag = entries[layout.site_index(layer, row)]
+                if tag != "I":
+                    state = apply_matrix(state, pauli_matrix(tag), (row,), c.n)
+            state = layer_unitary(c, layer - 1).apply(state)
+        out[PauliWord(tuple(entries))] = (coeff, state)
+    return out
+
+
+def reassemble_loop_reference(c, result):
+    """sum coeff * |B_P> (x) |output>, one product state per word."""
+    layout = GridLayout(c.n, c.depth)
+    total = np.zeros(2**layout.num_qubits, dtype=np.complex128)
+    for word, (coeff, out_state) in result.terms.items():
+        factors = []
+        for flat, (layer, row) in enumerate(layout.sites()):
+            lo, hi = layout.site_qubits(layer, row)
+            factors.append((bell_state(word.entries[flat]), (hi, lo)))
+        outputs = [layout.output_qubit(row) for row in reversed(range(c.n))]
+        factors.append((out_state, outputs))
+        total += coeff * product_state(factors, layout.num_qubits)
+    return total
+
+
+def expansion_cases(rng):
+    # a witness wire, a non-uniform schedule and a non-symmetric matrix
+    # gate, exhaustively; then a three-wire circuit cut at max_weight 1
+    u = random_unitary(4, rng)
+    assert not np.allclose(u, u.T)
+    witness = layered(2, 1, [[(u, (0, 1))], [("T", (1,)), ("H", (0,))]])
+    wide = layered(3, 3, [[(u, (2, 0)), ("H", (1,))],
+                          [("CNOT", (1, 2)), (random_unitary(2, rng), (0,))]])
+    return [
+        (witness, np.array([0.6, 0.8j]), (0.3, 0.7), None),
+        (wide, None, (0.45, 0.2), 1),
+    ]
+
+
+def expected_words(num_sites, max_weight):
+    """Exhaustive words in product order, or weight 0 then each single
+    non-identity tag by position."""
+    if max_weight is None:
+        return list(itertools.product(PAULI_TAGS, repeat=num_sites))
+    assert max_weight == 1
+    identity = ("I",) * num_sites
+    return [identity] + [
+        identity[:pos] + (tag,) + identity[pos + 1:]
+        for pos in range(num_sites)
+        for tag in PAULI_TAGS[1:]
+    ]
+
+
+def test_batched_expansion_matches_word_loop(rng):
+    for c, xi, schedule, max_weight in expansion_cases(rng):
+        result = expansion(c, xi, schedule, max_weight=max_weight)
+        words = expected_words(GridLayout(c.n, c.depth).num_sites, max_weight)
+        want = expansion_loop_reference(c, xi, schedule, words)
+        assert list(result.terms) == list(want)
+        for word, (coeff, state) in result:
+            assert coeff == want[word][0] and type(coeff) is float
+            assert state.shape == (2**c.n,)
+            assert np.abs(state - want[word][1]).max() <= 1e-15
+
+
+def test_reassembly_matches_product_state_sum(rng):
+    for c, xi, schedule, max_weight in expansion_cases(rng):
+        result = expansion(c, xi, schedule, max_weight=max_weight)
+        got = reassemble_expansion(c, result)
+        want = reassemble_loop_reference(c, result)
+        assert np.abs(got - want).max() <= 1e-14
+
+
 def test_expansion_identity_word_carries_circuit_output(hcnot):
     result = expansion(hcnot, None, 0.5)
     word = PauliWord(("I",) * 4)
@@ -106,7 +195,7 @@ def test_expansion_truncation_bound(bell_circuit):
 
 
 def test_expansion_refuses_nine_sites_before_enumerating():
-    # 4^9 words fit the memory budget but would take minutes to enumerate
+    # 4^9 words would hold about 200 MB in Python bookkeeping alone
     c = layered(3, 1, [[("I", (w,)) for w in range(3)]] * 3)
     with pytest.raises(limits.ResourceError, match="262144 words"):
         expansion(c, None, 0.5)

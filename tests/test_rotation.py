@@ -1,5 +1,6 @@
 """Rotated-frame closed forms for the grid Hamiltonian terms."""
 
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -7,7 +8,10 @@ import pytest
 
 from clockless import rotation
 from clockless.circuit import gate, layered
-from clockless.hamiltonian import input_term, parent_spec, propagation_term
+from clockless.hamiltonian import (
+    LocalTerm, input_term, parent_spec, propagation_term,
+)
+from clockless.limits import dense_bytes
 from clockless.linalg import apply_matrix, bit_placement, embed_operator
 from clockless.pauli import (
     bell_state,
@@ -32,6 +36,7 @@ from clockless.rotation import (
     teleport_input,
     teleported_input_term,
 )
+from clockless.verify import named_fixtures
 
 
 def bulk_fixture(name, wires):
@@ -256,6 +261,66 @@ def test_batched_extraction_matches_column_loop(name):
         assert abs(locality_residual(term, c) - own) < 1e-13
 
 
+def test_factored_blocks_match_column_loop():
+    # every propagation and input term of the verify fixtures at a
+    # non-uniform schedule, on its default extraction support
+    sides = set()
+    for name, c in named_fixtures():
+        spec = parent_spec(c, (0.3, 0.6)[: c.depth])
+        rot = RotationUnitary(c)
+        for term in spec.terms:
+            if term.kind not in ("propagation", "input"):
+                continue
+            support = rotation._default_extraction_support(term, rot.layout)
+            n = rot.num_qubits
+            factor_columns = term.kernel_factor.shape[1] << (n - term.locality)
+            sides.add(factor_columns <= 2 ** len(support))
+            block, residual = rotation._conjugated_block(term, rot, support, 50, 0)
+            want, want_residual = conjugated_block_loop_reference(term, c, support)
+            assert np.abs(block - want).max() <= 1e-13, (name, str(term))
+            assert abs(residual - want_residual) <= 1e-13, (name, str(term))
+    # terms on both sides of the column-count choice were exercised
+    assert sides == {True, False}
+
+
+def test_dense_term_rotates_like_its_factors():
+    # a LocalTerm has no factors and is pushed through U† T U column by
+    # column; it must land on the factored block of the same term
+    c = BATCH_FIXTURES["cnot_bulk"]
+    term = propagation_term(gate("CNOT", (1, 0)), 1, 0.4, GridLayout(2, 2))
+    dense = LocalTerm(term.kind, term.support, term.block, term.layer, term.wires)
+    factored, plain = rotate_term(term, c), rotate_term(dense, c)
+    assert factored.support == plain.support
+    assert np.abs(factored.block - plain.block).max() <= 1e-13
+
+
+def test_extraction_holds_about_one_block():
+    # the 10-qubit CNOT bulk term: its 2^10 x 2^10 block, the hole and one
+    # slab of Z Z† (trimming once held the block and two copies of it)
+    c = BATCH_FIXTURES["cnot_bulk"]
+    term = propagation_term(gate("CNOT", (1, 0)), 1, 0.5, GridLayout(2, 2))
+    term.block
+    rotation._check_states(10, 50, 0)
+    tracemalloc.start()
+    try:
+        rotated = rotate_term(term, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rotated.locality == 8
+    assert peak <= 1.5 * dense_bytes(10)
+
+
+def test_check_states_are_drawn_once():
+    states = rotation._check_states(4, 7, 3)
+    assert rotation._check_states(4, 7, 3) is states
+    assert not states.flags.writeable
+    rng = np.random.default_rng(3)
+    for j in range(7):
+        r = rng.normal(size=16) + 1j * rng.normal(size=16)
+        assert np.array_equal(states[:, j], r / np.linalg.norm(r))
+
+
 def test_chunked_extraction_matches_unchunked(monkeypatch):
     c = BATCH_FIXTURES["t_bulk"]
     term = propagation_term(gate("T", (0,)), 1, 0.5, GridLayout(2, 2))
@@ -268,17 +333,18 @@ def test_chunked_extraction_matches_unchunked(monkeypatch):
         calls.append(vec.shape[1])
         return apply(self, vec, adjoint=adjoint)
 
-    # 20 columns of the 10-qubit grid per chunk: 52 chunks for the 2^10
-    # extraction columns and 3 for the 50 random states
+    # 20 columns of the 10-qubit grid per chunk. The 2^5 basis columns of
+    # the extraction support are fewer than the 4 * 2^6 columns of W (x) I,
+    # so they go forward only, in 2 chunks; the 50 random states take 3
+    # chunks, each a forward and an adjoint rotation.
     monkeypatch.setattr(rotation, "_BATCH_BYTES", 20 * 16 * 2**10)
     monkeypatch.setattr(RotationUnitary, "apply", counting)
     chunked = rotate_term(term, c)
-    assert len(calls) >= 6 and max(calls) == 20
+    assert len(calls) == 2 + 2 * 3 and max(calls) == 20
     calls.clear()
     chunked_residual = locality_residual(term, c)
-    # one chunk for the 2^4 columns of the term's own support, three for
-    # the random states, each a forward and an adjoint rotation
-    assert len(calls) == 2 * (1 + 3)
+    # one forward chunk for the 2^4 columns of the term's own support
+    assert len(calls) == 1 + 2 * 3
     assert chunked.support == whole.support
     assert np.max(np.abs(chunked.block - whole.block)) < 1e-13
     assert abs(chunked_residual - whole_residual) < 1e-13

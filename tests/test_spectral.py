@@ -5,7 +5,7 @@ import pytest
 from scipy.sparse.linalg import LinearOperator
 
 from clockless.circuit import layered
-from clockless.hamiltonian import assemble, parent_spec
+from clockless.hamiltonian import SparseOperator, assemble, parent_spec
 from clockless.linalg import embed_operator, random_projector, random_state
 from clockless.spectral import (
     GROUND_CUTOFF,
@@ -311,6 +311,25 @@ def test_ground_state_refuses_a_level_just_above_the_cutoff(rng):
 def test_ground_state_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_sparse_operator_is_checked_before_densifying():
+    # the check reads the CSR matrix, then hands on op.dense() bit for bit
+    op = assemble(parent_spec(layered(1, 1, [[("H", (0,))]]), 0.4))
+    from_op, from_dense = ground_state(op), ground_state(op.dense())
+    assert np.array_equal(from_op.vector, from_dense.vector)
+    assert from_op.energy == from_dense.energy
+    spectra = dense_spectrum(op), dense_spectrum(op.dense())
+    assert np.array_equal(*(r.lowest_eigenvalues for r in spectra))
+    # a skew part relative to the largest entry: 2e-12 passes, 2e-9 fails
+    for skew, ok in ((1e-12, True), (1e-9, False)):
+        scales = (1 + skew * 1j,) * len(op.terms)
+        tilted = SparseOperator(op.num_qubits, op.terms, scales)
+        if ok:
+            dense_spectrum(tilted)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                ground_state(tilted)
 
 
 def test_low_spectrum_ground_columns_are_orthonormal():
