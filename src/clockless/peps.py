@@ -341,16 +341,21 @@ def _words_up_to_weight(num_sites: int, max_weight: int):
                 yield tuple(entries)
 
 
-def require_expansion(c: LayeredCircuit) -> None:
-    """Refuse the full expansion of ``c`` past ``EXPANSION_WORD_CAP`` words;
-    within the cap it holds a few MB at most, far below the memory budget."""
+def require_expansion(c: LayeredCircuit, max_weight: int | None = None) -> None:
+    """Refuse the expansion of ``c`` up to ``max_weight`` past
+    ``EXPANSION_WORD_CAP`` words, before any word is built. There are
+    sum over w <= max_weight of C(sites, w) 3^w of them, 4^sites when
+    ``max_weight`` is None; within the cap they hold a few MB at most, far
+    below the memory budget."""
     layout = GridLayout(c.n, c.depth)
-    words = 4**layout.num_sites
+    sites = layout.num_sites
+    top = sites if max_weight is None else min(max_weight, sites)
+    words = sum(math.comb(sites, w) * 3**w for w in range(top + 1))
+    which = "without max_weight" if max_weight is None else f"up to weight {max_weight}"
     if words > EXPANSION_WORD_CAP:
         raise ResourceError(
-            f"a Pauli expansion without max_weight on {layout.num_qubits} "
-            f"qubits would enumerate {words} words, beyond the cap of "
-            f"{EXPANSION_WORD_CAP}"
+            f"a Pauli expansion {which} on {layout.num_qubits} qubits would "
+            f"enumerate {words} words, beyond the cap of {EXPANSION_WORD_CAP}"
         )
 
 
@@ -359,7 +364,8 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
 
     With ``max_weight`` set, only words up to that weight are produced and
     the dropped coefficient mass is bounded by a binomial tail; otherwise the
-    full 4^(nD) enumeration runs, guarded by ``require_expansion``.
+    full 4^(nD) enumeration runs. Either way ``require_expansion`` counts
+    the words first.
 
     All words travel through the circuit together as the columns of one
     (2^n, words) array: at each (layer, wire) one ``apply_matrix`` call per
@@ -371,8 +377,8 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
     schedule = resolve_deltas(deltas, c.depth)
     layout = GridLayout(c.n, c.depth)
     num_sites = layout.num_sites
+    require_expansion(c, max_weight)
     if max_weight is None:
-        require_expansion(c)
         words = list(itertools.product(PAULI_TAGS, repeat=num_sites))
         truncation = 0.0
     else:

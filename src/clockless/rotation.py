@@ -23,7 +23,8 @@ leakage-check states of every term, go through ``U† T U`` as (2^N, batch)
 arrays in chunks of at most ``_BATCH_BYTES``. The result is a dense
 ``LocalTerm`` with the kind, layer and wires of the term it came from. The
 Clifford hole is ``B S B^dagger``: B holds the Bell product basis, S counts
-the Bell-label pairings.
+the Bell-label pairings. It does not depend on delta, so ``clifford_hole``
+builds it once per gate and ``dress_clifford_hole`` dresses it per delta.
 
 Support bookkeeping follows the term convention: block bit ``i`` is qubit
 ``support[i]``, so a pair occupies two adjacent bits (low column first) and
@@ -68,6 +69,8 @@ __all__ = [
     "projected_gap_check",
     "clifford_partners",
     "clifford_form",
+    "clifford_hole",
+    "dress_clifford_hole",
     "pair_ground",
     "teleport_input",
     "teleported_input_term",
@@ -469,14 +472,13 @@ def _bulk_bell_basis(wires: tuple[int, ...]) -> np.ndarray:
     return full.transpose([0] + left + right).reshape(16**k, 16**k)
 
 
-def clifford_form(g: Gate, delta_left: float, delta_right: float) -> np.ndarray:
-    """Closed rotated block of a bulk term for a Pauli-normalizing gate.
+def clifford_hole(g: Gate) -> np.ndarray:
+    """The delta-free part of ``clifford_form``: ``I - B S B^dagger / 4^k``.
 
-    Acts on 4k qubits (k left pairs then k right pairs, interleaved per
-    wire). The unrotated gate enters only through the pairing of Bell
-    labels; every matched pair of labels contributes with weight 4^-k, so
-    the hole is ``B S B^dagger`` for the Bell product basis B and the
-    integer matrix S that counts the pairings.
+    The unrotated gate enters only through the pairing of Bell labels;
+    every matched pair of labels contributes with weight 4^-k, so the hole
+    is ``B S B^dagger`` for the Bell product basis B and the integer matrix
+    S that counts the pairings. It depends only on the gate and its wires.
     """
     k = g.arity
     n = 4**k
@@ -486,10 +488,27 @@ def clifford_form(g: Gate, delta_left: float, delta_right: float) -> np.ndarray:
         pairing[index[left] * n + index[right],
                 index[c_left] * n + index[c_right]] += 1
     basis = _bulk_bell_basis(g.wires)
-    form = np.eye(n * n) - basis @ pairing @ basis.conj().T / n
+    return np.eye(n * n) - basis @ pairing @ basis.conj().T / n
+
+
+def dress_clifford_hole(
+    hole: np.ndarray, delta_left: float, delta_right: float
+) -> np.ndarray:
+    """``clifford_form`` from its ``clifford_hole``: the hole between two
+    copies of ``Lambda(delta_right) (x) Lambda(delta_left)`` on every wire."""
+    k = (hole.shape[0].bit_length() - 1) // 4
     per_wire = np.kron(lambda_matrix(delta_right), lambda_matrix(delta_left))
     dress = reduce(np.kron, [per_wire] * k)
-    return dress @ form @ dress
+    return dress @ hole @ dress
+
+
+def clifford_form(g: Gate, delta_left: float, delta_right: float) -> np.ndarray:
+    """Closed rotated block of a bulk term for a Pauli-normalizing gate.
+
+    Acts on 4k qubits (k left pairs then k right pairs, interleaved per
+    wire): the gate's ``clifford_hole`` dressed by ``dress_clifford_hole``.
+    """
+    return dress_clifford_hole(clifford_hole(g), delta_left, delta_right)
 
 
 def pair_ground(

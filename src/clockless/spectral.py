@@ -11,10 +11,16 @@ allocate.  ``spectrum`` is the one entry point that picks between them:
 dense up to ``DENSE_QUBITS`` qubits, iterative past that.  ``build``,
 ``scan`` and the gap helpers all go through it.  ``ground_state`` is the
 inertia oracle for a ground-state check.  It takes the same input as
-``dense_spectrum``, and one Bunch–Kaufman LDLᵀ factorization of
-``H - GROUND_CUTOFF·I`` counts the eigenvalues below the cutoff exactly
-(Sylvester's law of inertia).  When that count is one, inverse iteration on
-the same factor gives the ground vector.
+``dense_spectrum``, and one LDL† factorization of ``H - GROUND_CUTOFF·I``
+counts the eigenvalues below the cutoff exactly (Sylvester's law of
+inertia; Golub & Van Loan, *Matrix Computations*, §4.4).  A sparse input
+is factored sparse, by SuperLU with diagonal pivots only: at 10 qubits that
+takes 3-13 ms on 2 vCPUs, against 30-160 ms for a dense factor.  A factor
+without pivoting has no stability guarantee on an indefinite matrix, so
+when SuperLU pivots off the diagonal or its rounding bound comes near the
+cutoff, the count falls back, with a log record, to LAPACK's Bunch–Kaufman
+factor of the dense matrix, which a dense input always takes.  When the
+count is one, inverse iteration on the same factor gives the ground vector.
 
 The rest of the module measures how the ground spaces of term families sit
 relative to each other.  ``detectability_check`` and ``union_bound_check``
@@ -40,8 +46,10 @@ import scipy.sparse
 from scipy.sparse.linalg import (
     ArpackNoConvergence,
     LinearOperator,
+    SuperLU,
     aslinearoperator,
     eigsh,
+    splu,
 )
 
 from .circuit import LayeredCircuit
@@ -151,9 +159,12 @@ def _gap(eigs: np.ndarray, ground: int) -> float:
 # each dense path holds at its peak, rounded up.  Measured around the whole
 # call on 10-qubit parent operators (tracemalloc / growth of peak RSS):
 # dense_spectrum holds the matrix, eigh's copy of it and the eigenvectors,
-# 3.0-3.1 / 3.3-3.5; ground_state holds the shifted matrix and the factor,
-# 2.1 / 2.2 for a complex matrix and 1.6 / 1.8 for a real one.  Either way
-# 11 qubits fit the budget and 12 do not.
+# 3.0-3.1 / 3.3-3.5; ground_state's Bunch–Kaufman path holds the shifted
+# matrix and the factor, 2.1 / 2.2 for a complex matrix and 1.6 / 1.8 for a
+# real one.  Either way 11 qubits fit the budget and 12 do not.  The sparse
+# path of ground_state holds far less, but is refused at the same size: its
+# fallback is the dense path, and its fill grows faster than the matrix
+# (95 M entries at 14 qubits).
 _SPECTRUM_COPIES = 4
 _GROUND_COPIES = 3
 
@@ -161,39 +172,59 @@ _GROUND_COPIES = 3
 _CHECK_ROWS = 64
 
 
-def _as_dense(
-    op, what: str = "a dense eigendecomposition", copies: int = 1
-) -> np.ndarray:
-    """``op`` as a dense square matrix, refused before it is materialized when
-    ``copies`` dense matrices of its size are over budget."""
-    if not (scipy.sparse.issparse(op) or isinstance(op, np.ndarray)):
-        raise TypeError(f"cannot materialize {type(op).__name__} as a dense matrix")
+def _require_square(op, what: str, copies: int) -> None:
+    """Refuse a matrix ``op`` that is not square, or of which ``copies``
+    dense matrices are over budget."""
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {op.shape}")
     qubits = (op.shape[0] - 1).bit_length()
     require(what, qubits, copies * dense_bytes(qubits))
-    return op.toarray() if scipy.sparse.issparse(op) else op
+
+
+def _as_dense(
+    op, what: str = "a dense eigendecomposition", copies: int = 1
+) -> np.ndarray:
+    """The square array ``op``, refused as ``_require_square`` does."""
+    if not isinstance(op, np.ndarray):
+        raise TypeError(f"cannot materialize {type(op).__name__} as a dense matrix")
+    _require_square(op, what, copies)
+    return op
+
+
+def _sparse_hermitian(
+    op, what: str, copies: int
+) -> tuple[scipy.sparse.csr_matrix, float]:
+    """The CSR matrix of a ``SparseOperator`` or scipy sparse ``op`` and its
+    largest entry (at least 1), checked Hermitian within 1e-10 of that scale.
+    Refused before it is built when ``copies`` dense matrices of its size are
+    over budget."""
+    if isinstance(op, SparseOperator):
+        require(what, op.num_qubits, copies * dense_bytes(op.num_qubits))
+        sparse = op.to_sparse()
+    else:
+        _require_square(op, what, copies)
+        sparse = scipy.sparse.csr_matrix(op)
+    scale = max(1.0, float(abs(sparse).max()))
+    if float(abs(sparse - sparse.conj().T).max()) > 1e-10 * scale:
+        raise ValueError("operator is not Hermitian")
+    return sparse, scale
 
 
 def _hermitian(op, what: str, copies: int) -> tuple[np.ndarray, float]:
     """The dense matrix of ``op`` and its largest entry (at least 1), checked
-    Hermitian within 1e-10 of that scale.  A ``SparseOperator`` is checked
-    on its CSR matrix, which is then densified; any other input one slab of
-    rows at a time, with no full-size temporaries beside the matrix."""
-    if isinstance(op, SparseOperator):
-        require(what, op.num_qubits, copies * dense_bytes(op.num_qubits))
-        sparse = op.to_sparse()
-        scale = float(abs(sparse).max())
-        skew = float(abs(sparse - sparse.conj().T).max())
-        mat = sparse.toarray()
-    else:
-        mat = np.asarray(_as_dense(op, what, copies))
-        scale = skew = 0.0
-        for lo in range(0, mat.shape[0], _CHECK_ROWS):
-            rows = mat[lo : lo + _CHECK_ROWS]
-            scale = max(scale, float(np.abs(rows).max()))
-            cols = mat[:, lo : lo + _CHECK_ROWS].conj().T
-            skew = max(skew, float(np.abs(rows - cols).max()))
+    Hermitian within 1e-10 of that scale.  A sparse input is checked by
+    ``_sparse_hermitian`` and then densified; a dense one one slab of rows
+    at a time, with no full-size temporaries beside the matrix."""
+    if isinstance(op, SparseOperator) or scipy.sparse.issparse(op):
+        sparse, scale = _sparse_hermitian(op, what, copies)
+        return sparse.toarray(), scale
+    mat = _as_dense(op, what, copies)
+    scale = skew = 0.0
+    for lo in range(0, mat.shape[0], _CHECK_ROWS):
+        rows = mat[lo : lo + _CHECK_ROWS]
+        scale = max(scale, float(np.abs(rows).max()))
+        cols = mat[:, lo : lo + _CHECK_ROWS].conj().T
+        skew = max(skew, float(np.abs(rows - cols).max()))
     scale = max(1.0, scale)
     if skew > 1e-10 * scale:
         raise ValueError("operator is not Hermitian")
@@ -274,25 +305,47 @@ _GROUND_TOL = 1e-12
 _GROUND_SOLVES = 10
 _GROUND_SEED = 0
 
+# The sparse factor has no pivoting to bound its rounding, so its count is
+# taken only when the computed factors are exact for a matrix within this
+# distance of H - GROUND_CUTOFF·I.  By Weyl's inequality an eigenvalue can
+# then land on the wrong side of the cutoff only from within 1% of the
+# cutoff; the levels that decide verify's counts (zero modes of 1e-13 and
+# below, and cnot_bulk's first excited level, 3.9e-10 to 2.3e-9 at delta
+# 0.04-0.05) lie well outside that band.  On verify's parents the bound is
+# 1.9e-15 to 1.9e-12, five times below the limit or more; a zero diagonal,
+# whose unpivoted factor grows like 1/GROUND_CUTOFF, puts it near 1e-7.
+_SPARSE_BACKWARD_ERROR = 1e-2 * GROUND_CUTOFF
 
-def ground_state(op) -> GroundState:
-    """Ground-space dimension by Sylvester inertia, and the unique ground vector.
 
-    ``op`` is materialized and checked Hermitian as in ``dense_spectrum``;
-    a complex matrix with no imaginary part is factored as real.  LAPACK's
-    Bunch–Kaufman ``?sytrf`` (real) or ``?hetrf`` (complex) factors
-    ``H - GROUND_CUTOFF·I = L D L†``, and by Sylvester's law of inertia the
-    negative eigenvalues of D, counted by ``_negative_pivots``, are exactly
-    the eigenvalues of H below the cutoff (Golub & Van Loan, *Matrix
-    Computations*, §4.4).  When there is one, inverse iteration on the same
-    factor, from a seeded random start, runs until ``‖Hx - (x†Hx)x‖`` is
-    at most 1e-12 times the largest entry of H (at least 1) and ``x†Hx``
-    lies below the cutoff.  Raises ``ConvergenceError`` when ten steps do
-    not get there (as when an eigenvalue above the cutoff lies nearer to it
-    than the ground one), and ``numpy.linalg.LinAlgError`` when the factor
-    is singular.
-    """
-    mat, scale = _hermitian(op, "a ground-state factorization", _GROUND_COPIES)
+def _inverse_iteration(solve, shifted, real: bool, scale: float) -> GroundState:
+    """The unique ground vector of ``shifted + GROUND_CUTOFF·I`` by inverse
+    iteration with ``solve``, a solver for ``shifted``, from a seeded start."""
+    dim = shifted.shape[0]
+    rng = np.random.default_rng(_GROUND_SEED)
+    x = rng.standard_normal(dim)
+    if not real:
+        x = x + 1j * rng.standard_normal(dim)
+    tol = _GROUND_TOL * scale
+    for solves in range(1, _GROUND_SOLVES + 1):
+        x = solve(x)
+        x /= np.linalg.norm(x)
+        hx = shifted @ x
+        rayleigh = float(np.vdot(x, hx).real)
+        residual = float(np.linalg.norm(hx - rayleigh * x))
+        # An eigenvalue just above the cutoff can sit nearer the shift than
+        # the ground one; its vector has a positive shifted Rayleigh quotient.
+        if residual <= tol and rayleigh < 0:
+            return GroundState(1, x, rayleigh + GROUND_CUTOFF, residual, solves)
+    raise ConvergenceError(
+        f"inverse iteration did not reach residual {tol:g} below the cutoff "
+        f"within {_GROUND_SOLVES} solves",
+        _GROUND_SOLVES,
+    )
+
+
+def _bunch_kaufman_ground(mat: np.ndarray, scale: float) -> GroundState:
+    """``ground_state`` of a dense Hermitian ``mat`` on LAPACK's Bunch–Kaufman
+    factor of ``mat - GROUND_CUTOFF·I``."""
     real = not np.iscomplexobj(mat) or not mat.imag.any()
     # The shifted matrix stays for the residuals; the factor gets its own
     # copy, in the column order LAPACK overwrites in place.
@@ -316,26 +369,96 @@ def ground_state(op) -> GroundState:
         return GroundState(count, None, nan, nan, 0)
     if info > 0:
         raise np.linalg.LinAlgError(f"H - {GROUND_CUTOFF:g}·I is singular")
-    rng = np.random.default_rng(_GROUND_SEED)
-    x = rng.standard_normal(dim)
-    if not real:
-        x = x + 1j * rng.standard_normal(dim)
-    tol = _GROUND_TOL * scale
-    for solves in range(1, _GROUND_SOLVES + 1):
-        x, _ = trs(factor, pivots, x, lower=1, overwrite_b=1)
-        x /= np.linalg.norm(x)
-        hx = shifted @ x
-        rayleigh = float(np.vdot(x, hx).real)
-        residual = float(np.linalg.norm(hx - rayleigh * x))
-        # An eigenvalue just above the cutoff can sit nearer the shift than
-        # the ground one; its vector has a positive shifted Rayleigh quotient.
-        if residual <= tol and rayleigh < 0:
-            return GroundState(1, x, rayleigh + GROUND_CUTOFF, residual, solves)
-    raise ConvergenceError(
-        f"inverse iteration did not reach residual {tol:g} below the cutoff "
-        f"within {_GROUND_SOLVES} solves",
-        _GROUND_SOLVES,
+    return _inverse_iteration(
+        lambda x: trs(factor, pivots, x, lower=1, overwrite_b=1)[0],
+        shifted, real, scale,
     )
+
+
+def _sparse_factor(shifted) -> tuple[SuperLU | None, str]:
+    """SuperLU's factor of the sparse Hermitian ``shifted`` in a symmetric
+    order and without pivoting, or None and the reason it cannot be trusted
+    as an LDL† factor."""
+    try:
+        lu = splu(
+            shifted.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as e:  # a structurally or exactly singular column
+        return None, f"SuperLU stopped ({e})"
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        return None, "SuperLU pivoted off the diagonal"
+    if not lu.U.diagonal().all():
+        return None, "a pivot is zero"
+    # Computed factors satisfy LU = A + E with |E| <= γ_n |L||U| (Higham,
+    # *Accuracy and Stability of Numerical Algorithms*, Thm 9.3), and
+    # ‖E‖₂ <= sqrt(‖E‖₁‖E‖∞); both norms of |L||U| are two matvecs each.
+    dim = shifted.shape[0]
+    nu = dim * np.finfo(np.float64).eps / 2  # γ_n = nu / (1 - nu)
+    low, up, ones = abs(lu.L), abs(lu.U), np.ones(dim)
+    rows = float((low @ (up @ ones)).max())
+    cols = float((up.T @ (low.T @ ones)).max())
+    bound = nu / (1 - nu) * math.sqrt(rows * cols)
+    if not bound <= _SPARSE_BACKWARD_ERROR:
+        return None, (
+            f"its backward error bound {bound:.3g} exceeds "
+            f"{_SPARSE_BACKWARD_ERROR:g}"
+        )
+    return lu, ""
+
+
+def ground_state(op) -> GroundState:
+    """Ground-space dimension by Sylvester inertia, and the unique ground vector.
+
+    ``op`` is checked Hermitian as in ``dense_spectrum``, and refused over
+    the same memory budget whatever its packaging; a matrix with no
+    imaginary part is factored as real.  A factor ``H - GROUND_CUTOFF·I =
+    L D L†`` has, by Sylvester's law of inertia, exactly as many negative
+    entries in D as H has eigenvalues below the cutoff (Golub & Van Loan,
+    *Matrix Computations*, §4.4).
+
+    A ``SparseOperator`` or scipy sparse matrix is factored on its sparse
+    matrix by SuperLU (``scipy.sparse.linalg.splu``), in a minimum-degree
+    order of ``H + Hᵀ`` with diagonal pivots only, so that ``U = D L†`` and
+    D is U's diagonal.  A factor without pivoting has no stability guarantee
+    on an indefinite matrix, so its count is used only when SuperLU kept the
+    row order equal to the column order, no pivot is zero, and the rounding
+    bound γ_n ‖|L||U|‖ stays below 1% of the cutoff.  Otherwise, with a log
+    record naming the reason, and for any dense input, LAPACK's
+    Bunch–Kaufman ``?sytrf`` (real) or ``?hetrf`` (complex) factors the
+    dense matrix, and ``_negative_pivots`` counts D's negative eigenvalues.
+
+    When the count is one, inverse iteration on the same factor, from a
+    seeded random start, runs until ``‖Hx - (x†Hx)x‖`` is at most 1e-12
+    times the largest entry of H (at least 1) and ``x†Hx`` lies below the
+    cutoff.  Raises ``ConvergenceError`` when ten steps do not get there
+    (as when an eigenvalue above the cutoff lies nearer to it than the
+    ground one), and ``numpy.linalg.LinAlgError`` when the dense factor is
+    singular.
+    """
+    what = "a ground-state factorization"
+    if not (isinstance(op, SparseOperator) or scipy.sparse.issparse(op)):
+        return _bunch_kaufman_ground(*_hermitian(op, what, _GROUND_COPIES))
+    sparse, scale = _sparse_hermitian(op, what, _GROUND_COPIES)
+    real = not np.iscomplexobj(sparse) or not sparse.data.imag.any()
+    sparse = sparse.real.astype(np.float64) if real else sparse.astype(np.complex128)
+    dim = sparse.shape[0]
+    shifted = (sparse - GROUND_CUTOFF * scipy.sparse.identity(dim)).tocsr()
+    lu, reason = _sparse_factor(shifted)
+    if lu is None:
+        _log.info(
+            "sparse LDL† of H - %g·I not trusted: %s; counting on a dense "
+            "Bunch–Kaufman factor",
+            GROUND_CUTOFF, reason,
+        )
+        return _bunch_kaufman_ground(sparse.toarray(), scale)
+    count = int(np.count_nonzero(lu.U.diagonal().real < 0))
+    if count != 1:
+        nan = float("nan")
+        return GroundState(count, None, nan, nan, 0)
+    return _inverse_iteration(lu.solve, shifted, real, scale)
 
 
 def _as_linear_operator(op) -> LinearOperator:

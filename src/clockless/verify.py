@@ -9,10 +9,11 @@ independent oracle:
 * ``ground_fidelity`` (only when every wire is an ancilla): overlap of the
   grid state with the parent's ground state from ``ground_state``, against
   1.  ``ground_state`` counts the eigenvalues below the ground cutoff
-  exactly, by the inertia of one LDLᵀ factorization, and finds the ground
-  vector by inverse iteration from a seeded random start, not from the
-  grid state.  A count other than one, or an inverse iteration that runs
-  out of solves, fails with NaN.
+  exactly, by the inertia of one LDL† factorization of the parent's sparse
+  matrix (a dense Bunch–Kaufman factor when the sparse one cannot be
+  trusted), and finds the ground vector by inverse iteration from a seeded
+  random start, not from the grid state.  A count other than one, or an
+  inverse iteration that runs out of solves, fails with NaN.
 * ``expansion_reassembly``: overlap of the grid state with its Pauli-word
   expansion summed back onto the grid, against 1.
 * ``depolarizing_marginal``: trace distance of the output marginal from
@@ -22,7 +23,8 @@ independent oracle:
 * ``last_layer[g]``: the rotated last-layer block, against
   ``last_layer_form``.
 * ``clifford_bulk[g]``: the rotated bulk block of a Pauli-normalizing gate,
-  against ``clifford_form``.
+  against ``clifford_form``, whose delta-free ``clifford_hole`` is built
+  once per fixture and gate.
 * ``projected_bulk[g]``: that block with its right pairs projected onto
   their ground state, against ``projected_bulk_form``.
 * ``nonlocality_diagnostic[g]``: for any other bulk gate, the leakage
@@ -53,7 +55,8 @@ from .peps import (
     resolve_deltas,
 )
 from .rotation import (
-    clifford_form,
+    clifford_hole,
+    dress_clifford_hole,
     last_layer_form,
     locality_residual,
     pair_ground,
@@ -178,8 +181,26 @@ def ground_fidelity_check(
     )
 
 
+def _clifford_holes(
+    c: LayeredCircuit,
+) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
+    """``clifford_hole`` of each Pauli-normalizing bulk gate of ``c``, by
+    (layer, wires); none depends on delta, so a fixture builds each once."""
+    return {
+        (layer, tuple(g.wires)): clifford_hole(g)
+        for layer, gates in enumerate(c.layers[:-1], start=1)
+        for g in gates
+        if g.is_clifford
+    }
+
+
 def _rotated_checks(
-    name: str, c: LayeredCircuit, spec: HamiltonianSpec, schedule, tol: float
+    name: str,
+    c: LayeredCircuit,
+    spec: HamiltonianSpec,
+    schedule,
+    tol: float,
+    holes: dict[tuple[int, tuple[int, ...]], np.ndarray],
 ) -> list[Check]:
     checks: list[Check] = []
     depth = c.depth
@@ -218,7 +239,7 @@ def _rotated_checks(
         dl, dr = schedule[term.layer - 1], schedule[term.layer]
         if gate.is_clifford:
             rotated = rotate_term(term, c)
-            closed = clifford_form(gate, dl, dr)
+            closed = dress_clifford_hole(holes[(term.layer, term.wires)], dl, dr)
             checks.append(_zero_check(
                 f"clifford_bulk[{tag}]", name, dl,
                 float(np.linalg.norm(rotated.block - closed, 2)), tol,
@@ -260,6 +281,7 @@ def verify_checks(
         require_expansion(c)
     checks: list[Check] = []
     for name, c in fixtures:
+        holes = _clifford_holes(c)
         for delta in deltas:
             if schedules is None:
                 schedule = spec_schedule = resolve_deltas(delta, c.depth)
@@ -287,7 +309,7 @@ def verify_checks(
             checks.append(_zero_check(
                 "depolarizing_marginal", name, delta, deviation, tol
             ))
-            checks.extend(_rotated_checks(name, c, spec, schedule, tol))
+            checks.extend(_rotated_checks(name, c, spec, schedule, tol, holes))
     return checks
 
 

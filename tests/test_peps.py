@@ -201,6 +201,25 @@ def test_expansion_refuses_nine_sites_before_enumerating():
         expansion(c, None, 0.5)
 
 
+def test_expansion_refuses_a_weight_cut_before_enumerating():
+    # up to weight 9 the same 9 sites carry every word again (the sweep ran
+    # 4.2 s and grew the peak RSS by 209 MB); weight 4 is the first cut past
+    # the cap, 1 + 27 + 324 + 2268 + 10206 words
+    c = layered(3, 1, [[("I", (w,)) for w in range(3)]] * 3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(limits.ResourceError, match="weight 9 .* 262144 words"):
+            expansion(c, None, 0.5, max_weight=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    with pytest.raises(limits.ResourceError, match="12826 words"):
+        expansion(c, None, 0.5, max_weight=4)
+    cut = expansion(c, None, 0.5, max_weight=1)
+    assert len(cut.terms) == 1 + 9 * 3
+
+
 def test_depolarizing_marginal_single_wire(identity1):
     state = build_peps(identity1, 0.5)
     rho = output_marginal(state)

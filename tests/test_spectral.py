@@ -1,12 +1,15 @@
 """Eigensolvers, the gap bookkeeping, and projector inequalities."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
 
 from clockless.circuit import layered
-from clockless.hamiltonian import SparseOperator, assemble, parent_spec
+from clockless.hamiltonian import LocalTerm, SparseOperator, assemble, parent_spec
 from clockless.linalg import embed_operator, random_projector, random_state
+from clockless.pauli import pauli_matrix
 from clockless.spectral import (
     GROUND_CUTOFF,
     ConvergenceError,
@@ -20,6 +23,7 @@ from clockless.spectral import (
     low_spectrum,
     union_bound_check,
 )
+from clockless.verify import named_fixtures
 
 P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
@@ -313,12 +317,98 @@ def test_ground_state_rejects_non_hermitian():
         ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def _sparse_and_dense_ground(op, caplog):
+    """ground_state on the sparse factor and on the dense Bunch–Kaufman
+    oracle; the sparse one must not have fallen back."""
+    with caplog.at_level(logging.INFO, logger="clockless.spectral"):
+        sparse = ground_state(op)
+    assert [r for r in caplog.records if r.name == "clockless.spectral"] == []
+    return sparse, ground_state(op.dense())
+
+
+def _assert_same_ground(sparse, dense):
+    assert sparse.ground_dim == dense.ground_dim
+    if sparse.ground_dim != 1:
+        assert sparse.vector is None and dense.vector is None
+        assert np.isnan(sparse.energy) and sparse.solves == 0
+        return
+    assert abs(sparse.energy - dense.energy) <= 1e-12
+    assert 1.0 - abs(np.vdot(sparse.vector, dense.vector)) ** 2 <= 1e-12
+    assert sparse.residual <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, c in named_fixtures() if c.a == c.n]
+)
+def test_sparse_ground_matches_bunch_kaufman(name, caplog):
+    # verify's ground_fidelity parents: one ground state each
+    c = dict(named_fixtures())[name]
+    for delta in (0.2, 0.5, 0.8):
+        sparse, dense = _sparse_and_dense_ground(
+            assemble(parent_spec(c, delta)), caplog
+        )
+        assert sparse.ground_dim == 1
+        _assert_same_ground(sparse, dense)
+
+
+def test_sparse_ground_matches_bunch_kaufman_near_the_cutoff(hcnot, caplog):
+    # cnot_bulk's first excited level falls as delta^8 through the cutoff:
+    # below it at 0.03 and 0.04, 1.3e-9 above it at 0.05 (inverse iteration
+    # runs out of solves), well above it at 0.07; hcnot has two ground states
+    c = dict(named_fixtures())["cnot_bulk"]
+    for delta, count in ((0.03, 4), (0.04, 4), (0.07, 1)):
+        sparse, dense = _sparse_and_dense_ground(
+            assemble(parent_spec(c, delta)), caplog
+        )
+        assert sparse.ground_dim == count
+        _assert_same_ground(sparse, dense)
+    op = assemble(parent_spec(c, 0.05))
+    for packaging in (op, op.dense()):
+        with pytest.raises(ConvergenceError):
+            ground_state(packaging)
+    sparse, dense = _sparse_and_dense_ground(
+        assemble(parent_spec(hcnot, 0.5)), caplog
+    )
+    assert sparse.ground_dim == 2
+    _assert_same_ground(sparse, dense)
+
+
+@pytest.mark.parametrize("block,qubits,count,reason", [
+    # X has a zero diagonal, so the unpivoted factor of X - cutoff·I pivots
+    # on -cutoff and grows like 1/GROUND_CUTOFF
+    (pauli_matrix("X"), 2, 2, "backward error bound"),
+    # a diagonal equal to the cutoff leaves zeros on the shifted diagonal,
+    # and SuperLU has to pivot on an off-diagonal entry
+    ([[GROUND_CUTOFF, 1.0], [1.0, GROUND_CUTOFF]], 2, 2, "off the diagonal"),
+    # a level exactly at the cutoff on its own: a zero column
+    (np.diag([GROUND_CUTOFF, 1.0]), 1, 0, "exactly singular"),
+    # complex, one level below the cutoff and the next far above it, so
+    # inverse iteration runs on the fallback factor; SuperLU's order takes
+    # the zero diagonal entry first and grows as for X
+    ([[1.0, 0.1j], [-0.1j, 0.0]], 1, 1, "backward error bound"),
+])
+def test_sparse_ground_falls_back_to_bunch_kaufman(
+    block, qubits, count, reason, caplog
+):
+    term = LocalTerm("stabilizer", (0,), block, 1)
+    op = SparseOperator(qubits, (term,), (1.0,))
+    with caplog.at_level(logging.INFO, logger="clockless.spectral"):
+        sparse = ground_state(op)
+    records = [r for r in caplog.records if r.name == "clockless.spectral"]
+    assert len(records) == 1 and reason in records[0].getMessage()
+    assert sparse.ground_dim == count
+    _assert_same_ground(sparse, ground_state(op.dense()))
+    if count == 1:
+        assert abs(sparse.energy - (1.0 - np.sqrt(1.04)) / 2) <= 1e-12
+
+
 def test_sparse_operator_is_checked_before_densifying():
-    # the check reads the CSR matrix, then hands on op.dense() bit for bit
+    # the check reads the CSR matrix, then hands on that matrix bit for bit:
+    # to the sparse factor for ground_state, densified for dense_spectrum
     op = assemble(parent_spec(layered(1, 1, [[("H", (0,))]]), 0.4))
-    from_op, from_dense = ground_state(op), ground_state(op.dense())
-    assert np.array_equal(from_op.vector, from_dense.vector)
-    assert from_op.energy == from_dense.energy
+    from_op, from_csr = ground_state(op), ground_state(op.to_sparse())
+    assert np.array_equal(from_op.vector, from_csr.vector)
+    assert from_op.energy == from_csr.energy
     spectra = dense_spectrum(op), dense_spectrum(op.dense())
     assert np.array_equal(*(r.lowest_eigenvalues for r in spectra))
     # a skew part relative to the largest entry: 2e-12 passes, 2e-9 fails

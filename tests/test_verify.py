@@ -2,10 +2,11 @@
 
 import numpy as np
 
+from clockless import verify
 from clockless.circuit import NAMED_GATES, layered
 from clockless.hamiltonian import parent_spec
 from clockless.peps import build_peps
-from clockless.rotation import teleport_coefficient, teleport_input
+from clockless.rotation import clifford_hole, teleport_coefficient, teleport_input
 from clockless.verify import (
     check_status,
     ground_fidelity_check,
@@ -65,3 +66,22 @@ def test_verify_picks_clifford_form_by_action_not_name():
     assert "clifford_bulk[u@1-0]" in names
     assert not any(n.startswith("nonlocality_diagnostic") for n in names)
     assert [ch.name for ch in checks if ch.status != "pass"] == []
+
+
+def test_clifford_holes_are_built_once_per_fixture(monkeypatch):
+    # a hole depends only on the gate and its wires, so the three deltas of
+    # a fixture share one per bulk Clifford gate: six over the fixtures
+    calls = []
+
+    def counting(g):
+        calls.append((g.name, tuple(g.wires)))
+        return clifford_hole(g)
+
+    monkeypatch.setattr(verify, "clifford_hole", counting)
+    checks = verify_checks(named_fixtures(), (0.2, 0.5, 0.8), TOL)
+    assert sorted(calls) == [
+        ("CNOT", (1, 0)), ("H", (1,)), ("I", (0,)), ("I", (0,)), ("I", (1,)),
+        ("I", (1,)),
+    ]
+    bulk = [ch for ch in checks if ch.name.startswith("clifford_bulk")]
+    assert len(bulk) == 18 and all(ch.status == "pass" for ch in bulk)
