@@ -8,8 +8,8 @@ exact dense linear algebra.
 
 Modules:
     pauli        single-site Pauli/Bell algebra, the maps Q and Lambda
-    circuit      layered circuits and the two structural transforms
-    peps         the grid state, its Pauli-word expansion, marginals, sampling
+    circuit      layered circuits and degree reduction
+    peps         the grid state, its Pauli-word expansion and output marginal
     hamiltonian  local terms and assembly of the full operator
     spectral     eigensolvers and the projector-geometry lemma toolkit
     rotation     the grid rotation unitary and rotated closed forms

@@ -1,4 +1,4 @@
-"""Layered circuits, validation, and the two structural transforms.
+"""Layered circuits, validation, and degree reduction.
 
 A LayeredCircuit is a sequence of layers of gates on n wires; the first a
 wires are ancillas initialized to |0>, the remaining n - a carry the witness.
@@ -43,8 +43,6 @@ __all__ = [
     "layered",
     "nontrivial_gates",
     "pad_identities",
-    "parallel_repeat",
-    "parallel_wire",
     "require_valid",
     "resolve_witness",
     "validate",
@@ -372,41 +370,3 @@ def degree_reduce(c: LayeredCircuit) -> LayeredCircuit:
             layers.append(swaps)
     out = LayeredCircuit(total, total_ancillas, tuple(layers))
     return pad_identities(out)
-
-
-def parallel_wire(copy: int, wire: int, n: int, a: int, copies: int) -> int:
-    """Wire label of (copy, original wire) after parallel repetition.
-
-    Ancillas of all copies are packed first (copy-major), witness wires after
-    them, again copy-major, preserving the first-a'-wires-are-ancillas rule.
-    """
-    if not 0 <= copy < copies:
-        raise ValueError(f"copy {copy} out of range for {copies} copies")
-    if not 0 <= wire < n:
-        raise ValueError(f"wire {wire} out of range for n={n}")
-    if wire < a:
-        return copy * a + wire
-    return copies * a + copy * (n - a) + (wire - a)
-
-
-def parallel_repeat(c: LayeredCircuit, k: int) -> LayeredCircuit:
-    """k disjoint side-by-side copies of the circuit, no inter-copy gates."""
-    require_valid(c)
-    if k < 1:
-        raise ValueError(f"need at least one copy, got k={k}")
-    if k == 1:
-        return c
-    layers = []
-    for layer in c.layers:
-        new_layer = []
-        for copy in range(k):
-            for g in layer:
-                new_layer.append(
-                    Gate(
-                        tuple(parallel_wire(copy, w, c.n, c.a, k) for w in g.wires),
-                        g.unitary,
-                        name=g.name,
-                    )
-                )
-        layers.append(tuple(new_layer))
-    return LayeredCircuit(k * c.n, k * c.a, tuple(layers))

@@ -38,7 +38,6 @@ from .limits import ResourceError, require, vector_bytes
 from .linalg import (
     apply_maps,
     apply_matrix,
-    density_fidelity,
     embed_operator,
     product_state,
     require_projector,
@@ -133,9 +132,7 @@ class ClockHamiltonian:
 
     def operator(self) -> SparseOperator:
         """Term-wise applicable form, for spectra and energies."""
-        return SparseOperator(
-            self.num_qubits, self.terms, (1.0,) * len(self.terms)
-        )
+        return SparseOperator(self.num_qubits, self.terms)
 
     def energies(self, state: ClockState) -> tuple[float, ...]:
         """Unnormalized energy of every term, in term order.
@@ -553,16 +550,8 @@ def clock_report(ham: ClockHamiltonian, tol: float = 1e-12) -> dict:
     return report
 
 
-def _swap_matrix(dim: int) -> np.ndarray:
-    out = np.zeros((dim * dim, dim * dim))
-    for i in range(dim):
-        for j in range(dim):
-            out[i * dim + j, j * dim + i] = 1.0
-    return out
-
-
 _CSWAP = np.kron(np.diag([1.0, 0.0]), np.eye(4)) + np.kron(
-    np.diag([0.0, 1.0]), _swap_matrix(2)
+    np.diag([0.0, 1.0]), np.eye(4)[[0, 2, 1, 3]]
 )
 
 
@@ -691,41 +680,3 @@ def swap_test_report(
         "original_accept": original,
         "completeness_deviation": abs(honest - original),
     }
-
-
-def swap_test_accept_probability(rho_joint: np.ndarray) -> float:
-    """Exact accept probability of one swap test on a joint state.
-
-    The test accepts with probability (1 + Tr[SWAP rho])/2, which never
-    exceeds (1 + F)/2 for the fidelity F of the two marginals; the bound
-    is verified here and a violation raises.
-    """
-    rho = np.asarray(rho_joint, dtype=np.complex128)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    d = math.isqrt(rho.shape[0])
-    if d * d != rho.shape[0]:
-        raise ValueError(
-            f"joint dimension {rho.shape[0]} is not a square, so the "
-            "subsystems cannot have equal dimension"
-        )
-    swap = _swap_matrix(d)
-    prob = 0.5 * (1.0 + float(np.real(np.trace(swap @ rho))))
-    four = rho.reshape(d, d, d, d)
-    rho_a = np.einsum("ikjk->ij", four)
-    rho_b = np.einsum("kikj->ij", four)
-    ceiling = 0.5 * (1.0 + density_fidelity(rho_a, rho_b))
-    if prob > ceiling + 1e-12:
-        raise ValueError(
-            f"accept probability {prob} exceeds the fidelity ceiling "
-            f"{ceiling}"
-        )
-    return prob
-
-
-def swap_test_state_pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Joint density matrix of two pure states, for the accept formula."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    joint = np.kron(a, b)
-    return np.outer(joint, joint.conj())

@@ -42,8 +42,8 @@ Kinds of term, with their ``K``:
 * ``stabilizer``: penalizes the -1 eigenspace of a Hermitian involution built
   from Pauli tags on input wires (``K`` spans the +1 eigenspace), dressed the
   same way.
-* ``output``: a bare single-qubit |0><0| on an output-column qubit (``K`` =
-  |1>, no pairs); the only kind the assembly scale multiplies.
+* ``output``: only in ``fk``'s unary-clock encoding, a dense term that
+  penalizes the output wire reading 0 at the last clock step.
 """
 
 from __future__ import annotations
@@ -79,15 +79,13 @@ __all__ = [
     "propagation_term",
     "input_term",
     "stabilizer_terms",
-    "output_term",
     "parent_spec",
-    "with_output",
     "assemble",
     "term_energy",
     "energy",
 ]
 
-# Grid kinds, then the unary-clock kind of ``fk``.
+# Grid kinds, then the kinds only ``fk``'s unary-clock encoding uses.
 _KINDS = ("propagation", "input", "stabilizer", "output", "clock")
 
 
@@ -104,9 +102,9 @@ class LocalTerm:
     Bit ``i`` of the block's row/column index is qubit ``support[i]``. The
     block is checked Hermitian within 1e-10, symmetrized, and frozen.
     ``layer`` is the 1-based grid layer the term belongs to (1 for input and
-    stabilizer terms, the last layer for output terms) and ``wires`` the
-    circuit wires it touches; a clock term keeps its time step in ``layer``
-    and has no wires. Both are bookkeeping only.
+    stabilizer terms) and ``wires`` the circuit wires it touches; a term of
+    ``fk`` keeps its time step in ``layer`` and has no wires. Both are
+    bookkeeping only.
     """
 
     kind: str
@@ -367,23 +365,12 @@ def stabilizer_terms(checks, delta: float, layout: GridLayout) -> list[DressedTe
     return terms
 
 
-def output_term(row: int, layout: GridLayout) -> DressedTerm:
-    """Bare single-qubit |0><0| penalty on an output-column qubit."""
-    qubit = layout.output_qubit(row)
-    return DressedTerm("output", layout.depth, (row,), (), (qubit,), [[0.0], [1.0]])
-
-
 @dataclass(frozen=True)
 class HamiltonianSpec:
-    """An ordered list of terms over one grid, plus the output-term scale.
-
-    ``out_scale`` multiplies output terms only, at assembly and in total
-    energies; ``None`` means 1. Per-term energies are always unscaled.
-    """
+    """An ordered list of terms over one grid."""
 
     layout: GridLayout
     terms: tuple[LocalTerm | DressedTerm, ...]
-    out_scale: float | None = None
 
     def __post_init__(self) -> None:
         terms = tuple(self.terms)
@@ -398,10 +385,6 @@ class HamiltonianSpec:
     def num_terms(self) -> int:
         return len(self.terms)
 
-    def scales(self) -> tuple[float, ...]:
-        c = 1.0 if self.out_scale is None else float(self.out_scale)
-        return tuple(c if t.kind == "output" else 1.0 for t in self.terms)
-
 
 def parent_spec(
     c: LayeredCircuit,
@@ -412,8 +395,7 @@ def parent_spec(
     """All input, stabilizer, and propagation terms of a circuit's grid.
 
     Term order is: input terms by ancilla wire, stabilizer terms in the
-    given order, then propagation terms layer by layer in gate order. Output
-    terms are not included; see ``with_output``.
+    given order, then propagation terms layer by layer in gate order.
     """
     if c.depth < 1:
         raise ValueError("grid needs at least one layer")
@@ -430,14 +412,6 @@ def parent_spec(
     return HamiltonianSpec(layout, tuple(terms))
 
 
-def with_output(
-    spec: HamiltonianSpec, rows: Sequence[int], out_scale: float | None = None
-) -> HamiltonianSpec:
-    """Append bare output penalties on the given rows and set their scale."""
-    extra = tuple(output_term(row, spec.layout) for row in rows)
-    return HamiltonianSpec(spec.layout, spec.terms + extra, out_scale)
-
-
 @dataclass(frozen=True)
 class SparseOperator:
     """Sum of embedded term blocks, applied term by term without assembly.
@@ -449,11 +423,6 @@ class SparseOperator:
 
     num_qubits: int
     terms: tuple[LocalTerm | DressedTerm, ...]
-    scales: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.terms) != len(self.scales):
-            raise ValueError("one scale per term required")
 
     @property
     def dim(self) -> int:
@@ -464,14 +433,10 @@ class SparseOperator:
         if vec.shape != (self.dim,):
             raise ValueError(f"vector shape {vec.shape} does not match {self.dim}")
         out = np.zeros(self.dim, dtype=np.complex128)
-        for t, s in zip(self.terms, self.scales):
-            part = apply_matrix(
+        for t in self.terms:
+            out += apply_matrix(
                 vec, t.block, tuple(reversed(t.support)), self.num_qubits
             )
-            if s != 1.0:
-                part *= s
-            out += part
-            del part  # freed before the next term's result is allocated
         return out
 
     def as_linear_operator(self) -> scipy.sparse.linalg.LinearOperator:
@@ -492,13 +457,13 @@ class SparseOperator:
     def to_sparse(self) -> scipy.sparse.csr_matrix:
         self.require_sparse()
         rows, cols, vals = [], [], []
-        for t, s in zip(self.terms, self.scales):
+        for t in self.terms:
             loc = set(t.support)
             free = [q for q in range(self.num_qubits) if q not in loc]
             loc_place = bit_placement(t.support)
             free_place = bit_placement(free)
             i_loc, j_loc = np.nonzero(t.block)
-            v = s * t.block[i_loc, j_loc]
+            v = t.block[i_loc, j_loc]
             gi = (loc_place[i_loc][:, None] + free_place[None, :]).ravel()
             gj = (loc_place[j_loc][:, None] + free_place[None, :]).ravel()
             vv = np.broadcast_to(v[:, None], (v.size, free_place.size)).ravel()
@@ -518,15 +483,14 @@ class SparseOperator:
 
 def assemble(spec: HamiltonianSpec) -> SparseOperator:
     """Bundle a spec's terms into a term-wise applicable operator."""
-    return SparseOperator(spec.layout.num_qubits, spec.terms, spec.scales())
+    return SparseOperator(spec.layout.num_qubits, spec.terms)
 
 
 @dataclass(frozen=True)
 class EnergyReport:
     """Total and per-term energies of one state, with violated term indices.
 
-    ``per_term`` entries are unscaled; ``total`` folds the output scale in.
-    A term is violated when its unscaled energy exceeds the tolerance.
+    A term is violated when its energy exceeds the tolerance.
     """
 
     total: float
@@ -556,7 +520,7 @@ def energy(spec: HamiltonianSpec, state, tol: float = 1e-9) -> EnergyReport:
         raise ValueError(f"energy expects a unit-norm state, got norm {norm}")
     n = spec.layout.num_qubits
     per = tuple(term_energy(t, vec, n) for t in spec.terms)
-    total = float(sum(s * e for s, e in zip(spec.scales(), per)))
+    total = float(sum(per))
     violations = tuple(i for i, e in enumerate(per) if e > tol)
     density = total / len(per) if per else 0.0
     return EnergyReport(total, per, density, violations, tol)

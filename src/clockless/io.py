@@ -19,7 +19,6 @@ import tempfile
 
 import numpy as np
 import scipy.io
-import scipy.sparse
 
 from .circuit import Gate, LayeredCircuit, NAMED_GATES, pad_identities, validate
 from .soundness import FaultPattern, SuiteResult
@@ -402,10 +401,6 @@ def write_matrix_market(path, op) -> None:
         precision=17,
     )
     atomic_write_bytes(path, buffer.getvalue())
-
-
-def read_matrix_market(path) -> scipy.sparse.csr_matrix:
-    return scipy.sparse.csr_matrix(scipy.io.mmread(os.fspath(path)))
 
 
 # --------------------------------------------------------------------------

@@ -35,7 +35,6 @@ __all__ = [
     "apply_matrix",
     "basis_state",
     "bit_placement",
-    "density_fidelity",
     "embed_operator",
     "expectation",
     "is_hermitian",
@@ -45,7 +44,6 @@ __all__ = [
     "overlap",
     "partial_trace",
     "product_state",
-    "psd_sqrt",
     "random_projector",
     "random_state",
     "random_unitary",
@@ -410,21 +408,9 @@ def is_psd(m: np.ndarray, tol: float = 1e-12) -> bool:
     return bool(eigs[0] >= -tol)
 
 
-def psd_sqrt(m: np.ndarray) -> np.ndarray:
-    """Matrix square root of a PSD Hermitian matrix via eigendecomposition."""
-    vals, vecs = np.linalg.eigh(m)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
 def trace_norm(m: np.ndarray) -> float:
     return float(np.sum(np.linalg.svd(m, compute_uv=False)))
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * trace_norm(rho - sigma)
-
-
-def density_fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """Uhlmann fidelity ||sqrt(rho) sqrt(sigma)||_1 of two density matrices."""
-    return trace_norm(psd_sqrt(rho) @ psd_sqrt(sigma))

@@ -48,7 +48,6 @@ __all__ = [
     "bell_uniform",
     "lambda_matrix",
     "pauli_matrix",
-    "pauli_weight",
     "phi0",
     "q_matrix",
     "site_map_matrix",
@@ -74,12 +73,6 @@ def pauli_matrix(tag: str) -> np.ndarray:
         return _MATRICES[tag].copy()
     except KeyError:
         raise ValueError(f"unknown Pauli tag {tag!r}, expected one of {PAULI_TAGS}")
-
-
-def pauli_weight(tag: str) -> int:
-    if tag not in _MATRICES:
-        raise ValueError(f"unknown Pauli tag {tag!r}")
-    return 0 if tag == "I" else 1
 
 
 @dataclass(frozen=True)

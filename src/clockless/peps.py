@@ -1,4 +1,4 @@
-"""The injective grid state: construction, expansion, marginals, sampling.
+"""The injective grid state: construction, expansion and output marginal.
 
 Geometry: a circuit with n wires and D layers lives on an n x (2D+1) grid of
 qubits, row-major, qubit_index(row, col) = row*(2D+1) + col, with qubit 0 the
@@ -44,8 +44,7 @@ from .circuit import (
 )
 from .limits import EXPANSION_WORD_CAP, ResourceError, require, vector_bytes
 from .linalg import (
-    apply_matrix, basis_state, embed_operator, is_hermitian, partial_trace,
-    product_state,
+    apply_matrix, basis_state, embed_operator, partial_trace, product_state,
 )
 from .pauli import PAULI_TAGS, PauliWord, bell_basis_matrix, pauli_matrix, q_matrix
 
@@ -58,16 +57,13 @@ __all__ = [
     "build_peps",
     "choi_factor",
     "choi_vector",
-    "contract_observable",
     "depolarizing_reference_marginal",
     "expansion",
     "grid_factors",
     "output_marginal",
     "reassemble_expansion",
-    "reduced_density",
     "require_expansion",
     "resolve_deltas",
-    "sample_pauli_patterns",
 ]
 
 
@@ -443,70 +439,11 @@ def reassemble_expansion(c: LayeredCircuit, result: ExpansionResult) -> np.ndarr
     return tensor.reshape((2,) * num_qubits).transpose(perm).reshape(-1)
 
 
-def reduced_density(s: PepsState, sites) -> np.ndarray:
-    """Reduced density matrix on up to 6 grid qubits; sites[0] is the MSB."""
-    sites = list(sites)
-    if len(sites) > 6:
-        raise ValueError(f"reduced_density supports at most 6 qubits, got {len(sites)}")
-    rho = partial_trace(s.amplitudes, sites, s.layout.num_qubits)
-    return rho / np.trace(rho).real
-
-
 def output_marginal(s: PepsState) -> np.ndarray:
     """Output-column density matrix with bit j of the index = wire j."""
     qubits = [s.layout.output_qubit(row) for row in reversed(range(s.layout.n))]
     rho = partial_trace(s.amplitudes, qubits, s.layout.num_qubits)
     return rho / np.trace(rho).real
-
-
-def contract_observable(s: PepsState, obs: np.ndarray, support) -> float:
-    """Normalized expectation value of a Hermitian observable on few qubits."""
-    obs = np.asarray(obs, dtype=np.complex128)
-    support = list(support)
-    if obs.shape != (2 ** len(support),) * 2:
-        raise ValueError("observable shape does not match its support")
-    if not is_hermitian(obs, tol=1e-12):
-        raise ValueError("observable must be Hermitian within 1e-12")
-    rho = reduced_density(s, support)
-    value = complex(np.trace(rho @ obs))
-    if abs(value.imag) > 1e-12:
-        raise AssertionError(
-            f"expectation of a Hermitian observable came out complex: {value}"
-        )
-    return float(value.real)
-
-
-def sample_pauli_patterns(s: PepsState, count: int, seed: int) -> list[PauliWord]:
-    """i.i.d. samples of the Bell-basis measurement pattern on all pairs.
-
-    The Bell components of the built state carry unit-norm output factors,
-    so the pattern distribution factorizes exactly over sites: each non-I
-    tag occurs with probability delta_l^2/(1+3 delta_l^2) at a layer-l site,
-    independent of the circuit and the witness. Sampling is keyed by
-    (seed, sample index) through a counter-based generator, so any slice of
-    the sequence is reproducible in isolation.
-    """
-    if count < 0:
-        raise ValueError(f"sample count must be nonnegative, got {count}")
-    layout = s.layout
-    cumulative = []
-    for layer, _row in layout.sites():
-        d2 = s.delta_per_layer[layer - 1] ** 2
-        norm = 1.0 + 3.0 * d2
-        probs = np.array([1.0, d2, d2, d2]) / norm
-        cumulative.append(np.cumsum(probs))
-    out = []
-    for index in range(count):
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
-        )
-        draws = rng.random(layout.num_sites)
-        entries = tuple(
-            PAULI_TAGS[int(np.searchsorted(cumulative[site], draws[site]))]
-            for site in range(layout.num_sites)
-        )
-        out.append(PauliWord(entries))
-    return out
 
 
 def depolarizing_reference_marginal(c: LayeredCircuit, xi, deltas) -> np.ndarray:

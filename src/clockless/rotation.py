@@ -73,7 +73,6 @@ __all__ = [
     "dress_clifford_hole",
     "pair_ground",
     "teleport_input",
-    "teleported_input_term",
 ]
 
 # Amplitude bytes per chunk of columns pushed through the rotation (2^8
@@ -563,16 +562,3 @@ def teleport_input(
     expected = teleport_coefficient(delta) ** k * check_emb
     deviation = float(np.linalg.norm(reduced - expected))
     return LocalTerm("input", rest, reduced, 1, wires), float(fit), deviation
-
-
-def teleported_input_term(
-    term: LocalTerm | DressedTerm, delta: float, tol: float = 1e-9
-) -> LocalTerm:
-    """The term of ``teleport_input``; raises if it misses by more than tol."""
-    funneled, _, deviation = teleport_input(term, delta, tol=tol)
-    if deviation > max(tol, 1e-9):
-        raise ValueError(
-            "teleported check does not match its closed form: "
-            f"deviation {deviation:.3e}"
-        )
-    return funneled

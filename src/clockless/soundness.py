@@ -5,9 +5,9 @@ arbitrary payloads at a small set of faulted locations. This module checks
 a declared fault pattern against its circuit and hands the payloads to
 ``peps.build_peps``, which builds such a state as a ``PepsState`` with its
 ``fault`` set. It recovers the error decomposition hiding inside them,
-measures the weight distribution of the Bell frame, compares neighboring
-gate ground spaces, and packages the inequality lemmas behind the soundness
-analysis into replayable randomized suites.
+measures the weight distribution of the Bell frame, and packages the
+inequality lemmas behind the soundness analysis into replayable randomized
+suites.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .circuit import (
     pad_identities,
     require_valid,
 )
-from .hamiltonian import energy, parent_spec, propagation_term
+from .hamiltonian import energy, parent_spec
 from .limits import enumeration_bytes, require
 from .linalg import (
     basis_state,
@@ -40,11 +40,9 @@ from .linalg import (
     random_unitary,
 )
 from .pauli import (
-    PAULI_TAGS,
     PauliWord,
     bell_basis_matrix,
     lambda_matrix,
-    pauli_matrix,
     phi0,
     q_matrix,
     tag_words,
@@ -509,137 +507,11 @@ def fault_experiment(
     }
 
 
-@dataclass(frozen=True)
-class TruncationResult:
-    """A renormalized state with its high-weight words removed."""
-
-    amplitudes: np.ndarray
-    removed_mass: float
-
-
-def truncate_high_weight(
-    state, threshold: int, region=None
-) -> TruncationResult:
-    """Project out Bell-frame words of weight >= ``threshold``, renormalize.
-
-    The removed mass bounds how much any observable can move: for pure
-    states the fidelity with the original is exactly 1 minus the removed
-    mass, so trace distances of reduced states stay below its square root.
-    """
-    layout = state.layout
-    sites = _resolve_region(layout, region)
-    rotated, weights = _bell_tag_weights(layout, state.amplitudes, sites)
-    kept = rotated.copy()
-    kept[weights >= threshold] = 0.0
-    kept_mass = float(np.linalg.norm(kept) ** 2)
-    if kept_mass < 1e-30:
-        raise ValueError("truncation removed the whole state")
-    back = apply_pair_maps(kept, layout, [bell_basis_matrix()] * layout.depth)
-    return TruncationResult(back / np.sqrt(kept_mass), 1.0 - kept_mass)
-
-
-def ground_space_characterization(u, delta: float) -> np.ndarray:
-    """Closed-form orthonormal kernel basis of a single-wire bulk term.
-
-    The kernel of the dressed hole on two pairs is spanned, over
-    single-qubit matrices M, by
-
-        sum over tag pairs (P, R) of
-        delta^(|P| + |R|) Tr[M R U P] (Bell_P left pair)(Bell_R right pair)
-
-    with the left tag acting before the gate and the right tag after it.
-    Columns are orthonormal over 4 qubits with the left pair on the low
-    bits, matching the dense block of the corresponding term.
-    """
-    u = np.asarray(u, dtype=np.complex128)
-    if u.shape != (2, 2):
-        raise ValueError(f"expected a one-qubit unitary, got shape {u.shape}")
-    b = bell_basis_matrix()
-    weights = np.array([1.0, delta, delta, delta])
-    columns = []
-    for r_idx in range(2):
-        for s_idx in range(2):
-            m = np.zeros((2, 2), dtype=np.complex128)
-            m[r_idx, s_idx] = 1.0
-            vec = np.zeros(16, dtype=np.complex128)
-            for i, p_tag in enumerate(PAULI_TAGS):
-                for j, r_tag in enumerate(PAULI_TAGS):
-                    coeff = np.trace(
-                        m @ pauli_matrix(r_tag) @ u @ pauli_matrix(p_tag)
-                    )
-                    if abs(coeff) < 1e-15:
-                        continue
-                    pair = np.kron(b[:, j], b[:, i])
-                    vec += weights[i] * weights[j] * coeff * pair
-            columns.append(vec)
-    basis = np.column_stack(columns)
-    q, rmat = np.linalg.qr(basis)
-    keep = np.abs(np.diag(rmat)) > 1e-9
-    if int(keep.sum()) != 4:
-        raise ValueError(
-            f"characterization span has rank {int(keep.sum())}, expected 4"
-        )
-    return np.ascontiguousarray(q[:, keep])
-
-
-@dataclass(frozen=True)
-class IndistinguishabilityResult:
-    """Overlap of two single-wire bulk ground spaces against its ceiling."""
-
-    overlap: float
-    bound: float
-    holds: bool
-    characterization_residual: float
-
-
 def overlap_ceiling(delta: float) -> float:
     """1 - delta^6/2: the claimed largest overlap of two single-wire bulk
     ground spaces whose checks differ by a single-qubit phase flip,
     meaningful for delta below one quarter."""
     return 1.0 - delta**6 / 2.0
-
-
-def local_indistinguishability_experiment(
-    u1, u2, delta: float
-) -> IndistinguishabilityResult:
-    """Largest principal cosine between the kernels of two bulk terms.
-
-    Both kernels are computed twice, numerically from the dense terms and
-    in closed form from ``ground_space_characterization``; the worst
-    subspace disagreement is reported as the residual. The ceiling is
-    ``overlap_ceiling(delta)``.
-    """
-    layout = GridLayout(1, 2)
-    bases = []
-    residual = 0.0
-    for u in (np.asarray(u1), np.asarray(u2)):
-        term = propagation_term(
-            Gate(wires=(0,), unitary=u, name=None),
-            1,
-            (delta, delta),
-            layout,
-        )
-        eigs, vecs = np.linalg.eigh(term.block)
-        kernel = np.ascontiguousarray(vecs[:, eigs < 1e-9])
-        if kernel.shape[1] != 4:
-            raise ValueError(
-                f"bulk kernel has dimension {kernel.shape[1]}, expected 4"
-            )
-        closed = ground_space_characterization(u, delta)
-        gap = np.linalg.norm(
-            kernel @ kernel.conj().T - closed @ closed.conj().T, 2
-        )
-        residual = max(residual, float(gap))
-        bases.append(kernel)
-    sing = np.linalg.svd(bases[0].conj().T @ bases[1], compute_uv=False)
-    overlap = float(sing[0])
-    bound = overlap_ceiling(delta)
-    return IndistinguishabilityResult(
-        overlap=overlap,
-        bound=bound,
-        holds=bool(overlap <= bound + 1e-12),
-        characterization_residual=residual,
-    )
 
 
 @dataclass(frozen=True)

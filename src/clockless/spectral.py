@@ -9,7 +9,7 @@ ascending order, the dimension of the zero-energy ground space, and the gap
 above it, and both refuse a run over the memory budget before they
 allocate.  ``spectrum`` is the one entry point that picks between them:
 dense up to ``DENSE_QUBITS`` qubits, iterative past that.  ``build``,
-``scan`` and the gap helpers all go through it.  ``ground_state`` is the
+``scan`` and ``gap_vs_bound`` all go through it.  ``ground_state`` is the
 inertia oracle for a ground-state check.  It takes the same input as
 ``dense_spectrum``, and one LDL† factorization of ``H - GROUND_CUTOFF·I``
 counts the eigenvalues below the cutoff exactly (Sylvester's law of
@@ -58,7 +58,6 @@ from .hamiltonian import (
     SparseOperator,
     assemble,
     parent_spec,
-    with_output,
 )
 from .limits import dense_bytes, require, vector_bytes
 from .linalg import require_projector
@@ -76,7 +75,6 @@ __all__ = [
     "low_spectrum",
     "spectrum",
     "gap_vs_bound",
-    "assemble_total_with_gap",
     "detectability_check",
     "union_bound_check",
     "JordanBlock",
@@ -191,20 +189,27 @@ def _as_dense(
     return op
 
 
+def _finite(top: float) -> float:
+    """``top``, the largest entry of a matrix, refused when not finite."""
+    if not math.isfinite(top):
+        raise ValueError("operator has a non-finite entry")
+    return top
+
+
 def _sparse_hermitian(
     op, what: str, copies: int
 ) -> tuple[scipy.sparse.csr_matrix, float]:
     """The CSR matrix of a ``SparseOperator`` or scipy sparse ``op`` and its
-    largest entry (at least 1), checked Hermitian within 1e-10 of that scale.
-    Refused before it is built when ``copies`` dense matrices of its size are
-    over budget."""
+    largest entry (at least 1), checked finite and Hermitian within 1e-10 of
+    that scale.  Refused before it is built when ``copies`` dense matrices of
+    its size are over budget."""
     if isinstance(op, SparseOperator):
         require(what, op.num_qubits, copies * dense_bytes(op.num_qubits))
         sparse = op.to_sparse()
     else:
         _require_square(op, what, copies)
         sparse = scipy.sparse.csr_matrix(op)
-    scale = max(1.0, float(abs(sparse).max()))
+    scale = max(1.0, _finite(float(abs(sparse).max())))
     if float(abs(sparse - sparse.conj().T).max()) > 1e-10 * scale:
         raise ValueError("operator is not Hermitian")
     return sparse, scale
@@ -212,9 +217,9 @@ def _sparse_hermitian(
 
 def _hermitian(op, what: str, copies: int) -> tuple[np.ndarray, float]:
     """The dense matrix of ``op`` and its largest entry (at least 1), checked
-    Hermitian within 1e-10 of that scale.  A sparse input is checked by
-    ``_sparse_hermitian`` and then densified; a dense one one slab of rows
-    at a time, with no full-size temporaries beside the matrix."""
+    finite and Hermitian within 1e-10 of that scale.  A sparse input is
+    checked by ``_sparse_hermitian`` and then densified; a dense one one slab
+    of rows at a time, with no full-size temporaries beside the matrix."""
     if isinstance(op, SparseOperator) or scipy.sparse.issparse(op):
         sparse, scale = _sparse_hermitian(op, what, copies)
         return sparse.toarray(), scale
@@ -222,7 +227,7 @@ def _hermitian(op, what: str, copies: int) -> tuple[np.ndarray, float]:
     scale = skew = 0.0
     for lo in range(0, mat.shape[0], _CHECK_ROWS):
         rows = mat[lo : lo + _CHECK_ROWS]
-        scale = max(scale, float(np.abs(rows).max()))
+        scale = max(scale, _finite(float(np.abs(rows).max())))
         cols = mat[:, lo : lo + _CHECK_ROWS].conj().T
         skew = max(skew, float(np.abs(rows - cols).max()))
     scale = max(1.0, scale)
@@ -655,33 +660,6 @@ def gap_vs_bound(
         "gap %.6e, weight product %.6e, ratio %.6e", gap, product, gap / product
     )
     return gap, product
-
-
-def assemble_total_with_gap(
-    c: LayeredCircuit,
-    deltas,
-    rows: Sequence[int] = (0,),
-    stabilizer_checks=(),
-    include_input: bool = True,
-    seed: int = 0,
-) -> tuple[HamiltonianSpec, SpectralReport]:
-    """Full Hamiltonian with output penalties scaled by the measured gap.
-
-    Builds the parent spec, measures its gap, then appends output terms
-    on the given rows with that gap as their scale factor.  Returns the
-    scaled spec together with the parent's spectral report, so callers
-    can see the scale that was applied and its provenance.
-    """
-    parent = parent_spec(
-        c, deltas, stabilizer_checks=stabilizer_checks, include_input=include_input
-    )
-    report = spectrum(assemble(parent), _parent_k(c, parent, include_input), seed=seed)
-    if not report.gap > 0.0:
-        raise ArithmeticError(
-            f"parent Hamiltonian gap {report.gap!r} is not positive; "
-            "cannot scale the output penalty"
-        )
-    return with_output(parent, rows, out_scale=report.gap), report
 
 
 def _sweep(projectors, state: np.ndarray) -> np.ndarray:

@@ -17,8 +17,6 @@ from clockless.circuit import (
     layer_unitary,
     layered,
     pad_identities,
-    parallel_repeat,
-    parallel_wire,
     resolve_witness,
     validate,
 )
@@ -139,17 +137,6 @@ def test_block_wire_labels():
     assert block_wire(2, 1, 2, 1, 2) == 2
     with pytest.raises(ValueError):
         block_wire(3, 0, 2, 1, 2)
-
-
-def test_parallel_repeat(hadamard1):
-    c = parallel_repeat(hadamard1, 3)
-    assert (c.n, c.a) == (3, 3)
-    u = circuit_unitary(c)
-    h = NAMED_GATES["H"]
-    assert np.allclose(u, np.kron(np.kron(h, h), h))
-    assert parallel_wire(2, 0, 1, 1, 3) == 2
-    with pytest.raises(ValueError):
-        parallel_repeat(hadamard1, 0)
 
 
 def test_pad_identities_idempotent(bell_circuit):

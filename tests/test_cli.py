@@ -510,6 +510,29 @@ def test_verify_rows_are_pinned(tmp_path):
             assert abs(float(row[col]) - float(want[col])) <= 1e-13, (row, want)
 
 
+def test_scan_rows_are_pinned(tmp_path):
+    # scan.csv of a complex circuit as the per-term scaled operator wrote it:
+    # every column but the gap byte for byte, the gap within 1e-13
+    circuit = tmp_path / "ht_cnot.json"
+    circuit.write_text(json_text({
+        "version": 1, "n": 2, "a": 1,
+        "layers": [
+            [{"gate": "H", "wires": [0]}, {"gate": "T", "wires": [1]}],
+            [{"gate": "CNOT", "wires": [0, 1]}],
+        ],
+    }))
+    out = tmp_path / "out"
+    argv = ["scan", "--circuit", str(circuit), "--delta-grid", "0.3,0.7"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = read_csv(out / "scan.csv")
+    pinned = read_csv(DATA / "scan_ht_cnot.csv")
+    assert rows[0] == pinned[0] and len(rows) == len(pinned)
+    gap = pinned[0].index("gap")
+    for row, want in zip(rows[1:], pinned[1:]):
+        assert row[:gap] + row[gap + 1:] == want[:gap] + want[gap + 1:]
+        assert abs(float(row[gap]) - float(want[gap])) <= 1e-13, (row, want)
+
+
 def test_swapqma_command(tmp_path, hcnot_json, capsys):
     out = str(tmp_path / "out")
     code = main(["swapqma", "--circuit", hcnot_json, "--out", out])

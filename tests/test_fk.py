@@ -18,8 +18,6 @@ from clockless.fk import (
     history_state,
     invalid_clock_state,
     require_clock_states,
-    swap_test_accept_probability,
-    swap_test_state_pair,
     swap_test_witness,
 )
 from clockless import limits, linalg
@@ -317,27 +315,6 @@ def test_dl_verifier_rejects_bad_grouping(clock):
         build_dl_verifier(clock.terms, [tuple(range(len(clock.terms)))])
     with pytest.raises(ValueError):
         build_dl_verifier(clock.terms, [(0,)])  # not a partition
-
-
-def test_swap_test_probability_formula(rng):
-    a = random_state(1, rng)
-    b = random_state(1, rng)
-    rho = swap_test_state_pair(a, b)
-    p = swap_test_accept_probability(rho)
-    assert np.isclose(p, 0.5 * (1.0 + abs(np.vdot(a, b)) ** 2), atol=1e-12)
-
-
-def test_swap_test_on_maximally_mixed_pair():
-    rho = np.eye(4) / 4.0
-    assert np.isclose(swap_test_accept_probability(rho), 0.75, atol=1e-14)
-
-
-def test_swap_test_fidelity_ceiling_guard():
-    # a fabricated joint operator above the ceiling must be rejected
-    swap = np.eye(4)[[0, 2, 1, 3]]
-    rho = (np.eye(4) + 1.2 * swap) / 4.0
-    with pytest.raises(ValueError):
-        swap_test_accept_probability(rho)
 
 
 def test_swap_verifier_honest_completeness(hcnot):

@@ -14,12 +14,10 @@ from clockless.hamiltonian import (
     assemble,
     energy,
     input_term,
-    output_term,
     parent_spec,
     propagation_term,
     stabilizer_terms,
     term_energy,
-    with_output,
 )
 from clockless.linalg import (
     apply_matrix,
@@ -33,8 +31,14 @@ from clockless.linalg import (
 )
 from clockless.pauli import lambda_matrix, word_matrix
 from clockless.peps import GridLayout, build_peps, choi_factor
-from clockless.rotation import rotate_term, teleported_input_term
+from clockless.rotation import rotate_term, teleport_input
 from clockless.spectral import dense_spectrum
+
+
+def _output_term(row: int, layout: GridLayout) -> DressedTerm:
+    """A bare |0><0| on one output-column qubit: no pairs, ``K`` = |1>."""
+    qubit = layout.output_qubit(row)
+    return DressedTerm("output", layout.depth, (row,), (), (qubit,), [[0.0], [1.0]])
 
 
 def test_term_validation():
@@ -44,7 +48,7 @@ def test_term_validation():
         LocalTerm("output", (1, 0), np.eye(4), 1, (0,))
     with pytest.raises(ValueError):
         LocalTerm("output", (0,), np.array([[0.0, 1.0], [0.0, 0.0]]), 1, (0,))
-    t = output_term(0, GridLayout(1, 1))
+    t = _output_term(0, GridLayout(1, 1))
     assert t.locality == 1
     assert "output" in str(t)
 
@@ -138,20 +142,6 @@ def test_sparse_operator_agrees_with_dense(bell_circuit, rng):
     assert np.allclose(sp @ v, dense @ v, atol=1e-10)
 
 
-def test_output_scale_only_hits_output_terms(identity1):
-    spec = parent_spec(identity1, 0.5)
-    scaled = with_output(spec, [0], out_scale=3.0)
-    assert scaled.num_terms == spec.num_terms + 1
-    assert scaled.scales()[-1] == 3.0
-    assert set(scaled.scales()[:-1]) == {1.0}
-    state = build_peps(identity1, 0.5)
-    report = energy(scaled, state.amplitudes)
-    # per-term energies stay unscaled; the total applies the output scale
-    out_energy = report.per_term[-1]
-    others = sum(report.per_term[:-1])
-    assert np.isclose(report.total, others + 3.0 * out_energy, atol=1e-12)
-
-
 def test_term_energy_matches_expectation(identity1, rng):
     spec = parent_spec(identity1, 0.5)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -235,15 +225,14 @@ def test_input_and_stabilizer_dressing_match_dense_products(delta):
     assert np.max(np.abs(stab.block - oracle)) <= 1e-14
 
 
-@pytest.mark.parametrize("out_scale", [1.0, 2.5])
-def test_sparse_apply_is_bitwise_the_scaled_copy_loop(bell_circuit, out_scale):
-    op = assemble(with_output(parent_spec(bell_circuit, 0.4), [0, 1], out_scale))
+def test_sparse_apply_is_bitwise_the_copy_loop(bell_circuit):
+    spec = parent_spec(bell_circuit, 0.4)
+    outputs = tuple(_output_term(row, spec.layout) for row in (0, 1))
+    op = assemble(HamiltonianSpec(spec.layout, spec.terms + outputs))
     vec = random_state(op.num_qubits, np.random.default_rng(11))
     old = np.zeros(op.dim, dtype=np.complex128)
-    for t, s in zip(op.terms, op.scales):
-        old += s * apply_matrix(
-            vec, t.block, tuple(reversed(t.support)), op.num_qubits
-        )
+    for t in op.terms:
+        old += apply_matrix(vec, t.block, tuple(reversed(t.support)), op.num_qubits)
     assert op.apply(vec).tobytes() == old.tobytes()
 
 
@@ -259,7 +248,7 @@ def _every_kind(layout, schedule, rng):
     check = random_projector(4, 2, rng)
     terms.append(input_term((0, 1), schedule[0], layout, check=check))
     terms.extend(stabilizer_terms(["-X.Z", "XZ.XZ"], schedule[0], layout))
-    terms.append(output_term(1, layout))
+    terms.append(_output_term(1, layout))
     return terms
 
 
@@ -282,7 +271,7 @@ def test_factored_energy_matches_block_expectation(deltas):
 
 def test_output_block_is_exact_and_blocks_are_cached():
     layout = GridLayout(2, 1)
-    out = output_term(0, layout)
+    out = _output_term(0, layout)
     assert out.block.tolist() == [[1.0, 0.0], [0.0, 0.0]]
     term = propagation_term(gate("CNOT", (0, 1)), 1, 0.5, layout)
     assert term.block is term.block
@@ -323,9 +312,10 @@ def test_parent_energy_forms_no_term_block():
 
 
 def _grid_terms(c):
-    parent = parent_spec(c, 0.4, stabilizer_checks=["X.Z"])
-    spec = with_output(parent, [0, 1], 2.0)
-    return spec.terms, spec.layout.num_qubits
+    """The parent's terms plus a bare output term per row, built here."""
+    spec = parent_spec(c, 0.4, stabilizer_checks=["X.Z"])
+    outputs = tuple(_output_term(row, spec.layout) for row in (0, 1))
+    return spec.terms + outputs, spec.layout.num_qubits
 
 
 def _rotated_terms(c):
@@ -335,7 +325,7 @@ def _rotated_terms(c):
 
 def _teleported_terms(c):
     terms, _ = _grid_terms(c)
-    funneled = teleported_input_term(terms[0], 0.4)
+    funneled, _, _ = teleport_input(terms[0], 0.4)
     return [funneled], GridLayout(len(funneled.wires), 1).num_qubits
 
 
@@ -351,7 +341,7 @@ TERM_PRODUCERS = {
         _grid_terms, {"input", "stabilizer", "propagation", "output"}, True
     ),
     "rotate_term": (_rotated_terms, {"propagation"}, True),
-    "teleported_input_term": (_teleported_terms, {"input"}, True),
+    "teleport_input": (_teleported_terms, {"input"}, True),
     "build_modified_fk": (
         _clock_terms, {"input", "propagation", "clock", "output"}, False
     ),

@@ -6,6 +6,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.io
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,6 @@ from clockless.io import (
     json_text,
     jsonable,
     read_json,
-    read_matrix_market,
     read_state_bin,
     spectral_report_dict,
     suite_rows,
@@ -193,7 +193,7 @@ def test_matrix_market_round_trip(tmp_path, identity1, rng):
     write_matrix_market(path, op)
     head = path.read_text().splitlines()[0]
     assert "complex" in head and "hermitian" in head
-    back = read_matrix_market(path)
+    back = scipy.io.mmread(path)
     v = rng.normal(size=8) + 1j * rng.normal(size=8)
     assert np.allclose(back @ v, op.apply(v), atol=1e-12)
 

@@ -47,7 +47,7 @@ def test_estimates():
 
 
 def test_empty_thirteen_qubit_operator_refuses_dense_without_allocating():
-    op = SparseOperator(13, (), ())
+    op = SparseOperator(13, ())
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError, match="13 qubits"):
@@ -60,7 +60,7 @@ def test_empty_thirteen_qubit_operator_refuses_dense_without_allocating():
 
 def test_dense_oracles_refuse_twelve_qubits_without_allocating():
     # one 12-qubit matrix is the whole budget; each oracle holds several
-    op = SparseOperator(12, (), ())
+    op = SparseOperator(12, ())
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError, match="eigendecomposition on 12"):

@@ -9,7 +9,6 @@ from clockless.linalg import (
     apply_matrix,
     basis_state,
     bit_placement,
-    density_fidelity,
     embed_operator,
     expectation,
     is_hermitian,
@@ -19,7 +18,6 @@ from clockless.linalg import (
     overlap,
     partial_trace,
     product_state,
-    psd_sqrt,
     random_projector,
     random_state,
     random_unitary,
@@ -132,8 +130,7 @@ def test_overlap_and_distances(rng):
     assert 0.0 <= overlap(a, b) <= 1.0 + 1e-12
     assert np.isclose(overlap(a, a), 1.0)
     ra, rb = np.outer(a, a.conj()), np.outer(b, b.conj())
-    # pure-state identities (root fidelity convention)
-    assert np.isclose(density_fidelity(ra, rb), overlap(a, b), atol=1e-10)
+    # pure-state identity
     td = trace_distance(ra, rb)
     assert np.isclose(td, np.sqrt(1.0 - overlap(a, b) ** 2), atol=1e-10)
     assert np.isclose(trace_norm(ra - rb), 2.0 * td)
@@ -154,8 +151,6 @@ def test_matrix_predicates(rng):
     assert is_hermitian(h) and is_psd(h)
     assert not is_psd(np.diag([1.0, -0.5]))
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    s = psd_sqrt(h)
-    assert np.allclose(s @ s, h)
 
 
 def _reshape_apply(state, op, wires, n):

@@ -12,7 +12,6 @@ from clockless.pauli import (
     bell_uniform,
     lambda_matrix,
     pauli_matrix,
-    pauli_weight,
     phi0,
     q_matrix,
     site_map_matrix,
@@ -36,13 +35,12 @@ def test_tag_order_and_matrices():
 def test_unknown_tag_rejected():
     with pytest.raises(ValueError):
         pauli_matrix("Y")
-    with pytest.raises(ValueError):
-        pauli_weight("Y")
 
 
 def test_weights():
-    assert pauli_weight("I") == 0
-    assert [pauli_weight(t) for t in ("X", "XZ", "Z")] == [1, 1, 1]
+    # a word's weight counts its non-identity tags, one per single-tag word
+    assert PauliWord(("I",)).weight == 0
+    assert [PauliWord((t,)).weight for t in ("X", "XZ", "Z")] == [1, 1, 1]
 
 
 def test_bell_states_match_tag_action():

@@ -17,14 +17,11 @@ from clockless.peps import (
     PepsState,
     build_peps,
     choi_vector,
-    contract_observable,
     depolarizing_reference_marginal,
     expansion,
     output_marginal,
     reassemble_expansion,
-    reduced_density,
     resolve_deltas,
-    sample_pauli_patterns,
 )
 
 
@@ -250,43 +247,6 @@ def test_depolarizing_marginal_any_circuit(rng):
         rho = output_marginal(build_peps(c, schedule, xi=xi))
         reference = depolarizing_reference_marginal(c, xi, schedule)
         assert trace_distance(rho, reference) < 1e-12
-
-
-def test_contract_observable_consistency(identity1):
-    state = build_peps(identity1, 0.5)
-    out = state.layout.output_qubit(0)
-    z = np.diag([1.0, -1.0])
-    value = contract_observable(state, z, (out,))
-    rho = reduced_density(state, (out,))
-    assert np.isclose(value, np.trace(rho @ z).real, atol=1e-12)
-    # 2 * 5/7 - 1 = 3/7
-    assert abs(value - 3.0 / 7.0) < 1e-12
-    with pytest.raises(ValueError):
-        contract_observable(state, np.array([[0.0, 1.0], [0.0, 0.0]]), (out,))
-
-
-def test_reduced_density_qubit_cap(identity1):
-    state = build_peps(identity1, 0.5)
-    with pytest.raises(ValueError):
-        reduced_density(state, range(7))
-
-
-def test_sample_pauli_patterns_reproducible(bell_circuit):
-    state = build_peps(bell_circuit, 0.4)
-    a = sample_pauli_patterns(state, 5, seed=11)
-    b = sample_pauli_patterns(state, 3, seed=11)
-    assert a[:3] == b
-    assert all(len(w) == 4 for w in a)
-    c = sample_pauli_patterns(state, 5, seed=12)
-    assert a != c
-
-
-def test_sample_pauli_pattern_rates(identity1):
-    state = build_peps(identity1, 0.5)
-    words = sample_pauli_patterns(state, 2000, seed=3)
-    rate = sum(w.weight for w in words) / len(words)
-    # non-identity tag rate 3 delta^2/(1+3 delta^2) = 3/7 per site
-    assert abs(rate - 3.0 / 7.0) < 0.05
 
 
 def test_choi_vector_matches_column_copy(rng):

@@ -34,7 +34,6 @@ from clockless.rotation import (
     rotate_term,
     teleport_coefficient,
     teleport_input,
-    teleported_input_term,
 )
 from clockless.verify import named_fixtures
 
@@ -398,8 +397,8 @@ def test_teleported_input_term(identity1):
     layout = GridLayout(1, 1)
     for delta in (0.2, 0.5):
         term = input_term(0, delta, layout)
-        funneled = teleported_input_term(term, delta)
-        assert funneled.kind == "input"
+        funneled, _, deviation = teleport_input(term, delta)
+        assert funneled.kind == "input" and deviation < 1e-13
         # coefficient sits in the block: top-left entry is
         # teleport_coefficient * <0| (1 - |0><0|) |0> = 0, and the |1><1|
         # weight is the coefficient itself
@@ -407,7 +406,7 @@ def test_teleported_input_term(identity1):
             funneled.block[1, 1].real, teleport_coefficient(delta), atol=1e-10
         )
     with pytest.raises(ValueError):
-        teleported_input_term(term, 0.9)  # wrong delta must not verify
+        teleport_input(term, 0.9)  # wrong delta must not verify
 
 
 def test_teleport_input_measures_attenuation():
@@ -417,8 +416,6 @@ def test_teleport_input_measures_attenuation():
         funneled, attenuation, deviation = teleport_input(term, delta)
         assert abs(attenuation - teleport_coefficient(delta)) < 1e-13
         assert deviation < 1e-13
-        same = teleported_input_term(term, delta)
-        assert np.array_equal(funneled.block, same.block)
 
 
 def test_t_gate_rotation_spreads():
@@ -449,11 +446,11 @@ def test_project_qubits_shape_check():
 
 
 def test_input_term_undressing_identity():
-    # q_matrix conjugation inside teleported_input_term must recover the
-    # bare |1><1| check: verify through the public path with both deltas
+    # q_matrix conjugation inside teleport_input must recover the bare
+    # |1><1| check: verify through the public path with both deltas
     layout = GridLayout(1, 1)
     term = input_term(0, 0.4, layout)
-    funneled = teleported_input_term(term, 0.4)
+    funneled, _, _ = teleport_input(term, 0.4)
     bare = np.diag([0.0, 1.0])
     assert np.allclose(
         funneled.block, teleport_coefficient(0.4) * bare, atol=1e-10

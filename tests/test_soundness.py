@@ -17,19 +17,15 @@ from clockless.soundness import (
     canonical_payloads,
     extract_decomposition,
     fault_locations,
-    ground_space_characterization,
     high_weight_mass,
-    local_indistinguishability_experiment,
     low_energy_probe,
     reassemble_decomposition,
     replay_instance,
     run_suite,
     site_rate,
-    truncate_high_weight,
     violated_locations,
 )
 
-Z = np.diag([1.0, -1.0])
 NO_FAULT = FaultPattern(frozenset(), (frozenset(), frozenset()))
 
 
@@ -167,37 +163,6 @@ def test_high_weight_mass_matches_binomial(bell_circuit):
     mass, reference = high_weight_mass(build_peps(two_site, 0.5), 1)
     assert abs(mass - 33.0 / 49.0) < 1e-12
     assert abs(reference - 33.0 / 49.0) < 1e-12
-
-
-def test_truncate_high_weight(bell_circuit):
-    state = build_peps(bell_circuit, 0.5)
-    result = truncate_high_weight(state, 2)
-    mass, _ = high_weight_mass(state, 2)
-    assert np.isclose(result.removed_mass, mass, atol=1e-12)
-    fidelity = abs(np.vdot(result.amplitudes, state.amplitudes)) ** 2
-    assert np.isclose(fidelity, 1.0 - mass, atol=1e-10)
-
-
-def test_ground_space_characterization_residual():
-    out = local_indistinguishability_experiment(np.eye(2), Z, 0.2)
-    assert out.characterization_residual < 1e-12
-    # frozen principal cosine of the two kernels at delta = 0.2
-    assert np.isclose(out.overlap, 0.9936305732484072, atol=1e-12)
-    assert out.bound == 1.0 - 0.2**6 / 2.0
-    assert out.holds
-
-
-@pytest.mark.parametrize("delta", [0.1, 0.2])
-def test_indistinguishability_bound(delta):
-    out = local_indistinguishability_experiment(np.eye(2), Z, delta)
-    assert out.overlap <= out.bound + 1e-12
-    assert out.holds
-
-
-def test_characterization_is_orthonormal():
-    basis = ground_space_characterization(np.eye(2), 0.5)
-    assert basis.shape == (16, 4)
-    assert np.allclose(basis.conj().T @ basis, np.eye(4), atol=1e-12)
 
 
 def test_low_energy_probe_on_ground_state(bell_circuit):

@@ -4,6 +4,7 @@ import logging
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.sparse.linalg import LinearOperator
 
 from clockless.circuit import layered
@@ -13,7 +14,6 @@ from clockless.pauli import pauli_matrix
 from clockless.spectral import (
     GROUND_CUTOFF,
     ConvergenceError,
-    assemble_total_with_gap,
     dense_spectrum,
     detectability_check,
     gap_vs_bound,
@@ -143,12 +143,6 @@ def test_gap_monotone_in_delta(identity1):
     gaps = [gap_vs_bound(identity1, d)[0] for d in (0.2, 0.35, 0.5, 0.65, 0.8)]
     assert all(b > a for a, b in zip(gaps, gaps[1:]))
     assert abs(gaps[2] - 0.2805992406584801) < 1e-12
-
-
-def test_assemble_total_with_gap(identity1):
-    spec, report = assemble_total_with_gap(identity1, 0.5)
-    assert spec.out_scale == report.gap
-    assert spec.terms[-1].kind == "output"
 
 
 def test_detectability_check_commuting_family(rng):
@@ -317,6 +311,19 @@ def test_ground_state_rejects_non_hermitian():
         ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "solver", [ground_state, dense_spectrum], ids=["ground", "dense"]
+)
+@pytest.mark.parametrize(
+    "form", [np.asarray, scipy.sparse.csr_matrix], ids=["array", "csr"]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_entries_are_rejected(bad, form, solver):
+    # a non-finite entry is bad input, not an empty ground space
+    with pytest.raises(ValueError, match="non-finite"):
+        solver(form(np.diag([bad, 1.0, 2.0, 3.0])))
+
+
 def _sparse_and_dense_ground(op, caplog):
     """ground_state on the sparse factor and on the dense Bunch–Kaufman
     oracle; the sparse one must not have fallen back."""
@@ -391,7 +398,7 @@ def test_sparse_ground_falls_back_to_bunch_kaufman(
     block, qubits, count, reason, caplog
 ):
     term = LocalTerm("stabilizer", (0,), block, 1)
-    op = SparseOperator(qubits, (term,), (1.0,))
+    op = SparseOperator(qubits, (term,))
     with caplog.at_level(logging.INFO, logger="clockless.spectral"):
         sparse = ground_state(op)
     records = [r for r in caplog.records if r.name == "clockless.spectral"]
@@ -413,8 +420,7 @@ def test_sparse_operator_is_checked_before_densifying():
     assert np.array_equal(*(r.lowest_eigenvalues for r in spectra))
     # a skew part relative to the largest entry: 2e-12 passes, 2e-9 fails
     for skew, ok in ((1e-12, True), (1e-9, False)):
-        scales = (1 + skew * 1j,) * len(op.terms)
-        tilted = SparseOperator(op.num_qubits, op.terms, scales)
+        tilted = op.to_sparse() * (1 + skew * 1j)
         if ok:
             dense_spectrum(tilted)
         else:

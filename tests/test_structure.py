@@ -1,21 +1,46 @@
-"""Package structure: modules import only each other's public names."""
+"""Package structure: modules import only each other's public names, and a
+command reaches every public definition."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import clockless
 
 PACKAGE = Path(clockless.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# Public definitions no command reaches, each with the reason it stays.
+UNREACHED_ALLOWED = {
+    "circuit.circuit_unitary": "the reference apply_circuit and layer_unitary "
+    "are tested against",
+    "io.read_state_bin": "the reader of the state.bin and ground.bin that "
+    "build writes",
+    "linalg.is_psd": "the positivity check of term blocks in tests",
+    "pauli.bell_state": "the Bell-state reference of the peps and rotation tests",
+    "rotation.clifford_form": "perfbench/tracer.py wraps it, and a --trace run "
+    "fails on a missing name",
+}
+
+
+def _is_assignment(node, name: str) -> bool:
+    return isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == name for t in node.targets
+    )
+
+
+def _literal(path: Path, name: str):
+    """The literal a file assigns to ``name`` at top level, or None."""
+    for node in ast.parse(path.read_text()).body:
+        if _is_assignment(node, name):
+            return ast.literal_eval(node.value)
+    return None
 
 
 def _declared_all(module: Path):
     """The literal ``__all__`` of a module file, or None when it has none."""
-    for node in ast.parse(module.read_text()).body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            return set(ast.literal_eval(node.value))
-    return None
+    exported = _literal(module, "__all__")
+    return None if exported is None else set(exported)
 
 
 def _relative_imports():
@@ -125,3 +150,81 @@ def test_grid_states_are_built_only_in_peps():
                 if {"amplitudes", "layout"} <= fields:
                     strays.append(f"{path.name} defines grid state {node.name}")
     assert strays == []
+
+
+def _reached_definitions():
+    """Every top-level def and class as ``(module, name)``, and the set of
+    them reached by name from ``cli.main`` or a module's top-level code.
+
+    A name resolves to a definition of its own module, to a name bound by a
+    relative ``from .x import name``, or, as ``alias.name``, to a module
+    bound by ``from . import x as alias``. A reached class reaches all its
+    methods; ``__all__`` reaches nothing.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    definition = (ast.FunctionDef, ast.ClassDef)
+    defs = {
+        (module, node.name): node
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, definition)
+    }
+    names, modules = {}, {}
+    for module, tree in trees.items():
+        names[module], modules[module] = {}, {}
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    local = alias.asname or alias.name
+                    if node.module is None:
+                        modules[module][local] = alias.name
+                    else:
+                        names[module][local] = (node.module, alias.name)
+
+    def references(module, node):
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                yield names[module].get(sub.id, (module, sub.id))
+            elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+                if sub.value.id in modules[module]:
+                    yield modules[module][sub.value.id], sub.attr
+
+    todo = [("cli", "main")]
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not (isinstance(node, definition) or _is_assignment(node, "__all__")):
+                todo.extend(references(module, node))
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in defs and key not in reached:
+            reached.add(key)
+            todo.extend(references(key[0], defs[key]))
+    return set(defs), reached
+
+
+def test_every_public_definition_is_reached_from_a_command():
+    # a definition only tests call is dead weight; the allow-list names the
+    # few kept anyway, and an allowed name that a command starts to reach
+    # leaves the list
+    defs, reached = _reached_definitions()
+    unreached = sorted(
+        f"{module}.{name}"
+        for module, name in defs - reached
+        if not name.startswith("_")
+    )
+    assert unreached == sorted(UNREACHED_ALLOWED)
+
+
+def test_tracer_wraps_only_package_attributes():
+    # a --trace run patches every WRAPPED name and fails on a missing one
+    missing = []
+    for module, dotted_names in _literal(TRACER, "WRAPPED").items():
+        owner = importlib.import_module(f"{clockless.__name__}.{module}")
+        for dotted in dotted_names:
+            target = owner
+            for part in dotted.split("."):
+                target = getattr(target, part, None)
+            if target is None:
+                missing.append(f"{module}.{dotted}")
+    assert missing == []
