@@ -161,17 +161,16 @@ class LayeredCircuit:
             yield from layer
 
 
-def layered(n: int, a: int, layer_specs, pad: bool = True) -> LayeredCircuit:
+def layered(n: int, a: int, layer_specs) -> LayeredCircuit:
     """Convenience builder: each layer is a list of (name_or_matrix, wires).
 
-    With pad=True (the default), uncovered wires get explicit identity gates
-    so the result satisfies the totality invariant.
+    Uncovered wires get explicit identity gates, so the result satisfies
+    the totality invariant.
     """
     layers = []
     for spec in layer_specs:
         layers.append(tuple(gate(item, wires) for item, wires in spec))
-    c = LayeredCircuit(n, a, tuple(layers))
-    return pad_identities(c) if pad else c
+    return pad_identities(LayeredCircuit(n, a, tuple(layers)))
 
 
 def pad_identities(c: LayeredCircuit) -> LayeredCircuit:

@@ -15,6 +15,7 @@ that ran out of budget (``ConvergenceError``).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import astuple, dataclass, field, fields, replace
@@ -60,7 +61,6 @@ class RunConfig:
     eigenvalues: int = 6
     solver_tol: float = 1e-9
     max_iter: int = 5000
-    alpha: float = 1e-3
     epsilon: float = 0.25
     fault_file: str | None = None
     instances: int = 200
@@ -81,9 +81,6 @@ class RunConfig:
                 sorted(unknown)[0],
             )
         updates = dict(data)
-        if updates.get("solver", "auto") not in SOLVERS:
-            solvers = ", ".join(SOLVERS)
-            raise cio.SchemaError(f"solver must be one of {solvers}", "solver")
         for key in ("delta_layers", "inject_delta"):
             if key in updates:
                 try:
@@ -94,8 +91,31 @@ class RunConfig:
                     raise cio.SchemaError(str(e), key) from e
         for key in ("delta_grid", "suites"):
             if key in updates and updates[key] is not None:
-                updates[key] = tuple(updates[key])
+                try:
+                    updates[key] = tuple(updates[key])
+                except TypeError as e:
+                    raise cio.SchemaError(str(e), key) from e
         return replace(base, **updates)
+
+
+def _check_values(cfg: RunConfig) -> None:
+    """Refuse a merged config whose solver, counts or tolerances no command
+    can run with, naming the field."""
+    if cfg.solver not in SOLVERS:
+        raise cio.SchemaError(f"solver must be one of {', '.join(SOLVERS)}", "solver")
+    least_counts = {"seed": 0, "eigenvalues": 1, "max_iter": 1, "instances": 1}
+    for name, least in least_counts.items():
+        value = getattr(cfg, name)
+        if type(value) is not int or value < least:
+            raise cio.SchemaError(
+                f"{name} must be an integer of at least {least}, got {value!r}", name
+            )
+    for name in ("tolerance", "solver_tol", "epsilon"):
+        value = getattr(cfg, name)
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise cio.SchemaError(
+                f"{name} must be a finite number, got {value!r}", name
+            )
 
 
 def _parse_assignments(pairs, what: str) -> dict[int, float]:
@@ -145,7 +165,6 @@ def parse_args(argv) -> RunConfig:
     common.add_argument("--seed", type=int, help="boxed randomness seed")
     common.add_argument("--out", help="output directory")
     common.add_argument("--tolerance", type=float, help="check tolerance")
-    common.add_argument("--alpha", type=float, help="per-term energy budget")
     common.add_argument("--fault-file", help="fault pattern JSON file")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -206,7 +225,7 @@ def parse_args(argv) -> RunConfig:
 
     updates = {}
     for name in (
-        "circuit", "delta", "seed", "out", "tolerance", "alpha", "solver",
+        "circuit", "delta", "seed", "out", "tolerance", "solver",
         "fault_file", "instances", "mtx",
     ):
         value = getattr(args, name, None)
@@ -222,7 +241,9 @@ def parse_args(argv) -> RunConfig:
         updates["delta_grid"] = _parse_grid(args.delta_grid)
     if getattr(args, "suites", None) is not None:
         updates["suites"] = tuple(s for s in args.suites.split(",") if s)
-    return replace(cfg, **updates)
+    cfg = replace(cfg, **updates)
+    _check_values(cfg)
+    return cfg
 
 
 def _echo_config(cfg: RunConfig) -> None:

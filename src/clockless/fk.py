@@ -107,7 +107,6 @@ class ClockHamiltonian:
 
     circuit: LayeredCircuit
     steps: tuple[Gate, ...]
-    output_wire: int
     num_data: int
     num_steps: int
     terms: tuple[LocalTerm, ...]
@@ -151,19 +150,10 @@ class ClockHamiltonian:
         )
 
     def violations(
-        self,
-        state: ClockState | None = None,
-        tol: float = 1e-9,
-        *,
-        energies: Sequence[float] | None = None,
+        self, energies: Sequence[float], tol: float = 1e-9
     ) -> tuple[int, ...]:
-        """Indices of terms with energy above ``tol`` on a unit state.
-
-        Pass ``energies``, the result of ``energies(state)``, in place of
-        ``state`` to threshold a pass already made.
-        """
-        if energies is None:
-            energies = self.energies(state)
+        """Indices of terms with energy above ``tol``, given ``energies(state)``
+        of a unit state."""
         return tuple(i for i, e in enumerate(energies) if e > tol)
 
 
@@ -181,9 +171,7 @@ def _first_touch_steps(
     return first
 
 
-def build_modified_fk(
-    c: LayeredCircuit, output_wire: int = 0
-) -> ClockHamiltonian:
+def build_modified_fk(c: LayeredCircuit) -> ClockHamiltonian:
     """Unary-clock Hamiltonian of a degree-reduced circuit.
 
     Serializes the non-identity gates layer by layer into time steps (a
@@ -197,8 +185,8 @@ def build_modified_fk(
       01 pattern that breaks unary order;
     * input, one per step that first touches ancilla wires, penalizing any
       1 among those wires while the clock still sits before that step;
-    * output, penalizing a 0 on ``output_wire`` once the clock has passed
-      the last step.
+    * output, penalizing a 0 on wire 0, the output wire, once the clock has
+      passed the last step.
 
     Inputs must come out of ``degree_reduce`` (or already satisfy its
     guarantee): any wire meeting more than three non-identity gates is
@@ -279,20 +267,13 @@ def build_modified_fk(
         block = _embedded_product([(_ketbra("01", "01"), support)], support)
         terms.append(LocalTerm("clock", support, block, t))
 
-    if not 0 <= output_wire < num_data:
-        raise ValueError(
-            f"output wire {output_wire} outside 0..{num_data - 1}"
-        )
-    support = (output_wire, cq(num_steps))
-    block = _embedded_product(
-        [(one, (cq(num_steps),)), (zero, (output_wire,))], support
-    )
+    support = (0, cq(num_steps))
+    block = _embedded_product([(one, (cq(num_steps),)), (zero, (0,))], support)
     terms.append(LocalTerm("output", support, block, num_steps))
 
     return ClockHamiltonian(
         circuit=c,
         steps=steps,
-        output_wire=output_wire,
         num_data=num_data,
         num_steps=num_steps,
         terms=tuple(terms),
@@ -556,7 +537,7 @@ _CSWAP = np.kron(np.diag([1.0, 0.0]), np.eye(4)) + np.kron(
 
 
 def build_swap_test_verifier(
-    c: LayeredCircuit, output_wire: int = 0
+    c: LayeredCircuit,
 ) -> tuple[LayeredCircuit, MeasurementPlan]:
     """Log-depth consistency checker over a chain of claimed run states.
 
@@ -567,9 +548,10 @@ def build_swap_test_verifier(
     compares every pushed state with the next claimed one. Each register
     comparison is an ancilla-controlled swap test (Hadamard, per-qubit
     controlled swaps, Hadamard); accepting means every test ancilla reads
-    zero and the final register's output wire reads one. Controlled swaps
-    of one test share their ancilla and run in sequence; everything else
-    is parallel, so the depth grows with the register width, not with T.
+    zero and the final register's output wire, wire 0, reads one.
+    Controlled swaps of one test share their ancilla and run in sequence;
+    everything else is parallel, so the depth grows with the register
+    width, not with T.
     """
     c = pad_identities(c)
     require_valid(c)
@@ -622,10 +604,8 @@ def build_swap_test_verifier(
             layers=tuple(tuple(layer) for layer in layers),
         )
     )
-    if not 0 <= output_wire < w:
-        raise ValueError(f"output wire {output_wire} outside 0..{w - 1}")
     plan = MeasurementPlan(
-        wires=tuple(range(ancillas)) + (reg(2 * big_t - 1, output_wire),),
+        wires=tuple(range(ancillas)) + (reg(2 * big_t - 1, 0),),
         accept_bits=(0,) * ancillas + (1,),
         postprocess=(
             "measure the test ancillas and the final register's output "

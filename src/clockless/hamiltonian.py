@@ -39,9 +39,6 @@ Kinds of term, with their ``K``:
   plus the k bare output qubits, 3k qubits.
 * ``input``: penalizes input wires outside a reference projector (by default,
   ancillas away from zero, ``K`` = |0…0>), dressed on the first-column pairs.
-* ``stabilizer``: penalizes the -1 eigenspace of a Hermitian involution built
-  from Pauli tags on input wires (``K`` spans the +1 eigenspace), dressed the
-  same way.
 * ``output``: only in ``fk``'s unary-clock encoding, a dense term that
   penalizes the output wire reading 0 at the last clock step.
 """
@@ -67,7 +64,7 @@ from .linalg import (
     is_projector,
     sparse_expectation,
 )
-from .pauli import PAULI_TAGS, PauliWord, lambda_matrix, word_matrix
+from .pauli import lambda_matrix
 from .peps import GridLayout, PepsState, choi_factor, resolve_deltas
 
 __all__ = [
@@ -78,7 +75,6 @@ __all__ = [
     "EnergyReport",
     "propagation_term",
     "input_term",
-    "stabilizer_terms",
     "parent_spec",
     "assemble",
     "term_energy",
@@ -86,7 +82,7 @@ __all__ = [
 ]
 
 # Grid kinds, then the kinds only ``fk``'s unary-clock encoding uses.
-_KINDS = ("propagation", "input", "stabilizer", "output", "clock")
+_KINDS = ("propagation", "input", "output", "clock")
 
 
 def _real_energy(val: complex) -> float:
@@ -101,10 +97,10 @@ class LocalTerm:
 
     Bit ``i`` of the block's row/column index is qubit ``support[i]``. The
     block is checked Hermitian within 1e-10, symmetrized, and frozen.
-    ``layer`` is the 1-based grid layer the term belongs to (1 for input and
-    stabilizer terms) and ``wires`` the circuit wires it touches; a term of
-    ``fk`` keeps its time step in ``layer`` and has no wires. Both are
-    bookkeeping only.
+    ``layer`` is the 1-based grid layer the term belongs to (1 for input
+    terms) and ``wires`` the circuit wires it touches; a term of ``fk``
+    keeps its time step in ``layer`` and has no wires. Both are bookkeeping
+    only.
     """
 
     kind: str
@@ -317,54 +313,6 @@ def input_term(
     return DressedTerm("input", 1, wires, pairs, inputs, _range(np.eye(2**k) - check))
 
 
-def _parse_check(check, n: int) -> tuple[float, tuple[str, ...]]:
-    sign = 1.0
-    if isinstance(check, str):
-        text = check.strip()
-        if text.startswith("-"):
-            sign = -1.0
-            text = text[1:]
-        tags = tuple(text.split("."))
-    elif isinstance(check, PauliWord):
-        tags = check.entries
-    else:
-        tags = tuple(check)
-    for tag in tags:
-        if tag not in PAULI_TAGS:
-            raise ValueError(f"unknown Pauli tag {tag!r} in check")
-    if len(tags) != n:
-        raise ValueError(f"check has {len(tags)} tags for {n} input wires")
-    return sign, tags
-
-
-def stabilizer_terms(checks, delta: float, layout: GridLayout) -> list[DressedTerm]:
-    """Dressed penalties for the -1 eigenspaces of Pauli-word involutions.
-
-    Each check is a dot-separated tag string ("X.Z.Z.X.I"), optionally with
-    a leading "-", a PauliWord, or a plain tag sequence, one tag per input
-    wire. The signed word must square to the identity and be Hermitian; an
-    odd number of XZ factors makes it anti-Hermitian and is rejected.
-    """
-    terms = []
-    for check in checks:
-        sign, tags = _parse_check(check, layout.n)
-        wires = tuple(w for w, tag in enumerate(tags) if tag != "I")
-        if not wires:
-            raise ValueError("identity check constrains nothing")
-        word = sign * word_matrix(tuple(tags[w] for w in wires))
-        if not np.allclose(word, word.conj().T, atol=1e-12):
-            raise ValueError(
-                f"check {'.'.join(tags)} is not Hermitian (odd XZ count?)"
-            )
-        if not np.allclose(word @ word, np.eye(word.shape[0]), atol=1e-12):
-            raise ValueError(f"check {'.'.join(tags)} does not square to one")
-        pairs = [(layout.site_qubits(1, w), float(delta)) for w in wires]
-        inputs = [layout.input_qubit(w) for w in wires]
-        allowed = _range(0.5 * (np.eye(word.shape[0]) + word))
-        terms.append(DressedTerm("stabilizer", 1, wires, pairs, inputs, allowed))
-    return terms
-
-
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """An ordered list of terms over one grid."""
@@ -386,26 +334,17 @@ class HamiltonianSpec:
         return len(self.terms)
 
 
-def parent_spec(
-    c: LayeredCircuit,
-    deltas,
-    stabilizer_checks=(),
-    include_input: bool = True,
-) -> HamiltonianSpec:
-    """All input, stabilizer, and propagation terms of a circuit's grid.
+def parent_spec(c: LayeredCircuit, deltas) -> HamiltonianSpec:
+    """All input and propagation terms of a circuit's grid.
 
-    Term order is: input terms by ancilla wire, stabilizer terms in the
-    given order, then propagation terms layer by layer in gate order.
+    Term order is: input terms by ancilla wire, then propagation terms layer
+    by layer in gate order.
     """
     if c.depth < 1:
         raise ValueError("grid needs at least one layer")
     layout = GridLayout(c.n, c.depth)
     schedule = resolve_deltas(deltas, c.depth)
-    terms: list[DressedTerm] = []
-    if include_input:
-        for w in range(c.a):
-            terms.append(input_term(w, schedule[0], layout))
-    terms.extend(stabilizer_terms(stabilizer_checks, schedule[0], layout))
+    terms = [input_term(w, schedule[0], layout) for w in range(c.a)]
     for layer_idx, layer in enumerate(c.layers, start=1):
         for g in layer:
             terms.append(propagation_term(g, layer_idx, schedule, layout))

@@ -26,8 +26,8 @@ Multi-site Pauli words are tag tuples, the first tag on the most significant
 factor: ``tag_words(k)`` lists all 4^k of them, ``word_matrix`` builds the
 Kronecker product, ``word_stack`` caches all 4^k products as one array, and
 ``word_decompose`` recognizes a matrix (or each of a stack of matrices) that
-is a phase times a word. The rotated closed forms, the Clifford check, the
-stabilizer terms and the gate error basis all build their words here.
+is a phase times a word. The rotated closed forms, the Clifford check and
+the gate error basis all build their words here.
 """
 
 from __future__ import annotations

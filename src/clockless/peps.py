@@ -30,7 +30,6 @@ deform, Lambda to undo it, the Bell basis change to read tags off).
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -306,14 +305,12 @@ def build_peps(c: LayeredCircuit, deltas, xi=None, payloads=None) -> PepsState:
 class ExpansionResult:
     """Pauli-word expansion: word -> (coefficient, output-register state).
 
-    Coefficients are prod_l delta_l^(weight at layer l); the output states
-    are unit vectors on the n circuit wires. ``truncation_bound`` upper
-    bounds the Bell-frame coefficient mass of all words dropped by a weight
-    cutoff (zero when the enumeration was exhaustive).
+    Every one of the 4^(nD) words is present. Coefficients are
+    prod_l delta_l^(weight at layer l); the output states are unit vectors
+    on the n circuit wires.
     """
 
     terms: dict[PauliWord, tuple[float, np.ndarray]]
-    truncation_bound: float
     deltas: tuple[float, ...]
 
     def __len__(self) -> int:
@@ -326,42 +323,22 @@ class ExpansionResult:
         return self.terms[word]
 
 
-def _words_up_to_weight(num_sites: int, max_weight: int):
-    nontrivial = [t for t in PAULI_TAGS if t != "I"]
-    for weight in range(max_weight + 1):
-        for positions in itertools.combinations(range(num_sites), weight):
-            for tags in itertools.product(nontrivial, repeat=weight):
-                entries = ["I"] * num_sites
-                for pos, tag in zip(positions, tags):
-                    entries[pos] = tag
-                yield tuple(entries)
-
-
-def require_expansion(c: LayeredCircuit, max_weight: int | None = None) -> None:
-    """Refuse the expansion of ``c`` up to ``max_weight`` past
-    ``EXPANSION_WORD_CAP`` words, before any word is built. There are
-    sum over w <= max_weight of C(sites, w) 3^w of them, 4^sites when
-    ``max_weight`` is None; within the cap they hold a few MB at most, far
-    below the memory budget."""
+def require_expansion(c: LayeredCircuit) -> None:
+    """Refuse the expansion of ``c`` past ``EXPANSION_WORD_CAP`` words,
+    before any word is built. There are 4^sites of them; within the cap
+    they hold a few MB at most, far below the memory budget."""
     layout = GridLayout(c.n, c.depth)
-    sites = layout.num_sites
-    top = sites if max_weight is None else min(max_weight, sites)
-    words = sum(math.comb(sites, w) * 3**w for w in range(top + 1))
-    which = "without max_weight" if max_weight is None else f"up to weight {max_weight}"
+    words = 4**layout.num_sites
     if words > EXPANSION_WORD_CAP:
         raise ResourceError(
-            f"a Pauli expansion {which} on {layout.num_qubits} qubits would "
+            f"a Pauli expansion on {layout.num_qubits} qubits would "
             f"enumerate {words} words, beyond the cap of {EXPANSION_WORD_CAP}"
         )
 
 
-def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> ExpansionResult:
-    """Enumerate the Pauli-word expansion of the grid state.
-
-    With ``max_weight`` set, only words up to that weight are produced and
-    the dropped coefficient mass is bounded by a binomial tail; otherwise the
-    full 4^(nD) enumeration runs. Either way ``require_expansion`` counts
-    the words first.
+def expansion(c: LayeredCircuit, xi, deltas) -> ExpansionResult:
+    """Enumerate the full 4^(nD) Pauli-word expansion of the grid state,
+    after ``require_expansion`` has counted the words.
 
     All words travel through the circuit together as the columns of one
     (2^n, words) array: at each (layer, wire) one ``apply_matrix`` call per
@@ -371,19 +348,9 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
     require_valid(c)
     input_vec = input_state(c, xi)
     schedule = resolve_deltas(deltas, c.depth)
-    layout = GridLayout(c.n, c.depth)
-    num_sites = layout.num_sites
-    require_expansion(c, max_weight)
-    if max_weight is None:
-        words = list(itertools.product(PAULI_TAGS, repeat=num_sites))
-        truncation = 0.0
-    else:
-        words = list(_words_up_to_weight(num_sites, max_weight))
-        dmax = max(schedule) ** 2
-        truncation = sum(
-            math.comb(num_sites, w) * (3.0 * dmax) ** w
-            for w in range(max_weight + 1, num_sites + 1)
-        )
+    require_expansion(c)
+    sites = GridLayout(c.n, c.depth).num_sites
+    words = list(itertools.product(PAULI_TAGS, repeat=sites))
     # tags[word, site] indexes PAULI_TAGS; sites run layer by layer.
     tags = np.array(
         [[PAULI_TAGS.index(t) for t in entries] for entries in words], dtype=np.int64
@@ -407,7 +374,7 @@ def expansion(c: LayeredCircuit, xi, deltas, max_weight: int | None = None) -> E
         PauliWord(entries): (float(coeff), out)
         for entries, coeff, out in zip(words, coeffs, outputs)
     }
-    return ExpansionResult(terms, truncation, schedule)
+    return ExpansionResult(terms, schedule)
 
 
 def reassemble_expansion(c: LayeredCircuit, result: ExpansionResult) -> np.ndarray:

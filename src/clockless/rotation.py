@@ -83,6 +83,9 @@ __all__ = [
 # apply_matrix output buffer, are live together.
 _BATCH_BYTES = 2**22
 
+# Random full states a rotated term is checked against for leakage.
+_CHECK_SAMPLES = 50
+
 
 def _site_correction() -> np.ndarray:
     """8x8 correction: the pair's Bell label picks a Pauli on the target."""
@@ -139,16 +142,16 @@ class RotationUnitary:
 
 
 @lru_cache(maxsize=2)
-def _check_states(num_qubits: int, samples: int, seed: int) -> np.ndarray:
-    """The leakage-check states: ``samples`` seeded unit Gaussian columns.
+def _check_states(num_qubits: int) -> np.ndarray:
+    """The leakage-check states: ``_CHECK_SAMPLES`` unit Gaussian columns
+    drawn from seed 0.
 
-    Drawn once per (qubits, samples, seed) and read-only; one ``verify``
-    row alternates between its grid and the small teleport grid, hence
-    two cached sets.
+    Drawn once per qubit count and read-only; one ``verify`` row alternates
+    between its grid and the small teleport grid, hence two cached sets.
     """
-    rng = np.random.default_rng(seed)
-    states = np.empty((2**num_qubits, samples), np.complex128)
-    for j in range(samples):
+    rng = np.random.default_rng(0)
+    states = np.empty((2**num_qubits, _CHECK_SAMPLES), np.complex128)
+    for j in range(_CHECK_SAMPLES):
         r = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
         states[:, j] = r / np.linalg.norm(r)
     states.flags.writeable = False
@@ -206,8 +209,6 @@ def _conjugated_block(
     term: LocalTerm | DressedTerm,
     rot: RotationUnitary,
     support: tuple[int, ...],
-    samples: int,
-    seed: int,
 ) -> tuple[np.ndarray, float]:
     """Extract the rotated term on ``support`` plus the leakage residual.
 
@@ -250,9 +251,9 @@ def _conjugated_block(
         block = np.zeros((dim, dim), dtype=np.complex128)
         for cols, basis in _basis_chunks(place, n, width):
             block[:, cols] = rotated_term(basis)[place]
-    states = _check_states(n, samples, seed)
+    states = _check_states(n)
     worst = 0.0
-    for start in range(0, samples, width):
+    for start in range(0, _CHECK_SAMPLES, width):
         batch = states[:, start : start + width]
         lhs = rotated_term(batch)
         rhs = apply_matrix(batch, block, tuple(reversed(support)), n)
@@ -295,30 +296,22 @@ def _trim_trivial_qubits(
 
 
 def rotate_term(
-    term: LocalTerm | DressedTerm,
-    circuit: LayeredCircuit,
-    samples: int = 50,
-    seed: int = 0,
-    tol: float = 1e-9,
-    extraction_support: Sequence[int] | None = None,
+    term: LocalTerm | DressedTerm, circuit: LayeredCircuit, tol: float = 1e-9
 ) -> LocalTerm:
     """Conjugate one term by the circuit's rotation and re-localize it.
 
     The rotated operator is extracted on the term's support widened by the
-    output qubits of its rows (pass ``extraction_support`` to override),
-    validated against ``samples`` random states, and trimmed back down to
-    the qubits it actually acts on. Terms of gates that normalize the Pauli
-    group come back on their original support (last-layer terms even drop
-    their output legs); other gates keep a genuine output-column tail, and
-    the returned support records that. Raises only when the rotated
-    operator leaks beyond the extraction support altogether.
+    output qubits of its rows, validated against ``_CHECK_SAMPLES`` random
+    states, and trimmed back down to the qubits it actually acts on. Terms
+    of gates that normalize the Pauli group come back on their original
+    support (last-layer terms even drop their output legs); other gates
+    keep a genuine output-column tail, and the returned support records
+    that. Raises when the rotated operator leaks beyond that support by
+    more than ``tol``.
     """
     rot = RotationUnitary(circuit)
-    if extraction_support is None:
-        support = _default_extraction_support(term, rot.layout)
-    else:
-        support = tuple(sorted(set(int(q) for q in extraction_support)))
-    block, residual = _conjugated_block(term, rot, support, samples, seed)
+    support = _default_extraction_support(term, rot.layout)
+    block, residual = _conjugated_block(term, rot, support)
     if residual > tol:
         raise ValueError(
             f"rotated {term} is not supported on {support}: "
@@ -328,21 +321,13 @@ def rotate_term(
     return LocalTerm(term.kind, support, block, term.layer, term.wires)
 
 
-def locality_residual(
-    term: LocalTerm | DressedTerm,
-    circuit: LayeredCircuit,
-    support: Sequence[int] | None = None,
-    samples: int = 50,
-    seed: int = 0,
-) -> float:
-    """How badly the rotated term fails to live on the given support.
+def locality_residual(term: LocalTerm | DressedTerm, circuit: LayeredCircuit) -> float:
+    """How badly the rotated term fails to live on the term's own support.
 
-    Defaults to the term's own support. Zero for an exactly localized
-    rotation; order-one values mean the rotated term genuinely spreads.
+    Zero for an exactly localized rotation; order-one values mean the
+    rotated term genuinely spreads.
     """
-    rot = RotationUnitary(circuit)
-    chosen = tuple(term.support) if support is None else tuple(sorted(support))
-    _, residual = _conjugated_block(term, rot, chosen, samples, seed)
+    _, residual = _conjugated_block(term, RotationUnitary(circuit), term.support)
     return residual
 
 

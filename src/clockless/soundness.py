@@ -392,36 +392,6 @@ def reassemble_decomposition(decomp: AdversarialDecomposition) -> np.ndarray:
     return amps / np.linalg.norm(amps)
 
 
-def _resolve_region(layout: GridLayout, region) -> list[tuple[int, int]]:
-    all_sites = list(layout.sites())
-    if region is None:
-        return all_sites
-    chosen = [(int(layer), int(row)) for layer, row in region]
-    known = set(all_sites)
-    for site in chosen:
-        if site not in known:
-            raise ValueError(f"site {site} is outside the grid")
-    return chosen
-
-
-def _bell_tag_weights(
-    layout: GridLayout, amps: np.ndarray, sites
-) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes in the Bell index basis and each index's tag weight.
-
-    Every pair is rotated into the Bell basis; the weight of an index
-    counts the listed sites whose Bell tag is not I.
-    """
-    b_dag = bell_basis_matrix().conj().T
-    rotated = apply_pair_maps(amps, layout, [b_dag] * layout.depth)
-    idx = np.arange(rotated.size)
-    weights = np.zeros(rotated.size, dtype=np.int64)
-    for layer, row in sites:
-        lo, _ = layout.site_qubits(layer, row)
-        weights += (((idx >> lo) & 3) != 0).astype(np.int64)
-    return rotated, weights
-
-
 def binomial_tail(rates, threshold: int) -> float:
     """P[X >= threshold] for a sum of independent Bernoulli variables.
 
@@ -446,21 +416,26 @@ def site_rate(delta: float) -> float:
     return 3.0 * delta**2 / (1.0 + 3.0 * delta**2)
 
 
-def high_weight_mass(
-    state, threshold: int, region=None
-) -> tuple[float, float]:
-    """Bell-frame mass at tag weight >= ``threshold`` over ``region`` sites.
+def high_weight_mass(state, threshold: int) -> tuple[float, float]:
+    """Bell-frame mass at tag weight >= ``threshold``.
 
-    Accepts any normalized grid state carrying its schedule (a PepsState,
-    faulted or not). Also returns the exact
-    independent-site reference tail: fault-free states match it to float
-    precision because their per-site tag marginals are independent with
-    non-identity rate ``site_rate(delta)``, whatever the circuit and the
-    witness.
+    Every pair is rotated into the Bell basis; the weight of an index
+    counts the sites whose Bell tag is not I. Accepts any normalized grid
+    state carrying its schedule (a PepsState, faulted or not). Also returns
+    the exact independent-site reference tail: fault-free states match it
+    to float precision because their per-site tag marginals are independent
+    with non-identity rate ``site_rate(delta)``, whatever the circuit and
+    the witness.
     """
     layout, schedule = state.layout, state.delta_per_layer
-    sites = _resolve_region(layout, region)
-    rotated, weights = _bell_tag_weights(layout, state.amplitudes, sites)
+    b_dag = bell_basis_matrix().conj().T
+    rotated = apply_pair_maps(state.amplitudes, layout, [b_dag] * layout.depth)
+    idx = np.arange(rotated.size)
+    weights = np.zeros(rotated.size, dtype=np.int64)
+    sites = list(layout.sites())
+    for layer, row in sites:
+        lo, _ = layout.site_qubits(layer, row)
+        weights += (((idx >> lo) & 3) != 0).astype(np.int64)
     probs = np.abs(rotated) ** 2
     mass = float(probs[weights >= threshold].sum())
     reference = binomial_tail(
@@ -793,8 +768,8 @@ _ONE_QUBIT_POOL = ("I", "H", "T", "S", "X", "Z")
 _TWO_QUBIT_POOL = ("CNOT", "CZ", "SWAP")
 
 
-def _random_layer(n, rng, two_qubit_ok=True):
-    if n >= 2 and two_qubit_ok and rng.random() < 0.5:
+def _random_layer(n, rng):
+    if n >= 2 and rng.random() < 0.5:
         name = _TWO_QUBIT_POOL[int(rng.integers(len(_TWO_QUBIT_POOL)))]
         return [(name, (0, 1))]
     return [

@@ -38,7 +38,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -615,47 +615,31 @@ def spectrum(
     return low_spectrum(op, k=k, tol=tol, max_iter=max_iter, seed=seed)
 
 
-def _parent_k(c: LayeredCircuit, spec: HamiltonianSpec, include_input: bool) -> int:
+def _parent_k(c: LayeredCircuit, spec: HamiltonianSpec) -> int:
     """Eigenpairs to ask of a parent Hamiltonian: four past its ground space,
-    of dimension 2^(n-a) with the input terms and 2^n without."""
-    ground = 2 ** (c.n - c.a) if include_input else 2**c.n
-    return min(ground + 4, 2**spec.layout.num_qubits - 2)
+    of dimension 2^(n-a)."""
+    return min(2 ** (c.n - c.a) + 4, 2**spec.layout.num_qubits - 2)
 
 
-def _layer_localities(c: LayeredCircuit) -> tuple[int, ...]:
-    return tuple(max(g.arity for g in layer) for layer in c.layers)
-
-
-def gap_vs_bound(
-    c: LayeredCircuit,
-    deltas,
-    k_locality: Sequence[int] | None = None,
-    include_input: bool = True,
-    seed: int = 0,
-) -> tuple[float, float]:
+def gap_vs_bound(c: LayeredCircuit, deltas, seed: int = 0) -> tuple[float, float]:
     """Measured gap of the parent Hamiltonian next to its weight product.
 
     Returns ``(gap, product)`` where the product multiplies, over layers,
-    the layer's injectivity weight raised to eight times its locality.
-    The theory promises gap ≥ product over a polynomial factor that it
-    does not pin down, so only positivity is enforced here; the measured
-    ratio is logged for inspection.  The gap is taken above the full
-    degenerate ground space, which has dimension 2^(n-a) when a < n.
+    the layer's injectivity weight raised to eight times its locality, the
+    largest gate arity in the layer.  The theory promises gap ≥ product
+    over a polynomial factor that it does not pin down, so only positivity
+    is enforced here; the measured ratio is logged for inspection.  The gap
+    is taken above the full degenerate ground space, which has dimension
+    2^(n-a) when a < n.
     """
     schedule = resolve_deltas(deltas, c.depth)
-    localities = tuple(k_locality) if k_locality is not None else _layer_localities(c)
-    if len(localities) != c.depth:
-        raise ValueError(
-            f"got {len(localities)} locality entries for depth {c.depth}"
-        )
-    spec = parent_spec(c, schedule, include_input=include_input)
-    report = spectrum(assemble(spec), _parent_k(c, spec, include_input), seed=seed)
+    spec = parent_spec(c, schedule)
+    report = spectrum(assemble(spec), _parent_k(c, spec), seed=seed)
     gap = report.gap
     if not gap > 0.0:
         raise ArithmeticError(f"parent Hamiltonian gap {gap!r} is not positive")
-    product = float(
-        np.prod([schedule[i] ** (8 * localities[i]) for i in range(c.depth)])
-    )
+    arity = [max(g.arity for g in layer) for layer in c.layers]
+    product = float(np.prod([d ** (8 * k) for d, k in zip(schedule, arity)]))
     _log.info(
         "gap %.6e, weight product %.6e, ratio %.6e", gap, product, gap / product
     )

@@ -415,6 +415,35 @@ def test_delta_out_of_range_exits_2_without_outputs(
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "config, flags, field",
+    [
+        ({"eigenvalues": 0}, [], "eigenvalues"),
+        ({"max_iter": 0}, [], "max_iter"),
+        ({"seed": 1.5}, [], "seed"),
+        ({"epsilon": "x"}, [], "epsilon"),
+        ({"epsilon": float("nan")}, [], "epsilon"),
+        ({"suites": 3}, [], "suites"),
+        ({}, ["--instances", "-3"], "instances"),
+    ],
+    ids=["eigenvalues", "max_iter", "seed", "epsilon", "epsilon-nan", "suites",
+         "instances"],
+)
+def test_malformed_config_value_exits_2_without_outputs(
+    tmp_path, capsys, config, flags, field
+):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = main([
+        "soundness", "--config", str(path), "--suites", "union_bound",
+        "--out", str(out), *flags,
+    ])
+    assert code == 2
+    assert f"(at {field})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fk_command(tmp_path, hcnot_json, capsys):
     out = str(tmp_path / "out")
     code = main(["fk", "--circuit", hcnot_json, "--out", out])
@@ -492,6 +521,25 @@ def test_fk_report_bytes_are_pinned(tmp_path, hcnot_json, name):
     assert main(["fk", "--circuit", str(circuit), "--out", str(out)]) == 0
     pinned = (DATA / f"fk_report_{name}.json").read_bytes()
     assert (out / "fk_report.json").read_bytes() == pinned
+
+
+def test_soundness_artifacts_are_pinned(tmp_path):
+    # fault_report.json, suites.json and the two suites that draw random
+    # layers, from the benchmark's soundness run at seed 1 and 40 instances:
+    # the high-weight mass and the random circuits stay put
+    fault = tmp_path / "fault.json"
+    fault.write_text(json_text({"inputs": [0], "layers": [[], [0, 1]]}))
+    out = tmp_path / "out"
+    assert main([
+        "soundness", "--fault-file", str(fault), "--seed", "1",
+        "--instances", "40", "--out", str(out),
+    ]) == 0
+    for name in (
+        "fault_report.json", "suites.json", "suite_robust_last_column.csv",
+        "suite_robust_input_teleport.csv",
+    ):
+        pinned = (DATA / f"soundness_{name}").read_bytes()
+        assert (out / name).read_bytes() == pinned
 
 
 def test_verify_rows_are_pinned(tmp_path):

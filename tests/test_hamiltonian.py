@@ -16,7 +16,6 @@ from clockless.hamiltonian import (
     input_term,
     parent_spec,
     propagation_term,
-    stabilizer_terms,
     term_energy,
 )
 from clockless.linalg import (
@@ -77,14 +76,6 @@ def test_input_term_defaults():
         input_term((0, 0), 0.5, layout)
     with pytest.raises(ValueError):
         input_term(0, 0.5, layout, check=np.array([[0.5, 0.0], [0.0, 0.0]]))
-
-
-def test_stabilizer_terms_parse():
-    layout = GridLayout(2, 1)
-    terms = stabilizer_terms(["Z.Z", "-X.X"], 0.5, layout)
-    assert [t.kind for t in terms] == ["stabilizer", "stabilizer"]
-    for t in terms:
-        assert is_psd(t.block, tol=1e-10)
 
 
 def test_parent_spec_identity_example(identity1):
@@ -218,8 +209,9 @@ def test_input_and_stabilizer_dressing_match_dense_products(delta):
     term = input_term((0, 1), delta, layout, check=check)
     oracle = _dense_dressing(_embed(check, inputs, support), pairs, support)
     assert np.max(np.abs(term.block - oracle)) <= 1e-14
-    (stab,) = stabilizer_terms(["-X.Z"], delta, layout)
+    # a stabilizer check: the -1 eigenspace of a Pauli involution
     word = -word_matrix(("X", "Z"))
+    stab = input_term((0, 1), delta, layout, check=0.5 * (np.eye(4) - word))
     proj = 0.5 * (np.eye(2 ** len(support)) - _embed(word, inputs, support))
     oracle = _dense_dressing(proj, pairs, support)
     assert np.max(np.abs(stab.block - oracle)) <= 1e-14
@@ -247,7 +239,6 @@ def _every_kind(layout, schedule, rng):
     terms.append(input_term(0, schedule[0], layout))
     check = random_projector(4, 2, rng)
     terms.append(input_term((0, 1), schedule[0], layout, check=check))
-    terms.extend(stabilizer_terms(["-X.Z", "XZ.XZ"], schedule[0], layout))
     terms.append(_output_term(1, layout))
     return terms
 
@@ -259,7 +250,7 @@ def test_factored_energy_matches_block_expectation(deltas):
     rng = np.random.default_rng(23)
     n = layout.num_qubits
     terms = _every_kind(layout, schedule, rng)
-    assert {t.kind for t in terms} == {"propagation", "input", "stabilizer", "output"}
+    assert {t.kind for t in terms} == {"propagation", "input", "output"}
     assert {t.locality for t in terms} == {1, 2, 3, 4, 6, 8}
     for term in terms:
         wires = tuple(reversed(term.support))
@@ -312,10 +303,13 @@ def test_parent_energy_forms_no_term_block():
 
 
 def _grid_terms(c):
-    """The parent's terms plus a bare output term per row, built here."""
-    spec = parent_spec(c, 0.4, stabilizer_checks=["X.Z"])
-    outputs = tuple(_output_term(row, spec.layout) for row in (0, 1))
-    return spec.terms + outputs, spec.layout.num_qubits
+    """The parent's terms plus, built here, a two-wire input term with a
+    random projector check and a bare output term per row."""
+    spec = parent_spec(c, 0.4)
+    check = random_projector(4, 2, np.random.default_rng(7))
+    extra = (input_term((0, 1), 0.4, spec.layout, check=check),)
+    extra += tuple(_output_term(row, spec.layout) for row in (0, 1))
+    return spec.terms + extra, spec.layout.num_qubits
 
 
 def _rotated_terms(c):
@@ -338,7 +332,7 @@ def _clock_terms(c):
 # circuit wires (clock terms do not).
 TERM_PRODUCERS = {
     "parent_spec": (
-        _grid_terms, {"input", "stabilizer", "propagation", "output"}, True
+        _grid_terms, {"input", "propagation", "output"}, True
     ),
     "rotate_term": (_rotated_terms, {"propagation"}, True),
     "teleport_input": (_teleported_terms, {"input"}, True),

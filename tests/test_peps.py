@@ -72,7 +72,6 @@ def test_peps_state_validation(identity1):
 @pytest.mark.parametrize("delta", [0.2, 0.5])
 def test_expansion_reassembles_built_state(bell_circuit, delta):
     result = expansion(bell_circuit, None, delta)
-    assert result.truncation_bound == 0.0
     assert len(result) == 4**4
     reassembled = reassemble_expansion(bell_circuit, result)
     reassembled /= np.linalg.norm(reassembled)
@@ -121,36 +120,20 @@ def reassemble_loop_reference(c, result):
 
 def expansion_cases(rng):
     # a witness wire, a non-uniform schedule and a non-symmetric matrix
-    # gate, exhaustively; then a three-wire circuit cut at max_weight 1
+    # gate; then a three-wire circuit on 6 sites, 4,096 words
     u = random_unitary(4, rng)
     assert not np.allclose(u, u.T)
     witness = layered(2, 1, [[(u, (0, 1))], [("T", (1,)), ("H", (0,))]])
     wide = layered(3, 3, [[(u, (2, 0)), ("H", (1,))],
                           [("CNOT", (1, 2)), (random_unitary(2, rng), (0,))]])
-    return [
-        (witness, np.array([0.6, 0.8j]), (0.3, 0.7), None),
-        (wide, None, (0.45, 0.2), 1),
-    ]
-
-
-def expected_words(num_sites, max_weight):
-    """Exhaustive words in product order, or weight 0 then each single
-    non-identity tag by position."""
-    if max_weight is None:
-        return list(itertools.product(PAULI_TAGS, repeat=num_sites))
-    assert max_weight == 1
-    identity = ("I",) * num_sites
-    return [identity] + [
-        identity[:pos] + (tag,) + identity[pos + 1:]
-        for pos in range(num_sites)
-        for tag in PAULI_TAGS[1:]
-    ]
+    return [(witness, np.array([0.6, 0.8j]), (0.3, 0.7)), (wide, None, (0.45, 0.2))]
 
 
 def test_batched_expansion_matches_word_loop(rng):
-    for c, xi, schedule, max_weight in expansion_cases(rng):
-        result = expansion(c, xi, schedule, max_weight=max_weight)
-        words = expected_words(GridLayout(c.n, c.depth).num_sites, max_weight)
+    for c, xi, schedule in expansion_cases(rng):
+        result = expansion(c, xi, schedule)
+        sites = GridLayout(c.n, c.depth).num_sites
+        words = list(itertools.product(PAULI_TAGS, repeat=sites))
         want = expansion_loop_reference(c, xi, schedule, words)
         assert list(result.terms) == list(want)
         for word, (coeff, state) in result:
@@ -160,8 +143,8 @@ def test_batched_expansion_matches_word_loop(rng):
 
 
 def test_reassembly_matches_product_state_sum(rng):
-    for c, xi, schedule, max_weight in expansion_cases(rng):
-        result = expansion(c, xi, schedule, max_weight=max_weight)
+    for c, xi, schedule in expansion_cases(rng):
+        result = expansion(c, xi, schedule)
         got = reassemble_expansion(c, result)
         want = reassemble_loop_reference(c, result)
         assert np.abs(got - want).max() <= 1e-14
@@ -179,42 +162,18 @@ def test_expansion_identity_word_carries_circuit_output(hcnot):
     assert np.isclose(result[one][0], 0.5)
 
 
-def test_expansion_truncation_bound(bell_circuit):
-    full = expansion(bell_circuit, None, 0.3)
-    cut = expansion(bell_circuit, None, 0.3, max_weight=1)
-    assert cut.truncation_bound > 0.0
-    dropped = sum(
-        coeff**2
-        for word, (coeff, _) in full.terms.items()
-        if word.weight > 1
-    )
-    assert dropped <= cut.truncation_bound + 1e-12
-
-
 def test_expansion_refuses_nine_sites_before_enumerating():
-    # 4^9 words would hold about 200 MB in Python bookkeeping alone
-    c = layered(3, 1, [[("I", (w,)) for w in range(3)]] * 3)
-    with pytest.raises(limits.ResourceError, match="262144 words"):
-        expansion(c, None, 0.5)
-
-
-def test_expansion_refuses_a_weight_cut_before_enumerating():
-    # up to weight 9 the same 9 sites carry every word again (the sweep ran
-    # 4.2 s and grew the peak RSS by 209 MB); weight 4 is the first cut past
-    # the cap, 1 + 27 + 324 + 2268 + 10206 words
+    # 4^9 words would hold about 200 MB in Python bookkeeping alone; the
+    # refusal comes before any word is built
     c = layered(3, 1, [[("I", (w,)) for w in range(3)]] * 3)
     tracemalloc.start()
     try:
-        with pytest.raises(limits.ResourceError, match="weight 9 .* 262144 words"):
-            expansion(c, None, 0.5, max_weight=9)
+        with pytest.raises(limits.ResourceError, match="262144 words"):
+            expansion(c, None, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    with pytest.raises(limits.ResourceError, match="12826 words"):
-        expansion(c, None, 0.5, max_weight=4)
-    cut = expansion(c, None, 0.5, max_weight=1)
-    assert len(cut.terms) == 1 + 9 * 3
 
 
 def test_depolarizing_marginal_single_wire(identity1):

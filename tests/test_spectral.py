@@ -397,7 +397,7 @@ def test_sparse_ground_matches_bunch_kaufman_near_the_cutoff(hcnot, caplog):
 def test_sparse_ground_falls_back_to_bunch_kaufman(
     block, qubits, count, reason, caplog
 ):
-    term = LocalTerm("stabilizer", (0,), block, 1)
+    term = LocalTerm("input", (0,), block, 1)
     op = SparseOperator(qubits, (term,))
     with caplog.at_level(logging.INFO, logger="clockless.spectral"):
         sparse = ground_state(op)

@@ -1,5 +1,5 @@
-"""Package structure: modules import only each other's public names, and a
-command reaches every public definition."""
+"""Package structure: modules import only each other's public names, a
+command reaches every public definition, and a call sets every default."""
 
 import ast
 import importlib
@@ -20,6 +20,25 @@ UNREACHED_ALLOWED = {
     "pauli.bell_state": "the Bell-state reference of the peps and rotation tests",
     "rotation.clifford_form": "perfbench/tracer.py wraps it, and a --trace run "
     "fails on a missing name",
+}
+
+# Defaulted parameters of public functions that no package call sets, each
+# with the reason the default stays a parameter.
+_WITNESS = (
+    "the witness register's state: commands run the all-zeros input, tests "
+    "a random one"
+)
+_TOLERANCE = "a numerical tolerance that tests tighten or loosen"
+UNSET_DEFAULTS_ALLOWED = {
+    "cli.main(argv)": "None reads sys.argv, as the console script and "
+    "python -m run it; tests pass the arguments",
+    "fk.history_state(xi)": _WITNESS,
+    "fk.swap_test_witness(xi)": _WITNESS,
+    "soundness.build_combinatorial_state(xi)": _WITNESS,
+    "linalg.is_psd(tol)": _TOLERANCE,
+    "pauli.word_decompose(tol)": _TOLERANCE,
+    "soundness.extract_decomposition(tol)": _TOLERANCE,
+    "soundness.low_energy_probe(tol)": _TOLERANCE,
 }
 
 
@@ -228,3 +247,67 @@ def test_tracer_wraps_only_package_attributes():
             if target is None:
                 missing.append(f"{module}.{dotted}")
     assert missing == []
+
+
+def _public_functions():
+    """``(qualified name, def node, bound leading parameters)`` of every
+    public top-level function and public method of a public class."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+                yield f"{path.stem}.{node.name}", node, 0
+            elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                        static = any(
+                            ast.unparse(d) == "staticmethod"
+                            for d in item.decorator_list
+                        )
+                        qualified = f"{path.stem}.{node.name}.{item.name}"
+                        yield qualified, item, 0 if static else 1
+
+
+def _defaulted(node):
+    """``(position, name)`` of each parameter with a default; keyword-only
+    parameters have position None."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for position, arg in enumerate(positional[first:], start=first):
+        yield position, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def _sets(call, position, name: str, bound: int) -> bool:
+    """Whether a call sets the parameter: by keyword, by position, or
+    through ``*args`` or ``**kwargs``."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    starred = any(isinstance(a, ast.Starred) for a in call.args)
+    return starred or len(call.args) > position - bound
+
+
+def test_every_defaulted_parameter_is_set_by_a_call():
+    # a default that every caller keeps is a constant in disguise, and the
+    # code only it reaches runs in tests alone. A call is matched by the
+    # callee's bare name, so a same-named function can hide an unset
+    # parameter but never report a set one
+    calls = {}
+    for path in PACKAGE.glob("*.py"):
+        for sub in ast.walk(ast.parse(path.read_text())):
+            if isinstance(sub, ast.Call):
+                callee = ast.unparse(sub.func).rsplit(".", 1)[-1]
+                calls.setdefault(callee, []).append(sub)
+    unset = sorted(
+        f"{qualified}({name})"
+        for qualified, node, bound in _public_functions()
+        for position, name in _defaulted(node)
+        if not any(
+            _sets(call, position, name, bound) for call in calls.get(node.name, [])
+        )
+    )
+    assert unset == sorted(UNSET_DEFAULTS_ALLOWED)
