@@ -311,7 +311,6 @@ class ExpansionResult:
     """
 
     terms: dict[PauliWord, tuple[float, np.ndarray]]
-    deltas: tuple[float, ...]
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -374,7 +373,7 @@ def expansion(c: LayeredCircuit, xi, deltas) -> ExpansionResult:
         PauliWord(entries): (float(coeff), out)
         for entries, coeff, out in zip(words, coeffs, outputs)
     }
-    return ExpansionResult(terms, schedule)
+    return ExpansionResult(terms)
 
 
 def reassemble_expansion(c: LayeredCircuit, result: ExpansionResult) -> np.ndarray:

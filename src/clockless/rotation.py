@@ -16,9 +16,12 @@ becomes ``clifford_form``. Gates outside that class leak onto the output
 column, which ``locality_residual`` measures directly.
 
 Extraction reads the rotated term between basis states of the extraction
-support. A dressed term there is taken from its factors: ``U† L² U = L²``,
-so only ``W = L (K ⊗ I)`` goes through the rotation, from whichever side
-pushes fewer columns (``_factored_hole``). Any other term, and the random
+support. ``rotate_term`` tries the term's own support first and keeps it
+when the leakage check passes within ``tol``; only a term that spreads is
+extracted again on the support widened by its rows' output qubits. A
+dressed term is taken from its factors: ``U† L² U = L²``, so only
+``W = L (K ⊗ I)`` goes through the rotation, from whichever side pushes
+fewer columns (``_factored_hole``). Any other term, and the random
 leakage-check states of every term, go through ``U† T U`` as (2^N, batch)
 arrays in chunks of at most ``_BATCH_BYTES``. The result is a dense
 ``LocalTerm`` with the kind, layer and wires of the term it came from. The
@@ -77,10 +80,10 @@ __all__ = [
 
 # Amplitude bytes per chunk of columns pushed through the rotation (2^8
 # columns at 10 qubits), and per slab of rows when the factored hole is
-# subtracted from a block. A full 2^10-column (16 MiB) chunk of basis
-# states ran the default verify no faster and raised its peak RSS from 128
-# to 159 MB: the batch and its images through the rotation, each one
-# apply_matrix output buffer, are live together.
+# subtracted from a block. The batch and its images through the rotation,
+# each one apply_matrix output buffer, are live together. The default
+# verify pushes at most 2^8 basis columns per term, so there a 16 MiB cap
+# gives the same peak RSS (80 MB on 2 vCPUs, three runs each).
 _BATCH_BYTES = 2**22
 
 # Random full states a rotated term is checked against for leakage.
@@ -300,18 +303,25 @@ def rotate_term(
 ) -> LocalTerm:
     """Conjugate one term by the circuit's rotation and re-localize it.
 
-    The rotated operator is extracted on the term's support widened by the
-    output qubits of its rows, validated against ``_CHECK_SAMPLES`` random
-    states, and trimmed back down to the qubits it actually acts on. Terms
-    of gates that normalize the Pauli group come back on their original
-    support (last-layer terms even drop their output legs); other gates
-    keep a genuine output-column tail, and the returned support records
-    that. Raises when the rotated operator leaks beyond that support by
-    more than ``tol``.
+    The rotated operator is first extracted on the term's own support and
+    validated against ``_CHECK_SAMPLES`` random states. Only if it leaks
+    past that support by more than ``tol`` is it extracted again on the
+    support widened by the output qubits of its rows, when that is larger.
+    The block is then trimmed down to the qubits it actually acts on. Terms
+    of gates that normalize the Pauli group stay on their original support
+    (last-layer terms drop their output legs); other gates keep a genuine
+    output-column tail, and the returned support records that. Raises when
+    the rotated operator leaks beyond the widened support by more than
+    ``tol``.
     """
     rot = RotationUnitary(circuit)
-    support = _default_extraction_support(term, rot.layout)
+    support = term.support
     block, residual = _conjugated_block(term, rot, support)
+    if residual > tol:
+        wide = _default_extraction_support(term, rot.layout)
+        if len(wide) > len(support):
+            support = wide
+            block, residual = _conjugated_block(term, rot, support)
     if residual > tol:
         raise ValueError(
             f"rotated {term} is not supported on {support}: "

@@ -294,8 +294,9 @@ def test_dense_term_rotates_like_its_factors():
 
 
 def test_extraction_holds_about_one_block():
-    # the 10-qubit CNOT bulk term: its 2^10 x 2^10 block, the hole and one
-    # slab of Z Z† (trimming once held the block and two copies of it)
+    # the CNOT bulk term rotates onto its own 8 qubits, so no 2^10 x 2^10
+    # block of the 10-qubit grid is built: the 2^8 x 2^8 block, its hole and
+    # the chunked leakage check stay below half of one
     c = BATCH_FIXTURES["cnot_bulk"]
     term = propagation_term(gate("CNOT", (1, 0)), 1, 0.5, GridLayout(2, 2))
     term.block
@@ -307,7 +308,7 @@ def test_extraction_holds_about_one_block():
     finally:
         tracemalloc.stop()
     assert rotated.locality == 8
-    assert peak <= 1.5 * dense_bytes(10)
+    assert peak < dense_bytes(10) / 2
 
 
 def test_check_states_are_drawn_once():
@@ -333,14 +334,16 @@ def test_chunked_extraction_matches_unchunked(monkeypatch):
         calls.append(vec.shape[1])
         return apply(self, vec, adjoint=adjoint)
 
-    # 20 columns of the 10-qubit grid per chunk. The 2^5 basis columns of
-    # the extraction support are fewer than the 4 * 2^6 columns of W (x) I,
-    # so they go forward only, in 2 chunks; the 50 random states take 3
-    # chunks, each a forward and an adjoint rotation.
+    # 20 columns of the 10-qubit grid per chunk. The T term leaks past its
+    # own support, so it is extracted twice. Both times the basis columns
+    # (2^4, then 2^5 with the output qubit) are fewer than the 4 * 2^6
+    # columns of W (x) I, so they go forward only, in 1 and then 2 chunks;
+    # each time the 50 random states take 3 chunks, each a forward and an
+    # adjoint rotation.
     monkeypatch.setattr(rotation, "_BATCH_BYTES", 20 * 16 * 2**10)
     monkeypatch.setattr(RotationUnitary, "apply", counting)
     chunked = rotate_term(term, c)
-    assert len(calls) == 2 + 2 * 3 and max(calls) == 20
+    assert len(calls) == (1 + 2 * 3) + (2 + 2 * 3) and max(calls) == 20
     calls.clear()
     chunked_residual = locality_residual(term, c)
     # one forward chunk for the 2^4 columns of the term's own support
@@ -432,17 +435,99 @@ def test_t_gate_rotation_spreads():
     assert locality_residual(h_term, c2) < 1e-12
 
 
+def _counting_extractions(patch):
+    """Record the support of every ``_conjugated_block`` call."""
+    supports = []
+    extract = rotation._conjugated_block
+
+    def counting(term, rot, support):
+        supports.append(tuple(support))
+        return extract(term, rot, support)
+
+    patch.setattr(rotation, "_conjugated_block", counting)
+    return supports
+
+
 def test_rotate_term_rejects_leaky_support(monkeypatch):
     # the T term spreads onto the output column, so extracting it on its
-    # own support leaks past the tolerance
+    # own support leaks past the tolerance; with the widened support equal
+    # to the own support it is extracted once, not retried, and refused
     c = layered(2, 2, [[("T", (0,)), ("I", (1,))], [("CZ", (0, 1))]])
     layout = GridLayout(2, 2)
     t_term = propagation_term(gate("T", (0,)), 1, 0.5, layout)
+    supports = _counting_extractions(monkeypatch)
     monkeypatch.setattr(
         rotation, "_default_extraction_support", lambda term, _: term.support
     )
     with pytest.raises(ValueError, match="leakage"):
         rotate_term(t_term, c)
+    assert supports == [t_term.support]
+
+
+def _widened_reference(term, c):
+    """The rotated term extracted on its default support, then trimmed."""
+    rot = RotationUnitary(c)
+    support = rotation._default_extraction_support(term, rot.layout)
+    block, residual = rotation._conjugated_block(term, rot, support)
+    assert residual < 1e-9
+    return rotation._trim_trivial_qubits(block, support)
+
+
+def _no_widening(term, layout):
+    raise AssertionError(f"{term} was extracted on a widened support")
+
+
+def test_localized_terms_rotate_on_their_own_support(monkeypatch):
+    # every last-layer term and every Pauli-normalizing bulk term of the
+    # verify fixtures rotates within its own support, without ever being
+    # extracted on the widened one, and lands on the widened-then-trimmed
+    # block
+    checked = 0
+    for name, c in named_fixtures():
+        spec = parent_spec(c, (0.3, 0.6)[: c.depth])
+        gates = {
+            (layer, tuple(g.wires)): g
+            for layer, gates in enumerate(c.layers, start=1)
+            for g in gates
+        }
+        for term in spec.terms:
+            if term.kind != "propagation":
+                continue
+            gate_ = gates[(term.layer, term.wires)]
+            if term.layer < c.depth and not gate_.is_clifford:
+                continue
+            want, want_support = _widened_reference(term, c)
+            with monkeypatch.context() as patch:
+                patch.setattr(rotation, "_default_extraction_support", _no_widening)
+                got = rotate_term(term, c)
+            assert got.support == want_support, (name, str(term))
+            assert np.abs(got.block - want).max() <= 1e-13, (name, str(term))
+            checked += 1
+    # 8 last-layer terms and the 6 bulk H, CNOT and I terms
+    assert checked == 14
+
+
+def test_spreading_terms_widen_and_keep_their_tail(monkeypatch):
+    # the T bulk term and an input term of the teleport grid leak past their
+    # own support, so they are extracted again on the widened one and keep
+    # an output-column tail
+    t_bulk = BATCH_FIXTURES["t_bulk"]
+    t_term = propagation_term(gate("T", (0,)), 1, 0.5, GridLayout(2, 2))
+    # the one-wire, one-layer grid that teleport_input builds
+    teleport = layered(1, 1, [[("I", (0,))]])
+    in_term = input_term(0, 0.5, GridLayout(1, 1))
+    for term, c in ((t_term, t_bulk), (in_term, teleport)):
+        want, want_support = _widened_reference(term, c)
+        with monkeypatch.context() as patch:
+            supports = _counting_extractions(patch)
+            got = rotate_term(term, c)
+        layout = GridLayout(c.n, c.depth)
+        wide = rotation._default_extraction_support(term, layout)
+        assert supports == [term.support, wide]
+        tail = set(got.support) - set(term.support)
+        assert tail and tail <= {layout.output_qubit(w) for w in range(c.n)}
+        assert got.support == want_support
+        assert np.abs(got.block - want).max() <= 1e-13
 
 
 def test_project_qubits_shape_check():

@@ -1,10 +1,13 @@
 """Verify rows: status classes, oracles, and the checked closed forms."""
 
+import tracemalloc
+
 import numpy as np
 
 from clockless import verify
 from clockless.circuit import NAMED_GATES, layered
 from clockless.hamiltonian import parent_spec
+from clockless.limits import dense_bytes
 from clockless.peps import build_peps
 from clockless.rotation import clifford_hole, teleport_coefficient, teleport_input
 from clockless.verify import (
@@ -85,3 +88,16 @@ def test_clifford_holes_are_built_once_per_fixture(monkeypatch):
     ]
     bulk = [ch for ch in checks if ch.name.startswith("clifford_bulk")]
     assert len(bulk) == 18 and all(ch.status == "pass" for ch in bulk)
+
+
+def test_default_checks_build_no_grid_sized_block():
+    # every term the default rows rotate is a last-layer term, a Clifford
+    # bulk term or a teleport-grid input term; none is extracted on all 10
+    # qubits of a grid, so the traced peak stays below one 2^10 x 2^10 block
+    tracemalloc.start()
+    try:
+        verify_checks(named_fixtures(), (0.2, 0.5, 0.8), TOL)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes(10)
