@@ -5,11 +5,11 @@ config file, and command-line flags, in rising precedence. Each command
 loads its inputs, refuses bad or oversized runs before writing anything,
 echoes the effective config to the output directory (so a run is
 reproducible from that file alone), hands the work to one library call,
-then writes the artifacts and prints a summary. The checks themselves
-live in ``verify``, ``soundness`` and ``fk``, and ``spectral.spectrum``
-picks the eigensolver. Exit codes: 0 success, 1 a check failed, 2 bad
-input, a run refused by the memory budget or a size cap, or an eigensolver
-that ran out of budget (``ConvergenceError``).
+then writes the artifacts and prints a summary. The checks and the
+eigensolvers live in ``verify``, ``soundness``, ``fk`` and ``spectral``.
+Exit codes: 0 success, 1 a check failed, 2 bad input, a run refused by the
+memory budget or a size cap, or an eigensolver that ran out of budget
+(``ConvergenceError``).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .peps import build_peps, resolve_deltas
 from .soundness import (
     SUITE_NAMES, FaultMismatch, fault_experiment, run_suite, worker_count,
 )
-from .spectral import SOLVERS, ConvergenceError, spectrum
+from .spectral import ConvergenceError, parent_spectrum
 from .verify import SCAN_HEADER, named_fixtures, scan_row, verify_checks
 
 
@@ -57,7 +57,6 @@ class RunConfig:
     seed: int = 0
     out: str = "out"
     tolerance: float = 1e-10
-    solver: str = "auto"
     eigenvalues: int = 6
     solver_tol: float = 1e-9
     max_iter: int = 5000
@@ -99,10 +98,8 @@ class RunConfig:
 
 
 def _check_values(cfg: RunConfig) -> None:
-    """Refuse a merged config whose solver, counts or tolerances no command
-    can run with, naming the field."""
-    if cfg.solver not in SOLVERS:
-        raise cio.SchemaError(f"solver must be one of {', '.join(SOLVERS)}", "solver")
+    """Refuse a merged config whose counts or tolerances no command can run
+    with, naming the field."""
     least_counts = {"seed": 0, "eigenvalues": 1, "max_iter": 1, "instances": 1}
     for name, least in least_counts.items():
         value = getattr(cfg, name)
@@ -177,15 +174,6 @@ def parse_args(argv) -> RunConfig:
         "--mtx", action="store_true", default=None,
         help="also export the Hamiltonian in Matrix Market form",
     )
-    solver = build.add_mutually_exclusive_group()
-    solver.add_argument(
-        "--dense", action="store_const", const="dense", dest="solver",
-        help="force dense diagonalization",
-    )
-    solver.add_argument(
-        "--iterative", action="store_const", const="iterative", dest="solver",
-        help="force the iterative eigensolver",
-    )
     verify = command("verify", "closed-form identity suite")
     verify.add_argument(
         "--inject-delta", action="append", metavar="L=V",
@@ -225,8 +213,8 @@ def parse_args(argv) -> RunConfig:
 
     updates = {}
     for name in (
-        "circuit", "delta", "seed", "out", "tolerance", "solver",
-        "fault_file", "instances", "mtx",
+        "circuit", "delta", "seed", "out", "tolerance", "fault_file",
+        "instances", "mtx",
     ):
         value = getattr(args, name, None)
         if value is not None:
@@ -284,11 +272,11 @@ def cmd_build(cfg: RunConfig) -> int:
     # An oversized export or solve is refused before anything is written.
     if cfg.mtx:
         operator.require_sparse()
-    spectral = spectrum(
-        operator, k=cfg.eigenvalues, solver=cfg.solver, tol=cfg.solver_tol,
+    state = build_peps(c, schedule)
+    spectral = parent_spectrum(
+        spec, state, k=cfg.eigenvalues, tol=cfg.solver_tol,
         max_iter=cfg.max_iter, seed=cfg.seed,
     )
-    state = build_peps(c, schedule)
     _echo_config(cfg)
     cio.write_state_bin(os.path.join(cfg.out, "state.bin"), state.amplitudes)
     cio.write_term_manifest(os.path.join(cfg.out, "terms.json"), spec.terms)

@@ -412,6 +412,7 @@ def spectral_report_dict(report) -> dict:
     return {
         "lowest_eigenvalues": list(report.lowest_eigenvalues),
         "ground_dim": report.ground_dim,
+        "ground_resolved": report.ground_resolved,
         "gap": report.gap,
         "residuals": list(report.residuals),
         "method": report.method,

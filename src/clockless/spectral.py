@@ -7,20 +7,15 @@ is checked.  ``low_spectrum`` wraps ARPACK's implicitly restarted iteration
 reaches the sizes the dense path cannot.  Both report eigenvalues in
 ascending order, the dimension of the zero-energy ground space, and the gap
 above it, and both refuse a run over the memory budget before they
-allocate.  ``spectrum`` is the one entry point that picks between them:
-dense up to ``DENSE_QUBITS`` qubits, iterative past that.  ``build``,
-``scan`` and ``gap_vs_bound`` all go through it.  ``ground_state`` is the
-inertia oracle for a ground-state check.  It takes the same input as
-``dense_spectrum``, and one LDL† factorization of ``H - GROUND_CUTOFF·I``
-counts the eigenvalues below the cutoff exactly (Sylvester's law of
-inertia; Golub & Van Loan, *Matrix Computations*, §4.4).  A sparse input
-is factored sparse, by SuperLU with diagonal pivots only: at 10 qubits that
-takes 3-13 ms on 2 vCPUs, against 30-160 ms for a dense factor.  A factor
-without pivoting has no stability guarantee on an indefinite matrix, so
-when SuperLU pivots off the diagonal or its rounding bound comes near the
-cutoff, the count falls back, with a log record, to LAPACK's Bunch–Kaufman
-factor of the dense matrix, which a dense input always takes.  When the
-count is one, inverse iteration on the same factor gives the ground vector.
+allocate.  ``parent_spectrum`` is the entry point of ``build``, ``scan``
+and ``gap_vs_bound``.  It takes a parent Hamiltonian's ground space from
+the grid states it is built from, and the levels above it from the lowest
+eigenvalues of the operator with those states lifted out of the way: dense
+up to ``DENSE_QUBITS`` qubits, iterative past that.  ``ground_state`` is the
+inertia oracle for a ground-state check: one LDL† factor of
+``H - GROUND_CUTOFF·I``, sparse where that can be trusted (3-13 ms at 10
+qubits on 2 vCPUs, against 30-160 ms dense), counts the eigenvalues below
+the cutoff, and inverse iteration on it gives a unique ground vector.
 
 The rest of the module measures how the ground spaces of term families sit
 relative to each other.  ``detectability_check`` and ``union_bound_check``
@@ -60,20 +55,19 @@ from .hamiltonian import (
     parent_spec,
 )
 from .limits import dense_bytes, require, vector_bytes
-from .linalg import require_projector
-from .peps import resolve_deltas
+from .linalg import basis_state, require_projector
+from .peps import PepsState, build_peps, resolve_deltas
 
 __all__ = [
     "DENSE_QUBITS",
     "GROUND_CUTOFF",
-    "SOLVERS",
     "ConvergenceError",
     "GroundState",
     "SpectralReport",
     "dense_spectrum",
     "ground_state",
     "low_spectrum",
-    "spectrum",
+    "parent_spectrum",
     "gap_vs_bound",
     "detectability_check",
     "union_bound_check",
@@ -86,10 +80,8 @@ __all__ = [
 
 _log = logging.getLogger(__name__)
 
-# Eigenvalues below this absolute cutoff count as ground states.  The
-# frustration-free constructions here have exact zero modes polluted only
-# by roundoff (1e-13 and below at desk scale), while the smallest gaps we
-# probe are several orders larger, so one fixed cutoff separates them.
+# Eigenvalues below this absolute cutoff count as ground states in the two
+# oracles and ``ground_state``; ``parent_spectrum`` has no cutoff.
 GROUND_CUTOFF = 1e-9
 
 
@@ -110,12 +102,13 @@ class SpectralReport:
     """Lowest eigenpairs of a Hermitian operator, with quality metadata.
 
     ``lowest_eigenvalues`` is ascending; ``ground_dim`` counts entries
-    below ``GROUND_CUTOFF``; ``gap`` is the first eigenvalue above the
-    ground space minus the lowest one, or NaN when every reported value
-    is a ground state and the gap is therefore not visible.  One residual
-    norm ``‖Hv - λv‖`` is stored per retained eigenvector column.
-    ``ground_resolved`` is False when a partial spectrum lies wholly in
-    the ground space, so ``ground_dim`` is only a lower bound.
+    below ``GROUND_CUTOFF``, or in ``parent_spectrum`` the grid states that
+    span the ground space.  ``gap`` is the first eigenvalue above the
+    ground space minus the lowest one, or NaN when it is not visible.  One
+    residual norm ``‖Hv - λv‖`` is stored per retained eigenvector column.
+    ``ground_resolved`` is False when the ground space is not told apart
+    from the levels above: every value lies below the cutoff, or a parent's
+    ground space is not certified (see ``parent_spectrum``).
     """
 
     lowest_eigenvalues: np.ndarray
@@ -153,15 +146,13 @@ def _gap(eigs: np.ndarray, ground: int) -> float:
     return float(eigs[ground] - eigs[0])
 
 
-# Dense matrices of the operator's size, counted as complex 2^N x 2^N, that
-# each dense path holds at its peak, rounded up.  Measured around the whole
-# call on 10-qubit parent operators (tracemalloc / growth of peak RSS):
-# dense_spectrum holds the matrix, eigh's copy of it and the eigenvectors,
-# 3.0-3.1 / 3.3-3.5; ground_state's Bunch–Kaufman path holds the shifted
-# matrix and the factor, 2.1 / 2.2 for a complex matrix and 1.6 / 1.8 for a
-# real one.  Either way 11 qubits fit the budget and 12 do not.  The sparse
-# path of ground_state holds far less, but is refused at the same size: its
-# fallback is the dense path, and its fill grows faster than the matrix
+# Dense complex 2^N x 2^N matrices each dense path holds at its peak, rounded
+# up; measured on 10-qubit parents (tracemalloc / growth of peak RSS):
+# dense_spectrum's matrix, eigh's copy and the eigenvectors, 3.0-3.1 /
+# 3.3-3.5; ground_state's Bunch–Kaufman shifted matrix and factor, 2.1 / 2.2
+# complex and 1.6 / 1.8 real.  11 qubits fit the budget and 12 do not.  The
+# sparse path of ground_state holds far less but is refused at the same size:
+# it falls back to the dense one, and its fill grows faster than the matrix
 # (95 M entries at 14 qubits).
 _SPECTRUM_COPIES = 4
 _GROUND_COPIES = 3
@@ -479,20 +470,6 @@ def _as_linear_operator(op) -> LinearOperator:
     return aslinearoperator(op)
 
 
-def _orthonormalize_ground(vectors: np.ndarray, ground: int) -> None:
-    """Modified Gram–Schmidt, in place, on the first ``ground`` columns.
-
-    ARPACK's Ritz vectors inside one degenerate level need not be
-    orthogonal (off by 0.03 on the 14-qubit C14 parent).  Column 0 keeps
-    its bytes; each later column loses its projection on the ones before.
-    """
-    for j in range(1, ground):
-        col = vectors[:, j]
-        for i in range(j):
-            col -= np.vdot(vectors[:, i], col) * vectors[:, i]
-        col /= np.linalg.norm(col)
-
-
 def low_spectrum(
     op,
     k: int = 6,
@@ -511,11 +488,9 @@ def low_spectrum(
     must lie in 1..dim-2, ARPACK's limit, and a basis over the memory
     budget is refused before it is allocated.  Raises ``ConvergenceError``,
     with the number of operator applications spent, when the budget runs
-    out or the residual check fails.  The columns below ``GROUND_CUTOFF``
-    are orthonormalized against column 0, which is returned as ARPACK gave
-    it, before the residuals are taken.  Like any single-vector Krylov
-    method it finds further copies of a degenerate level only through
-    rounding; ``dense_spectrum`` is the oracle to check it against.
+    out or the residual check fails.  Like any single-vector Krylov method
+    it finds further copies of a degenerate level only through rounding;
+    ``dense_spectrum`` is the oracle to check it against.
     """
     base = _as_linear_operator(op)
     dim = base.shape[0]
@@ -535,14 +510,11 @@ def low_spectrum(
 
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    # ARPACK in scipy 1.17 silently drops a Ritz value that comes out as
-    # exactly 0.0, which the zero modes of a frustration-free projector sum
-    # can.  Solving for H - shift, with a seeded shift that no structured
-    # spectrum holds exactly, moves them off zero.  The shift is tiny
-    # because ARPACK's convergence test is relative to |λ - shift|: a
-    # shift near 1 loosens it for the zero modes enough that the solver
-    # stops before it finds every copy of a degenerate level (seeds 3, 7
-    # and 10 of the 14-qubit C14 parent at delta 0.5).
+    # ARPACK in scipy 1.17 silently drops a Ritz value of exactly 0.0, as
+    # the zero modes of a projector sum can be.  A tiny seeded shift moves
+    # them off zero; ARPACK's test is relative to |λ - shift|, and a shift
+    # near 1 loosened it enough to lose copies of a degenerate level (seeds
+    # 3, 7 and 10 of the 14-qubit C14 parent at delta 0.5).
     shift = 1e-6 * (1.0 + rng.random())
     shifted = LinearOperator(
         base.shape, matvec=lambda v: matvec(v) - shift * v, dtype=np.complex128
@@ -561,7 +533,6 @@ def low_spectrum(
     eigs = eigs[order] + shift
     vectors = np.ascontiguousarray(vectors[:, order])
     ground = _ground_dim(eigs)
-    _orthonormalize_ground(vectors, ground)
     residuals = np.array(
         [np.linalg.norm(matvec(v) - e * v) for e, v in zip(eigs, vectors.T)]
     )
@@ -585,40 +556,81 @@ def low_spectrum(
 # times faster: on two vCPUs, 0.1-0.3 s against 4.3-4.9 s for a full
 # diagonalization at eleven qubits.
 DENSE_QUBITS = 10
-SOLVERS = ("auto", "dense", "iterative")
 
 
-def spectrum(
-    op,
-    k: int = 6,
-    solver: str = "auto",
+def parent_spectrum(
+    spec: HamiltonianSpec,
+    state: PepsState,
+    k: int = 1,
     tol: float = 1e-10,
     max_iter: int = 5000,
     seed: int = 0,
 ) -> SpectralReport:
-    """The lowest ``k`` eigenpairs of ``op`` by the solver its size calls for.
+    """The ground space and lowest excited levels of ``state``'s parent ``spec``.
 
-    ``solver`` "auto" takes ``dense_spectrum`` up to ``DENSE_QUBITS`` qubits
-    and ``low_spectrum`` past that; "dense" or "iterative" forces one, and
-    any other name is a ``ValueError``.  The dense report keeps every
-    eigenvalue and ``k`` eigenvector columns; ``tol``, ``max_iter`` and
-    ``seed`` go to the iterative solver.  Either solver refuses a run over
-    the memory budget before it allocates.
+    ``state`` is the honest grid state at the all-zeros witness.  The parent
+    is frustration-free, and the grid states over the g = 2^(n-a) witness
+    basis states span its ground space (the injective-PEPS parent theorem;
+    Pérez-García, Verstraete, Wolf and Cirac, arXiv:0707.2260).  Modified
+    Gram–Schmidt makes them the columns q of Q, ``state`` first and
+    unchanged; their Rayleigh quotients are the ground energies, and
+    r = max ‖Hq - (q†Hq)q‖.  The excited levels, max(k - g, 1) with k at
+    most 2^N, are the lowest eigenvalues of H + σQQ†, σ the sum of the terms'
+    Frobenius norms (≥ ‖H‖): by ``dense_spectrum`` up to ``DENSE_QUBITS``, by
+    ``low_spectrum`` with ``tol``, ``max_iter`` and ``seed`` past that.  The
+    ground space is resolved when the lowest excited level less its
+    residual exceeds r; otherwise the gap is NaN.  The basis and a dense
+    matrix are refused over the memory budget before they are built.
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
-    if solver == "auto":
-        qubits = (_as_linear_operator(op).shape[0] - 1).bit_length()
-        solver = "dense" if qubits <= DENSE_QUBITS else "iterative"
-    if solver == "dense":
-        return dense_spectrum(op, vectors=k)
-    return low_spectrum(op, k=k, tol=tol, max_iter=max_iter, seed=seed)
+    c, qubits = state.circuit, spec.layout.num_qubits
+    free = c.n - c.a
+    if state.fault is not None or not np.array_equal(state.xi, basis_state(0, free)):
+        raise ValueError("need the honest grid state at the all-zeros witness")
+    g = 2**free
+    require("the witness basis", qubits, vector_bytes(qubits, g))
+    basis = [state.amplitudes] + [
+        np.array(build_peps(c, state.delta_per_layer, basis_state(j, free)).amplitudes)
+        for j in range(1, g)
+    ]
+    for j in range(1, g):
+        for q in basis[:j]:
+            basis[j] -= np.vdot(q, basis[j]) * q
+        basis[j] /= np.linalg.norm(basis[j])
+    operator = assemble(spec)
+    energies, ground_residuals = [], []
+    for q in basis:
+        hq = operator.apply(q)
+        energies.append(float(np.vdot(q, hq).real))
+        ground_residuals.append(float(np.linalg.norm(hq - energies[-1] * q)))
+    sigma = sum(float(np.linalg.norm(t.block)) for t in spec.terms)
+    m = max(min(k, operator.dim) - g, 1)
+    if qubits <= DENSE_QUBITS:
+        copies = _SPECTRUM_COPIES * dense_bytes(qubits)
+        require("a dense eigendecomposition", qubits, copies)
+        mat = operator.to_sparse().toarray()
+        for q in basis:
+            mat += np.outer(sigma * q, q.conj())
+        excited = dense_spectrum(mat, vectors=m)
+    else:
+        def deflated(v: np.ndarray) -> np.ndarray:
+            return operator.apply(v) + sigma * sum(np.vdot(q, v) * q for q in basis)
 
-
-def _parent_k(c: LayeredCircuit, spec: HamiltonianSpec) -> int:
-    """Eigenpairs to ask of a parent Hamiltonian: four past its ground space,
-    of dimension 2^(n-a)."""
-    return min(2 ** (c.n - c.a) + 4, 2**spec.layout.num_qubits - 2)
+        excited = low_spectrum(
+            LinearOperator((operator.dim,) * 2, deflated, dtype=np.complex128),
+            k=m, tol=tol, max_iter=max_iter, seed=seed,
+        )
+    levels = excited.lowest_eigenvalues[:m]
+    resolved = bool(levels[0] - excited.residuals[0] > max(ground_residuals))
+    eigs = np.concatenate([energies, levels])
+    return SpectralReport(
+        lowest_eigenvalues=eigs,
+        ground_dim=g,
+        gap=_gap(eigs, g) if resolved else float("nan"),
+        residuals=np.concatenate([ground_residuals, excited.residuals]),
+        method=excited.method,
+        eigenvectors=np.column_stack([*basis, excited.eigenvectors]),
+        ground_resolved=resolved,
+    )
 
 
 def gap_vs_bound(c: LayeredCircuit, deltas, seed: int = 0) -> tuple[float, float]:
@@ -633,9 +645,8 @@ def gap_vs_bound(c: LayeredCircuit, deltas, seed: int = 0) -> tuple[float, float
     2^(n-a) when a < n.
     """
     schedule = resolve_deltas(deltas, c.depth)
-    spec = parent_spec(c, schedule)
-    report = spectrum(assemble(spec), _parent_k(c, spec), seed=seed)
-    gap = report.gap
+    spec, state = parent_spec(c, schedule), build_peps(c, schedule)
+    gap = parent_spectrum(spec, state, seed=seed).gap
     if not gap > 0.0:
         raise ArithmeticError(f"parent Hamiltonian gap {gap!r} is not positive")
     arity = [max(g.arity for g in layer) for layer in c.layers]

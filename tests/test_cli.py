@@ -18,7 +18,10 @@ from clockless.cli import (
     main,
     parse_args,
 )
-from clockless.io import SchemaError, json_text, read_json, read_state_bin
+from clockless.hamiltonian import assemble, parent_spec
+from clockless.io import (
+    SchemaError, json_text, read_circuit_json, read_json, read_state_bin,
+)
 
 
 @pytest.fixture
@@ -55,19 +58,17 @@ def test_parse_args_defaults():
     assert cfg.delta == 0.5
     assert cfg.seed == 0
     assert cfg.out == "out"
-    assert cfg.solver == "auto"
+    assert "solver" not in cfg.to_dict()
 
 
 def test_parse_args_flags_and_layers():
     cfg = parse_args([
         "build", "--circuit", "c.json", "--delta", "0.3",
-        "--delta-layer", "2=0.7", "--seed", "5", "--out", "d",
-        "--dense", "--mtx",
+        "--delta-layer", "2=0.7", "--seed", "5", "--out", "d", "--mtx",
     ])
     assert cfg.command == "build"
     assert cfg.delta == 0.3
     assert cfg.delta_layers == {2: 0.7}
-    assert cfg.solver == "dense"
     assert cfg.mtx is True
 
 
@@ -109,41 +110,41 @@ def test_schedule_overrides():
 
 
 def test_solver_choice(tmp_path, identity_json, monkeypatch):
-    # auto is dense up to DENSE_QUBITS and iterative past it; a flag wins
-    def solver(name, *flags):
+    # dense up to DENSE_QUBITS, iterative past it, the same gap either way
+    def build(name):
         out = str(tmp_path / name)
-        assert main(["build", "--circuit", identity_json, "--out", out, *flags]) == 0
-        return read_json(os.path.join(out, "build_report.json"))["solver"]
+        assert main(["build", "--circuit", identity_json, "--out", out]) == 0
+        return read_json(os.path.join(out, "build_report.json"))
 
     monkeypatch.setattr(spectral, "DENSE_QUBITS", 3)  # identity1 has 3 qubits
-    assert solver("auto") == "dense"
-    assert solver("forced", "--iterative") == "iterative"
+    dense = build("dense")
     monkeypatch.setattr(spectral, "DENSE_QUBITS", 2)
-    assert solver("auto_small") == "iterative"
-    assert solver("forced_small", "--dense") == "dense"
+    iterative = build("iterative")
+    assert (dense["solver"], iterative["solver"]) == ("dense", "iterative")
+    assert abs(dense["gap"] - iterative["gap"]) < 1e-12
 
 
 def test_unknown_solver_in_config_exits_2(tmp_path, identity_json, capsys):
+    # the size of the grid picks the eigensolver; a config cannot
     config = tmp_path / "run.json"
-    config.write_text(json_text({"solver": "bogus"}))
+    config.write_text(json_text({"solver": "dense"}))
     out = tmp_path / "out"
     code = main([
         "build", "--config", str(config), "--circuit", identity_json,
         "--out", str(out),
     ])
     assert code == 2
-    assert "solver must be one of" in capsys.readouterr().err
+    assert "unknown config field 'solver'" in capsys.readouterr().err
     assert not out.exists()
-    with pytest.raises(ValueError, match="unknown solver"):
-        spectral.spectrum(np.eye(8), k=2, solver="bogus")
 
 
 @pytest.mark.parametrize("flag", ["--iterative", "--dense"])
-def test_solver_flags_belong_to_build_only(tmp_path, flag):
+def test_solver_flags_are_refused(tmp_path, flag):
     out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exit_info:
-        main(["scan", flag, "--delta-grid", "0.3", "--out", str(out)])
-    assert exit_info.value.code == 2
+    for command in ("build", "verify", "scan", "soundness", "fk", "swapqma"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, flag, "--out", str(out)])
+        assert exit_info.value.code == 2
     assert not out.exists()
 
 
@@ -612,20 +613,24 @@ C14 = {
 }
 
 
-def test_dense_build_beyond_budget_exits_2_without_outputs(tmp_path, capsys):
+def test_dense_build_beyond_budget_exits_2_without_outputs(
+    tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr(spectral, "DENSE_QUBITS", 14)
     circuit = tmp_path / "c14.json"
     circuit.write_text(json_text(C14))
     out = tmp_path / "out"
-    code = main(["build", "--dense", "--circuit", str(circuit), "--out", str(out)])
+    code = main(["build", "--circuit", str(circuit), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert "14 qubits" in err and "GiB" in err and "memory budget" in err
     assert not out.exists()
 
 
-def test_dense_build_counts_the_copies_it_holds(tmp_path, capsys):
+def test_dense_build_counts_the_copies_it_holds(tmp_path, capsys, monkeypatch):
     # 12 grid qubits: one dense matrix fits the budget, the four that the
     # eigendecomposition holds do not
+    monkeypatch.setattr(spectral, "DENSE_QUBITS", 12)
     circuit = tmp_path / "c12.json"
     circuit.write_text(json_text({
         "version": 1, "n": 4, "a": 4,
@@ -633,7 +638,7 @@ def test_dense_build_counts_the_copies_it_holds(tmp_path, capsys):
                    + [{"gate": "I", "wires": [w]} for w in (1, 2, 3)]],
     }))
     out = tmp_path / "out"
-    code = main(["build", "--dense", "--circuit", str(circuit), "--out", str(out)])
+    code = main(["build", "--circuit", str(circuit), "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
     assert "dense eigendecomposition on 12 qubits" in err and "1 GiB" in err
@@ -675,13 +680,14 @@ def test_soundness_fault_file_beyond_budget_exits_2_without_outputs(
 
 
 def test_build_out_of_solver_budget_exits_2_without_outputs(
-    tmp_path, hcnot_json, capsys
+    tmp_path, hcnot_json, capsys, monkeypatch
 ):
+    monkeypatch.setattr(spectral, "DENSE_QUBITS", 9)  # hcnot has 10 qubits
     config = tmp_path / "run.json"
     config.write_text(json_text({"max_iter": 1}))
     out = tmp_path / "out"
     code = main([
-        "build", "--iterative", "--config", str(config), "--circuit", hcnot_json,
+        "build", "--config", str(config), "--circuit", hcnot_json,
         "--out", str(out),
     ])
     assert code == 2
@@ -737,6 +743,62 @@ def test_verify_unresolved_ground_state_is_a_failed_row(tmp_path, capsys):
         ["ground_fidelity", "cnot_bulk.json", "0.050000000000000003", "nan",
          "1", "nan", "fail"],
     ]
+
+
+@pytest.mark.parametrize("delta", [0.03, 0.04, 0.05, 0.07])
+def test_build_finds_the_small_gap_of_cnot_bulk(tmp_path, delta):
+    # gaps of 3.9e-11 to 3.3e-8, around the old absolute ground cutoff of
+    # 1e-9 that counted 4 ground states at delta 0.03 and 0.04
+    circuit = tmp_path / "cnot_bulk.json"
+    circuit.write_text(json_text(CNOT_BULK))
+    out = tmp_path / "out"
+    argv = ["build", "--circuit", str(circuit), "--delta", str(delta)]
+    assert main(argv + ["--out", str(out)]) == 0
+    report = read_json(out / "build_report.json")
+    spec = parent_spec(read_circuit_json(circuit), delta)
+    eigs = np.linalg.eigvalsh(assemble(spec).dense())
+    assert report["ground_dim"] == 1
+    assert abs(report["gap"] - (eigs[1] - eigs[0])) <= 1e-13
+
+
+def test_iterative_build_keeps_both_ground_states(tmp_path, monkeypatch):
+    # one data wire: two grid states span the ground space on 6 qubits,
+    # where ARPACK's Ritz vectors once held only one of them
+    circuit = tmp_path / "cnot.json"
+    circuit.write_text(json_text({
+        "version": 1, "n": 2, "a": 1,
+        "layers": [[{"gate": "CNOT", "wires": [0, 1]}]],
+    }))
+
+    def build(name, seed):
+        out = tmp_path / name
+        argv = ["build", "--circuit", str(circuit), "--delta", "0.8"]
+        assert main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
+        return read_json(out / "build_report.json")
+
+    dense = build("dense", 0)
+    monkeypatch.setattr(spectral, "DENSE_QUBITS", 2)
+    for seed in range(3):
+        report = build(f"iterative{seed}", seed)
+        assert (report["solver"], report["ground_dim"]) == ("iterative", 2)
+        assert abs(report["gap"] - dense["gap"]) <= 1e-12
+
+
+def test_witness_basis_beyond_budget_exits_2_without_outputs(
+    tmp_path, capsys, monkeypatch
+):
+    # three data wires on 9 qubits: 8 grid states of 8 KiB each take 64 KiB,
+    # where the grid state itself needs 32 KiB
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", 48 * 2**10)
+    layer = [{"gate": "I", "wires": [w]} for w in range(3)]
+    circuit = tmp_path / "free.json"
+    circuit.write_text(json_text({"version": 1, "n": 3, "a": 0, "layers": [layer]}))
+    out = tmp_path / "out"
+    code = main(["build", "--circuit", str(circuit), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "witness basis on 9 qubits" in err and "GiB" in err
+    assert not out.exists()
 
 
 def test_verify_refuses_a_long_expansion_before_any_row(tmp_path, capsys):

@@ -202,7 +202,7 @@ def test_spectral_report_dict(identity1):
     report = dense_spectrum(assemble(parent_spec(identity1, 0.5)), vectors=2)
     doc = spectral_report_dict(report)
     assert doc["method"] == "dense"
-    assert doc["ground_dim"] == 1
+    assert doc["ground_dim"] == 1 and doc["ground_resolved"] is True
     assert "eigenvectors" not in doc
     json.dumps(doc)
 

@@ -8,9 +8,14 @@ import scipy.sparse
 from scipy.sparse.linalg import LinearOperator
 
 from clockless.circuit import layered
-from clockless.hamiltonian import LocalTerm, SparseOperator, assemble, parent_spec
+from clockless.cli import main
+from clockless.hamiltonian import (
+    HamiltonianSpec, LocalTerm, SparseOperator, assemble, parent_spec,
+)
+from clockless.io import write_circuit_json
 from clockless.linalg import embed_operator, random_projector, random_state
 from clockless.pauli import pauli_matrix
+from clockless.peps import build_peps
 from clockless.spectral import (
     GROUND_CUTOFF,
     ConvergenceError,
@@ -21,6 +26,7 @@ from clockless.spectral import (
     ground_state,
     jordan_angles,
     low_spectrum,
+    parent_spectrum,
     union_bound_check,
 )
 from clockless.verify import named_fixtures
@@ -428,14 +434,32 @@ def test_sparse_operator_is_checked_before_densifying():
                 ground_state(tilted)
 
 
-def test_low_spectrum_ground_columns_are_orthonormal():
-    # one data wire: a doubly degenerate ground space on 6 qubits, whose
-    # Ritz vectors came back with a Gram matrix off the identity by 0.01-0.94
-    op = assemble(parent_spec(layered(2, 1, [[("CNOT", (0, 1))]]), 0.5))
-    for seed in range(4):
-        report = low_spectrum(op, k=4, seed=seed)
-        assert report.ground_dim == 2
-        basis = report.eigenvectors[:, :2]
-        gram = basis.conj().T @ basis
-        assert np.abs(gram - np.eye(2)).max() < 1e-12
-        assert report.residuals.max() < 1e-12
+def test_parent_spectrum_ground_columns_are_orthonormal(tmp_path):
+    # one data wire: a doubly degenerate ground space on 6 qubits, spanned
+    # by the grid states at the two witness basis states
+    c = layered(2, 1, [[("CNOT", (0, 1))]])
+    report = parent_spectrum(parent_spec(c, 0.5), build_peps(c, 0.5), k=4)
+    assert report.ground_dim == 2 and report.ground_resolved
+    basis = report.eigenvectors[:, :2]
+    assert np.abs(basis.conj().T @ basis - np.eye(2)).max() < 1e-12
+    assert report.residuals[:2].max() < 1e-12
+    assert basis[:, 0].tobytes() == build_peps(c, 0.5).amplitudes.tobytes()
+    # build writes that column as ground.bin, byte for byte its state.bin
+    circuit = tmp_path / "cnot.json"
+    write_circuit_json(circuit, c)
+    out = tmp_path / "out"
+    assert main(["build", "--circuit", str(circuit), "--out", str(out)]) == 0
+    assert (out / "ground.bin").read_bytes() == (out / "state.bin").read_bytes()
+
+
+def test_parent_spectrum_flags_a_kernel_wider_than_the_grid_states():
+    # without its input term the parent also annihilates the grid states
+    # of a flipped ancilla: the two grid states no longer span the kernel
+    c = layered(2, 1, [[("CNOT", (0, 1))]])
+    spec = parent_spec(c, 0.8)
+    inputs_dropped = HamiltonianSpec(
+        spec.layout, tuple(t for t in spec.terms if t.kind != "input")
+    )
+    report = parent_spectrum(inputs_dropped, build_peps(c, 0.8), k=4)
+    assert report.ground_dim == 2
+    assert not report.ground_resolved and np.isnan(report.gap)
