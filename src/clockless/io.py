@@ -119,6 +119,8 @@ def write_csv(path, header, rows) -> None:
 
 def jsonable(obj):
     """Recursively reduce to JSON types; non-finite floats become null."""
+    if type(obj) in (str, int, bool, float):  # the common leaves, as below
+        return None if type(obj) is float and not math.isfinite(obj) else obj
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return jsonable(dataclasses.asdict(obj))
     if isinstance(obj, dict):

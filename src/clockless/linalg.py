@@ -155,6 +155,11 @@ def apply_matrix(
     k = len(wires)
     order = _support_order(wires, num_qubits)
     view = _support_first(work, order)
+    if work.size <= _PIECE_AMPS:  # one piece, without the piece loop
+        applied = op @ np.ascontiguousarray(view).reshape(2**k, -1)
+        out = np.empty(work.shape, dtype=np.complex128)
+        _support_first(out, order)[...] = applied.reshape(view.shape)
+        return out if batched else out[:, 0]
     head = (slice(None),) * k
     out = None
     for tail in _piece_tails(view, k):

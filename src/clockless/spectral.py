@@ -579,8 +579,9 @@ def parent_spectrum(
     Frobenius norms (≥ ‖H‖): by ``dense_spectrum`` up to ``DENSE_QUBITS``, by
     ``low_spectrum`` with ``tol``, ``max_iter`` and ``seed`` past that.  The
     ground space is resolved when the lowest excited level less its
-    residual exceeds r; otherwise the gap is NaN.  The basis and a dense
-    matrix are refused over the memory budget before they are built.
+    residual exceeds r plus a rounding floor of 64·ε·σ; otherwise the gap
+    is NaN.  The basis and a dense matrix are refused over the memory
+    budget before they are built.
     """
     c, qubits = state.circuit, spec.layout.num_qubits
     free = c.n - c.a
@@ -620,7 +621,10 @@ def parent_spectrum(
             k=m, tol=tol, max_iter=max_iter, seed=seed,
         )
     levels = excited.lowest_eigenvalues[:m]
-    resolved = bool(levels[0] - excited.residuals[0] > max(ground_residuals))
+    # A zero level of H + σQQ† (norm ≤ 2σ) can come out a few ε·σ high; 64·ε·σ
+    # covers that at 1/180 of cnot_bulk's smallest margin (1.2e4·ε·σ, δ = 0.03).
+    floor = max(ground_residuals) + 64 * np.finfo(float).eps * sigma
+    resolved = bool(levels[0] - excited.residuals[0] > floor)
     eigs = np.concatenate([energies, levels])
     return SpectralReport(
         lowest_eigenvalues=eigs,

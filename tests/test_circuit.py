@@ -159,3 +159,36 @@ def test_input_state_matches_loop_reference(rng):
         resolve_witness(c, 2 * xi)
     with pytest.raises(ValueError, match="dimension"):
         resolve_witness(c, basis_state(0, 3))
+
+
+def test_named_gates_share_their_checked_matrix():
+    # a named gate carries the one matrix checked at import; a matrix passed
+    # in under a known name is still checked
+    for name, mat in NAMED_GATES.items():
+        k = len(mat).bit_length() - 1
+        assert gate(name, range(k)).unitary is mat
+        assert not mat.flags.writeable
+    with pytest.raises(ValueError, match="not unitary"):
+        Gate((0,), np.diag([1.0, 1.1]), name="I")
+    with pytest.raises(ValueError, match="does not match 1 wires"):
+        gate("CNOT", (0,))
+
+
+@pytest.mark.parametrize("angle", [1e-6, 1e-9])
+def test_near_identity_phase_gate_is_not_trivial(angle):
+    # diag(1, e^{i angle}) passed the old allclose test (rtol 1e-5) at 1e-6,
+    # so fk dropped it from its steps and the rotation skipped it
+    from clockless.fk import build_modified_fk
+    from clockless.rotation import RotationUnitary
+
+    phase = np.diag([1.0, np.exp(1j * angle)])
+    c = layered(1, 0, [[(phase, (0,))]])
+    g = c.layers[0][0]
+    assert not g.is_trivial
+    assert nontrivial_gates(c) == [g]
+    assert build_modified_fk(c).steps == (g,)
+    v = random_state(3, np.random.default_rng(0))
+    skipped = RotationUnitary(layered(1, 0, [[("I", (0,))]])).apply(v)
+    assert np.abs(RotationUnitary(c).apply(v) - skipped).max() > angle / 100
+    for trivial in (gate("I", (0,)), Gate((0,), np.eye(2)), Gate((0, 1), np.eye(4))):
+        assert trivial.is_trivial

@@ -22,6 +22,7 @@ from clockless.hamiltonian import assemble, parent_spec
 from clockless.io import (
     SchemaError, json_text, read_circuit_json, read_json, read_state_bin,
 )
+from clockless.soundness import SUITE_NAMES
 
 
 @pytest.fixture
@@ -525,9 +526,9 @@ def test_fk_report_bytes_are_pinned(tmp_path, hcnot_json, name):
 
 
 def test_soundness_artifacts_are_pinned(tmp_path):
-    # fault_report.json, suites.json and the two suites that draw random
-    # layers, from the benchmark's soundness run at seed 1 and 40 instances:
-    # the high-weight mass and the random circuits stay put
+    # fault_report.json, suites.json and all seven suites, from the
+    # benchmark's soundness run at seed 1 and 40 instances: the high-weight
+    # mass, the random circuits and every lemma record stay put
     fault = tmp_path / "fault.json"
     fault.write_text(json_text({"inputs": [0], "layers": [[], [0, 1]]}))
     out = tmp_path / "out"
@@ -535,10 +536,8 @@ def test_soundness_artifacts_are_pinned(tmp_path):
         "soundness", "--fault-file", str(fault), "--seed", "1",
         "--instances", "40", "--out", str(out),
     ]) == 0
-    for name in (
-        "fault_report.json", "suites.json", "suite_robust_last_column.csv",
-        "suite_robust_input_teleport.csv",
-    ):
+    suites = [f"suite_{name}.csv" for name in SUITE_NAMES]
+    for name in ["fault_report.json", "suites.json", *suites]:
         pinned = (DATA / f"soundness_{name}").read_bytes()
         assert (out / name).read_bytes() == pinned
 

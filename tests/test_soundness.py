@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clockless import limits
+from clockless import hamiltonian, limits, soundness
 from clockless.circuit import layered
 from clockless.linalg import basis_state
 from clockless.peps import build_peps
@@ -204,3 +204,76 @@ def test_suite_replay(rng):
     pick = result.records[4]
     again = replay_instance("detectability", 21, 4)
     assert again == pick
+
+
+ROBUST_SUITES = ("robust_last_column", "robust_bulk_forwarding", "robust_input_teleport")
+
+
+@pytest.mark.parametrize("name", ROBUST_SUITES)
+def test_row_records_match_the_full_report(monkeypatch, name):
+    # each row's on-demand record equals, float for float, the matching
+    # record of a fresh report on the same probe vector that builds them all
+    probes, rows = [], []
+    real_probe = soundness.low_energy_probe
+    real_record = soundness.LowEnergyReport.record
+
+    def probe(c, deltas, state):
+        probes.append((c, deltas, state))
+        return real_probe(c, deltas, state)
+
+    def record(report, lemma, location):
+        rows.append((lemma, location, real_record(report, lemma, location)))
+        return rows[-1][2]
+
+    monkeypatch.setattr(soundness, "low_energy_probe", probe)
+    monkeypatch.setattr(soundness.LowEnergyReport, "record", record)
+    for seed in range(3):
+        run_suite(name, instances=40, seed=seed)
+    monkeypatch.undo()
+    assert len(probes) == len(rows) == 120
+    for (c, deltas, state), (lemma, location, rec) in zip(probes, rows):
+        full = low_energy_probe(c, deltas, state).records
+        assert [r for r in full if (r.name, r.location) == (lemma, location)] == [rec]
+
+
+def test_last_column_row_builds_one_term(monkeypatch):
+    # a row reads one record: the energy of one propagation term, and no
+    # parent spec
+    calls = {"parent_spec": 0, "propagation_term": 0}
+
+    def counted(module, fn):
+        real = getattr(module, fn)
+
+        def wrapper(*args, **kwargs):
+            calls[fn] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn, wrapper)
+
+    for module in (hamiltonian, soundness):
+        counted(module, "parent_spec")
+    counted(soundness, "propagation_term")
+    for index in range(5):
+        replay_instance("robust_last_column", 41, index)
+        assert calls == {"parent_spec": 0, "propagation_term": index + 1}
+
+
+def test_report_computes_each_value_once(monkeypatch, bell_circuit):
+    # records and the summaries share their values: each term energy is
+    # taken once, and the rotated state is kept
+    energies = []
+    real = soundness.term_energy
+    monkeypatch.setattr(
+        soundness, "term_energy", lambda *a: energies.append(a) or real(*a)
+    )
+    state = build_peps(bell_circuit, 0.4).amplitudes
+    report = low_energy_probe(bell_circuit, 0.4, state)
+    records = report.records
+    assert report.total_energy == report.total_energy < 1e-10
+    assert report.records == records
+    assert len(energies) == len(hamiltonian.parent_spec(bell_circuit, 0.4).terms)
+    assert report.rotated is report.rotated
+    with pytest.raises(ValueError, match="no bulk_forwarding record"):
+        report.record("bulk_forwarding", ("gate", 2, (0, 1)))
+    with pytest.raises(ValueError, match="unit-norm"):
+        low_energy_probe(bell_circuit, 0.4, 2 * state)

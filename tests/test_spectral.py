@@ -1,5 +1,6 @@
 """Eigensolvers, the gap bookkeeping, and projector inequalities."""
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.sparse
 from scipy.sparse.linalg import LinearOperator
 
 from clockless.circuit import layered
+from clockless import spectral
 from clockless.cli import main
 from clockless.hamiltonian import (
     HamiltonianSpec, LocalTerm, SparseOperator, assemble, parent_spec,
@@ -462,4 +464,42 @@ def test_parent_spectrum_flags_a_kernel_wider_than_the_grid_states():
     )
     report = parent_spectrum(inputs_dropped, build_peps(c, 0.8), k=4)
     assert report.ground_dim == 2
+    assert not report.ground_resolved and np.isnan(report.gap)
+
+
+@pytest.mark.parametrize("delta", [0.5, 0.8])
+@pytest.mark.parametrize("dense_qubits", [2, 10])
+@pytest.mark.parametrize("raised", [False, True])
+def test_parent_spectrum_floor_keeps_a_rounded_zero_unresolved(
+    monkeypatch, delta, dense_qubits, raised
+):
+    # the wider kernel of the parent above, on both solver paths, with the
+    # excited residual patched to 0: its lowest deflated level is a zero
+    # that rounding put within 1e-15 of 0, and the floor of 64·ε·σ keeps
+    # it unresolved; raised to 4·ε·σ it still is, where the bare residual
+    # comparison certified it
+    c = layered(2, 1, [[("CNOT", (0, 1))]])
+    spec = parent_spec(c, delta)
+    inputs_dropped = HamiltonianSpec(
+        spec.layout, tuple(t for t in spec.terms if t.kind != "input")
+    )
+    sigma = sum(float(np.linalg.norm(t.block)) for t in inputs_dropped.terms)
+    level = 4 * np.finfo(float).eps * sigma if raised else 1e-15
+    monkeypatch.setattr(spectral, "DENSE_QUBITS", dense_qubits)
+    for name in ("dense_spectrum", "low_spectrum"):
+        solve = getattr(spectral, name)
+
+        def patched(*args, solve=solve, **kwargs):
+            report = solve(*args, **kwargs)
+            eigs = np.array(report.lowest_eigenvalues)
+            if raised:
+                eigs[0] = level
+            return dataclasses.replace(
+                report, lowest_eigenvalues=eigs,
+                residuals=np.zeros_like(report.residuals),
+            )
+
+        monkeypatch.setattr(spectral, name, patched)
+    report = parent_spectrum(inputs_dropped, build_peps(c, delta), k=4)
+    assert abs(report.lowest_eigenvalues[2]) <= level
     assert not report.ground_resolved and np.isnan(report.gap)

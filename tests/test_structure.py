@@ -38,7 +38,6 @@ UNSET_DEFAULTS_ALLOWED = {
     "linalg.is_psd(tol)": _TOLERANCE,
     "pauli.word_decompose(tol)": _TOLERANCE,
     "soundness.extract_decomposition(tol)": _TOLERANCE,
-    "soundness.low_energy_probe(tol)": _TOLERANCE,
 }
 
 
