@@ -35,7 +35,7 @@ from .hamiltonian import assemble, energy, parent_spec
 from .limits import SCAN_POINT_CAP, ResourceError, set_blas_threads
 from .peps import build_peps, resolve_deltas
 from .soundness import (
-    SUITE_NAMES, FaultMismatch, fault_experiment, run_suite, worker_count,
+    SUITE_NAMES, FaultMismatch, fault_experiment, run_suites, worker_count,
 )
 from .spectral import ConvergenceError, parent_spectrum
 from .verify import SCAN_HEADER, named_fixtures, scan_row, verify_checks
@@ -382,15 +382,13 @@ def cmd_soundness(cfg: RunConfig) -> int:
     except ValueError as e:
         raise InputError(str(e)) from None
     _echo_config(cfg)
-    results = []
+    results = run_suites(names, cfg.instances, cfg.seed, workers)
     failures = 0
-    for name in names:
-        result = run_suite(name, cfg.instances, cfg.seed, workers)
-        results.append(result)
+    for result in results:
         failures += len(result.failures)
-        cio.write_suite_csv(os.path.join(cfg.out, f"suite_{name}.csv"), result)
+        cio.write_suite_csv(os.path.join(cfg.out, f"suite_{result.suite}.csv"), result)
         print(
-            f"{name}: {len(result.records)} instances, "
+            f"{result.suite}: {len(result.records)} instances, "
             f"{len(result.failures)} violations"
         )
     cio.write_suite_manifest(os.path.join(cfg.out, "suites.json"), results)

@@ -220,16 +220,32 @@ def site_map_matrix(m: SiteMap) -> np.ndarray:
     return out
 
 
+# Q, Lambda and phi0 are built once per delta and shared read-only: a grid
+# or a probe asks for one per pair, site or layer, but holds few deltas.
+_PER_DELTA = 256
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+@lru_cache(maxsize=_PER_DELTA)
 def q_matrix(delta: float) -> np.ndarray:
-    return site_map_matrix(SiteMap("Q", delta))
+    """Read-only Q(delta), built once per delta."""
+    return _read_only(site_map_matrix(SiteMap("Q", delta)))
 
 
+@lru_cache(maxsize=_PER_DELTA)
 def lambda_matrix(delta: float) -> np.ndarray:
-    return site_map_matrix(SiteMap("Lambda", delta))
+    """Read-only Lambda(delta), built once per delta."""
+    return _read_only(site_map_matrix(SiteMap("Lambda", delta)))
 
 
+@lru_cache(maxsize=_PER_DELTA)
 def phi0(delta: float) -> np.ndarray:
-    """The unit vector (B_I + delta * sum_{p != I} B_p) / sqrt(1 + 3 delta^2).
+    """Read-only (B_I + delta * sum_{p != I} B_p) / sqrt(1 + 3 delta^2),
+    built once per delta.
 
     Unlike the site maps, delta = 0 is accepted here: the formula degenerates
     gracefully to the plain Bell state, and that limit is a useful fixture.
@@ -237,4 +253,5 @@ def phi0(delta: float) -> np.ndarray:
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     vec = _bell("I") + delta * (_bell("X") + _bell("XZ") + _bell("Z"))
-    return vec / np.sqrt(1.0 + 3.0 * delta**2)
+    return _read_only(vec / np.sqrt(1.0 + 3.0 * delta**2))
+

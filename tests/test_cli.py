@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 from pathlib import Path
 
@@ -326,6 +327,26 @@ def test_soundness_single_suite(tmp_path, capsys):
     manifest = read_json(os.path.join(out, "suites.json"))
     assert manifest["suites"][0]["suite"] == "union_bound"
     assert manifest["suites"][0]["failures"] == []
+
+
+def test_soundness_keeps_the_order_given(tmp_path, capsys, monkeypatch):
+    # the suites run in forked workers, yet the summary lines, the CSVs and
+    # suites.json follow --suites, and no worker outlives the command
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    names = ["jordan", "union_bound", "detectability"]
+    out = tmp_path / "out"
+    code = main([
+        "soundness", "--out", str(out), "--suites", ",".join(names),
+        "--instances", "4",
+    ])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"{name}: 4 instances, 0 violations" for name in names
+    ]
+    manifest = read_json(out / "suites.json")
+    assert [s["suite"] for s in manifest["suites"]] == names
+    assert all(len(read_csv(out / f"suite_{name}.csv")) == 5 for name in names)
+    assert multiprocessing.active_children() == []
 
 
 def test_bad_clockless_threads_exits_2_without_outputs(

@@ -76,6 +76,19 @@ def test_q_lambda_are_scaled_inverses(delta):
     assert np.allclose(lam @ bell_state("X"), bell_state("X"))
 
 
+def test_per_delta_maps_are_built_once_and_read_only():
+    # every pair, site and layer of one delta shares one array, so no
+    # caller may write into it
+    for build, kind in ((q_matrix, "Q"), (lambda_matrix, "Lambda"), (phi0, None)):
+        first = build(0.35)
+        assert build(np.float64(0.35)) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0.0
+        if kind is not None:
+            assert np.array_equal(first, site_map_matrix(SiteMap(kind, 0.35)))
+
+
 def test_site_map_validation():
     with pytest.raises(ValueError):
         SiteMap("R", 0.5)
