@@ -35,7 +35,8 @@ from .hamiltonian import assemble, energy, parent_spec
 from .limits import SCAN_POINT_CAP, ResourceError, set_blas_threads
 from .peps import build_peps, resolve_deltas
 from .soundness import (
-    SUITE_NAMES, FaultMismatch, fault_experiment, run_suites, worker_count,
+    SUITE_NAMES, FaultMismatch, fault_experiment, require_suites, run_suites,
+    worker_count,
 )
 from .spectral import ConvergenceError, parent_spectrum
 from .verify import SCAN_HEADER, named_fixtures, scan_row, verify_checks
@@ -370,11 +371,10 @@ def _fault_report(cfg: RunConfig) -> dict:
 
 def cmd_soundness(cfg: RunConfig) -> int:
     names = cfg.suites if cfg.suites is not None else SUITE_NAMES
-    for name in names:
-        if name not in SUITE_NAMES:
-            raise InputError(
-                f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
-            )
+    try:
+        require_suites(names)
+    except ValueError as e:
+        raise InputError(str(e)) from None
     # A bad fault file is refused before any suite runs or file is written.
     report = None if cfg.fault_file is None else _fault_report(cfg)
     try:

@@ -10,10 +10,10 @@ inequality lemmas behind the soundness analysis into replayable randomized
 suites. ``low_energy_probe`` checks those lemmas on a noisy grid state; its
 report computes a value only when asked, so a suite row pays for one record.
 
-``run_suites`` runs the suites in forked worker processes, one per CPU,
-each suite whole in one worker; CLOCKLESS_THREADS sets the threads inside
-each suite. Every instance draws from its own generator, so the records
-do not depend on where a suite ran.
+``run_suites`` runs the suites through ``limits.fork_map``, in forked
+worker processes, one per CPU, each suite whole in one worker;
+CLOCKLESS_THREADS sets the threads inside each suite. Every instance draws
+from its own generator, so the records do not depend on where a suite ran.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .circuit import (
     require_valid,
 )
 from .hamiltonian import energy, input_term, parent_spec, propagation_term, term_energy
-from .limits import enumeration_bytes, require
+from .limits import enumeration_bytes, fork_map, require
 from .linalg import (
     basis_state,
     overlap,
@@ -895,7 +895,19 @@ def worker_count(explicit=None) -> int:
 
 def _require_suite(name: str) -> None:
     if name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; known: {sorted(_SUITES)}")
+        raise ValueError(
+            f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}"
+        )
+
+
+def require_suites(names) -> None:
+    """Refuse an unknown suite name, or one named more than once."""
+    seen = set()
+    for name in names:
+        _require_suite(name)
+        if name in seen:
+            raise ValueError(f"suite {name!r} named more than once")
+        seen.add(name)
 
 
 def run_suite(
@@ -923,35 +935,19 @@ def run_suite(
 def run_suites(names, instances: int, seed: int, threads) -> list[SuiteResult]:
     """``run_suite(name, instances, seed, threads)`` for each name, in order.
 
-    Each suite runs in a worker process, one per CPU this process may use
-    and at most one per suite; with one worker the suites run here, one
-    after the other. ``threads`` is each suite's thread count. No worker
-    outlives the call: a worker's exception is raised here, with its type
-    and message, after the pool has shut down. An unknown name is refused
-    before any worker starts.
+    The suites run through ``limits.fork_map``: each suite whole in a forked
+    worker, one per CPU and at most one per suite, or here, one after the
+    other, with one worker. ``threads`` is each suite's thread count. An
+    unknown or repeated name is refused before any worker starts.
     """
-    for name in names:
-        _require_suite(name)
-    processes = min(len(names), len(os.sched_getaffinity(0)))
-    if processes <= 1:
-        return [run_suite(name, instances, seed, threads) for name in names]
-    # Imported here: at module import the pool would add about 0.5 MB to the
-    # peak RSS of every command. Forked, not spawned: a spawned worker would
-    # import numpy and scipy again (about 0.7 s), and no thread of this
-    # package runs at this point.
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    require_suites(names)
+    cases = [(name, instances, seed, threads) for name in names]
+    return fork_map(_suite_case, cases)
 
-    pool = ProcessPoolExecutor(
-        processes, mp_context=multiprocessing.get_context("fork")
-    )
-    try:
-        futures = [
-            pool.submit(run_suite, name, instances, seed, threads) for name in names
-        ]
-        return [f.result() for f in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+
+def _suite_case(case) -> SuiteResult:
+    """``run_suite`` on one ``(name, instances, seed, threads)`` case."""
+    return run_suite(*case)
 
 
 def replay_instance(name: str, seed: int, index: int) -> InstanceRecord:

@@ -89,12 +89,18 @@ class ConvergenceError(RuntimeError):
     """Raised when the iterative solver runs out of budget.
 
     Carries the number of operator applications spent, so a caller can
-    tell a hopeless tolerance from a budget set too low.
+    tell a hopeless tolerance from a budget set too low. Its ``args`` are
+    the constructor's, so it survives the pickle that brings a worker's
+    exception back through ``limits.fork_map``.
     """
 
     def __init__(self, message: str, iterations: int):
-        super().__init__(f"{message} (after {iterations} operator applications)")
+        super().__init__(message, iterations)
         self.iterations = iterations
+
+    def __str__(self) -> str:
+        message, iterations = self.args
+        return f"{message} (after {iterations} operator applications)"
 
 
 @dataclass(frozen=True)

@@ -33,10 +33,18 @@ independent oracle:
 A deviation within the tolerance passes; one within ``_ACCURACY_FLOOR``,
 the accuracy the closed forms are computed to, lands in the "tolerance"
 class; anything larger fails.
+
+The (fixture, delta) cases share nothing but each fixture's Clifford
+holes, so they run apart: the calling process checks every expansion cap,
+builds the holes and resolves every schedule first, then ``limits.fork_map``
+runs the cases in forked workers, one per CPU, and the rows keep their
+fixture-major, then delta, order.  A single case, as in ``verify
+--circuit``, runs in the calling process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +52,7 @@ import numpy as np
 from .circuit import LayeredCircuit, layered
 from .hamiltonian import HamiltonianSpec, assemble, energy, parent_spec
 from .io import fmt_float
+from .limits import fork_map
 from .linalg import overlap, trace_distance
 from .peps import (
     build_peps,
@@ -264,6 +273,32 @@ def _rotated_checks(
     return checks
 
 
+def _case_checks(case, tol: float) -> list[Check]:
+    """The rows of one (fixture, delta) case: ``(name, c, delta, (schedule,
+    spec_schedule), holes)``, with ``holes`` from ``_clifford_holes(c)``."""
+    name, c, delta, (schedule, spec_schedule), holes = case
+    state = build_peps(c, schedule)
+    spec = parent_spec(c, spec_schedule)
+    report = energy(spec, state, tol=max(tol, 1e-15))
+    worst = max(report.per_term)
+    checks = [_zero_check("frustration_freeness", name, delta, worst, tol)]
+    if c.a == c.n:
+        checks.append(ground_fidelity_check(name, delta, spec, state, tol))
+    rebuilt = reassemble_expansion(c, expansion(c, None, schedule))
+    checks.append(_fidelity_check(
+        "expansion_reassembly", name, delta,
+        rebuilt / np.linalg.norm(rebuilt), state, tol,
+    ))
+    marginal = output_marginal(state)
+    reference = depolarizing_reference_marginal(c, None, schedule)
+    deviation = float(trace_distance(marginal, reference))
+    checks.append(_zero_check(
+        "depolarizing_marginal", name, delta, deviation, tol
+    ))
+    checks.extend(_rotated_checks(name, c, spec, schedule, tol, holes))
+    return checks
+
+
 def verify_checks(
     fixtures: list[tuple[str, LayeredCircuit]],
     deltas,
@@ -274,43 +309,27 @@ def verify_checks(
 
     ``schedules(circuit, delta)`` returns the per-layer schedule of the
     grid state and the one of its checked Hamiltonian, which a negative
-    control may doctor; by default both are the uniform delta.  Every
-    fixture's expansion is checked against its caps before the first row.
+    control may doctor; by default both are the uniform delta.  Before the
+    first case runs, this process checks every fixture's expansion against
+    its caps, builds each fixture's Clifford holes and resolves every
+    case's schedules, so a bad input is refused before any worker starts.
+    The (fixture, delta) cases then run through ``limits.fork_map``, in
+    forked workers or, with one CPU or one case, here; their rows come back
+    fixture-major, then by delta.
     """
     for _, c in fixtures:
         require_expansion(c)
-    checks: list[Check] = []
+    cases = []
     for name, c in fixtures:
         holes = _clifford_holes(c)
         for delta in deltas:
             if schedules is None:
-                schedule = spec_schedule = resolve_deltas(delta, c.depth)
+                pair = (resolve_deltas(delta, c.depth),) * 2
             else:
-                schedule, spec_schedule = schedules(c, delta)
-            state = build_peps(c, schedule)
-            spec = parent_spec(c, spec_schedule)
-            report = energy(spec, state, tol=max(tol, 1e-15))
-            worst = max(report.per_term)
-            checks.append(
-                _zero_check("frustration_freeness", name, delta, worst, tol)
-            )
-            if c.a == c.n:
-                checks.append(
-                    ground_fidelity_check(name, delta, spec, state, tol)
-                )
-            rebuilt = reassemble_expansion(c, expansion(c, None, schedule))
-            checks.append(_fidelity_check(
-                "expansion_reassembly", name, delta,
-                rebuilt / np.linalg.norm(rebuilt), state, tol,
-            ))
-            marginal = output_marginal(state)
-            reference = depolarizing_reference_marginal(c, None, schedule)
-            deviation = float(trace_distance(marginal, reference))
-            checks.append(_zero_check(
-                "depolarizing_marginal", name, delta, deviation, tol
-            ))
-            checks.extend(_rotated_checks(name, c, spec, schedule, tol, holes))
-    return checks
+                pair = schedules(c, delta)
+            cases.append((name, c, delta, pair, holes))
+    rows = fork_map(functools.partial(_case_checks, tol=tol), cases)
+    return [check for case_rows in rows for check in case_rows]
 
 
 def scan_row(c: LayeredCircuit, schedule, delta: float, seed: int = 0) -> tuple:

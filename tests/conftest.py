@@ -4,6 +4,10 @@ Everything here stays at n <= 2, depth <= 2 so any test can afford dense
 linear algebra as its oracle.
 """
 
+import concurrent.futures
+import os
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,25 @@ from clockless.limits import set_blas_threads
 
 # The tests run under the same BLAS thread policy as the command line.
 set_blas_threads()
+
+
+@pytest.fixture
+def pin_cpus(monkeypatch):
+    """``pin_cpus(count)`` lets ``limits.fork_map`` see ``count`` CPUs and
+    returns the list it records each pool made in, as (args, kwargs)."""
+
+    def pin(count):
+        pools = []
+
+        def pool(*args, **kwargs):
+            pools.append((args, kwargs))
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        return pools
+
+    return pin
 
 
 @pytest.fixture

@@ -303,6 +303,20 @@ def test_verify_full_suite_passes(tmp_path, capsys):
     assert "165/165 checks passed" in capsys.readouterr().out
 
 
+def test_verify_refuses_a_bad_injected_layer_before_forking(
+    tmp_path, capsys, pin_cpus
+):
+    # identity1, the first fixture, has depth 1: the schedules of every case
+    # are resolved before the cases fork, so no worker starts
+    pools = pin_cpus(2)
+    out = tmp_path / "out"
+    code = main(["verify", "--inject-delta", "2=0.3", "--out", str(out)])
+    assert code == 2
+    assert "--inject-delta 2 outside this circuit's 1..1" in capsys.readouterr().err
+    assert not out.exists() and pools == []
+    assert multiprocessing.active_children() == []
+
+
 def test_verify_injected_delta_fails_frustration(tmp_path, capsys):
     out = str(tmp_path / "out")
     code = main(["verify", "--out", out, "--inject-delta", "1=0.9"])
@@ -367,6 +381,17 @@ def test_soundness_unknown_suite(tmp_path, capsys):
     code = main(["soundness", "--suites", "nonsense", "--out", str(tmp_path)])
     assert code == 2
     assert "unknown suite" in capsys.readouterr().err
+
+
+def test_soundness_repeated_suite_exits_2_without_outputs(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main([
+        "soundness", "--suites", "union_bound,union_bound", "--instances", "1",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert "suite 'union_bound' named more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_soundness_fault_experiment(tmp_path, capsys):

@@ -1,6 +1,8 @@
-"""The one memory budget: estimates, refusals and their messages."""
+"""The one memory budget (estimates, refusals, messages), BLAS threads and
+the fork map."""
 
 import logging
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -12,12 +14,13 @@ from clockless.limits import (
     MEMORY_BUDGET,
     ResourceError,
     dense_bytes,
+    fork_map,
     require,
     set_blas_threads,
     vector_bytes,
 )
 from clockless.linalg import embed_operator
-from clockless.spectral import dense_spectrum, ground_state
+from clockless.spectral import ConvergenceError, dense_spectrum, ground_state
 
 
 def test_require_accepts_at_budget_and_refuses_one_byte_over():
@@ -104,3 +107,41 @@ def test_blas_threads_second_call_is_harmless(monkeypatch):
         pytest.skip("numpy is not linked against its own OpenBLAS here")
     assert set_blas_threads() == {"numpy": 1}
     assert set_blas_threads() == {"numpy": 1}
+
+
+@pytest.mark.parametrize(
+    "cpus, items, record",
+    [
+        (1, [-3, 1, -2], "items=3 workers=1 in-process"),
+        (2, [-3, 1, -2], "items=3 workers=2 forked"),
+        (2, [-3], "items=1 workers=1 in-process"),
+        (8, [-3, 1, -2], "items=3 workers=3 forked"),
+    ],
+    ids=["one-cpu", "two-cpus", "one-item", "more-cpus-than-items"],
+)
+def test_fork_map_keeps_item_order_and_logs_its_pool(
+    pin_cpus, caplog, cpus, items, record
+):
+    pools = pin_cpus(cpus)
+    with caplog.at_level(logging.INFO, logger="clockless.limits"):
+        assert fork_map(abs, items) == [abs(i) for i in items]
+    assert [r.getMessage() for r in caplog.records] == [f"fork_map: {record}"]
+    workers = min(cpus, len(items))
+    assert [args for args, _ in pools] == ([(workers,)] if workers > 1 else [])
+    assert all(kw["mp_context"].get_start_method() == "fork" for _, kw in pools)
+    assert multiprocessing.active_children() == []
+
+
+def _stuck(budget):
+    raise ConvergenceError("no convergence", budget)
+
+
+def test_fork_map_brings_back_a_worker_convergence_error(pin_cpus):
+    # an exception whose args do not rebuild it cannot cross the pipe, and
+    # the pool would break instead of raising it
+    pin_cpus(2)
+    with pytest.raises(ConvergenceError) as err:
+        fork_map(_stuck, [5, 6])
+    assert str(err.value) == "no convergence (after 5 operator applications)"
+    assert err.value.iterations == 5
+    assert multiprocessing.active_children() == []

@@ -1,10 +1,7 @@
 """Fault patterns, error extraction, weight tails, and inequality suites."""
 
-import concurrent.futures
 import multiprocessing
-import os
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -284,27 +281,14 @@ def test_report_computes_each_value_once(monkeypatch, bell_circuit):
         low_energy_probe(bell_circuit, 0.4, 2 * state)
 
 
-def _cpus(monkeypatch, count):
-    """Let the suites see ``count`` CPUs and record every pool they make."""
-    pools = []
-
-    def pool(*args, **kwargs):
-        pools.append((args, kwargs))
-        return ProcessPoolExecutor(*args, **kwargs)
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-    return pools
-
-
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize(
     "names",
     [SUITE_NAMES, ("robust_input_teleport", "jordan", "detectability")],
     ids=["all", "reordered"],
 )
-def test_run_suites_match_the_serial_path(monkeypatch, cpus, names):
-    pools = _cpus(monkeypatch, cpus)
+def test_run_suites_match_the_serial_path(pin_cpus, cpus, names):
+    pools = pin_cpus(cpus)
     results = run_suites(names, 6, 3, 1)
     assert results == [run_suite(name, 6, 3, 1) for name in names]
     assert [r.suite for r in results] == list(names)
@@ -317,27 +301,34 @@ def test_run_suites_match_the_serial_path(monkeypatch, cpus, names):
     assert multiprocessing.active_children() == []
 
 
-def test_one_suite_runs_in_process(monkeypatch):
-    pools = _cpus(monkeypatch, 2)
+def test_one_suite_runs_in_process(pin_cpus):
+    pools = pin_cpus(2)
     assert run_suites(["union_bound"], 3, 0, 1) == [run_suite("union_bound", 3, 0, 1)]
     assert pools == []
 
 
-def test_run_suites_refuses_an_unknown_suite_before_any_worker(monkeypatch):
-    pools = _cpus(monkeypatch, 2)
+def test_run_suites_refuses_an_unknown_suite_before_any_worker(pin_cpus):
+    pools = pin_cpus(2)
     with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
         run_suites(["jordan", "nonsense"], 2, 0, 1)
     assert pools == []
     assert multiprocessing.active_children() == []
 
 
-def test_worker_exception_reaches_the_caller(monkeypatch):
+def test_run_suites_refuses_a_repeated_suite_before_any_worker(pin_cpus):
+    pools = pin_cpus(2)
+    with pytest.raises(ValueError, match="suite 'jordan' named more than once"):
+        run_suites(["jordan", "union_bound", "jordan"], 2, 0, 1)
+    assert pools == []
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch, pin_cpus):
     # the forked workers inherit the patched table; the error comes back by
     # pickle with its type and message, and the pool is gone when it does
     def broken(suite, index, rng):
         raise ArithmeticError(f"{suite} instance {index} broke")
 
-    _cpus(monkeypatch, 2)
+    pin_cpus(2)
     monkeypatch.setitem(soundness._SUITES, "jordan", (4, broken))
     with pytest.raises(ArithmeticError, match="^jordan instance 0 broke$"):
         run_suites(["detectability", "jordan", "union_bound"], 3, 0, 1)

@@ -1,8 +1,10 @@
 """Verify rows: status classes, oracles, and the checked closed forms."""
 
+import multiprocessing
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from clockless import verify
 from clockless.circuit import NAMED_GATES, layered
@@ -90,10 +92,12 @@ def test_clifford_holes_are_built_once_per_fixture(monkeypatch):
     assert len(bulk) == 18 and all(ch.status == "pass" for ch in bulk)
 
 
-def test_default_checks_build_no_grid_sized_block():
+def test_default_checks_build_no_grid_sized_block(pin_cpus):
     # every term the default rows rotate is a last-layer term, a Clifford
     # bulk term or a teleport-grid input term; none is extracted on all 10
-    # qubits of a grid, so the traced peak stays below one 2^10 x 2^10 block
+    # qubits of a grid, so the traced peak stays below one 2^10 x 2^10 block.
+    # One CPU keeps the cases in this process, where tracemalloc sees them.
+    pin_cpus(1)
     tracemalloc.start()
     try:
         verify_checks(named_fixtures(), (0.2, 0.5, 0.8), TOL)
@@ -101,3 +105,45 @@ def test_default_checks_build_no_grid_sized_block():
     finally:
         tracemalloc.stop()
     assert peak < dense_bytes(10)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_forked_verify_matches_the_serial_path(pin_cpus, cpus):
+    # each single-case call runs in this process; the full call forks one
+    # worker per CPU and must return the same rows in the same order
+    deltas = (0.2, 0.5, 0.8)
+    serial = [
+        row
+        for fixture in named_fixtures()
+        for delta in deltas
+        for row in verify_checks([fixture], (delta,), TOL)
+    ]
+    pools = pin_cpus(cpus)
+    assert verify_checks(named_fixtures(), deltas, TOL) == serial
+    if cpus == 1:
+        assert pools == []
+    else:
+        ((args, kwargs),) = pools
+        assert args == (2,)
+        assert kwargs["mp_context"].get_start_method() == "fork"
+    assert multiprocessing.active_children() == []
+
+
+def test_one_verify_case_makes_no_pool(pin_cpus, identity1):
+    pools = pin_cpus(2)
+    checks = verify_checks([("id1", identity1)], (0.5,), TOL)
+    assert pools == [] and {ch.status for ch in checks} == {"pass"}
+
+
+def test_verify_worker_exception_reaches_the_caller(monkeypatch, pin_cpus):
+    # the forked workers inherit the patched name; the error comes back by
+    # pickle with its type and message, and no worker outlives the call
+    def broken(term, c):
+        raise ArithmeticError(f"rotate_term broke on layer {term.layer}")
+
+    pools = pin_cpus(2)
+    monkeypatch.setattr(verify, "rotate_term", broken)
+    with pytest.raises(ArithmeticError, match="^rotate_term broke on layer 1$"):
+        verify_checks(named_fixtures(), (0.2, 0.5, 0.8), TOL)
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
