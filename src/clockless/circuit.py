@@ -1,19 +1,20 @@
-"""Layered circuits, validation, and degree reduction.
+"""Layered circuits and degree reduction.
 
 A LayeredCircuit is a sequence of layers of gates on n wires; the first a
 wires are ancillas initialized to |0>, the remaining n - a carry the witness.
-Valid circuits are total: every wire is covered in every layer, with identity
-gates materialized explicitly (the Hamiltonian construction places one
-propagation term per gate per layer, idle wires included).
+Every circuit is total by construction: every wire is covered exactly once in
+every layer, with identity gates materialized explicitly (the Hamiltonian
+construction places one propagation term per gate per layer, idle wires
+included).
 
 Gate matrices index their wires most-significant-first: for CNOT on wires
 (c, t), wire c is the control. Wire 0 is the least significant bit of every
 state vector, as in linalg.
 
-The helpers every downstream construction shares live here: ``require_valid``
-(raise on any ``validate`` diagnostic), ``resolve_witness`` and
-``input_state`` (the witness and the input column |0^a> (x) |xi>), and
-``nontrivial_gates`` (the serialized non-identity gates).
+The helpers every downstream construction shares live here:
+``resolve_witness`` and ``input_state`` (the witness and the input column
+|0^a> (x) |xi>), and ``nontrivial_gates`` (the serialized non-identity
+gates).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "LayerOperator",
     "LayeredCircuit",
     "NAMED_GATES",
-    "Violation",
     "apply_circuit",
     "block_wire",
     "circuit_unitary",
@@ -42,10 +42,7 @@ __all__ = [
     "layer_unitary",
     "layered",
     "nontrivial_gates",
-    "pad_identities",
-    "require_valid",
     "resolve_witness",
-    "validate",
 ]
 
 NAMED_GATES: dict[str, np.ndarray] = {
@@ -144,7 +141,13 @@ def _clifford_check(g: Gate) -> bool:
 
 @dataclass(frozen=True)
 class LayeredCircuit:
-    """Gates arranged in layers on n wires, the first a of them ancillas."""
+    """Gates arranged in layers on n wires, the first a of them ancillas.
+
+    Every layer covers every wire exactly once: a gate on a wire outside
+    0..n-1, or two gates on one wire in one layer, raise ValueError, and
+    each wire a layer leaves uncovered gets an identity gate, appended after
+    the layer's own gates in ascending wire order.
+    """
 
     n: int
     a: int
@@ -155,9 +158,24 @@ class LayeredCircuit:
             raise ValueError(f"need at least one wire, got n={self.n}")
         if not 0 <= self.a <= self.n:
             raise ValueError(f"ancilla count {self.a} out of range for n={self.n}")
-        object.__setattr__(
-            self, "layers", tuple(tuple(layer) for layer in self.layers)
-        )
+        layers = (self._total(i, tuple(layer)) for i, layer in enumerate(self.layers))
+        object.__setattr__(self, "layers", tuple(layers))
+
+    def _total(self, idx: int, layer: tuple[Gate, ...]) -> tuple[Gate, ...]:
+        """The layer's gates, then an identity on each wire they leave uncovered."""
+        seen: dict[int, Gate] = {}
+        for g in layer:
+            for w in g.wires:
+                if not 0 <= w < self.n:
+                    wires, problem = g.wires, f"wire {w} outside 0..{self.n - 1}"
+                elif w in seen:
+                    wires = tuple(sorted(set(seen[w].wires) | set(g.wires)))
+                    problem = f"wire {w} covered by two gates in one layer"
+                else:
+                    seen[w] = g
+                    continue
+                raise ValueError(f"layer {idx}, wires {wires}: {problem}")
+        return layer + tuple(gate("I", (w,)) for w in range(self.n) if w not in seen)
 
     @property
     def depth(self) -> int:
@@ -169,79 +187,9 @@ class LayeredCircuit:
 
 
 def layered(n: int, a: int, layer_specs) -> LayeredCircuit:
-    """Convenience builder: each layer is a list of (name_or_matrix, wires).
-
-    Uncovered wires get explicit identity gates, so the result satisfies
-    the totality invariant.
-    """
-    layers = []
-    for spec in layer_specs:
-        layers.append(tuple(gate(item, wires) for item, wires in spec))
-    return pad_identities(LayeredCircuit(n, a, tuple(layers)))
-
-
-def pad_identities(c: LayeredCircuit) -> LayeredCircuit:
-    """Insert explicit 1-qubit identity gates on every uncovered wire."""
-    layers = []
-    for layer in c.layers:
-        covered = {w for g in layer for w in g.wires}
-        padding = tuple(
-            gate("I", (w,)) for w in range(c.n) if w not in covered
-        )
-        layers.append(tuple(layer) + padding)
-    return LayeredCircuit(c.n, c.a, tuple(layers))
-
-
-@dataclass(frozen=True)
-class Violation:
-    layer: int
-    wires: tuple[int, ...]
-    message: str
-
-    def __str__(self) -> str:
-        return f"layer {self.layer}, wires {self.wires}: {self.message}"
-
-
-def validate(c: LayeredCircuit) -> list[Violation]:
-    """Diagnose the two structural invariants; empty list means valid.
-
-    Checks, per layer: gate supports pairwise disjoint, every wire covered,
-    and every wire index within range. Diagnostics are the return value, not
-    exceptions, so invalid circuits can be inspected.
-    """
-    problems: list[Violation] = []
-    for idx, layer in enumerate(c.layers):
-        seen: dict[int, Gate] = {}
-        for g in layer:
-            for w in g.wires:
-                if w >= c.n or w < 0:
-                    problems.append(
-                        Violation(idx, g.wires, f"wire {w} outside 0..{c.n - 1}")
-                    )
-                elif w in seen:
-                    problems.append(
-                        Violation(
-                            idx,
-                            tuple(sorted(set(seen[w].wires) | set(g.wires))),
-                            f"wire {w} covered by two gates in one layer",
-                        )
-                    )
-                else:
-                    seen[w] = g
-        uncovered = tuple(w for w in range(c.n) if w not in seen)
-        if uncovered:
-            problems.append(
-                Violation(idx, uncovered, "wires not covered by any gate")
-            )
-    return problems
-
-
-def require_valid(c: LayeredCircuit) -> None:
-    """Raise ValueError listing every ``validate`` diagnostic, if any."""
-    problems = validate(c)
-    if problems:
-        listing = "; ".join(str(p) for p in problems)
-        raise ValueError(f"invalid circuit: {listing}")
+    """Convenience builder: each layer is a list of (name_or_matrix, wires)."""
+    layers = (tuple(gate(item, wires) for item, wires in spec) for spec in layer_specs)
+    return LayeredCircuit(n, a, tuple(layers))
 
 
 def resolve_witness(c: LayeredCircuit, xi=None) -> np.ndarray:
@@ -353,7 +301,6 @@ def degree_reduce(c: LayeredCircuit) -> LayeredCircuit:
     last block. Circuits with at most one nontrivial gate already satisfy
     the degree bound and are returned unchanged.
     """
-    require_valid(c)
     gates = nontrivial_gates(c)
     num_blocks = len(gates)
     if num_blocks <= 1:
@@ -374,5 +321,4 @@ def degree_reduce(c: LayeredCircuit) -> LayeredCircuit:
                 gate("SWAP", (label(t, j), label(t + 1, j))) for j in range(n)
             )
             layers.append(swaps)
-    out = LayeredCircuit(total, total_ancillas, tuple(layers))
-    return pad_identities(out)
+    return LayeredCircuit(total, total_ancillas, tuple(layers))

@@ -36,7 +36,6 @@ from .limits import SCAN_POINT_CAP, ResourceError, set_blas_threads
 from .peps import build_peps, resolve_deltas
 from .soundness import (
     SUITE_NAMES, FaultMismatch, fault_experiment, require_suites, run_suites,
-    worker_count,
 )
 from .spectral import ConvergenceError, parent_spectrum
 from .verify import SCAN_HEADER, named_fixtures, scan_row, verify_checks
@@ -126,6 +125,8 @@ def _parse_assignments(pairs, what: str) -> dict[int, float]:
             raise InputError(f"{what} expects LAYER=VALUE, got {pair!r}") from None
         if layer < 1:
             raise InputError(f"{what} layers are 1-based, got {layer}")
+        if layer in out:
+            raise InputError(f"{what} names layer {layer} more than once")
         out[layer] = value
     return out
 
@@ -377,12 +378,8 @@ def cmd_soundness(cfg: RunConfig) -> int:
         raise InputError(str(e)) from None
     # A bad fault file is refused before any suite runs or file is written.
     report = None if cfg.fault_file is None else _fault_report(cfg)
-    try:
-        workers = worker_count()
-    except ValueError as e:
-        raise InputError(str(e)) from None
     _echo_config(cfg)
-    results = run_suites(names, cfg.instances, cfg.seed, workers)
+    results = run_suites(names, cfg.instances, cfg.seed)
     failures = 0
     for result in results:
         failures += len(result.failures)

@@ -30,8 +30,6 @@ from .circuit import (
     apply_circuit,
     input_state,
     nontrivial_gates,
-    pad_identities,
-    require_valid,
 )
 from .hamiltonian import LocalTerm, SparseOperator
 from .limits import ResourceError, require, vector_bytes
@@ -115,12 +113,6 @@ class ClockHamiltonian:
     def num_qubits(self) -> int:
         return self.num_data + self.num_steps
 
-    def clock_qubit(self, t: int) -> int:
-        """Qubit index of the 1-based clock step ``t``."""
-        if not 1 <= t <= self.num_steps:
-            raise ValueError(f"step {t} outside 1..{self.num_steps}")
-        return self.num_data + t - 1
-
     def degree_table(self) -> dict[int, int]:
         """How many terms act on each qubit (zero entries included)."""
         table = {q: 0 for q in range(self.num_qubits)}
@@ -193,8 +185,6 @@ def build_modified_fk(c: LayeredCircuit) -> ClockHamiltonian:
     rejected, as are gates on more than two wires, since either would push
     a qubit past the intended term budget.
     """
-    c = pad_identities(c)
-    require_valid(c)
     steps = tuple(nontrivial_gates(c))
     meets: dict[int, int] = {}
     for g in steps:
@@ -454,9 +444,7 @@ def build_dl_verifier(
             wires = tuple(m + q for q in reversed(terms[i].support)) + (i,)
             gates.append(Gate(wires=wires, unitary=flip, name=None))
         layers.append(tuple(gates))
-    circuit = pad_identities(
-        LayeredCircuit(n=m + data, a=m, layers=tuple(layers))
-    )
+    circuit = LayeredCircuit(n=m + data, a=m, layers=tuple(layers))
     plan = MeasurementPlan(
         wires=tuple(range(m)),
         accept_bits=(0,) * m,
@@ -553,8 +541,6 @@ def build_swap_test_verifier(
     everything else is parallel, so the depth grows with the register
     width, not with T.
     """
-    c = pad_identities(c)
-    require_valid(c)
     steps = tuple(nontrivial_gates(c)) or (_IDENTITY_STEP,)
     big_t = len(steps)
     w = c.n
@@ -597,12 +583,8 @@ def build_swap_test_verifier(
     second = [(0, 1)] + [(2 * t, 2 * t + 1) for t in range(1, big_t)]
     swap_stage(second, big_t - 1)
 
-    circuit = pad_identities(
-        LayeredCircuit(
-            n=ancillas + 2 * big_t * w,
-            a=ancillas,
-            layers=tuple(tuple(layer) for layer in layers),
-        )
+    circuit = LayeredCircuit(
+        n=ancillas + 2 * big_t * w, a=ancillas, layers=tuple(layers)
     )
     plan = MeasurementPlan(
         wires=tuple(range(ancillas)) + (reg(2 * big_t - 1, 0),),
@@ -622,7 +604,6 @@ def swap_test_witness(c: LayeredCircuit, xi=None) -> np.ndarray:
     Register 0 holds the circuit input, registers 2t-1 and 2t both hold
     the state after step t, and the last register holds the final state.
     """
-    c = pad_identities(c)
     steps = tuple(nontrivial_gates(c)) or (_IDENTITY_STEP,)
     big_t = len(steps)
     w = c.n

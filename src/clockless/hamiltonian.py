@@ -329,10 +329,6 @@ class HamiltonianSpec:
                 )
         object.__setattr__(self, "terms", terms)
 
-    @property
-    def num_terms(self) -> int:
-        return len(self.terms)
-
 
 def parent_spec(c: LayeredCircuit, deltas) -> HamiltonianSpec:
     """All input and propagation terms of a circuit's grid.

@@ -20,7 +20,7 @@ import tempfile
 import numpy as np
 import scipy.io
 
-from .circuit import Gate, LayeredCircuit, NAMED_GATES, pad_identities, validate
+from .circuit import Gate, LayeredCircuit, NAMED_GATES
 from .soundness import FaultPattern, SuiteResult
 
 CIRCUIT_SCHEMA_VERSION = 1
@@ -307,15 +307,9 @@ def circuit_from_json(obj) -> LayeredCircuit:
                 raise SchemaError(str(e), field_g) from e
         layers.append(tuple(gates))
     try:
-        circuit = pad_identities(
-            LayeredCircuit(n=n, a=a, layers=tuple(layers))
-        )
+        return LayeredCircuit(n=n, a=a, layers=tuple(layers))
     except ValueError as e:
         raise SchemaError(str(e), "layers") from e
-    problems = validate(circuit)
-    if problems:
-        raise SchemaError(str(problems[0]), "layers")
-    return circuit
 
 
 def read_circuit_json(path) -> LayeredCircuit:

@@ -77,11 +77,10 @@ def pauli_matrix(tag: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PauliWord:
-    """A tuple of Pauli tags, one per error slot, with its non-identity count.
+    """A tuple of Pauli tags, one per error slot.
 
     The slot order is owned by whoever creates the word (for grid states it
-    is the site order of the grid layout). Weight is always recomputed from
-    the entries, never cached.
+    is the site order of the grid layout).
     """
 
     entries: tuple[str, ...]
@@ -90,10 +89,6 @@ class PauliWord:
         for tag in self.entries:
             if tag not in _MATRICES:
                 raise ValueError(f"unknown Pauli tag {tag!r} in word")
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for tag in self.entries if tag != "I")
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -38,7 +38,6 @@ from .circuit import (
     LayeredCircuit,
     input_state,
     layer_unitary,
-    require_valid,
     resolve_witness,
 )
 from .limits import EXPANSION_WORD_CAP, ResourceError, require, vector_bytes
@@ -99,12 +98,6 @@ class GridLayout:
     def output_qubit(self, row: int) -> int:
         return self.qubit_index(row, 2 * self.depth)
 
-    def site_index(self, layer: int, row: int) -> int:
-        """Flat index of the shifted pair at (layer, row); layers are 1-based."""
-        if not 1 <= layer <= self.depth:
-            raise ValueError(f"layer {layer} out of range 1..{self.depth}")
-        return (layer - 1) * self.n + row
-
     def site_qubits(self, layer: int, row: int) -> tuple[int, int]:
         """(lower, higher) qubit of the shifted pair at (layer, row)."""
         lo = self.qubit_index(row, 2 * layer - 2)
@@ -146,11 +139,6 @@ class FaultPattern:
             "layers",
             tuple(frozenset(int(w) for w in s) for s in self.layers),
         )
-
-    @property
-    def budget(self) -> int:
-        """Total count of faulted wires, inputs plus every layer."""
-        return len(self.inputs) + sum(len(s) for s in self.layers)
 
 
 @dataclass(frozen=True)
@@ -276,7 +264,6 @@ def build_peps(c: LayeredCircuit, deltas, xi=None, payloads=None) -> PepsState:
     vector, possibly empty) the state is faulted at exactly those
     locations and records them as its ``fault``.
     """
-    require_valid(c)
     xi = resolve_witness(c, xi)
     schedule = resolve_deltas(deltas, c.depth)
     layout = GridLayout(c.n, c.depth)
@@ -344,7 +331,6 @@ def expansion(c: LayeredCircuit, xi, deltas) -> ExpansionResult:
     non-identity tag acts on the columns whose word carries that tag there,
     then one ``LayerOperator.apply`` moves the whole batch through the layer.
     """
-    require_valid(c)
     input_vec = input_state(c, xi)
     schedule = resolve_deltas(deltas, c.depth)
     require_expansion(c)
@@ -420,7 +406,6 @@ def depolarizing_reference_marginal(c: LayeredCircuit, xi, deltas) -> np.ndarray
     probability p each, p = delta_l^2/(1+3 delta_l^2), then the layer's
     unitary.
     """
-    require_valid(c)
     vec = input_state(c, xi)
     schedule = resolve_deltas(deltas, c.depth)
     rho = np.outer(vec, vec.conj())

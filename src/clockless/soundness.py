@@ -11,9 +11,9 @@ suites. ``low_energy_probe`` checks those lemmas on a noisy grid state; its
 report computes a value only when asked, so a suite row pays for one record.
 
 ``run_suites`` runs the suites through ``limits.fork_map``, in forked
-worker processes, one per CPU, each suite whole in one worker;
-CLOCKLESS_THREADS sets the threads inside each suite. Every instance draws
-from its own generator, so the records do not depend on where a suite ran.
+worker processes, one per CPU, each suite whole in one worker. Every
+instance draws from its own generator, so the records do not depend on
+where a suite ran.
 """
 
 from __future__ import annotations
@@ -21,19 +21,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import (
-    Gate,
-    LayeredCircuit,
-    layered,
-    pad_identities,
-    require_valid,
-)
+from .circuit import Gate, LayeredCircuit, layered
 from .hamiltonian import energy, input_term, parent_spec, propagation_term, term_energy
 from .limits import enumeration_bytes, fork_map, require
 from .linalg import (
@@ -140,7 +133,6 @@ def fault_locations(
     c: LayeredCircuit, fault: FaultPattern
 ) -> set[tuple]:
     """The declared fault locations as comparable (kind, ...) keys."""
-    c = pad_identities(c)
     keys: set[tuple] = {("input", w) for w in fault.inputs}
     for layer_idx, g in _faulted_gates(c, fault):
         keys.add(("gate", layer_idx, g.wires))
@@ -177,9 +169,8 @@ def build_combinatorial_state(
     by (layer, wires), in the index convention of ``choi_factor`` (output
     side bits most significant). Payloads are normalized here, so only
     their direction matters; the witness ``xi`` must already be a unit
-    vector. The state is built by ``build_peps`` on the padded circuit.
+    vector. The state is built by ``build_peps``.
     """
-    c = pad_identities(c)
     declared = fault_locations(c, fault)
     payloads = {("input", w): v for w, v in (input_payloads or {}).items()}
     payloads.update(
@@ -464,7 +455,6 @@ def fault_experiment(
     times the number of sites with the independent-site tail. Raises
     FaultMismatch when the pattern does not fit the circuit.
     """
-    c = pad_identities(c)
     inputs, gates = canonical_payloads(c, fault)
     state = build_combinatorial_state(
         c, deltas, fault, input_payloads=inputs, gate_payloads=gates
@@ -612,22 +602,6 @@ class LowEnergyReport:
     def failures(self) -> tuple[LemmaRecord, ...]:
         return tuple(r for r in self.records if not r.holds)
 
-    @property
-    def total_energy(self) -> float:
-        """Sum of the term energies in ``parent_spec``'s term order."""
-        per = [self._energy(1, wire=w) for w in range(self.circuit.a)]
-        for layer, gates in enumerate(self.circuit.layers, start=1):
-            per += [self._energy(layer, g) for g in gates]
-        return float(sum(per))
-
-    @property
-    def site_overlaps(self) -> dict:
-        return {s: self._overlap(s) for s in self.layout.sites()}
-
-    @property
-    def output_zero_weights(self) -> dict:
-        return {w: self._zero_weight(w) for w in range(self.circuit.a)}
-
 
 def low_energy_probe(c: LayeredCircuit, deltas, state) -> LowEnergyReport:
     """Measure a state against every locally checkable soundness handle.
@@ -648,8 +622,6 @@ def low_energy_probe(c: LayeredCircuit, deltas, state) -> LowEnergyReport:
 
     Rows or gates outside a lemma's stated shape are skipped, not forced.
     """
-    c = pad_identities(c)
-    require_valid(c)
     vec = np.asarray(getattr(state, "amplitudes", state), dtype=np.complex128)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
         raise ValueError(f"expected a unit-norm state, got norm {np.linalg.norm(vec)}")
@@ -875,24 +847,6 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES)
 
 
-def worker_count(explicit=None) -> int:
-    """Threads per suite in ``run_suite``: ``explicit``, else the
-    CLOCKLESS_THREADS environment variable, else 1; at least 1. One thread
-    is the default because the instances are GIL-bound small calls; the
-    suites gain from processes instead. On 2 vCPUs, with numpy's BLAS on
-    one thread, the seven suites at seed 41, 200 instances, took 1.11-1.56 s
-    (median 1.44 s) in one process and 0.74-1.24 s (median 0.85 s) in
-    ``run_suites``' two forked workers, over 10 fresh processes each."""
-    if explicit is None:
-        explicit = os.environ.get("CLOCKLESS_THREADS") or 1
-    try:
-        return max(1, int(explicit))
-    except ValueError:
-        raise ValueError(
-            f"CLOCKLESS_THREADS must be an integer, got {explicit!r}"
-        ) from None
-
-
 def _require_suite(name: str) -> None:
     if name not in _SUITES:
         raise ValueError(
@@ -911,42 +865,42 @@ def require_suites(names) -> None:
 
 
 def run_suite(
-    name: str, instances: int = 200, seed: int = 0, max_workers=None
+    name: str, instances: int = 200, seed: int = 0, max_workers: int = 1
 ) -> SuiteResult:
     """Run one named inequality suite over seeded random instances.
 
     Instance ``i`` derives its generator from (seed, suite salt, i), so
     any single row can be replayed in isolation; results are merged in
-    index order regardless of how many threads ran them. The thread count
-    is ``worker_count(max_workers)``; ``run_suites`` runs whole suites in
-    separate processes.
+    index order regardless of how many of the ``max_workers`` threads ran
+    them. Threads do not speed up these GIL-bound small calls; the commands
+    run one thread per suite and ``run_suites`` puts whole suites in forked
+    workers instead.
     """
     _require_suite(name)
     one = functools.partial(replay_instance, name, seed)
-    workers = worker_count(max_workers)
-    if workers == 1 or instances <= 1:
+    if max_workers <= 1 or instances <= 1:
         records = [one(i) for i in range(instances)]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=max_workers) as pool:
             records = list(pool.map(one, range(instances)))
     return SuiteResult(name, seed, tuple(records))
 
 
-def run_suites(names, instances: int, seed: int, threads) -> list[SuiteResult]:
-    """``run_suite(name, instances, seed, threads)`` for each name, in order.
+def run_suites(names, instances: int, seed: int) -> list[SuiteResult]:
+    """``run_suite(name, instances, seed)`` for each name, in order.
 
     The suites run through ``limits.fork_map``: each suite whole in a forked
     worker, one per CPU and at most one per suite, or here, one after the
-    other, with one worker. ``threads`` is each suite's thread count. An
-    unknown or repeated name is refused before any worker starts.
+    other, with one worker. An unknown or repeated name is refused before
+    any worker starts.
     """
     require_suites(names)
-    cases = [(name, instances, seed, threads) for name in names]
+    cases = [(name, instances, seed) for name in names]
     return fork_map(_suite_case, cases)
 
 
 def _suite_case(case) -> SuiteResult:
-    """``run_suite`` on one ``(name, instances, seed, threads)`` case."""
+    """``run_suite`` on one ``(name, instances, seed)`` case."""
     return run_suite(*case)
 
 

@@ -1,4 +1,4 @@
-"""Layered circuits, validation, and the wire-degree reduction."""
+"""Layered circuits, their totality invariant, and the wire-degree reduction."""
 
 import numpy as np
 import pytest
@@ -16,10 +16,10 @@ from clockless.circuit import (
     input_state,
     layer_unitary,
     layered,
-    pad_identities,
     resolve_witness,
-    validate,
 )
+from clockless.cli import main
+from clockless.io import json_text
 from clockless.linalg import basis_state, product_state, random_state
 
 
@@ -49,20 +49,38 @@ def test_gate_validation():
 
 
 def test_layered_pads_identities():
-    c = layered(3, 0, [[("H", (1,))]])
-    covered = sorted(w for g in c.layers[0] for w in g.wires)
-    assert covered == [0, 1, 2]
-    assert not validate(c)
+    # the layer's own gates first, then one identity per uncovered wire in
+    # ascending wire order
+    c = layered(4, 0, [[("CNOT", (3, 1))], [("H", (2,)), ("X", (0,))]])
+    first = [(g.name, g.wires) for g in c.layers[0]]
+    assert first == [("CNOT", (3, 1)), ("I", (0,)), ("I", (2,))]
+    second = [(g.name, g.wires) for g in c.layers[1]]
+    assert second == [("H", (2,)), ("X", (0,)), ("I", (1,)), ("I", (3,))]
 
 
-def test_validate_catches_overlap_and_range():
-    bad = LayeredCircuit(
-        2, 0, ((gate("H", (0,)), gate("X", (0,))),)
-    )
-    problems = validate(bad)
-    assert problems
-    out_of_range = LayeredCircuit(2, 0, ((gate("H", (5,)),),))
-    assert validate(out_of_range)
+@pytest.mark.parametrize(
+    "layer, message",
+    [
+        (
+            (gate("H", (0,)), gate("X", (0,))),
+            "layer 0, wires (0,): wire 0 covered by two gates in one layer",
+        ),
+        (
+            (gate("I", (1,)), gate("CNOT", (0, 1))),
+            "layer 0, wires (0, 1): wire 1 covered by two gates in one layer",
+        ),
+        ((gate("H", (5,)),), "layer 0, wires (5,): wire 5 outside 0..1"),
+        ((gate("CZ", (0, -1)),), "layer 0, wires (0, -1): wire -1 outside 0..1"),
+    ],
+    ids=["overlap", "overlap-two-wire-gate", "out-of-range", "negative"],
+)
+def test_construction_refuses_overlap_and_range(layer, message):
+    with pytest.raises(ValueError) as info:
+        LayeredCircuit(2, 2, (layer,))
+    assert str(info.value) == message
+    # a later layer is named by its own index
+    with pytest.raises(ValueError, match="^layer 1, "):
+        LayeredCircuit(2, 2, ((gate("H", (0,)),), layer))
 
 
 def test_apply_circuit_matches_unitary(bell_circuit, rng):
@@ -139,12 +157,27 @@ def test_block_wire_labels():
         block_wire(3, 0, 2, 1, 2)
 
 
-def test_pad_identities_idempotent(bell_circuit):
-    once = pad_identities(bell_circuit)
-    twice = pad_identities(once)
-    assert [len(layer) for layer in once.layers] == [
-        len(layer) for layer in twice.layers
-    ]
+def test_overlapping_circuit_file_exits_2_at_layers(tmp_path, capsys):
+    path = tmp_path / "overlap.json"
+    path.write_text(json_text({
+        "version": 1, "n": 2, "a": 2,
+        "layers": [[{"gate": "H", "wires": [0]}, {"gate": "X", "wires": [0]}]],
+    }))
+    out = tmp_path / "out"
+    assert main(["build", "--circuit", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: layer 0, wires (0,): wire 0 covered by two gates in one layer "
+        "(at layers)\n"
+    )
+    assert not out.exists()
+
+
+def test_rebuilding_from_layers_keeps_gate_order(hcnot):
+    c = layered(3, 1, [[("H", (2,))], [("CNOT", (2, 0))], []])
+    for circuit in (c, hcnot):
+        # gates compare by identity: the same gate objects in the same order
+        again = LayeredCircuit(circuit.n, circuit.a, circuit.layers)
+        assert again.layers == circuit.layers
 
 
 def test_input_state_matches_loop_reference(rng):

@@ -104,6 +104,18 @@ def test_parse_assignment_errors():
     assert _parse_grid(None) is None
 
 
+@pytest.mark.parametrize("flag", ["--delta-layer", "--inject-delta"])
+def test_layer_given_twice_exits_2_without_outputs(tmp_path, hcnot_json, capsys, flag):
+    out = tmp_path / "out"
+    code = main([
+        "verify", "--circuit", hcnot_json, flag, "1=0.3", flag, "1=0.4",
+        "--out", str(out),
+    ])
+    assert code == 2
+    assert f"{flag} names layer 1 more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_schedule_overrides():
     cfg = parse_args(["build", "--delta", "0.4", "--delta-layer", "2=0.8"])
     assert _schedule(cfg, 3) == (0.4, 0.8, 0.4)
@@ -361,20 +373,6 @@ def test_soundness_keeps_the_order_given(tmp_path, capsys, monkeypatch):
     assert [s["suite"] for s in manifest["suites"]] == names
     assert all(len(read_csv(out / f"suite_{name}.csv")) == 5 for name in names)
     assert multiprocessing.active_children() == []
-
-
-def test_bad_clockless_threads_exits_2_without_outputs(
-    tmp_path, capsys, monkeypatch
-):
-    monkeypatch.setenv("CLOCKLESS_THREADS", "abc")
-    out = tmp_path / "out"
-    code = main([
-        "soundness", "--out", str(out), "--suites", "union_bound",
-        "--instances", "2",
-    ])
-    assert code == 2
-    assert "CLOCKLESS_THREADS must be an integer, got 'abc'" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
 
 
 def test_soundness_unknown_suite(tmp_path, capsys):

@@ -48,12 +48,9 @@ def test_clock_register_layout(clock, reduced):
     assert clock.num_data == reduced.n == 4
     assert clock.num_steps == 4
     assert clock.num_qubits == 8
-    assert clock.clock_qubit(1) == 4
-    assert clock.clock_qubit(4) == 7
-    with pytest.raises(ValueError):
-        clock.clock_qubit(0)
-    with pytest.raises(ValueError):
-        clock.clock_qubit(5)
+    # the clock qubit of 1-based step t sits at num_data + t - 1
+    clock_qubits = {q for t in clock.terms if t.kind == "clock" for q in t.support}
+    assert clock_qubits == set(range(4, 8))
 
 
 def test_clock_term_census(clock):

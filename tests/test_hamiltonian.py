@@ -81,7 +81,7 @@ def test_input_term_defaults():
 def test_parent_spec_identity_example(identity1):
     spec = parent_spec(identity1, 0.5)
     assert spec.layout.num_qubits == 3
-    assert spec.num_terms == 2
+    assert len(spec.terms) == 2
     assert [t.kind for t in spec.terms] == ["input", "propagation"]
 
 

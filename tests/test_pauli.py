@@ -38,9 +38,12 @@ def test_unknown_tag_rejected():
 
 
 def test_weights():
-    # a word's weight counts its non-identity tags, one per single-tag word
-    assert PauliWord(("I",)).weight == 0
-    assert [PauliWord((t,)).weight for t in ("X", "XZ", "Z")] == [1, 1, 1]
+    # Q(delta) weighs each Bell state by delta to its tag's weight: 0 for
+    # the identity tag, 1 for each other tag
+    for tag in PAULI_TAGS:
+        weight = int(tag != "I")
+        pair = bell_state(tag)
+        assert np.allclose(q_matrix(0.3) @ pair, 0.3**weight * pair)
 
 
 def test_bell_states_match_tag_action():
@@ -131,7 +134,6 @@ def test_phi0_is_normalized_q_on_uniform():
 
 def test_pauli_word():
     w = PauliWord(("I", "X", "Z", "I"))
-    assert w.weight == 2
     assert len(w) == 4
     assert str(w) == "I.X.Z.I"
     assert list(w) == ["I", "X", "Z", "I"]

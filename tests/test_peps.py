@@ -37,11 +37,8 @@ def test_grid_layout_indices():
     assert layout.site_qubits(2, 1) == (7, 8)
     assert layout.choi_qubits(1, 0) == (1, 2)
     assert layout.sites() == [(1, 0), (1, 1), (2, 0), (2, 1)]
-    assert layout.site_index(2, 1) == 3
     with pytest.raises(ValueError):
         layout.qubit_index(2, 0)
-    with pytest.raises(ValueError):
-        layout.site_index(3, 0)
 
 
 def test_resolve_deltas():
@@ -81,21 +78,23 @@ def test_expansion_reassembles_built_state(bell_circuit, delta):
 
 
 def expansion_loop_reference(c, xi, schedule, words):
-    """The expansion word by word: coefficient and output state of each."""
-    layout = GridLayout(c.n, c.depth)
+    """The expansion word by word: coefficient and output state of each.
+
+    A word's entry at (layer, row) sits at (layer - 1) * n + row, the
+    position of that site in ``GridLayout.sites()``."""
     out = {}
     for entries in words:
         coeff = 1.0
         for layer in range(1, c.depth + 1):
             layer_weight = sum(
                 1 for row in range(c.n)
-                if entries[layout.site_index(layer, row)] != "I"
+                if entries[(layer - 1) * c.n + row] != "I"
             )
             coeff *= schedule[layer - 1] ** layer_weight
         state = input_state(c, xi)
         for layer in range(1, c.depth + 1):
             for row in range(c.n):
-                tag = entries[layout.site_index(layer, row)]
+                tag = entries[(layer - 1) * c.n + row]
                 if tag != "I":
                     state = apply_matrix(state, pauli_matrix(tag), (row,), c.n)
             state = layer_unitary(c, layer - 1).apply(state)
