@@ -51,7 +51,6 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse
-import scipy.sparse.linalg
 
 from .circuit import Gate, LayeredCircuit
 from .limits import coo_bytes, dense_bytes, require
@@ -191,7 +190,7 @@ class DressedTerm:
         if basis.ndim != 2 or basis.shape[0] != 2 ** len(inner):
             raise ValueError(f"basis shape {basis.shape} does not match inner {inner}")
         gram = basis.conj().T @ basis - np.eye(basis.shape[1])
-        if np.abs(gram).max(initial=0.0) > 1e-10:
+        if not np.abs(gram).max(initial=0.0) <= 1e-10:  # NaN fails too
             raise ValueError("basis columns must be orthonormal")
         basis.flags.writeable = False
         values = (tuple(int(w) for w in self.wires), pairs, inner, basis)
@@ -373,11 +372,6 @@ class SparseOperator:
                 vec, t.block, tuple(reversed(t.support)), self.num_qubits
             )
         return out
-
-    def as_linear_operator(self) -> scipy.sparse.linalg.LinearOperator:
-        return scipy.sparse.linalg.LinearOperator(
-            (self.dim, self.dim), matvec=self.apply, dtype=np.complex128
-        )
 
     def require_sparse(self) -> None:
         nonzeros = sum(

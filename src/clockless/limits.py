@@ -102,9 +102,11 @@ def set_blas_threads() -> dict[str, int]:
 
     The two pools contend for the cores: on 2 cores ``soundness`` took
     5.9-6.1 s with both at their default, 4.2-4.3 s with numpy's at one
-    thread. scipy's keeps its threads for the dense ``eigh``; the small
-    eigensolves of ``spectral`` and ``run_suite``, one worker by default,
-    run on numpy's one thread. An explicit ``OPENBLAS_NUM_THREADS`` wins.
+    thread. scipy's keeps its threads for the dense ``eigh`` of
+    ``spectral.parent_spectrum``. The small numpy eigensolves of the
+    soundness suites (``jordan_angles``, ``geometric_bound``) run on numpy's
+    one thread, which the forked suite workers inherit. An explicit
+    ``OPENBLAS_NUM_THREADS`` wins.
     Returns the counts set, by library, or {} (and a log line) when
     nothing was set. Safe to call again.
     """

@@ -870,11 +870,13 @@ def run_suite(
     """Run one named inequality suite over seeded random instances.
 
     Instance ``i`` derives its generator from (seed, suite salt, i), so
-    any single row can be replayed in isolation; results are merged in
-    index order regardless of how many of the ``max_workers`` threads ran
-    them. Threads do not speed up these GIL-bound small calls; the commands
-    run one thread per suite and ``run_suites`` puts whole suites in forked
-    workers instead.
+    any single row can be replayed in isolation, and the records come back
+    in index order. The commands reach it through ``run_suites``, which
+    runs each suite whole in one forked worker, its instances one after the
+    other. ``max_workers`` above 1 spreads the instances over that many
+    threads instead; these small GIL-bound calls gain nothing from it, and
+    only the benchmark's tracer test sets it, to check the spans of worker
+    threads.
     """
     _require_suite(name)
     one = functools.partial(replay_instance, name, seed)

@@ -1,21 +1,20 @@
-"""Eigensolvers and subspace-angle diagnostics for grid Hamiltonians.
+"""Eigensolvers, the ground-space certificates, and subspace-angle diagnostics.
 
-There are two eigensolvers.  ``dense_spectrum`` is the oracle: a full
-Hermitian eigendecomposition, against which everything else in the package
-is checked.  ``low_spectrum`` wraps ARPACK's implicitly restarted iteration
-(``scipy.sparse.linalg.eigsh``) over matrix-free operator applications, and
-reaches the sizes the dense path cannot.  Both report eigenvalues in
-ascending order, the dimension of the zero-energy ground space, and the gap
-above it, and both refuse a run over the memory budget before they
-allocate.  ``parent_spectrum`` is the entry point of ``build``, ``scan``
-and ``gap_vs_bound``.  It takes a parent Hamiltonian's ground space from
-the grid states it is built from, and the levels above it from the lowest
-eigenvalues of the operator with those states lifted out of the way: dense
-up to ``DENSE_QUBITS`` qubits, iterative past that.  ``ground_state`` is the
-inertia oracle for a ground-state check: one LDL† factor of
-``H - GROUND_CUTOFF·I``, sparse where that can be trusted (3-13 ms at 10
-qubits on 2 vCPUs, against 30-160 ms dense), counts the eigenvalues below
-the cutoff, and inverse iteration on it gives a unique ground vector.
+A parent Hamiltonian's ground space is never searched for: it is the span
+of the grid states it is built from (the injective-PEPS parent theorem;
+Pérez-García, Verstraete, Wolf and Cirac, arXiv:0707.2260), and each
+entry point certifies that claim with no eigenvalue cutoff.
+
+* ``parent_spectrum``, behind ``build``, ``scan`` and ``gap_vs_bound``,
+  takes the levels above the grid states from the lowest eigenvalues of
+  the operator with those states lifted out of the way: by
+  ``dense_spectrum``, a full Hermitian eigendecomposition and the oracle
+  of the tests, up to ``DENSE_QUBITS`` qubits, and by ``low_spectrum``,
+  ARPACK's implicitly restarted iteration over matrix-free operator
+  applications, past that.
+* ``ground_certificate``, behind ``verify``'s ground row, bounds the angle
+  between one grid state and the ground vector by Davis–Kahan, from one
+  Sylvester inertia count on an LDL† factor of the shifted parent.
 
 The rest of the module measures how the ground spaces of term families sit
 relative to each other.  ``detectability_check`` and ``union_bound_check``
@@ -38,34 +37,20 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.linalg import (
-    ArpackNoConvergence,
-    LinearOperator,
-    SuperLU,
-    aslinearoperator,
-    eigsh,
-    splu,
-)
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .circuit import LayeredCircuit
-from .hamiltonian import (
-    HamiltonianSpec,
-    SparseOperator,
-    assemble,
-    parent_spec,
-)
+from .hamiltonian import HamiltonianSpec, SparseOperator, assemble, parent_spec
 from .limits import dense_bytes, require, vector_bytes
 from .linalg import basis_state, require_projector
 from .peps import PepsState, build_peps, resolve_deltas
 
 __all__ = [
     "DENSE_QUBITS",
-    "GROUND_CUTOFF",
     "ConvergenceError",
-    "GroundState",
     "SpectralReport",
     "dense_spectrum",
-    "ground_state",
+    "ground_certificate",
     "low_spectrum",
     "parent_spectrum",
     "gap_vs_bound",
@@ -79,10 +64,6 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
-
-# Eigenvalues below this absolute cutoff count as ground states in the two
-# oracles and ``ground_state``; ``parent_spectrum`` has no cutoff.
-GROUND_CUTOFF = 1e-9
 
 
 class ConvergenceError(RuntimeError):
@@ -107,23 +88,23 @@ class ConvergenceError(RuntimeError):
 class SpectralReport:
     """Lowest eigenpairs of a Hermitian operator, with quality metadata.
 
-    ``lowest_eigenvalues`` is ascending; ``ground_dim`` counts entries
-    below ``GROUND_CUTOFF``, or in ``parent_spectrum`` the grid states that
-    span the ground space.  ``gap`` is the first eigenvalue above the
-    ground space minus the lowest one, or NaN when it is not visible.  One
-    residual norm ``‖Hv - λv‖`` is stored per retained eigenvector column.
-    ``ground_resolved`` is False when the ground space is not told apart
-    from the levels above: every value lies below the cutoff, or a parent's
-    ground space is not certified (see ``parent_spectrum``).
+    ``lowest_eigenvalues`` is ascending, with one residual norm ``‖Hv -
+    λv‖`` per retained eigenvector column.  ``dense_spectrum`` and
+    ``low_spectrum`` report levels only and claim no ground space:
+    ``ground_dim`` 0, ``gap`` NaN and ``ground_resolved`` False.
+    ``parent_spectrum`` fills the three in: ``ground_dim`` counts the grid
+    states that span the parent's ground space, ``ground_resolved`` says
+    whether the level above them is certified apart from them, and ``gap``
+    is that level minus the lowest one, or NaN when it is not resolved.
     """
 
     lowest_eigenvalues: np.ndarray
-    ground_dim: int
-    gap: float
     residuals: np.ndarray
     method: str
     eigenvectors: np.ndarray
-    ground_resolved: bool = True
+    ground_dim: int = 0
+    gap: float = float("nan")
+    ground_resolved: bool = False
 
     def __post_init__(self) -> None:
         eigs = np.asarray(self.lowest_eigenvalues, dtype=np.float64)
@@ -142,348 +123,165 @@ class SpectralReport:
         object.__setattr__(self, "lowest_eigenvalues", eigs)
 
 
-def _ground_dim(eigs: np.ndarray) -> int:
-    return int(np.count_nonzero(eigs < GROUND_CUTOFF))
-
-
-def _gap(eigs: np.ndarray, ground: int) -> float:
-    if ground >= eigs.size:
-        return float("nan")
-    return float(eigs[ground] - eigs[0])
-
-
 # Dense complex 2^N x 2^N matrices each dense path holds at its peak, rounded
 # up; measured on 10-qubit parents (tracemalloc / growth of peak RSS):
 # dense_spectrum's matrix, eigh's copy and the eigenvectors, 3.0-3.1 /
-# 3.3-3.5; ground_state's Bunch–Kaufman shifted matrix and factor, 2.1 / 2.2
-# complex and 1.6 / 1.8 real.  11 qubits fit the budget and 12 do not.  The
-# sparse path of ground_state holds far less but is refused at the same size:
-# it falls back to the dense one, and its fill grows faster than the matrix
-# (95 M entries at 14 qubits).
+# 3.3-3.5; the Bunch–Kaufman fallback of ground_certificate, its matrix
+# factored in place and scipy's unpacked L and D, 3.1 complex and 1.6 real
+# (tracemalloc).  11 qubits fit the budget and 12 do not.  The sparse factor
+# holds far less but is refused at the same size: it falls back to the
+# dense one, and its fill grows faster than the matrix (95 M entries at 14
+# qubits).
 _SPECTRUM_COPIES = 4
-_GROUND_COPIES = 3
-
-# Rows per slab of the Hermitian check of a dense matrix.
-_CHECK_ROWS = 64
+_GROUND_COPIES = 4
 
 
-def _require_square(op, what: str, copies: int) -> None:
-    """Refuse a matrix ``op`` that is not square, or of which ``copies``
-    dense matrices are over budget."""
+def _as_dense(op) -> np.ndarray:
+    """The square array ``op``, refused when it is over the memory budget."""
     if op.ndim != 2 or op.shape[0] != op.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {op.shape}")
     qubits = (op.shape[0] - 1).bit_length()
-    require(what, qubits, copies * dense_bytes(qubits))
-
-
-def _as_dense(
-    op, what: str = "a dense eigendecomposition", copies: int = 1
-) -> np.ndarray:
-    """The square array ``op``, refused as ``_require_square`` does."""
-    if not isinstance(op, np.ndarray):
-        raise TypeError(f"cannot materialize {type(op).__name__} as a dense matrix")
-    _require_square(op, what, copies)
+    require("a dense eigendecomposition", qubits, dense_bytes(qubits))
     return op
 
 
-def _finite(top: float) -> float:
-    """``top``, the largest entry of a matrix, refused when not finite."""
-    if not math.isfinite(top):
-        raise ValueError("operator has a non-finite entry")
-    return top
-
-
-def _sparse_hermitian(
-    op, what: str, copies: int
-) -> tuple[scipy.sparse.csr_matrix, float]:
-    """The CSR matrix of a ``SparseOperator`` or scipy sparse ``op`` and its
-    largest entry (at least 1), checked finite and Hermitian within 1e-10 of
-    that scale.  Refused before it is built when ``copies`` dense matrices of
-    its size are over budget."""
-    if isinstance(op, SparseOperator):
-        require(what, op.num_qubits, copies * dense_bytes(op.num_qubits))
-        sparse = op.to_sparse()
-    else:
-        _require_square(op, what, copies)
-        sparse = scipy.sparse.csr_matrix(op)
-    scale = max(1.0, _finite(float(abs(sparse).max())))
-    if float(abs(sparse - sparse.conj().T).max()) > 1e-10 * scale:
-        raise ValueError("operator is not Hermitian")
-    return sparse, scale
-
-
-def _hermitian(op, what: str, copies: int) -> tuple[np.ndarray, float]:
-    """The dense matrix of ``op`` and its largest entry (at least 1), checked
-    finite and Hermitian within 1e-10 of that scale.  A sparse input is
-    checked by ``_sparse_hermitian`` and then densified; a dense one one slab
-    of rows at a time, with no full-size temporaries beside the matrix."""
-    if isinstance(op, SparseOperator) or scipy.sparse.issparse(op):
-        sparse, scale = _sparse_hermitian(op, what, copies)
-        return sparse.toarray(), scale
-    mat = _as_dense(op, what, copies)
-    scale = skew = 0.0
-    for lo in range(0, mat.shape[0], _CHECK_ROWS):
-        rows = mat[lo : lo + _CHECK_ROWS]
-        scale = max(scale, _finite(float(np.abs(rows).max())))
-        cols = mat[:, lo : lo + _CHECK_ROWS].conj().T
-        skew = max(skew, float(np.abs(rows - cols).max()))
-    scale = max(1.0, scale)
-    if skew > 1e-10 * scale:
-        raise ValueError("operator is not Hermitian")
-    return mat, scale
-
-
-def dense_spectrum(op, vectors: int | None = None) -> SpectralReport:
-    """Hermitian eigendecomposition; the oracle for everything else.
-
-    All eigenvalues are reported.  Eigenvector columns are retained for the
-    lowest few pairs only: enough to span the ground space plus one, or
-    eight, whichever is larger; pass ``vectors`` to override.
-    """
-    mat, _ = _hermitian(op, "a dense eigendecomposition", _SPECTRUM_COPIES)
+def dense_spectrum(mat: np.ndarray, vectors: int) -> SpectralReport:
+    """Every eigenvalue of the Hermitian array ``mat``, by ``scipy.linalg.eigh``;
+    the oracle for everything else.  The lowest ``vectors`` eigenvectors are
+    retained."""
     eigs, basis = scipy.linalg.eigh(mat)
-    ground = _ground_dim(eigs)
-    keep = min(eigs.size, max(ground + 1, 8) if vectors is None else max(vectors, 1))
-    kept = np.ascontiguousarray(basis[:, :keep])
-    residuals = np.linalg.norm(mat @ kept - kept * eigs[:keep], axis=0)
+    kept = np.ascontiguousarray(basis[:, :vectors])
+    residuals = np.linalg.norm(mat @ kept - kept * eigs[: kept.shape[1]], axis=0)
     return SpectralReport(
-        lowest_eigenvalues=eigs,
-        ground_dim=ground,
-        gap=_gap(eigs, ground),
-        residuals=residuals,
-        method="dense",
+        lowest_eigenvalues=eigs, residuals=residuals, method="dense",
         eigenvectors=kept,
     )
 
 
-class GroundState(NamedTuple):
-    """Inertia count below ``GROUND_CUTOFF`` and the ground vector it implies.
+def _rounding_bound(*factors) -> float:
+    """γ_n ‖F₁⋯F_k‖₂ of nonnegative n x n factors, γ_n = (nε/2) / (1 - nε/2),
+    by ‖M‖₂ ≤ sqrt(‖M‖₁‖M‖∞): two chains of matrix-vector products."""
+    dim = factors[0].shape[0]
+    rows = cols = np.ones(dim)
+    for f in reversed(factors):
+        rows = f @ rows
+    for f in factors:
+        cols = f.T @ cols
+    nu = dim * np.finfo(np.float64).eps / 2
+    return nu / (1 - nu) * math.sqrt(float(rows.max()) * float(cols.max()))
 
-    ``ground_dim`` is the number of eigenvalues below the cutoff, exact.
-    When it is 1, ``vector`` is the unit ground vector, ``energy`` its
-    Rayleigh quotient, ``residual`` ``‖Hx - (x†Hx)x‖`` and ``solves`` the
-    inverse-iteration steps spent; otherwise ``vector`` is None, the two
-    floats NaN and ``solves`` 0.
+
+def _bunch_kaufman(shifted: np.ndarray) -> tuple[int, float]:
+    """Negative eigenvalues of the dense Hermitian ``shifted``, and the
+    backward error bound of the factor they are counted on.
+
+    LAPACK's Bunch–Kaufman ``?sytrf``/``?hetrf`` (through
+    ``scipy.linalg.ldl``, in place) factors it as L D L†, D block diagonal
+    with 1x1 and 2x2 blocks; D is tridiagonal, so its negative eigenvalues
+    come from ``eigvalsh_tridiagonal`` on its diagonal and the moduli of its
+    subdiagonal.  The computed factors are exact for a matrix within
+    p(n)u(|A| + |L||D||L†|) of A entrywise (Higham, *Accuracy and Stability
+    of Numerical Algorithms*, Thm 11.3), with |A| ≤ |L||D||L†| to first
+    order; p(n)u is taken as γ_n.
     """
-
-    ground_dim: int
-    vector: np.ndarray | None
-    energy: float
-    residual: float
-    solves: int
-
-
-def _negative_pivots(factor: np.ndarray, pivots: np.ndarray) -> int:
-    """Negative eigenvalues of the block-diagonal D of a lower Bunch–Kaufman
-    factor (LAPACK ``?sytrf``/``?hetrf`` storage): a 2x2 block, marked by two
-    equal negative pivot entries, holds one negative eigenvalue when its
-    determinant is negative and two when it is positive with a negative
-    diagonal."""
-    diag = factor.diagonal().real.tolist()
-    sub = factor.diagonal(-1).tolist()
-    piv = pivots.tolist()
-    count = k = 0
-    while k < len(diag):
-        if piv[k] > 0:
-            count += diag[k] < 0
-            k += 1
-            continue
-        a, c = diag[k], diag[k + 1]
-        det = a * c - abs(sub[k]) ** 2
-        if det < 0:
-            count += 1
-        elif det > 0:
-            count += 2 * (a < 0)
-        else:
-            count += a + c < 0
-        k += 2
-    return count
+    low, d, _ = scipy.linalg.ldl(shifted, overwrite_a=True, check_finite=False)
+    del shifted  # its memory holds LAPACK's packed factor, no longer needed
+    diag, sub = d.diagonal().real.copy(), np.abs(d.diagonal(-1))
+    del d
+    count = int(np.count_nonzero(scipy.linalg.eigvalsh_tridiagonal(diag, sub) < 0))
+    low = np.abs(low)
+    tri = scipy.sparse.diags([sub, np.abs(diag), sub], [-1, 0, 1], format="csr")
+    return count, 2 * _rounding_bound(low, tri, low.T)
 
 
-# Inverse iteration in ground_state: residual tolerance relative to the
-# largest entry, step budget and start-vector seed.  On verify's parents the
-# residual reaches 3e-16 to 6e-15 after 2 steps.
-_GROUND_TOL = 1e-12
-_GROUND_SOLVES = 10
-_GROUND_SEED = 0
+def _inertia(
+    h: scipy.sparse.csr_matrix, tau: float, limit: float
+) -> tuple[int, float]:
+    """Eigenvalues of the sparse Hermitian ``h`` below ``tau``, counted on an
+    LDL† factor of ``h - tau·I``, and b: the factor is exact for a matrix
+    within b of ``h - tau·I`` in the 2-norm.
 
-# The sparse factor has no pivoting to bound its rounding, so its count is
-# taken only when the computed factors are exact for a matrix within this
-# distance of H - GROUND_CUTOFF·I.  By Weyl's inequality an eigenvalue can
-# then land on the wrong side of the cutoff only from within 1% of the
-# cutoff; the levels that decide verify's counts (zero modes of 1e-13 and
-# below, and cnot_bulk's first excited level, 3.9e-10 to 2.3e-9 at delta
-# 0.04-0.05) lie well outside that band.  On verify's parents the bound is
-# 1.9e-15 to 1.9e-12, five times below the limit or more; a zero diagonal,
-# whose unpivoted factor grows like 1/GROUND_CUTOFF, puts it near 1e-7.
-_SPARSE_BACKWARD_ERROR = 1e-2 * GROUND_CUTOFF
-
-
-def _inverse_iteration(solve, shifted, real: bool, scale: float) -> GroundState:
-    """The unique ground vector of ``shifted + GROUND_CUTOFF·I`` by inverse
-    iteration with ``solve``, a solver for ``shifted``, from a seeded start."""
-    dim = shifted.shape[0]
-    rng = np.random.default_rng(_GROUND_SEED)
-    x = rng.standard_normal(dim)
-    if not real:
-        x = x + 1j * rng.standard_normal(dim)
-    tol = _GROUND_TOL * scale
-    for solves in range(1, _GROUND_SOLVES + 1):
-        x = solve(x)
-        x /= np.linalg.norm(x)
-        hx = shifted @ x
-        rayleigh = float(np.vdot(x, hx).real)
-        residual = float(np.linalg.norm(hx - rayleigh * x))
-        # An eigenvalue just above the cutoff can sit nearer the shift than
-        # the ground one; its vector has a positive shifted Rayleigh quotient.
-        if residual <= tol and rayleigh < 0:
-            return GroundState(1, x, rayleigh + GROUND_CUTOFF, residual, solves)
-    raise ConvergenceError(
-        f"inverse iteration did not reach residual {tol:g} below the cutoff "
-        f"within {_GROUND_SOLVES} solves",
-        _GROUND_SOLVES,
-    )
-
-
-def _bunch_kaufman_ground(mat: np.ndarray, scale: float) -> GroundState:
-    """``ground_state`` of a dense Hermitian ``mat`` on LAPACK's Bunch–Kaufman
-    factor of ``mat - GROUND_CUTOFF·I``."""
-    real = not np.iscomplexobj(mat) or not mat.imag.any()
-    # The shifted matrix stays for the residuals; the factor gets its own
-    # copy, in the column order LAPACK overwrites in place.
-    if real:
-        shifted = np.array(mat.real, dtype=np.float64)
-        names = ("sytrf", "sytrf_lwork", "sytrs")
-    else:
-        shifted = np.array(mat, dtype=np.complex128)
-        names = ("hetrf", "hetrf_lwork", "hetrs")
-    del mat
-    dim = shifted.shape[0]
-    shifted.flat[:: dim + 1] -= GROUND_CUTOFF
-    trf, trf_lwork, trs = scipy.linalg.get_lapack_funcs(names, (shifted,))
-    work, _ = trf_lwork(dim, lower=1)
-    factor, pivots, info = trf(
-        np.asfortranarray(shifted), lower=1, lwork=int(work.real), overwrite_a=1
-    )
-    count = _negative_pivots(factor, pivots)
-    if count != 1:
-        nan = float("nan")
-        return GroundState(count, None, nan, nan, 0)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"H - {GROUND_CUTOFF:g}·I is singular")
-    return _inverse_iteration(
-        lambda x: trs(factor, pivots, x, lower=1, overwrite_b=1)[0],
-        shifted, real, scale,
-    )
-
-
-def _sparse_factor(shifted) -> tuple[SuperLU | None, str]:
-    """SuperLU's factor of the sparse Hermitian ``shifted`` in a symmetric
-    order and without pivoting, or None and the reason it cannot be trusted
-    as an LDL† factor."""
+    SuperLU (``scipy.sparse.linalg.splu``) factors it in a minimum-degree
+    order of ``H + Hᵀ`` with diagonal pivots only, so that ``U = D L†`` and D
+    is U's diagonal; by Sylvester's law of inertia D has as many negative
+    entries as ``h - tau·I`` has negative eigenvalues (Golub & Van Loan,
+    *Matrix Computations*, §4.4).  A factor without pivoting has no
+    stability guarantee on an indefinite matrix, so it is used only when
+    SuperLU kept the row order equal to the column order, no pivot is zero
+    and b = γ_n ‖|L||U|‖ (Higham, Thm 9.3) is at most ``limit``.  Otherwise,
+    with a log record naming the reason, ``_bunch_kaufman`` counts on the
+    dense matrix.
+    """
+    shifted = (h - tau * scipy.sparse.identity(h.shape[0])).tocsc()
     try:
         lu = splu(
-            shifted.tocsc(),
+            shifted,
             permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0,
             options={"SymmetricMode": True},
         )
     except RuntimeError as e:  # a structurally or exactly singular column
-        return None, f"SuperLU stopped ({e})"
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        return None, "SuperLU pivoted off the diagonal"
-    if not lu.U.diagonal().all():
-        return None, "a pivot is zero"
-    # Computed factors satisfy LU = A + E with |E| <= γ_n |L||U| (Higham,
-    # *Accuracy and Stability of Numerical Algorithms*, Thm 9.3), and
-    # ‖E‖₂ <= sqrt(‖E‖₁‖E‖∞); both norms of |L||U| are two matvecs each.
-    dim = shifted.shape[0]
-    nu = dim * np.finfo(np.float64).eps / 2  # γ_n = nu / (1 - nu)
-    low, up, ones = abs(lu.L), abs(lu.U), np.ones(dim)
-    rows = float((low @ (up @ ones)).max())
-    cols = float((up.T @ (low.T @ ones)).max())
-    bound = nu / (1 - nu) * math.sqrt(rows * cols)
-    if not bound <= _SPARSE_BACKWARD_ERROR:
-        return None, (
-            f"its backward error bound {bound:.3g} exceeds "
-            f"{_SPARSE_BACKWARD_ERROR:g}"
-        )
-    return lu, ""
+        reason = f"SuperLU stopped ({e})"
+    else:
+        pivots = lu.U.diagonal()
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            reason = "SuperLU pivoted off the diagonal"
+        elif not pivots.all():
+            reason = "a pivot is zero"
+        else:
+            b = _rounding_bound(abs(lu.L), abs(lu.U))
+            if b <= limit:
+                return int(np.count_nonzero(pivots.real < 0)), b
+            reason = f"its backward error bound {b:.3g} exceeds {limit:.3g}"
+    _log.info(
+        "sparse LDL† of H - %.3g·I not trusted: %s; counting on a dense "
+        "Bunch–Kaufman factor",
+        tau, reason,
+    )
+    return _bunch_kaufman(shifted.toarray(order="F"))
 
 
-def ground_state(op) -> GroundState:
-    """Ground-space dimension by Sylvester inertia, and the unique ground vector.
+def ground_certificate(op: SparseOperator, q: np.ndarray, tol: float) -> float:
+    """A bound on sin θ, θ the angle between the unit vector ``q`` and the
+    ground vector of ``op``, or NaN when ``op``'s ground is not certified
+    unique; ``tol`` is the sin² the bound should reach.
 
-    ``op`` is checked Hermitian as in ``dense_spectrum``, and refused over
-    the same memory budget whatever its packaging; a matrix with no
-    imaginary part is factored as real.  A factor ``H - GROUND_CUTOFF·I =
-    L D L†`` has, by Sylvester's law of inertia, exactly as many negative
-    entries in D as H has eigenvalues below the cutoff (Golub & Van Loan,
-    *Matrix Computations*, §4.4).
-
-    A ``SparseOperator`` or scipy sparse matrix is factored on its sparse
-    matrix by SuperLU (``scipy.sparse.linalg.splu``), in a minimum-degree
-    order of ``H + Hᵀ`` with diagonal pivots only, so that ``U = D L†`` and
-    D is U's diagonal.  A factor without pivoting has no stability guarantee
-    on an indefinite matrix, so its count is used only when SuperLU kept the
-    row order equal to the column order, no pivot is zero, and the rounding
-    bound γ_n ‖|L||U|‖ stays below 1% of the cutoff.  Otherwise, with a log
-    record naming the reason, and for any dense input, LAPACK's
-    Bunch–Kaufman ``?sytrf`` (real) or ``?hetrf`` (complex) factors the
-    dense matrix, and ``_negative_pivots`` counts D's negative eigenvalues.
-
-    When the count is one, inverse iteration on the same factor, from a
-    seeded random start, runs until ``‖Hx - (x†Hx)x‖`` is at most 1e-12
-    times the largest entry of H (at least 1) and ``x†Hx`` lies below the
-    cutoff.  Raises ``ConvergenceError`` when ten steps do not get there
-    (as when an eigenvalue above the cutoff lies nearer to it than the
-    ground one), and ``numpy.linalg.LinAlgError`` when the dense factor is
-    singular.
+    With e0 = q†Hq and r = ‖Hq - e0·q‖, one inertia count at τ = e0 + r +
+    2r/√tol (``_inertia``) decides.  A count of one, on a factor exact
+    within b, proves the second eigenvalue λ1 ≥ τ - b (Weyl), and then the
+    Davis–Kahan sin θ theorem bounds sin θ ≤ r / (τ - b - e0 - r) (Davis and
+    Kahan, SIAM J. Numer. Anal. 7, 1 (1970)).  The sparse factor is trusted
+    up to b = r/√tol, half of τ's margin over e0 + r, which keeps sin² θ ≤
+    tol; on verify's parents b is 2e-15 to 2e-12 and the margin 1.7e-11 to
+    5.2e-11.  Any other count, as when a level lies between the ground one
+    and τ, gives NaN: no cutoff stands in for the certificate.  So does a
+    residual of exactly 0, which leaves τ no margin.  Refused over the
+    memory budget of the dense fallback before anything is built.
     """
-    what = "a ground-state factorization"
-    if not (isinstance(op, SparseOperator) or scipy.sparse.issparse(op)):
-        return _bunch_kaufman_ground(*_hermitian(op, what, _GROUND_COPIES))
-    sparse, scale = _sparse_hermitian(op, what, _GROUND_COPIES)
-    real = not np.iscomplexobj(sparse) or not sparse.data.imag.any()
-    sparse = sparse.real.astype(np.float64) if real else sparse.astype(np.complex128)
-    dim = sparse.shape[0]
-    shifted = (sparse - GROUND_CUTOFF * scipy.sparse.identity(dim)).tocsr()
-    lu, reason = _sparse_factor(shifted)
-    if lu is None:
-        _log.info(
-            "sparse LDL† of H - %g·I not trusted: %s; counting on a dense "
-            "Bunch–Kaufman factor",
-            GROUND_CUTOFF, reason,
-        )
-        return _bunch_kaufman_ground(sparse.toarray(), scale)
-    count = int(np.count_nonzero(lu.U.diagonal().real < 0))
-    if count != 1:
-        nan = float("nan")
-        return GroundState(count, None, nan, nan, 0)
-    return _inverse_iteration(lu.solve, shifted, real, scale)
-
-
-def _as_linear_operator(op) -> LinearOperator:
-    """View an operator as a scipy ``LinearOperator``, whatever its packaging."""
-    if isinstance(op, SparseOperator):
-        return op.as_linear_operator()
-    if not (
-        isinstance(op, (np.ndarray, LinearOperator)) or scipy.sparse.issparse(op)
-    ):
-        raise TypeError(f"cannot interpret {type(op).__name__} as a linear operator")
-    if len(op.shape) != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"expected a square operator, got shape {op.shape}")
-    return aslinearoperator(op)
+    qubits = op.num_qubits
+    copies = _GROUND_COPIES * dense_bytes(qubits)
+    require("a ground-state factorization", qubits, copies)
+    hq = op.apply(q)
+    e0 = float(np.vdot(q, hq).real)
+    r = float(np.linalg.norm(hq - e0 * q))
+    h = op.to_sparse()
+    h = h.real.astype(np.float64) if not h.data.imag.any() else h
+    tau = e0 + r + 2 * r / math.sqrt(tol)
+    count, b = _inertia(h, tau, r / math.sqrt(tol))
+    margin = tau - b - e0 - r
+    if count != 1 or not margin > 0:
+        return float("nan")
+    return r / margin
 
 
 def low_spectrum(
-    op,
+    op: LinearOperator,
     k: int = 6,
     tol: float = 1e-10,
     max_iter: int = 5000,
     seed: int = 0,
 ) -> SpectralReport:
-    """Lowest ``k`` eigenpairs by ARPACK, through ``scipy.sparse.linalg.eigsh``.
+    """Lowest ``k`` eigenpairs of ``op`` by ARPACK (``scipy.sparse.linalg.eigsh``).
 
     ARPACK's implicitly restarted iteration only applies the operator to
     vectors and keeps max(2k+1, 20) of them.  The complex starting vector
@@ -498,8 +296,7 @@ def low_spectrum(
     it finds further copies of a degenerate level only through rounding;
     ``dense_spectrum`` is the oracle to check it against.
     """
-    base = _as_linear_operator(op)
-    dim = base.shape[0]
+    dim = op.shape[0]
     if not 1 <= k <= dim - 2:
         raise ValueError(f"k={k} must lie in 1..{dim - 2} for dimension {dim}")
     if max_iter < 1:
@@ -512,7 +309,7 @@ def low_spectrum(
     def matvec(v: np.ndarray) -> np.ndarray:
         nonlocal spent
         spent += 1
-        return base.matvec(v)
+        return op.matvec(v)
 
     rng = np.random.default_rng(seed)
     start = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -523,7 +320,7 @@ def low_spectrum(
     # 3, 7 and 10 of the 14-qubit C14 parent at delta 0.5).
     shift = 1e-6 * (1.0 + rng.random())
     shifted = LinearOperator(
-        base.shape, matvec=lambda v: matvec(v) - shift * v, dtype=np.complex128
+        op.shape, matvec=lambda v: matvec(v) - shift * v, dtype=np.complex128
     )
     try:
         eigs, vectors = eigsh(
@@ -538,7 +335,6 @@ def low_spectrum(
     order = np.argsort(eigs)
     eigs = eigs[order] + shift
     vectors = np.ascontiguousarray(vectors[:, order])
-    ground = _ground_dim(eigs)
     residuals = np.array(
         [np.linalg.norm(matvec(v) - e * v) for e, v in zip(eigs, vectors.T)]
     )
@@ -547,13 +343,8 @@ def low_spectrum(
             f"residual check failed at {residuals.max():.3e} > {tol:g}", spent
         )
     return SpectralReport(
-        lowest_eigenvalues=eigs,
-        ground_dim=ground,
-        gap=_gap(eigs, ground),
-        residuals=residuals,
-        method="iterative",
+        lowest_eigenvalues=eigs, residuals=residuals, method="iterative",
         eigenvectors=vectors,
-        ground_resolved=ground < eigs.size,
     )
 
 
@@ -635,7 +426,7 @@ def parent_spectrum(
     return SpectralReport(
         lowest_eigenvalues=eigs,
         ground_dim=g,
-        gap=_gap(eigs, g) if resolved else float("nan"),
+        gap=float(eigs[g] - eigs[0]) if resolved else float("nan"),
         residuals=np.concatenate([ground_residuals, excited.residuals]),
         method=excited.method,
         eigenvectors=np.column_stack([*basis, excited.eigenvectors]),
@@ -856,13 +647,17 @@ class GeometricBound(NamedTuple):
     holds: bool
 
 
+# Eigenvalues below this count as a kernel direction in ``geometric_bound``.
+_KERNEL_CUTOFF = 1e-9
+
+
 def _kernel_basis(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Null-space basis and smallest nonzero eigenvalue of a PSD matrix."""
     eigs, vecs = np.linalg.eigh(mat)
     if eigs[0] < -1e-8 * max(1.0, abs(eigs[-1])):
         raise ValueError(f"operator is not positive semidefinite (λmin={eigs[0]:.3e})")
-    null = vecs[:, eigs < GROUND_CUTOFF]
-    positive = eigs[eigs >= GROUND_CUTOFF]
+    null = vecs[:, eigs < _KERNEL_CUTOFF]
+    positive = eigs[eigs >= _KERNEL_CUTOFF]
     smallest = float(positive[0]) if positive.size else 0.0
     return np.ascontiguousarray(null), smallest
 

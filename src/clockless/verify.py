@@ -6,14 +6,16 @@ independent oracle:
 
 * ``frustration_freeness``: the largest term energy of the grid state,
   against 0.
-* ``ground_fidelity`` (only when every wire is an ancilla): overlap of the
-  grid state with the parent's ground state from ``ground_state``, against
-  1.  ``ground_state`` counts the eigenvalues below the ground cutoff
-  exactly, by the inertia of one LDL† factorization of the parent's sparse
-  matrix (a dense Bunch–Kaufman factor when the sparse one cannot be
-  trusted), and finds the ground vector by inverse iteration from a seeded
-  random start, not from the grid state.  A count other than one, or an
-  inverse iteration that runs out of solves, fails with NaN.
+* ``ground_fidelity`` (only when every wire is an ancilla): a certified
+  lower bound on the overlap of the grid state with the parent's ground
+  state, against 1.  The parent theorem makes the grid state q of the
+  Hamiltonian's own schedule its ground state; ``ground_certificate``
+  bounds the angle between q and the true ground vector by Davis–Kahan,
+  from one inertia count of the shifted parent, and the angle between q
+  and the grid state adds to it (q is the grid state itself unless
+  ``--inject-delta`` doctors the Hamiltonian).  A ground state that the
+  count does not show unique, at the tolerance's shift or at the accuracy
+  floor's, fails with NaN.
 * ``expansion_reassembly``: overlap of the grid state with its Pauli-word
   expansion summed back onto the grid, against 1.
 * ``depolarizing_marginal``: trace distance of the output marginal from
@@ -45,6 +47,7 @@ fixture-major, then delta, order.  A single case, as in ``verify
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +80,7 @@ from .rotation import (
     teleport_input,
 )
 from .soundness import overlap_ceiling
-from .spectral import ConvergenceError, gap_vs_bound, ground_state
+from .spectral import gap_vs_bound, ground_certificate
 
 __all__ = [
     "Check",
@@ -163,30 +166,32 @@ def _wire_tag(gate, term) -> str:
     return label + "@" + "-".join(str(w) for w in term.wires)
 
 
-def _fidelity_check(check: str, name: str, delta: float, vec, state, tol) -> Check:
-    """A row scoring the overlap |<vec|state>|^2 of two unit vectors."""
-    fid = overlap(vec, state.amplitudes) ** 2
-    deviation = 1.0 - fid
-    return Check(
-        check, name, delta, fid, 1.0, deviation,
-        check_status(deviation, max(tol, 1e-12)),
-    )
-
-
 def ground_fidelity_check(
-    name: str, delta: float, spec: HamiltonianSpec, state, tol: float
+    name: str, delta: float, spec: HamiltonianSpec, grid, state, tol: float
 ) -> Check:
-    """Grid-state overlap with the parent's ground state; NaN if it is not
-    unique or inverse iteration does not resolve it."""
-    try:
-        ground = ground_state(assemble(spec))
-    except ConvergenceError:
-        ground = None
-    if ground is None or ground.ground_dim != 1:
+    """A lower bound on |<v|state>|^2, v the ground vector of ``spec``'s
+    parent and ``grid`` the grid state of ``spec``'s schedule; NaN when the
+    ground state is not certified unique.
+
+    With sin θ1 ≤ s1 from ``ground_certificate`` (at ``tol``, then at
+    ``_ACCURACY_FLOOR``) and sin θ2 = s2 the angle between ``grid`` and
+    ``state``, the angle between v and ``state`` is at most θ1 + θ2, so the
+    deviation 1 - |<v|state>|^2 is at most (s1 + s2)^2.
+    """
+    op, q = assemble(spec), grid.amplitudes
+    s1 = ground_certificate(op, q, tol)
+    if math.isnan(s1) and tol < _ACCURACY_FLOOR:
+        s1 = ground_certificate(op, q, _ACCURACY_FLOOR)
+    if math.isnan(s1):
         nan = float("nan")
         return Check("ground_fidelity", name, delta, nan, 1.0, nan, "fail")
-    return _fidelity_check(
-        "ground_fidelity", name, delta, ground.vector, state, tol
+    s2 = 0.0
+    if grid is not state:
+        s2 = math.sqrt(max(0.0, 1.0 - overlap(q, state.amplitudes) ** 2))
+    deviation = min(1.0, (s1 + s2) ** 2)
+    return Check(
+        "ground_fidelity", name, delta, 1.0 - deviation, 1.0, deviation,
+        check_status(deviation, max(tol, 1e-12)),
     )
 
 
@@ -283,11 +288,13 @@ def _case_checks(case, tol: float) -> list[Check]:
     worst = max(report.per_term)
     checks = [_zero_check("frustration_freeness", name, delta, worst, tol)]
     if c.a == c.n:
-        checks.append(ground_fidelity_check(name, delta, spec, state, tol))
+        grid = state if spec_schedule == schedule else build_peps(c, spec_schedule)
+        checks.append(ground_fidelity_check(name, delta, spec, grid, state, tol))
     rebuilt = reassemble_expansion(c, expansion(c, None, schedule))
-    checks.append(_fidelity_check(
-        "expansion_reassembly", name, delta,
-        rebuilt / np.linalg.norm(rebuilt), state, tol,
+    fid = overlap(rebuilt / np.linalg.norm(rebuilt), state.amplitudes) ** 2
+    checks.append(Check(
+        "expansion_reassembly", name, delta, fid, 1.0, 1.0 - fid,
+        check_status(1.0 - fid, max(tol, 1e-12)),
     ))
     marginal = output_marginal(state)
     reference = depolarizing_reference_marginal(c, None, schedule)

@@ -339,6 +339,11 @@ def test_verify_injected_delta_fails_frustration(tmp_path, capsys):
     failing = [r for r in rows[1:] if r[6] == "fail"]
     assert failing
     assert all(r[0] == "frustration_freeness" for r in failing[:1])
+    # every ground row fails: the doctored parent's ground state is the grid
+    # state of its own schedule, and the certificate adds their angle
+    ground = [r for r in rows[1:] if r[0] == "ground_fidelity"]
+    assert len(ground) == 18 and {r[6] for r in ground} == {"fail"}
+    assert abs(float(ground[0][3]) - 0.6173407515) < 1e-9
 
 
 def test_soundness_single_suite(tmp_path, capsys):
@@ -766,26 +771,53 @@ CNOT_BULK = {
 }
 
 
-def test_verify_unresolved_ground_state_is_a_failed_row(tmp_path, capsys):
-    # At delta 0.05 the first excited level, 2.31e-9, sits 1.3e-9 above the
-    # ground cutoff: inverse iteration runs out of solves, and the row says
-    # so instead of ending the run in a traceback.
+def test_verify_unresolved_ground_state_is_a_failed_row(
+    tmp_path, capsys, monkeypatch
+):
+    # cnot_bulk at delta 0.03 has its first excited level at 3.93e-11: a
+    # count forced to the shift 1e-9 sees four levels below it, at the
+    # tolerance's try and at the accuracy floor's, and the row says so
+    # instead of ending the run in a traceback
+    inertia, counts = spectral._inertia, []
+
+    def forced(h, tau, limit):
+        count, b = inertia(h, 1e-9, limit)
+        counts.append(count)
+        return count, b
+
+    monkeypatch.setattr(spectral, "_inertia", forced)
     circuit = tmp_path / "cnot_bulk.json"
     circuit.write_text(json_text(CNOT_BULK))
     out = tmp_path / "out"
     code = main([
-        "verify", "--circuit", str(circuit), "--delta", "0.05", "--out", str(out),
+        "verify", "--circuit", str(circuit), "--delta", "0.03", "--out", str(out),
     ])
-    assert code == 1
+    assert code == 1 and counts == [4, 4]
     assert "first failing check: ground_fidelity" in capsys.readouterr().err
     rows = read_csv(out / "verify.csv")[1:]
     assert len(rows) == 10
-    assert rows[3][0] == "depolarizing_marginal"
     bad = [row for row in rows if row[-1] != "pass"]
     assert bad == [
-        ["ground_fidelity", "cnot_bulk.json", "0.050000000000000003", "nan",
+        ["ground_fidelity", "cnot_bulk.json", "0.029999999999999999", "nan",
          "1", "nan", "fail"],
     ]
+
+
+@pytest.mark.parametrize("delta", [0.03, 0.04, 0.05, 0.07])
+def test_verify_certifies_the_ground_of_cnot_bulk(tmp_path, capsys, delta):
+    # first excited levels of 3.9e-11 to 3.3e-8: an absolute ground cutoff
+    # of 1e-9 once counted 4 ground states at 0.03 and 0.04 and left
+    # inverse iteration short of solves at 0.05 (three NaN rows), and its
+    # 2.4e-10 error at 0.07 made a "tolerance" row
+    circuit = tmp_path / "cnot_bulk.json"
+    circuit.write_text(json_text(CNOT_BULK))
+    out = tmp_path / "out"
+    argv = ["verify", "--circuit", str(circuit), "--delta", str(delta)]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = read_csv(out / "verify.csv")[1:]
+    assert len(rows) == 10 and {row[-1] for row in rows} == {"pass"}
+    (ground,) = [row for row in rows if row[0] == "ground_fidelity"]
+    assert 0.0 < float(ground[5]) <= 1e-10
 
 
 @pytest.mark.parametrize("delta", [0.03, 0.04, 0.05, 0.07])

@@ -31,7 +31,8 @@ from clockless.io import (
     write_state_bin,
 )
 from clockless.soundness import run_suite
-from clockless.spectral import dense_spectrum
+from clockless.peps import build_peps
+from clockless.spectral import parent_spectrum
 
 
 def test_fmt_float_17_digits():
@@ -199,7 +200,9 @@ def test_matrix_market_round_trip(tmp_path, identity1, rng):
 
 
 def test_spectral_report_dict(identity1):
-    report = dense_spectrum(assemble(parent_spec(identity1, 0.5)), vectors=2)
+    report = parent_spectrum(
+        parent_spec(identity1, 0.5), build_peps(identity1, 0.5), k=2
+    )
     doc = spectral_report_dict(report)
     assert doc["method"] == "dense"
     assert doc["ground_dim"] == 1 and doc["ground_resolved"] is True

@@ -20,7 +20,7 @@ from clockless.limits import (
     vector_bytes,
 )
 from clockless.linalg import embed_operator
-from clockless.spectral import ConvergenceError, dense_spectrum, ground_state
+from clockless.spectral import ConvergenceError, ground_certificate
 
 
 def test_require_accepts_at_budget_and_refuses_one_byte_over():
@@ -62,14 +62,13 @@ def test_empty_thirteen_qubit_operator_refuses_dense_without_allocating():
 
 
 def test_dense_oracles_refuse_twelve_qubits_without_allocating():
-    # one 12-qubit matrix is the whole budget; each oracle holds several
+    # one 12-qubit matrix is the whole budget; the ground certificate's
+    # dense fallback holds several, and is refused before the sparse factor
     op = SparseOperator(12, ())
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError, match="eigendecomposition on 12"):
-            dense_spectrum(op)
         with pytest.raises(ResourceError, match="factorization on 12"):
-            ground_state(op)
+            ground_certificate(op, np.zeros(op.dim), 1e-10)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

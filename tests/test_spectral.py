@@ -2,11 +2,11 @@
 
 import dataclasses
 import logging
+import math
 
 import numpy as np
 import pytest
-import scipy.sparse
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from clockless.circuit import layered
 from clockless import spectral
@@ -19,13 +19,12 @@ from clockless.linalg import embed_operator, random_projector, random_state
 from clockless.pauli import pauli_matrix
 from clockless.peps import build_peps
 from clockless.spectral import (
-    GROUND_CUTOFF,
     ConvergenceError,
     dense_spectrum,
     detectability_check,
     gap_vs_bound,
     geometric_bound,
-    ground_state,
+    ground_certificate,
     jordan_angles,
     low_spectrum,
     parent_spectrum,
@@ -37,63 +36,61 @@ P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
 
 
+def _linear(op):
+    """A parent operator as the LinearOperator low_spectrum takes."""
+    return aslinearoperator(op.to_sparse())
+
+
 def test_dense_spectrum_on_diagonal():
     op = np.diag([0.0, 0.0, 0.3, 1.0])
     report = dense_spectrum(op, vectors=2)
     assert report.method == "dense"
-    assert report.ground_dim == 2
-    assert np.isclose(report.gap, 0.3)
     assert report.eigenvectors.shape == (4, 2)
-    assert np.allclose(report.lowest_eigenvalues[:2], [0.0, 0.0], atol=1e-12)
+    assert np.allclose(report.lowest_eigenvalues, [0.0, 0.0, 0.3, 1.0], atol=1e-12)
+    assert report.residuals.max() < 1e-12
 
 
 def test_gap_invisible_when_all_ground():
-    # every returned eigenvalue at zero: no excited level in view
-    report = dense_spectrum(np.zeros((4, 4)))
+    # a solver reports levels only: it claims no ground space and no gap,
+    # which only parent_spectrum certifies
+    report = dense_spectrum(np.zeros((4, 4)), vectors=1)
+    assert report.ground_dim == 0 and not report.ground_resolved
     assert np.isnan(report.gap)
 
 
 def test_low_spectrum_matches_dense(identity1):
     op = assemble(parent_spec(identity1, 0.5))
-    dense = dense_spectrum(op)
-    low = low_spectrum(op, k=4, seed=3)
+    dense = dense_spectrum(op.dense(), vectors=4)
+    low = low_spectrum(_linear(op), k=4, seed=3)
     assert low.method == "iterative"
     assert np.allclose(
         low.lowest_eigenvalues[:4], dense.lowest_eigenvalues[:4], atol=1e-8
     )
-    assert low.ground_dim == dense.ground_dim == 1
-    assert abs(low.gap - dense.gap) < 1e-8
     assert max(low.residuals) < 1e-8
 
 
 def test_low_spectrum_deterministic(identity1):
-    op = assemble(parent_spec(identity1, 0.3))
+    op = _linear(assemble(parent_spec(identity1, 0.3)))
     a = low_spectrum(op, k=3, seed=9)
     b = low_spectrum(op, k=3, seed=9)
     assert np.array_equal(a.lowest_eigenvalues, b.lowest_eigenvalues)
 
 
 def test_low_spectrum_input_forms_agree():
-    # 6 qubits, a doubly degenerate zero-energy ground space
+    # 6 qubits, a doubly degenerate zero-energy ground space, applied as a
+    # sparse matrix, a dense one and the matrix-free term sum
     op = assemble(parent_spec(layered(2, 1, [[("CNOT", (0, 1))]]), 0.4))
-    dense = dense_spectrum(op).lowest_eigenvalues[:4]
-    for form in (op, op.to_sparse(), op.dense()):
+    dense = dense_spectrum(op.dense(), vectors=1).lowest_eigenvalues[:4]
+    matrix_free = LinearOperator((op.dim,) * 2, op.apply, dtype=complex)
+    for form in (_linear(op), aslinearoperator(op.dense()), matrix_free):
         report = low_spectrum(form, k=4, seed=2)
         assert np.allclose(report.lowest_eigenvalues, dense, atol=1e-10)
-        assert report.ground_dim == 2
 
 
 def test_low_spectrum_finds_exact_zero():
     # scipy's ARPACK drops a Ritz value of exactly 0.0 unless it is shifted
-    report = low_spectrum(np.diag(np.arange(64.0)), k=4)
+    report = low_spectrum(aslinearoperator(np.diag(np.arange(64.0))), k=4)
     assert np.allclose(report.lowest_eigenvalues, [0.0, 1.0, 2.0, 3.0], atol=1e-10)
-    assert report.ground_dim == 1 and report.ground_resolved
-
-
-def test_low_spectrum_flags_unresolved_ground():
-    report = low_spectrum(np.diag(np.r_[0.0, 0.0, np.arange(1.0, 63.0)]), k=2)
-    assert report.ground_dim == 2
-    assert not report.ground_resolved and np.isnan(report.gap)
 
 
 def test_low_spectrum_rejects_k_before_solving():
@@ -107,7 +104,7 @@ def test_low_spectrum_rejects_k_before_solving():
 
 
 def test_low_spectrum_budget_exhausted(hcnot):
-    op = assemble(parent_spec(hcnot, 0.5))
+    op = _linear(assemble(parent_spec(hcnot, 0.5)))
     with pytest.raises(ConvergenceError) as err:
         low_spectrum(op, k=4, max_iter=1)
     assert err.value.iterations >= 1
@@ -134,8 +131,8 @@ def test_low_spectrum_keeps_degenerate_copies():
     ])
     # The start vector of seed 10 once lost the second copy of both
     # excited levels and reported 0.0601 and 0.0615 in their place.
-    report = low_spectrum(assemble(parent_spec(c, 0.5)), k=6, tol=1e-9, seed=10)
-    assert report.ground_dim == 2
+    op = _linear(assemble(parent_spec(c, 0.5)))
+    report = low_spectrum(op, k=6, tol=1e-9, seed=10)
     assert np.allclose(report.lowest_eigenvalues, C14_LOWEST, atol=1e-8)
 
 
@@ -222,41 +219,53 @@ def test_geometric_bound_nested_kernels():
     assert out.holds
 
 
+# The default verify tolerance, and the old absolute ground cutoff, a shift
+# above cnot_bulk's first excited level at delta 0.03 and 0.04.
+TOL = 1e-10
+TAU = 1e-9
+
+
+def _shift(op, q, tol=TOL):
+    """e0, r and ground_certificate's shift τ for the unit vector ``q``."""
+    hq = op.apply(q)
+    e0 = float(np.vdot(q, hq).real)
+    r = float(np.linalg.norm(hq - e0 * q))
+    return e0, r, e0 + r + 2 * r / math.sqrt(tol)
+
+
+def _angle(u, v) -> float:
+    """sin of the angle between two unit vectors."""
+    return math.sqrt(max(0.0, 1.0 - abs(np.vdot(u, v)) ** 2))
+
+
 @pytest.mark.parametrize("name,layers", [
     ("cnot_bulk", [[("CNOT", (1, 0))], [("I", (0,)), ("I", (1,))]]),
     ("t_bulk", [[("T", (0,)), ("I", (1,))], [("CZ", (0, 1))]]),
     ("identity2", [[("I", (0,)), ("I", (1,))]] * 2),
 ])
 def test_dense_spectrum_lowest_matches_full(name, layers):
-    # ground_state (inertia count, inverse iteration) against the full
-    # dense spectrum; t_bulk is complex, the other two are factored as real
+    # ground_certificate's bound on the grid state's angle against the
+    # full dense spectrum's ground vector; t_bulk is complex, the other two
+    # are factored as real
     c = layered(2, 2, layers)
     for delta in (0.2, 0.5):
         op = assemble(parent_spec(c, delta))
-        full = dense_spectrum(op)
-        part = ground_state(op)
-        assert part.vector.shape == (op.dim,)
-        assert np.iscomplexobj(part.vector) == (name == "t_bulk")
-        assert abs(part.energy - full.lowest_eigenvalues[0]) < 1e-12
-        assert part.ground_dim == full.ground_dim == 1
-        assert part.residual <= 1e-12 and part.solves <= 3
-        assert full.ground_resolved
-        overlap = np.vdot(part.vector, full.eigenvectors[:, 0])
-        assert abs(abs(overlap) - 1.0) < 1e-10
+        q = build_peps(c, delta).amplitudes
+        full = dense_spectrum(op.dense(), vectors=1)
+        bound = ground_certificate(op, q, TOL)
+        assert _angle(full.eigenvectors[:, 0], q) <= bound
+        assert bound**2 <= TOL / 2
+        assert full.lowest_eigenvalues[1] > _shift(op, q)[2]
 
 
 def test_dense_spectrum_lowest_flags_degenerate_ground(hcnot):
-    # one data wire (a < n): the ground space holds one state per witness
+    # one data wire (a < n): the ground space holds one state per witness,
+    # so the count at the shift is 2 and the certificate refuses
     op = assemble(parent_spec(hcnot, 0.5))
-    full = dense_spectrum(op)
-    assert full.ground_dim == 2 and full.ground_resolved
-    part = ground_state(op)
-    assert part.ground_dim == 2 and part.vector is None
-    assert np.isnan(part.energy) and np.isnan(part.residual) and part.solves == 0
-    lifted = ground_state(op.dense() + np.eye(op.dim))
-    assert lifted.ground_dim == 0 and lifted.vector is None
-    with pytest.raises(ValueError):
-        ground_state(op.dense()[:, 1:])
+    full = dense_spectrum(op.dense(), vectors=1)
+    assert np.abs(full.lowest_eigenvalues[:2]).max() < 1e-12
+    assert full.lowest_eigenvalues[2] > 1e-3
+    assert np.isnan(ground_certificate(op, build_peps(hcnot, 0.5).amplitudes, TOL))
 
 
 def _hermitian_with(eigs, rng, complex_):
@@ -269,171 +278,131 @@ def _hermitian_with(eigs, rng, complex_):
     return (mat + mat.conj().T) / 2, q
 
 
+def _operator(mat) -> SparseOperator:
+    """A dense Hermitian matrix as a one-term operator."""
+    qubits = (len(mat) - 1).bit_length()
+    return SparseOperator(qubits, (LocalTerm("input", tuple(range(qubits)), mat, 1),))
+
+
+def _count(mat, tau=TAU) -> int:
+    """Eigenvalues of ``mat`` below ``tau`` by the Bunch–Kaufman factor."""
+    return spectral._bunch_kaufman(np.asfortranarray(mat - tau * np.eye(len(mat))))[0]
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 def test_ground_state_counts_random_spectra_exactly(rng, complex_):
-    # eigenvalues on both sides of the cutoff, two within 1e-10 of it; a
-    # single level below it (k = 1) is the vector test's case
-    below = [-2.0, -1e-3, 0.0, 1e-12, GROUND_CUTOFF - 1e-10]
-    above = [GROUND_CUTOFF + 1e-10, 1e-6, 0.3, 1.0, 4.0]
-    for k in (0, 2, 3, 4, 5):
+    # eigenvalues on both sides of the shift, two within 1e-10 of it
+    below = [-2.0, -1e-3, 0.0, 1e-12, TAU - 1e-10]
+    above = [TAU + 1e-10, 1e-6, 0.3, 1.0, 4.0]
+    for k in (0, 1, 2, 3, 4, 5):
         eigs = np.r_[below[:k], above, np.linspace(1.5, 3.0, 20)]
         mat, _ = _hermitian_with(eigs, rng, complex_)
-        found = ground_state(mat)
-        assert found.ground_dim == k and found.vector is None
+        assert _count(mat) == k
 
 
 @pytest.mark.parametrize("complex_", [False, True])
 def test_ground_state_vector_of_a_random_spectrum(rng, complex_):
-    # a frustration-free-like spectrum: one near-zero level under a gap
+    # a frustration-free-like spectrum, one near-zero level under a gap:
+    # the bound holds for a vector tilted off the ground vector by phi, and
+    # for the ground vector itself reaches the tolerance
     eigs = np.r_[1e-13, np.linspace(1e-3, 2.0, 31)]
-    mat, q = _hermitian_with(eigs, rng, complex_)
-    found = ground_state(mat)
-    assert found.ground_dim == 1 and found.residual <= 1e-12
-    assert abs(found.energy - 1e-13) < 1e-12
-    assert abs(abs(np.vdot(found.vector, q[:, 0])) - 1.0) < 1e-10
+    mat, vecs = _hermitian_with(eigs, rng, complex_)
+    op = _operator(mat)
+    for phi, tol in ((0.0, TOL), (1e-7, TOL), (1e-4, 1e-2)):
+        q = math.cos(phi) * vecs[:, 0] + math.sin(phi) * vecs[:, 1]
+        bound = ground_certificate(op, q, tol)
+        assert math.sin(phi) <= bound and bound**2 <= tol
+    assert np.isnan(ground_certificate(op, q, TOL))
 
 
 def test_ground_state_counts_two_by_two_pivots():
     # a zero diagonal forces Bunch-Kaufman into 2x2 pivots: each block
-    # [[0, s], [s*, 0]] holds one eigenvalue -|s| below the cutoff
+    # [[0, s], [s*, 0]] holds one eigenvalue -|s| below the shift
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert ground_state(np.kron(np.eye(2), swap)).ground_dim == 2
+    assert _count(np.kron(np.eye(2), swap)) == 2
     blocks = np.kron(np.diag([1.0, 2.0, 3.0]), [[0.0, 1j], [-1j, 0.0]])
     perm = np.random.default_rng(5).permutation(6)
-    assert ground_state(blocks[np.ix_(perm, perm)]).ground_dim == 3
-    lifted = np.kron(np.eye(4), swap) + 2.0 * np.eye(8)
-    assert ground_state(lifted).ground_dim == 0
+    assert _count(blocks[np.ix_(perm, perm)]) == 3
+    assert _count(np.kron(np.eye(4), swap) + 2.0 * np.eye(8)) == 0
 
 
-def test_ground_state_refuses_a_level_just_above_the_cutoff(rng):
-    # 1.01e-9 sits 100 times nearer the shift than the ground level 0, so
-    # inverse iteration settles on its vector, which lies above the cutoff
-    eigs = np.r_[0.0, GROUND_CUTOFF + 1e-11, np.linspace(1.0, 2.0, 14)]
-    mat, _ = _hermitian_with(eigs, rng, False)
-    with pytest.raises(ConvergenceError):
-        ground_state(mat)
+def test_ground_certificate_refuses_a_level_below_its_shift(rng):
+    # a level 1e-11 above the ground one lies below the shift (2e-11 or
+    # more), so the count is 2 and there is no bound, whatever the vector
+    eigs = np.r_[0.0, 1e-11, np.linspace(1.0, 2.0, 14)]
+    mat, vecs = _hermitian_with(eigs, rng, False)
+    op = _operator(mat)
+    assert _shift(op, vecs[:, 0])[2] > 1e-11
+    assert np.isnan(ground_certificate(op, vecs[:, 0], TOL))
 
 
-def test_ground_state_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        ground_state(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-@pytest.mark.parametrize(
-    "solver", [ground_state, dense_spectrum], ids=["ground", "dense"]
-)
-@pytest.mark.parametrize(
-    "form", [np.asarray, scipy.sparse.csr_matrix], ids=["array", "csr"]
-)
-@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-def test_non_finite_entries_are_rejected(bad, form, solver):
-    # a non-finite entry is bad input, not an empty ground space
-    with pytest.raises(ValueError, match="non-finite"):
-        solver(form(np.diag([bad, 1.0, 2.0, 3.0])))
-
-
-def _sparse_and_dense_ground(op, caplog):
-    """ground_state on the sparse factor and on the dense Bunch–Kaufman
-    oracle; the sparse one must not have fallen back."""
+def _sparse_and_dense_counts(op, tau, caplog):
+    """The count and backward error bound at ``tau`` of the sparse factor
+    and of the dense Bunch–Kaufman one; the sparse one must not have fallen
+    back."""
     with caplog.at_level(logging.INFO, logger="clockless.spectral"):
-        sparse = ground_state(op)
+        sparse = spectral._inertia(op.to_sparse(), tau, 1e-11)
     assert [r for r in caplog.records if r.name == "clockless.spectral"] == []
-    return sparse, ground_state(op.dense())
-
-
-def _assert_same_ground(sparse, dense):
-    assert sparse.ground_dim == dense.ground_dim
-    if sparse.ground_dim != 1:
-        assert sparse.vector is None and dense.vector is None
-        assert np.isnan(sparse.energy) and sparse.solves == 0
-        return
-    assert abs(sparse.energy - dense.energy) <= 1e-12
-    assert 1.0 - abs(np.vdot(sparse.vector, dense.vector)) ** 2 <= 1e-12
-    assert sparse.residual <= 1e-12
+    dense = spectral._bunch_kaufman(
+        np.asfortranarray(op.dense() - tau * np.eye(op.dim))
+    )
+    return sparse, dense
 
 
 @pytest.mark.parametrize(
     "name", [name for name, c in named_fixtures() if c.a == c.n]
 )
 def test_sparse_ground_matches_bunch_kaufman(name, caplog):
-    # verify's ground_fidelity parents: one ground state each
+    # verify's ground_fidelity parents at ground_certificate's shift: one
+    # level below it on both factors, exact within 2e-12 (sparse) and 4e-12
     c = dict(named_fixtures())[name]
     for delta in (0.2, 0.5, 0.8):
-        sparse, dense = _sparse_and_dense_ground(
-            assemble(parent_spec(c, delta)), caplog
+        op = assemble(parent_spec(c, delta))
+        tau = _shift(op, build_peps(c, delta).amplitudes)[2]
+        (count, b), (dense_count, dense_b) = _sparse_and_dense_counts(
+            op, tau, caplog
         )
-        assert sparse.ground_dim == 1
-        _assert_same_ground(sparse, dense)
+        assert count == dense_count == 1
+        assert b <= 2e-12 and dense_b <= 4e-12
 
 
 def test_sparse_ground_matches_bunch_kaufman_near_the_cutoff(hcnot, caplog):
-    # cnot_bulk's first excited level falls as delta^8 through the cutoff:
-    # below it at 0.03 and 0.04, 1.3e-9 above it at 0.05 (inverse iteration
-    # runs out of solves), well above it at 0.07; hcnot has two ground states
+    # at the old cutoff, 1e-9: cnot_bulk's first excited level falls as
+    # delta^8 through it, below at 0.03 and 0.04 and 1.3e-9 above at 0.05;
+    # hcnot has two ground states
     c = dict(named_fixtures())["cnot_bulk"]
-    for delta, count in ((0.03, 4), (0.04, 4), (0.07, 1)):
-        sparse, dense = _sparse_and_dense_ground(
-            assemble(parent_spec(c, delta)), caplog
-        )
-        assert sparse.ground_dim == count
-        _assert_same_ground(sparse, dense)
-    op = assemble(parent_spec(c, 0.05))
-    for packaging in (op, op.dense()):
-        with pytest.raises(ConvergenceError):
-            ground_state(packaging)
-    sparse, dense = _sparse_and_dense_ground(
-        assemble(parent_spec(hcnot, 0.5)), caplog
-    )
-    assert sparse.ground_dim == 2
-    _assert_same_ground(sparse, dense)
+    for delta, want in ((0.03, 4), (0.04, 4), (0.05, 1), (0.07, 1)):
+        op = assemble(parent_spec(c, delta))
+        (count, _), (dense_count, _) = _sparse_and_dense_counts(op, TAU, caplog)
+        assert count == dense_count == want
+    op = assemble(parent_spec(hcnot, 0.5))
+    (count, _), (dense_count, _) = _sparse_and_dense_counts(op, TAU, caplog)
+    assert count == dense_count == 2
 
 
 @pytest.mark.parametrize("block,qubits,count,reason", [
-    # X has a zero diagonal, so the unpivoted factor of X - cutoff·I pivots
-    # on -cutoff and grows like 1/GROUND_CUTOFF
+    # X has a zero diagonal, so the unpivoted factor of X - τ·I pivots on
+    # -τ and grows like 1/τ
     (pauli_matrix("X"), 2, 2, "backward error bound"),
-    # a diagonal equal to the cutoff leaves zeros on the shifted diagonal,
-    # and SuperLU has to pivot on an off-diagonal entry
-    ([[GROUND_CUTOFF, 1.0], [1.0, GROUND_CUTOFF]], 2, 2, "off the diagonal"),
-    # a level exactly at the cutoff on its own: a zero column
-    (np.diag([GROUND_CUTOFF, 1.0]), 1, 0, "exactly singular"),
-    # complex, one level below the cutoff and the next far above it, so
-    # inverse iteration runs on the fallback factor; SuperLU's order takes
-    # the zero diagonal entry first and grows as for X
+    # a diagonal equal to τ leaves zeros on the shifted diagonal, and
+    # SuperLU has to pivot on an off-diagonal entry
+    ([[TAU, 1.0], [1.0, TAU]], 2, 2, "off the diagonal"),
+    # a level exactly at τ on its own: a zero column
+    (np.diag([TAU, 1.0]), 1, 0, "exactly singular"),
+    # complex, one level below τ and the next far above it; SuperLU's order
+    # takes the zero diagonal entry first and grows as for X
     ([[1.0, 0.1j], [-0.1j, 0.0]], 1, 1, "backward error bound"),
 ])
 def test_sparse_ground_falls_back_to_bunch_kaufman(
     block, qubits, count, reason, caplog
 ):
-    term = LocalTerm("input", (0,), block, 1)
-    op = SparseOperator(qubits, (term,))
+    op = SparseOperator(qubits, (LocalTerm("input", (0,), block, 1),))
     with caplog.at_level(logging.INFO, logger="clockless.spectral"):
-        sparse = ground_state(op)
+        found, b = spectral._inertia(op.to_sparse(), TAU, 1e-11)
     records = [r for r in caplog.records if r.name == "clockless.spectral"]
     assert len(records) == 1 and reason in records[0].getMessage()
-    assert sparse.ground_dim == count
-    _assert_same_ground(sparse, ground_state(op.dense()))
-    if count == 1:
-        assert abs(sparse.energy - (1.0 - np.sqrt(1.04)) / 2) <= 1e-12
-
-
-def test_sparse_operator_is_checked_before_densifying():
-    # the check reads the CSR matrix, then hands on that matrix bit for bit:
-    # to the sparse factor for ground_state, densified for dense_spectrum
-    op = assemble(parent_spec(layered(1, 1, [[("H", (0,))]]), 0.4))
-    from_op, from_csr = ground_state(op), ground_state(op.to_sparse())
-    assert np.array_equal(from_op.vector, from_csr.vector)
-    assert from_op.energy == from_csr.energy
-    spectra = dense_spectrum(op), dense_spectrum(op.dense())
-    assert np.array_equal(*(r.lowest_eigenvalues for r in spectra))
-    # a skew part relative to the largest entry: 2e-12 passes, 2e-9 fails
-    for skew, ok in ((1e-12, True), (1e-9, False)):
-        tilted = op.to_sparse() * (1 + skew * 1j)
-        if ok:
-            dense_spectrum(tilted)
-        else:
-            with pytest.raises(ValueError, match="not Hermitian"):
-                ground_state(tilted)
+    assert found == count == _count(op.dense())
+    assert b <= 1e-14
 
 
 def test_parent_spectrum_ground_columns_are_orthonormal(tmp_path):

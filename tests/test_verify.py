@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clockless import verify
+from clockless import spectral, verify
 from clockless.circuit import NAMED_GATES, layered
 from clockless.hamiltonian import parent_spec
 from clockless.limits import dense_bytes
@@ -53,13 +53,38 @@ def test_ground_fidelity_fails_on_degenerate_ground(hcnot, identity1):
     # hcnot has a data wire, so its ground space is two-dimensional
     spec = parent_spec(hcnot, 0.5)
     state = build_peps(hcnot, (0.5, 0.5))
-    row = ground_fidelity_check("hcnot", 0.5, spec, state, 1e-10)
+    row = ground_fidelity_check("hcnot", 0.5, spec, state, state, 1e-10)
     assert row.status == "fail"
     assert np.isnan(row.value) and np.isnan(row.deviation)
     spec = parent_spec(identity1, 0.5)
     state = build_peps(identity1, (0.5,))
-    row = ground_fidelity_check("id1", 0.5, spec, state, 1e-10)
-    assert row.status == "pass" and abs(row.value - 1.0) < 1e-12
+    row = ground_fidelity_check("id1", 0.5, spec, state, state, 1e-10)
+    assert row.status == "pass" and abs(row.value - 1.0) < 1e-10
+    assert row.value == 1.0 - row.deviation
+
+
+def _cnot_bulk_row(delta: float, tol: float):
+    c = dict(named_fixtures())["cnot_bulk"]
+    state = build_peps(c, delta)
+    return ground_fidelity_check(
+        "cnot_bulk", delta, parent_spec(c, delta), state, state, tol
+    )
+
+
+def test_ground_fidelity_below_the_floor_is_a_tolerance_row(monkeypatch):
+    # at tolerance 1e-12 the shift of cnot_bulk at delta 0.03 lies above its
+    # first excited level; the second count, at the accuracy floor's shift,
+    # certifies the ground within 1e-9
+    inertia, counts = spectral._inertia, []
+
+    def counted(h, tau, limit):
+        counts.append(inertia(h, tau, limit)[0])
+        return inertia(h, tau, limit)
+
+    monkeypatch.setattr(spectral, "_inertia", counted)
+    row = _cnot_bulk_row(0.03, 1e-12)
+    assert counts == [4, 1]
+    assert row.status == "tolerance" and 1e-12 < row.deviation <= 1e-9
 
 
 def test_verify_picks_clifford_form_by_action_not_name():
