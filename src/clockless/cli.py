@@ -288,7 +288,7 @@ def cmd_build(cfg: RunConfig) -> int:
     cio.write_state_bin(
         os.path.join(cfg.out, "ground.bin"), spectral.eigenvectors[:, 0]
     )
-    report = energy(spec, state, tol=max(cfg.tolerance, 1e-15))
+    report = energy(spec, state)
     cio.write_json(
         os.path.join(cfg.out, "build_report.json"),
         {

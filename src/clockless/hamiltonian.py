@@ -424,9 +424,7 @@ class EnergyReport:
 
     total: float
     per_term: tuple[float, ...]
-    density: float
     violations: tuple[int, ...]
-    tolerance: float
 
 
 def term_energy(
@@ -451,5 +449,4 @@ def energy(spec: HamiltonianSpec, state, tol: float = 1e-9) -> EnergyReport:
     per = tuple(term_energy(t, vec, n) for t in spec.terms)
     total = float(sum(per))
     violations = tuple(i for i, e in enumerate(per) if e > tol)
-    density = total / len(per) if per else 0.0
-    return EnergyReport(total, per, density, violations, tol)
+    return EnergyReport(total, per, violations)

@@ -33,15 +33,12 @@ the gate error basis all build their words here.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
 __all__ = [
     "PAULI_TAGS",
-    "PauliWord",
-    "SiteMap",
     "bell_basis_matrix",
     "bell_projector",
     "bell_state",
@@ -50,7 +47,6 @@ __all__ = [
     "pauli_matrix",
     "phi0",
     "q_matrix",
-    "site_map_matrix",
     "tag_words",
     "word_decompose",
     "word_matrix",
@@ -73,31 +69,6 @@ def pauli_matrix(tag: str) -> np.ndarray:
         return _MATRICES[tag].copy()
     except KeyError:
         raise ValueError(f"unknown Pauli tag {tag!r}, expected one of {PAULI_TAGS}")
-
-
-@dataclass(frozen=True)
-class PauliWord:
-    """A tuple of Pauli tags, one per error slot.
-
-    The slot order is owned by whoever creates the word (for grid states it
-    is the site order of the grid layout).
-    """
-
-    entries: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        for tag in self.entries:
-            if tag not in _MATRICES:
-                raise ValueError(f"unknown Pauli tag {tag!r} in word")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __str__(self) -> str:
-        return ".".join(self.entries)
 
 
 @lru_cache(maxsize=None)
@@ -179,62 +150,38 @@ def bell_uniform() -> np.ndarray:
     return 0.5 * sum(_bell(tag) for tag in PAULI_TAGS)
 
 
-@dataclass(frozen=True)
-class SiteMap:
-    """One perturbed pair map: kind "Q" or "Lambda" at injectivity delta."""
-
-    kind: str
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("Q", "Lambda"):
-            raise ValueError(f"site map kind must be 'Q' or 'Lambda', got {self.kind!r}")
-        _check_delta(self.delta)
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-
-
-# The four Bell projectors in PAULI_TAGS order, built once: every site map
-# is a weighted sum of them.
+# The four Bell projectors in PAULI_TAGS order, built once: Q and Lambda are
+# weighted sums of them.
 _BELL_PROJECTORS = np.stack([bell_projector(tag) for tag in PAULI_TAGS])
 _BELL_PROJECTORS.flags.writeable = False
-
-
-def site_map_matrix(m: SiteMap) -> np.ndarray:
-    """Dense 4x4 matrix of a site map, in the computational pair basis."""
-    weights = {
-        "Q": [1.0, m.delta, m.delta, m.delta],
-        "Lambda": [m.delta, 1.0, 1.0, 1.0],
-    }[m.kind]
-    out = np.zeros((4, 4), dtype=np.complex128)
-    for w, proj in zip(weights, _BELL_PROJECTORS):
-        out += w * proj
-    return out
-
 
 # Q, Lambda and phi0 are built once per delta and shared read-only: a grid
 # or a probe asks for one per pair, site or layer, but holds few deltas.
 _PER_DELTA = 256
 
 
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+def _bell_diagonal(delta: float, weights) -> np.ndarray:
+    """Read-only 4x4 sum of ``weights[t]`` times the Bell projector of
+    PAULI_TAGS[t], in the computational pair basis, for delta in (0, 1]."""
+    if not 0.0 < delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {delta}")
+    out = np.zeros((4, 4), dtype=np.complex128)
+    for w, proj in zip(weights, _BELL_PROJECTORS):
+        out += w * proj
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=_PER_DELTA)
 def q_matrix(delta: float) -> np.ndarray:
     """Read-only Q(delta), built once per delta."""
-    return _read_only(site_map_matrix(SiteMap("Q", delta)))
+    return _bell_diagonal(delta, (1.0, delta, delta, delta))
 
 
 @lru_cache(maxsize=_PER_DELTA)
 def lambda_matrix(delta: float) -> np.ndarray:
     """Read-only Lambda(delta), built once per delta."""
-    return _read_only(site_map_matrix(SiteMap("Lambda", delta)))
+    return _bell_diagonal(delta, (delta, 1.0, 1.0, 1.0))
 
 
 @lru_cache(maxsize=_PER_DELTA)
@@ -242,11 +189,13 @@ def phi0(delta: float) -> np.ndarray:
     """Read-only (B_I + delta * sum_{p != I} B_p) / sqrt(1 + 3 delta^2),
     built once per delta.
 
-    Unlike the site maps, delta = 0 is accepted here: the formula degenerates
+    Unlike Q and Lambda, delta = 0 is accepted here: the formula degenerates
     gracefully to the plain Bell state, and that limit is a useful fixture.
     """
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     vec = _bell("I") + delta * (_bell("X") + _bell("XZ") + _bell("Z"))
-    return _read_only(vec / np.sqrt(1.0 + 3.0 * delta**2))
+    vec = vec / np.sqrt(1.0 + 3.0 * delta**2)
+    vec.flags.writeable = False
+    return vec
 

@@ -14,7 +14,11 @@ built state is proportional to
     sum over Pauli words P of  prod_l delta_l^{|P_l|} |B_P> (x) W_D P_D ... W_1 P_1 |0^a, xi>
 
 with |B_P> the Bell pattern on the shifted pairs and the error factors acting
-on the output register before each layer. The Bell-frame coefficient sum
+on the output register before each layer. A word P is a tag tuple, one tag
+per site in ``GridLayout.sites()`` order. ``expansion`` returns the sum as
+two arrays, the coefficients and the output states, one row per word in
+``pauli.tag_words`` order, and ``reassemble_expansion`` contracts them back
+onto the grid. The Bell-frame coefficient sum
 sum_P prod delta^(2|P|) is 4^(n D) times the squared l2 norm of the
 unnormalized state (each Bell contraction contributes a factor 1/2 per site).
 
@@ -29,7 +33,6 @@ deform, Lambda to undo it, the Bell basis change to read tags off).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +47,9 @@ from .limits import EXPANSION_WORD_CAP, ResourceError, require, vector_bytes
 from .linalg import (
     apply_matrix, basis_state, embed_operator, partial_trace, product_state,
 )
-from .pauli import PAULI_TAGS, PauliWord, bell_basis_matrix, pauli_matrix, q_matrix
+from .pauli import PAULI_TAGS, bell_basis_matrix, pauli_matrix, q_matrix
 
 __all__ = [
-    "ExpansionResult",
     "FaultPattern",
     "GridLayout",
     "PepsState",
@@ -288,27 +290,6 @@ def build_peps(c: LayeredCircuit, deltas, xi=None, payloads=None) -> PepsState:
     return PepsState(layout, amps, c, xi, schedule, fault)
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
-    """Pauli-word expansion: word -> (coefficient, output-register state).
-
-    Every one of the 4^(nD) words is present. Coefficients are
-    prod_l delta_l^(weight at layer l); the output states are unit vectors
-    on the n circuit wires.
-    """
-
-    terms: dict[PauliWord, tuple[float, np.ndarray]]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __iter__(self):
-        return iter(self.terms.items())
-
-    def __getitem__(self, word: PauliWord) -> tuple[float, np.ndarray]:
-        return self.terms[word]
-
-
 def require_expansion(c: LayeredCircuit) -> None:
     """Refuse the expansion of ``c`` past ``EXPANSION_WORD_CAP`` words,
     before any word is built. There are 4^sites of them; within the cap
@@ -322,9 +303,16 @@ def require_expansion(c: LayeredCircuit) -> None:
         )
 
 
-def expansion(c: LayeredCircuit, xi, deltas) -> ExpansionResult:
-    """Enumerate the full 4^(nD) Pauli-word expansion of the grid state,
+def expansion(c: LayeredCircuit, xi, deltas) -> tuple[np.ndarray, np.ndarray]:
+    """The full 4^(nD) Pauli-word expansion of the grid state, as two arrays,
     after ``require_expansion`` has counted the words.
+
+    Returns ``(coefficients, outputs)`` with one row per word in
+    ``tag_words(num_sites)`` order, sites in ``GridLayout.sites()`` order:
+    row w of ``coefficients`` is prod_l delta_l^(weight of word w at layer
+    l), and row w of ``outputs`` is the unit output-register state on the n
+    circuit wires. That order is the C order of the (4,)*sites tensor of
+    tags, so a word's tags are its row's index in that tensor.
 
     All words travel through the circuit together as the columns of one
     (2^n, words) array: at each (layer, wire) one ``apply_matrix`` call per
@@ -335,16 +323,15 @@ def expansion(c: LayeredCircuit, xi, deltas) -> ExpansionResult:
     schedule = resolve_deltas(deltas, c.depth)
     require_expansion(c)
     sites = GridLayout(c.n, c.depth).num_sites
-    words = list(itertools.product(PAULI_TAGS, repeat=sites))
-    # tags[word, site] indexes PAULI_TAGS; sites run layer by layer.
-    tags = np.array(
-        [[PAULI_TAGS.index(t) for t in entries] for entries in words], dtype=np.int64
-    ).reshape(len(words), c.depth, c.n)
-    coeffs = np.ones(len(words))
+    words = 4**sites
+    # tags[word, layer, row] indexes PAULI_TAGS: word w's tags are its index
+    # in the C order of the (4,)*sites tag tensor, which is tag_words order.
+    tags = np.indices((4,) * sites).reshape(sites, words).T.reshape(words, c.depth, c.n)
+    coeffs = np.ones(words)
     for layer, delta in enumerate(schedule):
         powers = np.array([delta**w for w in range(c.n + 1)])
         coeffs = coeffs * powers[np.count_nonzero(tags[:, layer], axis=1)]
-    states = np.repeat(input_vec[:, None], len(words), axis=1)
+    states = np.repeat(input_vec[:, None], words, axis=1)
     for layer in range(c.depth):
         for row in range(c.n):
             for index, tag in enumerate(PAULI_TAGS[1:], start=1):
@@ -354,27 +341,25 @@ def expansion(c: LayeredCircuit, xi, deltas) -> ExpansionResult:
                         states[:, cols], pauli_matrix(tag), (row,), c.n
                     )
         states = layer_unitary(c, layer).apply(states)
-    outputs = np.ascontiguousarray(states.T)
-    terms = {
-        PauliWord(entries): (float(coeff), out)
-        for entries, coeff, out in zip(words, coeffs, outputs)
-    }
-    return ExpansionResult(terms)
+    return coeffs, np.ascontiguousarray(states.T)
 
 
-def reassemble_expansion(c: LayeredCircuit, result: ExpansionResult) -> np.ndarray:
-    """Rebuild sum coeff * |B_P> (x) |output> on the grid (unnormalized).
+def reassemble_expansion(
+    c: LayeredCircuit, coefficients: np.ndarray, outputs: np.ndarray
+) -> np.ndarray:
+    """Rebuild sum coeff * |B_P> (x) |output> on the grid (unnormalized)
+    from the two arrays of ``expansion``.
 
-    The coefficient-weighted outputs fill a (4,)*sites + (2^n,) tensor,
-    indexed by each site's tag (words absent from ``result`` stay zero).
-    Contracting every site axis with ``bell_basis_matrix`` turns tags into
-    pair amplitudes, and one transpose scatters the axes onto the grid.
+    The coefficient-weighted outputs, in ``tag_words`` order, reshape to a
+    (4,)*sites + (2^n,) tensor indexed by each site's tag. Contracting
+    every site axis with ``bell_basis_matrix`` turns tags into pair
+    amplitudes, and one transpose scatters the axes onto the grid.
     """
     layout = GridLayout(c.n, c.depth)
     num_sites = layout.num_sites
-    tensor = np.zeros((4,) * num_sites + (2**c.n,), dtype=np.complex128)
-    for word, (coeff, out_state) in result.terms.items():
-        tensor[tuple(PAULI_TAGS.index(t) for t in word.entries)] = coeff * out_state
+    tensor = (coefficients[:, None] * outputs).reshape(
+        (4,) * num_sites + (2**c.n,)
+    )
     bell = bell_basis_matrix()
     for _ in range(num_sites):
         # Each pass contracts the leading tag axis and appends its pair

@@ -39,7 +39,6 @@ from .linalg import (
     random_unitary,
 )
 from .pauli import (
-    PauliWord,
     bell_basis_matrix,
     lambda_matrix,
     phi0,
@@ -287,13 +286,13 @@ class AdversarialDecomposition:
     ``slots`` names the error positions, one tag per slot: the faulted
     input wires in ascending order (tags I or X only, flipping the
     initialized bit), then each faulted gate's wires in layer order.
-    ``entries`` pairs each Pauli word over those slots with a nonnegative
-    coefficient and the residual witness-register state it multiplies; the
-    squared coefficients sum to one.
+    ``entries`` pairs each Pauli word over those slots, a tuple of tags,
+    with a nonnegative coefficient and the residual witness-register state
+    it multiplies; the squared coefficients sum to one.
     """
 
     slots: tuple[tuple, ...]
-    entries: tuple[tuple[PauliWord, float, np.ndarray], ...]
+    entries: tuple[tuple[tuple[str, ...], float, np.ndarray], ...]
     fault: FaultPattern
     circuit: LayeredCircuit
     delta_per_layer: tuple[float, ...]
@@ -350,7 +349,7 @@ def extract_decomposition(
         total += coeff**2
         if coeff > tol:
             tags = tuple(t for word, _, _ in combo for t in word)
-            entries.append((PauliWord(tags), coeff, residual / coeff))
+            entries.append((tags, coeff, residual / coeff))
     if abs(total - 1.0) > 1e-8:
         raise ValueError(
             "state does not factor over the declared fault pattern "
@@ -370,8 +369,7 @@ def reassemble_decomposition(decomp: AdversarialDecomposition) -> np.ndarray:
     widths = [len(b[0][0]) for b in bases]
 
     amps = np.zeros(2**layout.num_qubits, dtype=np.complex128)
-    for word, coeff, xi in decomp.entries:
-        tags = tuple(word)
+    for tags, coeff, xi in decomp.entries:
         factors = list(frame)
         pos = 0
         for width, table in zip(widths, groups):

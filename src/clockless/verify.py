@@ -284,13 +284,13 @@ def _case_checks(case, tol: float) -> list[Check]:
     name, c, delta, (schedule, spec_schedule), holes = case
     state = build_peps(c, schedule)
     spec = parent_spec(c, spec_schedule)
-    report = energy(spec, state, tol=max(tol, 1e-15))
+    report = energy(spec, state)
     worst = max(report.per_term)
     checks = [_zero_check("frustration_freeness", name, delta, worst, tol)]
     if c.a == c.n:
         grid = state if spec_schedule == schedule else build_peps(c, spec_schedule)
         checks.append(ground_fidelity_check(name, delta, spec, grid, state, tol))
-    rebuilt = reassemble_expansion(c, expansion(c, None, schedule))
+    rebuilt = reassemble_expansion(c, *expansion(c, None, schedule))
     fid = overlap(rebuilt / np.linalg.norm(rebuilt), state.amplitudes) ** 2
     checks.append(Check(
         "expansion_reassembly", name, delta, fid, 1.0, 1.0 - fid,

@@ -5,16 +5,14 @@ import pytest
 
 from clockless.pauli import (
     PAULI_TAGS,
-    PauliWord,
-    SiteMap,
     bell_basis_matrix,
+    bell_projector,
     bell_state,
     bell_uniform,
     lambda_matrix,
     pauli_matrix,
     phi0,
     q_matrix,
-    site_map_matrix,
     tag_words,
     word_decompose,
     word_matrix,
@@ -82,29 +80,33 @@ def test_q_lambda_are_scaled_inverses(delta):
 def test_per_delta_maps_are_built_once_and_read_only():
     # every pair, site and layer of one delta shares one array, so no
     # caller may write into it
-    for build, kind in ((q_matrix, "Q"), (lambda_matrix, "Lambda"), (phi0, None)):
+    for build in (q_matrix, lambda_matrix, phi0):
         first = build(0.35)
         assert build(np.float64(0.35)) is first
         assert not first.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             first[0] = 0.0
-        if kind is not None:
-            assert np.array_equal(first, site_map_matrix(SiteMap(kind, 0.35)))
 
 
-def test_site_map_validation():
-    with pytest.raises(ValueError):
-        SiteMap("R", 0.5)
-    with pytest.raises(ValueError):
-        SiteMap("Q", 0.0)
-    with pytest.raises(ValueError):
-        SiteMap("Q", 1.5)
+@pytest.mark.parametrize("delta", [0.3, 0.35, 1.0])
+def test_q_lambda_are_the_bell_projector_sums(delta):
+    # the sums of the module docstring, one projector per tag
+    rest = sum(bell_projector(tag) for tag in PAULI_TAGS[1:])
+    q = bell_projector("I") + delta * rest
+    lam = delta * bell_projector("I") + rest
+    assert np.abs(q_matrix(delta) - q).max() <= 1e-15
+    assert np.abs(lambda_matrix(delta) - lam).max() <= 1e-15
+    for m in (q_matrix(delta), lambda_matrix(delta)):
+        assert np.allclose(m.imag, 0.0)
+        assert np.allclose(m, m.T)
 
 
-def test_site_map_matrix_real_symmetric():
-    m = site_map_matrix(SiteMap("Q", 0.3))
-    assert np.allclose(m.imag, 0.0)
-    assert np.allclose(m, m.T)
+@pytest.mark.parametrize("delta", [0.0, 1.5])
+def test_q_lambda_refuse_delta_outside_unit_interval(delta):
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        q_matrix(delta)
+    with pytest.raises(ValueError, match=r"\(0, 1\]"):
+        lambda_matrix(delta)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.2, 0.5, 1.0])
@@ -130,15 +132,6 @@ def test_phi0_is_normalized_q_on_uniform():
     delta = 0.4
     v = q_matrix(delta) @ bell_uniform()
     assert np.allclose(v / np.linalg.norm(v), phi0(delta))
-
-
-def test_pauli_word():
-    w = PauliWord(("I", "X", "Z", "I"))
-    assert len(w) == 4
-    assert str(w) == "I.X.Z.I"
-    assert list(w) == ["I", "X", "Z", "I"]
-    with pytest.raises(ValueError):
-        PauliWord(("I", "Y"))
 
 
 def test_word_helpers():

@@ -11,7 +11,7 @@ from clockless.circuit import input_state, layer_unitary, layered
 from clockless.linalg import (
     apply_matrix, basis_state, product_state, random_unitary, trace_distance,
 )
-from clockless.pauli import PAULI_TAGS, PauliWord, bell_state, pauli_matrix
+from clockless.pauli import PAULI_TAGS, bell_state, pauli_matrix, tag_words
 from clockless.peps import (
     GridLayout,
     PepsState,
@@ -68,9 +68,9 @@ def test_peps_state_validation(identity1):
 
 @pytest.mark.parametrize("delta", [0.2, 0.5])
 def test_expansion_reassembles_built_state(bell_circuit, delta):
-    result = expansion(bell_circuit, None, delta)
-    assert len(result) == 4**4
-    reassembled = reassemble_expansion(bell_circuit, result)
+    coefficients, outputs = expansion(bell_circuit, None, delta)
+    assert len(coefficients) == len(outputs) == 4**4
+    reassembled = reassemble_expansion(bell_circuit, coefficients, outputs)
     reassembled /= np.linalg.norm(reassembled)
     built = build_peps(bell_circuit, delta)
     fidelity = abs(np.vdot(reassembled, built.amplitudes)) ** 2
@@ -78,7 +78,7 @@ def test_expansion_reassembles_built_state(bell_circuit, delta):
 
 
 def expansion_loop_reference(c, xi, schedule, words):
-    """The expansion word by word: coefficient and output state of each.
+    """The expansion word by word: tag tuple -> (coefficient, output state).
 
     A word's entry at (layer, row) sits at (layer - 1) * n + row, the
     position of that site in ``GridLayout.sites()``."""
@@ -98,19 +98,20 @@ def expansion_loop_reference(c, xi, schedule, words):
                 if tag != "I":
                     state = apply_matrix(state, pauli_matrix(tag), (row,), c.n)
             state = layer_unitary(c, layer - 1).apply(state)
-        out[PauliWord(tuple(entries))] = (coeff, state)
+        out[tuple(entries)] = (coeff, state)
     return out
 
 
-def reassemble_loop_reference(c, result):
-    """sum coeff * |B_P> (x) |output>, one product state per word."""
+def reassemble_loop_reference(c, terms):
+    """sum coeff * |B_P> (x) |output> over ``terms`` (tag tuple ->
+    (coefficient, output state)), one product state per word."""
     layout = GridLayout(c.n, c.depth)
     total = np.zeros(2**layout.num_qubits, dtype=np.complex128)
-    for word, (coeff, out_state) in result.terms.items():
+    for word, (coeff, out_state) in terms.items():
         factors = []
         for flat, (layer, row) in enumerate(layout.sites()):
             lo, hi = layout.site_qubits(layer, row)
-            factors.append((bell_state(word.entries[flat]), (hi, lo)))
+            factors.append((bell_state(word[flat]), (hi, lo)))
         outputs = [layout.output_qubit(row) for row in reversed(range(c.n))]
         factors.append((out_state, outputs))
         total += coeff * product_state(factors, layout.num_qubits)
@@ -118,47 +119,61 @@ def reassemble_loop_reference(c, result):
 
 
 def expansion_cases(rng):
-    # a witness wire, a non-uniform schedule and a non-symmetric matrix
-    # gate; then a three-wire circuit on 6 sites, 4,096 words
+    # one layer on 2 sites; a witness wire, a non-uniform schedule and a
+    # non-symmetric matrix gate; then a three-wire circuit on 6 sites, 4,096
+    # words
     u = random_unitary(4, rng)
     assert not np.allclose(u, u.T)
+    two = layered(2, 2, [[("H", (0,)), ("T", (1,))]])
     witness = layered(2, 1, [[(u, (0, 1))], [("T", (1,)), ("H", (0,))]])
     wide = layered(3, 3, [[(u, (2, 0)), ("H", (1,))],
                           [("CNOT", (1, 2)), (random_unitary(2, rng), (0,))]])
-    return [(witness, np.array([0.6, 0.8j]), (0.3, 0.7)), (wide, None, (0.45, 0.2))]
+    return [
+        (two, None, (0.35,)),
+        (witness, np.array([0.6, 0.8j]), (0.3, 0.7)),
+        (wide, None, (0.45, 0.2)),
+    ]
 
 
 def test_batched_expansion_matches_word_loop(rng):
+    # row w is the word tag_words(sites)[w], the C order of the (4,)*sites
+    # tag tensor that reassemble_expansion reshapes the rows into
     for c, xi, schedule in expansion_cases(rng):
-        result = expansion(c, xi, schedule)
+        coefficients, outputs = expansion(c, xi, schedule)
         sites = GridLayout(c.n, c.depth).num_sites
         words = list(itertools.product(PAULI_TAGS, repeat=sites))
+        tensor_order = [
+            tuple(PAULI_TAGS[t] for t in tags) for tags in np.ndindex((4,) * sites)
+        ]
+        assert words == list(tag_words(sites)) == tensor_order
         want = expansion_loop_reference(c, xi, schedule, words)
-        assert list(result.terms) == list(want)
-        for word, (coeff, state) in result:
-            assert coeff == want[word][0] and type(coeff) is float
-            assert state.shape == (2**c.n,)
-            assert np.abs(state - want[word][1]).max() <= 1e-15
+        assert coefficients.dtype == np.float64
+        assert outputs.shape == (len(words), 2**c.n)
+        for w, (coeff, state) in enumerate(want.values()):
+            assert coefficients[w] == coeff
+            assert np.abs(outputs[w] - state).max() <= 1e-15
 
 
 def test_reassembly_matches_product_state_sum(rng):
     for c, xi, schedule in expansion_cases(rng):
-        result = expansion(c, xi, schedule)
-        got = reassemble_expansion(c, result)
-        want = reassemble_loop_reference(c, result)
+        coefficients, outputs = expansion(c, xi, schedule)
+        got = reassemble_expansion(c, coefficients, outputs)
+        words = tag_words(GridLayout(c.n, c.depth).num_sites)
+        want = reassemble_loop_reference(
+            c, dict(zip(words, zip(coefficients, outputs)))
+        )
         assert np.abs(got - want).max() <= 1e-14
 
 
 def test_expansion_identity_word_carries_circuit_output(hcnot):
-    result = expansion(hcnot, None, 0.5)
-    word = PauliWord(("I",) * 4)
-    coeff, out_state = result[word]
-    assert np.isclose(coeff, 1.0)
+    coefficients, outputs = expansion(hcnot, None, 0.5)
+    words = tag_words(4)
+    identity = words.index(("I",) * 4)
+    assert np.isclose(coefficients[identity], 1.0)
     # H on wire 0 then CNOT(0->1): (|00> + |11>)/sqrt(2)
-    assert np.allclose(out_state, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    assert np.allclose(outputs[identity], np.array([1, 0, 0, 1]) / np.sqrt(2))
     # single-error coefficient carries one factor of delta
-    one = PauliWord(("X", "I", "I", "I"))
-    assert np.isclose(result[one][0], 0.5)
+    assert np.isclose(coefficients[words.index(("X", "I", "I", "I"))], 0.5)
 
 
 def test_expansion_refuses_nine_sites_before_enumerating():

@@ -138,9 +138,9 @@ def test_extraction_identifies_planted_input_flip(bell_circuit):
     )
     decomp = extract_decomposition(state)
     assert decomp.slots == (("input", 1),)
-    words = {str(word): coeff for word, coeff, _ in decomp.entries}
+    words = {word: coeff for word, coeff, _ in decomp.entries}
     # a hard bit flip is the pure X word
-    assert set(words) == {"X"}
+    assert set(words) == {("X",)}
 
 
 def test_binomial_tail_edges():
