@@ -225,18 +225,12 @@ class LayerOperator:
     def __init__(self, num_wires: int, gates: tuple[Gate, ...]):
         self.num_wires = num_wires
         self.gates = gates
-        self.dim = 2**num_wires
 
-    def apply(self, state: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    def apply(self, state: np.ndarray) -> np.ndarray:
         out = state
         for g in self.gates:
-            mat = g.unitary.conj().T if adjoint else g.unitary
-            out = apply_matrix(out, mat, g.wires, self.num_wires)
+            out = apply_matrix(out, g.unitary, g.wires, self.num_wires)
         return out
-
-    def dense(self) -> np.ndarray:
-        require("a dense layer unitary", self.num_wires, dense_bytes(self.num_wires))
-        return self.apply(np.eye(self.dim, dtype=np.complex128))
 
 
 def layer_unitary(c: LayeredCircuit, index: int) -> LayerOperator:

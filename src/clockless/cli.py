@@ -113,6 +113,10 @@ def _check_values(cfg: RunConfig) -> None:
             raise cio.SchemaError(
                 f"{name} must be a finite number, got {value!r}", name
             )
+    if cfg.tolerance <= 0:
+        raise cio.SchemaError(
+            f"tolerance must be positive, got {cfg.tolerance!r}", "tolerance"
+        )
 
 
 def _parse_assignments(pairs, what: str) -> dict[int, float]:

@@ -24,7 +24,7 @@ unnormalized state (each Bell contraction contributes a factor 1/2 per site).
 
 Every grid state, honest or faulted, is built by ``build_peps`` from the
 located factors of ``grid_factors``; a faulted ("combinatorial") state swaps
-the factors at a ``FaultPattern``'s locations for payloads. Two helpers
+the factors at a set of those locations for payloads. Two helpers
 carry the grid's ingredients for every module that reads a grid state:
 ``choi_vector`` is the Choi state of one gate matrix, and
 ``apply_pair_maps`` sweeps one 4x4 map per layer over all shifted pairs (Q to
@@ -50,7 +50,6 @@ from .linalg import (
 from .pauli import PAULI_TAGS, bell_basis_matrix, pauli_matrix, q_matrix
 
 __all__ = [
-    "FaultPattern",
     "GridLayout",
     "PepsState",
     "apply_pair_maps",
@@ -120,41 +119,18 @@ class GridLayout:
 
 
 @dataclass(frozen=True)
-class FaultPattern:
-    """Which locations of a circuit the adversary corrupts.
-
-    ``inputs`` lists wires whose initialization is faulted; only ancilla
-    wires qualify, since witness wires carry no initialization check.
-    ``layers`` holds one wire set per circuit layer; a gate is faulted when
-    its wires appear there, and each layer set must cover whole gates.
-    """
-
-    inputs: frozenset[int]
-    layers: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "inputs", frozenset(int(w) for w in self.inputs)
-        )
-        object.__setattr__(
-            self,
-            "layers",
-            tuple(frozenset(int(w) for w in s) for s in self.layers),
-        )
-
-
-@dataclass(frozen=True)
 class PepsState:
     """A unit state vector on the grid plus the metadata needed to reason
     about it; ``build_peps`` makes one. ``fault`` is None for the honest
-    state and the pattern of the replaced factors for a faulted one."""
+    state and, for a faulted one, the set of ``grid_factors`` locations
+    whose factors were replaced."""
 
     layout: GridLayout
     amplitudes: np.ndarray
     circuit: LayeredCircuit
     xi: np.ndarray
     delta_per_layer: tuple[float, ...]
-    fault: FaultPattern | None = None
+    fault: frozenset[tuple] | None = None
 
     def __post_init__(self) -> None:
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -264,7 +240,7 @@ def build_peps(c: LayeredCircuit, deltas, xi=None, payloads=None) -> PepsState:
     ``xi`` is the witness on wires a..n-1 (bit 0 of its index is wire a);
     it defaults to the all-zeros state. With ``payloads`` (location ->
     vector, possibly empty) the state is faulted at exactly those
-    locations and records them as its ``fault``.
+    locations and records their set as its ``fault``.
     """
     xi = resolve_witness(c, xi)
     schedule = resolve_deltas(deltas, c.depth)
@@ -279,14 +255,7 @@ def build_peps(c: LayeredCircuit, deltas, xi=None, payloads=None) -> PepsState:
     )
     amps = apply_pair_maps(amps, layout, [q_matrix(d) for d in schedule])
     amps = amps / float(np.linalg.norm(amps))
-    fault = None
-    if payloads is not None:
-        inputs = [loc[1] for loc in payloads if loc[0] == "input"]
-        layers = [set() for _ in c.layers]
-        for loc in payloads:
-            if loc[0] == "gate":
-                layers[loc[1] - 1].update(loc[2])
-        fault = FaultPattern(frozenset(inputs), tuple(layers))
+    fault = None if payloads is None else frozenset(payloads)
     return PepsState(layout, amps, c, xi, schedule, fault)
 
 

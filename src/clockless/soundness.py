@@ -1,14 +1,17 @@
 """Fault-pattern states, error extraction, and randomized inequality suites.
 
 Low-energy grid states factor into a frame of satisfied local checks plus
-arbitrary payloads at a small set of faulted locations. This module checks
-a declared fault pattern against its circuit and hands the payloads to
-``peps.build_peps``, which builds such a state as a ``PepsState`` with its
-``fault`` set. It recovers the error decomposition hiding inside them,
-measures the weight distribution of the Bell frame, and packages the
-inequality lemmas behind the soundness analysis into replayable randomized
-suites. ``low_energy_probe`` checks those lemmas on a noisy grid state; its
-report computes a value only when asked, so a suite row pays for one record.
+arbitrary payloads at a small set of faulted locations. A fault file
+declares them as a ``FaultPattern``; ``fault_locations`` is the one check
+of a pattern against its circuit, and past it a fault is the set of its
+``peps.grid_factors`` locations: the keys of the payloads that
+``peps.build_peps`` takes, and the ``fault`` of the ``PepsState`` it
+builds. This module recovers the error decomposition hiding inside such a
+state, measures the weight distribution of the Bell frame, and packages
+the inequality lemmas behind the soundness analysis into replayable
+randomized suites. ``low_energy_probe`` checks those lemmas on a noisy grid
+state; its report computes a value only when asked, so a suite row pays for
+one record.
 
 ``run_suites`` runs the suites through ``limits.fork_map``, in forked
 worker processes, one per CPU, each suite whole in one worker. Every
@@ -30,7 +33,6 @@ from .circuit import Gate, LayeredCircuit, layered
 from .hamiltonian import energy, input_term, parent_spec, propagation_term, term_energy
 from .limits import enumeration_bytes, fork_map, require
 from .linalg import (
-    basis_state,
     overlap,
     partial_trace,
     product_state,
@@ -47,13 +49,10 @@ from .pauli import (
     word_matrix,
 )
 from .peps import (
-    FaultPattern,  # defined with the grid states; importable from here too
     GridLayout,
     PepsState,
     apply_pair_maps,
     build_peps,
-    choi_factor,
-    choi_vector,
     grid_factors,
     resolve_deltas,
 )
@@ -66,6 +65,31 @@ from .spectral import (
 )
 
 
+@dataclass(frozen=True)
+class FaultPattern:
+    """Which locations of a circuit the adversary corrupts, as a fault file
+    declares them; ``fault_locations`` checks it against the circuit.
+
+    ``inputs`` lists wires whose initialization is faulted; only ancilla
+    wires qualify, since witness wires carry no initialization check.
+    ``layers`` holds one wire set per circuit layer; a gate is faulted when
+    its wires appear there, and each layer set must cover whole gates.
+    """
+
+    inputs: frozenset[int]
+    layers: tuple[frozenset[int], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "inputs", frozenset(int(w) for w in self.inputs)
+        )
+        object.__setattr__(
+            self,
+            "layers",
+            tuple(frozenset(int(w) for w in s) for s in self.layers),
+        )
+
+
 class FaultMismatch(ValueError):
     """A fault pattern that does not fit its circuit."""
 
@@ -73,10 +97,12 @@ class FaultMismatch(ValueError):
         return f"fault pattern does not fit the circuit: {super().__str__()}"
 
 
-def _faulted_gates(
-    c: LayeredCircuit, fault: FaultPattern
-) -> list[tuple[int, Gate]]:
-    """Resolve per-layer fault wire sets into whole gates, or complain."""
+def fault_locations(c: LayeredCircuit, fault: FaultPattern) -> list[tuple]:
+    """The ``grid_factors`` locations of a fault pattern, in their order:
+    ``("input", w)`` for ascending wires, then ``("gate", layer, wires)``
+    layer by layer. Raises FaultMismatch when the pattern does not fit the
+    circuit; past this check a fault is the set of its locations.
+    """
     if len(fault.layers) != c.depth:
         raise FaultMismatch(
             f"fault pattern has {len(fault.layers)} layers, circuit has "
@@ -87,7 +113,7 @@ def _faulted_gates(
             raise FaultMismatch(
                 f"faulted input wire {w} is not an ancilla wire (a = {c.a})"
             )
-    chosen: list[tuple[int, Gate]] = []
+    locations: list[tuple] = [("input", w) for w in sorted(fault.inputs)]
     for layer_idx, (layer, wires) in enumerate(
         zip(c.layers, fault.layers), start=1
     ):
@@ -101,7 +127,7 @@ def _faulted_gates(
                     f"layer {layer_idx} fault set {sorted(wires)} covers "
                     f"gate wires {g.wires} only partially"
                 )
-            chosen.append((layer_idx, g))
+            locations.append(("gate", layer_idx, g.wires))
             covered |= set(g.wires)
         stray = wires - covered
         if stray:
@@ -109,33 +135,28 @@ def _faulted_gates(
                 f"layer {layer_idx} fault set names wires {sorted(stray)} "
                 "that no gate touches"
             )
-    return chosen
+    return locations
 
 
-def canonical_payloads(c: LayeredCircuit, fault: FaultPattern):
-    """Violating payloads for every location of a fault pattern.
+def _shifted(word: tuple[str, ...], factor: np.ndarray) -> np.ndarray:
+    """A ``grid_factors`` vector with the Pauli ``word`` applied on its
+    output side, the most significant bits."""
+    return (word_matrix(word) @ factor.reshape(2 ** len(word), -1)).reshape(-1)
 
-    Returns (input payloads, gate payloads) in the form
-    ``build_combinatorial_state`` takes: |1> at each faulted input and, at
-    each faulted gate, its Choi state shifted by X on every output leg.
-    Raises FaultMismatch when the pattern does not fit the circuit.
+
+def canonical_payloads(c: LayeredCircuit, fault: FaultPattern) -> dict:
+    """Violating payloads for every location of a fault pattern, keyed by
+    location as ``build_combinatorial_state`` takes them: each factor
+    shifted by X on every output leg, so |1> at a faulted input and the
+    Choi state shifted by X on each output leg at a faulted gate. Raises
+    FaultMismatch when the pattern does not fit the circuit.
     """
-    inputs = {w: np.array([0.0, 1.0]) for w in fault.inputs}
-    gates = {
-        (layer, g.wires): choi_vector(word_matrix(("X",) * g.arity) @ g.unitary)
-        for layer, g in _faulted_gates(c, fault)
+    locations = set(fault_locations(c, fault))
+    return {
+        loc: _shifted(("X",) * (1 if loc[0] == "input" else len(loc[2])), vec)
+        for loc, vec, _ in grid_factors(c, GridLayout(c.n, c.depth))
+        if loc in locations
     }
-    return inputs, gates
-
-
-def fault_locations(
-    c: LayeredCircuit, fault: FaultPattern
-) -> set[tuple]:
-    """The declared fault locations as comparable (kind, ...) keys."""
-    keys: set[tuple] = {("input", w) for w in fault.inputs}
-    for layer_idx, g in _faulted_gates(c, fault):
-        keys.add(("gate", layer_idx, g.wires))
-    return keys
 
 
 def _unit(vec, dim: int, what: str) -> np.ndarray:
@@ -151,43 +172,25 @@ def _unit(vec, dim: int, what: str) -> np.ndarray:
 
 
 def build_combinatorial_state(
-    c: LayeredCircuit,
-    deltas,
-    fault: FaultPattern,
-    *,
-    xi=None,
-    input_payloads=None,
-    gate_payloads=None,
+    c: LayeredCircuit, deltas, payloads: dict, *, xi=None
 ) -> PepsState:
-    """The grid state of a computation faulted exactly at ``fault``.
+    """The grid state of ``c`` faulted exactly at the locations of
+    ``payloads``.
 
-    Satisfied locations carry their usual factors: |0> at ancilla inputs
-    and the gate's Choi state on its leg qubits. Every faulted location
-    must be handed a payload instead. Input payloads are single-qubit
-    vectors keyed by wire; gate payloads are 4^k-dimensional vectors keyed
-    by (layer, wires), in the index convention of ``choi_factor`` (output
-    side bits most significant). Payloads are normalized here, so only
-    their direction matters; the witness ``xi`` must already be a unit
-    vector. The state is built by ``build_peps``.
+    ``payloads`` maps ``grid_factors`` locations to the vectors that
+    replace their factors: a single-qubit vector at ``("input", w)``, a
+    4^k-dimensional one at ``("gate", layer, wires)`` in the index
+    convention of ``choi_factor`` (output side bits most significant).
+    Every other location carries its usual factor. Payloads are normalized
+    here, so only their direction matters; the witness ``xi`` must already
+    be a unit vector. The state is built by ``build_peps``, which refuses a
+    location the circuit lacks.
     """
-    declared = fault_locations(c, fault)
-    payloads = {("input", w): v for w, v in (input_payloads or {}).items()}
-    payloads.update(
-        (("gate", layer, wires), v)
-        for (layer, wires), v in (gate_payloads or {}).items()
-    )
-    missing = declared - payloads.keys()
-    if missing:
-        raise ValueError(f"missing payloads for {sorted(missing, key=str)}")
-    stray = payloads.keys() - declared
-    if stray:
-        raise ValueError(
-            f"payloads given for unfaulted locations {sorted(stray, key=str)}"
-        )
+    unit = {}
     for loc, vec in payloads.items():
         dim = 2 if loc[0] == "input" else 4 ** len(loc[2])
-        payloads[loc] = _unit(vec, dim, f"payload at {loc}")
-    return build_peps(c, deltas, xi, payloads)
+        unit[loc] = _unit(vec, dim, f"payload at {loc}")
+    return build_peps(c, deltas, xi, unit)
 
 
 def violated_locations(state: PepsState, tol: float = 1e-9) -> set[tuple]:
@@ -231,51 +234,33 @@ def _contract_factors(
     return psi.reshape(-1)
 
 
-def _gate_error_basis(
-    g: Gate, layer: int, layout: GridLayout
-) -> list[tuple[tuple[str, ...], np.ndarray, list[int]]]:
-    """Orthonormal Choi-shifted basis at one gate: word, vector, qubits.
+def _fault_frame(c: LayeredCircuit, fault: frozenset[tuple], layout: GridLayout):
+    """Satisfied factors, witness qubits and per-fault error bases, from
+    one pass over ``grid_factors``.
 
-    Word tag i acts on the output leg of wire ``g.wires[i]`` after the
-    gate, which shifts the Choi state without disturbing its input side.
+    Returns (frame, witness, slots, groups). The frame holds the entries
+    of ``grid_factors`` at locations outside the set ``fault``, witness
+    aside: |0> at every unfaulted ancilla input and the Choi state at every
+    unfaulted gate. ``witness`` lists the witness qubits. ``groups`` holds
+    one orthonormal error basis of (word, vector, qubits) entries per
+    faulted location, in ``grid_factors`` order: {|0>, |1>} tagged I, X at
+    inputs, at gates the Choi states shifted by each Pauli word on the
+    output legs. ``slots`` names the error positions those words cover.
     """
-    _, qubits = choi_factor(g, layer, layout)
-    return [
-        (word, choi_vector(word_matrix(word) @ g.unitary), qubits)
-        for word in tag_words(g.arity)
-    ]
-
-
-def _fault_frame(c: LayeredCircuit, fault: FaultPattern, layout: GridLayout):
-    """Satisfied factors, witness qubits and per-fault error bases.
-
-    Returns (frame, witness, slots, groups). The frame holds the unfaulted,
-    non-witness entries of ``grid_factors``: |0> at every unfaulted ancilla
-    input and the Choi state at every unfaulted gate. ``witness`` lists the
-    witness qubits. ``groups`` holds one orthonormal error basis of (word,
-    vector, qubits) entries per fault: {|0>, |1>} tagged I, X at inputs, the
-    Pauli-shifted Choi states at gates. ``slots`` names the error positions
-    those words cover.
-    """
-    declared = fault_locations(c, fault)
-    frame, witness = [], []
+    frame, witness, slots, groups = [], [], [], []
     for loc, vec, qubits in grid_factors(c, layout):
         if loc is None:
             witness = qubits
-        elif loc not in declared:
+        elif loc not in fault:
             frame.append((vec, qubits))
-
-    slots: list[tuple] = []
-    groups: list[list[tuple[tuple[str, ...], np.ndarray, list[int]]]] = []
-    for wire in sorted(fault.inputs):
-        slots.append(("input", wire))
-        q = layout.input_qubit(wire)
-        groups.append(
-            [(("I",), basis_state(0, 1), [q]), (("X",), basis_state(1, 1), [q])]
-        )
-    for layer_idx, g in _faulted_gates(c, fault):
-        slots.extend(("gate", layer_idx, w) for w in g.wires)
-        groups.append(_gate_error_basis(g, layer_idx, layout))
+        elif loc[0] == "input":
+            slots.append(loc)
+            groups.append([(w, _shifted(w, vec), qubits) for w in (("I",), ("X",))])
+        else:
+            slots.extend(("gate", loc[1], w) for w in loc[2])
+            groups.append(
+                [(w, _shifted(w, vec), qubits) for w in tag_words(len(loc[2]))]
+            )
     return frame, witness, slots, groups
 
 
@@ -288,12 +273,13 @@ class AdversarialDecomposition:
     initialized bit), then each faulted gate's wires in layer order.
     ``entries`` pairs each Pauli word over those slots, a tuple of tags,
     with a nonnegative coefficient and the residual witness-register state
-    it multiplies; the squared coefficients sum to one.
+    it multiplies; the squared coefficients sum to one. ``fault`` is the
+    state's set of faulted locations.
     """
 
     slots: tuple[tuple, ...]
     entries: tuple[tuple[tuple[str, ...], float, np.ndarray], ...]
-    fault: FaultPattern
+    fault: frozenset[tuple]
     circuit: LayeredCircuit
     delta_per_layer: tuple[float, ...]
 
@@ -453,20 +439,16 @@ def fault_experiment(
     times the number of sites with the independent-site tail. Raises
     FaultMismatch when the pattern does not fit the circuit.
     """
-    inputs, gates = canonical_payloads(c, fault)
-    state = build_combinatorial_state(
-        c, deltas, fault, input_payloads=inputs, gate_payloads=gates
-    )
-    declared = fault_locations(c, fault)
+    state = build_combinatorial_state(c, deltas, canonical_payloads(c, fault))
     violated = violated_locations(state, tol=max(tol, 1e-15))
     decomposition = extract_decomposition(state)
     rebuilt = reassemble_decomposition(decomposition)
     threshold = max(1, round(epsilon * c.n * c.depth))
     mass, reference = high_weight_mass(build_peps(c, deltas), threshold)
     return {
-        "declared_locations": sorted(str(loc) for loc in declared),
+        "declared_locations": sorted(str(loc) for loc in state.fault),
         "violated_locations": sorted(str(loc) for loc in violated),
-        "locations_match": violated == declared,
+        "locations_match": violated == state.fault,
         "coefficients": len(decomposition),
         "coefficient_norm_sq": decomposition.coefficient_norm_sq,
         "roundtrip_fidelity": overlap(rebuilt, state.amplitudes) ** 2,
@@ -602,12 +584,14 @@ class LowEnergyReport:
 
 
 def low_energy_probe(c: LayeredCircuit, deltas, state) -> LowEnergyReport:
-    """Measure a state against every locally checkable soundness handle.
+    """The soundness handles of a unit-norm state, as a ``LowEnergyReport``.
 
-    Rotates the state into the product frame and records the per-site
-    overlap with the single-pair ground state plus the per-ancilla
-    output-column zero weight, then evaluates each applicable inequality
-    with its hypothesis values measured from the same state:
+    Only the norm is checked here. Each value a record reads is computed
+    when first asked for and kept: the state rotated into the product
+    frame, a per-site overlap with the single-pair ground state, a
+    per-ancilla output-column zero weight, a term energy. Each applicable
+    inequality is evaluated with its hypothesis values measured from the
+    same state:
 
     * last column: a trivially gated last-layer row with term energy a has
       final-site overlap at least 1 - 4a;

@@ -96,7 +96,7 @@ def test_apply_circuit_matches_unitary(bell_circuit, rng):
 def test_layer_unitary_composes(hcnot):
     u = np.eye(4)
     for i in range(hcnot.depth):
-        u = layer_unitary(hcnot, i).dense() @ u
+        u = layer_unitary(hcnot, i).apply(u)
     assert np.allclose(u, circuit_unitary(hcnot))
     with pytest.raises(IndexError):
         layer_unitary(hcnot, 2)

@@ -329,6 +329,17 @@ def test_verify_refuses_a_bad_injected_layer_before_forking(
     assert multiprocessing.active_children() == []
 
 
+def test_verify_zero_tolerance_exits_2_before_forking(tmp_path, capsys, pin_cpus):
+    # a tolerance of 0 once reached math.sqrt(tol) in a worker's ground
+    # certificate and ended in a ZeroDivisionError traceback
+    pools = pin_cpus(2)
+    out = tmp_path / "out"
+    code = main(["verify", "--tolerance", "0", "--out", str(out)])
+    assert code == 2
+    assert "tolerance must be positive, got 0.0 (at tolerance)" in capsys.readouterr().err
+    assert not out.exists() and pools == []
+
+
 def test_verify_injected_delta_fails_frustration(tmp_path, capsys):
     out = str(tmp_path / "out")
     code = main(["verify", "--out", out, "--inject-delta", "1=0.9"])
@@ -476,9 +487,11 @@ def test_delta_out_of_range_exits_2_without_outputs(
         ({"epsilon": float("nan")}, [], "epsilon"),
         ({"suites": 3}, [], "suites"),
         ({}, ["--instances", "-3"], "instances"),
+        ({"tolerance": 0}, [], "tolerance"),
+        ({}, ["--tolerance=-1e-10"], "tolerance"),
     ],
     ids=["eigenvalues", "max_iter", "seed", "epsilon", "epsilon-nan", "suites",
-         "instances"],
+         "instances", "tolerance-zero", "tolerance-negative"],
 )
 def test_malformed_config_value_exits_2_without_outputs(
     tmp_path, capsys, config, flags, field

@@ -8,7 +8,7 @@ import pytest
 
 from clockless import hamiltonian, limits, soundness
 from clockless.circuit import layered
-from clockless.linalg import basis_state
+from clockless.linalg import basis_state, random_state
 from clockless.peps import build_peps
 from clockless.soundness import (
     SUITE_NAMES,
@@ -28,8 +28,6 @@ from clockless.soundness import (
     violated_locations,
 )
 
-NO_FAULT = FaultPattern(frozenset(), (frozenset(), frozenset()))
-
 
 def faulted_bell(bell_circuit, delta=0.5):
     """Bell circuit with a faulted ancilla input and a faulted layer-2 gate."""
@@ -39,26 +37,25 @@ def faulted_bell(bell_circuit, delta=0.5):
     state = build_combinatorial_state(
         bell_circuit,
         delta,
-        fault,
-        input_payloads={0: np.array([0.0, 1.0])},
-        gate_payloads={(2, (1, 0)): payload},
+        {("input", 0): np.array([0.0, 1.0]), ("gate", 2, (1, 0)): payload},
     )
     return state, fault
 
 
 def test_fault_pattern_budget():
-    # one location per faulted input wire and per faulted gate
+    # one location per faulted input wire and per faulted gate, in
+    # grid_factors order
     fault = FaultPattern([0, 1], ([1],))
     assert (fault.inputs, fault.layers) == (frozenset({0, 1}), (frozenset({1}),))
     c = layered(2, 2, [[("H", (1,))]])
-    assert fault_locations(c, fault) == {("input", 0), ("input", 1), ("gate", 1, (1,))}
+    assert fault_locations(c, fault) == [("input", 0), ("input", 1), ("gate", 1, (1,))]
 
 
 def test_fault_free_state_matches_build(bell_circuit):
-    state = build_combinatorial_state(bell_circuit, 0.5, NO_FAULT)
+    state = build_combinatorial_state(bell_circuit, 0.5, {})
     built = build_peps(bell_circuit, 0.5)
     assert np.array_equal(state.amplitudes, built.amplitudes)
-    assert state.fault == NO_FAULT and built.fault is None
+    assert state.fault == frozenset() and built.fault is None
     assert violated_locations(state) == set()
 
 
@@ -70,15 +67,12 @@ def test_extraction_needs_a_fault_pattern(bell_circuit):
 def test_combinatorial_state_is_refused_before_allocation(monkeypatch):
     c = layered(2, 1, [[("H", (0,)), ("T", (1,))], [("CNOT", (0, 1))],
                        [("S", (0,)), ("H", (1,))]])
-    fault = FaultPattern({0}, ((), (0, 1), ()))
-    inputs, gates = canonical_payloads(c, fault)
+    payloads = canonical_payloads(c, FaultPattern({0}, ((), (0, 1), ())))
     monkeypatch.setattr(limits, "MEMORY_BUDGET", 1000)
     tracemalloc.start()
     try:
         with pytest.raises(limits.ResourceError, match="grid state on 14 qubits"):
-            build_combinatorial_state(
-                c, 0.5, fault, input_payloads=inputs, gate_payloads=gates
-            )
+            build_combinatorial_state(c, 0.5, payloads)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -86,20 +80,12 @@ def test_combinatorial_state_is_refused_before_allocation(monkeypatch):
 
 
 def test_payload_bookkeeping_is_strict(bell_circuit):
-    fault = FaultPattern(frozenset({0}), (frozenset(), frozenset()))
-    with pytest.raises(ValueError):
-        build_combinatorial_state(bell_circuit, 0.5, fault)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lacks"):
         build_combinatorial_state(
-            bell_circuit,
-            0.5,
-            NO_FAULT,
-            input_payloads={0: np.array([0.0, 1.0])},
+            bell_circuit, 0.5, {("input", 2): np.array([0.0, 1.0])}
         )
     with pytest.raises(ValueError, match="dimension 2"):
-        build_combinatorial_state(
-            bell_circuit, 0.5, fault, input_payloads={0: np.ones(4)}
-        )
+        build_combinatorial_state(bell_circuit, 0.5, {("input", 0): np.ones(4)})
     with pytest.raises(ValueError, match="lacks"):
         build_peps(bell_circuit, 0.5, payloads={("gate", 3, (0,)): np.ones(4)})
 
@@ -107,15 +93,15 @@ def test_payload_bookkeeping_is_strict(bell_circuit):
 def test_non_unit_witness_is_rejected(hcnot):
     # the witness must already be a unit vector, as for build_peps
     with pytest.raises(ValueError, match="unit norm"):
-        build_combinatorial_state(hcnot, 0.5, NO_FAULT, xi=2 * basis_state(0, 1))
+        build_combinatorial_state(hcnot, 0.5, {}, xi=2 * basis_state(0, 1))
 
 
 def test_violations_sit_exactly_at_faults(bell_circuit):
     state, fault = faulted_bell(bell_circuit)
-    assert state.fault == fault
     declared = fault_locations(bell_circuit, fault)
+    assert state.fault == set(declared)
     violated = violated_locations(state)
-    assert violated == declared
+    assert violated == state.fault
     assert len(violated) == 2
 
 
@@ -128,13 +114,37 @@ def test_extraction_round_trip(bell_circuit):
     assert fidelity >= 1.0 - 1e-12
 
 
-def test_extraction_identifies_planted_input_flip(bell_circuit):
-    fault = FaultPattern(frozenset({1}), (frozenset(), frozenset()))
+def test_extraction_round_trip_with_a_witness(hcnot, rng):
+    # hcnot has one ancilla and one witness wire, so the frame leaves the
+    # witness qubit out and each entry's residual is a witness state
+    xi = random_state(1, rng)
+    payload = rng.normal(size=16) + 1j * rng.normal(size=16)
     state = build_combinatorial_state(
-        bell_circuit,
-        0.5,
-        fault,
-        input_payloads={1: np.array([0.0, 1.0])},
+        hcnot, 0.5, {("gate", 2, (0, 1)): payload}, xi=xi
+    )
+    decomp = extract_decomposition(state)
+    assert abs(decomp.coefficient_norm_sq - 1.0) < 1e-10
+    rebuilt = reassemble_decomposition(decomp)
+    assert abs(np.vdot(rebuilt, state.amplitudes)) ** 2 >= 1.0 - 1e-12
+    assert violated_locations(state) == state.fault == {("gate", 2, (0, 1))}
+
+
+def test_fault_experiment_checks_the_pattern_once(bell_circuit, monkeypatch):
+    calls, locate = [], soundness.fault_locations
+
+    def counted(c, fault):
+        calls.append(fault)
+        return locate(c, fault)
+
+    monkeypatch.setattr(soundness, "fault_locations", counted)
+    fault = FaultPattern(frozenset({0}), (frozenset(), frozenset({0, 1})))
+    report = soundness.fault_experiment(bell_circuit, 0.5, fault)
+    assert report["locations_match"] and len(calls) == 1
+
+
+def test_extraction_identifies_planted_input_flip(bell_circuit):
+    state = build_combinatorial_state(
+        bell_circuit, 0.5, {("input", 1): np.array([0.0, 1.0])}
     )
     decomp = extract_decomposition(state)
     assert decomp.slots == (("input", 1),)
