@@ -181,10 +181,6 @@ class LayeredCircuit:
     def depth(self) -> int:
         return len(self.layers)
 
-    def gates(self):
-        for layer in self.layers:
-            yield from layer
-
 
 def layered(n: int, a: int, layer_specs) -> LayeredCircuit:
     """Convenience builder: each layer is a list of (name_or_matrix, wires)."""

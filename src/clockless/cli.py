@@ -253,6 +253,15 @@ def _load_circuit(cfg: RunConfig, default: str | None = None) -> LayeredCircuit:
     return dict(named_fixtures())[default]
 
 
+def _load_grid_circuit(cfg: RunConfig, default: str | None = None) -> LayeredCircuit:
+    """``_load_circuit`` for a command that builds the circuit's grid, which
+    needs at least one layer; ``fk`` and ``swapqma`` take a circuit of none."""
+    c = _load_circuit(cfg, default)
+    if c.depth < 1:
+        raise InputError("grid needs at least one layer")
+    return c
+
+
 def _override(values, overrides: dict[int, float], flag: str) -> tuple[float, ...]:
     """A schedule with per-layer overrides, layers and values checked."""
     values, depth = list(values), len(values)
@@ -271,7 +280,7 @@ def _schedule(cfg: RunConfig, depth: int) -> tuple[float, ...]:
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    c = _load_circuit(cfg)
+    c = _load_grid_circuit(cfg)
     schedule = _schedule(cfg, c.depth)
     spec = parent_spec(c, schedule)
     operator = assemble(spec)
@@ -322,7 +331,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     if cfg.circuit is None:
         fixtures, deltas = named_fixtures(), (0.2, 0.5, 0.8)
     else:
-        fixtures = [(os.path.basename(cfg.circuit), _load_circuit(cfg))]
+        fixtures = [(os.path.basename(cfg.circuit), _load_grid_circuit(cfg))]
         deltas = (cfg.delta,)
     checks = verify_checks(
         fixtures, deltas, cfg.tolerance, partial(_verify_schedules, cfg)
@@ -349,7 +358,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_scan(cfg: RunConfig) -> int:
-    c = _load_circuit(cfg, default="identity1")
+    c = _load_grid_circuit(cfg, default="identity1")
     grid = cfg.delta_grid if cfg.delta_grid is not None else (cfg.delta,)
     if len(grid) > SCAN_POINT_CAP:
         raise InputError(
@@ -366,7 +375,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def _fault_report(cfg: RunConfig) -> dict:
-    c = _load_circuit(cfg, default="bell")
+    c = _load_grid_circuit(cfg, default="bell")
     schedule = _schedule(cfg, c.depth)
     fault = cio.read_fault_json(cfg.fault_file)
     return fault_experiment(
@@ -416,7 +425,11 @@ def cmd_soundness(cfg: RunConfig) -> int:
 
 
 def cmd_fk(cfg: RunConfig) -> int:
-    ham = build_modified_fk(degree_reduce(_load_circuit(cfg)))
+    c = degree_reduce(_load_circuit(cfg))
+    try:
+        ham = build_modified_fk(c)
+    except ValueError as e:  # a gate on more than two wires
+        raise InputError(str(e)) from None
     require_clock_states(ham)
     if cfg.mtx:
         ham.operator().require_sparse()

@@ -386,19 +386,17 @@ def greedy_groups(terms) -> list[tuple[int, ...]]:
     return [tuple(g) for g in groups]
 
 
-def build_dl_verifier(
-    terms, grouping
-) -> tuple[LayeredCircuit, MeasurementPlan]:
+def build_dl_verifier(terms) -> tuple[LayeredCircuit, MeasurementPlan]:
     """Constant-depth satisfiability extractor for a family of projectors.
 
     ``terms`` is a sequence of objects with ``support`` and projector
-    ``block`` attributes; ``grouping`` partitions their indices into
-    layers whose members act on pairwise disjoint qubits (overlap inside
-    a group is rejected). The circuit holds one fresh ancilla per term:
-    layer by layer, a controlled flip writes each term's value onto its
-    ancilla. Accepting means every ancilla reads zero, and the acceptance
-    probability equals the squared norm of the group-ordered product of
-    complements applied to the witness.
+    ``block`` attributes. The circuit holds one fresh ancilla per term and
+    one layer per group of ``greedy_groups(terms)``, whose members act on
+    pairwise disjoint qubits: layer by layer, a controlled flip writes each
+    term's value onto its ancilla. Accepting means every ancilla reads
+    zero, and the acceptance probability equals the squared norm of the
+    group-ordered product of complements (``dl_product``) applied to the
+    witness.
 
     Ancillas occupy wires 0..m-1 (one per term, in term order); the data
     register follows.
@@ -407,33 +405,9 @@ def build_dl_verifier(
     if not terms:
         raise ValueError("need at least one term")
     m = len(terms)
-    seen: set[int] = set()
-    groups: list[tuple[int, ...]] = []
-    for group in grouping:
-        group = tuple(int(i) for i in group)
-        used: set[int] = set()
-        for i in group:
-            if not 0 <= i < m:
-                raise ValueError(f"term index {i} out of range")
-            if i in seen:
-                raise ValueError(f"term {i} appears in two groups")
-            seen.add(i)
-            support = set(terms[i].support)
-            if support & used:
-                raise ValueError(
-                    f"group {group} members overlap on qubits "
-                    f"{sorted(support & used)}"
-                )
-            used |= support
-        groups.append(group)
-    if seen != set(range(m)):
-        raise ValueError(
-            f"grouping misses terms {sorted(set(range(m)) - seen)}"
-        )
-
     data = 1 + max(q for t in terms for q in t.support)
     layers = []
-    for group in groups:
+    for group in greedy_groups(terms):
         gates = []
         for i in group:
             h = require_projector(terms[i].block, 1e-10, f"term {i}")
@@ -504,7 +478,7 @@ def clock_report(ham: ClockHamiltonian, tol: float = 1e-12) -> dict:
         }
     if ham.num_qubits <= DENSE_QUBITS:
         grouping = greedy_groups(ham.terms)
-        verifier, plan = build_dl_verifier(ham.terms, grouping)
+        verifier, plan = build_dl_verifier(ham.terms)
         vec = hist.dense()
         accept = accept_probability(verifier, plan, vec)
         product = dl_product(ham.terms, grouping, ham.num_qubits)

@@ -53,12 +53,11 @@ import numpy as np
 import scipy.sparse
 
 from .circuit import Gate, LayeredCircuit
-from .limits import coo_bytes, dense_bytes, require
+from .limits import coo_bytes, require
 from .linalg import (
     apply_maps,
     apply_matrix,
     bit_placement,
-    expectation,
     is_hermitian,
     is_projector,
     sparse_expectation,
@@ -138,9 +137,9 @@ class LocalTerm:
 
     def energy(self, vec: np.ndarray, num_qubits: int) -> float:
         """Quadratic form <v|h|v> of the block; no normalization is applied."""
-        return _real_energy(
-            expectation(vec, self.block, tuple(reversed(self.support)), num_qubits)
-        )
+        wires = tuple(reversed(self.support))
+        applied = apply_matrix(vec, self.block, wires, num_qubits)
+        return _real_energy(complex(np.vdot(vec, applied)))
 
     def sparse_energy(
         self, indices: np.ndarray, amps: np.ndarray, num_qubits: int
@@ -351,8 +350,8 @@ class SparseOperator:
     """Sum of embedded term blocks, applied term by term without assembly.
 
     ``apply`` is the primary interface and works at any size; ``to_sparse``
-    and ``dense`` materialize the operator once ``require_sparse`` and
-    ``require_dense`` find it within the memory budget.
+    materializes the operator once ``require_sparse`` finds it within the
+    memory budget.
     """
 
     num_qubits: int
@@ -380,9 +379,6 @@ class SparseOperator:
         )
         require("a sparse matrix", self.num_qubits, coo_bytes(nonzeros))
 
-    def require_dense(self) -> None:
-        require("a dense matrix", self.num_qubits, dense_bytes(self.num_qubits))
-
     def to_sparse(self) -> scipy.sparse.csr_matrix:
         self.require_sparse()
         rows, cols, vals = [], [], []
@@ -404,10 +400,6 @@ class SparseOperator:
             shape=(self.dim, self.dim),
         )
         return mat.tocsr()
-
-    def dense(self) -> np.ndarray:
-        self.require_dense()
-        return self.to_sparse().toarray()
 
 
 def assemble(spec: HamiltonianSpec) -> SparseOperator:

@@ -6,17 +6,16 @@ amplitude index. Operator matrices list their wires most-significant-first,
 so ``apply_matrix(psi, CNOT, (0, 1), 2)`` has wire 0 as the control. Nothing
 in this module knows about grids, circuits, or Hamiltonians.
 
-``apply_matrix`` and ``expectation`` share one streamed contraction core. It
-views the (2,)*N + (batch,) tensor with the operator's wires as the leading
-axes, fixes just enough of the most significant free axes that each piece
-holds at most ``_PIECE_AMPS`` amplitudes, copies each piece contiguously and
-contracts it with the operator. ``apply_matrix`` writes every piece into one
-output buffer; ``expectation`` only sums <piece|op|piece> and reads just the
-local indices the operator touches. Neither allocates anything of size 2**N
-beyond the output. A state that fits in one piece is copied once and
+``apply_matrix`` is a streamed contraction. It views the (2,)*N + (batch,)
+tensor with the operator's wires as the leading axes, fixes just enough of
+the most significant free axes that each piece holds at most
+``_PIECE_AMPS`` amplitudes, copies each piece contiguously, contracts it
+with the operator and writes it into one output buffer; nothing else of
+size 2**N is allocated. A state that fits in one piece is copied once and
 contracted with one matmul, exactly as a plain moveaxis/reshape contraction
-does. ``sparse_expectation`` is the same quadratic form for a vector given
-only by its nonzero entries; it never touches the other 2**N amplitudes.
+does. ``sparse_expectation`` is the quadratic form <v|op|v> of a vector
+given only by its nonzero entries; it never touches the other 2**N
+amplitudes.
 
 All functions are pure; inputs are never mutated.
 """
@@ -36,7 +35,6 @@ __all__ = [
     "basis_state",
     "bit_placement",
     "embed_operator",
-    "expectation",
     "is_hermitian",
     "is_projector",
     "is_psd",
@@ -176,41 +174,6 @@ def apply_matrix(
     return out if batched else out[:, 0]
 
 
-def expectation(
-    vec: np.ndarray, op: np.ndarray, wires: Sequence[int], num_qubits: int
-) -> complex:
-    """Quadratic form <v|op|v> of a k-qubit operator on selected wires.
-
-    Same wire convention as ``apply_matrix``; no normalization is applied.
-    A vector of one piece is the plain ``vdot(v, apply_matrix(v))``. Past
-    that, op|v> is never formed: each piece is contracted and summed on its
-    own, and only the local indices where ``op`` has a nonzero row or
-    column are read.
-    """
-    vec = np.asarray(vec, dtype=np.complex128)
-    if vec.shape != (2**num_qubits,):
-        raise ValueError(
-            f"vector shape {vec.shape} does not match {num_qubits} qubits"
-        )
-    op = _check_operator(vec, op, wires, num_qubits)
-    if vec.size <= _PIECE_AMPS:
-        return complex(np.vdot(vec, apply_matrix(vec, op, wires, num_qubits)))
-    k = len(wires)
-    nonzero = op != 0
-    rows = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
-    block = op[np.ix_(rows, rows)]
-    # View axis a is wire a, which is bit k-1-a of a local index.
-    head = tuple((rows >> (k - 1 - a)) & 1 for a in range(k))
-    view = _support_first(vec[:, None], _support_order(wires, num_qubits))
-    tails = _piece_tails(view, k)
-    width = vec.size >> (k + len(tails[0]))
-    total = 0j
-    for tail in tails:
-        piece = view[head + tail].reshape(rows.size, width)
-        total += np.vdot(piece, block @ piece)
-    return complex(total)
-
-
 def sparse_expectation(
     indices: np.ndarray,
     amps: np.ndarray,
@@ -218,10 +181,11 @@ def sparse_expectation(
     wires: Sequence[int],
     num_qubits: int,
 ) -> complex:
-    """``expectation`` of the vector whose only nonzero entries are ``amps``.
+    """Quadratic form <v|op|v> of the vector v whose only nonzero entries are
+    ``amps``; no normalization is applied.
 
     ``indices`` are the distinct positions of ``amps`` in the 2**N vector,
-    as ``np.flatnonzero`` returns them; wires follow ``expectation``. Each
+    as ``np.flatnonzero`` returns them; wires follow ``apply_matrix``. Each
     index splits into its bits off the wires (the group key) and its local
     index on them. The amplitudes of a group fill one row of a
     (groups x 2**k) matrix M, and the form is ``vdot(M, M @ op.T)``. M is

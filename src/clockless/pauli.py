@@ -25,8 +25,8 @@ scalar delta.
 Multi-site Pauli words are tag tuples, the first tag on the most significant
 factor: ``tag_words(k)`` lists all 4^k of them, ``word_matrix`` builds the
 Kronecker product, ``word_stack`` caches all 4^k products as one array, and
-``word_decompose`` recognizes a matrix (or each of a stack of matrices) that
-is a phase times a word. The rotated closed forms, the Clifford check and
+``word_decompose`` recognizes each matrix of a stack that is a phase times
+a word. The rotated closed forms, the Clifford check and
 the gate error basis all build their words here.
 """
 
@@ -91,11 +91,11 @@ def word_stack(k: int) -> np.ndarray:
 
 
 def word_decompose(mat: np.ndarray, k: int, tol: float = 1e-9):
-    """Write a matrix, or each of a stack of them, as phase times a Pauli word.
+    """Write each of a (..., 2^k, 2^k) stack of matrices as phase times a
+    Pauli word.
 
-    One (2^k, 2^k) matrix gives ``(phase, word)``, or None if it is no
-    word. A (..., 2^k, 2^k) stack gives arrays ``(phases, indices)`` over
-    its leading shape, indices into ``tag_words(k)`` and -1 for no word.
+    Returns arrays ``(phases, indices)`` over the stack's leading shape,
+    indices into ``tag_words(k)`` and -1 for no word.
     """
     mat = np.asarray(mat)
     dim = 2**k
@@ -111,10 +111,6 @@ def word_decompose(mat: np.ndarray, k: int, tol: float = 1e-9):
     ).all(axis=1)
     ok = (np.abs(np.abs(phases) - 1.0) <= tol) & close
     indices = np.where(ok, best, -1)
-    if mat.ndim == 2:
-        if indices[0] < 0:
-            return None
-        return complex(phases[0]), tag_words(k)[indices[0]]
     return phases.reshape(mat.shape[:-2]), indices.reshape(mat.shape[:-2])
 
 

@@ -18,11 +18,11 @@ column, which ``locality_residual`` measures directly.
 Extraction reads the rotated term between basis states of the extraction
 support. ``rotate_term`` tries the term's own support first and keeps it
 when the leakage check passes within ``tol``; only a term that spreads is
-extracted again on the support widened by its rows' output qubits. A
-dressed term is taken from its factors: ``U† L² U = L²``, so only
-``W = L (K ⊗ I)`` goes through the rotation, from whichever side pushes
-fewer columns (``_factored_hole``). Any other term, and the random
-leakage-check states of every term, go through ``U† T U`` as (2^N, batch)
+extracted again on the support widened by its rows' output qubits. Every
+term is a ``DressedTerm`` of ``parent_spec``'s kinds, taken from its
+factors: ``U† L² U = L²``, so only ``W = L (K ⊗ I)`` goes through the
+rotation, from whichever side pushes fewer columns (``_factored_hole``).
+The random leakage-check states go through ``U† T U`` as (2^N, batch)
 arrays in chunks of at most ``_BATCH_BYTES``. The result is a dense
 ``LocalTerm`` with the kind, layer and wires of the term it came from. The
 Clifford hole is ``B S B^dagger``: B holds the Bell product basis, S counts
@@ -45,7 +45,7 @@ import numpy as np
 from .circuit import Gate, LayeredCircuit, layered
 from .hamiltonian import DressedTerm, LocalTerm, input_term
 from .limits import dense_bytes, require
-from .linalg import apply_maps, apply_matrix, bit_placement
+from .linalg import apply_maps, apply_matrix, bit_placement, embed_operator
 from .pauli import (
     PAULI_TAGS,
     bell_basis_matrix,
@@ -161,16 +161,6 @@ def _check_states(num_qubits: int) -> np.ndarray:
     return states
 
 
-def _basis_chunks(place: np.ndarray, n: int, width: int):
-    """The basis columns ``place`` selects on n qubits, ``width`` at a time,
-    as (column indices, (2^N, chunk) array) pairs."""
-    for start in range(0, place.size, width):
-        cols = np.arange(start, min(start + width, place.size))
-        basis = np.zeros((2**n, cols.size), dtype=np.complex128)
-        basis[place[cols], np.arange(cols.size)] = 1.0
-        yield cols, basis
-
-
 def _factored_hole(
     term: DressedTerm, rot: RotationUnitary, support: tuple[int, ...], width: int
 ) -> np.ndarray:
@@ -200,7 +190,10 @@ def _factored_hole(
             hole[:, cols] = rot.apply(lifted, adjoint=True)[place]
     else:
         gather = on_term[:, None] + rest
-        for cols, basis in _basis_chunks(place, n, width):
+        for start in range(0, place.size, width):
+            cols = np.arange(start, min(start + width, place.size))
+            basis = np.zeros((2**n, cols.size), np.complex128)
+            basis[place[cols], np.arange(cols.size)] = 1.0
             pushed = rot.apply(basis)[gather]  # (2^k, 2^(N-k), chunk)
             # Z[s, (c, j)] = sum_i W[i, c] conj(pushed[i, j, s])
             rows = np.tensordot(w, pushed.conj(), axes=([0], [0]))
@@ -209,63 +202,45 @@ def _factored_hole(
 
 
 def _conjugated_block(
-    term: LocalTerm | DressedTerm,
-    rot: RotationUnitary,
-    support: tuple[int, ...],
+    term: DressedTerm, rot: RotationUnitary, support: tuple[int, ...]
 ) -> tuple[np.ndarray, float]:
     """Extract the rotated term on ``support`` plus the leakage residual.
 
     The candidate block is the rotated term between basis states that are
-    zero outside the support. A ``DressedTerm`` inside the support gives it
-    from its factors: every ``Λ(δ)`` is Bell-diagonal and every rotation
-    factor is a Bell-controlled Pauli or a gate on the output column, so
-    ``U† L² U = L²`` and the block is ``L²|_S - Z Z†`` (``_factored_hole``).
-    Any other term is pushed through the rotation column by column. The
-    residual is the worst mismatch between the rotated term, applied as
-    ``U† T U`` with the term's dense block, and that block on random full
-    states; it is zero exactly when the rotated term acts as the identity
-    outside the support.
+    zero outside the support, a superset of the term's own. It comes from
+    the term's factors: every ``Λ(δ)`` dresses a shifted pair and is
+    Bell-diagonal, and every rotation factor is a Bell-controlled Pauli or
+    a gate on the output column, so ``U† L² U = L²`` and the block is
+    ``L²|_S - Z Z†`` (``_factored_hole``). The residual is the worst
+    mismatch between the rotated term, applied as ``U† T U`` with the
+    term's dense block, and that block on random full states; it is zero
+    exactly when the rotated term acts as the identity outside the support,
+    and large when the factored block is wrong.
     """
     n = rot.num_qubits
     m = len(support)
     require("rotated-block extraction", m, dense_bytes(m))
     dim = 2**m
-    term_wires = tuple(reversed(term.support))
     width = max(1, _BATCH_BYTES // (16 * 2**n))
-
-    def rotated_term(vecs: np.ndarray) -> np.ndarray:
-        w = rot.apply(vecs)
-        w = apply_matrix(w, term.block, term_wires, n)
-        return rot.apply(w, adjoint=True)
-
-    shifted = {rot.layout.site_qubits(*site) for site in rot.layout.sites()}
-    if (
-        isinstance(term, DressedTerm)
-        and set(term.support) <= set(support)
-        and all(pair in shifted for pair, _ in term.pairs)
-    ):
-        hole = _factored_hole(term, rot, support, width)
-        block = term.squared_dressing(support)
-        rows = max(1, _BATCH_BYTES // (16 * dim))
-        for start in range(0, dim, rows):
-            block[start : start + rows] -= hole[start : start + rows] @ hole.conj().T
-    else:
-        place = bit_placement(support)
-        block = np.zeros((dim, dim), dtype=np.complex128)
-        for cols, basis in _basis_chunks(place, n, width):
-            block[:, cols] = rotated_term(basis)[place]
+    hole = _factored_hole(term, rot, support, width)
+    block = term.squared_dressing(support)
+    rows = max(1, _BATCH_BYTES // (16 * dim))
+    for start in range(0, dim, rows):
+        block[start : start + rows] -= hole[start : start + rows] @ hole.conj().T
     states = _check_states(n)
+    term_wires = tuple(reversed(term.support))
     worst = 0.0
     for start in range(0, _CHECK_SAMPLES, width):
         batch = states[:, start : start + width]
-        lhs = rotated_term(batch)
+        pushed = apply_matrix(rot.apply(batch), term.block, term_wires, n)
+        lhs = rot.apply(pushed, adjoint=True)
         rhs = apply_matrix(batch, block, tuple(reversed(support)), n)
         worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
     return block, worst
 
 
 def _default_extraction_support(
-    term: LocalTerm | DressedTerm, layout: GridLayout
+    term: DressedTerm, layout: GridLayout
 ) -> tuple[int, ...]:
     rows = {q // layout.columns for q in term.support}
     extra = {layout.output_qubit(row) for row in rows}
@@ -299,7 +274,7 @@ def _trim_trivial_qubits(
 
 
 def rotate_term(
-    term: LocalTerm | DressedTerm, circuit: LayeredCircuit, tol: float = 1e-9
+    term: DressedTerm, circuit: LayeredCircuit, tol: float = 1e-9
 ) -> LocalTerm:
     """Conjugate one term by the circuit's rotation and re-localize it.
 
@@ -331,7 +306,7 @@ def rotate_term(
     return LocalTerm(term.kind, support, block, term.layer, term.wires)
 
 
-def locality_residual(term: LocalTerm | DressedTerm, circuit: LayeredCircuit) -> float:
+def locality_residual(term: DressedTerm, circuit: LayeredCircuit) -> float:
     """How badly the rotated term fails to live on the term's own support.
 
     Zero for an exactly localized rotation; order-one values mean the
@@ -349,12 +324,20 @@ def project_qubits(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Partial expectation of a block in a fixed state of some of its qubits.
 
-    ``local_state`` lives on ``qubits`` (an ascending subset of the
-    support) with bit ``b`` of its index on ``qubits[b]``. Returns the
-    operator left on the remaining qubits and that remaining support.
+    ``local_state`` lives on ``qubits`` (ascending) with bit ``b`` of its
+    index on ``qubits[b]``. The block acts as the identity on a qubit its
+    support does not list, as on the pairs that ``rotate_term`` trims at
+    delta = 1, so such a qubit joins the support first: a unit product
+    state there leaves the block unchanged. Returns the operator left on
+    the remaining qubits and that remaining support.
     """
     support = tuple(support)
     qubits = tuple(qubits)
+    if not set(qubits) <= set(support):
+        wide = tuple(sorted(set(support) | set(qubits)))
+        pos = [wide.index(q) for q in support]
+        block = embed_operator(block, tuple(reversed(pos)), len(wide))
+        support = wide
     pos = [support.index(q) for q in qubits]
     rest = [i for i in range(len(support)) if i not in pos]
     vec = np.asarray(local_state, dtype=np.complex128)
@@ -519,7 +502,7 @@ def pair_ground(
 
 
 def teleport_input(
-    term: LocalTerm | DressedTerm, delta: float, tol: float = 1e-9
+    term: DressedTerm, delta: float, tol: float = 1e-9
 ) -> tuple[LocalTerm, float, float]:
     """Funnel an input term through a minimal grid onto the output column.
 

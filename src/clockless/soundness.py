@@ -194,19 +194,14 @@ def build_combinatorial_state(
 
 
 def violated_locations(state: PepsState, tol: float = 1e-9) -> set[tuple]:
-    """Locations whose Hamiltonian terms the state actually violates."""
+    """Locations whose Hamiltonian terms the state actually violates: an
+    input term's wire, a propagation term's gate."""
     spec = parent_spec(state.circuit, state.delta_per_layer)
     report = energy(spec, state.amplitudes, tol)
-    out: set[tuple] = set()
-    for idx in report.violations:
-        term = spec.terms[idx]
-        if term.kind == "input":
-            out.add(("input", term.wires[0]))
-        elif term.kind == "propagation":
-            out.add(("gate", term.layer, term.wires))
-        else:
-            out.add((term.kind, term.layer, term.wires))
-    return out
+    return {
+        ("input", t.wires[0]) if t.kind == "input" else ("gate", t.layer, t.wires)
+        for t in (spec.terms[i] for i in report.violations)
+    }
 
 
 def _contract_factors(
@@ -466,26 +461,9 @@ def overlap_ceiling(delta: float) -> float:
     return 1.0 - delta**6 / 2.0
 
 
-@dataclass(frozen=True)
-class LemmaRecord:
-    """One evaluated hypothesis/conclusion pair of an inequality lemma.
-
-    ``slack`` is oriented so that nonnegative means the conclusion holds;
-    hypothesis values are measured from the state, never assumed.
-    """
-
-    name: str
-    location: tuple
-    hypothesis: dict
-    lhs: float
-    rhs: float
-    slack: float
-    holds: bool
-
-
 class LowEnergyReport:
     """Soundness handles of one state (see ``low_energy_probe``), each
-    computed when first asked and kept; ``record`` builds one lemma record.
+    computed when first asked and kept; ``record`` evaluates one lemma.
     """
 
     def __init__(self, c: LayeredCircuit, schedule, vector: np.ndarray):
@@ -565,26 +543,19 @@ class LowEnergyReport:
         out.update((("input_teleport", ("wire", w)), (w,)) for w in range(c.a))
         return out
 
-    def record(self, name: str, location: tuple) -> LemmaRecord:
-        """The ``name`` lemma's record at ``location``, from only the values
-        it reads; ValueError outside the lemma's stated shape."""
+    def record(self, name: str, location: tuple) -> tuple[dict, float, float]:
+        """The ``name`` lemma at ``location`` as (hypothesis values, lhs,
+        rhs), from only the values it reads; it holds when lhs >= rhs, and
+        the hypothesis values are measured from the state, never assumed.
+        ValueError outside the lemma's stated shape."""
         if (name, location) not in self._lemmas:
             raise ValueError(f"no {name} record at {location}")
-        hypothesis, lhs, rhs = getattr(self, f"_{name}")(*self._lemmas[name, location])
-        slack = lhs - rhs
-        return LemmaRecord(name, location, hypothesis, lhs, rhs, slack, slack >= -1e-12)
-
-    @property
-    def records(self) -> tuple[LemmaRecord, ...]:
-        return tuple(self.record(*key) for key in self._lemmas)
-
-    @property
-    def failures(self) -> tuple[LemmaRecord, ...]:
-        return tuple(r for r in self.records if not r.holds)
+        return getattr(self, f"_{name}")(*self._lemmas[name, location])
 
 
-def low_energy_probe(c: LayeredCircuit, deltas, state) -> LowEnergyReport:
-    """The soundness handles of a unit-norm state, as a ``LowEnergyReport``.
+def low_energy_probe(c: LayeredCircuit, deltas, vec) -> LowEnergyReport:
+    """The soundness handles of a unit-norm grid vector, as a
+    ``LowEnergyReport``.
 
     Only the norm is checked here. Each value a record reads is computed
     when first asked for and kept: the state rotated into the product
@@ -604,7 +575,7 @@ def low_energy_probe(c: LayeredCircuit, deltas, state) -> LowEnergyReport:
 
     Rows or gates outside a lemma's stated shape are skipped, not forced.
     """
-    vec = np.asarray(getattr(state, "amplitudes", state), dtype=np.complex128)
+    vec = np.asarray(vec, dtype=np.complex128)
     if abs(np.linalg.norm(vec) - 1.0) > 1e-8:
         raise ValueError(f"expected a unit-norm state, got norm {np.linalg.norm(vec)}")
     return LowEnergyReport(c, resolve_deltas(deltas, c.depth), vec)
@@ -687,14 +658,14 @@ def _random_projector_family(rng):
 def _detectability_instance(suite, index, rng) -> InstanceRecord:
     dim, projectors, state = _random_projector_family(rng)
     g = _noncommuting_degree(projectors)
-    lhs, rhs, _ = detectability_check(projectors, g, state)
+    lhs, rhs = detectability_check(projectors, g, state)
     params = {"dim": dim, "terms": len(projectors), "g": g}
     return _record(suite, index, params, lhs, rhs, rhs - lhs)
 
 
 def _union_bound_instance(suite, index, rng) -> InstanceRecord:
     dim, projectors, state = _random_projector_family(rng)
-    lhs, rhs, _ = union_bound_check(projectors, state)
+    lhs, rhs = union_bound_check(projectors, state)
     params = {"dim": dim, "terms": len(projectors)}
     return _record(suite, index, params, lhs, rhs, lhs - rhs)
 
@@ -766,8 +737,8 @@ def _noisy_probe(c, delta, rng) -> tuple[LowEnergyReport, float]:
 def _lemma_row(suite, index, probe, name, location, **params) -> InstanceRecord:
     """The suite row of the probe's ``name`` record at ``location``, with
     the record's hypothesis values among the parameters."""
-    rec = probe.record(name, location)
-    return _record(suite, index, params | rec.hypothesis, rec.lhs, rec.rhs, rec.slack)
+    hypothesis, lhs, rhs = probe.record(name, location)
+    return _record(suite, index, params | hypothesis, lhs, rhs, lhs - rhs)
 
 
 def _last_column_instance(suite, index, rng) -> InstanceRecord:

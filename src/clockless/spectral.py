@@ -241,6 +241,12 @@ def _inertia(
     return _bunch_kaufman(shifted.toarray(order="F"))
 
 
+# A zero level of H + σQQ† (norm ≤ 2σ, σ the sum of the terms' Frobenius
+# norms) can come out a few ε·σ high; 64·ε·σ covers that at 1/180 of
+# cnot_bulk's smallest margin (1.2e4·ε·σ, δ = 0.03).
+_FLOOR_EPS = 64 * np.finfo(float).eps
+
+
 def ground_certificate(op: SparseOperator, q: np.ndarray, tol: float) -> float:
     """A bound on sin θ, θ the angle between the unit vector ``q`` and the
     ground vector of ``op``, or NaN when ``op``'s ground is not certified
@@ -254,9 +260,13 @@ def ground_certificate(op: SparseOperator, q: np.ndarray, tol: float) -> float:
     up to b = r/√tol, half of τ's margin over e0 + r, which keeps sin² θ ≤
     tol; on verify's parents b is 2e-15 to 2e-12 and the margin 1.7e-11 to
     5.2e-11.  Any other count, as when a level lies between the ground one
-    and τ, gives NaN: no cutoff stands in for the certificate.  So does a
-    residual of exactly 0, which leaves τ no margin.  Refused over the
-    memory budget of the dense fallback before anything is built.
+    and τ, gives NaN: no cutoff stands in for the certificate.  A residual
+    of exactly 0, as at delta = 1 where q can be an exact floating-point
+    eigenvector, would leave τ no margin; there ``parent_spectrum``'s
+    rounding floor 64·ε·σ, σ the sum of the terms' Frobenius norms, stands
+    in for r in τ's margin and the trust limit, and the bound is 0.
+    Refused over the memory budget of the dense fallback before anything
+    is built.
     """
     qubits = op.num_qubits
     copies = _GROUND_COPIES * dense_bytes(qubits)
@@ -266,8 +276,10 @@ def ground_certificate(op: SparseOperator, q: np.ndarray, tol: float) -> float:
     r = float(np.linalg.norm(hq - e0 * q))
     h = op.to_sparse()
     h = h.real.astype(np.float64) if not h.data.imag.any() else h
-    tau = e0 + r + 2 * r / math.sqrt(tol)
-    count, b = _inertia(h, tau, r / math.sqrt(tol))
+    scale = r or _FLOOR_EPS * sum(float(np.linalg.norm(t.block)) for t in op.terms)
+    limit = scale / math.sqrt(tol)
+    tau = e0 + r + 2 * limit
+    count, b = _inertia(h, tau, limit)
     margin = tau - b - e0 - r
     if count != 1 or not margin > 0:
         return float("nan")
@@ -418,9 +430,7 @@ def parent_spectrum(
             k=m, tol=tol, max_iter=max_iter, seed=seed,
         )
     levels = excited.lowest_eigenvalues[:m]
-    # A zero level of H + σQQ† (norm ≤ 2σ) can come out a few ε·σ high; 64·ε·σ
-    # covers that at 1/180 of cnot_bulk's smallest margin (1.2e4·ε·σ, δ = 0.03).
-    floor = max(ground_residuals) + 64 * np.finfo(float).eps * sigma
+    floor = max(ground_residuals) + _FLOOR_EPS * sigma
     resolved = bool(levels[0] - excited.residuals[0] > floor)
     eigs = np.concatenate([energies, levels])
     return SpectralReport(
@@ -466,7 +476,7 @@ def _sweep(projectors, state: np.ndarray) -> np.ndarray:
 
 def detectability_check(
     projectors, g: float, state: np.ndarray
-) -> tuple[float, float, bool]:
+) -> tuple[float, float]:
     """Detectability bound for a family of overlapping projectors.
 
     With φ the state after applying (1 - Q_i) in list order, and e_φ the
@@ -475,7 +485,7 @@ def detectability_check(
         ‖φ‖² ≤ 1 / (e_φ / g² + 1)
 
     where ``g`` bounds how many other family members each projector fails
-    to commute with.  Returns (lhs, rhs, holds).
+    to commute with.  Returns (lhs, rhs).
     """
     checked = [require_projector(q) for q in projectors]
     if g <= 0:
@@ -483,29 +493,27 @@ def detectability_check(
     phi = _sweep(checked, state)
     lhs = float(np.linalg.norm(phi) ** 2)
     if lhs < 1e-30:
-        return 0.0, 1.0, True
+        return 0.0, 1.0
     unit = phi / math.sqrt(lhs)
     energy = sum(float(np.real(unit.conj() @ (q @ unit))) for q in checked)
-    rhs = 1.0 / (energy / g**2 + 1.0)
-    return lhs, rhs, bool(lhs <= rhs + 1e-12)
+    return lhs, 1.0 / (energy / g**2 + 1.0)
 
 
-def union_bound_check(projectors, state: np.ndarray) -> tuple[float, float, bool]:
+def union_bound_check(projectors, state: np.ndarray) -> tuple[float, float]:
     """Union bound: the sweep retains all weight the energy does not claim.
 
     With φ as in ``detectability_check`` and H = ΣQ_i, checks
 
         ‖φ‖² ≥ 1 - 4⟨ψ|H|ψ⟩.
 
-    Returns (lhs, rhs, holds).
+    Returns (lhs, rhs).
     """
     checked = [require_projector(q) for q in projectors]
     psi = np.asarray(state, dtype=np.complex128)
     phi = _sweep(checked, psi)
     lhs = float(np.linalg.norm(phi) ** 2)
     energy = sum(float(np.real(psi.conj() @ (q @ psi))) for q in checked)
-    rhs = 1.0 - 4.0 * energy
-    return lhs, rhs, bool(lhs >= rhs - 1e-12)
+    return lhs, 1.0 - 4.0 * energy
 
 
 @dataclass(frozen=True)
@@ -519,10 +527,6 @@ class JordanBlock:
     basis: np.ndarray
     left: np.ndarray
     right: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
 
 
 @dataclass(frozen=True)
@@ -642,7 +646,6 @@ class GeometricBound(NamedTuple):
     theta: float
     bound: float
     min_eig: float
-    holds: bool
 
 
 # Eigenvalues below this count as a kernel direction in ``geometric_bound``.
@@ -723,5 +726,4 @@ def geometric_bound(a: np.ndarray, b: np.ndarray) -> GeometricBound:
         theta=theta,
         bound=bound,
         min_eig=min_eig,
-        holds=bool(min_eig >= bound - 1e-12),
     )

@@ -237,8 +237,6 @@ def _rotated_checks(
                 value, reference, deviation, check_status(deviation, tol),
             ))
             continue
-        if term.kind != "propagation":
-            continue
         gate = gates[(term.layer, term.wires)]
         k = gate.arity
         tag = _wire_tag(gate, term)

@@ -242,6 +242,47 @@ def test_build_invalid_json_reports_position(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.fixture
+def empty_json(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json_text({"version": 1, "n": 2, "a": 1, "layers": []}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [
+    ["build"], ["verify"], ["scan"], ["soundness", "--fault-file", "{fault}"],
+])
+def test_grid_commands_refuse_a_circuit_of_no_layers(
+    tmp_path, capsys, empty_json, command
+):
+    fault = tmp_path / "fault.json"
+    fault.write_text(json_text({"inputs": [], "layers": []}))
+    out = tmp_path / "out"
+    argv = [arg.format(fault=fault) for arg in command]
+    code = main(argv + ["--circuit", empty_json, "--out", str(out)])
+    assert code == 2
+    assert "error: grid needs at least one layer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["fk", "swapqma"])
+def test_gridless_commands_take_a_circuit_of_no_layers(tmp_path, empty_json, command):
+    assert main([command, "--circuit", empty_json, "--out", str(tmp_path)]) == 0
+
+
+def test_fk_refuses_a_three_wire_gate_without_outputs(tmp_path, capsys):
+    circuit = tmp_path / "ccz.json"
+    circuit.write_text(json_text({
+        "version": 1, "n": 3, "a": 1,
+        "layers": [[{"gate": "CCZ", "wires": [0, 1, 2]}]],
+    }))
+    out = tmp_path / "out"
+    assert main(["fk", "--circuit", str(circuit), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: gate on wires (0, 1, 2) acts on 3 wires" in err
+    assert not out.exists()
+
+
 def test_missing_circuit_flag_is_an_input_error(tmp_path, capsys):
     code = main(["build", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -636,6 +677,32 @@ def test_scan_rows_are_pinned(tmp_path):
         assert abs(float(row[gap]) - float(want[gap])) <= 1e-13, (row, want)
 
 
+def test_build_artifacts_are_pinned(tmp_path):
+    # the dense path on cnot_bulk at delta 0.5: spectrum, report and terms
+    circuit = tmp_path / "cnot_bulk.json"
+    circuit.write_text(json_text({
+        "version": 1, "n": 2, "a": 2,
+        "layers": [
+            [{"gate": "CNOT", "wires": [1, 0]}],
+            [{"gate": "I", "wires": [0]}, {"gate": "I", "wires": [1]}],
+        ],
+    }))
+    out = tmp_path / "out"
+    argv = ["build", "--circuit", str(circuit), "--delta", "0.5", "--out", str(out)]
+    assert main(argv) == 0
+    for name in ("spectral", "build_report", "terms"):
+        pinned = (DATA / f"build_cnot_bulk_{name}.json").read_bytes()
+        assert (out / f"{name}.json").read_bytes() == pinned
+
+
+def test_swapqma_artifacts_are_pinned(tmp_path, hcnot_json):
+    out = tmp_path / "out"
+    assert main(["swapqma", "--circuit", hcnot_json, "--out", str(out)]) == 0
+    for name in ("verifier_circuit", "verifier_plan", "swap_report"):
+        pinned = (DATA / f"swapqma_hcnot_{name}.json").read_bytes()
+        assert (out / f"{name}.json").read_bytes() == pinned
+
+
 def test_swapqma_command(tmp_path, hcnot_json, capsys):
     out = str(tmp_path / "out")
     code = main(["swapqma", "--circuit", hcnot_json, "--out", out])
@@ -837,7 +904,7 @@ def test_build_finds_the_small_gap_of_cnot_bulk(tmp_path, delta):
     assert main(argv + ["--out", str(out)]) == 0
     report = read_json(out / "build_report.json")
     spec = parent_spec(read_circuit_json(circuit), delta)
-    eigs = np.linalg.eigvalsh(assemble(spec).dense())
+    eigs = np.linalg.eigvalsh(assemble(spec).to_sparse().toarray())
     assert report["ground_dim"] == 1
     assert abs(report["gap"] - (eigs[1] - eigs[0])) <= 1e-13
 

@@ -170,7 +170,7 @@ def test_operator_matches_energies(clock, rng):
 
 
 def _assert_energies_match_streamed(ham, state):
-    # Each term streamed through ``expectation`` over the whole vector.
+    # Each term's dense energy over the whole vector.
     vec = state.dense()
     want = [term_energy(t, vec, ham.num_qubits) for t in ham.terms]
     got = ham.energies(state)
@@ -275,7 +275,7 @@ def test_accept_probability_bit_convention(hadamard1):
 
 def test_dl_verifier_single_projector():
     term = LocalTerm("output", (0,), np.diag([0.0, 1.0]), 1)
-    verifier, plan = build_dl_verifier([term], [(0,)])
+    verifier, plan = build_dl_verifier([term])
     # accept = ||(1 - |1><1|) xi||^2
     assert np.isclose(accept_probability(verifier, plan, basis_state(0, 1)), 1.0)
     assert np.isclose(accept_probability(verifier, plan, basis_state(1, 1)), 0.0)
@@ -295,7 +295,13 @@ def test_dl_verifier_matches_projector_product(clock):
         else:
             groups.append([i])
     grouping = [tuple(g) for g in groups]
-    verifier, plan = build_dl_verifier(clock.terms, grouping)
+    verifier, plan = build_dl_verifier(clock.terms)
+    # one layer per group, the flips in term order (padding is named "I")
+    flips = [
+        tuple(g.wires[-1] for g in layer if g.name is None)
+        for layer in verifier.layers
+    ]
+    assert flips == grouping
     xi = history_state(clock).dense()
     accept = accept_probability(verifier, plan, xi)
     product = dl_product(clock.terms, grouping, clock.num_qubits)
@@ -303,13 +309,6 @@ def test_dl_verifier_matches_projector_product(clock):
     assert abs(accept - direct) < 1e-12
     # frozen: the history state of 4 steps keeps 1 - 1/5 after the sweep
     assert np.isclose(accept, 0.8, atol=1e-12)
-
-
-def test_dl_verifier_rejects_bad_grouping(clock):
-    with pytest.raises(ValueError):
-        build_dl_verifier(clock.terms, [tuple(range(len(clock.terms)))])
-    with pytest.raises(ValueError):
-        build_dl_verifier(clock.terms, [(0,)])  # not a partition
 
 
 def test_swap_verifier_honest_completeness(hcnot):

@@ -49,18 +49,6 @@ def test_estimates():
     assert vector_bytes(20, 20) == 20 * 16 * 2**20
 
 
-def test_empty_thirteen_qubit_operator_refuses_dense_without_allocating():
-    op = SparseOperator(13, ())
-    tracemalloc.start()
-    try:
-        with pytest.raises(ResourceError, match="13 qubits"):
-            op.dense()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-
-
 def test_dense_oracles_refuse_twelve_qubits_without_allocating():
     # one 12-qubit matrix is the whole budget; the ground certificate's
     # dense fallback holds several, and is refused before the sparse factor

@@ -10,7 +10,6 @@ from clockless.linalg import (
     basis_state,
     bit_placement,
     embed_operator,
-    expectation,
     is_hermitian,
     is_projector,
     is_psd,
@@ -207,16 +206,6 @@ def test_streamed_apply_matches_single_reshape(tiny_pieces, wires, rng):
         assert np.max(np.abs(got - _reshape_apply(state, op, wires, n))) <= 1e-13
 
 
-@pytest.mark.parametrize("wires", ORACLE_WIRES)
-def test_streamed_expectation_matches_vdot(tiny_pieces, wires, rng):
-    n, k = ORACLE_N, len(wires)
-    vec = _complex_normal(rng, 2**n)
-    dense = _complex_normal(rng, 2**k, 2**k)
-    for op in (dense + dense.conj().T, dense, _sparse_hermitian(k, rng)):
-        want = np.vdot(vec, _reshape_apply(vec, op, wires, n))
-        assert abs(expectation(vec, op, wires, n) - want) <= 1e-13
-
-
 def test_single_piece_is_the_plain_contraction(monkeypatch, rng):
     # A state that just fits in one piece goes through one contiguous copy
     # and one matmul, so it is bit-identical to the plain contraction.
@@ -230,22 +219,18 @@ def test_single_piece_is_the_plain_contraction(monkeypatch, rng):
             assert np.array_equal(
                 apply_matrix(state, op, wires, n), _reshape_apply(state, op, wires, n)
             )
-        want = np.vdot(vec, _reshape_apply(vec, op, wires, n))
-        assert expectation(vec, op, wires, n) == want
 
 
-def test_expectation_rejects_bad_input():
+def test_apply_matrix_rejects_bad_input():
     vec = basis_state(0, 3)
-    with pytest.raises(ValueError, match="vector shape"):
-        expectation(vec[:7], X, (0,), 3)
-    with pytest.raises(ValueError, match="vector shape"):
-        expectation(np.stack([vec, vec], axis=1), X, (0,), 3)
+    with pytest.raises(ValueError, match="state length"):
+        apply_matrix(vec[:7], X, (0,), 3)
     with pytest.raises(ValueError, match="distinct"):
-        expectation(vec, np.eye(4), (1, 1), 3)
+        apply_matrix(vec, np.eye(4), (1, 1), 3)
     with pytest.raises(ValueError, match="out of range"):
-        expectation(vec, X, (3,), 3)
+        apply_matrix(vec, X, (3,), 3)
     with pytest.raises(ValueError, match="operator shape"):
-        expectation(vec, np.eye(4), (0,), 3)
+        apply_matrix(vec, np.eye(4), (0,), 3)
 
 
 # One, two and five wires, and a non-contiguous unsorted three-wire list.
@@ -263,7 +248,7 @@ def test_sparse_expectation_matches_streamed(wires, rng):
         idx = np.flatnonzero(vec)
         for op in (dense + dense.conj().T, dense, _sparse_hermitian(k, rng)):
             got = sparse_expectation(idx, vec[idx], op, wires, n)
-            assert abs(got - expectation(vec, op, wires, n)) <= 1e-13
+            assert abs(got - np.vdot(vec, apply_matrix(vec, op, wires, n))) <= 1e-13
 
 
 @pytest.mark.parametrize("wires", SPARSE_WIRES)
@@ -278,7 +263,7 @@ def test_sparse_expectation_in_chunks_matches_streamed(wires, rng, monkeypatch):
         idx = np.flatnonzero(vec)
         for order in (idx, idx[::-1]):
             got = sparse_expectation(order, vec[order], op, wires, n)
-            assert abs(got - expectation(vec, op, wires, n)) <= 1e-13
+            assert abs(got - np.vdot(vec, apply_matrix(vec, op, wires, n))) <= 1e-13
 
 
 def test_sparse_expectation_of_no_amplitudes_is_zero():

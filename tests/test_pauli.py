@@ -138,10 +138,10 @@ def test_word_helpers():
     assert len(tag_words(2)) == 16 and tag_words(2)[1] == ("I", "X")
     xz = word_matrix(("X", "Z"))
     assert np.array_equal(xz, np.kron(pauli_matrix("X"), pauli_matrix("Z")))
-    alpha, word = word_decompose(-1j * xz, 2)
-    assert word == ("X", "Z") and abs(alpha + 1j) < 1e-15
+    alpha, index = word_decompose((-1j * xz)[None], 2)
+    assert tag_words(2)[index[0]] == ("X", "Z") and abs(alpha[0] + 1j) < 1e-15
     hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    assert word_decompose(hadamard, 1) is None
+    assert word_decompose(hadamard[None], 1)[1].tolist() == [-1]
 
 
 def test_word_decompose_stack_matches_single_calls():
@@ -160,8 +160,9 @@ def test_word_decompose_stack_matches_single_calls():
     assert indices[1, 0] == -1 and indices[1, 1] == -1
     flat = zip(mats.reshape(-1, 4, 4), phases.ravel(), indices.ravel())
     for mat, phase, index in flat:
-        single = word_decompose(mat, 2)
-        assert single is None if index < 0 else single == (phase, words[index])
+        one_phase, one_index = word_decompose(mat[None], 2)
+        assert one_index.tolist() == [index]
+        assert index < 0 or one_phase[0] == phase
 
 
 def test_word_stack_is_cached_and_read_only():

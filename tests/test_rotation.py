@@ -9,10 +9,10 @@ import pytest
 from clockless import rotation
 from clockless.circuit import gate, layered
 from clockless.hamiltonian import (
-    LocalTerm, input_term, parent_spec, propagation_term,
+    input_term, parent_spec, propagation_term,
 )
 from clockless.limits import dense_bytes
-from clockless.linalg import apply_matrix, bit_placement, embed_operator
+from clockless.linalg import apply_matrix, bit_placement, embed_operator, random_state
 from clockless.pauli import (
     bell_state,
     lambda_matrix,
@@ -282,17 +282,6 @@ def test_factored_blocks_match_column_loop():
     assert sides == {True, False}
 
 
-def test_dense_term_rotates_like_its_factors():
-    # a LocalTerm has no factors and is pushed through U† T U column by
-    # column; it must land on the factored block of the same term
-    c = BATCH_FIXTURES["cnot_bulk"]
-    term = propagation_term(gate("CNOT", (1, 0)), 1, 0.4, GridLayout(2, 2))
-    dense = LocalTerm(term.kind, term.support, term.block, term.layer, term.wires)
-    factored, plain = rotate_term(term, c), rotate_term(dense, c)
-    assert factored.support == plain.support
-    assert np.abs(factored.block - plain.block).max() <= 1e-13
-
-
 def test_extraction_holds_about_one_block():
     # the CNOT bulk term rotates onto its own 8 qubits, so no 2^10 x 2^10
     # block of the 10-qubit grid is built: the 2^8 x 2^8 block, its hole and
@@ -534,6 +523,19 @@ def test_project_qubits_shape_check():
     mat = np.eye(4)
     with pytest.raises(ValueError):
         project_qubits(mat, (0, 1), (1,), np.ones(4))
+
+
+def test_project_qubits_off_the_support(rng):
+    # the block acts as the identity on qubit 5, which its support omits:
+    # a unit state there leaves it unchanged
+    block = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    a, b = random_state(1, rng), random_state(1, rng)
+    reduced, rest = project_qubits(block, (0, 3), (5,), b)
+    assert rest == (0, 3) and np.abs(reduced - block).max() <= 1e-14
+    # bit 0 of the local state is qubit 3, bit 1 qubit 5
+    reduced, rest = project_qubits(block, (0, 3), (3, 5), np.kron(b, a))
+    want, want_rest = project_qubits(block, (0, 3), (3,), a)
+    assert rest == want_rest == (0,) and np.abs(reduced - want).max() <= 1e-14
 
 
 def test_input_term_undressing_identity():

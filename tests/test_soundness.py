@@ -183,12 +183,13 @@ def test_high_weight_mass_matches_binomial(bell_circuit):
 def test_low_energy_probe_on_ground_state(bell_circuit):
     state = build_peps(bell_circuit, 0.4)
     report = low_energy_probe(bell_circuit, 0.4, state.amplitudes)
-    assert report.failures == ()
-    # the ground state sits exactly on every pair ground state a lemma reads
-    assert report.records
-    for record in report.records:
-        assert all(abs(v) < 1e-10 for v in record.hypothesis.values())
-        assert record.lhs > 1.0 - 1e-10
+    # the ground state sits exactly on every pair ground state a lemma
+    # reads, and every lemma holds
+    assert report._lemmas
+    for key in report._lemmas:
+        hypothesis, lhs, rhs = report.record(*key)
+        assert all(abs(v) < 1e-10 for v in hypothesis.values())
+        assert lhs > 1.0 - 1e-10 and lhs - rhs >= -1e-12
 
 
 def test_suite_names_complete():
@@ -230,6 +231,7 @@ ROBUST_SUITES = ("robust_last_column", "robust_bulk_forwarding", "robust_input_t
 def test_row_records_match_the_full_report(monkeypatch, name):
     # each row's on-demand record equals, float for float, the matching
     # record of a fresh report on the same probe vector that builds them all
+    # first
     probes, rows = [], []
     real_probe = soundness.low_energy_probe
     real_record = soundness.LowEnergyReport.record
@@ -249,8 +251,9 @@ def test_row_records_match_the_full_report(monkeypatch, name):
     monkeypatch.undo()
     assert len(probes) == len(rows) == 120
     for (c, deltas, state), (lemma, location, rec) in zip(probes, rows):
-        full = low_energy_probe(c, deltas, state).records
-        assert [r for r in full if (r.name, r.location) == (lemma, location)] == [rec]
+        fresh = low_energy_probe(c, deltas, state)
+        full = {key: fresh.record(*key) for key in fresh._lemmas}
+        assert full[lemma, location] == rec
 
 
 def test_last_column_row_builds_one_term(monkeypatch):
@@ -276,8 +279,8 @@ def test_last_column_row_builds_one_term(monkeypatch):
 
 
 def test_report_computes_each_value_once(monkeypatch, bell_circuit):
-    # records and the summaries share their values: each term energy is
-    # taken once, and the rotated state is kept
+    # the records share their values: each term energy is taken once, and
+    # the rotated state is kept
     energies = []
     real = soundness.term_energy
     monkeypatch.setattr(
@@ -285,8 +288,8 @@ def test_report_computes_each_value_once(monkeypatch, bell_circuit):
     )
     state = build_peps(bell_circuit, 0.4).amplitudes
     report = low_energy_probe(bell_circuit, 0.4, state)
-    records = report.records
-    assert report.records == records
+    records = [report.record(*key) for key in report._lemmas]
+    assert [report.record(*key) for key in report._lemmas] == records
     # the two input_teleport records read one input-term energy each
     assert len(energies) == bell_circuit.a == 2
     assert report.rotated is report.rotated

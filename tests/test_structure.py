@@ -1,12 +1,16 @@
 """Package structure: modules import only each other's public names, a
-command reaches every public definition, and a call sets every default."""
+command reaches, and runs, every public definition, and a call sets every
+default."""
 
 import ast
 import importlib
+import sys
 from collections import Counter
 from pathlib import Path
 
 import clockless
+from clockless import cli, spectral
+from clockless.io import write_circuit_json
 
 PACKAGE = Path(clockless.__file__).resolve().parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -21,6 +25,13 @@ UNREACHED_ALLOWED = {
     "pauli.bell_state": "the Bell-state reference of the peps and rotation tests",
     "rotation.clifford_form": "perfbench/tracer.py wraps it, and a --trace run "
     "fails on a missing name",
+}
+
+# Public members that the commands reach by name but never run, each with the
+# reason it stays.
+UNRUN_ALLOWED = {
+    "hamiltonian.LocalTerm.energy": "the dense energy that test_fk checks "
+    "sparse_energy against",
 }
 
 # Defaulted parameters of public functions that no package call sets, each
@@ -339,3 +350,71 @@ def test_every_defaulted_parameter_is_set_by_a_call():
         )
     )
     assert unset == sorted(UNSET_DEFAULTS_ALLOWED)
+
+
+# One run of each command over the fixtures that takes every branch with a
+# public callee: the dense and the iterative build with an export, default
+# verify, a scan, every suite with a config file and a fault file, fk with
+# its dense verifier check and an export, and swapqma.
+COMMAND_RUNS = (
+    ("build", "--circuit", "{id1}", "--mtx"),
+    ("build", "--circuit", "{hcnot}"),
+    ("verify",),
+    ("scan", "--circuit", "{id1}", "--delta-grid", "0.3,0.7"),
+    ("soundness", "--config", "{config}", "--fault-file", "{fault}"),
+    ("fk", "--circuit", "{hcnot}", "--mtx"),
+    ("swapqma", "--circuit", "{hcnot}"),
+)
+
+
+def _profiled(profile, fn, *args):
+    sys.setprofile(profile)
+    try:
+        return fn(*args)
+    finally:
+        sys.setprofile(None)
+
+
+def test_every_public_member_runs_under_a_command(
+    tmp_path, monkeypatch, pin_cpus, identity1, hcnot
+):
+    # the run-time companion of the reachability test, which matches a
+    # method by its bare name: each command runs in this process, with one
+    # CPU so that fork_map makes no pool and with the dense solver cut
+    # below hcnot's 10-qubit grid so that low_spectrum runs, and every
+    # package function, method and property it calls is recorded
+    pin_cpus(1)
+    monkeypatch.setattr(spectral, "DENSE_QUBITS", 9)
+    called = set()
+
+    def profile(frame, event, arg):
+        package, _, module = frame.f_globals.get("__name__", "").partition(".")
+        if event == "call" and package == clockless.__name__:
+            called.add(f"{module}.{frame.f_code.co_qualname}")
+
+    # what a module calls as it loads runs before any command: its
+    # top-level code runs again here, in a namespace of its own. A cached
+    # function runs its body only on a miss, so every cache starts empty.
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = f"{clockless.__name__}.{path.stem}"
+        code = compile(path.read_text(), str(path), "exec")
+        _profiled(profile, exec, code, {"__name__": name, "__package__": "clockless"})
+        for value in vars(sys.modules.get(name, clockless)).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+    names = ("id1", "hcnot", "config", "fault")
+    files = {name: tmp_path / f"{name}.json" for name in names}
+    write_circuit_json(files["id1"], identity1)
+    write_circuit_json(files["hcnot"], hcnot)
+    files["config"].write_text('{"instances": 2}')
+    files["fault"].write_text('{"inputs": [0], "layers": [[], [0, 1]]}')
+    for index, run in enumerate(COMMAND_RUNS):
+        argv = [arg.format(**files) for arg in run]
+        argv += ["--out", str(tmp_path / f"out{index}")]
+        assert _profiled(profile, cli.main, argv) == 0, argv
+    public = {qualified for qualified, _, _ in _public_functions()}
+    allowed = set(UNREACHED_ALLOWED) | set(UNRUN_ALLOWED)
+    unrun = sorted(public - called - allowed)
+    assert unrun == [], f"public members no command runs: {unrun}"
+    # an allowed name that a command starts to run leaves its list
+    assert sorted(allowed & called) == []

@@ -87,6 +87,33 @@ def test_ground_fidelity_below_the_floor_is_a_tolerance_row(monkeypatch):
     assert row.status == "tolerance" and 1e-12 < row.deviation <= 1e-9
 
 
+@pytest.mark.parametrize("name", ["identity1", "cnot_bulk", "t_bulk"])
+def test_teleported_rows_pass_at_unit_delta(name):
+    # delta = 1 is a legal weight (Q(1) = I): the rotated input term acts
+    # as the identity on its pairs, so their projection leaves it unchanged
+    c = dict(named_fixtures())[name]
+    checks = verify_checks([(name, c)], (1.0,), TOL)
+    rows = [ch for ch in checks if ch.name.startswith("teleported_input")]
+    assert len(rows) == c.a
+    for row in rows:
+        assert row.reference == 1.0 and abs(row.value - 1.0) <= 1e-12
+        assert row.status == "pass"
+
+
+@pytest.mark.parametrize("circuit", [
+    dict(named_fixtures())["cnot_bulk"],
+    layered(3, 3, [[("H", (0,)), ("CNOT", (1, 2))]]),
+])
+def test_ground_fidelity_of_an_exact_eigenvector(circuit):
+    # at delta = 1 the grid state is an exact floating-point eigenvector of
+    # its parent (residual 0): the rounding floor sets the shift, and the
+    # bound on the angle is 0
+    state = build_peps(circuit, 1.0)
+    spec = parent_spec(circuit, 1.0)
+    row = ground_fidelity_check("c", 1.0, spec, state, state, TOL)
+    assert (row.value, row.deviation, row.status) == (1.0, 0.0, "pass")
+
+
 def test_verify_picks_clifford_form_by_action_not_name():
     # CNOT handed over as a bare matrix is still a Pauli normalizer
     cnot = np.array(NAMED_GATES["CNOT"])
