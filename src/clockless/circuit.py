@@ -30,16 +30,15 @@ from .pauli import word_decompose, word_stack
 
 __all__ = [
     "Gate",
-    "LayerOperator",
     "LayeredCircuit",
     "NAMED_GATES",
     "apply_circuit",
+    "apply_layer",
     "block_wire",
     "circuit_unitary",
     "degree_reduce",
     "gate",
     "input_state",
-    "layer_unitary",
     "layered",
     "nontrivial_gates",
     "resolve_witness",
@@ -215,33 +214,21 @@ def input_state(c: LayeredCircuit, xi=None) -> np.ndarray:
     return vec
 
 
-class LayerOperator:
-    """Matrix-free action of one layer's tensor product of gates."""
-
-    def __init__(self, num_wires: int, gates: tuple[Gate, ...]):
-        self.num_wires = num_wires
-        self.gates = gates
-
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        out = state
-        for g in self.gates:
-            out = apply_matrix(out, g.unitary, g.wires, self.num_wires)
-        return out
-
-
-def layer_unitary(c: LayeredCircuit, index: int) -> LayerOperator:
-    """The unitary of layer ``index`` as a matrix-free operator."""
+def apply_layer(c: LayeredCircuit, index: int, state: np.ndarray) -> np.ndarray:
+    """Apply the gates of layer ``index``, matrix-free, to a state on the
+    circuit's wires, or to a batch of states as its columns."""
     if not 0 <= index < c.depth:
         raise IndexError(f"layer {index} out of range for depth {c.depth}")
-    return LayerOperator(c.n, c.layers[index])
+    for g in c.layers[index]:
+        state = apply_matrix(state, g.unitary, g.wires, c.n)
+    return state
 
 
 def apply_circuit(c: LayeredCircuit, state: np.ndarray) -> np.ndarray:
     """Apply every layer in order to a state on the circuit's wires."""
-    out = state
     for idx in range(c.depth):
-        out = layer_unitary(c, idx).apply(out)
-    return out
+        state = apply_layer(c, idx, state)
+    return state
 
 
 def circuit_unitary(c: LayeredCircuit) -> np.ndarray:

@@ -37,8 +37,8 @@ Kinds of term, with their ``K``:
   terms (layer < depth) act on the 2k shifted pairs straddling a k-wire gate,
   4k qubits. Last-layer terms have no right pairs and act on the k left pairs
   plus the k bare output qubits, 3k qubits.
-* ``input``: penalizes input wires outside a reference projector (by default,
-  ancillas away from zero, ``K`` = |0…0>), dressed on the first-column pairs.
+* ``input``: penalizes one ancilla wire leaving |0>: ``P`` = |1><1| on its
+  input qubit, so ``K`` = |0>, dressed on the wire's first-column pair.
 * ``output``: only in ``fk``'s unary-clock encoding, a dense term that
   penalizes the output wire reading 0 at the last clock step.
 """
@@ -59,7 +59,6 @@ from .linalg import (
     apply_matrix,
     bit_placement,
     is_hermitian,
-    is_projector,
     sparse_expectation,
 )
 from .pauli import lambda_matrix
@@ -259,12 +258,6 @@ class DressedTerm:
         return LocalTerm(self.kind, self.support, closed, self.layer).block
 
 
-def _range(proj: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of a projector's range."""
-    vals, vecs = np.linalg.eigh(proj)
-    return vecs[:, vals > 0.5]
-
-
 def propagation_term(g: Gate, layer: int, deltas, layout: GridLayout) -> DressedTerm:
     """Dressed projector forcing one gate's step of the grid state."""
     schedule = resolve_deltas(deltas, layout.depth)
@@ -282,33 +275,12 @@ def propagation_term(g: Gate, layer: int, deltas, layout: GridLayout) -> Dressed
     return DressedTerm("propagation", layer, g.wires, pairs, qubits, vec[:, None])
 
 
-def input_term(
-    wire, delta: float, layout: GridLayout, check: np.ndarray | None = None
-) -> DressedTerm:
-    """Dressed penalty for input wires leaving a reference projector's image.
-
-    ``wire`` is a single circuit wire or a tuple of them; ``check`` is a
-    projector on those wires (wire order most-significant-first) whose
-    *complement* is penalized. It defaults to the projector onto everything
-    but the all-zeros state, which for one wire is just |1><1|.
-    """
-    wires = (wire,) if isinstance(wire, (int, np.integer)) else tuple(wire)
-    if len(set(wires)) != len(wires):
-        raise ValueError(f"repeated wires in input term: {wires}")
-    k = len(wires)
-    if check is None:
-        check = np.eye(2**k)
-        check[0, 0] = 0.0
-    check = np.asarray(check, dtype=np.complex128)
-    if check.shape != (2**k, 2**k):
-        raise ValueError(
-            f"check shape {check.shape} does not match {k} wire(s)"
-        )
-    if not is_projector(check):
-        raise ValueError("input check must be an orthogonal projector")
-    pairs = [(layout.site_qubits(1, w), float(delta)) for w in wires]
-    inputs = [layout.input_qubit(w) for w in wires]
-    return DressedTerm("input", 1, wires, pairs, inputs, _range(np.eye(2**k) - check))
+def input_term(wire: int, delta: float, layout: GridLayout) -> DressedTerm:
+    """Dressed penalty for ancilla ``wire`` leaving |0>: the check |1><1| on
+    its input qubit, dressed on the wire's first-column pair."""
+    pair = (layout.site_qubits(1, wire), float(delta))
+    inner = (layout.input_qubit(wire),)
+    return DressedTerm("input", 1, (wire,), (pair,), inner, [[1.0], [0.0]])
 
 
 @dataclass(frozen=True)

@@ -39,8 +39,8 @@ import numpy as np
 
 from .circuit import (
     LayeredCircuit,
+    apply_layer,
     input_state,
-    layer_unitary,
     resolve_witness,
 )
 from .limits import EXPANSION_WORD_CAP, ResourceError, require, vector_bytes
@@ -286,7 +286,7 @@ def expansion(c: LayeredCircuit, xi, deltas) -> tuple[np.ndarray, np.ndarray]:
     All words travel through the circuit together as the columns of one
     (2^n, words) array: at each (layer, wire) one ``apply_matrix`` call per
     non-identity tag acts on the columns whose word carries that tag there,
-    then one ``LayerOperator.apply`` moves the whole batch through the layer.
+    then one ``apply_layer`` moves the whole batch through the layer.
     """
     input_vec = input_state(c, xi)
     schedule = resolve_deltas(deltas, c.depth)
@@ -309,7 +309,7 @@ def expansion(c: LayeredCircuit, xi, deltas) -> tuple[np.ndarray, np.ndarray]:
                     states[:, cols] = apply_matrix(
                         states[:, cols], pauli_matrix(tag), (row,), c.n
                     )
-        states = layer_unitary(c, layer).apply(states)
+        states = apply_layer(c, layer, states)
     return coeffs, np.ascontiguousarray(states.T)
 
 
@@ -371,6 +371,5 @@ def depolarizing_reference_marginal(c: LayeredCircuit, xi, deltas) -> np.ndarray
                 e = embed_operator(pauli_matrix(tag), (wire,), c.n)
                 kicked += e @ rho @ e.conj().T
             rho = (1.0 - 3.0 * p) * rho + p * kicked
-        layer = layer_unitary(c, index)
-        rho = layer.apply(layer.apply(rho).conj().T).conj().T
+        rho = apply_layer(c, index, apply_layer(c, index, rho).conj().T).conj().T
     return rho

@@ -16,18 +16,19 @@ becomes ``clifford_form``. Gates outside that class leak onto the output
 column, which ``locality_residual`` measures directly.
 
 Extraction reads the rotated term between basis states of the extraction
-support. ``rotate_term`` tries the term's own support first and keeps it
-when the leakage check passes within ``tol``; only a term that spreads is
-extracted again on the support widened by its rows' output qubits. Every
-term is a ``DressedTerm`` of ``parent_spec``'s kinds, taken from its
-factors: ``U† L² U = L²``, so only ``W = L (K ⊗ I)`` goes through the
-rotation, from whichever side pushes fewer columns (``_factored_hole``).
-The random leakage-check states go through ``U† T U`` as (2^N, batch)
-arrays in chunks of at most ``_BATCH_BYTES``. The result is a dense
-``LocalTerm`` with the kind, layer and wires of the term it came from. The
-Clifford hole is ``B S B^dagger``: B holds the Bell product basis, S counts
-the Bell-label pairings. It does not depend on delta, so ``clifford_hole``
-builds it once per gate and ``dress_clifford_hole`` dresses it per delta.
+support, once per term. ``rotate_term`` extracts a term on its own support
+and refuses it when the leakage check fails; ``teleport_input`` extracts
+its input term on the whole three-qubit teleport grid, as the teleport
+spreads it onto the output column. Every term is a ``DressedTerm`` of
+``parent_spec``'s kinds, taken from its factors: ``U† L² U = L²``, so only
+``W = L (K ⊗ I)`` goes through the rotation, from whichever side pushes
+fewer columns (``_factored_hole``). The random leakage-check states go
+through ``U† T U`` as (2^N, batch) arrays in chunks of at most
+``_BATCH_BYTES``. The result is a dense ``LocalTerm`` with the kind, layer
+and wires of the term it came from. The Clifford hole is ``B S B^dagger``:
+B holds the Bell product basis, S counts the Bell-label pairings. It does
+not depend on delta, so ``clifford_hole`` builds it once per gate and
+``dress_clifford_hole`` dresses it per delta.
 
 Support bookkeeping follows the term convention: block bit ``i`` is qubit
 ``support[i]``, so a pair occupies two adjacent bits (low column first) and
@@ -45,7 +46,7 @@ import numpy as np
 from .circuit import Gate, LayeredCircuit, layered
 from .hamiltonian import DressedTerm, LocalTerm, input_term
 from .limits import dense_bytes, require
-from .linalg import apply_maps, apply_matrix, bit_placement, embed_operator
+from .linalg import apply_matrix, bit_placement
 from .pauli import (
     PAULI_TAGS,
     bell_basis_matrix,
@@ -54,7 +55,6 @@ from .pauli import (
     lambda_matrix,
     pauli_matrix,
     phi0,
-    q_matrix,
     tag_words,
     word_decompose,
     word_stack,
@@ -86,8 +86,12 @@ __all__ = [
 # gives the same peak RSS (80 MB on 2 vCPUs, three runs each).
 _BATCH_BYTES = 2**22
 
-# Random full states a rotated term is checked against for leakage.
+# Random full states a rotated term is checked against for leakage, the
+# leakage a rotated term may show on them, and the norm below which a block
+# counts as the identity on a qubit.
 _CHECK_SAMPLES = 50
+_LEAKAGE_TOL = 1e-9
+_TRIVIAL_TOL = 1e-10
 
 
 def _site_correction() -> np.ndarray:
@@ -239,16 +243,8 @@ def _conjugated_block(
     return block, worst
 
 
-def _default_extraction_support(
-    term: DressedTerm, layout: GridLayout
-) -> tuple[int, ...]:
-    rows = {q // layout.columns for q in term.support}
-    extra = {layout.output_qubit(row) for row in rows}
-    return tuple(sorted(set(term.support) | extra))
-
-
 def _trim_trivial_qubits(
-    block: np.ndarray, support: tuple[int, ...], tol: float = 1e-10
+    block: np.ndarray, support: tuple[int, ...]
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Drop support qubits on which the block acts as the identity."""
     changed = True
@@ -261,9 +257,9 @@ def _trim_trivial_qubits(
             # A view: a copy per bit would hold two beside the block.
             split = np.moveaxis(shaped, axes, (0, 1))
             if (
-                np.linalg.norm(split[0, 1]) <= tol
-                and np.linalg.norm(split[1, 0]) <= tol
-                and np.linalg.norm(split[0, 0] - split[1, 1]) <= tol
+                np.linalg.norm(split[0, 1]) <= _TRIVIAL_TOL
+                and np.linalg.norm(split[1, 0]) <= _TRIVIAL_TOL
+                and np.linalg.norm(split[0, 0] - split[1, 1]) <= _TRIVIAL_TOL
             ):
                 half = 2 ** (m - 1)
                 block = split[0, 0].reshape(half, half)
@@ -273,36 +269,33 @@ def _trim_trivial_qubits(
     return block, support
 
 
-def rotate_term(
-    term: DressedTerm, circuit: LayeredCircuit, tol: float = 1e-9
-) -> LocalTerm:
-    """Conjugate one term by the circuit's rotation and re-localize it.
-
-    The rotated operator is first extracted on the term's own support and
-    validated against ``_CHECK_SAMPLES`` random states. Only if it leaks
-    past that support by more than ``tol`` is it extracted again on the
-    support widened by the output qubits of its rows, when that is larger.
-    The block is then trimmed down to the qubits it actually acts on. Terms
-    of gates that normalize the Pauli group stay on their original support
-    (last-layer terms drop their output legs); other gates keep a genuine
-    output-column tail, and the returned support records that. Raises when
-    the rotated operator leaks beyond the widened support by more than
-    ``tol``.
-    """
-    rot = RotationUnitary(circuit)
-    support = term.support
+def _extract(
+    term: DressedTerm, rot: RotationUnitary, support: tuple[int, ...]
+) -> np.ndarray:
+    """The rotated term on ``support`` (``_conjugated_block``); raises when
+    it leaks past ``support`` by more than ``_LEAKAGE_TOL``."""
     block, residual = _conjugated_block(term, rot, support)
-    if residual > tol:
-        wide = _default_extraction_support(term, rot.layout)
-        if len(wide) > len(support):
-            support = wide
-            block, residual = _conjugated_block(term, rot, support)
-    if residual > tol:
+    if residual > _LEAKAGE_TOL:
         raise ValueError(
             f"rotated {term} is not supported on {support}: "
-            f"leakage {residual:.3e} exceeds {tol:.1e}"
+            f"leakage {residual:.3e} exceeds {_LEAKAGE_TOL:.1e}"
         )
-    block, support = _trim_trivial_qubits(block, support)
+    return block
+
+
+def rotate_term(term: DressedTerm, circuit: LayeredCircuit) -> LocalTerm:
+    """Conjugate one term by the circuit's rotation and re-localize it.
+
+    The rotated operator is extracted once, on the term's own support,
+    validated against ``_CHECK_SAMPLES`` random states and trimmed down to
+    the qubits it acts on. Terms of gates that normalize the Pauli group
+    stay on their original support (last-layer terms drop their output
+    legs). Raises on a term that leaks past its support by more than
+    ``_LEAKAGE_TOL``, as the term of any other gate spreads onto the output
+    column (``locality_residual`` measures how far).
+    """
+    block = _extract(term, RotationUnitary(circuit), term.support)
+    block, support = _trim_trivial_qubits(block, term.support)
     return LocalTerm(term.kind, support, block, term.layer, term.wires)
 
 
@@ -324,20 +317,11 @@ def project_qubits(
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """Partial expectation of a block in a fixed state of some of its qubits.
 
-    ``local_state`` lives on ``qubits`` (ascending) with bit ``b`` of its
-    index on ``qubits[b]``. The block acts as the identity on a qubit its
-    support does not list, as on the pairs that ``rotate_term`` trims at
-    delta = 1, so such a qubit joins the support first: a unit product
-    state there leaves the block unchanged. Returns the operator left on
-    the remaining qubits and that remaining support.
+    ``local_state`` lives on ``qubits`` (ascending), which ``support``
+    lists, with bit ``b`` of its index on ``qubits[b]``. Returns the
+    operator left on the remaining qubits and that remaining support.
     """
     support = tuple(support)
-    qubits = tuple(qubits)
-    if not set(qubits) <= set(support):
-        wide = tuple(sorted(set(support) | set(qubits)))
-        pos = [wide.index(q) for q in support]
-        block = embed_operator(block, tuple(reversed(pos)), len(wide))
-        support = wide
     pos = [support.index(q) for q in qubits]
     rest = [i for i in range(len(support)) if i not in pos]
     vec = np.asarray(local_state, dtype=np.complex128)
@@ -502,41 +486,28 @@ def pair_ground(
 
 
 def teleport_input(
-    term: DressedTerm, delta: float, tol: float = 1e-9
+    term: DressedTerm, delta: float
 ) -> tuple[LocalTerm, float, float]:
-    """Funnel an input term through a minimal grid onto the output column.
+    """Funnel an input term through its pair onto the output column.
 
-    Rebuilds the term's check on a one-layer identity grid over its wires,
-    rotates it (``tol`` bounds the leakage) and projects every pair onto its
-    single-pair ground state, which should leave the check attenuated by
-    ``c = teleport_coefficient(delta)`` per wire. Returns that term (kind
-    "input", on the output column), the least-squares attenuation against
-    the check and the deviation ``||reduced - c^k check||``.
+    Refuses anything but an input term dressed at ``delta``. Rebuilds its
+    check |1><1| on the one-wire, one-layer identity grid, extracts the
+    rotated term once on all three qubits of that grid (the teleport
+    spreads it onto the output qubit) and projects the pair onto its
+    single-pair ground state, which should leave ``c |1><1|``, ``c =
+    teleport_coefficient(delta)``. Returns that term (kind "input", on the
+    output qubit), the attenuation ``<1|reduced|1>`` and the deviation
+    ``||reduced - c |1><1|||``.
     """
-    if term.kind != "input":
-        raise ValueError(f"expected an input term, got {term.kind!r}")
-    wires = term.wires
-    k = len(wires)
-    # Undo the dressing with the inverse pair maps to recover the bare check.
-    undress = [(q_matrix(delta), (2 * b + 1, 2 * b)) for b in range(k)]
-    bare = apply_maps(term.block, undress, 2 * k) / delta ** (2 * k)
-    check_emb, check_support = _trim_trivial_qubits(
-        bare, tuple(range(2 * k)), tol=1e-8
-    )
-    if check_support != tuple(2 * b for b in range(k)):
-        raise ValueError("input term block is not a dressed check on its wires")
-    # The check's bits run the other way round in wire order.
-    rev = bit_placement(range(k - 1, -1, -1))
-    check = check_emb[np.ix_(rev, rev)]
-    grid = layered(k, k, [[("I", (w,)) for w in range(k)]])
-    layout = GridLayout(k, 1)
-    minimal = input_term(tuple(range(k)), delta, layout, check=check)
-    rotated = rotate_term(minimal, grid, tol=tol)
-    pair_qubits, ground = pair_ground(layout, 1, range(k), delta)
-    reduced, rest = project_qubits(
-        rotated.block, rotated.support, pair_qubits, ground
-    )
-    fit = np.vdot(check_emb, reduced).real / np.vdot(check_emb, check_emb).real
-    expected = teleport_coefficient(delta) ** k * check_emb
+    if term.kind != "input" or any(d != delta for _, d in term.pairs):
+        raise ValueError(f"expected an input term dressed at {delta}, got {term}")
+    layout = GridLayout(1, 1)
+    rot = RotationUnitary(layered(1, 1, [[("I", (0,))]]))
+    grid = tuple(range(layout.num_qubits))
+    block = _extract(input_term(0, delta, layout), rot, grid)
+    pair, ground = pair_ground(layout, 1, (0,), delta)
+    reduced, rest = project_qubits(block, grid, pair, ground)
+    expected = np.diag([0.0, teleport_coefficient(delta)])
     deviation = float(np.linalg.norm(reduced - expected))
-    return LocalTerm("input", rest, reduced, 1, wires), float(fit), deviation
+    funneled = LocalTerm("input", rest, reduced, 1, term.wires)
+    return funneled, float(reduced[1, 1].real), deviation

@@ -264,9 +264,12 @@ def ground_certificate(op: SparseOperator, q: np.ndarray, tol: float) -> float:
     of exactly 0, as at delta = 1 where q can be an exact floating-point
     eigenvector, would leave τ no margin; there ``parent_spectrum``'s
     rounding floor 64·ε·σ, σ the sum of the terms' Frobenius norms, stands
-    in for r in τ's margin and the trust limit, and the bound is 0.
-    Refused over the memory budget of the dense fallback before anything
-    is built.
+    in for r in τ's margin and the trust limit, and the bound is 0.  A
+    residual below the floor but not 0 (9.8e-32 for identity2 at delta =
+    1) can leave a margin that the factor's error b swallows although the
+    count is 1; then the count is made once more with the floor standing
+    in for r.  Refused over the memory budget of the dense fallback before
+    anything is built.
     """
     qubits = op.num_qubits
     copies = _GROUND_COPIES * dense_bytes(qubits)
@@ -276,11 +279,17 @@ def ground_certificate(op: SparseOperator, q: np.ndarray, tol: float) -> float:
     r = float(np.linalg.norm(hq - e0 * q))
     h = op.to_sparse()
     h = h.real.astype(np.float64) if not h.data.imag.any() else h
-    scale = r or _FLOOR_EPS * sum(float(np.linalg.norm(t.block)) for t in op.terms)
-    limit = scale / math.sqrt(tol)
-    tau = e0 + r + 2 * limit
-    count, b = _inertia(h, tau, limit)
-    margin = tau - b - e0 - r
+    floor = _FLOOR_EPS * sum(float(np.linalg.norm(t.block)) for t in op.terms)
+
+    def count_at(scale: float) -> tuple[int, float]:
+        limit = scale / math.sqrt(tol)
+        tau = e0 + r + 2 * limit
+        count, b = _inertia(h, tau, limit)
+        return count, tau - b - e0 - r
+
+    count, margin = count_at(r or floor)
+    if count == 1 and not margin > 0 and 0 < r < floor:
+        count, margin = count_at(floor)
     if count != 1 or not margin > 0:
         return float("nan")
     return r / margin
@@ -534,15 +543,14 @@ class JordanDecomposition:
     """Principal angles and the invariant blocks that realize them.
 
     ``cosines`` are the singular values of the overlap between the two
-    ranges, descending; ``angles`` are their arccosines.  The blocks are
-    mutually orthogonal, each invariant under both projectors, and cover
-    both ranges completely; directions annihilated by both projectors are
-    omitted since they contribute nothing.  ``max_residual`` is the worst
-    invariance defect ‖P·B - B·(local P)‖ over all blocks and both sides.
+    ranges, descending.  The blocks are mutually orthogonal, each invariant
+    under both projectors, and cover both ranges completely; directions
+    annihilated by both projectors are omitted since they contribute
+    nothing.  ``max_residual`` is the worst invariance defect
+    ‖P·B - B·(local P)‖ over all blocks and both sides.
     """
 
     cosines: np.ndarray
-    angles: np.ndarray
     blocks: tuple[JordanBlock, ...]
     max_residual: float
 
@@ -635,7 +643,6 @@ def jordan_angles(p1: np.ndarray, p2: np.ndarray) -> JordanDecomposition:
         worst = max(worst, float(np.linalg.norm(second @ b.basis - b.basis @ b.right)))
     return JordanDecomposition(
         cosines=cosines,
-        angles=np.arccos(cosines),
         blocks=tuple(blocks),
         max_residual=worst,
     )

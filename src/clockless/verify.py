@@ -20,8 +20,10 @@ independent oracle:
   expansion summed back onto the grid, against 1.
 * ``depolarizing_marginal``: trace distance of the output marginal from
   the depolarizing-channel composition, against 0.
-* ``teleported_input[w]``: attenuation of an input check funneled through
-  its pairs (``teleport_input``), against ``teleport_coefficient^k``.
+* ``teleported_input[w]``: attenuation of ancilla w's |1><1| check funneled
+  through its pair onto the output column (``teleport_input``, on the
+  one-wire teleport grid), against ``teleport_coefficient``; NaN when the
+  input term is not dressed at the delta of the grid state's first layer.
 * ``last_layer[g]``: the rotated last-layer block, against
   ``last_layer_form``.
 * ``clifford_bulk[g]``: the rotated bulk block of a Pauli-normalizing gate,
@@ -226,12 +228,10 @@ def _rotated_checks(
     for term in spec.terms:
         if term.kind == "input":
             try:
-                _, value, deviation = teleport_input(
-                    term, schedule[0], tol=_ACCURACY_FLOOR
-                )
+                _, value, deviation = teleport_input(term, schedule[0])
             except ValueError:
                 value = deviation = float("nan")
-            reference = teleport_coefficient(schedule[0]) ** len(term.wires)
+            reference = teleport_coefficient(schedule[0])
             checks.append(Check(
                 f"teleported_input[w{term.wires[0]}]", name, schedule[0],
                 value, reference, deviation, check_status(deviation, tol),

@@ -9,12 +9,12 @@ from clockless.circuit import (
     NAMED_GATES,
     nontrivial_gates,
     apply_circuit,
+    apply_layer,
     block_wire,
     circuit_unitary,
     degree_reduce,
     gate,
     input_state,
-    layer_unitary,
     layered,
     resolve_witness,
 )
@@ -93,13 +93,13 @@ def test_apply_circuit_matches_unitary(bell_circuit, rng):
     assert np.allclose(out, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
 
-def test_layer_unitary_composes(hcnot):
+def test_apply_layer_composes(hcnot):
     u = np.eye(4)
     for i in range(hcnot.depth):
-        u = layer_unitary(hcnot, i).apply(u)
+        u = apply_layer(hcnot, i, u)
     assert np.allclose(u, circuit_unitary(hcnot))
     with pytest.raises(IndexError):
-        layer_unitary(hcnot, 2)
+        apply_layer(hcnot, 2, u)
 
 
 def test_nontrivial_gate_order():

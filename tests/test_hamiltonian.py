@@ -39,6 +39,15 @@ def _output_term(row: int, layout: GridLayout) -> DressedTerm:
     return DressedTerm("output", layout.depth, (row,), (), (qubit,), [[0.0], [1.0]])
 
 
+def _checked_input(delta, layout, check):
+    """An input term on wires (0, 1) that penalizes leaving the range of the
+    projector ``check``: ``K`` spans the range of ``I - check``."""
+    vals, vecs = np.linalg.eigh(np.eye(len(check)) - check)
+    pairs = [(layout.site_qubits(1, w), delta) for w in (0, 1)]
+    inputs = [layout.input_qubit(w) for w in (0, 1)]
+    return DressedTerm("input", 1, (0, 1), pairs, inputs, vecs[:, vals > 0.5])
+
+
 def test_term_validation():
     with pytest.raises(ValueError):
         LocalTerm("mystery", (0,), np.eye(2), 1, (0,))
@@ -74,13 +83,10 @@ def test_propagation_term_is_psd_and_local(hcnot):
 def test_input_term_defaults():
     layout = GridLayout(1, 1)
     t = input_term(0, 0.5, layout)
-    assert t.kind == "input"
-    assert t.support == (0, 1)
+    assert t.kind == "input" and t.wires == (0,)
+    assert t.support == (0, 1) and t.inner == (0,)
+    assert t.basis.tolist() == [[1.0], [0.0]]
     assert is_psd(t.block)
-    with pytest.raises(ValueError):
-        input_term((0, 0), 0.5, layout)
-    with pytest.raises(ValueError):
-        input_term(0, 0.5, layout, check=np.array([[0.5, 0.0], [0.0, 0.0]]))
 
 
 def test_parent_spec_identity_example(identity1):
@@ -209,12 +215,12 @@ def test_input_and_stabilizer_dressing_match_dense_products(delta):
     support = tuple(sorted(q for pair, _ in pairs for q in pair))
     inputs = [layout.input_qubit(w) for w in (0, 1)]
     check = random_projector(4, 2, np.random.default_rng(5))
-    term = input_term((0, 1), delta, layout, check=check)
+    term = _checked_input(delta, layout, check)
     oracle = _dense_dressing(_embed(check, inputs, support), pairs, support)
     assert np.max(np.abs(term.block - oracle)) <= 1e-14
     # a stabilizer check: the -1 eigenspace of a Pauli involution
     word = -word_matrix(("X", "Z"))
-    stab = input_term((0, 1), delta, layout, check=0.5 * (np.eye(4) - word))
+    stab = _checked_input(delta, layout, 0.5 * (np.eye(4) - word))
     proj = 0.5 * (np.eye(2 ** len(support)) - _embed(word, inputs, support))
     oracle = _dense_dressing(proj, pairs, support)
     assert np.max(np.abs(stab.block - oracle)) <= 1e-14
@@ -241,7 +247,7 @@ def _every_kind(layout, schedule, rng):
     ]
     terms.append(input_term(0, schedule[0], layout))
     check = random_projector(4, 2, rng)
-    terms.append(input_term((0, 1), schedule[0], layout, check=check))
+    terms.append(_checked_input(schedule[0], layout, check))
     terms.append(_output_term(1, layout))
     return terms
 
@@ -314,7 +320,7 @@ def _grid_terms(c):
     random projector check and a bare output term per row."""
     spec = parent_spec(c, 0.4)
     check = random_projector(4, 2, np.random.default_rng(7))
-    extra = (input_term((0, 1), 0.4, spec.layout, check=check),)
+    extra = (_checked_input(0.4, spec.layout, check),)
     extra += tuple(_output_term(row, spec.layout) for row in (0, 1))
     return spec.terms + extra, spec.layout.num_qubits
 

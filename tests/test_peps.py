@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from clockless import limits
-from clockless.circuit import input_state, layer_unitary, layered
+from clockless.circuit import apply_layer, input_state, layered
 from clockless.linalg import (
     apply_matrix, basis_state, product_state, random_unitary, trace_distance,
 )
@@ -97,7 +97,7 @@ def expansion_loop_reference(c, xi, schedule, words):
                 tag = entries[(layer - 1) * c.n + row]
                 if tag != "I":
                     state = apply_matrix(state, pauli_matrix(tag), (row,), c.n)
-            state = layer_unitary(c, layer - 1).apply(state)
+            state = apply_layer(c, layer - 1, state)
         out[tuple(entries)] = (coeff, state)
     return out
 

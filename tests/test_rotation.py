@@ -12,12 +12,11 @@ from clockless.hamiltonian import (
     input_term, parent_spec, propagation_term,
 )
 from clockless.limits import dense_bytes
-from clockless.linalg import apply_matrix, bit_placement, embed_operator, random_state
+from clockless.linalg import apply_matrix, bit_placement
 from clockless.pauli import (
     bell_state,
     lambda_matrix,
     phi0,
-    q_matrix,
     tag_words,
     word_matrix,
 )
@@ -226,10 +225,10 @@ def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):
     return block, worst
 
 
-def widened(block, support, full):
-    """A block on ``support`` as the operator it is on the superset ``full``."""
-    pos = [full.index(q) for q in support]
-    return embed_operator(block, tuple(reversed(pos)), len(full))
+def rows_support(term, layout):
+    """The term's support widened by the output qubits of its rows."""
+    rows = {q // layout.columns for q in term.support}
+    return tuple(sorted(set(term.support) | {layout.output_qubit(r) for r in rows}))
 
 
 BATCH_FIXTURES = {
@@ -240,29 +239,27 @@ BATCH_FIXTURES = {
 
 @pytest.mark.parametrize("name", sorted(BATCH_FIXTURES))
 def test_batched_extraction_matches_column_loop(name):
+    # each bulk term on its support widened by its rows' output qubits, on
+    # which even the spreading T term acts within rounding
     c = BATCH_FIXTURES[name]
     spec = parent_spec(c, (0.3, 0.6))
-    layout = spec.layout
+    rot = RotationUnitary(c)
     for term in spec.terms:
         if term.kind != "propagation" or term.layer != 1:
             continue
-        rows = {q // layout.columns for q in term.support}
-        full = tuple(sorted(
-            set(term.support) | {layout.output_qubit(r) for r in rows}
-        ))
-        block, residual = conjugated_block_loop_reference(term, c, full)
-        assert residual < 1e-12
-        rotated = rotate_term(term, c)
-        assert set(rotated.support) <= set(full)
-        got = widened(rotated.block, rotated.support, full)
-        assert np.max(np.abs(got - block)) < 1e-13
+        full = rows_support(term, spec.layout)
+        want, want_residual = conjugated_block_loop_reference(term, c, full)
+        assert want_residual < 1e-12
+        block, residual = rotation._conjugated_block(term, rot, full)
+        assert np.max(np.abs(block - want)) < 1e-13
+        assert abs(residual - want_residual) < 1e-13
         _, own = conjugated_block_loop_reference(term, c, term.support)
         assert abs(locality_residual(term, c) - own) < 1e-13
 
 
 def test_factored_blocks_match_column_loop():
     # every propagation and input term of the verify fixtures at a
-    # non-uniform schedule, on its default extraction support
+    # non-uniform schedule, on its support widened by its rows' outputs
     sides = set()
     for name, c in named_fixtures():
         spec = parent_spec(c, (0.3, 0.6)[: c.depth])
@@ -270,7 +267,7 @@ def test_factored_blocks_match_column_loop():
         for term in spec.terms:
             if term.kind not in ("propagation", "input"):
                 continue
-            support = rotation._default_extraction_support(term, rot.layout)
+            support = rows_support(term, rot.layout)
             n = rot.num_qubits
             factor_columns = term.kernel_factor.shape[1] << (n - term.locality)
             sides.add(factor_columns <= 2 ** len(support))
@@ -314,7 +311,9 @@ def test_check_states_are_drawn_once():
 def test_chunked_extraction_matches_unchunked(monkeypatch):
     c = BATCH_FIXTURES["t_bulk"]
     term = propagation_term(gate("T", (0,)), 1, 0.5, GridLayout(2, 2))
-    whole = rotate_term(term, c)
+    rot = RotationUnitary(c)
+    wide = rows_support(term, rot.layout)
+    whole, whole_leak = rotation._conjugated_block(term, rot, wide)
     whole_residual = locality_residual(term, c)
     calls = []
     apply = RotationUnitary.apply
@@ -323,22 +322,20 @@ def test_chunked_extraction_matches_unchunked(monkeypatch):
         calls.append(vec.shape[1])
         return apply(self, vec, adjoint=adjoint)
 
-    # 20 columns of the 10-qubit grid per chunk. The T term leaks past its
-    # own support, so it is extracted twice. Both times the basis columns
-    # (2^4, then 2^5 with the output qubit) are fewer than the 4 * 2^6
-    # columns of W (x) I, so they go forward only, in 1 and then 2 chunks;
-    # each time the 50 random states take 3 chunks, each a forward and an
-    # adjoint rotation.
+    # 20 columns of the 10-qubit grid per chunk. The 2^5 basis columns of
+    # the T term's support widened by its output qubit are fewer than the
+    # 4 * 2^6 columns of W (x) I, so they go forward only, in 2 chunks; the
+    # 50 random states take 3 chunks, each a forward and an adjoint rotation.
     monkeypatch.setattr(rotation, "_BATCH_BYTES", 20 * 16 * 2**10)
     monkeypatch.setattr(RotationUnitary, "apply", counting)
-    chunked = rotate_term(term, c)
-    assert len(calls) == (1 + 2 * 3) + (2 + 2 * 3) and max(calls) == 20
+    chunked, chunked_leak = rotation._conjugated_block(term, rot, wide)
+    assert len(calls) == 2 + 2 * 3 and max(calls) == 20
     calls.clear()
     chunked_residual = locality_residual(term, c)
     # one forward chunk for the 2^4 columns of the term's own support
     assert len(calls) == 1 + 2 * 3
-    assert chunked.support == whole.support
-    assert np.max(np.abs(chunked.block - whole.block)) < 1e-13
+    assert np.max(np.abs(chunked - whole)) < 1e-13
+    assert abs(chunked_leak - whole_leak) < 1e-13
     assert abs(chunked_residual - whole_residual) < 1e-13
 
 
@@ -398,7 +395,7 @@ def test_teleported_input_term(identity1):
         assert np.isclose(
             funneled.block[1, 1].real, teleport_coefficient(delta), atol=1e-10
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dressed at 0.9"):
         teleport_input(term, 0.9)  # wrong delta must not verify
 
 
@@ -438,39 +435,30 @@ def _counting_extractions(patch):
 
 
 def test_rotate_term_rejects_leaky_support(monkeypatch):
-    # the T term spreads onto the output column, so extracting it on its
-    # own support leaks past the tolerance; with the widened support equal
-    # to the own support it is extracted once, not retried, and refused
-    c = layered(2, 2, [[("T", (0,)), ("I", (1,))], [("CZ", (0, 1))]])
-    layout = GridLayout(2, 2)
-    t_term = propagation_term(gate("T", (0,)), 1, 0.5, layout)
+    # t_bulk's T term spreads onto the output column, so its one extraction,
+    # on its own support, leaks past the tolerance and is refused
+    c = BATCH_FIXTURES["t_bulk"]
+    t_term = propagation_term(gate("T", (0,)), 1, 0.5, GridLayout(2, 2))
     supports = _counting_extractions(monkeypatch)
-    monkeypatch.setattr(
-        rotation, "_default_extraction_support", lambda term, _: term.support
-    )
     with pytest.raises(ValueError, match="leakage"):
         rotate_term(t_term, c)
     assert supports == [t_term.support]
 
 
 def _widened_reference(term, c):
-    """The rotated term extracted on its default support, then trimmed."""
+    """The rotated term extracted on its support widened by its rows'
+    output qubits, then trimmed."""
     rot = RotationUnitary(c)
-    support = rotation._default_extraction_support(term, rot.layout)
+    support = rows_support(term, rot.layout)
     block, residual = rotation._conjugated_block(term, rot, support)
     assert residual < 1e-9
     return rotation._trim_trivial_qubits(block, support)
 
 
-def _no_widening(term, layout):
-    raise AssertionError(f"{term} was extracted on a widened support")
-
-
 def test_localized_terms_rotate_on_their_own_support(monkeypatch):
     # every last-layer term and every Pauli-normalizing bulk term of the
-    # verify fixtures rotates within its own support, without ever being
-    # extracted on the widened one, and lands on the widened-then-trimmed
-    # block
+    # verify fixtures rotates within its own support, extracted once there,
+    # and lands on the widened-then-trimmed block
     checked = 0
     for name, c in named_fixtures():
         spec = parent_spec(c, (0.3, 0.6)[: c.depth])
@@ -487,36 +475,14 @@ def test_localized_terms_rotate_on_their_own_support(monkeypatch):
                 continue
             want, want_support = _widened_reference(term, c)
             with monkeypatch.context() as patch:
-                patch.setattr(rotation, "_default_extraction_support", _no_widening)
+                supports = _counting_extractions(patch)
                 got = rotate_term(term, c)
+            assert supports == [term.support], (name, str(term))
             assert got.support == want_support, (name, str(term))
             assert np.abs(got.block - want).max() <= 1e-13, (name, str(term))
             checked += 1
     # 8 last-layer terms and the 6 bulk H, CNOT and I terms
     assert checked == 14
-
-
-def test_spreading_terms_widen_and_keep_their_tail(monkeypatch):
-    # the T bulk term and an input term of the teleport grid leak past their
-    # own support, so they are extracted again on the widened one and keep
-    # an output-column tail
-    t_bulk = BATCH_FIXTURES["t_bulk"]
-    t_term = propagation_term(gate("T", (0,)), 1, 0.5, GridLayout(2, 2))
-    # the one-wire, one-layer grid that teleport_input builds
-    teleport = layered(1, 1, [[("I", (0,))]])
-    in_term = input_term(0, 0.5, GridLayout(1, 1))
-    for term, c in ((t_term, t_bulk), (in_term, teleport)):
-        want, want_support = _widened_reference(term, c)
-        with monkeypatch.context() as patch:
-            supports = _counting_extractions(patch)
-            got = rotate_term(term, c)
-        layout = GridLayout(c.n, c.depth)
-        wide = rotation._default_extraction_support(term, layout)
-        assert supports == [term.support, wide]
-        tail = set(got.support) - set(term.support)
-        assert tail and tail <= {layout.output_qubit(w) for w in range(c.n)}
-        assert got.support == want_support
-        assert np.abs(got.block - want).max() <= 1e-13
 
 
 def test_project_qubits_shape_check():
@@ -525,22 +491,9 @@ def test_project_qubits_shape_check():
         project_qubits(mat, (0, 1), (1,), np.ones(4))
 
 
-def test_project_qubits_off_the_support(rng):
-    # the block acts as the identity on qubit 5, which its support omits:
-    # a unit state there leaves it unchanged
-    block = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    a, b = random_state(1, rng), random_state(1, rng)
-    reduced, rest = project_qubits(block, (0, 3), (5,), b)
-    assert rest == (0, 3) and np.abs(reduced - block).max() <= 1e-14
-    # bit 0 of the local state is qubit 3, bit 1 qubit 5
-    reduced, rest = project_qubits(block, (0, 3), (3, 5), np.kron(b, a))
-    want, want_rest = project_qubits(block, (0, 3), (3,), a)
-    assert rest == want_rest == (0,) and np.abs(reduced - want).max() <= 1e-14
-
-
 def test_input_term_undressing_identity():
-    # q_matrix conjugation inside teleport_input must recover the bare
-    # |1><1| check: verify through the public path with both deltas
+    # the teleported check is the bare |1><1| attenuated by the
+    # coefficient, through the public path
     layout = GridLayout(1, 1)
     term = input_term(0, 0.4, layout)
     funneled, _, _ = teleport_input(term, 0.4)

@@ -17,7 +17,7 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # Public definitions no command reaches, each with the reason it stays.
 UNREACHED_ALLOWED = {
-    "circuit.circuit_unitary": "the reference apply_circuit and layer_unitary "
+    "circuit.circuit_unitary": "the reference apply_circuit and apply_layer "
     "are tested against",
     "io.read_state_bin": "the reader of the state.bin and ground.bin that "
     "build writes",
@@ -34,7 +34,7 @@ UNRUN_ALLOWED = {
     "sparse_energy against",
 }
 
-# Defaulted parameters of public functions that no package call sets, each
+# Defaulted parameters of package functions that no package call sets, each
 # with the reason the default stays a parameter.
 _WITNESS = (
     "the witness register's state: commands run the all-zeros input, tests "
@@ -267,7 +267,7 @@ def test_every_public_definition_is_reached_from_a_command():
     )
     unreached += [
         qualified
-        for qualified, node, _ in _public_functions()
+        for qualified, node, _ in _functions()
         if qualified.count(".") == 2
         and used[node.name] <= Counter(_member_references(node))[node.name]
     ]
@@ -288,16 +288,21 @@ def test_tracer_wraps_only_package_attributes():
     assert missing == []
 
 
-def _public_functions():
+def _functions(private: bool = False):
     """``(qualified name, def node, bound leading parameters)`` of every
-    public top-level function and public method of a public class."""
+    public top-level function and public method of a public class, and with
+    ``private`` of every top-level function and method."""
+
+    def listed(name: str) -> bool:
+        return private or name[0] != "_"
+
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+            if isinstance(node, ast.FunctionDef) and listed(node.name):
                 yield f"{path.stem}.{node.name}", node, 0
-            elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+            elif isinstance(node, ast.ClassDef) and listed(node.name):
                 for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                    if isinstance(item, ast.FunctionDef) and listed(item.name):
                         static = any(
                             ast.unparse(d) == "staticmethod"
                             for d in item.decorator_list
@@ -343,7 +348,7 @@ def test_every_defaulted_parameter_is_set_by_a_call():
                 calls.setdefault(callee, []).append(sub)
     unset = sorted(
         f"{qualified}({name})"
-        for qualified, node, bound in _public_functions()
+        for qualified, node, bound in _functions(private=True)
         for position, name in _defaulted(node)
         if not any(
             _sets(call, position, name, bound) for call in calls.get(node.name, [])
@@ -412,7 +417,7 @@ def test_every_public_member_runs_under_a_command(
         argv = [arg.format(**files) for arg in run]
         argv += ["--out", str(tmp_path / f"out{index}")]
         assert _profiled(profile, cli.main, argv) == 0, argv
-    public = {qualified for qualified, _, _ in _public_functions()}
+    public = {qualified for qualified, _, _ in _functions()}
     allowed = set(UNREACHED_ALLOWED) | set(UNRUN_ALLOWED)
     unrun = sorted(public - called - allowed)
     assert unrun == [], f"public members no command runs: {unrun}"

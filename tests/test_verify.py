@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from clockless import spectral, verify
+from clockless import rotation, spectral, verify
 from clockless.circuit import NAMED_GATES, layered
 from clockless.hamiltonian import parent_spec
 from clockless.limits import dense_bytes
@@ -43,7 +43,7 @@ def test_verify_teleported_rows_report_measured_deviation(identity1):
     (row,) = [ch for ch in checks if ch.name.startswith("teleported_input")]
     spec = parent_spec(identity1, 0.5)
     (term,) = [t for t in spec.terms if t.kind == "input"]
-    _, attenuation, deviation = teleport_input(term, 0.5, tol=1e-9)
+    _, attenuation, deviation = teleport_input(term, 0.5)
     assert row.value == attenuation and row.deviation == deviation
     assert row.reference == teleport_coefficient(0.5)
     assert abs(row.value - row.reference) < 1e-13 and row.status == "pass"
@@ -98,6 +98,35 @@ def test_teleported_rows_pass_at_unit_delta(name):
     for row in rows:
         assert row.reference == 1.0 and abs(row.value - 1.0) <= 1e-12
         assert row.status == "pass"
+
+
+def test_teleported_rows_extract_once_on_the_teleport_grid(monkeypatch):
+    # each input term's check is extracted once, on all three qubits of the
+    # one-wire teleport grid, where the teleport spreads it
+    extract, calls = rotation._conjugated_block, []
+
+    def counting(term, rot, support):
+        calls.append((rot.num_qubits, tuple(support)))
+        return extract(term, rot, support)
+
+    monkeypatch.setattr(rotation, "_conjugated_block", counting)
+    c = dict(named_fixtures())["identity2"]
+    checks = verify_checks([("identity2", c)], (0.5,), TOL)
+    rows = [ch for ch in checks if ch.name.startswith("teleported_input")]
+    assert len(rows) == 2 and {row.status for row in rows} == {"pass"}
+    assert [call for call in calls if call[0] == 3] == [(3, (0, 1, 2))] * 2
+
+
+def test_ground_fidelity_with_a_residual_below_the_floor():
+    # identity2 at delta = 1 leaves a residual of 9.8e-32: twice it over
+    # sqrt(tol) is a margin the dense factor's error bound of 1e-12
+    # swallows, although one level lies below the shift and the gap is 1,
+    # so the count is made again with the rounding floor standing in
+    c = dict(named_fixtures())["identity2"]
+    state = build_peps(c, 1.0)
+    spec = parent_spec(c, 1.0)
+    row = ground_fidelity_check("identity2", 1.0, spec, state, state, TOL)
+    assert row.status == "pass" and 0.0 < row.deviation < 1e-40
 
 
 @pytest.mark.parametrize("circuit", [
