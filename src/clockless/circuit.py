@@ -24,7 +24,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .limits import dense_bytes, require
 from .linalg import apply_matrix, basis_state, is_unitary
 from .pauli import word_decompose, word_stack
 
@@ -35,7 +34,6 @@ __all__ = [
     "apply_circuit",
     "apply_layer",
     "block_wire",
-    "circuit_unitary",
     "degree_reduce",
     "gate",
     "input_state",
@@ -229,11 +227,6 @@ def apply_circuit(c: LayeredCircuit, state: np.ndarray) -> np.ndarray:
     for idx in range(c.depth):
         state = apply_layer(c, idx, state)
     return state
-
-
-def circuit_unitary(c: LayeredCircuit) -> np.ndarray:
-    require("a dense circuit unitary", c.n, dense_bytes(c.n))
-    return apply_circuit(c, np.eye(2**c.n, dtype=np.complex128))
 
 
 def nontrivial_gates(c: LayeredCircuit) -> list[Gate]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import astuple, dataclass, field, fields, replace
 from functools import partial
@@ -149,6 +150,27 @@ def _parse_grid(text: str | None) -> tuple[float, ...] | None:
         ) from None
 
 
+# A token that starts a negative number, exponent form included. argparse's
+# own pattern (Python 3.11) misses "-1e-10" and takes it for an option.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv) -> list[str]:
+    """``--flag -1e-10`` as ``--flag=-1e-10``, so that a negative value
+    reaches the config check instead of leaving its flag without one."""
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (
+            flag.startswith("--") and flag != "--" and "=" not in flag
+            and _NEGATIVE_VALUE.match(token)
+        ):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def parse_args(argv) -> RunConfig:
     parser = argparse.ArgumentParser(
         prog="clockless",
@@ -208,7 +230,9 @@ def parse_args(argv) -> RunConfig:
     )
     command("swapqma", "swap-test verifier report")
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    )
     cfg = RunConfig(command=args.command)
     if args.config:
         data = cio.read_json(args.config)

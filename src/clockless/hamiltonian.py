@@ -344,33 +344,37 @@ class SparseOperator:
             )
         return out
 
-    def require_sparse(self) -> None:
+    def require_sparse(self) -> int:
+        """The number of entries ``to_sparse`` stores; raises ``ResourceError``
+        when they do not fit the memory budget."""
         nonzeros = sum(
             np.count_nonzero(t.block) << (self.num_qubits - len(t.support))
             for t in self.terms
         )
         require("a sparse matrix", self.num_qubits, coo_bytes(nonzeros))
+        return nonzeros
 
     def to_sparse(self) -> scipy.sparse.csr_matrix:
-        self.require_sparse()
-        rows, cols, vals = [], [], []
+        """The operator as CSR, built from one set of coordinates that each
+        term writes in place, term by term."""
+        size = self.require_sparse()
+        rows = np.empty(size, np.int64)
+        cols = np.empty(size, np.int64)
+        vals = np.empty(size, np.complex128)
+        end = 0
         for t in self.terms:
             loc = set(t.support)
             free = [q for q in range(self.num_qubits) if q not in loc]
             loc_place = bit_placement(t.support)
             free_place = bit_placement(free)
             i_loc, j_loc = np.nonzero(t.block)
-            v = t.block[i_loc, j_loc]
-            gi = (loc_place[i_loc][:, None] + free_place[None, :]).ravel()
-            gj = (loc_place[j_loc][:, None] + free_place[None, :]).ravel()
-            vv = np.broadcast_to(v[:, None], (v.size, free_place.size)).ravel()
-            rows.append(gi)
-            cols.append(gj)
-            vals.append(vv)
-        mat = scipy.sparse.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(self.dim, self.dim),
-        )
+            start, end = end, end + i_loc.size * free_place.size
+            shape = (i_loc.size, free_place.size)
+            for out, local in ((rows, i_loc), (cols, j_loc)):
+                np.add(loc_place[local][:, None], free_place,
+                       out=out[start:end].reshape(shape))
+            vals[start:end].reshape(shape)[...] = t.block[i_loc, j_loc][:, None]
+        mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(self.dim, self.dim))
         return mat.tocsr()
 
 

@@ -75,15 +75,6 @@ def write_state_bin(path, vec: np.ndarray) -> None:
     atomic_write_bytes(path, out.tobytes())
 
 
-def read_state_bin(path) -> np.ndarray:
-    raw = np.fromfile(os.fspath(path), dtype="<f8")
-    if raw.size % 2 != 0:
-        raise SchemaError(
-            f"binary state file holds {raw.size} floats, expected an even count"
-        )
-    return raw[0::2] + 1j * raw[1::2]
-
-
 # --------------------------------------------------------------------------
 # CSV
 

@@ -37,7 +37,6 @@ __all__ = [
     "embed_operator",
     "is_hermitian",
     "is_projector",
-    "is_psd",
     "is_unitary",
     "overlap",
     "partial_trace",
@@ -368,13 +367,6 @@ def require_projector(m, tol: float = 1e-12, what: str = "matrix") -> np.ndarray
     if m.ndim != 2 or m.shape[0] != m.shape[1] or not is_projector(m, tol):
         raise ValueError(f"{what} of shape {m.shape} is not a projector within {tol:g}")
     return m
-
-
-def is_psd(m: np.ndarray, tol: float = 1e-12) -> bool:
-    if not is_hermitian(m, tol):
-        return False
-    eigs = np.linalg.eigvalsh(m)
-    return bool(eigs[0] >= -tol)
 
 
 def trace_norm(m: np.ndarray) -> float:

@@ -9,10 +9,10 @@ Bell pair convention: for a pair of qubits (first, second), ordered by qubit
 index, the amplitude index of the 4-dim vector has the first qubit as bit 0,
 and the tag Pauli acts on the second qubit:
 
-    bell_state("I")  = (1, 0, 0, 1)/sqrt(2)
-    bell_state("X")  = (0, 1, 1, 0)/sqrt(2)
-    bell_state("XZ") = (0, -1, 1, 0)/sqrt(2)
-    bell_state("Z")  = (1, 0, 0, -1)/sqrt(2)
+    |B_I>  = (1, 0, 0, 1)/sqrt(2)
+    |B_X>  = (0, 1, 1, 0)/sqrt(2)
+    |B_XZ> = (0, -1, 1, 0)/sqrt(2)
+    |B_Z>  = (1, 0, 0, -1)/sqrt(2)
 
 Bell states are stored unit-normalized. The perturbation maps are
 
@@ -41,7 +41,6 @@ __all__ = [
     "PAULI_TAGS",
     "bell_basis_matrix",
     "bell_projector",
-    "bell_state",
     "bell_uniform",
     "lambda_matrix",
     "pauli_matrix",
@@ -124,11 +123,6 @@ def _bell(tag: str) -> np.ndarray:
     out = mat @ pair
     out.flags.writeable = False
     return out
-
-
-def bell_state(tag: str) -> np.ndarray:
-    """Normalized Bell state (I (x) p)(|00> + |11>)/sqrt(2) for tag p."""
-    return _bell(tag).copy()
 
 
 def bell_projector(tag: str) -> np.ndarray:

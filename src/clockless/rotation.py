@@ -16,17 +16,22 @@ becomes ``clifford_form``. Gates outside that class leak onto the output
 column, which ``locality_residual`` measures directly.
 
 Extraction reads the rotated term between basis states of the extraction
-support, once per term. ``rotate_term`` extracts a term on its own support
-and refuses it when the leakage check fails; ``teleport_input`` extracts
-its input term on the whole three-qubit teleport grid, as the teleport
-spreads it onto the output column. Every term is a ``DressedTerm`` of
-``parent_spec``'s kinds, taken from its factors: ``U† L² U = L²``, so only
-``W = L (K ⊗ I)`` goes through the rotation, from whichever side pushes
-fewer columns (``_factored_hole``). The random leakage-check states go
-through ``U† T U`` as (2^N, batch) arrays in chunks of at most
-``_BATCH_BYTES``. The result is a dense ``LocalTerm`` with the kind, layer
-and wires of the term it came from. The Clifford hole is ``B S B^dagger``:
-B holds the Bell product basis, S counts the Bell-label pairings. It does
+support, once per term, on the light cone of that support: every factor is
+local, so only the factors that reach the support, and the qubits they
+touch, take part (``RotationUnitary.cone``); ``U† T U`` is exact there and
+the identity elsewhere. Where no factor can be left out, the cone is the
+whole grid. ``rotate_term`` extracts a term on its own support and refuses it
+when the leakage check fails; ``teleport_input`` extracts its input term on
+the whole three-qubit teleport grid, as the teleport spreads it onto the
+output column. Every term is a ``DressedTerm`` of ``parent_spec``'s kinds,
+taken from its factors: ``U† L² U = L²``, so only ``W = L (K ⊗ I)`` goes
+through the rotation, from whichever side pushes fewer columns
+(``_factored_hole``). The random leakage-check states, drawn once per cone
+size, go through ``U† T U`` as (2^|cone|, batch) arrays in chunks of at
+most ``_BATCH_BYTES``. The result is a dense ``LocalTerm`` with the kind,
+layer and wires of the term it came from. The Clifford hole is
+``B S B^dagger``: B holds the Bell product basis, S counts the Bell-label
+pairings, scattered from ``clifford_partners``' arrays in one step. It does
 not depend on delta, so ``clifford_hole`` builds it once per gate and
 ``dress_clifford_hole`` dresses it per delta.
 
@@ -38,7 +43,7 @@ low, right high) from the least significant end.
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -55,7 +60,6 @@ from .pauli import (
     lambda_matrix,
     pauli_matrix,
     phi0,
-    tag_words,
     word_decompose,
     word_stack,
 )
@@ -113,25 +117,32 @@ class RotationUnitary:
     The dense matrix is never formed; ``apply`` streams the factor list
     (corrections then gates, layer by layer from the input side) over the
     state, in reverse order for the adjoint with each factor's adjoint,
-    built once here.
+    built once here. ``qubits`` lists the grid qubits it acts on in
+    ascending order, and bit ``i`` of a state is ``qubits[i]``: the whole
+    grid for ``RotationUnitary(circuit)``, a light cone for ``cone``.
     """
 
     def __init__(self, circuit: LayeredCircuit):
         if circuit.depth < 1:
             raise ValueError("rotation needs at least one layer")
-        self.circuit = circuit
-        self.layout = GridLayout(circuit.n, circuit.depth)
+        layout = GridLayout(circuit.n, circuit.depth)
         corr = _SITE_CORRECTION
         ops: list[tuple[np.ndarray, tuple[int, ...]]] = []
         for layer_idx, layer in enumerate(circuit.layers, start=1):
             for row in range(circuit.n):
-                lo, hi = self.layout.site_qubits(layer_idx, row)
-                ops.append((corr, (hi, lo, self.layout.output_qubit(row))))
+                lo, hi = layout.site_qubits(layer_idx, row)
+                ops.append((corr, (hi, lo, layout.output_qubit(row))))
             for g in layer:
                 if g.is_trivial:
                     continue
-                wires = tuple(self.layout.output_qubit(w) for w in g.wires)
+                wires = tuple(layout.output_qubit(w) for w in g.wires)
                 ops.append((g.unitary, wires))
+        self._place(ops, tuple(range(layout.num_qubits)))
+
+    def _place(
+        self, ops: list[tuple[np.ndarray, tuple[int, ...]]], qubits: tuple[int, ...]
+    ) -> None:
+        self.qubits = qubits
         self._ops = tuple(ops)
         self._adjoint_ops = tuple(
             (mat.conj().T, wires) for mat, wires in reversed(ops)
@@ -139,7 +150,32 @@ class RotationUnitary:
 
     @property
     def num_qubits(self) -> int:
-        return self.layout.num_qubits
+        return len(self.qubits)
+
+    def cone(self, support: Sequence[int]) -> RotationUnitary:
+        """The factors that reach ``support``, on the qubits they touch.
+
+        Walks the factors from the output side inward and keeps each one
+        whose wires meet the cone grown so far, starting from ``support``.
+        A factor that misses it commutes with everything conjugated so far
+        and cancels against its adjoint, so for any operator ``T`` on
+        ``support`` the rotated ``U† T U`` is the cone's ``U_C† T U_C`` on
+        the cone's qubits and the identity elsewhere. The kept factors are
+        relabelled onto the cone's qubits in ascending order.
+        """
+        reach, kept = set(support), []
+        for mat, wires in reversed(self._ops):
+            if reach.intersection(wires):
+                reach.update(wires)
+                kept.append((mat, wires))
+        qubits = tuple(sorted(reach))
+        label = {q: i for i, q in enumerate(qubits)}
+        cone = RotationUnitary.__new__(RotationUnitary)
+        cone._place(
+            [(mat, tuple(label[w] for w in wires)) for mat, wires in reversed(kept)],
+            tuple(self.qubits[i] for i in qubits),
+        )
+        return cone
 
     def apply(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         out = np.asarray(vec, dtype=np.complex128)
@@ -148,13 +184,14 @@ class RotationUnitary:
         return out
 
 
-@lru_cache(maxsize=2)
+@cache
 def _check_states(num_qubits: int) -> np.ndarray:
     """The leakage-check states: ``_CHECK_SAMPLES`` unit Gaussian columns
     drawn from seed 0.
 
-    Drawn once per qubit count and read-only; one ``verify`` row alternates
-    between its grid and the small teleport grid, hence two cached sets.
+    Drawn once per qubit count and read-only. Each light cone draws the set
+    of its size, and the sets of all smaller sizes together hold less than
+    the largest one.
     """
     rng = np.random.default_rng(0)
     states = np.empty((2**num_qubits, _CHECK_SAMPLES), np.complex128)
@@ -166,12 +203,17 @@ def _check_states(num_qubits: int) -> np.ndarray:
 
 
 def _factored_hole(
-    term: DressedTerm, rot: RotationUnitary, support: tuple[int, ...], width: int
+    w: np.ndarray,
+    term_bits: Sequence[int],
+    rot: RotationUnitary,
+    place: np.ndarray,
+    width: int,
 ) -> np.ndarray:
-    """``Z = E_S† U† (W ⊗ I)`` for a term whose support lies inside ``S``.
+    """``Z = E_S† U† (W ⊗ I)`` for a term on ``term_bits`` inside ``S``.
 
-    ``W`` is the term's ``kernel_factor`` and ``E_S`` embeds the basis
-    states of ``S`` with every other qubit at 0, so the rotated block on
+    ``W`` is the term's ``kernel_factor`` with row bit ``i`` on qubit
+    ``term_bits[i]`` of ``rot``, and ``E_S`` embeds the basis states of ``S``,
+    listed by ``place``, with every other qubit at 0, so the rotated block on
     ``S`` is ``L²|_S - Z Z†``. ``Z`` is computed from the side that pushes
     fewer columns through the rotation: the r·2^(N-kv) columns of
     ``W ⊗ I`` backward through ``U†``, or the 2^m basis columns forward
@@ -179,10 +221,8 @@ def _factored_hole(
     Either way the columns of ``Z`` come in the same order.
     """
     n = rot.num_qubits
-    w = term.kernel_factor
-    on_term = bit_placement(term.support)
-    rest = bit_placement(sorted(set(range(n)) - set(term.support)))
-    place = bit_placement(support)
+    on_term = bit_placement(term_bits)
+    rest = bit_placement(sorted(set(range(n)) - set(term_bits)))
     hole = np.empty((place.size, w.shape[1] * rest.size), np.complex128)
     if hole.shape[1] <= place.size:
         # Column (c, j): W's column c on the term's qubits, the rest at j.
@@ -210,35 +250,42 @@ def _conjugated_block(
 ) -> tuple[np.ndarray, float]:
     """Extract the rotated term on ``support`` plus the leakage residual.
 
-    The candidate block is the rotated term between basis states that are
+    Everything runs on the light cone of ``support`` (``rot.cone``), where
+    the rotated term is exact; outside it the term is the identity. The
+    candidate block is the rotated term between basis states that are
     zero outside the support, a superset of the term's own. It comes from
     the term's factors: every ``Λ(δ)`` dresses a shifted pair and is
     Bell-diagonal, and every rotation factor is a Bell-controlled Pauli or
     a gate on the output column, so ``U† L² U = L²`` and the block is
     ``L²|_S - Z Z†`` (``_factored_hole``). The residual is the worst
     mismatch between the rotated term, applied as ``U† T U`` with the
-    term's dense block, and that block on random full states; it is zero
-    exactly when the rotated term acts as the identity outside the support,
-    and large when the factored block is wrong.
+    term's dense block, and that block on random states of the cone; it is
+    zero exactly when the rotated term acts as the identity outside the
+    support, and large when the factored block is wrong.
     """
-    n = rot.num_qubits
     m = len(support)
     require("rotated-block extraction", m, dense_bytes(m))
+    cone = rot.cone(support)
+    n = cone.num_qubits
+    label = {q: i for i, q in enumerate(cone.qubits)}
+    on_term = [label[q] for q in term.support]
+    on_support = [label[q] for q in support]
     dim = 2**m
     width = max(1, _BATCH_BYTES // (16 * 2**n))
-    hole = _factored_hole(term, rot, support, width)
+    hole = _factored_hole(
+        term.kernel_factor, on_term, cone, bit_placement(on_support), width
+    )
     block = term.squared_dressing(support)
     rows = max(1, _BATCH_BYTES // (16 * dim))
     for start in range(0, dim, rows):
         block[start : start + rows] -= hole[start : start + rows] @ hole.conj().T
     states = _check_states(n)
-    term_wires = tuple(reversed(term.support))
     worst = 0.0
     for start in range(0, _CHECK_SAMPLES, width):
         batch = states[:, start : start + width]
-        pushed = apply_matrix(rot.apply(batch), term.block, term_wires, n)
-        lhs = rot.apply(pushed, adjoint=True)
-        rhs = apply_matrix(batch, block, tuple(reversed(support)), n)
+        pushed = apply_matrix(cone.apply(batch), term.block, on_term[::-1], n)
+        lhs = cone.apply(pushed, adjoint=True)
+        rhs = apply_matrix(batch, block, on_support[::-1], n)
         worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
     return block, worst
 
@@ -287,12 +334,13 @@ def rotate_term(term: DressedTerm, circuit: LayeredCircuit) -> LocalTerm:
     """Conjugate one term by the circuit's rotation and re-localize it.
 
     The rotated operator is extracted once, on the term's own support,
-    validated against ``_CHECK_SAMPLES`` random states and trimmed down to
-    the qubits it acts on. Terms of gates that normalize the Pauli group
-    stay on their original support (last-layer terms drop their output
-    legs). Raises on a term that leaks past its support by more than
-    ``_LEAKAGE_TOL``, as the term of any other gate spreads onto the output
-    column (``locality_residual`` measures how far).
+    validated against ``_CHECK_SAMPLES`` random states of that support's
+    light cone and trimmed down to the qubits it acts on. Terms of gates
+    that normalize the Pauli group stay on their original support
+    (last-layer terms drop their output legs). Raises on a term that leaks
+    past its support by more than ``_LEAKAGE_TOL``, as the term of any
+    other gate spreads onto the output column (``locality_residual``
+    measures how far).
     """
     block = _extract(term, RotationUnitary(circuit), term.support)
     block, support = _trim_trivial_qubits(block, term.support)
@@ -302,8 +350,9 @@ def rotate_term(term: DressedTerm, circuit: LayeredCircuit) -> LocalTerm:
 def locality_residual(term: DressedTerm, circuit: LayeredCircuit) -> float:
     """How badly the rotated term fails to live on the term's own support.
 
-    Zero for an exactly localized rotation; order-one values mean the
-    rotated term genuinely spreads.
+    The worst leakage over ``_CHECK_SAMPLES`` random states of the light
+    cone of the term's support. Zero for an exactly localized rotation;
+    order-one values mean the rotated term genuinely spreads.
     """
     _, residual = _conjugated_block(term, RotationUnitary(circuit), term.support)
     return residual
@@ -384,22 +433,19 @@ def projected_gap_check(k: int, delta: float) -> tuple[float, float, bool]:
     return gap, floor, bool(gap >= floor)
 
 
-def clifford_partners(
-    g: Gate,
-) -> list[tuple[tuple[tuple[str, ...], tuple[str, ...]], tuple[tuple[str, ...], tuple[str, ...]], complex]]:
+def clifford_partners(g: Gate) -> tuple[np.ndarray, np.ndarray]:
     """Pairing behind the closed rotated form of a Pauli-normalizing gate.
 
-    Entries are ((left row word, right row word), (left column word, right
-    column word), phase), where the words label Bell states on the k left
-    and k right pairs and the phase is the proportionality constant in the
-    defining relation ``(u^dagger W[s_row] W[s_col] u)^T W[t_row] = phase
-    W[t_col]``. Every row label has exactly 4^k partners. The list runs
-    over s_row, then s_col, then t_row, each in ``tag_words`` order; both
-    stacks of products are decomposed in one call each.
+    Returns ``(mu, t_col)``, both indexed ``[r, c, t]`` by ``tag_words(k)``
+    positions of s_row, s_col and t_row: ``t_col`` is the position of the
+    word t_col and ``mu`` the phase in the defining relation
+    ``(u^dagger W[s_row] W[s_col] u)^T W[t_row] = mu W[t_col]``. The Bell
+    label (t_row, s_row) on the k left and k right pairs is paired with
+    (t_col, s_col); every row label has exactly 4^k partners. Both stacks
+    of products are decomposed in one call each.
     """
     k = g.arity
     u = g.unitary
-    words = tag_words(k)
     stack = word_stack(k)
     conj = u.conj().T @ (stack[:, None] @ stack[None, :]) @ u
     if np.any(word_decompose(conj, k)[1] < 0):
@@ -409,11 +455,7 @@ def clifford_partners(
     mu, t_col = word_decompose(np.swapaxes(conj, -1, -2)[:, :, None] @ stack, k)
     if np.any(t_col < 0):
         raise ValueError("pairing search failed unexpectedly")
-    return [
-        ((words[t], words[r]), (words[t_col[r, c, t]], words[c]),
-         complex(mu[r, c, t]))
-        for r, c, t in np.ndindex(mu.shape)
-    ]
+    return mu, t_col
 
 
 def _bulk_bell_basis(wires: tuple[int, ...]) -> np.ndarray:
@@ -441,13 +483,11 @@ def clifford_hole(g: Gate) -> np.ndarray:
     is ``B S B^dagger`` for the Bell product basis B and the integer matrix
     S that counts the pairings. It depends only on the gate and its wires.
     """
-    k = g.arity
-    n = 4**k
-    index = {word: i for i, word in enumerate(tag_words(k))}
+    n = 4**g.arity
+    _, t_col = clifford_partners(g)
+    r, c, t = np.indices(t_col.shape)
     pairing = np.zeros((n * n, n * n))
-    for (left, right), (c_left, c_right), _ in clifford_partners(g):
-        pairing[index[left] * n + index[right],
-                index[c_left] * n + index[c_right]] += 1
+    np.add.at(pairing, (t * n + r, t_col * n + c), 1)
     basis = _bulk_bell_basis(g.wires)
     return np.eye(n * n) - basis @ pairing @ basis.conj().T / n
 

@@ -32,7 +32,8 @@ independent oracle:
 * ``projected_bulk[g]``: that block with its right pairs projected onto
   their ground state, against ``projected_bulk_form``.
 * ``nonlocality_diagnostic[g]``: for any other bulk gate, the leakage
-  ``locality_residual`` onto the output column, which must exceed 1e-3.
+  ``locality_residual`` onto the output column, which must exceed 1e-3: the
+  worst over random states of the light cone of the term's support.
 
 A deviation within the tolerance passes; one within ``_ACCURACY_FLOOR``,
 the accuracy the closed forms are computed to, lands in the "tolerance"

@@ -11,7 +11,6 @@ from clockless.circuit import (
     apply_circuit,
     apply_layer,
     block_wire,
-    circuit_unitary,
     degree_reduce,
     gate,
     input_state,
@@ -21,6 +20,7 @@ from clockless.circuit import (
 from clockless.cli import main
 from clockless.io import json_text
 from clockless.linalg import basis_state, product_state, random_state
+from oracles import circuit_unitary
 
 
 def test_named_gate_set():

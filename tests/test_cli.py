@@ -21,9 +21,10 @@ from clockless.cli import (
 )
 from clockless.hamiltonian import assemble, parent_spec
 from clockless.io import (
-    SchemaError, json_text, read_circuit_json, read_json, read_state_bin,
+    SchemaError, json_text, read_circuit_json, read_json,
 )
 from clockless.soundness import SUITE_NAMES
+from oracles import read_state_bin
 
 
 @pytest.fixture
@@ -379,6 +380,30 @@ def test_verify_zero_tolerance_exits_2_before_forking(tmp_path, capsys, pin_cpus
     assert code == 2
     assert "tolerance must be positive, got 0.0 (at tolerance)" in capsys.readouterr().err
     assert not out.exists() and pools == []
+
+
+NEGATIVE_DELTA = "delta must lie in (0, 1], got -0.001"
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["verify", "--tolerance", "-1e-10"], "tolerance must be positive, got -1e-10"),
+        (["verify", "--circuit", "ID", "--delta", "-1e-3"], NEGATIVE_DELTA),
+        (["scan", "--circuit", "ID", "--delta-grid", "-1e-3,0.5"], NEGATIVE_DELTA),
+    ],
+    ids=["tolerance", "delta", "delta-grid"],
+)
+def test_negative_exponent_values_reach_the_value_checks(
+    tmp_path, capsys, identity_json, args, message
+):
+    # argparse took "-1e-10" for an option and exited with "expected one
+    # argument" before any value check ran
+    out = tmp_path / "out"
+    args = [identity_json if a == "ID" else a for a in args]
+    assert main(args + ["--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_verify_injected_delta_fails_frustration(tmp_path, capsys):

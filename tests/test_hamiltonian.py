@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from clockless.circuit import Gate, degree_reduce, gate, layered
 from clockless.fk import build_modified_fk
@@ -11,6 +12,7 @@ from clockless.hamiltonian import (
     DressedTerm,
     HamiltonianSpec,
     LocalTerm,
+    SparseOperator,
     assemble,
     energy,
     input_term,
@@ -21,8 +23,8 @@ from clockless.hamiltonian import (
 from clockless.linalg import (
     apply_matrix,
     basis_state,
+    bit_placement,
     embed_operator,
-    is_psd,
     random_projector,
     random_state,
     random_unitary,
@@ -31,6 +33,8 @@ from clockless.pauli import lambda_matrix, word_matrix
 from clockless.peps import GridLayout, build_peps, choi_factor
 from clockless.rotation import rotate_term, teleport_input
 from clockless.spectral import dense_spectrum
+from clockless.verify import named_fixtures
+from oracles import is_psd
 
 
 def _output_term(row: int, layout: GridLayout) -> DressedTerm:
@@ -140,6 +144,43 @@ def test_sparse_operator_agrees_with_dense(bell_circuit, rng):
     assert np.allclose(op.apply(v), dense @ v, atol=1e-10)
     sp = op.to_sparse()
     assert np.allclose(sp @ v, dense @ v, atol=1e-10)
+
+
+def concatenated_csr_reference(op):
+    """``to_sparse`` as the per-term coordinate pieces, joined, compressed."""
+    rows, cols, vals = [], [], []
+    for t in op.terms:
+        free = [q for q in range(op.num_qubits) if q not in set(t.support)]
+        loc_place, free_place = bit_placement(t.support), bit_placement(free)
+        i_loc, j_loc = np.nonzero(t.block)
+        v = t.block[i_loc, j_loc]
+        rows.append((loc_place[i_loc][:, None] + free_place[None, :]).ravel())
+        cols.append((loc_place[j_loc][:, None] + free_place[None, :]).ravel())
+        vals.append(np.broadcast_to(v[:, None], (v.size, free_place.size)).ravel())
+    return scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(op.dim, op.dim),
+    ).tocsr()
+
+
+def test_to_sparse_matches_the_concatenated_build(hcnot):
+    # every verify fixture's parent at a non-uniform schedule, its rotated
+    # dense terms and a clock Hamiltonian: the same CSR, array for array
+    ops = []
+    for _, c in named_fixtures():
+        spec = parent_spec(c, (0.3, 0.6)[: c.depth])
+        ops.append(assemble(spec))
+        rotated = tuple(t for t in spec.terms if t.kind == "input") + tuple(
+            rotate_term(t, c) for t in spec.terms
+            if t.kind == "propagation" and t.layer == c.depth
+        )
+        ops.append(SparseOperator(spec.layout.num_qubits, rotated))
+    ops.append(build_modified_fk(hcnot).operator())
+    for op in ops:
+        got, want = op.to_sparse(), concatenated_csr_reference(op)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_term_energy_matches_expectation(identity1, rng):

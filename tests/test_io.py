@@ -23,7 +23,6 @@ from clockless.io import (
     json_text,
     jsonable,
     read_json,
-    read_state_bin,
     spectral_report_dict,
     suite_rows,
     term_manifest,
@@ -33,6 +32,7 @@ from clockless.io import (
 from clockless.soundness import run_suite
 from clockless.peps import build_peps
 from clockless.spectral import parent_spectrum
+from oracles import read_state_bin
 
 
 def test_fmt_float_17_digits():

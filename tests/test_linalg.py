@@ -12,7 +12,6 @@ from clockless.linalg import (
     embed_operator,
     is_hermitian,
     is_projector,
-    is_psd,
     is_unitary,
     overlap,
     partial_trace,
@@ -24,6 +23,7 @@ from clockless.linalg import (
     trace_distance,
     trace_norm,
 )
+from oracles import is_psd
 
 X = np.array([[0.0, 1.0], [1.0, 0.0]])
 

@@ -7,7 +7,6 @@ from clockless.pauli import (
     PAULI_TAGS,
     bell_basis_matrix,
     bell_projector,
-    bell_state,
     bell_uniform,
     lambda_matrix,
     pauli_matrix,
@@ -18,6 +17,7 @@ from clockless.pauli import (
     word_matrix,
     word_stack,
 )
+from oracles import bell_state
 
 
 def test_tag_order_and_matrices():

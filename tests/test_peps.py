@@ -11,7 +11,7 @@ from clockless.circuit import apply_layer, input_state, layered
 from clockless.linalg import (
     apply_matrix, basis_state, product_state, random_unitary, trace_distance,
 )
-from clockless.pauli import PAULI_TAGS, bell_state, pauli_matrix, tag_words
+from clockless.pauli import PAULI_TAGS, pauli_matrix, tag_words
 from clockless.peps import (
     GridLayout,
     PepsState,
@@ -23,6 +23,7 @@ from clockless.peps import (
     reassemble_expansion,
     resolve_deltas,
 )
+from oracles import bell_state
 
 
 def test_grid_layout_indices():

@@ -14,7 +14,6 @@ from clockless.hamiltonian import (
 from clockless.limits import dense_bytes
 from clockless.linalg import apply_matrix, bit_placement
 from clockless.pauli import (
-    bell_state,
     lambda_matrix,
     phi0,
     tag_words,
@@ -35,6 +34,7 @@ from clockless.rotation import (
     teleport_input,
 )
 from clockless.verify import named_fixtures
+from oracles import bell_state
 
 
 def bulk_fixture(name, wires):
@@ -110,9 +110,23 @@ def test_clifford_form_unequal_deltas():
     assert residual < 1e-10
 
 
+def partner_entries(g):
+    """``clifford_partners`` as ((left row word, right row word), (left
+    column word, right column word), phase) entries over s_row, then s_col,
+    then t_row, each in ``tag_words`` order."""
+    mu, t_col = clifford_partners(g)
+    words = tag_words(g.arity)
+    return [
+        ((words[t], words[r]), (words[t_col[r, c, t]], words[c]), complex(mu[r, c, t]))
+        for r, c, t in np.ndindex(mu.shape)
+    ]
+
+
 def test_clifford_partners_cover_normalizer():
     g = gate("CNOT", (1, 0))
-    pairs = clifford_partners(g)
+    mu, t_col = clifford_partners(g)
+    assert mu.shape == t_col.shape == (16, 16, 16)
+    pairs = partner_entries(g)
     # 4^k row labels on each of (left, right), 4^k partners per row label
     rows = {}
     for row, col, phase in pairs:
@@ -161,7 +175,7 @@ Y_MATRIX = np.array([[0.0, -1j], [1j, 0.0]])
 ])
 def test_clifford_partners_match_loop_reference(name, wires):
     g = gate(name, wires)
-    got = clifford_partners(g)
+    got = partner_entries(g)
     want = partners_loop_reference(g)
     assert [(row, col) for row, col, _ in got] == [
         (row, col) for row, col, _ in want
@@ -188,7 +202,7 @@ def test_clifford_form_matches_outer_product_reference(name, wires):
     k = g.arity
     dl, dr = 0.3, 0.7
     hole = np.zeros((16**k, 16**k), dtype=np.complex128)
-    for row, col, _ in clifford_partners(g):
+    for row, col, _ in partner_entries(g):
         hole += np.outer(
             bulk_bell_vector_reference(*row, g.wires),
             bulk_bell_vector_reference(*col, g.wires).conj(),
@@ -200,7 +214,13 @@ def test_clifford_form_matches_outer_product_reference(name, wires):
 
 
 def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):
-    """The rotated block and leakage residual, one column at a time."""
+    """The rotated block and leakage residual, one column at a time, with
+    the full grid's rotation.
+
+    The random states are drawn on the light cone of ``support`` and lifted
+    onto the grid with every other qubit at 0, where the rotated term acts
+    as the identity; a cone too small to hold the rotated term shows as
+    leakage off it."""
     rot = RotationUnitary(circuit)
     n = rot.num_qubits
     place = bit_placement(support)
@@ -215,13 +235,15 @@ def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):
         vec = np.zeros(2**n, dtype=np.complex128)
         vec[place[i]] = 1.0
         block[:, i] = rotated(vec)[place]
+    cone = bit_placement(rot.cone(support).qubits)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        r = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-        r /= np.linalg.norm(r)
-        rhs = apply_matrix(r, block, tuple(reversed(support)), n)
-        worst = max(worst, float(np.linalg.norm(rotated(r) - rhs)))
+        r = rng.normal(size=cone.size) + 1j * rng.normal(size=cone.size)
+        lifted = np.zeros(2**n, dtype=np.complex128)
+        lifted[cone] = r / np.linalg.norm(r)
+        rhs = apply_matrix(lifted, block, tuple(reversed(support)), n)
+        worst = max(worst, float(np.linalg.norm(rotated(lifted) - rhs)))
     return block, worst
 
 
@@ -267,8 +289,8 @@ def test_factored_blocks_match_column_loop():
         for term in spec.terms:
             if term.kind not in ("propagation", "input"):
                 continue
-            support = rows_support(term, rot.layout)
-            n = rot.num_qubits
+            support = rows_support(term, spec.layout)
+            n = rot.cone(support).num_qubits
             factor_columns = term.kernel_factor.shape[1] << (n - term.locality)
             sides.add(factor_columns <= 2 ** len(support))
             block, residual = rotation._conjugated_block(term, rot, support)
@@ -277,6 +299,81 @@ def test_factored_blocks_match_column_loop():
             assert abs(residual - want_residual) <= 1e-13, (name, str(term))
     # terms on both sides of the column-count choice were exercised
     assert sides == {True, False}
+
+
+def _localized(c, term):
+    """Whether the rotated term stays on its own support: a last-layer
+    term, or a bulk term of a Pauli-normalizing gate."""
+    gates = {
+        (layer, tuple(g.wires)): g
+        for layer, gates in enumerate(c.layers, start=1)
+        for g in gates
+    }
+    return term.kind == "propagation" and (
+        term.layer == c.depth or gates[(term.layer, term.wires)].is_clifford
+    )
+
+
+def test_cone_extraction_matches_the_full_grid():
+    # every input and propagation term of the verify fixtures at a
+    # non-uniform schedule, extracted on its own support's light cone,
+    # against the column loop over the full grid's rotation
+    sizes, localized = [], 0
+    for name, c in named_fixtures():
+        spec = parent_spec(c, (0.3, 0.6)[: c.depth])
+        rot = RotationUnitary(c)
+        for term in spec.terms:
+            sizes.append(rot.cone(term.support).num_qubits)
+            block, residual = rotation._conjugated_block(term, rot, term.support)
+            want, want_residual = conjugated_block_loop_reference(
+                term, c, term.support
+            )
+            assert np.abs(block - want).max() <= 1e-13, (name, str(term))
+            assert abs(residual - want_residual) <= 1e-13, (name, str(term))
+            if _localized(c, term):
+                assert residual < 1e-12, (name, str(term))
+                localized += 1
+    # the cones of the 13 rotated terms on 10-qubit grids: 8 of 5 qubits,
+    # 2 of 8 and 3 of the whole grid; each input term's cone is 3 qubits,
+    # as are both 3-qubit grids
+    assert sorted(sizes) == [3] * 12 + [5] * 8 + [8] * 2 + [10] * 3
+    assert localized == 14
+
+
+def test_a_cone_short_of_one_factor_is_refused(monkeypatch):
+    # with the innermost factor of every cone dropped, the one next to the
+    # term in U† T U and the first the walk keeps, each localized term
+    # either leaks off its support or rotates onto the wrong block
+    cone = RotationUnitary.cone
+
+    def short(self, support):
+        whole = cone(self, support)
+        whole._place(list(whole._ops[:-1]), whole.qubits)
+        return whole
+
+    checked = refused = 0
+    for name, c in named_fixtures():
+        spec = parent_spec(c, (0.3, 0.6)[: c.depth])
+        for term in spec.terms:
+            if not _localized(c, term):
+                continue
+            want, _ = conjugated_block_loop_reference(term, c, term.support)
+            want, want_support = rotation._trim_trivial_qubits(want, term.support)
+            with monkeypatch.context() as patch:
+                patch.setattr(RotationUnitary, "cone", short)
+                try:
+                    got = rotate_term(term, c)
+                except ValueError as err:
+                    assert "leakage" in str(err)
+                    refused += 1
+                else:
+                    assert (
+                        got.support != want_support
+                        or np.abs(got.block - want).max() > 1e-3
+                    ), (name, str(term))
+            checked += 1
+    # 12 leak and are refused; 2 stay on their support with a wrong block
+    assert checked == 14 and refused == 12
 
 
 def test_extraction_holds_about_one_block():
@@ -312,7 +409,7 @@ def test_chunked_extraction_matches_unchunked(monkeypatch):
     c = BATCH_FIXTURES["t_bulk"]
     term = propagation_term(gate("T", (0,)), 1, 0.5, GridLayout(2, 2))
     rot = RotationUnitary(c)
-    wide = rows_support(term, rot.layout)
+    wide = rows_support(term, GridLayout(2, 2))
     whole, whole_leak = rotation._conjugated_block(term, rot, wide)
     whole_residual = locality_residual(term, c)
     calls = []
@@ -322,18 +419,22 @@ def test_chunked_extraction_matches_unchunked(monkeypatch):
         calls.append(vec.shape[1])
         return apply(self, vec, adjoint=adjoint)
 
-    # 20 columns of the 10-qubit grid per chunk. The 2^5 basis columns of
-    # the T term's support widened by its output qubit are fewer than the
-    # 4 * 2^6 columns of W (x) I, so they go forward only, in 2 chunks; the
-    # 50 random states take 3 chunks, each a forward and an adjoint rotation.
+    # 20 columns of the 10-qubit grid per chunk. The T term's support
+    # widened by its output qubit meets the CZ, so its light cone is the
+    # whole grid: the 2^5 basis columns are fewer than the 4 * 2^6 columns
+    # of W (x) I, so they go forward only, in 2 chunks; the 50 random states
+    # take 3 chunks, each a forward and an adjoint rotation.
     monkeypatch.setattr(rotation, "_BATCH_BYTES", 20 * 16 * 2**10)
     monkeypatch.setattr(RotationUnitary, "apply", counting)
     chunked, chunked_leak = rotation._conjugated_block(term, rot, wide)
     assert len(calls) == 2 + 2 * 3 and max(calls) == 20
     calls.clear()
+    # 5 columns of the 5-qubit light cone of the term's own support per
+    # chunk: the 4 * 2 columns of W (x) I, fewer than the 2^4 basis columns,
+    # go backward in 2 chunks, and the 50 states take 10 chunks each way
+    monkeypatch.setattr(rotation, "_BATCH_BYTES", 5 * 16 * 2**5)
     chunked_residual = locality_residual(term, c)
-    # one forward chunk for the 2^4 columns of the term's own support
-    assert len(calls) == 1 + 2 * 3
+    assert calls == [5, 3] + [5] * 20
     assert np.max(np.abs(chunked - whole)) < 1e-13
     assert abs(chunked_leak - whole_leak) < 1e-13
     assert abs(chunked_residual - whole_residual) < 1e-13
@@ -414,8 +515,9 @@ def test_t_gate_rotation_spreads():
     t_term = propagation_term(gate("T", (0,)), 1, 0.5, layout)
     residual = locality_residual(t_term, c)
     assert residual > 1e-3
-    # frozen for regression; value measured from the dense rotation
-    assert np.isclose(residual, 0.24135225711125646, atol=1e-12)
+    # frozen for regression; value measured from the dense column-loop
+    # rotation with its 50 states on the term's 5-qubit light cone
+    assert np.isclose(residual, 0.3198564130167615, atol=1e-12)
     h_term = propagation_term(gate("H", (0,)), 1, 0.5, layout)
     c2 = bulk_fixture("H", (0,))
     assert locality_residual(h_term, c2) < 1e-12
@@ -448,9 +550,8 @@ def test_rotate_term_rejects_leaky_support(monkeypatch):
 def _widened_reference(term, c):
     """The rotated term extracted on its support widened by its rows'
     output qubits, then trimmed."""
-    rot = RotationUnitary(c)
-    support = rows_support(term, rot.layout)
-    block, residual = rotation._conjugated_block(term, rot, support)
+    support = rows_support(term, GridLayout(c.n, c.depth))
+    block, residual = rotation._conjugated_block(term, RotationUnitary(c), support)
     assert residual < 1e-9
     return rotation._trim_trivial_qubits(block, support)
 
@@ -462,16 +563,8 @@ def test_localized_terms_rotate_on_their_own_support(monkeypatch):
     checked = 0
     for name, c in named_fixtures():
         spec = parent_spec(c, (0.3, 0.6)[: c.depth])
-        gates = {
-            (layer, tuple(g.wires)): g
-            for layer, gates in enumerate(c.layers, start=1)
-            for g in gates
-        }
         for term in spec.terms:
-            if term.kind != "propagation":
-                continue
-            gate_ = gates[(term.layer, term.wires)]
-            if term.layer < c.depth and not gate_.is_clifford:
+            if not _localized(c, term):
                 continue
             want, want_support = _widened_reference(term, c)
             with monkeypatch.context() as patch:

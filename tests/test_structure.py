@@ -17,12 +17,6 @@ TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # Public definitions no command reaches, each with the reason it stays.
 UNREACHED_ALLOWED = {
-    "circuit.circuit_unitary": "the reference apply_circuit and apply_layer "
-    "are tested against",
-    "io.read_state_bin": "the reader of the state.bin and ground.bin that "
-    "build writes",
-    "linalg.is_psd": "the positivity check of term blocks in tests",
-    "pauli.bell_state": "the Bell-state reference of the peps and rotation tests",
     "rotation.clifford_form": "perfbench/tracer.py wraps it, and a --trace run "
     "fails on a missing name",
 }
@@ -47,7 +41,6 @@ UNSET_DEFAULTS_ALLOWED = {
     "fk.history_state(xi)": _WITNESS,
     "fk.swap_test_witness(xi)": _WITNESS,
     "soundness.build_combinatorial_state(xi)": _WITNESS,
-    "linalg.is_psd(tol)": _TOLERANCE,
     "pauli.word_decompose(tol)": _TOLERANCE,
     "soundness.extract_decomposition(tol)": _TOLERANCE,
 }

@@ -30,7 +30,7 @@ def test_status_classes():
 
 
 def test_verify_tolerance_class_is_not_a_correctness_failure():
-    checks = verify_checks(named_fixtures(), (0.5,), 1e-15)
+    checks = verify_checks(named_fixtures(), (0.5,), 1e-17)
     statuses = {c.status for c in checks}
     # with the tolerance cranked below float accuracy some checks land in
     # the tolerance class, but none may actually fail
