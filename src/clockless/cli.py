@@ -46,13 +46,17 @@ class InputError(Exception):
     """Bad user input detected past argument parsing; maps to exit 2."""
 
 
+# The weights verify checks its built-in fixtures at; it takes no --delta.
+_FIXTURE_DELTAS = (0.2, 0.5, 0.8)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything one run depends on; serializable, seed included."""
 
     command: str
     circuit: str | None = None
-    delta: float = 0.5
+    delta: float | None = None  # 0.5 once merged, unless verify has no circuit
     delta_layers: dict[int, float] = field(default_factory=dict)
     delta_grid: tuple[float, ...] | None = None
     seed: int = 0
@@ -260,6 +264,14 @@ def parse_args(argv) -> RunConfig:
     if getattr(args, "suites", None) is not None:
         updates["suites"] = tuple(s for s in args.suites.split(",") if s)
     cfg = replace(cfg, **updates)
+    if cfg.command == "verify" and cfg.circuit is None:
+        if cfg.delta is not None:
+            raise InputError(
+                "verify takes --delta only with --circuit; its fixtures run "
+                f"at {', '.join(map(str, _FIXTURE_DELTAS))}"
+            )
+    elif cfg.delta is None:
+        cfg = replace(cfg, delta=0.5)
     _check_values(cfg)
     return cfg
 
@@ -353,7 +365,7 @@ def _verify_schedules(cfg: RunConfig, c: LayeredCircuit, delta: float):
 
 def cmd_verify(cfg: RunConfig) -> int:
     if cfg.circuit is None:
-        fixtures, deltas = named_fixtures(), (0.2, 0.5, 0.8)
+        fixtures, deltas = named_fixtures(), _FIXTURE_DELTAS
     else:
         fixtures = [(os.path.basename(cfg.circuit), _load_grid_circuit(cfg))]
         deltas = (cfg.delta,)

@@ -25,7 +25,7 @@ import os
 import numpy  # noqa: F401  (loads the OpenBLAS that set_blas_threads finds)
 
 __all__ = [
-    "EXPANSION_WORD_CAP", "MEMORY_BUDGET", "SCAN_POINT_CAP", "ResourceError",
+    "MEMORY_BUDGET", "SCAN_POINT_CAP", "ResourceError",
     "coo_bytes", "dense_bytes", "enumeration_bytes", "fork_map", "require",
     "set_blas_threads", "vector_bytes",
 ]
@@ -37,15 +37,6 @@ MEMORY_BUDGET = 2**28
 # Grid points one scan may request: a count, not bytes.
 SCAN_POINT_CAP = 512
 
-# Words one exhaustive Pauli expansion may enumerate: a count, not bytes.
-# The batched expansion costs 6-23 us and 450-650 B per word on 2 vCPUs
-# (4,096 words on 6 sites took 0.03-0.1 s, 65,536 on 8 sites 0.6-0.7 s), but
-# each further site multiplies the words by four: 262,144 words on 9 sites
-# took 4.2 s and grew the peak RSS by 209 MB, most of it Python bookkeeping
-# that no byte estimate here counts. Within the cap a grid has at most 6
-# wires, so the words hold under 3 MB.
-EXPANSION_WORD_CAP = 4**6
-
 # Python bookkeeping of one enumerated entry beside its vector (about 520 B
 # measured with tracemalloc on exhaustive expansions).
 _ENTRY_OVERHEAD = 512
@@ -53,7 +44,7 @@ _ENTRY_OVERHEAD = 512
 
 class ResourceError(ValueError):
     """An operation whose memory estimate exceeds ``MEMORY_BUDGET``, or
-    whose size exceeds one of the count caps above."""
+    whose size exceeds the count cap above."""
 
 
 def require(what: str, num_qubits: int, nbytes: int) -> None:

@@ -8,17 +8,18 @@ and one perturbed pair per row on columns (2l-2, 2l-1); the perturbation Q
 at injectivity delta_l is applied on those shifted pairs. Column 2D is the
 output column and belongs to no pair.
 
-The central identity, verified wholesale by the expansion round trip: the
-built state is proportional to
+The central identity: the built state is proportional to
 
     sum over Pauli words P of  prod_l delta_l^{|P_l|} |B_P> (x) W_D P_D ... W_1 P_1 |0^a, xi>
 
 with |B_P> the Bell pattern on the shifted pairs and the error factors acting
 on the output register before each layer. A word P is a tag tuple, one tag
-per site in ``GridLayout.sites()`` order. ``expansion`` returns the sum as
-two arrays, the coefficients and the output states, one row per word in
-``pauli.tag_words`` order, and ``reassemble_expansion`` contracts them back
-onto the grid. The Bell-frame coefficient sum
+per site in ``GridLayout.sites()`` order. The sum factors layer by layer:
+``expansion`` sweeps the register through the circuit, one Pauli kick per tag
+at each site, into a table with one row per word in ``pauli.tag_words``
+order (coefficient times output state), and ``reassemble_expansion``
+contracts that table back onto the grid, a construction independent of
+``build_peps``. The Bell-frame coefficient sum
 sum_P prod delta^(2|P|) is 4^(n D) times the squared l2 norm of the
 unnormalized state (each Bell contraction contributes a factor 1/2 per site).
 
@@ -43,7 +44,7 @@ from .circuit import (
     input_state,
     resolve_witness,
 )
-from .limits import EXPANSION_WORD_CAP, ResourceError, require, vector_bytes
+from .limits import require, vector_bytes
 from .linalg import (
     apply_matrix, basis_state, embed_operator, partial_trace, product_state,
 )
@@ -61,7 +62,6 @@ __all__ = [
     "grid_factors",
     "output_marginal",
     "reassemble_expansion",
-    "require_expansion",
     "resolve_deltas",
 ]
 
@@ -80,11 +80,6 @@ class GridLayout:
     @property
     def num_qubits(self) -> int:
         return self.n * self.columns
-
-    @property
-    def num_sites(self) -> int:
-        """Number of shifted (perturbed) pairs: one per wire per layer."""
-        return self.n * self.depth
 
     def qubit_index(self, row: int, col: int) -> int:
         if not 0 <= row < self.n:
@@ -259,90 +254,58 @@ def build_peps(c: LayeredCircuit, deltas, xi=None, payloads=None) -> PepsState:
     return PepsState(layout, amps, c, xi, schedule, fault)
 
 
-def require_expansion(c: LayeredCircuit) -> None:
-    """Refuse the expansion of ``c`` past ``EXPANSION_WORD_CAP`` words,
-    before any word is built. There are 4^sites of them; within the cap
-    they hold a few MB at most, far below the memory budget."""
-    layout = GridLayout(c.n, c.depth)
-    words = 4**layout.num_sites
-    if words > EXPANSION_WORD_CAP:
-        raise ResourceError(
-            f"a Pauli expansion on {layout.num_qubits} qubits would "
-            f"enumerate {words} words, beyond the cap of {EXPANSION_WORD_CAP}"
-        )
+def expansion(c: LayeredCircuit, xi, deltas) -> np.ndarray:
+    """The full 4^(nD) Pauli-word expansion of the grid state, as one table.
 
+    Row w is word ``tag_words(n * D)[w]``, sites in
+    ``GridLayout.sites()`` order: its coefficient prod_l delta_l^(weight of
+    the word at layer l) times its unit output-register state on the n
+    circuit wires.
 
-def expansion(c: LayeredCircuit, xi, deltas) -> tuple[np.ndarray, np.ndarray]:
-    """The full 4^(nD) Pauli-word expansion of the grid state, as two arrays,
-    after ``require_expansion`` has counted the words.
-
-    Returns ``(coefficients, outputs)`` with one row per word in
-    ``tag_words(num_sites)`` order, sites in ``GridLayout.sites()`` order:
-    row w of ``coefficients`` is prod_l delta_l^(weight of word w at layer
-    l), and row w of ``outputs`` is the unit output-register state on the n
-    circuit wires. That order is the C order of the (4,)*sites tensor of
-    tags, so a word's tags are its row's index in that tensor.
-
-    All words travel through the circuit together as the columns of one
-    (2^n, words) array: at each (layer, wire) one ``apply_matrix`` call per
-    non-identity tag acts on the columns whose word carries that tag there,
-    then one ``apply_layer`` moves the whole batch through the layer.
+    The sum factors layer by layer, so the table is swept: from the input
+    state, each (layer, row) stacks it with delta_l P_t applied on ``row``,
+    t = X, XZ, Z, as a new fastest word axis (``tag_words`` is C order), and
+    one ``apply_layer`` per layer moves every word at once; the words are
+    gate teleportation's Pauli frame. The table holds one grid vector.
     """
-    input_vec = input_state(c, xi)
     schedule = resolve_deltas(deltas, c.depth)
-    require_expansion(c)
-    sites = GridLayout(c.n, c.depth).num_sites
-    words = 4**sites
-    # tags[word, layer, row] indexes PAULI_TAGS: word w's tags are its index
-    # in the C order of the (4,)*sites tag tensor, which is tag_words order.
-    tags = np.indices((4,) * sites).reshape(sites, words).T.reshape(words, c.depth, c.n)
-    coeffs = np.ones(words)
+    # At most four grid vectors at once: the table, apply_layer's contiguous
+    # copy, product and output (tracemalloc: 4.0 at 18 and at 21 qubits; with
+    # the table, reassemble_expansion peaks at 3.75 and 3.1).
+    nq = GridLayout(c.n, c.depth).num_qubits
+    require("the Pauli expansion", nq, vector_bytes(nq, 4))
+    table = input_state(c, xi)[:, None]
     for layer, delta in enumerate(schedule):
-        powers = np.array([delta**w for w in range(c.n + 1)])
-        coeffs = coeffs * powers[np.count_nonzero(tags[:, layer], axis=1)]
-    states = np.repeat(input_vec[:, None], words, axis=1)
-    for layer in range(c.depth):
         for row in range(c.n):
-            for index, tag in enumerate(PAULI_TAGS[1:], start=1):
-                cols = np.flatnonzero(tags[:, layer, row] == index)
-                if cols.size:
-                    states[:, cols] = apply_matrix(
-                        states[:, cols], pauli_matrix(tag), (row,), c.n
-                    )
-        states = apply_layer(c, layer, states)
-    return coeffs, np.ascontiguousarray(states.T)
+            kicked = [table] + [
+                apply_matrix(table, delta * pauli_matrix(tag), (row,), c.n)
+                for tag in PAULI_TAGS[1:]
+            ]
+            table = np.stack(kicked, axis=-1).reshape(2**c.n, -1)
+        table = apply_layer(c, layer, table)
+    return np.ascontiguousarray(table.T)
 
 
-def reassemble_expansion(
-    c: LayeredCircuit, coefficients: np.ndarray, outputs: np.ndarray
-) -> np.ndarray:
-    """Rebuild sum coeff * |B_P> (x) |output> on the grid (unnormalized)
-    from the two arrays of ``expansion``.
+def reassemble_expansion(c: LayeredCircuit, terms: np.ndarray) -> np.ndarray:
+    """Rebuild sum_P |B_P> (x) (row P of ``terms``) on the grid
+    (unnormalized) from the table of ``expansion``.
 
-    The coefficient-weighted outputs, in ``tag_words`` order, reshape to a
-    (4,)*sites + (2^n,) tensor indexed by each site's tag. Contracting
-    every site axis with ``bell_basis_matrix`` turns tags into pair
-    amplitudes, and one transpose scatters the axes onto the grid.
+    The rows, in ``tag_words`` order, are a grid vector in the tag basis:
+    one transpose scatters each site's tag onto its pair, read as the
+    pair's (high, low) qubits, and each row's output state onto the output
+    column, and ``apply_pair_maps`` turns every tag into its Bell state.
     """
     layout = GridLayout(c.n, c.depth)
-    num_sites = layout.num_sites
-    tensor = (coefficients[:, None] * outputs).reshape(
-        (4,) * num_sites + (2**c.n,)
-    )
-    bell = bell_basis_matrix()
-    for _ in range(num_sites):
-        # Each pass contracts the leading tag axis and appends its pair
-        # axis, so one pass per site leaves the output axis first.
-        tensor = np.tensordot(tensor, bell, axes=([0], [1]))
-    tensor = np.moveaxis(tensor, 0, -1)
-    # Bits per axis: each site's pair (high qubit first), then the output
-    # qubits of rows n-1..0.
     qubits = [q for site in layout.sites() for q in layout.site_qubits(*site)[::-1]]
     qubits += [layout.output_qubit(row) for row in reversed(range(c.n))]
     pos = {q: i for i, q in enumerate(qubits)}
     num_qubits = layout.num_qubits
     perm = [pos[num_qubits - 1 - j] for j in range(num_qubits)]
-    return tensor.reshape((2,) * num_qubits).transpose(perm).reshape(-1)
+    # Unbound, so the scattered copy is freed after the first pair map.
+    return apply_pair_maps(
+        terms.reshape((2,) * num_qubits).transpose(perm).reshape(-1),
+        layout, [bell_basis_matrix()] * c.depth,
+    )
 
 
 def output_marginal(s: PepsState) -> np.ndarray:

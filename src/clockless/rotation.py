@@ -28,8 +28,9 @@ taken from its factors: ``U† L² U = L²``, so only ``W = L (K ⊗ I)`` goes
 through the rotation, from whichever side pushes fewer columns
 (``_factored_hole``). The random leakage-check states, drawn once per cone
 size, go through ``U† T U`` as (2^|cone|, batch) arrays in chunks of at
-most ``_BATCH_BYTES``. The result is a dense ``LocalTerm`` with the kind,
-layer and wires of the term it came from. The Clifford hole is
+most ``_BATCH_BYTES``; the memory budget bounds each extraction by what its
+cone holds (``require_cones``). The result is a dense ``LocalTerm`` with the
+kind, layer and wires of the term it came from. The Clifford hole is
 ``B S B^dagger``: B holds the Bell product basis, S counts the Bell-label
 pairings, scattered from ``clifford_partners``' arrays in one step. It does
 not depend on delta, so ``clifford_hole`` builds it once per gate and
@@ -49,8 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from .circuit import Gate, LayeredCircuit, layered
-from .hamiltonian import DressedTerm, LocalTerm, input_term
-from .limits import dense_bytes, require
+from .hamiltonian import DressedTerm, LocalTerm, input_term, parent_spec
+from .limits import dense_bytes, require, vector_bytes
 from .linalg import apply_matrix, bit_placement
 from .pauli import (
     PAULI_TAGS,
@@ -79,6 +80,7 @@ __all__ = [
     "clifford_hole",
     "dress_clifford_hole",
     "pair_ground",
+    "require_cones",
     "teleport_input",
 ]
 
@@ -96,6 +98,12 @@ _BATCH_BYTES = 2**22
 _CHECK_SAMPLES = 50
 _LEAKAGE_TOL = 1e-9
 _TRIVIAL_TOL = 1e-10
+
+# Batch buffers one extraction holds beside its block and its cached check
+# states, each ``_BATCH_BYTES`` or one cone vector, whichever is larger
+# (tracemalloc on c18: 59.8 cone vectors at its 18-qubit cone, 50 of them
+# check states; 41.6 MiB at a 14-qubit cone, 12.5 MiB of them check states).
+_BATCH_BUFFERS = 10
 
 
 def _site_correction() -> np.ndarray:
@@ -264,8 +272,8 @@ def _conjugated_block(
     support, and large when the factored block is wrong.
     """
     m = len(support)
-    require("rotated-block extraction", m, dense_bytes(m))
     cone = rot.cone(support)
+    _require_extraction(m, cone)
     n = cone.num_qubits
     label = {q: i for i, q in enumerate(cone.qubits)}
     on_term = [label[q] for q in term.support]
@@ -288,6 +296,25 @@ def _conjugated_block(
         rhs = apply_matrix(batch, block, on_support[::-1], n)
         worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
     return block, worst
+
+
+def _require_extraction(m: int, cone: RotationUnitary) -> None:
+    """Refuse an extraction on ``m`` support qubits inside ``cone``: its
+    block, the cone's check states and ``_BATCH_BUFFERS`` batch buffers."""
+    n = cone.num_qubits
+    buffers = _BATCH_BUFFERS * max(_BATCH_BYTES, vector_bytes(n))
+    nbytes = dense_bytes(m) + vector_bytes(n, _CHECK_SAMPLES) + buffers
+    require("rotated-block extraction", n, nbytes)
+
+
+def require_cones(circuit: LayeredCircuit) -> None:
+    """``_conjugated_block``'s budget check for every gate term of
+    ``circuit``, before any block is built; input terms are extracted on
+    the three-qubit teleport grid instead (``teleport_input``)."""
+    rot = RotationUnitary(circuit)
+    for term in parent_spec(circuit, 1.0).terms:
+        if term.kind != "input":
+            _require_extraction(len(term.support), rot.cone(term.support))
 
 
 def _trim_trivial_qubits(

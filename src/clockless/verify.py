@@ -40,7 +40,7 @@ the accuracy the closed forms are computed to, lands in the "tolerance"
 class; anything larger fails.
 
 The (fixture, delta) cases share nothing but each fixture's Clifford
-holes, so they run apart: the calling process checks every expansion cap,
+holes, so they run apart: the calling process budgets every light cone,
 builds the holes and resolves every schedule first, then ``limits.fork_map``
 runs the cases in forked workers, one per CPU, and the rows keep their
 fixture-major, then delta, order.  A single case, as in ``verify
@@ -66,7 +66,6 @@ from .peps import (
     expansion,
     output_marginal,
     reassemble_expansion,
-    require_expansion,
     resolve_deltas,
 )
 from .rotation import (
@@ -78,6 +77,7 @@ from .rotation import (
     project_qubits,
     projected_bulk_form,
     projected_gap_check,
+    require_cones,
     rotate_term,
     teleport_coefficient,
     teleport_input,
@@ -289,7 +289,7 @@ def _case_checks(case, tol: float) -> list[Check]:
     if c.a == c.n:
         grid = state if spec_schedule == schedule else build_peps(c, spec_schedule)
         checks.append(ground_fidelity_check(name, delta, spec, grid, state, tol))
-    rebuilt = reassemble_expansion(c, *expansion(c, None, schedule))
+    rebuilt = reassemble_expansion(c, expansion(c, None, schedule))
     fid = overlap(rebuilt / np.linalg.norm(rebuilt), state.amplitudes) ** 2
     checks.append(Check(
         "expansion_reassembly", name, delta, fid, 1.0, 1.0 - fid,
@@ -316,15 +316,15 @@ def verify_checks(
     ``schedules(circuit, delta)`` returns the per-layer schedule of the
     grid state and the one of its checked Hamiltonian, which a negative
     control may doctor; by default both are the uniform delta.  Before the
-    first case runs, this process checks every fixture's expansion against
-    its caps, builds each fixture's Clifford holes and resolves every
-    case's schedules, so a bad input is refused before any worker starts.
+    first case runs, this process budgets every term's light cone
+    (``require_cones``), builds each fixture's Clifford holes and resolves
+    every case's schedules, so a bad input is refused before any worker starts.
     The (fixture, delta) cases then run through ``limits.fork_map``, in
     forked workers or, with one CPU or one case, here; their rows come back
     fixture-major, then by delta.
     """
     for _, c in fixtures:
-        require_expansion(c)
+        require_cones(c)
     cases = []
     for name, c in fixtures:
         holes = _clifford_holes(c)

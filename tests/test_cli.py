@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from clockless import limits, spectral
+from clockless import limits, spectral, verify
 from clockless.cli import (
     InputError,
     RunConfig,
@@ -993,20 +993,58 @@ def test_witness_basis_beyond_budget_exits_2_without_outputs(
     assert not out.exists()
 
 
-def test_verify_refuses_a_long_expansion_before_any_row(tmp_path, capsys):
-    # 3 wires x 3 layers: 9 sites, 4^9 words on a 21-qubit grid, within the
-    # memory budget but far past the word cap
-    layer = [{"gate": "I", "wires": [w]} for w in range(3)]
-    circuit = tmp_path / "wide.json"
-    circuit.write_text(json_text({
-        "version": 1, "n": 3, "a": 1, "layers": [layer] * 3,
+def _one_wire_json(path, gates) -> str:
+    """A one-wire, a = 0 circuit of one gate per layer, written to ``path``."""
+    path.write_text(json_text({
+        "version": 1, "n": 1, "a": 0,
+        "layers": [[{"gate": g, "wires": [0]}] for g in gates],
     }))
+    return str(path)
+
+
+def test_verify_runs_an_expansion_past_six_sites(tmp_path):
+    # 7 sites on 15 qubits: a cap of 4^6 Pauli words once refused this run
+    gates = ["H", "T", "H", "S", "H", "S", "H"]
+    circuit = _one_wire_json(tmp_path / "seven.json", gates)
     out = tmp_path / "out"
-    code = main(["verify", "--circuit", str(circuit), "--out", str(out)])
-    assert code == 2
+    assert main(["verify", "--circuit", circuit, "--out", str(out)]) == 0
+    rows = read_csv(out / "verify.csv")[1:]
+    assert len(rows) == 15 and {r[6] for r in rows} == {"pass"}
+    assert [r[0] for r in rows[:2]] == ["frustration_freeness", "expansion_reassembly"]
+
+
+@pytest.mark.parametrize("depth", [9, 10], ids=["19q", "21q"])
+def test_verify_refuses_an_oversized_light_cone_before_any_case(
+    tmp_path, capsys, monkeypatch, depth
+):
+    # the light cones of the last terms span 19 qubits or more: their check
+    # states alone outgrow the memory budget, although the grid state and
+    # its Pauli expansion fit
+    cases = []
+    monkeypatch.setattr(verify, "_case_checks", lambda case, tol: cases.append(case))
+    circuit = _one_wire_json(tmp_path / "long.json", ["H"] * depth)
+    out = tmp_path / "out"
+    assert main(["verify", "--circuit", circuit, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "21 qubits" in err and "262144 words" in err
+    assert "rotated-block extraction on 19 qubits" in err and "GiB" in err
+    assert cases == [] and not out.exists()
+
+
+@pytest.mark.parametrize("given", ["flag", "config"])
+def test_verify_refuses_a_delta_without_a_circuit(tmp_path, capsys, given):
+    # the fixtures run at their own three deltas, so a --delta would be
+    # ignored; the echo of a plain run names none and replays as it ran
+    config = tmp_path / "run.json"
+    config.write_text(json_text({"delta": 0.3}))
+    args = ["--delta", "0.3"] if given == "flag" else ["--config", str(config)]
+    out = tmp_path / "out"
+    assert main(["verify", *args, "--out", str(out)]) == 2
+    assert "verify takes --delta only with --circuit" in capsys.readouterr().err
     assert not out.exists()
+    plain = parse_args(["verify"])
+    config.write_text(json_text(plain.to_dict()))
+    assert plain.delta is None
+    assert parse_args(["verify", "--config", str(config)]) == plain
 
 
 def test_scan_past_dense_size_matches_build_gap(tmp_path):

@@ -30,7 +30,6 @@ def test_grid_layout_indices():
     layout = GridLayout(2, 2)
     assert layout.columns == 5
     assert layout.num_qubits == 10
-    assert layout.num_sites == 4
     assert layout.qubit_index(1, 3) == 8
     assert layout.input_qubit(1) == 5
     assert layout.output_qubit(0) == 4
@@ -69,13 +68,30 @@ def test_peps_state_validation(identity1):
 
 @pytest.mark.parametrize("delta", [0.2, 0.5])
 def test_expansion_reassembles_built_state(bell_circuit, delta):
-    coefficients, outputs = expansion(bell_circuit, None, delta)
-    assert len(coefficients) == len(outputs) == 4**4
-    reassembled = reassemble_expansion(bell_circuit, coefficients, outputs)
+    terms = expansion(bell_circuit, None, delta)
+    assert terms.shape == (4**4, 2**bell_circuit.n)
+    reassembled = reassemble_expansion(bell_circuit, terms)
     reassembled /= np.linalg.norm(reassembled)
     built = build_peps(bell_circuit, delta)
     fidelity = abs(np.vdot(reassembled, built.amplitudes)) ** 2
     assert fidelity >= 1.0 - 1e-12
+
+
+def test_expansion_past_six_sites_reassembles_built_state(monkeypatch):
+    # one wire, 8 layers: 8 sites, 4^8 words on a 17-qubit grid, where a
+    # cap of 4^6 words once refused the expansion
+    c = layered(1, 1, [[(g, (0,))] for g in ("H", "T", "S", "H") * 2])
+    schedule = (0.3, 0.8, 0.5, 0.6, 0.2, 0.9, 0.4, 0.7)
+    terms = expansion(c, None, schedule)
+    assert terms.shape == (4**8, 2)
+    rebuilt = reassemble_expansion(c, terms)
+    rebuilt /= np.linalg.norm(rebuilt)
+    built = build_peps(c, schedule)
+    assert 1.0 - abs(np.vdot(rebuilt, built.amplitudes)) ** 2 <= 1e-12
+    # the sweep holds four grid vectors at once, and the budget says so
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", 4 * 16 * 2**17 - 1)
+    with pytest.raises(limits.ResourceError, match="Pauli expansion on 17 qubits"):
+        expansion(c, None, schedule)
 
 
 def expansion_loop_reference(c, xi, schedule, words):
@@ -138,57 +154,45 @@ def expansion_cases(rng):
 
 def test_batched_expansion_matches_word_loop(rng):
     # row w is the word tag_words(sites)[w], the C order of the (4,)*sites
-    # tag tensor that reassemble_expansion reshapes the rows into
+    # tag tensor that reassemble_expansion reshapes the rows into, and holds
+    # that word's coefficient times its output state
     for c, xi, schedule in expansion_cases(rng):
-        coefficients, outputs = expansion(c, xi, schedule)
-        sites = GridLayout(c.n, c.depth).num_sites
+        terms = expansion(c, xi, schedule)
+        sites = c.n * c.depth
         words = list(itertools.product(PAULI_TAGS, repeat=sites))
         tensor_order = [
             tuple(PAULI_TAGS[t] for t in tags) for tags in np.ndindex((4,) * sites)
         ]
         assert words == list(tag_words(sites)) == tensor_order
         want = expansion_loop_reference(c, xi, schedule, words)
-        assert coefficients.dtype == np.float64
-        assert outputs.shape == (len(words), 2**c.n)
+        assert terms.dtype == np.complex128
+        assert terms.shape == (len(words), 2**c.n)
         for w, (coeff, state) in enumerate(want.values()):
-            assert coefficients[w] == coeff
-            assert np.abs(outputs[w] - state).max() <= 1e-15
+            assert abs(np.linalg.norm(terms[w]) - coeff) <= 1e-15
+            assert np.abs(terms[w] - coeff * state).max() <= 1e-15
 
 
 def test_reassembly_matches_product_state_sum(rng):
     for c, xi, schedule in expansion_cases(rng):
-        coefficients, outputs = expansion(c, xi, schedule)
-        got = reassemble_expansion(c, coefficients, outputs)
-        words = tag_words(GridLayout(c.n, c.depth).num_sites)
+        terms = expansion(c, xi, schedule)
+        got = reassemble_expansion(c, terms)
+        words = tag_words(c.n * c.depth)
         want = reassemble_loop_reference(
-            c, dict(zip(words, zip(coefficients, outputs)))
+            c, {word: (1.0, row) for word, row in zip(words, terms)}
         )
         assert np.abs(got - want).max() <= 1e-14
 
 
 def test_expansion_identity_word_carries_circuit_output(hcnot):
-    coefficients, outputs = expansion(hcnot, None, 0.5)
+    terms = expansion(hcnot, None, 0.5)
     words = tag_words(4)
-    identity = words.index(("I",) * 4)
-    assert np.isclose(coefficients[identity], 1.0)
+    identity = terms[words.index(("I",) * 4)]
+    assert np.isclose(np.linalg.norm(identity), 1.0)
     # H on wire 0 then CNOT(0->1): (|00> + |11>)/sqrt(2)
-    assert np.allclose(outputs[identity], np.array([1, 0, 0, 1]) / np.sqrt(2))
-    # single-error coefficient carries one factor of delta
-    assert np.isclose(coefficients[words.index(("X", "I", "I", "I"))], 0.5)
-
-
-def test_expansion_refuses_nine_sites_before_enumerating():
-    # 4^9 words would hold about 200 MB in Python bookkeeping alone; the
-    # refusal comes before any word is built
-    c = layered(3, 1, [[("I", (w,)) for w in range(3)]] * 3)
-    tracemalloc.start()
-    try:
-        with pytest.raises(limits.ResourceError, match="262144 words"):
-            expansion(c, None, 0.5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
+    assert np.allclose(identity, np.array([1, 0, 0, 1]) / np.sqrt(2))
+    # a single-error word carries one factor of delta
+    single = terms[words.index(("X", "I", "I", "I"))]
+    assert np.isclose(np.linalg.norm(single), 0.5)
 
 
 def test_depolarizing_marginal_single_wire(identity1):
