@@ -19,8 +19,9 @@ import math
 import os
 import re
 import sys
-from dataclasses import astuple, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
+from operator import attrgetter
 
 from . import io as cio
 from .circuit import LayeredCircuit, degree_reduce
@@ -39,7 +40,7 @@ from .soundness import (
     SUITE_NAMES, FaultMismatch, fault_experiment, require_suites, run_suites,
 )
 from .spectral import ConvergenceError, parent_spectrum
-from .verify import SCAN_HEADER, named_fixtures, scan_row, verify_checks
+from .verify import SCAN_HEADER, Check, named_fixtures, scan_row, verify_checks
 
 
 class InputError(Exception):
@@ -48,6 +49,10 @@ class InputError(Exception):
 
 # The weights verify checks its built-in fixtures at; it takes no --delta.
 _FIXTURE_DELTAS = (0.2, 0.5, 0.8)
+
+# One verify.csv row: a plain tuple of a Check's fields, in field order
+# (``dataclasses.astuple`` would deep-copy every cell).
+_CHECK_FIELDS = attrgetter(*(f.name for f in fields(Check)))
 
 
 @dataclass(frozen=True)
@@ -265,11 +270,15 @@ def parse_args(argv) -> RunConfig:
         updates["suites"] = tuple(s for s in args.suites.split(",") if s)
     cfg = replace(cfg, **updates)
     if cfg.command == "verify" and cfg.circuit is None:
-        if cfg.delta is not None:
-            raise InputError(
-                "verify takes --delta only with --circuit; its fixtures run "
-                f"at {', '.join(map(str, _FIXTURE_DELTAS))}"
-            )
+        for flag, given in (
+            ("--delta", cfg.delta is not None),
+            ("--delta-layer", bool(cfg.delta_layers)),
+        ):
+            if given:
+                raise InputError(
+                    f"verify takes {flag} only with --circuit; its fixtures "
+                    f"run at {', '.join(map(str, _FIXTURE_DELTAS))}"
+                )
     elif cfg.delta is None:
         cfg = replace(cfg, delta=0.5)
     _check_values(cfg)
@@ -376,7 +385,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     cio.write_csv(
         os.path.join(cfg.out, "verify.csv"),
         ("check", "circuit", "delta", "value", "reference", "deviation", "status"),
-        [astuple(ch) for ch in checks],
+        map(_CHECK_FIELDS, checks),
     )
     bad = [ch for ch in checks if ch.status != "pass"]
     passed = len(checks) - len(bad)

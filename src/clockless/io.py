@@ -18,7 +18,6 @@ import os
 import tempfile
 
 import numpy as np
-import scipy.io
 
 from .circuit import Gate, LayeredCircuit, NAMED_GATES
 from .soundness import FaultPattern, SuiteResult
@@ -382,6 +381,10 @@ def write_term_manifest(path, terms) -> None:
 def write_matrix_market(path, op) -> None:
     """Coordinate-format complex Hermitian export of a ``SparseOperator``,
     1-based indices."""
+    # Imported here: no other writer needs it, and at module import it adds
+    # about 1 MB to the peak RSS of every command.
+    import scipy.io
+
     buffer = io.BytesIO()
     scipy.io.mmwrite(
         buffer, op.to_sparse().tocoo(), field="complex", symmetry="hermitian",

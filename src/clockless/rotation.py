@@ -460,6 +460,26 @@ def projected_gap_check(k: int, delta: float) -> tuple[float, float, bool]:
     return gap, floor, bool(gap >= floor)
 
 
+def _word_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Products and transposes of k-site words, by ``tag_words(k)`` position:
+    ``W[a] W[b] = phase[a, b] W[index[a, b]]`` and ``W[a]^T = flip[a] W[a]``.
+
+    Built digit by digit from the 4x4 tables of {I, X, XZ, Z}, as a k-site
+    word multiplies and transposes site by site.
+    """
+    one = word_stack(1)
+    phase1, index1 = word_decompose(one[:, None] @ one[None, :], 1)
+    flip1, _ = word_decompose(np.swapaxes(one, -1, -2), 1)
+    phase, index, flip = np.ones((1, 1)), np.zeros((1, 1), np.intp), np.ones(1)
+    for _ in range(k):
+        phase = np.kron(phase, phase1)
+        index = np.kron(index, np.full((4, 4), 4)) + np.kron(
+            np.ones_like(index), index1
+        )
+        flip = np.kron(flip, flip1)
+    return phase, index, flip
+
+
 def clifford_partners(g: Gate) -> tuple[np.ndarray, np.ndarray]:
     """Pairing behind the closed rotated form of a Pauli-normalizing gate.
 
@@ -468,21 +488,27 @@ def clifford_partners(g: Gate) -> tuple[np.ndarray, np.ndarray]:
     word t_col and ``mu`` the phase in the defining relation
     ``(u^dagger W[s_row] W[s_col] u)^T W[t_row] = mu W[t_col]``. The Bell
     label (t_row, s_row) on the k left and k right pairs is paired with
-    (t_col, s_col); every row label has exactly 4^k partners. Both stacks
-    of products are decomposed in one call each.
+    (t_col, s_col); every row label has exactly 4^k partners.
+
+    The gate conjugates each word to a phase times a word (a signed
+    permutation of the words, which is what normalizing the Pauli group
+    means), so one decomposition of the 4^k images and the word tables of
+    ``_word_tables`` determine the whole grid.
     """
     k = g.arity
     u = g.unitary
-    stack = word_stack(k)
-    conj = u.conj().T @ (stack[:, None] @ stack[None, :]) @ u
-    if np.any(word_decompose(conj, k)[1] < 0):
+    sign, image = word_decompose(u.conj().T @ word_stack(k) @ u, k)
+    if np.any(image < 0):
         raise ValueError(
             f"gate {g.name or 'unnamed'} does not normalize the Pauli group"
         )
-    mu, t_col = word_decompose(np.swapaxes(conj, -1, -2)[:, :, None] @ stack, k)
-    if np.any(t_col < 0):
-        raise ValueError("pairing search failed unexpectedly")
-    return mu, t_col
+    phase, index, flip = _word_tables(k)
+    # u^dagger W[r] W[c] u = sign[r] sign[c] W[image[r]] W[image[c]]
+    # = pair[r, c] W[q[r, c]], and W[q]^T W[t] = flip[q] phase[q, t] W[index[q, t]].
+    q = index[image[:, None], image[None, :]]
+    pair = sign[:, None] * sign[None, :] * phase[image[:, None], image[None, :]]
+    mu = (pair * flip[q])[:, :, None] * phase[q]
+    return mu.astype(np.complex128), index[q]
 
 
 def _bulk_bell_basis(wires: tuple[int, ...]) -> np.ndarray:

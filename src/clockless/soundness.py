@@ -14,9 +14,9 @@ state; its report computes a value only when asked, so a suite row pays for
 one record.
 
 ``run_suites`` runs the suites through ``limits.fork_map``, in forked
-worker processes, one per CPU, each suite whole in one worker. Every
-instance draws from its own generator, so the records do not depend on
-where a suite ran.
+worker processes, one per CPU, each suite whole in one worker that sends
+back only its ``SuiteResult``. Every instance draws from its own generator,
+so the records do not depend on where a suite ran.
 """
 
 from __future__ import annotations

@@ -42,14 +42,14 @@ class; anything larger fails.
 The (fixture, delta) cases share nothing but each fixture's Clifford
 holes, so they run apart: the calling process budgets every light cone,
 builds the holes and resolves every schedule first, then ``limits.fork_map``
-runs the cases in forked workers, one per CPU, and the rows keep their
-fixture-major, then delta, order.  A single case, as in ``verify
---circuit``, runs in the calling process.
+runs the cases in forked workers, one per CPU, which inherit the cases and
+send back only their rows; the rows keep their fixture-major, then delta,
+order.  A single case, as in ``verify --circuit``, runs in the calling
+process.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -320,8 +320,8 @@ def verify_checks(
     (``require_cones``), builds each fixture's Clifford holes and resolves
     every case's schedules, so a bad input is refused before any worker starts.
     The (fixture, delta) cases then run through ``limits.fork_map``, in
-    forked workers or, with one CPU or one case, here; their rows come back
-    fixture-major, then by delta.
+    forked workers that inherit them or, with one CPU or one case, here;
+    their rows come back by pickle, fixture-major, then by delta.
     """
     for _, c in fixtures:
         require_cones(c)
@@ -334,7 +334,7 @@ def verify_checks(
             else:
                 pair = schedules(c, delta)
             cases.append((name, c, delta, pair, holes))
-    rows = fork_map(functools.partial(_case_checks, tol=tol), cases)
+    rows = fork_map(lambda case: _case_checks(case, tol), cases)
     return [check for case_rows in rows for check in case_rows]
 
 

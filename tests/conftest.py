@@ -4,9 +4,7 @@ Everything here stays at n <= 2, depth <= 2 so any test can afford dense
 linear algebra as its oracle.
 """
 
-import concurrent.futures
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -18,21 +16,38 @@ from clockless.limits import set_blas_threads
 set_blas_threads()
 
 
+class Forks(list):
+    """The pids of the workers ``limits.fork_map`` forked, in fork order."""
+
+    def reaped(self) -> bool:
+        """Whether every worker is gone: ``waitpid`` finds no such child.
+        (``multiprocessing.active_children`` cannot see a raw fork.)"""
+        for pid in self:
+            try:
+                os.waitpid(pid, os.WNOHANG)
+            except ChildProcessError:
+                continue
+            return False
+        return True
+
+
 @pytest.fixture
 def pin_cpus(monkeypatch):
     """``pin_cpus(count)`` lets ``limits.fork_map`` see ``count`` CPUs and
-    returns the list it records each pool made in, as (args, kwargs)."""
+    returns the ``Forks`` it records each worker's pid in."""
 
     def pin(count):
-        pools = []
+        forks, fork = Forks(), os.fork
 
-        def pool(*args, **kwargs):
-            pools.append((args, kwargs))
-            return ProcessPoolExecutor(*args, **kwargs)
+        def recorded_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
-        return pools
+        monkeypatch.setattr(os, "fork", recorded_fork)
+        return forks
 
     return pin
 

@@ -2,8 +2,9 @@
 
 import csv
 import json
-import multiprocessing
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -203,10 +204,15 @@ def test_build_mtx_flag(tmp_path, identity_json):
     assert os.path.exists(os.path.join(out, "hamiltonian.mtx"))
 
 
-@pytest.mark.parametrize("command", ["build", "fk"])
-def test_mtx_beyond_sparse_cap_exits_2_without_outputs(tmp_path, capsys, command):
-    # four non-identity gates on two wires: an 18-qubit grid for build and,
-    # after degree reduction, 8 data plus 10 clock qubits for fk
+@pytest.mark.parametrize(
+    "command,qubits", [("build", 18), ("fk", 23)], ids=["build", "fk"]
+)
+def test_mtx_beyond_sparse_cap_exits_2_without_outputs(
+    tmp_path, capsys, command, qubits
+):
+    # five non-identity gates on two wires: an 18-qubit grid for build and,
+    # after degree reduction, a 23-qubit clock Hamiltonian for fk; at 64 B
+    # per stored entry both are refused, build's 4.3 and fk's 27 times over
     circuit = tmp_path / "deep.json"
     circuit.write_text(json_text({
         "version": 1, "n": 2, "a": 1,
@@ -214,13 +220,13 @@ def test_mtx_beyond_sparse_cap_exits_2_without_outputs(tmp_path, capsys, command
             [{"gate": "H", "wires": [0]}],
             [{"gate": "H", "wires": [1]}],
             [{"gate": "CNOT", "wires": [0, 1]}],
-            [{"gate": "H", "wires": [0]}],
+            [{"gate": "H", "wires": [0]}, {"gate": "H", "wires": [1]}],
         ],
     }))
     out = tmp_path / "out"
     code = main([command, "--circuit", str(circuit), "--out", str(out), "--mtx"])
     assert code == 2
-    assert "18 qubits" in capsys.readouterr().err
+    assert f"{qubits} qubits" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -362,24 +368,23 @@ def test_verify_refuses_a_bad_injected_layer_before_forking(
 ):
     # identity1, the first fixture, has depth 1: the schedules of every case
     # are resolved before the cases fork, so no worker starts
-    pools = pin_cpus(2)
+    forks = pin_cpus(2)
     out = tmp_path / "out"
     code = main(["verify", "--inject-delta", "2=0.3", "--out", str(out)])
     assert code == 2
     assert "--inject-delta 2 outside this circuit's 1..1" in capsys.readouterr().err
-    assert not out.exists() and pools == []
-    assert multiprocessing.active_children() == []
+    assert not out.exists() and forks == []
 
 
 def test_verify_zero_tolerance_exits_2_before_forking(tmp_path, capsys, pin_cpus):
     # a tolerance of 0 once reached math.sqrt(tol) in a worker's ground
     # certificate and ended in a ZeroDivisionError traceback
-    pools = pin_cpus(2)
+    forks = pin_cpus(2)
     out = tmp_path / "out"
     code = main(["verify", "--tolerance", "0", "--out", str(out)])
     assert code == 2
     assert "tolerance must be positive, got 0.0 (at tolerance)" in capsys.readouterr().err
-    assert not out.exists() and pools == []
+    assert not out.exists() and forks == []
 
 
 NEGATIVE_DELTA = "delta must lie in (0, 1], got -0.001"
@@ -437,10 +442,10 @@ def test_soundness_single_suite(tmp_path, capsys):
     assert manifest["suites"][0]["failures"] == []
 
 
-def test_soundness_keeps_the_order_given(tmp_path, capsys, monkeypatch):
+def test_soundness_keeps_the_order_given(tmp_path, capsys, pin_cpus):
     # the suites run in forked workers, yet the summary lines, the CSVs and
     # suites.json follow --suites, and no worker outlives the command
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = pin_cpus(2)
     names = ["jordan", "union_bound", "detectability"]
     out = tmp_path / "out"
     code = main([
@@ -454,7 +459,7 @@ def test_soundness_keeps_the_order_given(tmp_path, capsys, monkeypatch):
     manifest = read_json(out / "suites.json")
     assert [s["suite"] for s in manifest["suites"]] == names
     assert all(len(read_csv(out / f"suite_{name}.csv")) == 5 for name in names)
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2 and forks.reaped()
 
 
 def test_soundness_unknown_suite(tmp_path, capsys):
@@ -1030,21 +1035,55 @@ def test_verify_refuses_an_oversized_light_cone_before_any_case(
     assert cases == [] and not out.exists()
 
 
-@pytest.mark.parametrize("given", ["flag", "config"])
-def test_verify_refuses_a_delta_without_a_circuit(tmp_path, capsys, given):
+@pytest.mark.parametrize(
+    "flag,given,setting",
+    [
+        ("--delta", ["--delta", "0.3"], None),
+        ("--delta", None, {"delta": 0.3}),
+        ("--delta-layer", ["--delta-layer", "1=0.3"], None),
+        ("--delta-layer", None, {"delta_layers": {"1": 0.3}}),
+    ],
+    ids=["flag", "config", "layer-flag", "layer-config"],
+)
+def test_verify_refuses_a_delta_without_a_circuit(
+    tmp_path, capsys, flag, given, setting
+):
     # the fixtures run at their own three deltas, so a --delta would be
-    # ignored; the echo of a plain run names none and replays as it ran
+    # ignored, and a --delta-layer would run a schedule that the state rows
+    # do not report; the echo of a plain run names neither and replays as
+    # it ran
     config = tmp_path / "run.json"
-    config.write_text(json_text({"delta": 0.3}))
-    args = ["--delta", "0.3"] if given == "flag" else ["--config", str(config)]
+    config.write_text(json_text(setting))
+    args = given or ["--config", str(config)]
     out = tmp_path / "out"
     assert main(["verify", *args, "--out", str(out)]) == 2
-    assert "verify takes --delta only with --circuit" in capsys.readouterr().err
+    assert f"verify takes {flag} only with --circuit" in capsys.readouterr().err
     assert not out.exists()
     plain = parse_args(["verify"])
     config.write_text(json_text(plain.to_dict()))
-    assert plain.delta is None
+    assert plain.delta is None and plain.delta_layers == {}
     assert parse_args(["verify", "--config", str(config)]) == plain
+
+
+def test_commands_without_mtx_leave_scipy_io_unloaded(tmp_path, identity_json):
+    # only the Matrix Market writer needs scipy.io, which costs every
+    # command about 1 MB of peak RSS at import
+    script = (
+        "import sys\n"
+        "from clockless.cli import main\n"
+        f"assert main(['verify', '--out', {str(tmp_path / 'v')!r}]) == 0\n"
+        f"assert main(['fk', '--circuit', {identity_json!r}, "
+        f"'--out', {str(tmp_path / 'f')!r}]) == 0\n"
+        "print('scipy.io' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True,
+        text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_scan_past_dense_size_matches_build_gap(tmp_path):

@@ -2,7 +2,9 @@
 the fork map."""
 
 import logging
-import multiprocessing
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -103,32 +105,136 @@ def test_blas_threads_second_call_is_harmless(monkeypatch):
         (2, [-3, 1, -2], "items=3 workers=2 forked"),
         (2, [-3], "items=1 workers=1 in-process"),
         (8, [-3, 1, -2], "items=3 workers=3 forked"),
+        # more indices than the task pipe queues at once (1,024)
+        (2, list(range(-1500, 1500)), "items=3000 workers=2 forked"),
     ],
-    ids=["one-cpu", "two-cpus", "one-item", "more-cpus-than-items"],
+    ids=[
+        "one-cpu", "two-cpus", "one-item", "more-cpus-than-items",
+        "more-items-than-queued",
+    ],
 )
 def test_fork_map_keeps_item_order_and_logs_its_pool(
     pin_cpus, caplog, cpus, items, record
 ):
-    pools = pin_cpus(cpus)
+    forks = pin_cpus(cpus)
     with caplog.at_level(logging.INFO, logger="clockless.limits"):
         assert fork_map(abs, items) == [abs(i) for i in items]
     assert [r.getMessage() for r in caplog.records] == [f"fork_map: {record}"]
     workers = min(cpus, len(items))
-    assert [args for args, _ in pools] == ([(workers,)] if workers > 1 else [])
-    assert all(kw["mp_context"].get_start_method() == "fork" for _, kw in pools)
-    assert multiprocessing.active_children() == []
+    assert len(forks) == (workers if workers > 1 else 0)
+    assert forks.reaped()
 
 
 def _stuck(budget):
-    raise ConvergenceError("no convergence", budget)
+    if budget:
+        raise ConvergenceError("no convergence", budget)
+    return budget
 
 
 def test_fork_map_brings_back_a_worker_convergence_error(pin_cpus):
-    # an exception whose args do not rebuild it cannot cross the pipe, and
-    # the pool would break instead of raising it
-    pin_cpus(2)
+    # an exception whose args do not rebuild it cannot come back by pickle;
+    # ConvergenceError's do, so it arrives whole. One item fails, so which
+    # error comes first does not depend on which worker ends first.
+    forks = pin_cpus(2)
     with pytest.raises(ConvergenceError) as err:
-        fork_map(_stuck, [5, 6])
+        fork_map(_stuck, [0, 5])
     assert str(err.value) == "no convergence (after 5 operator applications)"
     assert err.value.iterations == 5
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2 and forks.reaped()
+
+
+def test_fork_map_drains_results_past_the_pipe_buffer(pin_cpus):
+    # each result is larger than a pipe holds (64 KiB): a caller that waited
+    # on one worker while the other blocked on a full pipe would hang, so
+    # an alarm interrupts the call if it does
+    forks = pin_cpus(2)
+    handler = signal.signal(signal.SIGALRM, _interrupt)
+    signal.alarm(60)
+    try:
+        results = fork_map(lambda n: np.full(n, n, np.int64), [2**15, 2**16])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, handler)
+    assert [r.nbytes for r in results] == [2**18, 2**19]
+    assert all((r == r.size).all() for r in results)
+    assert len(forks) == 2 and forks.reaped()
+
+
+def test_fork_map_takes_a_function_and_items_that_do_not_pickle(pin_cpus):
+    forks = pin_cpus(2)
+    offset = 10
+    items = [lambda: 1, lambda: 2, lambda: 3]
+    assert fork_map(lambda make: make() + offset, items) == [11, 12, 13]
+    assert len(forks) == 2 and forks.reaped()
+
+
+def _open_fds() -> list[str]:
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def test_fork_map_kills_the_other_workers_after_an_error(pin_cpus):
+    # one worker sleeps far past the other's error; the error comes back
+    # as soon as it is raised, with the sleeper killed and reaped and
+    # every pipe closed
+    forks = pin_cpus(2)
+    fds, start = _open_fds(), time.monotonic()
+    with pytest.raises(ZeroDivisionError):
+        fork_map(lambda s: time.sleep(s) if s else 1 / s, [60, 0])
+    assert time.monotonic() - start < 30
+    assert len(forks) == 2 and forks.reaped()
+    assert _open_fds() == fds
+
+
+def _die_on_one(item):
+    if item == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return item
+
+
+def test_fork_map_names_the_signal_that_killed_a_worker(pin_cpus):
+    forks = pin_cpus(2)
+    fds = _open_fds()
+    with pytest.raises(RuntimeError, match=r"fork_map worker \d+ was killed by SIGKILL"):
+        fork_map(_die_on_one, [0, 1, 2, 3])
+    assert len(forks) == 2 and forks.reaped()
+    assert _open_fds() == fds
+
+
+def test_fork_map_reports_an_exception_that_does_not_pickle(pin_cpus):
+    class Local(Exception):
+        pass
+
+    def fail(item):
+        if item:
+            raise Local(f"item {item} failed")
+        return item
+
+    forks = pin_cpus(2)
+    with pytest.raises(RuntimeError, match=r"\.Local: item 1 failed$"):
+        fork_map(fail, [0, 1])
+    assert len(forks) == 2 and forks.reaped()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def _interrupt(signum, frame):
+    raise _Interrupted
+
+
+def test_fork_map_reaps_every_worker_when_the_caller_is_interrupted(pin_cpus):
+    # the workers sleep far past the alarm; the interrupt reaches the
+    # caller while it waits on them, and the call kills and reaps both
+    forks = pin_cpus(2)
+    fds = _open_fds()
+    handler = signal.signal(signal.SIGALRM, _interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        with pytest.raises(_Interrupted):
+            fork_map(time.sleep, [60, 60])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+    assert len(forks) == 2 and forks.reaped()
+    assert _open_fds() == fds

@@ -1,6 +1,5 @@
 """Fault patterns, error extraction, weight tails, and inequality suites."""
 
-import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -306,38 +305,32 @@ def test_report_computes_each_value_once(monkeypatch, bell_circuit):
     ids=["all", "reordered"],
 )
 def test_run_suites_match_the_serial_path(pin_cpus, cpus, names):
-    pools = pin_cpus(cpus)
+    forks = pin_cpus(cpus)
     results = run_suites(names, 6, 3)
     assert results == [run_suite(name, 6, 3) for name in names]
     assert [r.suite for r in results] == list(names)
-    if cpus == 1:
-        assert pools == []
-    else:
-        ((args, kwargs),) = pools
-        assert args == (2,)
-        assert kwargs["mp_context"].get_start_method() == "fork"
-    assert multiprocessing.active_children() == []
+    assert len(forks) == (0 if cpus == 1 else 2)
+    assert forks.reaped()
 
 
 def test_one_suite_runs_in_process(pin_cpus):
-    pools = pin_cpus(2)
+    forks = pin_cpus(2)
     assert run_suites(["union_bound"], 3, 0) == [run_suite("union_bound", 3, 0)]
-    assert pools == []
+    assert forks == []
 
 
 def test_run_suites_refuses_an_unknown_suite_before_any_worker(pin_cpus):
-    pools = pin_cpus(2)
+    forks = pin_cpus(2)
     with pytest.raises(ValueError, match="unknown suite 'nonsense'"):
         run_suites(["jordan", "nonsense"], 2, 0)
-    assert pools == []
-    assert multiprocessing.active_children() == []
+    assert forks == []
 
 
 def test_run_suites_refuses_a_repeated_suite_before_any_worker(pin_cpus):
-    pools = pin_cpus(2)
+    forks = pin_cpus(2)
     with pytest.raises(ValueError, match="suite 'jordan' named more than once"):
         run_suites(["jordan", "union_bound", "jordan"], 2, 0)
-    assert pools == []
+    assert forks == []
 
 
 def test_worker_exception_reaches_the_caller(monkeypatch, pin_cpus):
@@ -346,10 +339,10 @@ def test_worker_exception_reaches_the_caller(monkeypatch, pin_cpus):
     def broken(suite, index, rng):
         raise ArithmeticError(f"{suite} instance {index} broke")
 
-    pin_cpus(2)
+    forks = pin_cpus(2)
     monkeypatch.setitem(soundness._SUITES, "jordan", (4, broken))
     with pytest.raises(ArithmeticError, match="^jordan instance 0 broke$"):
         run_suites(["detectability", "jordan", "union_bound"], 3, 0)
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2 and forks.reaped()
     assert len(run_suites(["detectability", "union_bound"], 3, 0)) == 2
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 4 and forks.reaped()

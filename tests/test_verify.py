@@ -1,6 +1,5 @@
 """Verify rows: status classes, oracles, and the checked closed forms."""
 
-import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -199,21 +198,16 @@ def test_forked_verify_matches_the_serial_path(pin_cpus, cpus):
         for delta in deltas
         for row in verify_checks([fixture], (delta,), TOL)
     ]
-    pools = pin_cpus(cpus)
+    forks = pin_cpus(cpus)
     assert verify_checks(named_fixtures(), deltas, TOL) == serial
-    if cpus == 1:
-        assert pools == []
-    else:
-        ((args, kwargs),) = pools
-        assert args == (2,)
-        assert kwargs["mp_context"].get_start_method() == "fork"
-    assert multiprocessing.active_children() == []
+    assert len(forks) == (0 if cpus == 1 else 2)
+    assert forks.reaped()
 
 
 def test_one_verify_case_makes_no_pool(pin_cpus, identity1):
-    pools = pin_cpus(2)
+    forks = pin_cpus(2)
     checks = verify_checks([("id1", identity1)], (0.5,), TOL)
-    assert pools == [] and {ch.status for ch in checks} == {"pass"}
+    assert forks == [] and {ch.status for ch in checks} == {"pass"}
 
 
 def test_verify_worker_exception_reaches_the_caller(monkeypatch, pin_cpus):
@@ -222,9 +216,8 @@ def test_verify_worker_exception_reaches_the_caller(monkeypatch, pin_cpus):
     def broken(term, c):
         raise ArithmeticError(f"rotate_term broke on layer {term.layer}")
 
-    pools = pin_cpus(2)
+    forks = pin_cpus(2)
     monkeypatch.setattr(verify, "rotate_term", broken)
     with pytest.raises(ArithmeticError, match="^rotate_term broke on layer 1$"):
         verify_checks(named_fixtures(), (0.2, 0.5, 0.8), TOL)
-    assert len(pools) == 1
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2 and forks.reaped()
