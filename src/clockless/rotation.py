@@ -16,14 +16,22 @@ becomes ``clifford_form``. Gates outside that class leak onto the output
 column, which ``locality_residual`` measures directly.
 
 Extraction reads the rotated term between basis states of the extraction
-support, once per term, on the light cone of that support: every factor is
-local, so only the factors that reach the support, and the qubits they
-touch, take part (``RotationUnitary.cone``); ``U† T U`` is exact there and
-the identity elsewhere. Where no factor can be left out, the cone is the
-whole grid. ``rotate_term`` extracts a term on its own support and refuses it
-when the leakage check fails; ``teleport_input`` extracts its input term on
-the whole three-qubit teleport grid, as the teleport spreads it onto the
-output column. Every term is a ``DressedTerm`` of ``parent_spec``'s kinds,
+support on the light cone of that support: every factor is local, so only
+the factors that reach the support, and the qubits they touch, take part
+(``RotationUnitary.cone``); ``U† T U`` is exact there and the identity
+elsewhere. Where no factor can be left out, the cone is the whole grid.
+That wire cone is what ``locality_residual`` samples and ``require_cones``
+budgets. ``rotate_term`` stops sooner where the term stops: every factor
+is a Bell-controlled Pauli or a gate on the output column, so once the
+factors of the later layers have taken a term onto qubits that no earlier
+factor touches, every earlier factor commutes with it. It walks the layers
+from the output side (``RotationUnitary.walk``), extracts the term on its
+own support before each layer that would widen the cone, and keeps the
+first block that passes the leakage check and trims onto such qubits; at
+worst the walk ends on the wire cone, where a failed check refuses the
+term. ``teleport_input`` extracts its input term on the whole three-qubit
+teleport grid, as the teleport spreads it onto the output column, once per
+delta. Every term is a ``DressedTerm`` of ``parent_spec``'s kinds,
 taken from its factors: ``U† L² U = L²``, so only ``W = L (K ⊗ I)`` goes
 through the rotation, from whichever side pushes fewer columns
 (``_factored_hole``). The random leakage-check states, drawn once per cone
@@ -128,6 +136,8 @@ class RotationUnitary:
     built once here. ``qubits`` lists the grid qubits it acts on in
     ascending order, and bit ``i`` of a state is ``qubits[i]``: the whole
     grid for ``RotationUnitary(circuit)``, a light cone for ``cone``.
+    ``layer_starts`` lists the index of each layer's first factor in the
+    whole grid's list, for ``walk``.
     """
 
     def __init__(self, circuit: LayeredCircuit):
@@ -136,7 +146,9 @@ class RotationUnitary:
         layout = GridLayout(circuit.n, circuit.depth)
         corr = _SITE_CORRECTION
         ops: list[tuple[np.ndarray, tuple[int, ...]]] = []
+        starts = []
         for layer_idx, layer in enumerate(circuit.layers, start=1):
+            starts.append(len(ops))
             for row in range(circuit.n):
                 lo, hi = layout.site_qubits(layer_idx, row)
                 ops.append((corr, (hi, lo, layout.output_qubit(row))))
@@ -146,6 +158,7 @@ class RotationUnitary:
                 wires = tuple(layout.output_qubit(w) for w in g.wires)
                 ops.append((g.unitary, wires))
         self._place(ops, tuple(range(layout.num_qubits)))
+        self.layer_starts = tuple(starts)
 
     def _place(
         self, ops: list[tuple[np.ndarray, tuple[int, ...]]], qubits: tuple[int, ...]
@@ -170,6 +183,12 @@ class RotationUnitary:
         ``support`` the rotated ``U† T U`` is the cone's ``U_C† T U_C`` on
         the cone's qubits and the identity elsewhere. The kept factors are
         relabelled onto the cone's qubits in ascending order.
+
+        This cone grows by wires alone: it keeps a factor that meets it even
+        where the factor acts as the identity on what is conjugated so far,
+        as every earlier correction on the output qubit does once a
+        last-layer term has lost its output leg. ``walk`` finds where such a
+        term stops.
         """
         reach, kept = set(support), []
         for mat, wires in reversed(self._ops):
@@ -184,6 +203,34 @@ class RotationUnitary:
             tuple(self.qubits[i] for i in qubits),
         )
         return cone
+
+    def walk(self, support: Sequence[int]):
+        """The factors walked so far, wherever a walk from the output side
+        may stop for an operator on ``support``.
+
+        Walks the grid's layers from the output side inward, growing the
+        cone of ``support`` as ``cone`` does. Before each layer whose factors
+        would widen that cone, once some factor has met it, yields the later
+        layers' factors (a ``RotationUnitary`` on the same qubits) and the
+        set of qubits that the factors not yet walked touch; last, the whole
+        rotation and the empty set. An operator that the walked factors take
+        onto qubits outside that set is already the rotated operator: every
+        factor not yet walked commutes with it and cancels.
+        """
+        reach, met = set(support), False
+        ends = self.layer_starts[1:] + (len(self._ops),)
+        for begin, end in reversed(list(zip(self.layer_starts, ends))):
+            grown, kept = set(reach), False
+            for _, wires in reversed(self._ops[begin:end]):
+                if grown.intersection(wires):
+                    grown.update(wires)
+                    kept = True
+            if met and grown != reach:
+                walked = RotationUnitary.__new__(RotationUnitary)
+                walked._place(list(self._ops[end:]), self.qubits)
+                yield walked, {q for _, wires in self._ops[:end] for q in wires}
+            reach, met = grown, met or kept
+        yield self, set()
 
     def apply(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         out = np.asarray(vec, dtype=np.complex128)
@@ -259,9 +306,11 @@ def _conjugated_block(
     """Extract the rotated term on ``support`` plus the leakage residual.
 
     Everything runs on the light cone of ``support`` (``rot.cone``), where
-    the rotated term is exact; outside it the term is the identity. The
-    candidate block is the rotated term between basis states that are
-    zero outside the support, a superset of the term's own. It comes from
+    the term conjugated by ``rot`` is exact; outside it the term is the
+    identity. ``rot`` is the whole rotation or, in ``rotate_term``'s walk,
+    the factors walked so far. The candidate block is the rotated term
+    between basis states that are zero outside the support, a superset of
+    the term's own. It comes from
     the term's factors: every ``Λ(δ)`` dresses a shifted pair and is
     Bell-diagonal, and every rotation factor is a Bell-controlled Pauli or
     a gate on the output column, so ``U† L² U = L²`` and the block is
@@ -310,7 +359,9 @@ def _require_extraction(m: int, cone: RotationUnitary) -> None:
 def require_cones(circuit: LayeredCircuit) -> None:
     """``_conjugated_block``'s budget check for every gate term of
     ``circuit``, before any block is built; input terms are extracted on
-    the three-qubit teleport grid instead (``teleport_input``)."""
+    the three-qubit teleport grid instead (``teleport_input``). It budgets
+    each term's wire cone, the largest extraction ``rotate_term``'s walk
+    may reach, although most terms stop on a smaller one."""
     rot = RotationUnitary(circuit)
     for term in parent_spec(circuit, 1.0).terms:
         if term.kind != "input":
@@ -343,43 +394,49 @@ def _trim_trivial_qubits(
     return block, support
 
 
-def _extract(
-    term: DressedTerm, rot: RotationUnitary, support: tuple[int, ...]
-) -> np.ndarray:
-    """The rotated term on ``support`` (``_conjugated_block``); raises when
-    it leaks past ``support`` by more than ``_LEAKAGE_TOL``."""
-    block, residual = _conjugated_block(term, rot, support)
-    if residual > _LEAKAGE_TOL:
-        raise ValueError(
-            f"rotated {term} is not supported on {support}: "
-            f"leakage {residual:.3e} exceeds {_LEAKAGE_TOL:.1e}"
-        )
-    return block
+def _leakage_error(
+    term: DressedTerm, support: tuple[int, ...], residual: float
+) -> ValueError:
+    return ValueError(
+        f"rotated {term} is not supported on {support}: "
+        f"leakage {residual:.3e} exceeds {_LEAKAGE_TOL:.1e}"
+    )
 
 
 def rotate_term(term: DressedTerm, circuit: LayeredCircuit) -> LocalTerm:
     """Conjugate one term by the circuit's rotation and re-localize it.
 
-    The rotated operator is extracted once, on the term's own support,
-    validated against ``_CHECK_SAMPLES`` random states of that support's
-    light cone and trimmed down to the qubits it acts on. Terms of gates
-    that normalize the Pauli group stay on their original support
-    (last-layer terms drop their output legs). Raises on a term that leaks
-    past its support by more than ``_LEAKAGE_TOL``, as the term of any
-    other gate spreads onto the output column (``locality_residual``
-    measures how far).
+    Walks the rotation from the output side (``RotationUnitary.walk``).
+    At each stop the term is extracted on its own support through the
+    factors walked so far, validated against ``_CHECK_SAMPLES`` random
+    states of their light cone and trimmed down to the qubits it acts on;
+    the first block that passes and lies on qubits that no unwalked factor
+    touches is the rotated term, as every unwalked factor commutes with it.
+    Terms of gates that normalize the Pauli group stay on their original
+    support, after the next layer in (last-layer terms drop their output
+    legs at their own layer's corrections). Raises on a term that leaks past
+    its support by more than ``_LEAKAGE_TOL`` on its whole wire cone, as the
+    term of any other gate spreads onto the output column
+    (``locality_residual`` measures how far).
     """
-    block = _extract(term, RotationUnitary(circuit), term.support)
-    block, support = _trim_trivial_qubits(block, term.support)
-    return LocalTerm(term.kind, support, block, term.layer, term.wires)
+    for walked, unwalked in RotationUnitary(circuit).walk(term.support):
+        block, residual = _conjugated_block(term, walked, term.support)
+        if residual > _LEAKAGE_TOL:
+            continue
+        block, support = _trim_trivial_qubits(block, term.support)
+        if unwalked.isdisjoint(support):
+            return LocalTerm(term.kind, support, block, term.layer, term.wires)
+    raise _leakage_error(term, term.support, residual)
 
 
 def locality_residual(term: DressedTerm, circuit: LayeredCircuit) -> float:
     """How badly the rotated term fails to live on the term's own support.
 
-    The worst leakage over ``_CHECK_SAMPLES`` random states of the light
-    cone of the term's support. Zero for an exactly localized rotation;
-    order-one values mean the rotated term genuinely spreads.
+    The worst leakage over ``_CHECK_SAMPLES`` random states of the wire
+    cone of the term's support (``RotationUnitary.cone``), the whole light
+    cone whether or not the term stops sooner. Zero for an exactly
+    localized rotation; order-one values mean the rotated term genuinely
+    spreads.
     """
     _, residual = _conjugated_block(term, RotationUnitary(circuit), term.support)
     return residual
@@ -585,22 +642,34 @@ def teleport_input(
 
     Refuses anything but an input term dressed at ``delta``. Rebuilds its
     check |1><1| on the one-wire, one-layer identity grid, extracts the
-    rotated term once on all three qubits of that grid (the teleport
-    spreads it onto the output qubit) and projects the pair onto its
-    single-pair ground state, which should leave ``c |1><1|``, ``c =
-    teleport_coefficient(delta)``. Returns that term (kind "input", on the
+    rotated term on all three qubits of that grid, once per delta and
+    process (the teleport spreads it onto the output qubit), and projects
+    the pair onto its single-pair ground state, which should leave ``c
+    |1><1|``, ``c = teleport_coefficient(delta)``. Returns that term (kind "input", on the
     output qubit), the attenuation ``<1|reduced|1>`` and the deviation
     ``||reduced - c |1><1|||``.
     """
     if term.kind != "input" or any(d != delta for _, d in term.pairs):
         raise ValueError(f"expected an input term dressed at {delta}, got {term}")
+    rest, reduced, deviation = _teleported(delta)
+    funneled = LocalTerm("input", rest, reduced, 1, term.wires)
+    return funneled, float(reduced[1, 1].real), deviation
+
+
+@cache
+def _teleported(delta: float) -> tuple[tuple[int, ...], np.ndarray, float]:
+    """``teleport_input``'s support, read-only reduced block and deviation
+    at ``delta``: they depend on nothing else, so each delta is extracted
+    once per process."""
     layout = GridLayout(1, 1)
     rot = RotationUnitary(layered(1, 1, [[("I", (0,))]]))
     grid = tuple(range(layout.num_qubits))
-    block = _extract(input_term(0, delta, layout), rot, grid)
+    check = input_term(0, delta, layout)
+    block, residual = _conjugated_block(check, rot, grid)
+    if residual > _LEAKAGE_TOL:
+        raise _leakage_error(check, grid, residual)
     pair, ground = pair_ground(layout, 1, (0,), delta)
     reduced, rest = project_qubits(block, grid, pair, ground)
+    reduced.flags.writeable = False
     expected = np.diag([0.0, teleport_coefficient(delta)])
-    deviation = float(np.linalg.norm(reduced - expected))
-    funneled = LocalTerm("input", rest, reduced, 1, term.wires)
-    return funneled, float(reduced[1, 1].real), deviation
+    return rest, reduced, float(np.linalg.norm(reduced - expected))

@@ -850,13 +850,7 @@ def run_suites(names, instances: int, seed: int) -> list[SuiteResult]:
     any worker starts.
     """
     require_suites(names)
-    cases = [(name, instances, seed) for name in names]
-    return fork_map(_suite_case, cases)
-
-
-def _suite_case(case) -> SuiteResult:
-    """``run_suite`` on one ``(name, instances, seed)`` case."""
-    return run_suite(*case)
+    return fork_map(lambda name: run_suite(name, instances, seed), names)
 
 
 def replay_instance(name: str, seed: int, index: int) -> InstanceRecord:

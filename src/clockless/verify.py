@@ -22,13 +22,16 @@ independent oracle:
   the depolarizing-channel composition, against 0.
 * ``teleported_input[w]``: attenuation of ancilla w's |1><1| check funneled
   through its pair onto the output column (``teleport_input``, on the
-  one-wire teleport grid), against ``teleport_coefficient``; NaN when the
-  input term is not dressed at the delta of the grid state's first layer.
+  one-wire teleport grid, extracted once per delta), against
+  ``teleport_coefficient``; NaN when the input term is not dressed at the
+  delta of the grid state's first layer.
 * ``last_layer[g]``: the rotated last-layer block, against
-  ``last_layer_form``.
+  ``last_layer_form``. ``rotate_term`` extracts it through the last
+  layer's factors only, where it loses its output legs.
 * ``clifford_bulk[g]``: the rotated bulk block of a Pauli-normalizing gate,
   against ``clifford_form``, whose delta-free ``clifford_hole`` is built
-  once per fixture and gate.
+  once per fixture and gate; extracted through the factors down to the
+  gate's own layer.
 * ``projected_bulk[g]``: that block with its right pairs projected onto
   their ground state, against ``projected_bulk_form``.
 * ``nonlocality_diagnostic[g]``: for any other bulk gate, the leakage

@@ -9,7 +9,7 @@ import pytest
 from clockless import rotation
 from clockless.circuit import gate, layered
 from clockless.hamiltonian import (
-    input_term, parent_spec, propagation_term,
+    DressedTerm, input_term, parent_spec, propagation_term,
 )
 from clockless.limits import dense_bytes
 from clockless.linalg import apply_matrix, bit_placement
@@ -374,6 +374,109 @@ def test_a_cone_short_of_one_factor_is_refused(monkeypatch):
             checked += 1
     # 12 leak and are refused; 2 stay on their support with a wrong block
     assert checked == 14 and refused == 12
+
+
+# The pinned 14-qubit circuit of perfbench/inputs/c14.json, and the 18-qubit
+# c18: C14 with one more layer, a CNOT from wire 1 to wire 0.
+C14_LAYERS = [
+    [("H", (0,)), ("T", (1,))], [("CNOT", (0, 1))], [("S", (0,)), ("H", (1,))]
+]
+C14 = layered(2, 1, C14_LAYERS)
+C18 = layered(2, 1, C14_LAYERS + [[("CNOT", (1, 0))]])
+WALK_SCHEDULE = (0.3, 0.6, 0.45, 0.7)
+
+
+def _walked(term, c, patch):
+    """``rotate_term(term, c)`` and the light-cone size of each extraction
+    it made."""
+    cones = []
+    extract = rotation._conjugated_block
+
+    def recording(term, rot, support):
+        cones.append(rot.cone(support).num_qubits)
+        return extract(term, rot, support)
+
+    patch.setattr(rotation, "_conjugated_block", recording)
+    return rotate_term(term, c), cones
+
+
+def test_the_walk_lands_on_the_wire_cone_block(monkeypatch):
+    # every localized term of the verify fixtures and of C14 at a non-uniform
+    # schedule: the walk stops in one extraction, on a cone no wider than
+    # the wire cone, with the support and, within 1e-13, the block that the
+    # wire cone's extraction trims to
+    checked = 0
+    for name, c in named_fixtures() + [("C14", C14)]:
+        spec = parent_spec(c, WALK_SCHEDULE[: c.depth])
+        rot = RotationUnitary(c)
+        for term in spec.terms:
+            if not _localized(c, term):
+                continue
+            want, residual = rotation._conjugated_block(term, rot, term.support)
+            assert residual < 1e-12, (name, str(term))
+            want, want_support = rotation._trim_trivial_qubits(want, term.support)
+            with monkeypatch.context() as patch:
+                got, cones = _walked(term, c, patch)
+            assert len(cones) == 1, (name, str(term))
+            assert cones[0] <= rot.cone(term.support).num_qubits
+            assert got.support == want_support, (name, str(term))
+            assert np.abs(got.block - want).max() <= 1e-13, (name, str(term))
+            checked += 1
+    # the 14 of the fixtures, then C14's H, CNOT, S and H
+    assert checked == 18
+
+
+def test_decided_cones_are_pinned(monkeypatch):
+    # the cone each localized term's walk stops on, in term order: last-layer
+    # terms stop at their own layer's corrections, bulk terms of
+    # Pauli-normalizing gates at the next layer in
+    cones = {}
+    for name, c in named_fixtures() + [("C14", C14), ("c18", C18)]:
+        spec = parent_spec(c, WALK_SCHEDULE[: c.depth])
+        for term in spec.terms:
+            if _localized(c, term):
+                with monkeypatch.context() as patch:
+                    _, walked = _walked(term, c, patch)
+                cones.setdefault(name, []).extend(walked)
+    assert cones == {
+        "identity1": [3],
+        "hadamard": [3],
+        "identity2": [5, 5, 3, 3],
+        "bell": [5, 5, 6],
+        "cnot_bulk": [10, 3, 3],
+        "t_bulk": [5, 6],
+        "C14": [5, 10, 3, 3],
+        "c18": [5, 10, 5, 5, 6],
+    }
+
+
+def test_a_term_the_walk_leaves_on_the_output_is_refused(monkeypatch):
+    # |1><1| on the output qubit of a two-layer identity wire, dressed on the
+    # last pair: the last layer's correction keeps it on its support, but on
+    # the output qubit, which layer 1's correction touches, so the walk goes
+    # on; the whole cone spreads it onto the first pair, past its support
+    c = layered(1, 1, [[("I", (0,))]] * 2)
+    term = DressedTerm("input", 2, (0,), (((2, 3), 0.5),), (4,), [[1.0], [0.0]])
+    with monkeypatch.context() as patch:
+        supports = _counting_extractions(patch)
+        with pytest.raises(ValueError, match="leakage"):
+            rotate_term(term, c)
+    assert supports == [term.support] * 2
+    walk = list(RotationUnitary(c).walk(term.support))
+    assert [unwalked for _, unwalked in walk] == [{0, 1, 4}, set()]
+
+
+def test_a_leaky_term_is_refused_at_every_stop(monkeypatch):
+    # a T term in the middle of three layers spreads onto the output column:
+    # it fails the leakage check where the walk could first stop, before
+    # layer 1, and again on its whole cone
+    c = layered(1, 1, [[("I", (0,))], [("T", (0,))], [("I", (0,))]])
+    term = propagation_term(gate("T", (0,)), 2, 0.5, GridLayout(1, 3))
+    with monkeypatch.context() as patch:
+        supports = _counting_extractions(patch)
+        with pytest.raises(ValueError, match="leakage"):
+            rotate_term(term, c)
+    assert supports == [term.support] * 2
 
 
 def test_extraction_holds_about_one_block():

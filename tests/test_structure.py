@@ -43,6 +43,9 @@ UNSET_DEFAULTS_ALLOWED = {
     "soundness.build_combinatorial_state(xi)": _WITNESS,
     "pauli.word_decompose(tol)": _TOLERANCE,
     "soundness.extract_decomposition(tol)": _TOLERANCE,
+    "soundness.run_suite(max_workers)": "only perfbench/tests/test_tracer.py "
+    "sets it, to check the spans of worker threads; it goes with the thread "
+    "pool in a benchmark change",
 }
 
 
@@ -319,13 +322,28 @@ def _defaulted(node):
 
 def _sets(call, position, name: str, bound: int) -> bool:
     """Whether a call sets the parameter: by keyword, by position, or
-    through ``*args`` or ``**kwargs``."""
+    through ``**kwargs``. A ``*args`` call counts its arguments before the
+    star only: what the star unpacks is not read here, and counting it as
+    setting every later parameter would hide one that no call sets."""
     if any(k.arg in (name, None) for k in call.keywords):
         return True
     if position is None:
         return False
-    starred = any(isinstance(a, ast.Starred) for a in call.args)
-    return starred or len(call.args) > position - bound
+    plain = 0
+    for arg in call.args:
+        if isinstance(arg, ast.Starred):
+            break
+        plain += 1
+    return plain > position - bound
+
+
+def test_a_starred_argument_sets_no_parameter():
+    # the arguments before the star set their positions; what it unpacks
+    # sets nothing, while ``**kwargs`` may set any keyword
+    call = ast.parse("f(a, *rest, k=1)").body[0].value
+    assert _sets(call, 0, "x", 0) and not _sets(call, 1, "y", 0)
+    assert _sets(call, None, "k", 0) and not _sets(call, None, "z", 0)
+    assert _sets(ast.parse("f(**options)").body[0].value, 3, "w", 0)
 
 
 def test_every_defaulted_parameter_is_set_by_a_call():

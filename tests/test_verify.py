@@ -99,9 +99,13 @@ def test_teleported_rows_pass_at_unit_delta(name):
         assert row.status == "pass"
 
 
-def test_teleported_rows_extract_once_on_the_teleport_grid(monkeypatch):
-    # each input term's check is extracted once, on all three qubits of the
-    # one-wire teleport grid, where the teleport spreads it
+def test_teleported_rows_extract_once_on_the_teleport_grid(monkeypatch, pin_cpus):
+    # the teleported check depends only on delta, so each delta's is
+    # extracted once per process, whatever the wire, on all three qubits of
+    # the one-wire teleport grid, where the teleport spreads it. One CPU
+    # keeps both cases in this process, and the cache starts empty.
+    pin_cpus(1)
+    rotation._teleported.cache_clear()
     extract, calls = rotation._conjugated_block, []
 
     def counting(term, rot, support):
@@ -110,10 +114,12 @@ def test_teleported_rows_extract_once_on_the_teleport_grid(monkeypatch):
 
     monkeypatch.setattr(rotation, "_conjugated_block", counting)
     c = dict(named_fixtures())["identity2"]
-    checks = verify_checks([("identity2", c)], (0.5,), TOL)
+    checks = verify_checks([("identity2", c)], (0.2, 0.5), TOL)
     rows = [ch for ch in checks if ch.name.startswith("teleported_input")]
-    assert len(rows) == 2 and {row.status for row in rows} == {"pass"}
+    assert len(rows) == 4 and {row.status for row in rows} == {"pass"}
     assert [call for call in calls if call[0] == 3] == [(3, (0, 1, 2))] * 2
+    _, reduced, _ = rotation._teleported(0.5)
+    assert not reduced.flags.writeable
 
 
 def test_ground_fidelity_with_a_residual_below_the_floor():
