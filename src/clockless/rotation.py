@@ -16,29 +16,29 @@ becomes ``clifford_form``. Gates outside that class leak onto the output
 column, which ``locality_residual`` measures directly.
 
 Extraction reads the rotated term between basis states of the extraction
-support on the light cone of that support: every factor is local, so only
-the factors that reach the support, and the qubits they touch, take part
-(``RotationUnitary.cone``); ``U† T U`` is exact there and the identity
-elsewhere. Where no factor can be left out, the cone is the whole grid.
-That wire cone is what ``locality_residual`` samples and ``require_cones``
-budgets. ``rotate_term`` stops sooner where the term stops: every factor
-is a Bell-controlled Pauli or a gate on the output column, so once the
-factors of the later layers have taken a term onto qubits that no earlier
-factor touches, every earlier factor commutes with it. It walks the layers
-from the output side (``RotationUnitary.walk``), extracts the term on its
-own support before each layer that would widen the cone, and keeps the
-first block that passes the leakage check and trims onto such qubits; at
-worst the walk ends on the wire cone, where a failed check refuses the
-term. ``teleport_input`` extracts its input term on the whole three-qubit
-teleport grid, as the teleport spreads it onto the output column, once per
-delta. Every term is a ``DressedTerm`` of ``parent_spec``'s kinds,
-taken from its factors: ``U† L² U = L²``, so only ``W = L (K ⊗ I)`` goes
-through the rotation, from whichever side pushes fewer columns
-(``_factored_hole``). The random leakage-check states, drawn once per cone
-size, go through ``U† T U`` as (2^|cone|, batch) arrays in chunks of at
-most ``_BATCH_BYTES``; the memory budget bounds each extraction by what its
-cone holds (``require_cones``). The result is a dense ``LocalTerm`` with the
-kind, layer and wires of the term it came from. The Clifford hole is
+support on a light cone of that support: every factor is local, so only
+the factors that reach the support, and the qubits they touch, take part.
+``RotationUnitary.walk`` is the one place a cone is grown. It walks the
+layers from the output side, keeps each factor that meets the cone so far,
+and stops before each layer that would widen it; its last stop, the wire
+cone, keeps every factor that reaches the support, and ``U† T U`` is exact
+there and the identity elsewhere. Every factor is a Bell-controlled Pauli
+or a gate on the output column, so once a stop's factors have taken a term
+onto qubits that no unwalked factor touches, every unwalked factor commutes
+with it. ``rotate_term`` extracts the term at each stop and keeps the first
+block that passes the leakage check and trims onto such qubits; at worst it
+ends on the wire cone, where a failed check refuses the term.
+``locality_residual`` samples the wire cone, and ``teleport_input``
+extracts its input term on the whole three-qubit teleport grid, its own
+cone, once per delta. ``require_cones`` budgets the cone each term of a
+circuit is extracted on, before any is. Every term is a ``DressedTerm`` of
+``parent_spec``'s kinds, taken from its factors: ``U† L² U = L²``, so only
+``W = L (K ⊗ I)`` goes through the rotation, from whichever side pushes
+fewer columns (``_factored_hole``). The random leakage-check states, drawn
+once per cone size, go through ``U† T U`` as (2^|cone|, batch) arrays in
+chunks of at most ``_BATCH_BYTES``; the memory budget bounds each
+extraction by what its cone holds. The result is a dense ``LocalTerm``
+with the kind, layer and wires of the term it came from. The Clifford hole is
 ``B S B^dagger``: B holds the Bell product basis, S counts the Bell-label
 pairings, scattered from ``clifford_partners``' arrays in one step. It does
 not depend on delta, so ``clifford_hole`` builds it once per gate and
@@ -135,9 +135,9 @@ class RotationUnitary:
     state, in reverse order for the adjoint with each factor's adjoint,
     built once here. ``qubits`` lists the grid qubits it acts on in
     ascending order, and bit ``i`` of a state is ``qubits[i]``: the whole
-    grid for ``RotationUnitary(circuit)``, a light cone for ``cone``.
-    ``layer_starts`` lists the index of each layer's first factor in the
-    whole grid's list, for ``walk``.
+    grid for ``RotationUnitary(circuit)``, a light cone for each stop of
+    its ``walk``. ``layer_starts`` lists the index of each layer's first
+    factor in the whole grid's list.
     """
 
     def __init__(self, circuit: LayeredCircuit):
@@ -157,86 +157,66 @@ class RotationUnitary:
                     continue
                 wires = tuple(layout.output_qubit(w) for w in g.wires)
                 ops.append((g.unitary, wires))
-        self._place(ops, tuple(range(layout.num_qubits)))
+        self._place(ops, range(layout.num_qubits))
         self.layer_starts = tuple(starts)
 
-    def _place(
-        self, ops: list[tuple[np.ndarray, tuple[int, ...]]], qubits: tuple[int, ...]
-    ) -> None:
-        self.qubits = qubits
-        self._ops = tuple(ops)
+    def _place(self, ops: list, qubits) -> None:
+        """Keep ``ops``, relabelled onto ``qubits`` in ascending order."""
+        self.qubits = tuple(sorted(qubits))
+        label = {q: i for i, q in enumerate(self.qubits)}
+        self._ops = tuple((mat, tuple(label[w] for w in wires)) for mat, wires in ops)
         self._adjoint_ops = tuple(
-            (mat.conj().T, wires) for mat, wires in reversed(ops)
+            (mat.conj().T, wires) for mat, wires in reversed(self._ops)
         )
 
     @property
     def num_qubits(self) -> int:
         return len(self.qubits)
 
-    def cone(self, support: Sequence[int]) -> RotationUnitary:
-        """The factors that reach ``support``, on the qubits they touch.
+    def walk(self, support: Sequence[int]):
+        """The light cones of ``support`` where a walk from the output side
+        may stop, each with the set of qubits that the factors not yet
+        walked touch.
 
-        Walks the factors from the output side inward and keeps each one
-        whose wires meet the cone grown so far, starting from ``support``.
-        A factor that misses it commutes with everything conjugated so far
-        and cancels against its adjoint, so for any operator ``T`` on
-        ``support`` the rotated ``U† T U`` is the cone's ``U_C† T U_C`` on
-        the cone's qubits and the identity elsewhere. The kept factors are
-        relabelled onto the cone's qubits in ascending order.
-
-        This cone grows by wires alone: it keeps a factor that meets it even
-        where the factor acts as the identity on what is conjugated so far,
-        as every earlier correction on the output qubit does once a
-        last-layer term has lost its output leg. ``walk`` finds where such a
-        term stops.
+        Walks the layers from the output side inward and keeps each factor
+        whose wires meet the cone grown so far from ``support``; a factor
+        that misses it commutes with everything conjugated so far and
+        cancels against its adjoint. Before each layer that would widen the
+        cone, once some factor is kept, yields the cone so far: the kept
+        factors relabelled onto the qubits of the cone. Last comes the wire
+        cone, every factor that reaches ``support``, with the empty set: for
+        ``T`` on ``support``, ``U† T U`` is its ``U_C† T U_C`` on the cone and
+        the identity elsewhere. An operator that a stop's factors take onto
+        qubits outside its set is already rotated, as every unwalked factor
+        commutes with it.
         """
         reach, kept = set(support), []
-        for mat, wires in reversed(self._ops):
-            if reach.intersection(wires):
-                reach.update(wires)
-                kept.append((mat, wires))
-        qubits = tuple(sorted(reach))
-        label = {q: i for i, q in enumerate(qubits)}
-        cone = RotationUnitary.__new__(RotationUnitary)
-        cone._place(
-            [(mat, tuple(label[w] for w in wires)) for mat, wires in reversed(kept)],
-            tuple(self.qubits[i] for i in qubits),
-        )
-        return cone
-
-    def walk(self, support: Sequence[int]):
-        """The factors walked so far, wherever a walk from the output side
-        may stop for an operator on ``support``.
-
-        Walks the grid's layers from the output side inward, growing the
-        cone of ``support`` as ``cone`` does. Before each layer whose factors
-        would widen that cone, once some factor has met it, yields the later
-        layers' factors (a ``RotationUnitary`` on the same qubits) and the
-        set of qubits that the factors not yet walked touch; last, the whole
-        rotation and the empty set. An operator that the walked factors take
-        onto qubits outside that set is already the rotated operator: every
-        factor not yet walked commutes with it and cancels.
-        """
-        reach, met = set(support), False
         ends = self.layer_starts[1:] + (len(self._ops),)
         for begin, end in reversed(list(zip(self.layer_starts, ends))):
-            grown, kept = set(reach), False
-            for _, wires in reversed(self._ops[begin:end]):
+            grown, before = set(reach), len(kept)
+            for mat, wires in reversed(self._ops[begin:end]):
                 if grown.intersection(wires):
                     grown.update(wires)
-                    kept = True
-            if met and grown != reach:
-                walked = RotationUnitary.__new__(RotationUnitary)
-                walked._place(list(self._ops[end:]), self.qubits)
-                yield walked, {q for _, wires in self._ops[:end] for q in wires}
-            reach, met = grown, met or kept
-        yield self, set()
+                    kept.append((mat, wires))
+            if before and grown != reach:
+                unwalked = {q for _, wires in self._ops[:end] for q in wires}
+                yield _cone(kept[:before], reach), unwalked
+            reach = grown
+        yield _cone(kept, reach), set()
 
     def apply(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         out = np.asarray(vec, dtype=np.complex128)
         for mat, wires in self._adjoint_ops if adjoint else self._ops:
             out = apply_matrix(out, mat, wires, self.num_qubits)
         return out
+
+
+def _cone(kept: list, reach: set[int]) -> RotationUnitary:
+    """The factors ``kept`` from the output side inward, in rotation order
+    on the qubits of ``reach``."""
+    cone = RotationUnitary.__new__(RotationUnitary)
+    cone._place(kept[::-1], reach)
+    return cone
 
 
 @cache
@@ -301,16 +281,15 @@ def _factored_hole(
 
 
 def _conjugated_block(
-    term: DressedTerm, rot: RotationUnitary, support: tuple[int, ...]
+    term: DressedTerm, cone: RotationUnitary, support: tuple[int, ...]
 ) -> tuple[np.ndarray, float]:
-    """Extract the rotated term on ``support`` plus the leakage residual.
+    """Extract the term rotated by ``cone`` on ``support``, plus leakage.
 
-    Everything runs on the light cone of ``support`` (``rot.cone``), where
-    the term conjugated by ``rot`` is exact; outside it the term is the
-    identity. ``rot`` is the whole rotation or, in ``rotate_term``'s walk,
-    the factors walked so far. The candidate block is the rotated term
-    between basis states that are zero outside the support, a superset of
-    the term's own. It comes from
+    ``cone`` is a light cone of ``support``, a stop of
+    ``RotationUnitary.walk`` or, for ``teleport_input``, the whole teleport
+    grid; everything runs on its qubits, and the cone grows no further.
+    The candidate block is the rotated term between basis states that are
+    zero outside the support, a superset of the term's own. It comes from
     the term's factors: every ``Λ(δ)`` dresses a shifted pair and is
     Bell-diagonal, and every rotation factor is a Bell-controlled Pauli or
     a gate on the output column, so ``U† L² U = L²`` and the block is
@@ -321,7 +300,6 @@ def _conjugated_block(
     support, and large when the factored block is wrong.
     """
     m = len(support)
-    cone = rot.cone(support)
     _require_extraction(m, cone)
     n = cone.num_qubits
     label = {q: i for i, q in enumerate(cone.qubits)}
@@ -358,14 +336,23 @@ def _require_extraction(m: int, cone: RotationUnitary) -> None:
 
 def require_cones(circuit: LayeredCircuit) -> None:
     """``_conjugated_block``'s budget check for every gate term of
-    ``circuit``, before any block is built; input terms are extracted on
-    the three-qubit teleport grid instead (``teleport_input``). It budgets
-    each term's wire cone, the largest extraction ``rotate_term``'s walk
-    may reach, although most terms stop on a smaller one."""
+    ``circuit``, on the cone it is extracted on, before any block is built.
+
+    A last-layer term or a term of a Pauli-normalizing gate is rotated by
+    ``rotate_term``, whose walk stops at its first stop for such a term;
+    any other term is sampled by ``locality_residual`` on the wire cone,
+    the last stop. Input terms are extracted on the three-qubit teleport
+    grid instead (``teleport_input``). A walk that goes on past its first
+    stop is refused at that stop's extraction, before it allocates.
+    """
     rot = RotationUnitary(circuit)
     for term in parent_spec(circuit, 1.0).terms:
-        if term.kind != "input":
-            _require_extraction(len(term.support), rot.cone(term.support))
+        if term.kind == "input":
+            continue
+        (gate,) = (g for g in circuit.layers[term.layer - 1] if g.wires == term.wires)
+        rotated = term.layer == circuit.depth or gate.is_clifford
+        cone, _ = list(rot.walk(term.support))[0 if rotated else -1]
+        _require_extraction(len(term.support), cone)
 
 
 def _trim_trivial_qubits(
@@ -407,11 +394,11 @@ def rotate_term(term: DressedTerm, circuit: LayeredCircuit) -> LocalTerm:
     """Conjugate one term by the circuit's rotation and re-localize it.
 
     Walks the rotation from the output side (``RotationUnitary.walk``).
-    At each stop the term is extracted on its own support through the
-    factors walked so far, validated against ``_CHECK_SAMPLES`` random
-    states of their light cone and trimmed down to the qubits it acts on;
-    the first block that passes and lies on qubits that no unwalked factor
-    touches is the rotated term, as every unwalked factor commutes with it.
+    At each stop the term is extracted on its own support on that stop's
+    cone, validated against ``_CHECK_SAMPLES`` random states of the cone
+    and trimmed down to the qubits it acts on; the first block that passes
+    and lies on qubits that no unwalked factor touches is the rotated term,
+    as every unwalked factor commutes with it.
     Terms of gates that normalize the Pauli group stay on their original
     support, after the next layer in (last-layer terms drop their output
     legs at their own layer's corrections). Raises on a term that leaks past
@@ -419,8 +406,8 @@ def rotate_term(term: DressedTerm, circuit: LayeredCircuit) -> LocalTerm:
     term of any other gate spreads onto the output column
     (``locality_residual`` measures how far).
     """
-    for walked, unwalked in RotationUnitary(circuit).walk(term.support):
-        block, residual = _conjugated_block(term, walked, term.support)
+    for cone, unwalked in RotationUnitary(circuit).walk(term.support):
+        block, residual = _conjugated_block(term, cone, term.support)
         if residual > _LEAKAGE_TOL:
             continue
         block, support = _trim_trivial_qubits(block, term.support)
@@ -433,12 +420,12 @@ def locality_residual(term: DressedTerm, circuit: LayeredCircuit) -> float:
     """How badly the rotated term fails to live on the term's own support.
 
     The worst leakage over ``_CHECK_SAMPLES`` random states of the wire
-    cone of the term's support (``RotationUnitary.cone``), the whole light
-    cone whether or not the term stops sooner. Zero for an exactly
-    localized rotation; order-one values mean the rotated term genuinely
-    spreads.
+    cone of the term's support, the last stop of ``RotationUnitary.walk``.
+    Zero for an exactly localized rotation; order-one values mean the
+    rotated term genuinely spreads.
     """
-    _, residual = _conjugated_block(term, RotationUnitary(circuit), term.support)
+    *_, (cone, _) = RotationUnitary(circuit).walk(term.support)
+    _, residual = _conjugated_block(term, cone, term.support)
     return residual
 
 

@@ -26,29 +26,31 @@ independent oracle:
   ``teleport_coefficient``; NaN when the input term is not dressed at the
   delta of the grid state's first layer.
 * ``last_layer[g]``: the rotated last-layer block, against
-  ``last_layer_form``. ``rotate_term`` extracts it through the last
-  layer's factors only, where it loses its output legs.
+  ``last_layer_form``. ``rotate_term`` extracts it on the first cone of the
+  rotation's walk from the output side (``RotationUnitary.walk``), the last
+  layer's factors, where it loses its output legs.
 * ``clifford_bulk[g]``: the rotated bulk block of a Pauli-normalizing gate,
   against ``clifford_form``, whose delta-free ``clifford_hole`` is built
-  once per fixture and gate; extracted through the factors down to the
-  gate's own layer.
+  once per fixture and gate; extracted on the walk's first cone, the
+  factors down to the gate's own layer.
 * ``projected_bulk[g]``: that block with its right pairs projected onto
   their ground state, against ``projected_bulk_form``.
 * ``nonlocality_diagnostic[g]``: for any other bulk gate, the leakage
   ``locality_residual`` onto the output column, which must exceed 1e-3: the
-  worst over random states of the light cone of the term's support.
+  worst over random states of the walk's last cone, the wire cone, which
+  every factor that reaches the term's support takes part in.
 
 A deviation within the tolerance passes; one within ``_ACCURACY_FLOOR``,
 the accuracy the closed forms are computed to, lands in the "tolerance"
 class; anything larger fails.
 
 The (fixture, delta) cases share nothing but each fixture's Clifford
-holes, so they run apart: the calling process budgets every light cone,
-builds the holes and resolves every schedule first, then ``limits.fork_map``
-runs the cases in forked workers, one per CPU, which inherit the cases and
-send back only their rows; the rows keep their fixture-major, then delta,
-order.  A single case, as in ``verify --circuit``, runs in the calling
-process.
+holes, so they run apart: the calling process budgets the cone each term
+is extracted on (``require_cones``), builds the holes and resolves every
+schedule first, then ``limits.fork_map`` runs the cases in forked workers,
+one per CPU, which inherit the cases and send back only their rows; the
+rows keep their fixture-major, then delta, order.  A single case, as in
+``verify --circuit``, runs in the calling process.
 """
 
 from __future__ import annotations
@@ -319,9 +321,10 @@ def verify_checks(
     ``schedules(circuit, delta)`` returns the per-layer schedule of the
     grid state and the one of its checked Hamiltonian, which a negative
     control may doctor; by default both are the uniform delta.  Before the
-    first case runs, this process budgets every term's light cone
-    (``require_cones``), builds each fixture's Clifford holes and resolves
-    every case's schedules, so a bad input is refused before any worker starts.
+    first case runs, this process budgets the cone each gate term is
+    extracted on (``require_cones``), builds each fixture's Clifford holes
+    and resolves every case's schedules, so a bad input is refused before
+    any worker starts.
     The (fixture, delta) cases then run through ``limits.fork_map``, in
     forked workers that inherit them or, with one CPU or one case, here;
     their rows come back by pickle, fixture-major, then by delta.

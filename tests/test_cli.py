@@ -1019,19 +1019,36 @@ def test_verify_runs_an_expansion_past_six_sites(tmp_path):
 
 
 @pytest.mark.parametrize("depth", [9, 10], ids=["19q", "21q"])
-def test_verify_refuses_an_oversized_light_cone_before_any_case(
-    tmp_path, capsys, monkeypatch, depth
-):
-    # the light cones of the last terms span 19 qubits or more: their check
-    # states alone outgrow the memory budget, although the grid state and
-    # its Pauli expansion fit
-    cases = []
-    monkeypatch.setattr(verify, "_case_checks", lambda case, tol: cases.append(case))
+def test_verify_runs_a_long_wire_on_the_cones_its_terms_stop_on(tmp_path, depth):
+    # 19 and 21 qubits: each H term stops on a cone of 3 or 5 qubits, so the
+    # run fits the memory budget, although the wire cones of the last terms
+    # span the whole grid and their check states alone would outgrow it
     circuit = _one_wire_json(tmp_path / "long.json", ["H"] * depth)
     out = tmp_path / "out"
-    assert main(["verify", "--circuit", circuit, "--out", str(out)]) == 2
+    assert main(["verify", "--circuit", circuit, "--out", str(out)]) == 0
+    rows = read_csv(out / "verify.csv")[1:]
+    # the three state rows, one last-layer row and two rows per bulk H
+    assert len(rows) == 2 * depth + 2 and {r[6] for r in rows} == {"pass"}
+
+
+def test_verify_refuses_an_oversized_light_cone_before_any_case(
+    tmp_path, capsys, monkeypatch
+):
+    # the T term's leakage is sampled on its wire cone, 22 of the 26 qubits:
+    # its check states alone outgrow the memory budget
+    cases = []
+    monkeypatch.setattr(verify, "_case_checks", lambda case, tol: cases.append(case))
+    cnot = [{"gate": "CNOT", "wires": [0, 1]}]
+    layers = [cnot] * 4 + [[{"gate": "T", "wires": [0]}, {"gate": "I", "wires": [1]}]]
+    circuit = tmp_path / "wide.json"
+    circuit.write_text(
+        json_text({"version": 1, "n": 2, "a": 0, "layers": layers + [cnot]})
+    )
+    out = tmp_path / "out"
+    assert main(["verify", "--circuit", str(circuit), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "rotated-block extraction on 19 qubits" in err and "GiB" in err
+    assert "rotated-block extraction on 22 qubits" in err
+    assert "about 3.75 GiB" in err
     assert cases == [] and not out.exists()
 
 

@@ -33,7 +33,7 @@ from clockless.rotation import (
     teleport_coefficient,
     teleport_input,
 )
-from clockless.verify import named_fixtures
+from clockless.verify import named_fixtures, verify_checks
 from oracles import bell_state
 
 
@@ -217,10 +217,11 @@ def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):
     """The rotated block and leakage residual, one column at a time, with
     the full grid's rotation.
 
-    The random states are drawn on the light cone of ``support`` and lifted
-    onto the grid with every other qubit at 0, where the rotated term acts
-    as the identity; a cone too small to hold the rotated term shows as
-    leakage off it."""
+    The random states are drawn on the light cone of ``support``, grown
+    here over the grid's factors from the output side, and lifted onto the
+    grid with every other qubit at 0, where the rotated term acts as the
+    identity; a cone too small to hold the rotated term shows as leakage
+    off it."""
     rot = RotationUnitary(circuit)
     n = rot.num_qubits
     place = bit_placement(support)
@@ -235,7 +236,11 @@ def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):
         vec = np.zeros(2**n, dtype=np.complex128)
         vec[place[i]] = 1.0
         block[:, i] = rotated(vec)[place]
-    cone = bit_placement(rot.cone(support).qubits)
+    reach = set(support)
+    for _, wires in reversed(rot._ops):
+        if reach.intersection(wires):
+            reach.update(wires)
+    cone = bit_placement(sorted(reach))
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -245,6 +250,12 @@ def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):
         rhs = apply_matrix(lifted, block, tuple(reversed(support)), n)
         worst = max(worst, float(np.linalg.norm(rotated(lifted) - rhs)))
     return block, worst
+
+
+def wire_cone(circuit, support):
+    """The last stop of the rotation's walk for ``support``: its wire cone."""
+    *_, (cone, _) = RotationUnitary(circuit).walk(support)
+    return cone
 
 
 def rows_support(term, layout):
@@ -265,14 +276,13 @@ def test_batched_extraction_matches_column_loop(name):
     # which even the spreading T term acts within rounding
     c = BATCH_FIXTURES[name]
     spec = parent_spec(c, (0.3, 0.6))
-    rot = RotationUnitary(c)
     for term in spec.terms:
         if term.kind != "propagation" or term.layer != 1:
             continue
         full = rows_support(term, spec.layout)
         want, want_residual = conjugated_block_loop_reference(term, c, full)
         assert want_residual < 1e-12
-        block, residual = rotation._conjugated_block(term, rot, full)
+        block, residual = rotation._conjugated_block(term, wire_cone(c, full), full)
         assert np.max(np.abs(block - want)) < 1e-13
         assert abs(residual - want_residual) < 1e-13
         _, own = conjugated_block_loop_reference(term, c, term.support)
@@ -285,15 +295,16 @@ def test_factored_blocks_match_column_loop():
     sides = set()
     for name, c in named_fixtures():
         spec = parent_spec(c, (0.3, 0.6)[: c.depth])
-        rot = RotationUnitary(c)
         for term in spec.terms:
             if term.kind not in ("propagation", "input"):
                 continue
             support = rows_support(term, spec.layout)
-            n = rot.cone(support).num_qubits
-            factor_columns = term.kernel_factor.shape[1] << (n - term.locality)
+            cone = wire_cone(c, support)
+            factor_columns = term.kernel_factor.shape[1] << (
+                cone.num_qubits - term.locality
+            )
             sides.add(factor_columns <= 2 ** len(support))
-            block, residual = rotation._conjugated_block(term, rot, support)
+            block, residual = rotation._conjugated_block(term, cone, support)
             want, want_residual = conjugated_block_loop_reference(term, c, support)
             assert np.abs(block - want).max() <= 1e-13, (name, str(term))
             assert abs(residual - want_residual) <= 1e-13, (name, str(term))
@@ -321,10 +332,10 @@ def test_cone_extraction_matches_the_full_grid():
     sizes, localized = [], 0
     for name, c in named_fixtures():
         spec = parent_spec(c, (0.3, 0.6)[: c.depth])
-        rot = RotationUnitary(c)
         for term in spec.terms:
-            sizes.append(rot.cone(term.support).num_qubits)
-            block, residual = rotation._conjugated_block(term, rot, term.support)
+            cone = wire_cone(c, term.support)
+            sizes.append(cone.num_qubits)
+            block, residual = rotation._conjugated_block(term, cone, term.support)
             want, want_residual = conjugated_block_loop_reference(
                 term, c, term.support
             )
@@ -344,12 +355,10 @@ def test_a_cone_short_of_one_factor_is_refused(monkeypatch):
     # with the innermost factor of every cone dropped, the one next to the
     # term in U† T U and the first the walk keeps, each localized term
     # either leaks off its support or rotates onto the wrong block
-    cone = RotationUnitary.cone
+    cone = rotation._cone
 
-    def short(self, support):
-        whole = cone(self, support)
-        whole._place(list(whole._ops[:-1]), whole.qubits)
-        return whole
+    def short(kept, reach):
+        return cone(kept[1:], reach)
 
     checked = refused = 0
     for name, c in named_fixtures():
@@ -360,7 +369,7 @@ def test_a_cone_short_of_one_factor_is_refused(monkeypatch):
             want, _ = conjugated_block_loop_reference(term, c, term.support)
             want, want_support = rotation._trim_trivial_qubits(want, term.support)
             with monkeypatch.context() as patch:
-                patch.setattr(RotationUnitary, "cone", short)
+                patch.setattr(rotation, "_cone", short)
                 try:
                     got = rotate_term(term, c)
                 except ValueError as err:
@@ -392,9 +401,9 @@ def _walked(term, c, patch):
     cones = []
     extract = rotation._conjugated_block
 
-    def recording(term, rot, support):
-        cones.append(rot.cone(support).num_qubits)
-        return extract(term, rot, support)
+    def recording(term, cone, support):
+        cones.append(cone.num_qubits)
+        return extract(term, cone, support)
 
     patch.setattr(rotation, "_conjugated_block", recording)
     return rotate_term(term, c), cones
@@ -408,17 +417,17 @@ def test_the_walk_lands_on_the_wire_cone_block(monkeypatch):
     checked = 0
     for name, c in named_fixtures() + [("C14", C14)]:
         spec = parent_spec(c, WALK_SCHEDULE[: c.depth])
-        rot = RotationUnitary(c)
         for term in spec.terms:
             if not _localized(c, term):
                 continue
-            want, residual = rotation._conjugated_block(term, rot, term.support)
+            whole = wire_cone(c, term.support)
+            want, residual = rotation._conjugated_block(term, whole, term.support)
             assert residual < 1e-12, (name, str(term))
             want, want_support = rotation._trim_trivial_qubits(want, term.support)
             with monkeypatch.context() as patch:
                 got, cones = _walked(term, c, patch)
             assert len(cones) == 1, (name, str(term))
-            assert cones[0] <= rot.cone(term.support).num_qubits
+            assert cones[0] <= whole.num_qubits
             assert got.support == want_support, (name, str(term))
             assert np.abs(got.block - want).max() <= 1e-13, (name, str(term))
             checked += 1
@@ -448,6 +457,49 @@ def test_decided_cones_are_pinned(monkeypatch):
         "C14": [5, 10, 3, 3],
         "c18": [5, 10, 5, 5, 6],
     }
+
+
+# One wire whose T terms stop nowhere else in the circuits above: a
+# non-Pauli-normalizing bulk gate past layer 1, so its wire cone is not the
+# walk's first stop, and one in the last layer, rotated on the first stop.
+T_TAIL = layered(1, 1, [[("I", (0,))], [("T", (0,))], [("T", (0,))]])
+
+
+def test_the_budget_checks_the_cone_verify_extracts_on(monkeypatch, pin_cpus):
+    # each gate term of the verify fixtures, C14, c18 and T_TAIL: the cone
+    # that require_cones budgets is the cone of the extraction whose block
+    # or residual verify keeps, the last one it makes for the term. One CPU
+    # keeps each case in this process.
+    pin_cpus(1)
+    checked = 0
+    circuits = [("C14", C14), ("c18", C18), ("t_tail", T_TAIL)]
+    for name, c in named_fixtures() + circuits:
+        budgeted, kept = [], {}
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                rotation, "_require_extraction",
+                lambda m, cone: budgeted.append(cone.num_qubits),
+            )
+            rotation.require_cones(c)
+        extract = rotation._conjugated_block
+
+        def recording(term, cone, support):
+            if term.kind != "input":
+                kept[(term.layer, term.wires)] = cone.num_qubits
+            return extract(term, cone, support)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(rotation, "_conjugated_block", recording)
+            verify_checks([(name, c)], (0.3,), 1e-10)
+        gate_terms = [
+            (term.layer, term.wires)
+            for term in parent_spec(c, 1.0).terms
+            if term.kind != "input"
+        ]
+        assert list(zip(gate_terms, budgeted)) == list(kept.items()), name
+        checked += len(budgeted)
+    # 15 gate terms in the fixtures, 5 in C14, 6 in c18 and 3 in T_TAIL
+    assert checked == 29
 
 
 def test_a_term_the_walk_leaves_on_the_output_is_refused(monkeypatch):
@@ -511,9 +563,9 @@ def test_check_states_are_drawn_once():
 def test_chunked_extraction_matches_unchunked(monkeypatch):
     c = BATCH_FIXTURES["t_bulk"]
     term = propagation_term(gate("T", (0,)), 1, 0.5, GridLayout(2, 2))
-    rot = RotationUnitary(c)
     wide = rows_support(term, GridLayout(2, 2))
-    whole, whole_leak = rotation._conjugated_block(term, rot, wide)
+    cone = wire_cone(c, wide)
+    whole, whole_leak = rotation._conjugated_block(term, cone, wide)
     whole_residual = locality_residual(term, c)
     calls = []
     apply = RotationUnitary.apply
@@ -529,7 +581,7 @@ def test_chunked_extraction_matches_unchunked(monkeypatch):
     # take 3 chunks, each a forward and an adjoint rotation.
     monkeypatch.setattr(rotation, "_BATCH_BYTES", 20 * 16 * 2**10)
     monkeypatch.setattr(RotationUnitary, "apply", counting)
-    chunked, chunked_leak = rotation._conjugated_block(term, rot, wide)
+    chunked, chunked_leak = rotation._conjugated_block(term, cone, wide)
     assert len(calls) == 2 + 2 * 3 and max(calls) == 20
     calls.clear()
     # 5 columns of the 5-qubit light cone of the term's own support per
@@ -631,9 +683,9 @@ def _counting_extractions(patch):
     supports = []
     extract = rotation._conjugated_block
 
-    def counting(term, rot, support):
+    def counting(term, cone, support):
         supports.append(tuple(support))
-        return extract(term, rot, support)
+        return extract(term, cone, support)
 
     patch.setattr(rotation, "_conjugated_block", counting)
     return supports
@@ -654,7 +706,7 @@ def _widened_reference(term, c):
     """The rotated term extracted on its support widened by its rows'
     output qubits, then trimmed."""
     support = rows_support(term, GridLayout(c.n, c.depth))
-    block, residual = rotation._conjugated_block(term, RotationUnitary(c), support)
+    block, residual = rotation._conjugated_block(term, wire_cone(c, support), support)
     assert residual < 1e-9
     return rotation._trim_trivial_qubits(block, support)
 

@@ -108,16 +108,18 @@ def test_teleported_rows_extract_once_on_the_teleport_grid(monkeypatch, pin_cpus
     rotation._teleported.cache_clear()
     extract, calls = rotation._conjugated_block, []
 
-    def counting(term, rot, support):
-        calls.append((rot.num_qubits, tuple(support)))
-        return extract(term, rot, support)
+    def counting(term, cone, support):
+        calls.append((term.kind, cone.num_qubits, tuple(support)))
+        return extract(term, cone, support)
 
     monkeypatch.setattr(rotation, "_conjugated_block", counting)
     c = dict(named_fixtures())["identity2"]
     checks = verify_checks([("identity2", c)], (0.2, 0.5), TOL)
     rows = [ch for ch in checks if ch.name.startswith("teleported_input")]
     assert len(rows) == 4 and {row.status for row in rows} == {"pass"}
-    assert [call for call in calls if call[0] == 3] == [(3, (0, 1, 2))] * 2
+    # picked by kind: identity2's last-layer cones are 3 qubits too
+    inputs = [call for call in calls if call[0] == "input"]
+    assert inputs == [("input", 3, (0, 1, 2))] * 2
     _, reduced, _ = rotation._teleported(0.5)
     assert not reduced.flags.writeable
 
