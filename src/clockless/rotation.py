@@ -38,11 +38,11 @@ fewer columns (``_factored_hole``). The random leakage-check states, drawn
 once per cone size, go through ``U† T U`` as (2^|cone|, batch) arrays in
 chunks of at most ``_BATCH_BYTES``; the memory budget bounds each
 extraction by what its cone holds. The result is a dense ``LocalTerm``
-with the kind, layer and wires of the term it came from. The Clifford hole is
-``B S B^dagger``: B holds the Bell product basis, S counts the Bell-label
-pairings, scattered from ``clifford_partners``' arrays in one step. It does
-not depend on delta, so ``clifford_hole`` builds it once per gate and
-``dress_clifford_hole`` dresses it per delta.
+with the kind, layer and wires of the term it came from. ``clifford_form``
+builds its closed form in the Bell-label basis, where Λ(δ) is diagonal and
+the gate enters only through the pairing of labels that
+``clifford_partners`` lists, and then takes it to the computational basis
+through each wire's 16 x 16 Bell basis, one axis at a time.
 
 Support bookkeeping follows the term convention: block bit ``i`` is qubit
 ``support[i]``, so a pair occupies two adjacent bits (low column first) and
@@ -85,8 +85,6 @@ __all__ = [
     "projected_gap_check",
     "clifford_partners",
     "clifford_form",
-    "clifford_hole",
-    "dress_clifford_hole",
     "pair_ground",
     "require_cones",
     "teleport_input",
@@ -555,58 +553,48 @@ def clifford_partners(g: Gate) -> tuple[np.ndarray, np.ndarray]:
     return mu.astype(np.complex128), index[q]
 
 
-def _bulk_bell_basis(wires: tuple[int, ...]) -> np.ndarray:
-    """Bell product vectors in bulk bit order; column ``left * 4^k + right``.
-
-    ``left``/``right`` index ``tag_words(k)``; word position p labels the
-    pairs of ``wires[p]``. Per wire the bits read (Ll, Lh, Rl, Rh) from the
-    least significant end; the largest wire takes the highest bits.
-    """
-    k = len(wires)
-    order = sorted(range(k), key=lambda p: wires[p], reverse=True)
-    per_wire = np.kron(bell_basis_matrix(), bell_basis_matrix())
-    full = reduce(np.kron, [per_wire] * k).reshape((16**k,) + (4, 4) * k)
-    # Column axes come as (right tag, left tag) per wire, highest wire first.
-    left = [2 + 2 * order.index(p) for p in range(k)]
-    right = [1 + 2 * order.index(p) for p in range(k)]
-    return full.transpose([0] + left + right).reshape(16**k, 16**k)
-
-
-def clifford_hole(g: Gate) -> np.ndarray:
-    """The delta-free part of ``clifford_form``: ``I - B S B^dagger / 4^k``.
-
-    The unrotated gate enters only through the pairing of Bell labels;
-    every matched pair of labels contributes with weight 4^-k, so the hole
-    is ``B S B^dagger`` for the Bell product basis B and the integer matrix
-    S that counts the pairings. It depends only on the gate and its wires.
-    """
-    n = 4**g.arity
-    _, t_col = clifford_partners(g)
-    r, c, t = np.indices(t_col.shape)
-    pairing = np.zeros((n * n, n * n))
-    np.add.at(pairing, (t * n + r, t_col * n + c), 1)
-    basis = _bulk_bell_basis(g.wires)
-    return np.eye(n * n) - basis @ pairing @ basis.conj().T / n
-
-
-def dress_clifford_hole(
-    hole: np.ndarray, delta_left: float, delta_right: float
-) -> np.ndarray:
-    """``clifford_form`` from its ``clifford_hole``: the hole between two
-    copies of ``Lambda(delta_right) (x) Lambda(delta_left)`` on every wire."""
-    k = (hole.shape[0].bit_length() - 1) // 4
-    per_wire = np.kron(lambda_matrix(delta_right), lambda_matrix(delta_left))
-    dress = reduce(np.kron, [per_wire] * k)
-    return dress @ hole @ dress
+# The Bell product basis of one wire's two pairs, in bulk bit order, column
+# ``right * 4 + left`` by PAULI_TAGS position. Its entries are 0 and ±1/2,
+# rounded to those values so that the basis adds no error to the form.
+_WIRE_BELL_BASIS = (
+    np.rint(2 * np.kron(bell_basis_matrix(), bell_basis_matrix()).real) / 2
+)
+_WIRE_BELL_BASIS.flags.writeable = False
 
 
 def clifford_form(g: Gate, delta_left: float, delta_right: float) -> np.ndarray:
     """Closed rotated block of a bulk term for a Pauli-normalizing gate.
 
     Acts on 4k qubits (k left pairs then k right pairs, interleaved per
-    wire): the gate's ``clifford_hole`` dressed by ``dress_clifford_hole``.
+    wire). On the Bell label (left word, right word), row ``left * 4^k +
+    right`` by ``tag_words(k)`` positions, it is ``diag(W²) - W S W / 4^k``:
+    S has a 1 at each pairing of ``clifford_partners`` and W is the label's
+    eigenvalue of ``Λ(delta_left)`` on the left pairs times
+    ``Λ(delta_right)`` on the right. That matrix goes through each wire's
+    Bell basis, one label axis at a time; the Bell product basis of all
+    the pairs is never formed.
     """
-    return dress_clifford_hole(clifford_hole(g), delta_left, delta_right)
+    k = g.arity
+    n = 4**k
+    _, t_col = clifford_partners(g)
+    r, c, t = np.indices(t_col.shape)
+    rows, cols = t * n + r, t_col * n + c
+    # Λ(delta) has eigenvalue delta on the I tag and 1 on the others.
+    deltas = (delta_left,) * k + (delta_right,) * k
+    w = reduce(np.kron, [np.array([d, 1.0, 1.0, 1.0]) for d in deltas])
+    # A row label's partners differ in s_col, so no entry is set twice.
+    form = np.zeros((n * n, n * n))
+    form[rows, cols] = w[rows] * w[cols] / -n
+    form[np.diag_indices(n * n)] += w**2
+    # Per wire from the highest, (right tag, left tag): the order of its bits.
+    order = sorted(range(k), key=lambda p: g.wires[p], reverse=True)
+    axes = [a for p in order for a in (k + p, p)]
+    form = form.reshape((4,) * (4 * k)).transpose(axes + [2 * k + a for a in axes])
+    form = form.reshape((16,) * (2 * k))
+    for _ in range(2 * k):
+        # The leading label axis goes to its wire's bits and moves last.
+        form = np.tensordot(form, _WIRE_BELL_BASIS, axes=([0], [1]))
+    return form.reshape(n * n, n * n)
 
 
 def pair_ground(

@@ -30,8 +30,7 @@ independent oracle:
   rotation's walk from the output side (``RotationUnitary.walk``), the last
   layer's factors, where it loses its output legs.
 * ``clifford_bulk[g]``: the rotated bulk block of a Pauli-normalizing gate,
-  against ``clifford_form``, whose delta-free ``clifford_hole`` is built
-  once per fixture and gate; extracted on the walk's first cone, the
+  against ``clifford_form``; extracted on the walk's first cone, the
   factors down to the gate's own layer.
 * ``projected_bulk[g]``: that block with its right pairs projected onto
   their ground state, against ``projected_bulk_form``.
@@ -40,17 +39,19 @@ independent oracle:
   worst over random states of the walk's last cone, the wire cone, which
   every factor that reaches the term's support takes part in.
 
-A deviation within the tolerance passes; one within ``_ACCURACY_FLOOR``,
-the accuracy the closed forms are computed to, lands in the "tolerance"
-class; anything larger fails.
+The last-layer, Clifford and projected rows measure the spectral norm of
+the Hermitian difference between the rotated block and its closed form.  A
+deviation within the tolerance passes; one within ``_ACCURACY_FLOOR``, the
+accuracy the closed forms are computed to, lands in the "tolerance" class;
+anything larger fails.
 
-The (fixture, delta) cases share nothing but each fixture's Clifford
-holes, so they run apart: the calling process budgets the cone each term
-is extracted on (``require_cones``), builds the holes and resolves every
-schedule first, then ``limits.fork_map`` runs the cases in forked workers,
-one per CPU, which inherit the cases and send back only their rows; the
-rows keep their fixture-major, then delta, order.  A single case, as in
-``verify --circuit``, runs in the calling process.
+The (fixture, delta) cases share nothing, so they run apart: the calling
+process budgets the cone each term is extracted on (``require_cones``) and
+resolves every schedule first, then ``limits.fork_map`` runs the cases in
+forked workers, one per CPU, which inherit the cases, build every closed
+form they check against and send back only their rows; the rows keep their
+fixture-major, then delta, order.  A single case, as in ``verify
+--circuit``, runs in the calling process.
 """
 
 from __future__ import annotations
@@ -74,8 +75,7 @@ from .peps import (
     resolve_deltas,
 )
 from .rotation import (
-    clifford_hole,
-    dress_clifford_hole,
+    clifford_form,
     last_layer_form,
     locality_residual,
     pair_ground,
@@ -203,17 +203,12 @@ def ground_fidelity_check(
     )
 
 
-def _clifford_holes(
-    c: LayeredCircuit,
-) -> dict[tuple[int, tuple[int, ...]], np.ndarray]:
-    """``clifford_hole`` of each Pauli-normalizing bulk gate of ``c``, by
-    (layer, wires); none depends on delta, so a fixture builds each once."""
-    return {
-        (layer, tuple(g.wires)): clifford_hole(g)
-        for layer, gates in enumerate(c.layers[:-1], start=1)
-        for g in gates
-        if g.is_clifford
-    }
+def _norm_deviation(block: np.ndarray, closed: np.ndarray) -> float:
+    """The spectral norm of ``block - closed``, two Hermitian matrices: the
+    largest eigenvalue magnitude of the difference, found for less than its
+    singular values cost."""
+    eigs = np.linalg.eigvalsh(block - closed)
+    return float(max(-eigs[0], eigs[-1]))
 
 
 def _rotated_checks(
@@ -222,7 +217,6 @@ def _rotated_checks(
     spec: HamiltonianSpec,
     schedule,
     tol: float,
-    holes: dict[tuple[int, tuple[int, ...]], np.ndarray],
 ) -> list[Check]:
     checks: list[Check] = []
     depth = c.depth
@@ -251,16 +245,16 @@ def _rotated_checks(
             closed = last_layer_form(k, schedule[depth - 1])
             checks.append(_zero_check(
                 f"last_layer[{tag}]", name, schedule[depth - 1],
-                float(np.linalg.norm(rotated.block - closed, 2)), tol,
+                _norm_deviation(rotated.block, closed), tol,
             ))
             continue
         dl, dr = schedule[term.layer - 1], schedule[term.layer]
         if gate.is_clifford:
             rotated = rotate_term(term, c)
-            closed = dress_clifford_hole(holes[(term.layer, term.wires)], dl, dr)
+            closed = clifford_form(gate, dl, dr)
             checks.append(_zero_check(
                 f"clifford_bulk[{tag}]", name, dl,
-                float(np.linalg.norm(rotated.block - closed, 2)), tol,
+                _norm_deviation(rotated.block, closed), tol,
             ))
             qubits, ground = pair_ground(
                 spec.layout, term.layer + 1, sorted(term.wires), dr
@@ -271,7 +265,7 @@ def _rotated_checks(
             closed = projected_bulk_form(k, dl, dr)
             checks.append(_zero_check(
                 f"projected_bulk[{tag}]", name, dl,
-                float(np.linalg.norm(reduced - closed, 2)), tol,
+                _norm_deviation(reduced, closed), tol,
             ))
         else:
             residual = float(locality_residual(term, c))
@@ -284,8 +278,9 @@ def _rotated_checks(
 
 def _case_checks(case, tol: float) -> list[Check]:
     """The rows of one (fixture, delta) case: ``(name, c, delta, (schedule,
-    spec_schedule), holes)``, with ``holes`` from ``_clifford_holes(c)``."""
-    name, c, delta, (schedule, spec_schedule), holes = case
+    spec_schedule))``. Every closed form is built here, by the case that
+    checks against it."""
+    name, c, delta, (schedule, spec_schedule) = case
     state = build_peps(c, schedule)
     spec = parent_spec(c, spec_schedule)
     report = energy(spec, state)
@@ -306,7 +301,7 @@ def _case_checks(case, tol: float) -> list[Check]:
     checks.append(_zero_check(
         "depolarizing_marginal", name, delta, deviation, tol
     ))
-    checks.extend(_rotated_checks(name, c, spec, schedule, tol, holes))
+    checks.extend(_rotated_checks(name, c, spec, schedule, tol))
     return checks
 
 
@@ -322,24 +317,23 @@ def verify_checks(
     grid state and the one of its checked Hamiltonian, which a negative
     control may doctor; by default both are the uniform delta.  Before the
     first case runs, this process budgets the cone each gate term is
-    extracted on (``require_cones``), builds each fixture's Clifford holes
-    and resolves every case's schedules, so a bad input is refused before
-    any worker starts.
+    extracted on (``require_cones``) and resolves every case's schedules,
+    so a bad input is refused before any worker starts.
     The (fixture, delta) cases then run through ``limits.fork_map``, in
     forked workers that inherit them or, with one CPU or one case, here;
-    their rows come back by pickle, fixture-major, then by delta.
+    each case builds its own closed forms, and the rows come back by
+    pickle, fixture-major, then by delta.
     """
     for _, c in fixtures:
         require_cones(c)
     cases = []
     for name, c in fixtures:
-        holes = _clifford_holes(c)
         for delta in deltas:
             if schedules is None:
                 pair = (resolve_deltas(delta, c.depth),) * 2
             else:
                 pair = schedules(c, delta)
-            cases.append((name, c, delta, pair, holes))
+            cases.append((name, c, delta, pair))
     rows = fork_map(lambda case: _case_checks(case, tol), cases)
     return [check for case_rows in rows for check in case_rows]
 

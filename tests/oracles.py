@@ -2,14 +2,23 @@
 against, and the reader of the state files that ``build`` writes."""
 
 import os
+from functools import reduce
 
 import numpy as np
 
-from clockless.circuit import LayeredCircuit, apply_circuit
+from clockless.circuit import Gate, LayeredCircuit, apply_circuit
 from clockless.io import SchemaError
 from clockless.limits import dense_bytes, require
 from clockless.linalg import is_hermitian
 from clockless.pauli import _bell
+from clockless.rotation import clifford_partners
+
+# Column t is sqrt(2) times the Bell state of PAULI_TAGS[t], as the
+# ``clockless.pauli`` docstring lists them: integer entries, so the oracles
+# built from them round only in their own products.
+SCALED_BELL_BASIS = np.array(
+    [[1, 0, 0, 1], [0, 1, 1, 0], [0, -1, 1, 0], [1, 0, 0, -1]], dtype=float
+).T
 
 
 def circuit_unitary(c: LayeredCircuit) -> np.ndarray:
@@ -38,3 +47,42 @@ def read_state_bin(path) -> np.ndarray:
             f"binary state file holds {raw.size} floats, expected an even count"
         )
     return raw[0::2] + 1j * raw[1::2]
+
+
+def _scaled_bulk_bell_basis(wires) -> np.ndarray:
+    """2^k times the Bell product vectors of a bulk term on ``wires``, in
+    bulk bit order, column ``left * 4^k + right`` by ``tag_words(k)``
+    position; word position p labels the pairs of ``wires[p]``. Per wire the
+    bits read (left low, left high, right low, right high) from the least
+    significant end; the largest wire takes the highest bits."""
+    k = len(wires)
+    order = sorted(range(k), key=lambda p: wires[p], reverse=True)
+    per_wire = np.kron(SCALED_BELL_BASIS, SCALED_BELL_BASIS)
+    full = reduce(np.kron, [per_wire] * k).reshape((16**k,) + (4, 4) * k)
+    # Column axes come as (right tag, left tag) per wire, highest wire first.
+    left = [2 + 2 * order.index(p) for p in range(k)]
+    right = [1 + 2 * order.index(p) for p in range(k)]
+    return full.transpose([0] + left + right).reshape(16**k, 16**k)
+
+
+def dense_clifford_form(g: Gate, delta_left: float, delta_right: float):
+    """``rotation.clifford_form`` as dense products: the hole ``I - B S B^T
+    / 4^k`` of the Bell product basis B and the pairing counts S, between
+    two copies of ``Lambda(delta_right) (x) Lambda(delta_left)`` on every
+    wire, each Lambda summed from the Bell projectors."""
+    k = g.arity
+    n = 4**k
+    _, t_col = clifford_partners(g)
+    r, c, t = np.indices(t_col.shape)
+    pairing = np.zeros((n * n, n * n))
+    np.add.at(pairing, (t * n + r, t_col * n + c), 1)
+    basis = _scaled_bulk_bell_basis(g.wires)
+    hole = np.eye(n * n) - basis @ pairing @ basis.T / (n * 4**k)
+    projectors = [np.outer(b, b) / 2 for b in SCALED_BELL_BASIS.T]
+
+    def lam(delta):
+        return delta * projectors[0] + sum(projectors[1:])
+
+    per_wire = np.kron(lam(delta_right), lam(delta_left))
+    dress = reduce(np.kron, [per_wire] * k)
+    return dress @ hole @ dress

@@ -1,5 +1,6 @@
 """Rotated-frame closed forms for the grid Hamiltonian terms."""
 
+import itertools
 import tracemalloc
 from functools import reduce
 
@@ -7,13 +8,14 @@ import numpy as np
 import pytest
 
 from clockless import rotation
-from clockless.circuit import gate, layered
+from clockless.circuit import NAMED_GATES, gate, layered
 from clockless.hamiltonian import (
     DressedTerm, input_term, parent_spec, propagation_term,
 )
 from clockless.limits import dense_bytes
 from clockless.linalg import apply_matrix, bit_placement
 from clockless.pauli import (
+    bell_basis_matrix,
     lambda_matrix,
     phi0,
     tag_words,
@@ -34,7 +36,7 @@ from clockless.rotation import (
     teleport_input,
 )
 from clockless.verify import named_fixtures, verify_checks
-from oracles import bell_state
+from oracles import SCALED_BELL_BASIS, bell_state, dense_clifford_form
 
 
 def bulk_fixture(name, wires):
@@ -211,6 +213,52 @@ def test_clifford_form_matches_outer_product_reference(name, wires):
     dress = reduce(np.kron, [per_wire] * k)
     want = dress @ (np.eye(16**k) - hole / 4**k) @ dress
     assert np.max(np.abs(clifford_form(g, dl, dr) - want)) < 1e-13
+
+
+def wire_orders(name):
+    """Every order of a named gate's wires over 0..k-1."""
+    k = len(NAMED_GATES[name]).bit_length() - 1
+    return list(itertools.permutations(range(k)))
+
+
+CLIFFORD_GATES = [
+    (name, wires)
+    for name in NAMED_GATES
+    for wires in wire_orders(name)
+    if gate(name, wires).is_clifford
+]
+
+
+def test_the_oracle_bell_basis_is_the_package_one():
+    assert np.max(np.abs(SCALED_BELL_BASIS / np.sqrt(2) - bell_basis_matrix())) < 1e-15
+
+
+@pytest.mark.parametrize("name,wires", CLIFFORD_GATES)
+def test_clifford_form_matches_the_dense_oracle(name, wires):
+    g = gate(name, wires)
+    for dl, dr in [(0.5, 0.5), (0.3, 0.7), (0.2, 0.9), (0.9, 0.2)]:
+        got = clifford_form(g, dl, dr)
+        assert np.max(np.abs(got - dense_clifford_form(g, dl, dr))) < 1e-15
+
+
+@pytest.mark.parametrize("name,wires", [("T", (0,)), ("CCZ", (0, 1, 2))])
+def test_clifford_form_refuses_a_non_normalizing_gate(name, wires):
+    with pytest.raises(ValueError, match="does not normalize the Pauli group"):
+        clifford_form(gate(name, wires), 0.5, 0.5)
+
+
+def test_clifford_form_of_cnot_holds_no_dense_bell_product():
+    # the 256 x 256 form itself is 0.5 MiB of float64; a dense Bell product
+    # basis and its products with the pairing (5.2 MiB traced) stay unbuilt
+    g = gate("CNOT", (1, 0))
+    clifford_form(g, 0.3, 0.7)  # word tables and caches built outside the trace
+    tracemalloc.start()
+    try:
+        clifford_form(g, 0.3, 0.7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):

@@ -16,10 +16,7 @@ PACKAGE = Path(clockless.__file__).resolve().parent
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 # Public definitions no command reaches, each with the reason it stays.
-UNREACHED_ALLOWED = {
-    "rotation.clifford_form": "perfbench/tracer.py wraps it, and a --trace run "
-    "fails on a missing name",
-}
+UNREACHED_ALLOWED: dict[str, str] = {}
 
 # Public members that the commands reach by name but never run, each with the
 # reason it stays.

@@ -10,7 +10,7 @@ from clockless.circuit import NAMED_GATES, layered
 from clockless.hamiltonian import parent_spec
 from clockless.limits import dense_bytes
 from clockless.peps import build_peps
-from clockless.rotation import clifford_hole, teleport_coefficient, teleport_input
+from clockless.rotation import clifford_form, teleport_coefficient, teleport_input
 from clockless.verify import (
     check_status,
     ground_fidelity_check,
@@ -161,23 +161,73 @@ def test_verify_picks_clifford_form_by_action_not_name():
     assert [ch.name for ch in checks if ch.status != "pass"] == []
 
 
-def test_clifford_holes_are_built_once_per_fixture(monkeypatch):
-    # a hole depends only on the gate and its wires, so the three deltas of
-    # a fixture share one per bulk Clifford gate: six over the fixtures
+# The Pauli-normalizing bulk gates of the six fixtures.
+FIXTURE_CLIFFORD_BULK = [
+    ("CNOT", (1, 0)), ("H", (1,)), ("I", (0,)), ("I", (0,)), ("I", (1,)),
+    ("I", (1,)),
+]
+
+
+def counted_clifford_form(monkeypatch):
+    """Patch ``verify.clifford_form`` to list each gate it builds, in the
+    process that builds it."""
     calls = []
 
-    def counting(g):
+    def counting(g, delta_left, delta_right):
         calls.append((g.name, tuple(g.wires)))
-        return clifford_hole(g)
+        return clifford_form(g, delta_left, delta_right)
 
-    monkeypatch.setattr(verify, "clifford_hole", counting)
+    monkeypatch.setattr(verify, "clifford_form", counting)
+    return calls
+
+
+def test_each_case_builds_its_own_clifford_forms(monkeypatch, pin_cpus):
+    # one form per case and Clifford bulk gate: three deltas of six gates
+    pin_cpus(1)
+    calls = counted_clifford_form(monkeypatch)
     checks = verify_checks(named_fixtures(), (0.2, 0.5, 0.8), TOL)
-    assert sorted(calls) == [
-        ("CNOT", (1, 0)), ("H", (1,)), ("I", (0,)), ("I", (0,)), ("I", (1,)),
-        ("I", (1,)),
-    ]
+    assert sorted(calls) == sorted(FIXTURE_CLIFFORD_BULK * 3)
     bulk = [ch for ch in checks if ch.name.startswith("clifford_bulk")]
     assert len(bulk) == 18 and all(ch.status == "pass" for ch in bulk)
+
+
+def test_the_calling_process_builds_no_clifford_form(monkeypatch, pin_cpus):
+    # with forking, every form is built in a worker: none before the cases
+    # are dispatched, and none in this process after
+    forks = pin_cpus(2)
+    calls = counted_clifford_form(monkeypatch)
+    dispatch, before = verify.fork_map, []
+
+    def recorded(fn, items):
+        before.append(len(calls))
+        return dispatch(fn, items)
+
+    monkeypatch.setattr(verify, "fork_map", recorded)
+    checks = verify_checks(named_fixtures(), (0.2, 0.5, 0.8), TOL)
+    assert before == [0] and calls == [] and len(forks) == 2
+    assert sum(ch.name.startswith("clifford_bulk") for ch in checks) == 18
+
+
+def test_rotated_deviations_are_spectral_norms(monkeypatch, pin_cpus):
+    # the largest eigenvalue magnitude of each Hermitian difference is its
+    # SVD norm, on every last-layer, Clifford and projected row
+    pin_cpus(1)
+    deviation, seen = verify._norm_deviation, []
+
+    def compared(block, closed):
+        got = deviation(block, closed)
+        seen.append((got, float(np.linalg.norm(block - closed, 2))))
+        return got
+
+    monkeypatch.setattr(verify, "_norm_deviation", compared)
+    checks = verify_checks(named_fixtures(), (0.2, 0.5, 0.8), TOL)
+    rotated = [
+        ch for ch in checks
+        if ch.name.split("[")[0] in ("last_layer", "clifford_bulk", "projected_bulk")
+    ]
+    assert [got for got, _ in seen] == [ch.deviation for ch in rotated]
+    assert len(seen) == 60
+    assert max(abs(got - svd) for got, svd in seen) <= 1e-15
 
 
 def test_default_checks_build_no_grid_sized_block(pin_cpus):
