@@ -6,6 +6,13 @@ Each such operation estimates its largest arrays with the helpers below and
 calls ``require`` before allocating them; an estimate past ``MEMORY_BUDGET``
 raises ``ResourceError``, which the CLI reports as exit 2.
 
+An estimate bounds the peak that one ``require``-guarded operation
+allocates beyond its inputs, as ``tracemalloc`` measures it, up to a few
+KiB of interpreter bookkeeping; it does not bound the process's peak,
+which also holds whatever the caller keeps. Tests measure that peak
+against the estimate for ``peps.build_peps``, ``peps.expansion`` and the
+rotated-block extraction of ``rotation`` (``_conjugated_block``).
+
 ``MEMORY_BUDGET`` is 2^28 bytes (256 MiB), one dense complex matrix on 12
 qubits.  The exact-diagonalization oracles count the copies they hold
 (``spectral``), so they stop at 11 qubits, and a dense solve still fits on

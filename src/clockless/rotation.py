@@ -20,24 +20,24 @@ support on a light cone of that support: every factor is local, so only
 the factors that reach the support, and the qubits they touch, take part.
 ``RotationUnitary.walk`` is the one place a cone is grown. It walks the
 layers from the output side, keeps each factor that meets the cone so far,
-and stops before each layer that would widen it; its last stop, the wire
-cone, keeps every factor that reaches the support, and ``U† T U`` is exact
-there and the identity elsewhere. Every factor is a Bell-controlled Pauli
-or a gate on the output column, so once a stop's factors have taken a term
-onto qubits that no unwalked factor touches, every unwalked factor commutes
-with it. ``rotate_term`` extracts the term at each stop and keeps the first
-block that passes the leakage check and trims onto such qubits; at worst it
-ends on the wire cone, where a failed check refuses the term.
-``locality_residual`` samples the wire cone, and ``teleport_input``
-extracts its input term on the whole three-qubit teleport grid, its own
-cone, once per delta. ``require_cones`` budgets the cone each term of a
-circuit is extracted on, before any is. Every term is a ``DressedTerm`` of
-``parent_spec``'s kinds, taken from its factors: ``U† L² U = L²``, so only
-``W = L (K ⊗ I)`` goes through the rotation, from whichever side pushes
-fewer columns (``_factored_hole``). The random leakage-check states, drawn
-once per cone size, go through ``U† T U`` as (2^|cone|, batch) arrays in
-chunks of at most ``_BATCH_BYTES``; the memory budget bounds each
-extraction by what its cone holds. The result is a dense ``LocalTerm``
+and stops before the first layer that would widen it. Every factor is a
+Bell-controlled Pauli or a gate on the output column, so once the stop's
+factors have taken a term onto qubits that no unwalked factor touches,
+every unwalked factor commutes with it; the Pauli frame stays local under
+Clifford gates (Gottesman and Chuang, quant-ph/9908010), so every term
+that ``rotate_term`` keeps gets there in one layer from the output side.
+``rotate_term`` extracts the term once, on that stop, and refuses a block
+that fails the leakage check or trims onto a qubit an unwalked factor
+touches. ``locality_residual`` samples the same stop, and
+``teleport_input`` extracts its input term on the whole three-qubit
+teleport grid, its own cone, once per delta. ``require_cones`` budgets the
+stop of every gate term of a circuit, before any is extracted. Every term
+is a ``DressedTerm`` of ``parent_spec``'s kinds, taken from its factors:
+``U† L² U = L²``, so only ``W = L (K ⊗ I)`` goes through the rotation,
+from whichever side pushes fewer columns (``_factored_block``). The random
+leakage-check states, drawn once per cone size, go through ``U† T U`` as
+one (2^|cone|, 50) array; the memory budget bounds each extraction by
+what its cone and its block hold. The result is a dense ``LocalTerm``
 with the kind, layer and wires of the term it came from. ``clifford_form``
 builds its closed form in the Bell-label basis, where Λ(δ) is diagonal and
 the gate enters only through the pairing of labels that
@@ -90,14 +90,6 @@ __all__ = [
     "teleport_input",
 ]
 
-# Amplitude bytes per chunk of columns pushed through the rotation (2^8
-# columns at 10 qubits), and per slab of rows when the factored hole is
-# subtracted from a block. The batch and its images through the rotation,
-# each one apply_matrix output buffer, are live together. The default
-# verify pushes at most 2^8 basis columns per term, so there a 16 MiB cap
-# gives the same peak RSS (80 MB on 2 vCPUs, three runs each).
-_BATCH_BYTES = 2**22
-
 # Random full states a rotated term is checked against for leakage, the
 # leakage a rotated term may show on them, and the norm below which a block
 # counts as the identity on a qubit.
@@ -105,11 +97,10 @@ _CHECK_SAMPLES = 50
 _LEAKAGE_TOL = 1e-9
 _TRIVIAL_TOL = 1e-10
 
-# Batch buffers one extraction holds beside its block and its cached check
-# states, each ``_BATCH_BYTES`` or one cone vector, whichever is larger
-# (tracemalloc on c18: 59.8 cone vectors at its 18-qubit cone, 50 of them
-# check states; 41.6 MiB at a 14-qubit cone, 12.5 MiB of them check states).
-_BATCH_BUFFERS = 10
+# Cone-wide buffers one extraction holds beside its block, its product and
+# its cached check states: a batch pushed through the rotation, the
+# previous factor's image and apply_matrix's copy and product.
+_EXTRACTION_BUFFERS = 4
 
 
 def _site_correction() -> np.ndarray:
@@ -133,7 +124,7 @@ class RotationUnitary:
     state, in reverse order for the adjoint with each factor's adjoint,
     built once here. ``qubits`` lists the grid qubits it acts on in
     ascending order, and bit ``i`` of a state is ``qubits[i]``: the whole
-    grid for ``RotationUnitary(circuit)``, a light cone for each stop of
+    grid for ``RotationUnitary(circuit)``, a light cone for the stop of
     its ``walk``. ``layer_starts`` lists the index of each layer's first
     factor in the whole grid's list.
     """
@@ -171,22 +162,22 @@ class RotationUnitary:
     def num_qubits(self) -> int:
         return len(self.qubits)
 
-    def walk(self, support: Sequence[int]):
-        """The light cones of ``support`` where a walk from the output side
-        may stop, each with the set of qubits that the factors not yet
-        walked touch.
+    def walk(self, support: Sequence[int]) -> tuple["RotationUnitary", set[int]]:
+        """The first stop of a walk from the output side: a light cone of
+        ``support``, and the set of qubits that the factors it leaves
+        unwalked touch.
 
         Walks the layers from the output side inward and keeps each factor
         whose wires meet the cone grown so far from ``support``; a factor
         that misses it commutes with everything conjugated so far and
-        cancels against its adjoint. Before each layer that would widen the
-        cone, once some factor is kept, yields the cone so far: the kept
-        factors relabelled onto the qubits of the cone. Last comes the wire
-        cone, every factor that reaches ``support``, with the empty set: for
-        ``T`` on ``support``, ``U† T U`` is its ``U_C† T U_C`` on the cone and
-        the identity elsewhere. An operator that a stop's factors take onto
-        qubits outside its set is already rotated, as every unwalked factor
-        commutes with it.
+        cancels against its adjoint. It stops before the first layer that
+        would widen the cone once some factor is kept, and returns the kept
+        factors relabelled onto the qubits of the cone. A walk that never
+        stops keeps every factor that reaches ``support``, the wire cone,
+        and returns the empty set: for ``T`` on ``support``, ``U† T U`` is
+        its ``U_C† T U_C`` on the cone and the identity elsewhere. An
+        operator that the stop's factors take onto qubits outside its set
+        is already rotated, as every unwalked factor commutes with it.
         """
         reach, kept = set(support), []
         ends = self.layer_starts[1:] + (len(self._ops),)
@@ -198,9 +189,9 @@ class RotationUnitary:
                     kept.append((mat, wires))
             if before and grown != reach:
                 unwalked = {q for _, wires in self._ops[:end] for q in wires}
-                yield _cone(kept[:before], reach), unwalked
+                return _cone(kept[:before], reach), unwalked
             reach = grown
-        yield _cone(kept, reach), set()
+        return _cone(kept, reach), set()
 
     def apply(self, vec: np.ndarray, adjoint: bool = False) -> np.ndarray:
         out = np.asarray(vec, dtype=np.complex128)
@@ -235,47 +226,46 @@ def _check_states(num_qubits: int) -> np.ndarray:
     return states
 
 
-def _factored_hole(
-    w: np.ndarray,
+def _factored_block(
+    term: DressedTerm,
     term_bits: Sequence[int],
     rot: RotationUnitary,
+    support: tuple[int, ...],
     place: np.ndarray,
-    width: int,
 ) -> np.ndarray:
-    """``Z = E_S† U† (W ⊗ I)`` for a term on ``term_bits`` inside ``S``.
+    """``L²|_S - Z Z†``, the rotated term on ``support`` (``S``), with
+    ``Z = E_S† U† (W ⊗ I)``.
 
     ``W`` is the term's ``kernel_factor`` with row bit ``i`` on qubit
     ``term_bits[i]`` of ``rot``, and ``E_S`` embeds the basis states of ``S``,
-    listed by ``place``, with every other qubit at 0, so the rotated block on
-    ``S`` is ``L²|_S - Z Z†``. ``Z`` is computed from the side that pushes
-    fewer columns through the rotation: the r·2^(N-kv) columns of
-    ``W ⊗ I`` backward through ``U†``, or the 2^m basis columns forward
-    through ``U`` and then contracted with ``W†`` on the term's qubits.
-    Either way the columns of ``Z`` come in the same order.
+    listed by ``place``, with every other qubit at 0. ``Z`` is computed from
+    the side that pushes fewer columns through the rotation: the
+    r·2^(N-kv) columns of ``W ⊗ I`` backward through ``U†``, or the 2^m
+    basis columns forward through ``U`` and then contracted with ``W†`` on
+    the term's qubits. Either way the columns of ``Z`` come in the same
+    order.
     """
+    w = term.kernel_factor
     n = rot.num_qubits
     on_term = bit_placement(term_bits)
     rest = bit_placement(sorted(set(range(n)) - set(term_bits)))
-    hole = np.empty((place.size, w.shape[1] * rest.size), np.complex128)
-    if hole.shape[1] <= place.size:
+    columns = w.shape[1] * rest.size
+    if columns <= place.size:
         # Column (c, j): W's column c on the term's qubits, the rest at j.
-        for start in range(0, hole.shape[1], width):
-            cols = np.arange(start, min(start + width, hole.shape[1]))
-            factor, j = np.divmod(cols, rest.size)
-            lifted = np.zeros((2**n, cols.size), np.complex128)
-            lifted[on_term[:, None] + rest[j], np.arange(cols.size)] = w[:, factor]
-            hole[:, cols] = rot.apply(lifted, adjoint=True)[place]
+        factor, j = np.divmod(np.arange(columns), rest.size)
+        lifted = np.zeros((2**n, columns), np.complex128)
+        lifted[on_term[:, None] + rest[j], np.arange(columns)] = w[:, factor]
+        hole = rot.apply(lifted, adjoint=True)[place]
     else:
-        gather = on_term[:, None] + rest
-        for start in range(0, place.size, width):
-            cols = np.arange(start, min(start + width, place.size))
-            basis = np.zeros((2**n, cols.size), np.complex128)
-            basis[place[cols], np.arange(cols.size)] = 1.0
-            pushed = rot.apply(basis)[gather]  # (2^k, 2^(N-k), chunk)
-            # Z[s, (c, j)] = sum_i W[i, c] conj(pushed[i, j, s])
-            rows = np.tensordot(w, pushed.conj(), axes=([0], [0]))
-            hole[cols] = rows.transpose(2, 0, 1).reshape(cols.size, -1)
-    return hole
+        basis = np.zeros((2**n, place.size), np.complex128)
+        basis[place, np.arange(place.size)] = 1.0
+        pushed = rot.apply(basis)[on_term[:, None] + rest]  # (2^k, 2^(N-k), 2^m)
+        # Z[s, (c, j)] = sum_i W[i, c] conj(pushed[i, j, s])
+        rows = np.tensordot(w, pushed.conj(), axes=([0], [0]))
+        hole = rows.transpose(2, 0, 1).reshape(place.size, -1)
+    block = term.squared_dressing(support)
+    block -= hole @ hole.conj().T
+    return block
 
 
 def _conjugated_block(
@@ -283,7 +273,7 @@ def _conjugated_block(
 ) -> tuple[np.ndarray, float]:
     """Extract the term rotated by ``cone`` on ``support``, plus leakage.
 
-    ``cone`` is a light cone of ``support``, a stop of
+    ``cone`` is a light cone of ``support``, the stop of
     ``RotationUnitary.walk`` or, for ``teleport_input``, the whole teleport
     grid; everything runs on its qubits, and the cone grows no further.
     The candidate block is the rotated term between basis states that are
@@ -291,66 +281,53 @@ def _conjugated_block(
     the term's factors: every ``Λ(δ)`` dresses a shifted pair and is
     Bell-diagonal, and every rotation factor is a Bell-controlled Pauli or
     a gate on the output column, so ``U† L² U = L²`` and the block is
-    ``L²|_S - Z Z†`` (``_factored_hole``). The residual is the worst
+    ``L²|_S - Z Z†`` (``_factored_block``). The residual is the worst
     mismatch between the rotated term, applied as ``U† T U`` with the
     term's dense block, and that block on random states of the cone; it is
     zero exactly when the rotated term acts as the identity outside the
     support, and large when the factored block is wrong.
     """
-    m = len(support)
-    _require_extraction(m, cone)
+    _require_extraction(term, len(support), cone)
     n = cone.num_qubits
     label = {q: i for i, q in enumerate(cone.qubits)}
     on_term = [label[q] for q in term.support]
     on_support = [label[q] for q in support]
-    dim = 2**m
-    width = max(1, _BATCH_BYTES // (16 * 2**n))
-    hole = _factored_hole(
-        term.kernel_factor, on_term, cone, bit_placement(on_support), width
-    )
-    block = term.squared_dressing(support)
-    rows = max(1, _BATCH_BYTES // (16 * dim))
-    for start in range(0, dim, rows):
-        block[start : start + rows] -= hole[start : start + rows] @ hole.conj().T
+    block = _factored_block(term, on_term, cone, support, bit_placement(on_support))
     states = _check_states(n)
-    worst = 0.0
-    for start in range(0, _CHECK_SAMPLES, width):
-        batch = states[:, start : start + width]
-        pushed = apply_matrix(cone.apply(batch), term.block, on_term[::-1], n)
-        lhs = cone.apply(pushed, adjoint=True)
-        rhs = apply_matrix(batch, block, on_support[::-1], n)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=0).max()))
-    return block, worst
+    pushed = apply_matrix(cone.apply(states), term.block, on_term[::-1], n)
+    mismatch = cone.apply(pushed, adjoint=True)
+    mismatch -= apply_matrix(states, block, on_support[::-1], n)
+    return block, float(np.linalg.norm(mismatch, axis=0).max())
 
 
-def _require_extraction(m: int, cone: RotationUnitary) -> None:
-    """Refuse an extraction on ``m`` support qubits inside ``cone``: its
-    block, the cone's check states and ``_BATCH_BUFFERS`` batch buffers."""
+def _require_extraction(
+    term: DressedTerm, m: int, cone: RotationUnitary
+) -> None:
+    """Refuse extracting ``term`` on ``m`` support qubits inside ``cone``:
+    the block and the product subtracted from it, the cone's check states,
+    and ``_EXTRACTION_BUFFERS`` cone-wide buffers as wide as the columns
+    pushed through the rotation at once, the fewer of the hole's r·2^(N-kv)
+    and 2^m (``_factored_block``) or the ``_CHECK_SAMPLES`` check states."""
     n = cone.num_qubits
-    buffers = _BATCH_BUFFERS * max(_BATCH_BYTES, vector_bytes(n))
-    nbytes = dense_bytes(m) + vector_bytes(n, _CHECK_SAMPLES) + buffers
+    hole = min(term.basis.shape[1] << (n - len(term.inner)), 2**m)
+    columns = _CHECK_SAMPLES + _EXTRACTION_BUFFERS * max(hole, _CHECK_SAMPLES)
+    nbytes = 2 * dense_bytes(m) + vector_bytes(n, columns)
     require("rotated-block extraction", n, nbytes)
 
 
 def require_cones(circuit: LayeredCircuit) -> None:
     """``_conjugated_block``'s budget check for every gate term of
-    ``circuit``, on the cone it is extracted on, before any block is built.
+    ``circuit``, on the first stop of its walk, before any block is built.
 
-    A last-layer term or a term of a Pauli-normalizing gate is rotated by
-    ``rotate_term``, whose walk stops at its first stop for such a term;
-    any other term is sampled by ``locality_residual`` on the wire cone,
-    the last stop. Input terms are extracted on the three-qubit teleport
-    grid instead (``teleport_input``). A walk that goes on past its first
-    stop is refused at that stop's extraction, before it allocates.
+    ``rotate_term`` and ``locality_residual`` both extract a gate term on
+    that stop; input terms are extracted on the three-qubit teleport grid
+    instead (``teleport_input``).
     """
     rot = RotationUnitary(circuit)
     for term in parent_spec(circuit, 1.0).terms:
-        if term.kind == "input":
-            continue
-        (gate,) = (g for g in circuit.layers[term.layer - 1] if g.wires == term.wires)
-        rotated = term.layer == circuit.depth or gate.is_clifford
-        cone, _ = list(rot.walk(term.support))[0 if rotated else -1]
-        _require_extraction(len(term.support), cone)
+        if term.kind != "input":
+            cone, _ = rot.walk(term.support)
+            _require_extraction(term, len(term.support), cone)
 
 
 def _trim_trivial_qubits(
@@ -391,38 +368,41 @@ def _leakage_error(
 def rotate_term(term: DressedTerm, circuit: LayeredCircuit) -> LocalTerm:
     """Conjugate one term by the circuit's rotation and re-localize it.
 
-    Walks the rotation from the output side (``RotationUnitary.walk``).
-    At each stop the term is extracted on its own support on that stop's
-    cone, validated against ``_CHECK_SAMPLES`` random states of the cone
-    and trimmed down to the qubits it acts on; the first block that passes
-    and lies on qubits that no unwalked factor touches is the rotated term,
-    as every unwalked factor commutes with it.
-    Terms of gates that normalize the Pauli group stay on their original
-    support, after the next layer in (last-layer terms drop their output
-    legs at their own layer's corrections). Raises on a term that leaks past
-    its support by more than ``_LEAKAGE_TOL`` on its whole wire cone, as the
-    term of any other gate spreads onto the output column
-    (``locality_residual`` measures how far).
+    Extracts the term on its own support on the first stop of the
+    rotation's walk from the output side (``RotationUnitary.walk``),
+    validates it against ``_CHECK_SAMPLES`` random states of that cone and
+    trims it down to the qubits it acts on. A block that passes and lies on
+    qubits that no unwalked factor touches is the rotated term, as every
+    unwalked factor commutes with it. Terms of gates that normalize the
+    Pauli group stay on their original support there, after the next layer
+    in (last-layer terms drop their output legs at their own layer's
+    corrections). Raises on a term that leaks past its support by more
+    than ``_LEAKAGE_TOL``, as the term of any other gate spreads onto the
+    output column (``locality_residual`` measures how far), and on one
+    that the stop leaves on a qubit an unwalked factor touches.
     """
-    for cone, unwalked in RotationUnitary(circuit).walk(term.support):
-        block, residual = _conjugated_block(term, cone, term.support)
-        if residual > _LEAKAGE_TOL:
-            continue
-        block, support = _trim_trivial_qubits(block, term.support)
-        if unwalked.isdisjoint(support):
-            return LocalTerm(term.kind, support, block, term.layer, term.wires)
-    raise _leakage_error(term, term.support, residual)
+    cone, unwalked = RotationUnitary(circuit).walk(term.support)
+    block, residual = _conjugated_block(term, cone, term.support)
+    if residual > _LEAKAGE_TOL:
+        raise _leakage_error(term, term.support, residual)
+    block, support = _trim_trivial_qubits(block, term.support)
+    if not unwalked.isdisjoint(support):
+        raise ValueError(
+            f"rotated {term} stops on {support}, where unwalked factors act "
+            f"on {sorted(unwalked.intersection(support))}"
+        )
+    return LocalTerm(term.kind, support, block, term.layer, term.wires)
 
 
 def locality_residual(term: DressedTerm, circuit: LayeredCircuit) -> float:
     """How badly the rotated term fails to live on the term's own support.
 
-    The worst leakage over ``_CHECK_SAMPLES`` random states of the wire
-    cone of the term's support, the last stop of ``RotationUnitary.walk``.
+    The worst leakage over ``_CHECK_SAMPLES`` random states of the first
+    stop of ``RotationUnitary.walk``, the cone ``rotate_term`` extracts on.
     Zero for an exactly localized rotation; order-one values mean the
     rotated term genuinely spreads.
     """
-    *_, (cone, _) = RotationUnitary(circuit).walk(term.support)
+    cone, _ = RotationUnitary(circuit).walk(term.support)
     _, residual = _conjugated_block(term, cone, term.support)
     return residual
 

@@ -26,18 +26,19 @@ independent oracle:
   ``teleport_coefficient``; NaN when the input term is not dressed at the
   delta of the grid state's first layer.
 * ``last_layer[g]``: the rotated last-layer block, against
-  ``last_layer_form``. ``rotate_term`` extracts it on the first cone of the
+  ``last_layer_form``. ``rotate_term`` extracts it on the first stop of the
   rotation's walk from the output side (``RotationUnitary.walk``), the last
   layer's factors, where it loses its output legs.
 * ``clifford_bulk[g]``: the rotated bulk block of a Pauli-normalizing gate,
-  against ``clifford_form``; extracted on the walk's first cone, the
+  against ``clifford_form``; extracted on the walk's first stop, the
   factors down to the gate's own layer.
 * ``projected_bulk[g]``: that block with its right pairs projected onto
   their ground state, against ``projected_bulk_form``.
 * ``nonlocality_diagnostic[g]``: for any other bulk gate, the leakage
   ``locality_residual`` onto the output column, which must exceed 1e-3: the
-  worst over random states of the walk's last cone, the wire cone, which
-  every factor that reaches the term's support takes part in.
+  worst over random states of the first stop, the cone the other rotated
+  rows are extracted on, where the leakage does not fall with the gate's
+  layer.
 
 The last-layer, Clifford and projected rows measure the spectral norm of
 the Hermitian difference between the rotated block and its closed form.  A
@@ -46,7 +47,7 @@ accuracy the closed forms are computed to, lands in the "tolerance" class;
 anything larger fails.
 
 The (fixture, delta) cases share nothing, so they run apart: the calling
-process budgets the cone each term is extracted on (``require_cones``) and
+process budgets the stop each term is extracted on (``require_cones``) and
 resolves every schedule first, then ``limits.fork_map`` runs the cases in
 forked workers, one per CPU, which inherit the cases, build every closed
 form they check against and send back only their rows; the rows keep their
@@ -316,7 +317,7 @@ def verify_checks(
     ``schedules(circuit, delta)`` returns the per-layer schedule of the
     grid state and the one of its checked Hamiltonian, which a negative
     control may doctor; by default both are the uniform delta.  Before the
-    first case runs, this process budgets the cone each gate term is
+    first case runs, this process budgets the stop each gate term is
     extracted on (``require_cones``) and resolves every case's schedules,
     so a bad input is refused before any worker starts.
     The (fixture, delta) cases then run through ``limits.fork_map``, in

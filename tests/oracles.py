@@ -11,7 +11,7 @@ from clockless.io import SchemaError
 from clockless.limits import dense_bytes, require
 from clockless.linalg import is_hermitian
 from clockless.pauli import _bell
-from clockless.rotation import clifford_partners
+from clockless.rotation import RotationUnitary, _cone, clifford_partners
 
 # Column t is sqrt(2) times the Bell state of PAULI_TAGS[t], as the
 # ``clockless.pauli`` docstring lists them: integer entries, so the oracles
@@ -24,6 +24,20 @@ SCALED_BELL_BASIS = np.array(
 def circuit_unitary(c: LayeredCircuit) -> np.ndarray:
     require("a dense circuit unitary", c.n, dense_bytes(c.n))
     return apply_circuit(c, np.eye(2**c.n, dtype=np.complex128))
+
+
+def wire_cone(circuit: LayeredCircuit, support) -> RotationUnitary:
+    """The wire cone of ``support``: every factor of the circuit's rotation
+    that reaches it, grown over the whole grid's factor list from the output
+    side, on the qubits those factors touch. For ``T`` on ``support``,
+    ``U† T U`` is its ``U_C† T U_C`` there and the identity elsewhere."""
+    ops = RotationUnitary(circuit)._ops
+    reach, kept = set(support), []
+    for mat, wires in reversed(ops):
+        if reach.intersection(wires):
+            reach.update(wires)
+            kept.append((mat, wires))
+    return _cone(kept, reach)
 
 
 def is_psd(m: np.ndarray, tol: float = 1e-12) -> bool:

@@ -1034,22 +1034,38 @@ def test_verify_runs_a_long_wire_on_the_cones_its_terms_stop_on(tmp_path, depth)
 def test_verify_refuses_an_oversized_light_cone_before_any_case(
     tmp_path, capsys, monkeypatch
 ):
-    # the T term's leakage is sampled on its wire cone, 22 of the 26 qubits:
-    # its check states alone outgrow the memory budget
+    # the CCZ bulk term's first stop is its 15-qubit wire cone, and its
+    # block on 12 qubits alone outgrows the memory budget
     cases = []
     monkeypatch.setattr(verify, "_case_checks", lambda case, tol: cases.append(case))
-    cnot = [{"gate": "CNOT", "wires": [0, 1]}]
-    layers = [cnot] * 4 + [[{"gate": "T", "wires": [0]}, {"gate": "I", "wires": [1]}]]
+    layers = [
+        [{"gate": "CCZ", "wires": [0, 1, 2]}],
+        [{"gate": "I", "wires": [w]} for w in range(3)],
+    ]
     circuit = tmp_path / "wide.json"
-    circuit.write_text(
-        json_text({"version": 1, "n": 2, "a": 0, "layers": layers + [cnot]})
-    )
+    circuit.write_text(json_text({"version": 1, "n": 3, "a": 0, "layers": layers}))
     out = tmp_path / "out"
     assert main(["verify", "--circuit", str(circuit), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "rotated-block extraction on 22 qubits" in err
-    assert "about 3.75 GiB" in err
+    assert "rotated-block extraction on 15 qubits" in err
+    assert "about 1.52 GiB" in err
     assert cases == [] and not out.exists()
+
+
+def test_verify_samples_a_deep_t_term_on_its_first_stop(tmp_path):
+    # 21 qubits: the T term on layer 9 is sampled on its 5-qubit first stop,
+    # not on its wire cone, which spans the whole grid (1.88 GiB of check
+    # states and buffers)
+    circuit = _one_wire_json(tmp_path / "w1t9.json", ["H"] * 8 + ["T", "H"])
+    out = tmp_path / "out"
+    assert main(["verify", "--circuit", circuit, "--out", str(out)]) == 0
+    rows = read_csv(out / "verify.csv")[1:]
+    assert len(rows) == 21 and {r[6] for r in rows} == {"pass"}
+    # the three state rows, two rows per bulk H, then the T and the last H
+    assert [r[0] for r in rows[3:]] == (
+        ["clifford_bulk[H@0]", "projected_bulk[H@0]"] * 8
+        + ["nonlocality_diagnostic[T@0]", "last_layer[H@0]"]
+    )
 
 
 @pytest.mark.parametrize(

@@ -250,3 +250,20 @@ def test_build_peps_requires_the_vectors_it_holds(monkeypatch):
     monkeypatch.setattr(limits, "MEMORY_BUDGET", estimate - 1)
     with pytest.raises(limits.ResourceError, match="grid state on 14 qubits"):
         build_peps(c, 0.5)
+
+
+def test_expansion_stays_within_its_estimate():
+    # C14's expansion, whose every layer but the middle one holds two gates:
+    # what the sweep allocates stays within the four grid vectors it charges,
+    # with 64 KiB of slack for bookkeeping
+    c = layered(2, 1, [[("H", (0,)), ("T", (1,))], [("CNOT", (0, 1))],
+                       [("S", (0,)), ("H", (1,))]])
+    estimate = limits.vector_bytes(14, 4)
+    expansion(c, None, 0.5)
+    tracemalloc.start()
+    try:
+        expansion(c, None, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= estimate + 2**16

@@ -36,7 +36,7 @@ from clockless.rotation import (
     teleport_input,
 )
 from clockless.verify import named_fixtures, verify_checks
-from oracles import SCALED_BELL_BASIS, bell_state, dense_clifford_form
+from oracles import SCALED_BELL_BASIS, bell_state, dense_clifford_form, wire_cone
 
 
 def bulk_fixture(name, wires):
@@ -265,11 +265,10 @@ def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):
     """The rotated block and leakage residual, one column at a time, with
     the full grid's rotation.
 
-    The random states are drawn on the light cone of ``support``, grown
-    here over the grid's factors from the output side, and lifted onto the
-    grid with every other qubit at 0, where the rotated term acts as the
-    identity; a cone too small to hold the rotated term shows as leakage
-    off it."""
+    The random states are drawn on the wire cone of ``support`` and lifted
+    onto the grid with every other qubit at 0, where the rotated term acts
+    as the identity; a cone too small to hold the rotated term shows as
+    leakage off it."""
     rot = RotationUnitary(circuit)
     n = rot.num_qubits
     place = bit_placement(support)
@@ -284,11 +283,7 @@ def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):
         vec = np.zeros(2**n, dtype=np.complex128)
         vec[place[i]] = 1.0
         block[:, i] = rotated(vec)[place]
-    reach = set(support)
-    for _, wires in reversed(rot._ops):
-        if reach.intersection(wires):
-            reach.update(wires)
-    cone = bit_placement(sorted(reach))
+    cone = bit_placement(wire_cone(circuit, support).qubits)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -298,12 +293,6 @@ def conjugated_block_loop_reference(term, circuit, support, samples=50, seed=0):
         rhs = apply_matrix(lifted, block, tuple(reversed(support)), n)
         worst = max(worst, float(np.linalg.norm(rotated(lifted) - rhs)))
     return block, worst
-
-
-def wire_cone(circuit, support):
-    """The last stop of the rotation's walk for ``support``: its wire cone."""
-    *_, (cone, _) = RotationUnitary(circuit).walk(support)
-    return cone
 
 
 def rows_support(term, layout):
@@ -421,7 +410,7 @@ def test_a_cone_short_of_one_factor_is_refused(monkeypatch):
                 try:
                     got = rotate_term(term, c)
                 except ValueError as err:
-                    assert "leakage" in str(err)
+                    assert "leakage" in str(err) or "unwalked" in str(err)
                     refused += 1
                 else:
                     assert (
@@ -429,7 +418,8 @@ def test_a_cone_short_of_one_factor_is_refused(monkeypatch):
                         or np.abs(got.block - want).max() > 1e-3
                     ), (name, str(term))
             checked += 1
-    # 12 leak and are refused; 2 stay on their support with a wrong block
+    # 6 leak and 6 stop on a qubit that an unwalked factor touches, so 12
+    # are refused; 2 stay on their support with a wrong block
     assert checked == 14 and refused == 12
 
 
@@ -468,14 +458,13 @@ def test_the_walk_lands_on_the_wire_cone_block(monkeypatch):
         for term in spec.terms:
             if not _localized(c, term):
                 continue
-            whole = wire_cone(c, term.support)
-            want, residual = rotation._conjugated_block(term, whole, term.support)
+            want, residual = conjugated_block_loop_reference(term, c, term.support)
             assert residual < 1e-12, (name, str(term))
             want, want_support = rotation._trim_trivial_qubits(want, term.support)
             with monkeypatch.context() as patch:
                 got, cones = _walked(term, c, patch)
             assert len(cones) == 1, (name, str(term))
-            assert cones[0] <= whole.num_qubits
+            assert cones[0] <= wire_cone(c, term.support).num_qubits
             assert got.support == want_support, (name, str(term))
             assert np.abs(got.block - want).max() <= 1e-13, (name, str(term))
             checked += 1
@@ -508,32 +497,32 @@ def test_decided_cones_are_pinned(monkeypatch):
 
 
 # One wire whose T terms stop nowhere else in the circuits above: a
-# non-Pauli-normalizing bulk gate past layer 1, so its wire cone is not the
-# walk's first stop, and one in the last layer, rotated on the first stop.
+# non-Pauli-normalizing bulk gate past layer 1, whose first stop is short of
+# its wire cone, and one in the last layer.
 T_TAIL = layered(1, 1, [[("I", (0,))], [("T", (0,))], [("T", (0,))]])
 
 
 def test_the_budget_checks_the_cone_verify_extracts_on(monkeypatch, pin_cpus):
     # each gate term of the verify fixtures, C14, c18 and T_TAIL: the cone
-    # that require_cones budgets is the cone of the extraction whose block
-    # or residual verify keeps, the last one it makes for the term. One CPU
-    # keeps each case in this process.
+    # that require_cones budgets is the cone of the one extraction verify
+    # makes for the term, its first stop. One CPU keeps each case in this
+    # process.
     pin_cpus(1)
     checked = 0
     circuits = [("C14", C14), ("c18", C18), ("t_tail", T_TAIL)]
     for name, c in named_fixtures() + circuits:
-        budgeted, kept = [], {}
+        budgeted, made = [], []
         with monkeypatch.context() as patch:
             patch.setattr(
                 rotation, "_require_extraction",
-                lambda m, cone: budgeted.append(cone.num_qubits),
+                lambda term, m, cone: budgeted.append(cone.num_qubits),
             )
             rotation.require_cones(c)
         extract = rotation._conjugated_block
 
         def recording(term, cone, support):
             if term.kind != "input":
-                kept[(term.layer, term.wires)] = cone.num_qubits
+                made.append(((term.layer, term.wires), cone.num_qubits))
             return extract(term, cone, support)
 
         with monkeypatch.context() as patch:
@@ -544,45 +533,48 @@ def test_the_budget_checks_the_cone_verify_extracts_on(monkeypatch, pin_cpus):
             for term in parent_spec(c, 1.0).terms
             if term.kind != "input"
         ]
-        assert list(zip(gate_terms, budgeted)) == list(kept.items()), name
+        assert list(zip(gate_terms, budgeted)) == made, name
         checked += len(budgeted)
     # 15 gate terms in the fixtures, 5 in C14, 6 in c18 and 3 in T_TAIL
     assert checked == 29
+    # the middle T of T_TAIL is sampled on its 5-qubit first stop, not on
+    # its 7-qubit wire cone
+    assert budgeted == [5, 5, 3]
+    assert wire_cone(T_TAIL, parent_spec(T_TAIL, 1.0).terms[2].support).num_qubits == 7
 
 
 def test_a_term_the_walk_leaves_on_the_output_is_refused(monkeypatch):
     # |1><1| on the output qubit of a two-layer identity wire, dressed on the
     # last pair: the last layer's correction keeps it on its support, but on
-    # the output qubit, which layer 1's correction touches, so the walk goes
-    # on; the whole cone spreads it onto the first pair, past its support
+    # the output qubit, which layer 1's correction touches, so its one
+    # extraction, on the walk's first stop, is refused
     c = layered(1, 1, [[("I", (0,))]] * 2)
     term = DressedTerm("input", 2, (0,), (((2, 3), 0.5),), (4,), [[1.0], [0.0]])
     with monkeypatch.context() as patch:
         supports = _counting_extractions(patch)
-        with pytest.raises(ValueError, match="leakage"):
+        with pytest.raises(ValueError, match=r"unwalked factors act on \[4\]"):
             rotate_term(term, c)
-    assert supports == [term.support] * 2
-    walk = list(RotationUnitary(c).walk(term.support))
-    assert [unwalked for _, unwalked in walk] == [{0, 1, 4}, set()]
+    assert supports == [term.support]
+    _, unwalked = RotationUnitary(c).walk(term.support)
+    assert unwalked == {0, 1, 4}
 
 
-def test_a_leaky_term_is_refused_at_every_stop(monkeypatch):
+def test_a_leaky_term_is_refused_at_its_stop(monkeypatch):
     # a T term in the middle of three layers spreads onto the output column:
-    # it fails the leakage check where the walk could first stop, before
-    # layer 1, and again on its whole cone
+    # it fails the leakage check on the walk's first stop, before layer 1
     c = layered(1, 1, [[("I", (0,))], [("T", (0,))], [("I", (0,))]])
     term = propagation_term(gate("T", (0,)), 2, 0.5, GridLayout(1, 3))
     with monkeypatch.context() as patch:
         supports = _counting_extractions(patch)
         with pytest.raises(ValueError, match="leakage"):
             rotate_term(term, c)
-    assert supports == [term.support] * 2
+    assert supports == [term.support]
 
 
 def test_extraction_holds_about_one_block():
     # the CNOT bulk term rotates onto its own 8 qubits, so no 2^10 x 2^10
     # block of the 10-qubit grid is built: the 2^8 x 2^8 block, its hole and
-    # the chunked leakage check stay below half of one
+    # the leakage check stay below half of one
     c = BATCH_FIXTURES["cnot_bulk"]
     term = propagation_term(gate("CNOT", (1, 0)), 1, 0.5, GridLayout(2, 2))
     term.block
@@ -597,6 +589,38 @@ def test_extraction_holds_about_one_block():
     assert peak < dense_bytes(10) / 2
 
 
+@pytest.mark.parametrize("name", ["cnot_bulk", "ccz_last_layer"])
+def test_extraction_peak_stays_within_its_estimate(monkeypatch, name):
+    # what _conjugated_block allocates beyond its inputs, with the check
+    # states drawn inside, does not exceed what _require_extraction charges:
+    # cnot_bulk's CNOT bulk term on its 10-qubit cone, and a CCZ last-layer
+    # term, 9 qubits on a 9-qubit cone
+    if name == "cnot_bulk":
+        c = BATCH_FIXTURES["cnot_bulk"]
+        term = propagation_term(gate("CNOT", (1, 0)), 1, 0.5, GridLayout(2, 2))
+    else:
+        c = layered(3, 0, [[("CCZ", (0, 1, 2))]])
+        term = propagation_term(gate("CCZ", (0, 1, 2)), 1, 0.5, GridLayout(3, 1))
+    cone, _ = RotationUnitary(c).walk(term.support)
+    assert (cone.num_qubits, term.locality) == {
+        "cnot_bulk": (10, 8), "ccz_last_layer": (9, 9)
+    }[name]
+    estimates = []
+    monkeypatch.setattr(
+        rotation, "require", lambda what, n, nbytes: estimates.append(nbytes)
+    )
+    term.block, term.kernel_factor
+    rotation._check_states.cache_clear()
+    tracemalloc.start()
+    try:
+        rotation._conjugated_block(term, cone, term.support)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (estimate,) = estimates
+    assert peak <= estimate
+
+
 def test_check_states_are_drawn_once():
     states = rotation._check_states(4)
     assert rotation._check_states(4) is states
@@ -606,41 +630,6 @@ def test_check_states_are_drawn_once():
     for j in range(50):
         r = rng.normal(size=16) + 1j * rng.normal(size=16)
         assert np.array_equal(states[:, j], r / np.linalg.norm(r))
-
-
-def test_chunked_extraction_matches_unchunked(monkeypatch):
-    c = BATCH_FIXTURES["t_bulk"]
-    term = propagation_term(gate("T", (0,)), 1, 0.5, GridLayout(2, 2))
-    wide = rows_support(term, GridLayout(2, 2))
-    cone = wire_cone(c, wide)
-    whole, whole_leak = rotation._conjugated_block(term, cone, wide)
-    whole_residual = locality_residual(term, c)
-    calls = []
-    apply = RotationUnitary.apply
-
-    def counting(self, vec, adjoint=False):
-        calls.append(vec.shape[1])
-        return apply(self, vec, adjoint=adjoint)
-
-    # 20 columns of the 10-qubit grid per chunk. The T term's support
-    # widened by its output qubit meets the CZ, so its light cone is the
-    # whole grid: the 2^5 basis columns are fewer than the 4 * 2^6 columns
-    # of W (x) I, so they go forward only, in 2 chunks; the 50 random states
-    # take 3 chunks, each a forward and an adjoint rotation.
-    monkeypatch.setattr(rotation, "_BATCH_BYTES", 20 * 16 * 2**10)
-    monkeypatch.setattr(RotationUnitary, "apply", counting)
-    chunked, chunked_leak = rotation._conjugated_block(term, cone, wide)
-    assert len(calls) == 2 + 2 * 3 and max(calls) == 20
-    calls.clear()
-    # 5 columns of the 5-qubit light cone of the term's own support per
-    # chunk: the 4 * 2 columns of W (x) I, fewer than the 2^4 basis columns,
-    # go backward in 2 chunks, and the 50 states take 10 chunks each way
-    monkeypatch.setattr(rotation, "_BATCH_BYTES", 5 * 16 * 2**5)
-    chunked_residual = locality_residual(term, c)
-    assert calls == [5, 3] + [5] * 20
-    assert np.max(np.abs(chunked - whole)) < 1e-13
-    assert abs(chunked_leak - whole_leak) < 1e-13
-    assert abs(chunked_residual - whole_residual) < 1e-13
 
 
 def test_projected_bulk_form(identity1):
