@@ -352,8 +352,11 @@ class MeasurementPlan:
 
 
 def require_simulable(c: LayeredCircuit) -> None:
-    """Refuse ``c`` if the ~3 vectors ``accept_probability`` holds overrun memory."""
-    require("simulating a circuit", c.n, vector_bytes(c.n, 3))
+    """Refuse ``c`` if the vectors ``accept_probability`` holds overrun memory:
+    the input state, which its caller holds until the circuit has run, a
+    layer's input and output, and ``apply_matrix``'s copy and product of a
+    piece (tracemalloc: 4.0 vectors up to 16 qubits, 4.5 at 17)."""
+    require("simulating a circuit", c.n, vector_bytes(c.n, 5))
 
 
 def accept_probability(

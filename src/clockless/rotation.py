@@ -33,8 +33,8 @@ touches. ``locality_residual`` samples the same stop, and
 teleport grid, its own cone, once per delta. ``require_cones`` budgets the
 stop of every gate term of a circuit, before any is extracted. Every term
 is a ``DressedTerm`` of ``parent_spec``'s kinds, taken from its factors:
-``U† L² U = L²``, so only ``W = L (K ⊗ I)`` goes through the rotation,
-from whichever side pushes fewer columns (``_factored_block``). The random
+``U† L² U = L²``, so only the columns of ``W = L (K ⊗ I)`` go through
+the rotation, pushed backward (``_conjugated_block``). The random
 leakage-check states, drawn once per cone size, go through ``U† T U`` as
 one (2^|cone|, 50) array; the memory budget bounds each extraction by
 what its cone and its block hold. The result is a dense ``LocalTerm``
@@ -226,48 +226,6 @@ def _check_states(num_qubits: int) -> np.ndarray:
     return states
 
 
-def _factored_block(
-    term: DressedTerm,
-    term_bits: Sequence[int],
-    rot: RotationUnitary,
-    support: tuple[int, ...],
-    place: np.ndarray,
-) -> np.ndarray:
-    """``L²|_S - Z Z†``, the rotated term on ``support`` (``S``), with
-    ``Z = E_S† U† (W ⊗ I)``.
-
-    ``W`` is the term's ``kernel_factor`` with row bit ``i`` on qubit
-    ``term_bits[i]`` of ``rot``, and ``E_S`` embeds the basis states of ``S``,
-    listed by ``place``, with every other qubit at 0. ``Z`` is computed from
-    the side that pushes fewer columns through the rotation: the
-    r·2^(N-kv) columns of ``W ⊗ I`` backward through ``U†``, or the 2^m
-    basis columns forward through ``U`` and then contracted with ``W†`` on
-    the term's qubits. Either way the columns of ``Z`` come in the same
-    order.
-    """
-    w = term.kernel_factor
-    n = rot.num_qubits
-    on_term = bit_placement(term_bits)
-    rest = bit_placement(sorted(set(range(n)) - set(term_bits)))
-    columns = w.shape[1] * rest.size
-    if columns <= place.size:
-        # Column (c, j): W's column c on the term's qubits, the rest at j.
-        factor, j = np.divmod(np.arange(columns), rest.size)
-        lifted = np.zeros((2**n, columns), np.complex128)
-        lifted[on_term[:, None] + rest[j], np.arange(columns)] = w[:, factor]
-        hole = rot.apply(lifted, adjoint=True)[place]
-    else:
-        basis = np.zeros((2**n, place.size), np.complex128)
-        basis[place, np.arange(place.size)] = 1.0
-        pushed = rot.apply(basis)[on_term[:, None] + rest]  # (2^k, 2^(N-k), 2^m)
-        # Z[s, (c, j)] = sum_i W[i, c] conj(pushed[i, j, s])
-        rows = np.tensordot(w, pushed.conj(), axes=([0], [0]))
-        hole = rows.transpose(2, 0, 1).reshape(place.size, -1)
-    block = term.squared_dressing(support)
-    block -= hole @ hole.conj().T
-    return block
-
-
 def _conjugated_block(
     term: DressedTerm, cone: RotationUnitary, support: tuple[int, ...]
 ) -> tuple[np.ndarray, float]:
@@ -281,18 +239,32 @@ def _conjugated_block(
     the term's factors: every ``Λ(δ)`` dresses a shifted pair and is
     Bell-diagonal, and every rotation factor is a Bell-controlled Pauli or
     a gate on the output column, so ``U† L² U = L²`` and the block is
-    ``L²|_S - Z Z†`` (``_factored_block``). The residual is the worst
-    mismatch between the rotated term, applied as ``U† T U`` with the
-    term's dense block, and that block on random states of the cone; it is
-    zero exactly when the rotated term acts as the identity outside the
-    support, and large when the factored block is wrong.
+    ``L²|_S - Z Z†`` with ``Z = E_S† U† (W ⊗ I)``: ``W`` is the term's
+    ``kernel_factor`` on its own qubits, and ``E_S`` embeds the basis
+    states of the support with every other qubit at 0. The r·2^(N-kv)
+    columns of ``W ⊗ I`` are pushed backward through ``U†`` in one array.
+    The residual is the worst mismatch between the rotated term, applied
+    as ``U† T U`` with the term's dense block, and that block on random
+    states of the cone; it is zero exactly when the rotated term acts as
+    the identity outside the support, and large when the factored block is
+    wrong.
     """
     _require_extraction(term, len(support), cone)
     n = cone.num_qubits
     label = {q: i for i, q in enumerate(cone.qubits)}
     on_term = [label[q] for q in term.support]
     on_support = [label[q] for q in support]
-    block = _factored_block(term, on_term, cone, support, bit_placement(on_support))
+    w = term.kernel_factor
+    rest = bit_placement(sorted(set(range(n)) - set(on_term)))
+    columns = w.shape[1] * rest.size
+    # Column (c, j): W's column c on the term's qubits, the rest at j.
+    factor, j = np.divmod(np.arange(columns), rest.size)
+    lifted = np.zeros((2**n, columns), np.complex128)
+    lifted[bit_placement(on_term)[:, None] + rest[j], np.arange(columns)] = w[:, factor]
+    hole = cone.apply(lifted, adjoint=True)[bit_placement(on_support)]
+    block = term.squared_dressing(support)
+    block -= hole @ hole.conj().T
+    del lifted, hole  # freed before the leakage check
     states = _check_states(n)
     pushed = apply_matrix(cone.apply(states), term.block, on_term[::-1], n)
     mismatch = cone.apply(pushed, adjoint=True)
@@ -306,10 +278,12 @@ def _require_extraction(
     """Refuse extracting ``term`` on ``m`` support qubits inside ``cone``:
     the block and the product subtracted from it, the cone's check states,
     and ``_EXTRACTION_BUFFERS`` cone-wide buffers as wide as the columns
-    pushed through the rotation at once, the fewer of the hole's r·2^(N-kv)
-    and 2^m (``_factored_block``) or the ``_CHECK_SAMPLES`` check states."""
+    pushed through the rotation at once, the hole's r·2^(N-kv) or the
+    ``_CHECK_SAMPLES`` check states (``_conjugated_block``). On the first
+    stop of a walk the hole has fewer than 2^m columns: the stop holds the
+    term's support, plus its wires' output qubits for a bulk term."""
     n = cone.num_qubits
-    hole = min(term.basis.shape[1] << (n - len(term.inner)), 2**m)
+    hole = term.basis.shape[1] << (n - len(term.inner))
     columns = _CHECK_SAMPLES + _EXTRACTION_BUFFERS * max(hole, _CHECK_SAMPLES)
     nbytes = 2 * dense_bytes(m) + vector_bytes(n, columns)
     require("rotated-block extraction", n, nbytes)
@@ -333,26 +307,28 @@ def require_cones(circuit: LayeredCircuit) -> None:
 def _trim_trivial_qubits(
     block: np.ndarray, support: tuple[int, ...]
 ) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Drop support qubits on which the block acts as the identity."""
-    changed = True
-    while changed and len(support) > 1:
-        changed = False
+    """Drop support qubits on which the block acts as the identity.
+
+    One pass from the highest bit down: dropping a bit leaves the lower
+    bits where they were, and a block ``I ⊗ B`` is trivial on a bit exactly
+    where ``B`` is. The last qubit left is kept.
+    """
+    for b in reversed(range(len(support))):
         m = len(support)
-        shaped = block.reshape((2,) * (2 * m))
-        for b in range(m):
-            axes = (m - 1 - b, 2 * m - 1 - b)
-            # A view: a copy per bit would hold two beside the block.
-            split = np.moveaxis(shaped, axes, (0, 1))
-            if (
-                np.linalg.norm(split[0, 1]) <= _TRIVIAL_TOL
-                and np.linalg.norm(split[1, 0]) <= _TRIVIAL_TOL
-                and np.linalg.norm(split[0, 0] - split[1, 1]) <= _TRIVIAL_TOL
-            ):
-                half = 2 ** (m - 1)
-                block = split[0, 0].reshape(half, half)
-                support = support[:b] + support[b + 1 :]
-                changed = True
-                break
+        if m == 1:
+            break
+        # A view: a copy per bit would hold two beside the block.
+        split = np.moveaxis(
+            block.reshape((2,) * (2 * m)), (m - 1 - b, 2 * m - 1 - b), (0, 1)
+        )
+        if (
+            np.linalg.norm(split[0, 1]) <= _TRIVIAL_TOL
+            and np.linalg.norm(split[1, 0]) <= _TRIVIAL_TOL
+            and np.linalg.norm(split[0, 0] - split[1, 1]) <= _TRIVIAL_TOL
+        ):
+            half = 2 ** (m - 1)
+            block = split[0, 0].reshape(half, half)
+            support = support[:b] + support[b + 1 :]
     return block, support
 
 
@@ -482,55 +458,36 @@ def projected_gap_check(k: int, delta: float) -> tuple[float, float, bool]:
     return gap, floor, bool(gap >= floor)
 
 
-def _word_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Products and transposes of k-site words, by ``tag_words(k)`` position:
-    ``W[a] W[b] = phase[a, b] W[index[a, b]]`` and ``W[a]^T = flip[a] W[a]``.
-
-    Built digit by digit from the 4x4 tables of {I, X, XZ, Z}, as a k-site
-    word multiplies and transposes site by site.
-    """
-    one = word_stack(1)
-    phase1, index1 = word_decompose(one[:, None] @ one[None, :], 1)
-    flip1, _ = word_decompose(np.swapaxes(one, -1, -2), 1)
-    phase, index, flip = np.ones((1, 1)), np.zeros((1, 1), np.intp), np.ones(1)
-    for _ in range(k):
-        phase = np.kron(phase, phase1)
-        index = np.kron(index, np.full((4, 4), 4)) + np.kron(
-            np.ones_like(index), index1
-        )
-        flip = np.kron(flip, flip1)
-    return phase, index, flip
-
-
-def clifford_partners(g: Gate) -> tuple[np.ndarray, np.ndarray]:
+def clifford_partners(g: Gate) -> np.ndarray:
     """Pairing behind the closed rotated form of a Pauli-normalizing gate.
 
-    Returns ``(mu, t_col)``, both indexed ``[r, c, t]`` by ``tag_words(k)``
-    positions of s_row, s_col and t_row: ``t_col`` is the position of the
-    word t_col and ``mu`` the phase in the defining relation
-    ``(u^dagger W[s_row] W[s_col] u)^T W[t_row] = mu W[t_col]``. The Bell
+    Returns ``t_col``, indexed ``[r, c, t]`` by ``tag_words(k)`` positions
+    of s_row, s_col and t_row: the position of the word t_col in
+    ``(u^dagger W[s_row] W[s_col] u)^T W[t_row] ∝ W[t_col]``. The Bell
     label (t_row, s_row) on the k left and k right pairs is paired with
-    (t_col, s_col); every row label has exactly 4^k partners.
+    (t_col, s_col); every row label has exactly 4^k partners. The closed
+    form depends on which labels pair up, not on the phases of the
+    relation.
 
     The gate conjugates each word to a phase times a word (a signed
     permutation of the words, which is what normalizing the Pauli group
-    means), so one decomposition of the 4^k images and the word tables of
-    ``_word_tables`` determine the whole grid.
+    means), so one decomposition of the 4^k images determines the whole
+    grid.
     """
     k = g.arity
     u = g.unitary
-    sign, image = word_decompose(u.conj().T @ word_stack(k) @ u, k)
+    _, image = word_decompose(u.conj().T @ word_stack(k) @ u, k)
     if np.any(image < 0):
         raise ValueError(
             f"gate {g.name or 'unnamed'} does not normalize the Pauli group"
         )
-    phase, index, flip = _word_tables(k)
-    # u^dagger W[r] W[c] u = sign[r] sign[c] W[image[r]] W[image[c]]
-    # = pair[r, c] W[q[r, c]], and W[q]^T W[t] = flip[q] phase[q, t] W[index[q, t]].
-    q = index[image[:, None], image[None, :]]
-    pair = sign[:, None] * sign[None, :] * phase[image[:, None], image[None, :]]
-    mu = (pair * flip[q])[:, :, None] * phase[q]
-    return mu.astype(np.complex128), index[q]
+    # A tag's position in PAULI_TAGS, (I, X, XZ, Z), is a linear 2-bit code
+    # of its X and Z parts, so two words multiply, up to a phase, to the
+    # word at the XOR of their positions, and a word's transpose is itself
+    # up to a sign: u^dagger W[r] W[c] u ∝ W[q[r, c]] and W[q]^T W[t] ∝
+    # W[q ^ t].
+    q = image[:, None] ^ image[None, :]
+    return q[:, :, None] ^ np.arange(4**k)
 
 
 # The Bell product basis of one wire's two pairs, in bulk bit order, column
@@ -556,7 +513,7 @@ def clifford_form(g: Gate, delta_left: float, delta_right: float) -> np.ndarray:
     """
     k = g.arity
     n = 4**k
-    _, t_col = clifford_partners(g)
+    t_col = clifford_partners(g)
     r, c, t = np.indices(t_col.shape)
     rows, cols = t * n + r, t_col * n + c
     # Λ(delta) has eigenvalue delta on the I tag and 1 on the others.

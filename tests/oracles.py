@@ -86,7 +86,7 @@ def dense_clifford_form(g: Gate, delta_left: float, delta_right: float):
     wire, each Lambda summed from the Bell projectors."""
     k = g.arity
     n = 4**k
-    _, t_col = clifford_partners(g)
+    t_col = clifford_partners(g)
     r, c, t = np.indices(t_col.shape)
     pairing = np.zeros((n * n, n * n))
     np.add.at(pairing, (t * n + r, t_col * n + c), 1)

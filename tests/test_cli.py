@@ -799,7 +799,7 @@ def test_dense_build_counts_the_copies_it_holds(tmp_path, capsys, monkeypatch):
 def test_iterative_build_beyond_budget_exits_2_without_outputs(
     tmp_path, capsys, monkeypatch
 ):
-    # 20 ARPACK vectors on 14 qubits are 5 MiB; the grid state is 1 MiB.
+    # 30 ARPACK vectors on 14 qubits are 7.5 MiB; the grid state is 1 MiB.
     monkeypatch.setattr(limits, "MEMORY_BUDGET", 2 * 2**20)
     circuit = tmp_path / "c14.json"
     circuit.write_text(json_text(C14))

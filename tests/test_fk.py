@@ -18,9 +18,10 @@ from clockless.fk import (
     history_state,
     invalid_clock_state,
     require_clock_states,
+    require_simulable,
     swap_test_witness,
 )
-from clockless import limits, linalg
+from clockless import fk, limits, linalg
 from clockless.hamiltonian import LocalTerm, term_energy
 from clockless.linalg import apply_matrix, basis_state, product_state, random_state
 
@@ -271,6 +272,36 @@ def test_accept_probability_bit_convention(hadamard1):
     plan = MeasurementPlan(wires=(0,), accept_bits=(1,), postprocess="direct")
     p = accept_probability(hadamard1, plan)
     assert np.isclose(p, 0.5, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, 17])
+def test_accept_probability_stays_within_its_estimate(monkeypatch, n):
+    # the input state, a layer's input and output, and apply_matrix's copy
+    # and product: 4.0 vectors at 12 qubits, 4.5 at 17, where a state is two
+    # pieces
+    c = layered(n, 0, [
+        [("H", (w,)) for w in range(n)],
+        [("CNOT", (w, w + 1)) for w in range(0, n - 1, 2)],
+        [("T", (w,)) for w in range(n)],
+    ])
+    plan = MeasurementPlan(
+        wires=tuple(range(0, n, 3)), accept_bits=(0,) * len(range(0, n, 3)),
+        postprocess="direct",
+    )
+    xi = np.full(2**n, 2 ** (-n / 2))
+    estimates = []
+    monkeypatch.setattr(
+        fk, "require", lambda what, n, nbytes: estimates.append(nbytes)
+    )
+    require_simulable(c)
+    tracemalloc.start()
+    try:
+        accept_probability(c, plan, xi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (estimate,) = estimates
+    assert peak <= estimate
 
 
 def test_dl_verifier_single_projector():

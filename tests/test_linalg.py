@@ -1,5 +1,7 @@
 """Wire-indexed linear algebra helpers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,25 @@ def test_embed_operator_matches_kron():
     assert np.allclose(embed_operator(X, (1,), 2), np.kron(X, np.eye(2)))
     with pytest.raises(ValueError):
         embed_operator(X, (0,), 14)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_embed_operator_stays_within_its_estimate(monkeypatch, n):
+    # the identity, apply_matrix's copy and the product: 3.0 matrices at 8
+    # qubits, 2.75 at 9, and up to 4 KiB of interpreter bookkeeping
+    op = np.kron(X, X)
+    estimates = []
+    monkeypatch.setattr(
+        linalg, "require", lambda what, n, nbytes: estimates.append(nbytes)
+    )
+    tracemalloc.start()
+    try:
+        embed_operator(op, (0, n - 1), n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (estimate,) = estimates
+    assert peak <= estimate + 4096
 
 
 def test_apply_maps_matches_dense_products(rng):

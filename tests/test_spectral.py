@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -134,6 +135,33 @@ def test_low_spectrum_keeps_degenerate_copies():
     op = _linear(assemble(parent_spec(c, 0.5)))
     report = low_spectrum(op, k=6, tol=1e-9, seed=10)
     assert np.allclose(report.lowest_eigenvalues, C14_LOWEST, atol=1e-8)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_low_spectrum_stays_within_its_estimate(monkeypatch, k):
+    # what ARPACK holds beside the operator, on the 14-qubit C14 parent
+    # applied as parent_spectrum applies it, its term blocks built by the
+    # ground energies before: 28.1 vectors at k = 1 and 29.1 at k = 4
+    c = layered(2, 1, [
+        [("H", (0,)), ("T", (1,))],
+        [("CNOT", (0, 1))],
+        [("S", (0,)), ("H", (1,))],
+    ])
+    operator = assemble(parent_spec(c, 0.5))
+    operator.apply(np.ones(operator.dim))
+    op = LinearOperator((operator.dim,) * 2, operator.apply, dtype=np.complex128)
+    estimates = []
+    monkeypatch.setattr(
+        spectral, "require", lambda what, n, nbytes: estimates.append(nbytes)
+    )
+    tracemalloc.start()
+    try:
+        low_spectrum(op, k=k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (estimate,) = estimates
+    assert peak <= estimate
 
 
 def test_gap_vs_bound_identity(identity1):
