@@ -30,6 +30,7 @@ from .pauli import word_decompose, word_stack
 __all__ = [
     "Gate",
     "LayeredCircuit",
+    "MAX_ARITY",
     "NAMED_GATES",
     "apply_circuit",
     "apply_layer",
@@ -61,7 +62,7 @@ NAMED_GATES: dict[str, np.ndarray] = {
 
 # Controlled flips in the shallow verifiers act on up to 5 data qubits plus
 # one ancilla, so gates up to arity 6 are representable.
-_MAX_ARITY = 6
+MAX_ARITY = 6
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +77,8 @@ class Gate:
         object.__setattr__(self, "wires", tuple(int(w) for w in self.wires))
         u = np.asarray(self.unitary, dtype=np.complex128)
         k = len(self.wires)
-        if not 1 <= k <= _MAX_ARITY:
-            raise ValueError(f"gate arity must be 1..{_MAX_ARITY}, got {k}")
+        if not 1 <= k <= MAX_ARITY:
+            raise ValueError(f"gate arity must be 1..{MAX_ARITY}, got {k}")
         if len(set(self.wires)) != k:
             raise ValueError(f"gate wires must be distinct, got {self.wires}")
         if u.shape != (2**k, 2**k):

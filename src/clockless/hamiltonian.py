@@ -21,9 +21,12 @@ one ``apply_maps`` on a 2^k x r·2^(k-kv) matrix. The rotated frame reuses
 both factors.
 
 Every term offers one protocol: ``kind``, ``support``, ``locality``,
-``block``, ``energy(vec, num_qubits)``, ``layer`` and ``wires``. It has two
-implementations: the factored ``DressedTerm`` and the dense ``LocalTerm``,
-which the rotated terms of ``rotation`` and the clock terms of ``fk`` use.
+``block``, ``layer`` and ``wires``. It has two implementations, each with
+the energy its callers read: the factored ``DressedTerm`` of the grid,
+whose ``energy(vec, num_qubits)`` needs no block, and the dense
+``LocalTerm``, which the rotated terms of ``rotation`` and the clock terms
+of ``fk`` use; ``fk`` reads a clock term's energy with ``sparse_energy``,
+off the nonzero entries of a clock state.
 
 Term blocks are stored dense over their support only. The support is kept as
 a strictly ascending tuple of grid qubit indices and bit ``i`` of a block's
@@ -53,7 +56,7 @@ import numpy as np
 import scipy.sparse
 
 from .circuit import Gate, LayeredCircuit
-from .limits import coo_bytes, require
+from .limits import coo_bytes, dense_bytes, require
 from .linalg import (
     apply_maps,
     apply_matrix,
@@ -77,6 +80,13 @@ __all__ = [
     "term_energy",
     "energy",
 ]
+
+# Dense matrices on a term's support that building its block holds beyond
+# the block and its kernel factor: ``L²``, ``W W†`` and their difference,
+# then the Hermitian check's and the symmetrization's copies (tracemalloc:
+# 3.02 on a 6-qubit CNOT last-layer term, 2.13 on an 8-qubit CNOT bulk term
+# and 2.03 on a 9-qubit CCZ one, where numpy reuses large temporaries).
+_BLOCK_COPIES = 3
 
 # Grid kinds, then the kinds only ``fk``'s unary-clock encoding uses.
 _KINDS = ("propagation", "input", "output", "clock")
@@ -134,16 +144,11 @@ class LocalTerm:
     def __str__(self) -> str:
         return f"{self.kind}[layer {self.layer}, wires {self.wires}]"
 
-    def energy(self, vec: np.ndarray, num_qubits: int) -> float:
-        """Quadratic form <v|h|v> of the block; no normalization is applied."""
-        wires = tuple(reversed(self.support))
-        applied = apply_matrix(vec, self.block, wires, num_qubits)
-        return _real_energy(complex(np.vdot(vec, applied)))
-
     def sparse_energy(
         self, indices: np.ndarray, amps: np.ndarray, num_qubits: int
     ) -> float:
-        """``energy`` of the vector whose only nonzero entries are ``amps``.
+        """The quadratic form <v|h|v> of the block, unnormalized, for the
+        vector v whose only nonzero entries are ``amps``.
 
         ``indices`` are their distinct positions; see ``sparse_expectation``
         for the cost, which does not grow with ``num_qubits``.
@@ -288,7 +293,7 @@ class HamiltonianSpec:
     """An ordered list of terms over one grid."""
 
     layout: GridLayout
-    terms: tuple[LocalTerm | DressedTerm, ...]
+    terms: tuple[DressedTerm, ...]
 
     def __post_init__(self) -> None:
         terms = tuple(self.terms)
@@ -379,7 +384,19 @@ class SparseOperator:
 
 
 def assemble(spec: HamiltonianSpec) -> SparseOperator:
-    """Bundle a spec's terms into a term-wise applicable operator."""
+    """Bundle a spec's terms into a term-wise applicable operator, every
+    term's dense block built and cached here.
+
+    The blocks are refused first if they overrun the memory budget: two
+    dense matrices per term on its support, its block and its cached
+    ``kernel_factor`` (never wider), plus the copies that building the
+    largest block holds (``_BLOCK_COPIES``).
+    """
+    sizes = [dense_bytes(t.locality) for t in spec.terms]
+    nbytes = 2 * sum(sizes) + _BLOCK_COPIES * max(sizes)
+    require("the term blocks", spec.layout.num_qubits, nbytes)
+    for t in spec.terms:
+        t.block  # noqa: B018  (built and cached now, under the estimate)
     return SparseOperator(spec.layout.num_qubits, spec.terms)
 
 
@@ -395,9 +412,7 @@ class EnergyReport:
     violations: tuple[int, ...]
 
 
-def term_energy(
-    term: LocalTerm | DressedTerm, vec: np.ndarray, num_qubits: int
-) -> float:
+def term_energy(term: DressedTerm, vec: np.ndarray, num_qubits: int) -> float:
     """<v|h|v> of one term by its own ``energy``, unnormalized."""
     return term.energy(vec, num_qubits)
 

@@ -12,8 +12,8 @@ KiB of interpreter bookkeeping; it does not bound the process's peak,
 which also holds whatever the caller keeps. Tests measure that peak
 against the estimate for ``peps.build_peps``, ``peps.expansion``, the
 rotated-block extraction of ``rotation`` (``_conjugated_block``),
-``spectral.low_spectrum``, ``linalg.embed_operator`` and
-``fk.accept_probability``.
+``spectral.low_spectrum``, ``fk.accept_probability`` and
+``hamiltonian.assemble``.
 
 ``MEMORY_BUDGET`` is 2^28 bytes (256 MiB), one dense complex matrix on 12
 qubits.  The exact-diagonalization oracles count the copies they hold

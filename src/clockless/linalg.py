@@ -27,14 +27,11 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from .limits import dense_bytes, require
-
 __all__ = [
     "apply_maps",
     "apply_matrix",
     "basis_state",
     "bit_placement",
-    "embed_operator",
     "is_hermitian",
     "is_projector",
     "is_unitary",
@@ -52,8 +49,8 @@ __all__ = [
 
 # Amplitudes per piece of the streamed contraction (1 MiB of complex128).
 # Large enough that the fixed cost of one matmul call and the Python around
-# it stays small next to the piece's copy; every dense embedding up to 8
-# qubits (2^16 amplitudes) stays a single piece.
+# it stays small next to the piece's copy; every block up to 8 qubits that
+# ``apply_maps`` dresses (2^16 amplitudes) stays a single piece.
 _PIECE_AMPS = 2**16
 
 
@@ -260,20 +257,6 @@ def apply_maps(
 
     out = on_rows(np.asarray(block, dtype=np.complex128))
     return on_rows(out.T).T if both_sides else out
-
-
-def embed_operator(
-    op: np.ndarray, wires: Sequence[int], num_qubits: int
-) -> np.ndarray:
-    """Dense 2**N x 2**N embedding of ``op`` on ``wires``, identity elsewhere.
-
-    ``apply_matrix`` holds the identity, its copy and the product, or the
-    identity, the product and a piece of each (tracemalloc: 3.0 matrices
-    up to 8 qubits, 2.0-2.75 at 9-11).
-    """
-    require("a dense embedding", num_qubits, 3 * dense_bytes(num_qubits))
-    eye = np.eye(2**num_qubits, dtype=np.complex128)
-    return apply_matrix(eye, op, wires, num_qubits)
 
 
 def product_state(

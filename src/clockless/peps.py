@@ -46,7 +46,7 @@ from .circuit import (
 )
 from .limits import require, vector_bytes
 from .linalg import (
-    apply_matrix, basis_state, embed_operator, partial_trace, product_state,
+    apply_maps, apply_matrix, basis_state, partial_trace, product_state,
 )
 from .pauli import PAULI_TAGS, bell_basis_matrix, pauli_matrix, q_matrix
 
@@ -336,8 +336,8 @@ def depolarizing_reference_marginal(c: LayeredCircuit, xi, deltas) -> np.ndarray
         for wire in range(c.n):
             kicked = np.zeros_like(rho)
             for tag in ("X", "XZ", "Z"):
-                e = embed_operator(pauli_matrix(tag), (wire,), c.n)
-                kicked += e @ rho @ e.conj().T
+                # the tags are real, so P rho P^T is P rho P^dagger
+                kicked += apply_maps(rho, [(pauli_matrix(tag), (wire,))], c.n)
             rho = (1.0 - 3.0 * p) * rho + p * kicked
         rho = apply_layer(c, index, apply_layer(c, index, rho).conj().T).conj().T
     return rho

@@ -9,7 +9,7 @@ import numpy as np
 from clockless.circuit import Gate, LayeredCircuit, apply_circuit
 from clockless.io import SchemaError
 from clockless.limits import dense_bytes, require
-from clockless.linalg import is_hermitian
+from clockless.linalg import apply_matrix, is_hermitian
 from clockless.pauli import _bell
 from clockless.rotation import RotationUnitary, _cone, clifford_partners
 
@@ -24,6 +24,32 @@ SCALED_BELL_BASIS = np.array(
 def circuit_unitary(c: LayeredCircuit) -> np.ndarray:
     require("a dense circuit unitary", c.n, dense_bytes(c.n))
     return apply_circuit(c, np.eye(2**c.n, dtype=np.complex128))
+
+
+def embed_operator(op, wires, num_qubits: int) -> np.ndarray:
+    """Dense 2^N x 2^N embedding of ``op`` on ``wires``, identity elsewhere.
+
+    Wires are listed most significant first, as ``apply_matrix`` takes them.
+    ``np.kron(op, I)`` holds ``op``'s qubits on its leading axes, then the
+    other qubits in descending order; one axis permutation puts every qubit
+    in place, so no package contraction is involved.
+    """
+    require("a dense embedding", num_qubits, 2 * dense_bytes(num_qubits))
+    wires = list(wires)
+    rest = [q for q in reversed(range(num_qubits)) if q not in wires]
+    axis = {q: i for i, q in enumerate(wires + rest)}
+    perm = [axis[q] for q in reversed(range(num_qubits))]
+    full = np.kron(op, np.eye(2 ** len(rest))).reshape((2,) * (2 * num_qubits))
+    full = full.transpose(perm + [num_qubits + p for p in perm])
+    return full.reshape(2**num_qubits, 2**num_qubits)
+
+
+def dense_term_energy(term, vec: np.ndarray, num_qubits: int) -> float:
+    """<v|h|v> of a ``LocalTerm``'s block over the whole vector,
+    unnormalized: the dense energy that ``sparse_energy`` is checked
+    against."""
+    applied = apply_matrix(vec, term.block, tuple(reversed(term.support)), num_qubits)
+    return float(np.vdot(vec, applied).real)
 
 
 def wire_cone(circuit: LayeredCircuit, support) -> RotationUnitary:

@@ -290,6 +290,41 @@ def test_fk_refuses_a_three_wire_gate_without_outputs(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n, a, first, verified", [
+    (5, 5, {"gate": "H", "wires": [0]}, False),
+    (9, 5, {"gate": "CZ", "wires": [0, 1]}, False),
+    (4, 4, {"gate": "H", "wires": [0]}, True),
+], ids=["h5", "cz9", "h4"])
+def test_fk_leaves_out_a_verifier_whose_flips_are_too_wide(
+    tmp_path, n, a, first, verified
+):
+    # the ancillas first met at step 1 share one input term with its clock
+    # qubit: with five of them the term's controlled flip would act on 7
+    # wires, past the 6 a gate may have; with four it acts on 6
+    circuit = tmp_path / "wide_input.json"
+    circuit.write_text(json_text({"version": 1, "n": n, "a": a, "layers": [[first]]}))
+    out = tmp_path / "out"
+    assert main(["fk", "--circuit", str(circuit), "--out", str(out)]) == 0
+    report = read_json(out / "fk_report.json")
+    assert report["history_energy_max_nonoutput"] <= 1e-10
+    assert ("dl_verifier" in report) == verified
+
+
+def test_build_refuses_term_blocks_over_budget_without_outputs(tmp_path, capsys):
+    # a bulk CCZ term acts on 12 qubits, so its block alone is 256 MiB: it is
+    # refused before the grid state or any file is made
+    circuit = tmp_path / "ccz_bulk.json"
+    circuit.write_text(json_text({"version": 1, "n": 3, "a": 3, "layers": [
+        [{"gate": "CCZ", "wires": [0, 1, 2]}],
+        [{"gate": "I", "wires": [w]} for w in range(3)],
+    ]}))
+    out = tmp_path / "out"
+    assert main(["build", "--circuit", str(circuit), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the term blocks on 15 qubits would take about 1.25 GiB" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_missing_circuit_flag_is_an_input_error(tmp_path, capsys):
     code = main(["build", "--out", str(tmp_path / "o")])
     assert code == 2
@@ -799,8 +834,9 @@ def test_dense_build_counts_the_copies_it_holds(tmp_path, capsys, monkeypatch):
 def test_iterative_build_beyond_budget_exits_2_without_outputs(
     tmp_path, capsys, monkeypatch
 ):
-    # 30 ARPACK vectors on 14 qubits are 7.5 MiB; the grid state is 1 MiB.
-    monkeypatch.setattr(limits, "MEMORY_BUDGET", 2 * 2**20)
+    # 30 ARPACK vectors on 14 qubits are 7.5 MiB; the grid state is 1 MiB,
+    # and the term blocks with what building them holds about 5 MiB.
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", 6 * 2**20)
     circuit = tmp_path / "c14.json"
     circuit.write_text(json_text(C14))
     out = tmp_path / "out"

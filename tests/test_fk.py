@@ -15,6 +15,7 @@ from clockless.fk import (
     build_swap_test_verifier,
     clock_report,
     dl_product,
+    greedy_groups,
     history_state,
     invalid_clock_state,
     require_clock_states,
@@ -22,8 +23,9 @@ from clockless.fk import (
     swap_test_witness,
 )
 from clockless import fk, limits, linalg
-from clockless.hamiltonian import LocalTerm, term_energy
+from clockless.hamiltonian import LocalTerm
 from clockless.linalg import apply_matrix, basis_state, product_state, random_state
+from oracles import dense_term_energy, embed_operator
 
 
 @pytest.fixture
@@ -173,7 +175,7 @@ def test_operator_matches_energies(clock, rng):
 def _assert_energies_match_streamed(ham, state):
     # Each term's dense energy over the whole vector.
     vec = state.dense()
-    want = [term_energy(t, vec, ham.num_qubits) for t in ham.terms]
+    want = [dense_term_energy(t, vec, ham.num_qubits) for t in ham.terms]
     got = ham.energies(state)
     assert len(got) == len(want)
     assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-13
@@ -335,11 +337,44 @@ def test_dl_verifier_matches_projector_product(clock):
     assert flips == grouping
     xi = history_state(clock).dense()
     accept = accept_probability(verifier, plan, xi)
-    product = dl_product(clock.terms, grouping, clock.num_qubits)
-    direct = float(np.linalg.norm(product @ xi) ** 2)
+    direct = float(np.linalg.norm(dl_product(clock.terms, grouping, xi)) ** 2)
     assert abs(accept - direct) < 1e-12
     # frozen: the history state of 4 steps keeps 1 - 1/5 after the sweep
     assert np.isclose(accept, 0.8, atol=1e-12)
+
+
+def dense_dl_product(terms, grouping, num_qubits):
+    """The group-ordered product of term complements as 2^N x 2^N matrices,
+    first group first."""
+    eye = np.eye(2**num_qubits)
+    out = eye
+    for group in grouping:
+        for i in group:
+            wires = tuple(reversed(terms[i].support))
+            out = (eye - embed_operator(terms[i].block, wires, num_qubits)) @ out
+    return out
+
+
+@pytest.mark.parametrize("reduced_first", [True, False], ids=["clock", "hcnot"])
+def test_dl_product_matches_the_dense_group_product(hcnot, reduced_first, rng):
+    # the degree-reduced clock fixture (8 qubits) and hcnot's own encoding
+    # (4 qubits), on the history state and on a random state; the vector
+    # path holds a few vectors, never a 2^N x 2^N matrix
+    ham = build_modified_fk(degree_reduce(hcnot) if reduced_first else hcnot)
+    n = ham.num_qubits
+    grouping = greedy_groups(ham.terms)
+    dense = dense_dl_product(ham.terms, grouping, n)
+    for vec in (history_state(ham).dense(), random_state(n, rng)):
+        kept = vec.copy()
+        tracemalloc.start()
+        try:
+            got = dl_product(ham.terms, grouping, vec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(vec, kept)
+        assert np.abs(got - dense @ vec).max() <= 1e-14
+        assert peak < limits.vector_bytes(n, 4) + 2**12
 
 
 def test_swap_verifier_honest_completeness(hcnot):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from clockless import hamiltonian
 from clockless.circuit import Gate, degree_reduce, gate, layered
 from clockless.fk import build_modified_fk
 from clockless.hamiltonian import (
@@ -24,7 +25,6 @@ from clockless.linalg import (
     apply_matrix,
     basis_state,
     bit_placement,
-    embed_operator,
     random_projector,
     random_state,
     random_unitary,
@@ -34,7 +34,7 @@ from clockless.peps import GridLayout, build_peps, choi_factor
 from clockless.rotation import rotate_term, teleport_input
 from clockless.spectral import dense_spectrum
 from clockless.verify import named_fixtures
-from oracles import is_psd
+from oracles import embed_operator, is_psd
 
 
 def _output_term(row: int, layout: GridLayout) -> DressedTerm:
@@ -146,6 +146,31 @@ def test_sparse_operator_agrees_with_dense(bell_circuit, rng):
     assert np.allclose(sp @ v, dense @ v, atol=1e-10)
 
 
+@pytest.mark.parametrize("name", ["t_bulk", "cnot_bulk", "ccz_last"])
+def test_assemble_builds_every_block_within_its_estimate(monkeypatch, name):
+    # two matrices per term and three more of the largest bound what the
+    # blocks and their construction hold: 0.82 of the estimate on t_bulk
+    # (6 qubits), 0.64 on cnot_bulk (8) and 0.61 on a CCZ last-layer term
+    # (9), with 4 KiB of slack for bookkeeping
+    fixtures = dict(named_fixtures())
+    fixtures["ccz_last"] = layered(3, 1, [[("CCZ", (0, 1, 2))]])
+    spec = parent_spec(fixtures[name], 0.5)
+    estimates = []
+    monkeypatch.setattr(
+        hamiltonian, "require", lambda what, n, nbytes: estimates.append(nbytes)
+    )
+    tracemalloc.start()
+    try:
+        assemble(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    (estimate,) = estimates
+    assert peak <= estimate + 4096
+    # every block is built and cached, so no later apply builds one
+    assert all("block" in vars(t) for t in spec.terms)
+
+
 def concatenated_csr_reference(op):
     """``to_sparse`` as the per-term coordinate pieces, joined, compressed."""
     rows, cols, vals = [], [], []
@@ -193,14 +218,17 @@ def test_term_energy_matches_expectation(identity1, rng):
 
 
 def test_term_energy_rejects_bad_vectors_and_wires():
-    term = LocalTerm("output", (1,), np.diag([1.0, 0.0]), 1, (0,))
-    with pytest.raises(ValueError, match="state length"):
+    term = input_term(0, 0.5, GridLayout(1, 1))
+    with pytest.raises(ValueError, match="does not fit a vector of shape"):
         term_energy(term, np.ones(3), 2)
-    stray = LocalTerm("output", (5,), np.diag([1.0, 0.0]), 1, (0,))
+    # A dense term's block acts through apply_matrix, which checks the
+    # vector's length and the wires' range; terms cannot be built with a
+    # repeated support, and the contraction still refuses repeated wires.
+    block = np.diag([1.0, 0.0])
+    with pytest.raises(ValueError, match="state length"):
+        apply_matrix(np.ones(3), block, (1,), 2)
     with pytest.raises(ValueError, match="out of range"):
-        term_energy(stray, basis_state(0, 3), 3)
-    # Terms cannot be built with a repeated support; the contraction under
-    # every dense term still refuses repeated wires.
+        apply_matrix(basis_state(0, 3), block, (5,), 3)
     with pytest.raises(ValueError, match="distinct"):
         apply_matrix(basis_state(0, 3), np.eye(4), (1, 1), 3)
 
@@ -413,4 +441,8 @@ def test_every_term_offers_the_protocol(producer, hcnot):
         for _ in range(3):
             v = random_state(n, rng)
             reference = np.vdot(v, apply_matrix(v, term.block, wires, n)).real
-            assert abs(term_energy(term, v, n) - reference) <= 1e-13
+            if isinstance(term, DressedTerm):
+                got = term_energy(term, v, n)
+            else:  # a dense term's energy is read off a vector's entries
+                got = term.sparse_energy(np.arange(v.size), v, n)
+            assert abs(got - reference) <= 1e-13

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from clockless import limits
+from clockless.circuit import layered
+from clockless.fk import require_simulable
 from clockless.hamiltonian import SparseOperator
 from clockless.limits import (
     MEMORY_BUDGET,
@@ -21,7 +23,6 @@ from clockless.limits import (
     set_blas_threads,
     vector_bytes,
 )
-from clockless.linalg import embed_operator
 from clockless.spectral import ConvergenceError, ground_certificate
 
 
@@ -66,8 +67,9 @@ def test_dense_oracles_refuse_twelve_qubits_without_allocating():
 
 
 def test_library_refusal_is_a_resource_error():
-    with pytest.raises(ResourceError, match="dense embedding on 13 qubits"):
-        embed_operator(np.eye(2), (0,), 13)
+    wide = layered(25, 0, [[("H", (w,)) for w in range(25)]])
+    with pytest.raises(ResourceError, match="simulating a circuit on 25 qubits"):
+        require_simulable(wide)
 
 
 def _no_search():

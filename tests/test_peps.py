@@ -23,7 +23,8 @@ from clockless.peps import (
     reassemble_expansion,
     resolve_deltas,
 )
-from oracles import bell_state
+from clockless.verify import named_fixtures
+from oracles import bell_state, embed_operator
 
 
 def test_grid_layout_indices():
@@ -225,6 +226,37 @@ def test_depolarizing_marginal_any_circuit(rng):
         rho = output_marginal(build_peps(c, schedule, xi=xi))
         reference = depolarizing_reference_marginal(c, xi, schedule)
         assert trace_distance(rho, reference) < 1e-12
+
+
+def dense_depolarizing_marginal(c, xi, deltas) -> np.ndarray:
+    """``depolarizing_reference_marginal`` with every Pauli kick a dense
+    2^n x 2^n embedding E, applied as E rho E^dagger."""
+    vec = input_state(c, xi)
+    rho = np.outer(vec, vec.conj())
+    for index, delta in enumerate(resolve_deltas(deltas, c.depth)):
+        p = delta**2 / (1.0 + 3.0 * delta**2)
+        for wire in range(c.n):
+            kicked = np.zeros_like(rho)
+            for tag in ("X", "XZ", "Z"):
+                e = embed_operator(pauli_matrix(tag), (wire,), c.n)
+                kicked += e @ rho @ e.conj().T
+            rho = (1.0 - 3.0 * p) * rho + p * kicked
+        rho = apply_layer(c, index, apply_layer(c, index, rho).conj().T).conj().T
+    return rho
+
+
+@pytest.mark.parametrize("delta", [0.2, 0.5, 0.8])
+def test_depolarizing_reference_matches_dense_kicks(delta):
+    # the Pauli kicks act on rho's rows and columns, never as dense
+    # embeddings, and every entry comes out the same to the bit
+    c14 = layered(2, 1, [[("H", (0,)), ("T", (1,))], [("CNOT", (0, 1))],
+                         [("S", (0,)), ("H", (1,))]])
+    ccz = layered(3, 1, [[("H", (0,)), ("H", (1,)), ("T", (2,))],
+                         [("CCZ", (0, 1, 2))]])
+    circuits = [c for _, c in named_fixtures()] + [c14, ccz]
+    for c in circuits:
+        got = depolarizing_reference_marginal(c, None, delta)
+        assert np.array_equal(got, dense_depolarizing_marginal(c, None, delta))
 
 
 def test_choi_vector_matches_column_copy(rng):

@@ -20,10 +20,7 @@ UNREACHED_ALLOWED: dict[str, str] = {}
 
 # Public members that the commands reach by name but never run, each with the
 # reason it stays.
-UNRUN_ALLOWED = {
-    "hamiltonian.LocalTerm.energy": "the dense energy that test_fk checks "
-    "sparse_energy against",
-}
+UNRUN_ALLOWED: dict[str, str] = {}
 
 # Defaulted parameters of package functions that no package call sets, each
 # with the reason the default stays a parameter.
