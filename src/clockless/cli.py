@@ -343,9 +343,8 @@ def cmd_build(cfg: RunConfig) -> int:
     if cfg.mtx:
         cio.write_matrix_market(os.path.join(cfg.out, "hamiltonian.mtx"), operator)
     cio.write_spectral_report(os.path.join(cfg.out, "spectral.json"), spectral)
-    cio.write_state_bin(
-        os.path.join(cfg.out, "ground.bin"), spectral.eigenvectors[:, 0]
-    )
+    # The parent's first ground vector is the grid state itself.
+    cio.write_state_bin(os.path.join(cfg.out, "ground.bin"), state.amplitudes)
     report = energy(spec, state)
     cio.write_json(
         os.path.join(cfg.out, "build_report.json"),

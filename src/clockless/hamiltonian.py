@@ -222,8 +222,8 @@ class DressedTerm:
         return float(np.vdot(lv, lv).real - np.vdot(kept, kept).real)
 
     def squared_dressing(self, support: Sequence[int] | None = None) -> np.ndarray:
-        """``L²`` on ``support``, a sorted superset of the term's support
-        (by default the support itself): a Kronecker product of each pair's
+        """``L²`` on ``support``, a sorted support that holds the term's
+        pairs (by default the term's own): a Kronecker product of each pair's
         ``Λ(δ)²`` on its two adjacent bits and the identity elsewhere."""
         support = self.support if support is None else tuple(support)
         bits = {q: i for i, q in enumerate(support)}

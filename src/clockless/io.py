@@ -398,7 +398,8 @@ def write_matrix_market(path, op) -> None:
 
 
 def spectral_report_dict(report) -> dict:
-    """JSON form of a spectral report; eigenvectors ship separately as .bin."""
+    """JSON form of a spectral report; the ground vector ships separately
+    as ground.bin."""
     return {
         "lowest_eigenvalues": list(report.lowest_eigenvalues),
         "ground_dim": report.ground_dim,

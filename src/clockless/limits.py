@@ -12,8 +12,8 @@ KiB of interpreter bookkeeping; it does not bound the process's peak,
 which also holds whatever the caller keeps. Tests measure that peak
 against the estimate for ``peps.build_peps``, ``peps.expansion``, the
 rotated-block extraction of ``rotation`` (``_conjugated_block``),
-``spectral.low_spectrum``, ``fk.accept_probability`` and
-``hamiltonian.assemble``.
+``spectral.low_spectrum``, ``fk.accept_probability``,
+``hamiltonian.assemble`` and ``soundness.extract_decomposition``.
 
 ``MEMORY_BUDGET`` is 2^28 bytes (256 MiB), one dense complex matrix on 12
 qubits.  The exact-diagonalization oracles count the copies they hold
@@ -61,8 +61,10 @@ _QUEUED = select.PIPE_BUF // _INDEX.size
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 _CHUNK = 2**16
 
-# Python bookkeeping of one enumerated entry beside its vector (about 520 B
-# measured with tracemalloc on exhaustive expansions).
+# Python bookkeeping of one enumerated entry beside its vector, rounded up:
+# its tuple, tag words, float and array header hold 233-305 B (tracemalloc,
+# soundness.extract_decomposition's 1,024 and 8,192 entries on bell and C14
+# with every location faulted).
 _ENTRY_OVERHEAD = 512
 
 

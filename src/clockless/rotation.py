@@ -26,9 +26,13 @@ factors have taken a term onto qubits that no unwalked factor touches,
 every unwalked factor commutes with it; the Pauli frame stays local under
 Clifford gates (Gottesman and Chuang, quant-ph/9908010), so every term
 that ``rotate_term`` keeps gets there in one layer from the output side.
-``rotate_term`` extracts the term once, on that stop, and refuses a block
-that fails the leakage check or trims onto a qubit an unwalked factor
-touches. ``locality_residual`` samples the same stop, and
+The qubits a rotated term lands on are known before it is extracted: its
+dressed pairs, the k left pairs of a last-layer term and the 2k pairs of a
+bulk term. ``rotate_term`` refuses a term whose pairs an unwalked factor
+touches, extracts it once on its pairs on that stop, and refuses it when
+the leakage check, which is zero exactly when the rotated term is that
+block and the identity on the rest of the stop, fails.
+``locality_residual`` samples the same stop, and
 ``teleport_input`` extracts its input term on the whole three-qubit
 teleport grid, its own cone, once per delta. ``require_cones`` budgets the
 stop of every gate term of a circuit, before any is extracted. Every term
@@ -90,12 +94,10 @@ __all__ = [
     "teleport_input",
 ]
 
-# Random full states a rotated term is checked against for leakage, the
-# leakage a rotated term may show on them, and the norm below which a block
-# counts as the identity on a qubit.
+# Random full states a rotated term is checked against for leakage, and the
+# leakage a rotated term may show on them.
 _CHECK_SAMPLES = 50
 _LEAKAGE_TOL = 1e-9
-_TRIVIAL_TOL = 1e-10
 
 # Cone-wide buffers one extraction holds beside its block, its product and
 # its cached check states: a batch pushed through the rotation, the
@@ -235,7 +237,7 @@ def _conjugated_block(
     ``RotationUnitary.walk`` or, for ``teleport_input``, the whole teleport
     grid; everything runs on its qubits, and the cone grows no further.
     The candidate block is the rotated term between basis states that are
-    zero outside the support, a superset of the term's own. It comes from
+    zero outside the support, which holds the term's pairs. It comes from
     the term's factors: every ``Λ(δ)`` dresses a shifted pair and is
     Bell-diagonal, and every rotation factor is a Bell-controlled Pauli or
     a gate on the output column, so ``U† L² U = L²`` and the block is
@@ -280,8 +282,9 @@ def _require_extraction(
     and ``_EXTRACTION_BUFFERS`` cone-wide buffers as wide as the columns
     pushed through the rotation at once, the hole's r·2^(N-kv) or the
     ``_CHECK_SAMPLES`` check states (``_conjugated_block``). On the first
-    stop of a walk the hole has fewer than 2^m columns: the stop holds the
-    term's support, plus its wires' output qubits for a bulk term."""
+    stop of a walk, extracting on the term's m pair qubits, the hole has
+    2^(m-k) columns: the stop holds those pairs and the k output qubits of
+    the term's wires."""
     n = cone.num_qubits
     hole = term.basis.shape[1] << (n - len(term.inner))
     columns = _CHECK_SAMPLES + _EXTRACTION_BUFFERS * max(hole, _CHECK_SAMPLES)
@@ -291,45 +294,24 @@ def _require_extraction(
 
 def require_cones(circuit: LayeredCircuit) -> None:
     """``_conjugated_block``'s budget check for every gate term of
-    ``circuit``, on the first stop of its walk, before any block is built.
+    ``circuit``, on its pairs on the first stop of its walk, before any
+    block is built.
 
-    ``rotate_term`` and ``locality_residual`` both extract a gate term on
-    that stop; input terms are extracted on the three-qubit teleport grid
-    instead (``teleport_input``).
+    ``rotate_term`` extracts a gate term on its pairs on that stop, and
+    ``locality_residual`` on its support there, the same qubits for the
+    bulk terms it samples; input terms are extracted on the three-qubit
+    teleport grid instead (``teleport_input``).
     """
     rot = RotationUnitary(circuit)
     for term in parent_spec(circuit, 1.0).terms:
         if term.kind != "input":
             cone, _ = rot.walk(term.support)
-            _require_extraction(term, len(term.support), cone)
+            _require_extraction(term, len(_pair_qubits(term)), cone)
 
 
-def _trim_trivial_qubits(
-    block: np.ndarray, support: tuple[int, ...]
-) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Drop support qubits on which the block acts as the identity.
-
-    One pass from the highest bit down: dropping a bit leaves the lower
-    bits where they were, and a block ``I ⊗ B`` is trivial on a bit exactly
-    where ``B`` is. The last qubit left is kept.
-    """
-    for b in reversed(range(len(support))):
-        m = len(support)
-        if m == 1:
-            break
-        # A view: a copy per bit would hold two beside the block.
-        split = np.moveaxis(
-            block.reshape((2,) * (2 * m)), (m - 1 - b, 2 * m - 1 - b), (0, 1)
-        )
-        if (
-            np.linalg.norm(split[0, 1]) <= _TRIVIAL_TOL
-            and np.linalg.norm(split[1, 0]) <= _TRIVIAL_TOL
-            and np.linalg.norm(split[0, 0] - split[1, 1]) <= _TRIVIAL_TOL
-        ):
-            half = 2 ** (m - 1)
-            block = split[0, 0].reshape(half, half)
-            support = support[:b] + support[b + 1 :]
-    return block, support
+def _pair_qubits(term: DressedTerm) -> tuple[int, ...]:
+    """The qubits of the pairs that ``term`` dresses, ascending."""
+    return tuple(sorted(q for pair, _ in term.pairs for q in pair))
 
 
 def _leakage_error(
@@ -344,30 +326,30 @@ def _leakage_error(
 def rotate_term(term: DressedTerm, circuit: LayeredCircuit) -> LocalTerm:
     """Conjugate one term by the circuit's rotation and re-localize it.
 
-    Extracts the term on its own support on the first stop of the
-    rotation's walk from the output side (``RotationUnitary.walk``),
-    validates it against ``_CHECK_SAMPLES`` random states of that cone and
-    trims it down to the qubits it acts on. A block that passes and lies on
-    qubits that no unwalked factor touches is the rotated term, as every
-    unwalked factor commutes with it. Terms of gates that normalize the
-    Pauli group stay on their original support there, after the next layer
-    in (last-layer terms drop their output legs at their own layer's
-    corrections). Raises on a term that leaks past its support by more
-    than ``_LEAKAGE_TOL``, as the term of any other gate spreads onto the
-    output column (``locality_residual`` measures how far), and on one
-    that the stop leaves on a qubit an unwalked factor touches.
+    Extracts the term once, on its dressed pairs, on the first stop of the
+    rotation's walk from the output side (``RotationUnitary.walk``), and
+    validates it against ``_CHECK_SAMPLES`` random states of that stop. A
+    block that passes is the stop's rotation of the term, the identity off
+    the pairs; as no unwalked factor touches the pairs, every unwalked
+    factor commutes with it, and it is the rotated term. Terms of gates
+    that normalize the Pauli group land on their pairs there, after the
+    next layer in (last-layer terms drop their output legs at their own
+    layer's corrections). Raises on a term whose pairs an unwalked factor
+    touches, before extracting it, and on one that leaks past its pairs by
+    more than ``_LEAKAGE_TOL``, as the term of any other gate spreads onto
+    the output column (``locality_residual`` measures how far).
     """
+    pairs = _pair_qubits(term)
     cone, unwalked = RotationUnitary(circuit).walk(term.support)
-    block, residual = _conjugated_block(term, cone, term.support)
-    if residual > _LEAKAGE_TOL:
-        raise _leakage_error(term, term.support, residual)
-    block, support = _trim_trivial_qubits(block, term.support)
-    if not unwalked.isdisjoint(support):
+    if not unwalked.isdisjoint(pairs):
         raise ValueError(
-            f"rotated {term} stops on {support}, where unwalked factors act "
-            f"on {sorted(unwalked.intersection(support))}"
+            f"rotated {term} stops on {pairs}, where unwalked factors act "
+            f"on {sorted(unwalked.intersection(pairs))}"
         )
-    return LocalTerm(term.kind, support, block, term.layer, term.wires)
+    block, residual = _conjugated_block(term, cone, pairs)
+    if residual > _LEAKAGE_TOL:
+        raise _leakage_error(term, pairs, residual)
+    return LocalTerm(term.kind, pairs, block, term.layer, term.wires)
 
 
 def locality_residual(term: DressedTerm, circuit: LayeredCircuit) -> float:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .circuit import Gate, LayeredCircuit, layered
 from .hamiltonian import energy, input_term, parent_spec, propagation_term, term_energy
-from .limits import enumeration_bytes, fork_map, require
+from .limits import enumeration_bytes, fork_map, require, vector_bytes
 from .linalg import (
     overlap,
     partial_trace,
@@ -308,19 +308,24 @@ def extract_decomposition(
             "the state has no fault pattern; build it with "
             "build_combinatorial_state"
         )
+    frame, _, slots, groups = _fault_frame(c, fault, layout)
+
+    # Each entry keeps a residual on the qubits that no bra contracts, and
+    # each error basis holds a word per entry. The pair-map sweep that
+    # undresses the amplitudes holds 3 grid vectors at its peak: the
+    # previous sweep's vector, apply_matrix's copy and product.
+    bras = frame + [g[0][1:] for g in groups]
+    kept = layout.num_qubits - sum(len(q) for _, q in bras)
+    nbytes = enumeration_bytes(math.prod(len(g) for g in groups), kept)
+    nbytes += sum(enumeration_bytes(len(g), len(g[0][2])) for g in groups)
+    nbytes += vector_bytes(layout.num_qubits, 3)
+    require("an error-basis enumeration", layout.num_qubits, nbytes)
+
     schedule = state.delta_per_layer
     amps = apply_pair_maps(
         state.amplitudes, layout, [lambda_matrix(d) for d in schedule]
     )
     amps = amps / np.linalg.norm(amps)
-    frame, _, slots, groups = _fault_frame(c, fault, layout)
-
-    # Each entry keeps a residual on the qubits that no bra contracts.
-    bras = frame + [g[0][1:] for g in groups]
-    kept = layout.num_qubits - sum(len(q) for _, q in bras)
-    nbytes = enumeration_bytes(math.prod(len(g) for g in groups), kept)
-    require("an error-basis enumeration", layout.num_qubits, nbytes)
-
     entries = []
     total = 0.0
     for combo in itertools.product(*groups):

@@ -86,22 +86,22 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Lowest eigenpairs of a Hermitian operator, with quality metadata.
+    """Lowest eigenvalues of a Hermitian operator, with quality metadata.
 
     ``lowest_eigenvalues`` is ascending, with one residual norm ``‖Hv -
-    λv‖`` per retained eigenvector column.  ``dense_spectrum`` and
-    ``low_spectrum`` report levels only and claim no ground space:
-    ``ground_dim`` 0, ``gap`` NaN and ``ground_resolved`` False.
-    ``parent_spectrum`` fills the three in: ``ground_dim`` counts the grid
-    states that span the parent's ground space, ``ground_resolved`` says
-    whether the level above them is certified apart from them, and ``gap``
-    is that level minus the lowest one, or NaN when it is not resolved.
+    λv‖`` per eigenvector the solver checked, lowest first.
+    ``dense_spectrum`` and ``low_spectrum`` report levels only and claim no
+    ground space: ``ground_dim`` 0, ``gap`` NaN and ``ground_resolved``
+    False.  ``parent_spectrum`` fills the three in: ``ground_dim`` counts
+    the grid states that span the parent's ground space, ``ground_resolved``
+    says whether the level above them is certified apart from them, and
+    ``gap`` is that level minus the lowest one, or NaN when it is not
+    resolved.
     """
 
     lowest_eigenvalues: np.ndarray
     residuals: np.ndarray
     method: str
-    eigenvectors: np.ndarray
     ground_dim: int = 0
     gap: float = float("nan")
     ground_resolved: bool = False
@@ -116,9 +116,7 @@ class SpectralReport:
             raise ValueError(f"ground_dim {self.ground_dim} out of range")
         if self.method not in ("dense", "iterative"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.eigenvectors.shape[1] != len(self.residuals):
-            raise ValueError("one residual per retained eigenvector column")
-        for arr in (eigs, self.residuals, self.eigenvectors):
+        for arr in (eigs, self.residuals):
             arr.flags.writeable = False
         object.__setattr__(self, "lowest_eigenvalues", eigs)
 
@@ -147,14 +145,13 @@ def _as_dense(op) -> np.ndarray:
 
 def dense_spectrum(mat: np.ndarray, vectors: int) -> SpectralReport:
     """Every eigenvalue of the Hermitian array ``mat``, by ``scipy.linalg.eigh``;
-    the oracle for everything else.  The lowest ``vectors`` eigenvectors are
-    retained."""
+    the oracle for everything else.  The residuals of the lowest ``vectors``
+    eigenvectors are reported."""
     eigs, basis = scipy.linalg.eigh(mat)
     kept = np.ascontiguousarray(basis[:, :vectors])
     residuals = np.linalg.norm(mat @ kept - kept * eigs[: kept.shape[1]], axis=0)
     return SpectralReport(
-        lowest_eigenvalues=eigs, residuals=residuals, method="dense",
-        eigenvectors=kept,
+        lowest_eigenvalues=eigs, residuals=residuals, method="dense"
     )
 
 
@@ -371,8 +368,7 @@ def low_spectrum(
             f"residual check failed at {residuals.max():.3e} > {tol:g}", spent
         )
     return SpectralReport(
-        lowest_eigenvalues=eigs, residuals=residuals, method="iterative",
-        eigenvectors=vectors,
+        lowest_eigenvalues=eigs, residuals=residuals, method="iterative"
     )
 
 
@@ -455,7 +451,6 @@ def parent_spectrum(
         gap=float(eigs[g] - eigs[0]) if resolved else float("nan"),
         residuals=np.concatenate([ground_residuals, excited.residuals]),
         method=excited.method,
-        eigenvectors=np.column_stack([*basis, excited.eigenvectors]),
         ground_resolved=resolved,
     )
 

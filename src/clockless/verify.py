@@ -292,6 +292,7 @@ def _case_checks(case, tol: float) -> list[Check]:
         checks.append(ground_fidelity_check(name, delta, spec, grid, state, tol))
     rebuilt = reassemble_expansion(c, expansion(c, None, schedule))
     fid = overlap(rebuilt / np.linalg.norm(rebuilt), state.amplitudes) ** 2
+    del rebuilt  # one grid vector fewer through the rows below
     checks.append(Check(
         "expansion_reassembly", name, delta, fid, 1.0, 1.0 - fid,
         check_status(1.0 - fid, max(tol, 1e-12)),

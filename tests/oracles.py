@@ -66,6 +66,34 @@ def wire_cone(circuit: LayeredCircuit, support) -> RotationUnitary:
     return _cone(kept, reach)
 
 
+def trim_trivial_qubits(
+    block: np.ndarray, support: tuple[int, ...], tol: float = 1e-10
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Drop support qubits on which the block acts as the identity, within
+    ``tol`` in the Frobenius norm: the support a wire-cone block is known to
+    rotate onto, found numerically.
+
+    One pass from the highest bit down: dropping a bit leaves the lower
+    bits where they were, and a block ``I ⊗ B`` is trivial on a bit exactly
+    where ``B`` is. The last qubit left is kept.
+    """
+    for b in reversed(range(len(support))):
+        m = len(support)
+        if m == 1:
+            break
+        split = np.moveaxis(
+            block.reshape((2,) * (2 * m)), (m - 1 - b, 2 * m - 1 - b), (0, 1)
+        )
+        if (
+            np.linalg.norm(split[0, 1]) <= tol
+            and np.linalg.norm(split[1, 0]) <= tol
+            and np.linalg.norm(split[0, 0] - split[1, 1]) <= tol
+        ):
+            block = split[0, 0].reshape(2 ** (m - 1), 2 ** (m - 1))
+            support = support[:b] + support[b + 1 :]
+    return block, support
+
+
 def is_psd(m: np.ndarray, tol: float = 1e-12) -> bool:
     if not is_hermitian(m, tol):
         return False

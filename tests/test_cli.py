@@ -1182,3 +1182,16 @@ def test_swapqma_beyond_budget_exits_2_without_outputs(tmp_path, capsys):
     assert main(["swapqma", "--circuit", str(circuit), "--out", str(out)]) == 2
     assert "23 qubits" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_c18_rows_are_pinned(tmp_path):
+    # verify --circuit on c18, C14 with a fourth layer CNOT(1, 0) on 18
+    # qubits, byte for byte: the rotated rows past the 10-qubit fixtures
+    circuit = tmp_path / "c18.json"
+    circuit.write_text(json_text({
+        **C14, "layers": C14["layers"] + [[{"gate": "CNOT", "wires": [1, 0]}]],
+    }))
+    out = tmp_path / "out"
+    assert main(["verify", "--circuit", str(circuit), "--out", str(out)]) == 0
+    pinned = (DATA / "verify_c18.csv").read_bytes()
+    assert (out / "verify.csv").read_bytes() == pinned

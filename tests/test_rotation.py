@@ -36,7 +36,10 @@ from clockless.rotation import (
     teleport_input,
 )
 from clockless.verify import named_fixtures, verify_checks
-from oracles import SCALED_BELL_BASIS, bell_state, dense_clifford_form, wire_cone
+from oracles import (
+    SCALED_BELL_BASIS, bell_state, dense_clifford_form, trim_trivial_qubits,
+    wire_cone,
+)
 
 
 def bulk_fixture(name, wires):
@@ -382,37 +385,26 @@ def test_cone_extraction_matches_the_full_grid():
 
 def test_a_cone_short_of_one_factor_is_refused(monkeypatch):
     # with the innermost factor of every cone dropped, the one next to the
-    # term in U† T U and the first the walk keeps, each localized term
-    # either leaks off its support or rotates onto the wrong block
+    # term in U† T U and the first the walk keeps, each localized term's
+    # rotation is not its block on its pairs and the identity on the rest
+    # of the cone, so the leakage check refuses it
     cone = rotation._cone
 
     def short(kept, reach):
         return cone(kept[1:], reach)
 
-    checked = refused = 0
+    checked = 0
     for name, c in named_fixtures():
         spec = parent_spec(c, (0.3, 0.6)[: c.depth])
         for term in spec.terms:
             if not _localized(c, term):
                 continue
-            want, _ = conjugated_block_loop_reference(term, c, term.support)
-            want, want_support = rotation._trim_trivial_qubits(want, term.support)
             with monkeypatch.context() as patch:
                 patch.setattr(rotation, "_cone", short)
-                try:
-                    got = rotate_term(term, c)
-                except ValueError as err:
-                    assert "leakage" in str(err) or "unwalked" in str(err)
-                    refused += 1
-                else:
-                    assert (
-                        got.support != want_support
-                        or np.abs(got.block - want).max() > 1e-3
-                    ), (name, str(term))
+                with pytest.raises(ValueError, match="leakage"):
+                    rotate_term(term, c)
             checked += 1
-    # 6 leak and 6 stop on a qubit that an unwalked factor touches, so 12
-    # are refused; 2 stay on their support with a wrong block
-    assert checked == 14 and refused == 12
+    assert checked == 14
 
 
 # The pinned 14-qubit circuit of perfbench/inputs/c14.json, and the 18-qubit
@@ -425,14 +417,19 @@ C18 = layered(2, 1, C14_LAYERS + [[("CNOT", (1, 0))]])
 WALK_SCHEDULE = (0.3, 0.6, 0.45, 0.7)
 
 
+def pair_qubits(term):
+    """The qubits of the pairs ``term`` dresses, ascending."""
+    return tuple(sorted(q for pair, _ in term.pairs for q in pair))
+
+
 def _walked(term, c, patch):
-    """``rotate_term(term, c)`` and the light-cone size of each extraction
-    it made."""
+    """``rotate_term(term, c)`` and the light-cone size and support of each
+    extraction it made."""
     cones = []
     extract = rotation._conjugated_block
 
     def recording(term, cone, support):
-        cones.append(cone.num_qubits)
+        cones.append((cone.num_qubits, tuple(support)))
         return extract(term, cone, support)
 
     patch.setattr(rotation, "_conjugated_block", recording)
@@ -443,7 +440,7 @@ def test_the_walk_lands_on_the_wire_cone_block(monkeypatch):
     # every localized term of the verify fixtures and of C14 at a non-uniform
     # schedule: the walk stops in one extraction, on a cone no wider than
     # the wire cone, with the support and, within 1e-13, the block that the
-    # wire cone's extraction trims to
+    # wire cone's extraction on the term's support trims to
     checked = 0
     for name, c in named_fixtures() + [("C14", C14)]:
         spec = parent_spec(c, WALK_SCHEDULE[: c.depth])
@@ -452,11 +449,11 @@ def test_the_walk_lands_on_the_wire_cone_block(monkeypatch):
                 continue
             want, residual = conjugated_block_loop_reference(term, c, term.support)
             assert residual < 1e-12, (name, str(term))
-            want, want_support = rotation._trim_trivial_qubits(want, term.support)
+            want, want_support = trim_trivial_qubits(want, term.support)
             with monkeypatch.context() as patch:
                 got, cones = _walked(term, c, patch)
             assert len(cones) == 1, (name, str(term))
-            assert cones[0] <= wire_cone(c, term.support).num_qubits
+            assert cones[0][0] <= wire_cone(c, term.support).num_qubits
             assert got.support == want_support, (name, str(term))
             assert np.abs(got.block - want).max() <= 1e-13, (name, str(term))
             checked += 1
@@ -467,7 +464,8 @@ def test_the_walk_lands_on_the_wire_cone_block(monkeypatch):
 def test_decided_cones_are_pinned(monkeypatch):
     # the cone each localized term's walk stops on, in term order: last-layer
     # terms stop at their own layer's corrections, bulk terms of
-    # Pauli-normalizing gates at the next layer in
+    # Pauli-normalizing gates at the next layer in; each is extracted once,
+    # on its sorted pair qubits
     cones = {}
     for name, c in named_fixtures() + [("C14", C14), ("c18", C18)]:
         spec = parent_spec(c, WALK_SCHEDULE[: c.depth])
@@ -475,7 +473,8 @@ def test_decided_cones_are_pinned(monkeypatch):
             if _localized(c, term):
                 with monkeypatch.context() as patch:
                     _, walked = _walked(term, c, patch)
-                cones.setdefault(name, []).extend(walked)
+                assert [s for _, s in walked] == [pair_qubits(term)], (name, str(term))
+                cones.setdefault(name, []).extend(n for n, _ in walked)
     assert cones == {
         "identity1": [3],
         "hadamard": [3],
@@ -524,10 +523,10 @@ def random_circuit(rng):
 
 
 def test_every_first_stop_pushes_fewer_columns_than_its_block():
-    # walks only: every gate term's first stop holds its support and, for a
-    # bulk term, its wires' output qubits, so the r·2^(N-kv) columns of its
-    # kernel factor pushed through the cone are at most 2^(m-k), fewer than
-    # the 2^m basis columns of its block
+    # walks only: every gate term's first stop holds its m pair qubits and
+    # its k wires' output qubits, so the r·2^(N-kv) columns of its kernel
+    # factor pushed through the cone are 2^(m-k), fewer than the 2^m basis
+    # columns of its block on its pairs
     rng = np.random.default_rng(5)
     circuits = named_fixtures() + [("C14", C14), ("c18", C18)]
     circuits += list(WIDE_CIRCUITS.items())
@@ -539,11 +538,10 @@ def test_every_first_stop_pushes_fewer_columns_than_its_block():
             if term.kind == "input":
                 continue
             cone, _ = rot.walk(term.support)
-            m = len(term.support)
-            outputs = 0 if term.layer == c.depth else len(term.wires)
-            assert cone.num_qubits == m + outputs, (name, str(term))
+            m, k = len(pair_qubits(term)), len(term.wires)
+            assert cone.num_qubits == m + k, (name, str(term))
             hole = term.basis.shape[1] << (cone.num_qubits - len(term.inner))
-            assert hole <= 2 ** (m - len(term.wires)), (name, str(term))
+            assert hole == 2 ** (m - k), (name, str(term))
             checked += 1
     # 59 gate terms of the named circuits and 162 of the random draws
     assert checked == 221
@@ -598,18 +596,34 @@ def test_the_budget_checks_the_cone_verify_extracts_on(monkeypatch, pin_cpus):
 
 def test_a_term_the_walk_leaves_on_the_output_is_refused(monkeypatch):
     # |1><1| on the output qubit of a two-layer identity wire, dressed on the
-    # last pair: the last layer's correction keeps it on its support, but on
-    # the output qubit, which layer 1's correction touches, so its one
-    # extraction, on the walk's first stop, is refused
+    # last pair: the last layer's correction keeps it on the output qubit,
+    # off its pair, so its one extraction, on its pair on the walk's first
+    # stop, is refused for leakage
     c = layered(1, 1, [[("I", (0,))]] * 2)
     term = DressedTerm("input", 2, (0,), (((2, 3), 0.5),), (4,), [[1.0], [0.0]])
     with monkeypatch.context() as patch:
         supports = _counting_extractions(patch)
-        with pytest.raises(ValueError, match=r"unwalked factors act on \[4\]"):
+        with pytest.raises(ValueError, match=r"not supported on \(2, 3\): leakage"):
             rotate_term(term, c)
-    assert supports == [term.support]
+    assert supports == [(2, 3)]
     _, unwalked = RotationUnitary(c).walk(term.support)
     assert unwalked == {0, 1, 4}
+
+
+def test_a_term_whose_pairs_the_walk_leaves_is_refused(monkeypatch):
+    # |1><1| on the output qubit of a three-layer identity wire, dressed on
+    # the first pair: the walk stops before layer 2, which would widen the
+    # cone, so layer 1's correction, which acts on the pair, is unwalked and
+    # the term is refused before it is extracted
+    c = layered(1, 1, [[("I", (0,))]] * 3)
+    term = DressedTerm("input", 1, (0,), (((0, 1), 0.5),), (6,), [[1.0], [0.0]])
+    with monkeypatch.context() as patch:
+        supports = _counting_extractions(patch)
+        with pytest.raises(ValueError, match=r"unwalked factors act on \[0, 1\]"):
+            rotate_term(term, c)
+    assert supports == []
+    _, unwalked = RotationUnitary(c).walk(term.support)
+    assert unwalked == {0, 1, 2, 3, 6}
 
 
 def test_a_leaky_term_is_refused_at_its_stop(monkeypatch):
@@ -798,13 +812,13 @@ def _widened_reference(term, c):
     support = rows_support(term, GridLayout(c.n, c.depth))
     block, residual = rotation._conjugated_block(term, wire_cone(c, support), support)
     assert residual < 1e-9
-    return rotation._trim_trivial_qubits(block, support)
+    return trim_trivial_qubits(block, support)
 
 
 def test_localized_terms_rotate_on_their_own_support(monkeypatch):
     # every last-layer term and every Pauli-normalizing bulk term of the
-    # verify fixtures rotates within its own support, extracted once there,
-    # and lands on the widened-then-trimmed block
+    # verify fixtures rotates onto its own pairs, extracted once there, and
+    # lands on the widened-then-trimmed block
     checked = 0
     for name, c in named_fixtures():
         spec = parent_spec(c, (0.3, 0.6)[: c.depth])
@@ -815,7 +829,7 @@ def test_localized_terms_rotate_on_their_own_support(monkeypatch):
             with monkeypatch.context() as patch:
                 supports = _counting_extractions(patch)
                 got = rotate_term(term, c)
-            assert supports == [term.support], (name, str(term))
+            assert supports == [pair_qubits(term)], (name, str(term))
             assert got.support == want_support, (name, str(term))
             assert np.abs(got.block - want).max() <= 1e-13, (name, str(term))
             checked += 1

@@ -78,6 +78,52 @@ def test_combinatorial_state_is_refused_before_allocation(monkeypatch):
     assert peak < limits.vector_bytes(14)
 
 
+@pytest.mark.parametrize("name", ["bell_fault_file", "bell_layer_1", "c14", "ccz"])
+def test_extraction_stays_within_its_estimate(monkeypatch, bell_circuit, name):
+    # the pair-map sweep's grid vectors beside the enumerated entries: bell
+    # with the benchmark's fault file, bell with its layer 1 faulted, C14
+    # with a fault on every layer, and a 15-qubit circuit with a faulted
+    # CCZ; one byte less of budget refuses it before the sweep allocates
+    c, fault = {
+        "bell_fault_file": (bell_circuit, FaultPattern({0}, ((), (0, 1)))),
+        "bell_layer_1": (bell_circuit, FaultPattern((), ((0, 1), ()))),
+        "c14": (
+            layered(2, 1, [[("H", (0,)), ("T", (1,))], [("CNOT", (0, 1))],
+                           [("S", (0,)), ("H", (1,))]]),
+            FaultPattern((), ((0,), (0, 1), (1,))),
+        ),
+        "ccz": (
+            layered(3, 1, [[("H", (0,)), ("H", (1,)), ("T", (2,))],
+                           [("CCZ", (0, 1, 2))]]),
+            FaultPattern((), ((), (0, 1, 2))),
+        ),
+    }[name]
+    state = build_combinatorial_state(c, 0.5, canonical_payloads(c, fault))
+    extract_decomposition(state)
+    estimates = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            soundness, "require", lambda what, n, nbytes: estimates.append(nbytes)
+        )
+        tracemalloc.start()
+        try:
+            extract_decomposition(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    (estimate,) = estimates
+    assert peak <= estimate
+    monkeypatch.setattr(limits, "MEMORY_BUDGET", estimate - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(limits.ResourceError, match="error-basis enumeration"):
+            extract_decomposition(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < state.amplitudes.nbytes
+
+
 def test_payload_bookkeeping_is_strict(bell_circuit):
     with pytest.raises(ValueError, match="lacks"):
         build_combinatorial_state(

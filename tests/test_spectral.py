@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from clockless.circuit import layered
@@ -16,7 +17,7 @@ from clockless.hamiltonian import (
     HamiltonianSpec, LocalTerm, SparseOperator, assemble, parent_spec,
 )
 from clockless.io import write_circuit_json
-from clockless.linalg import random_projector, random_state
+from clockless.linalg import basis_state, random_projector, random_state
 from clockless.pauli import pauli_matrix
 from clockless.peps import build_peps
 from clockless.spectral import (
@@ -47,7 +48,7 @@ def test_dense_spectrum_on_diagonal():
     op = np.diag([0.0, 0.0, 0.3, 1.0])
     report = dense_spectrum(op, vectors=2)
     assert report.method == "dense"
-    assert report.eigenvectors.shape == (4, 2)
+    assert report.residuals.shape == (2,)
     assert np.allclose(report.lowest_eigenvalues, [0.0, 0.0, 0.3, 1.0], atol=1e-12)
     assert report.residuals.max() < 1e-12
 
@@ -278,11 +279,11 @@ def test_dense_spectrum_lowest_matches_full(name, layers):
     for delta in (0.2, 0.5):
         op = assemble(parent_spec(c, delta))
         q = build_peps(c, delta).amplitudes
-        full = dense_spectrum(op.to_sparse().toarray(), vectors=1)
+        eigs, vectors = scipy.linalg.eigh(op.to_sparse().toarray())
         bound = ground_certificate(op, q, TOL)
-        assert _angle(full.eigenvectors[:, 0], q) <= bound
+        assert _angle(vectors[:, 0], q) <= bound
         assert bound**2 <= TOL / 2
-        assert full.lowest_eigenvalues[1] > _shift(op, q)[2]
+        assert eigs[1] > _shift(op, q)[2]
 
 
 def test_dense_spectrum_lowest_flags_degenerate_ground(hcnot):
@@ -434,15 +435,20 @@ def test_sparse_ground_falls_back_to_bunch_kaufman(
 
 def test_parent_spectrum_ground_columns_are_orthonormal(tmp_path):
     # one data wire: a doubly degenerate ground space on 6 qubits, spanned
-    # by the grid states at the two witness basis states
+    # by the grid states at the two witness basis states, which lie in the
+    # span of the two lowest orthonormal columns of the dense eigenbasis
     c = layered(2, 1, [[("CNOT", (0, 1))]])
-    report = parent_spectrum(parent_spec(c, 0.5), build_peps(c, 0.5), k=4)
+    spec = parent_spec(c, 0.5)
+    report = parent_spectrum(spec, build_peps(c, 0.5), k=4)
     assert report.ground_dim == 2 and report.ground_resolved
-    basis = report.eigenvectors[:, :2]
-    assert np.abs(basis.conj().T @ basis - np.eye(2)).max() < 1e-12
     assert report.residuals[:2].max() < 1e-12
-    assert basis[:, 0].tobytes() == build_peps(c, 0.5).amplitudes.tobytes()
-    # build writes that column as ground.bin, byte for byte its state.bin
+    _, vectors = scipy.linalg.eigh(assemble(spec).to_sparse().toarray())
+    basis = vectors[:, :2]
+    assert np.abs(basis.conj().T @ basis - np.eye(2)).max() < 1e-12
+    for j in range(2):
+        q = build_peps(c, 0.5, basis_state(j, 1)).amplitudes
+        assert np.linalg.norm(q - basis @ (basis.conj().T @ q)) < 1e-12
+    # build writes the grid state as ground.bin, byte for byte its state.bin
     circuit = tmp_path / "cnot.json"
     write_circuit_json(circuit, c)
     out = tmp_path / "out"

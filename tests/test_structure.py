@@ -121,7 +121,7 @@ def test_cli_leaves_the_numerics_to_the_library():
     # cli parses, echoes and writes; rotated forms, Pauli algebra, state
     # contractions and the choice of eigensolver are reached only through
     # library calls
-    solvers = ("dense_spectrum", "low_spectrum", "ground_certificate", "solver_for")
+    solvers = ("dense_spectrum", "low_spectrum", "ground_certificate")
     numeric = [
         f"cli imports {name} from {target.stem}"
         for src, target, name in _relative_imports()
